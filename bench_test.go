@@ -191,18 +191,18 @@ func scoringLoop(tb testing.TB) (*core.Loop, []core.FileMeta, *storagesim.Cluste
 	if err != nil {
 		tb.Fatal(err)
 	}
-	loop, err := core.NewLoop(db, cluster, runner, quickEngineCfg(seed))
+	loop, err := core.NewNamedLoop(db, db, cluster, runner, "geomancy", quickEngineCfg(seed))
 	if err != nil {
 		db.Close()
 		tb.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			db.Close()
 			tb.Fatal(err)
 		}
 	}
-	if _, err := loop.Engine.Train(); err != nil {
+	if _, err := loop.Engine.TrainContext(context.Background()); err != nil {
 		db.Close()
 		tb.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func BenchmarkScoringProposeLayout(b *testing.B) {
 	valid := agents.ClusterValidator(cluster)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := loop.Engine.ProposeLayout(metas, loop.Checker, valid); err != nil {
+		if _, _, err := loop.Engine.ProposeLayoutContext(context.Background(), metas, loop.Checker, valid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +454,7 @@ func ablationLoop(b *testing.B, seed int64, cfg core.Config) float64 {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	loop, err := core.NewLoop(db, cluster, runner, cfg)
+	loop, err := core.NewNamedLoop(db, db, cluster, runner, "geomancy", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func ablationLoop(b *testing.B, seed int64, cfg core.Config) float64 {
 		n++
 	}
 	for r := 0; r < 10; r++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -101,7 +102,11 @@ func runLFU() (float64, error) {
 				LastAccess: lastAccess[f.ID], Accesses: accessCount[f.ID],
 			})
 		}
-		if proposal := lfu.Layout(st); proposal != nil {
+		proposal, err := lfu.Propose(context.Background(), st)
+		if err != nil {
+			return 0, err
+		}
+		if proposal != nil {
 			if _, err := runner.ApplyLayout(proposal); err != nil {
 				return 0, err
 			}

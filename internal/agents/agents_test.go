@@ -285,7 +285,7 @@ func TestDaemonRejectsUnknownType(t *testing.T) {
 func TestActionCheckerChoosesBest(t *testing.T) {
 	ac := NewActionChecker(rng.New(1), []string{"a", "b", "c"})
 	cands := []Candidate{{"a", 1}, {"b", 5}, {"c", 3}}
-	dev, random, ok := ac.Choose(cands, 0, nil)
+	dev, random, ok := ac.Choose(ac.Filter(cands, 0, nil))
 	if !ok || random || dev != "b" {
 		t.Errorf("Choose = %q random=%v ok=%v, want b/false/true", dev, random, ok)
 	}
@@ -300,7 +300,7 @@ func TestActionCheckerFiltersInvalid(t *testing.T) {
 		return nil
 	}
 	cands := []Candidate{{"a", 1}, {"b", 99}}
-	dev, random, ok := ac.Choose(cands, 0, valid)
+	dev, random, ok := ac.Choose(ac.Filter(cands, 0, valid))
 	if !ok || random || dev != "a" {
 		t.Errorf("Choose = %q random=%v, want a/false", dev, random)
 	}
@@ -315,7 +315,7 @@ func TestActionCheckerRandomFallback(t *testing.T) {
 	invalid := func(string, int64) error { return fmt.Errorf("nope") }
 	seen := map[string]bool{}
 	for i := 0; i < 60; i++ {
-		dev, random, ok := ac.Choose([]Candidate{{"x", 1}}, 0, invalid)
+		dev, random, ok := ac.Choose(ac.Filter([]Candidate{{"x", 1}}, 0, invalid))
 		if !ok || !random {
 			t.Fatalf("fallback not taken: %q %v %v", dev, random, ok)
 		}
@@ -328,7 +328,7 @@ func TestActionCheckerRandomFallback(t *testing.T) {
 
 func TestActionCheckerNowhereToGo(t *testing.T) {
 	ac := NewActionChecker(rng.New(4), nil)
-	if _, _, ok := ac.Choose(nil, 0, nil); ok {
+	if _, _, ok := ac.Choose(nil); ok {
 		t.Error("no candidates and no devices should report !ok")
 	}
 }

@@ -47,12 +47,11 @@ func (a *ActionChecker) Filter(cands []Candidate, size int64, valid Validator) [
 	return out
 }
 
-// Choose picks the destination for a file: the valid candidate with the
-// highest predicted throughput, or a uniformly random device when all
-// candidates are invalid. random reports whether the fallback fired;
-// ok is false only when there is nowhere at all to go.
-func (a *ActionChecker) Choose(cands []Candidate, size int64, valid Validator) (device string, random, ok bool) {
-	passing := a.Filter(cands, size, valid)
+// Choose picks the destination for a file from the candidates that passed
+// Filter: the one with the highest predicted throughput, or a uniformly
+// random device when none passed. random reports whether the fallback
+// fired; ok is false only when there is nowhere at all to go.
+func (a *ActionChecker) Choose(passing []Candidate) (device string, random, ok bool) {
 	if len(passing) > 0 {
 		best := passing[0]
 		for _, c := range passing[1:] {

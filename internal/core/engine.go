@@ -510,16 +510,11 @@ func (e *Engine) gatherTraining() (*nn.Dataset, error) {
 	return nn.NewDataset(xn, yn), nil
 }
 
-// Train re-trains the network on the freshest ReplayDB window using the
-// paper's 60/20/20 split, and refreshes the MAE adjustment from the
-// validation partition.
-func (e *Engine) Train() (TrainReport, error) {
-	return e.TrainContext(context.Background())
-}
-
-// TrainContext is Train with cancellation: ctx is checked between training
-// epochs, and a cancelled cycle returns ctx.Err() without refreshing the
-// model's scalers or validation metrics.
+// TrainContext re-trains the network on the freshest ReplayDB window using
+// the paper's 60/20/20 split, and refreshes the MAE adjustment from the
+// validation partition. ctx is checked between training epochs, and a
+// cancelled cycle returns ctx.Err() without refreshing the model's scalers
+// or validation metrics.
 func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
 	rep, err := e.train(ctx)
 	if err != nil {
@@ -591,12 +586,6 @@ const (
 	DefaultUpdateEpochs  = 2
 	DefaultUpdateLRScale = 0.1
 )
-
-// Update applies one incremental minibatch update with the default
-// window and epoch count. See UpdateContext.
-func (e *Engine) Update() (TrainReport, error) {
-	return e.UpdateContext(context.Background(), 0, 0)
-}
 
 // UpdateContext fine-tunes the trained model on only the newest `window`
 // accesses per device (0 selects DefaultUpdateWindow) for `epochs`
@@ -765,47 +754,6 @@ func (e *Engine) candidateRow(ff fileFeatures, fileID int64, devIdx int) []float
 	return row
 }
 
-// predictCandidate returns the adjusted predicted throughput (bytes/s) of
-// accessing file f when placed on device. For recurrent models the
-// candidate row is appended to the file's recent history window.
-func (e *Engine) predictCandidate(f FileMeta, device string) float64 {
-	recurrent := e.net.IsRecurrent()
-	// Candidate feature row: the file's typical access at this location,
-	// stamped at the most recent known time.
-	ff := e.gatherFileFeatures(f, recurrent)
-	devIdx, ok := e.devIndex[device]
-	if !ok {
-		devIdx = len(e.devices)
-	}
-	norm := e.candidateRow(ff, f.ID, devIdx)
-
-	var pred float64
-	if recurrent {
-		window := make([][]float64, 0, e.net.Window)
-		// History rows (normalized), oldest first, padded by repetition.
-		hist := make([][]float64, 0, len(ff.hist))
-		for _, raw := range ff.hist {
-			n := make([]float64, len(raw))
-			for c, v := range raw {
-				n[c] = e.featScaler.TransformValue(c, v)
-			}
-			hist = append(hist, n)
-		}
-		need := e.net.Window - 1
-		for len(hist) < need {
-			hist = append([][]float64{norm}, hist...)
-		}
-		window = append(window, hist[len(hist)-need:]...)
-		window = append(window, norm)
-		pred = e.net.PredictOne(window)
-	} else {
-		pred = e.net.PredictOne([][]float64{norm})
-	}
-
-	raw := DecodeTarget(e.targetScaler.Inverse(clamp01(pred)))
-	return nn.AdjustPrediction(raw, e.valMetrics)
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -888,81 +836,36 @@ func (e *Engine) forwardRows(flat *mat.Matrix, seq []*mat.Matrix, total int) *ma
 	return out
 }
 
-// candidateScores evaluates every (file, device) pairing in one batched
-// inference: feature assembly fans out over the worker pool (one ReplayDB
-// fetch per file instead of one per pairing), all len(files)×len(devices)
-// candidate rows go through a single ForwardBatch call, and the
-// denormalized, MAE-adjusted predictions come back as scores[i][j] for
-// files[i] on e.devices[j]. Every score is bit-identical to what
-// predictCandidate computes for the same pairing: batching and row-sharded
-// GEMMs do not change any output row's arithmetic order.
-func (e *Engine) candidateScores(ctx context.Context, files []FileMeta) ([][]float64, error) {
-	nDev := len(e.devices)
-	total := len(files) * nDev
-	if total == 0 {
-		return nil, nil
-	}
-	flat, seq, err := e.assembleTasks(ctx, files, exhaustiveTasks(len(files), nDev), total)
-	if err != nil {
-		return nil, err
-	}
-	out := e.forwardRows(flat, seq, total)
-
-	// Denormalize and MAE-adjust every prediction.
-	scores := make([][]float64, len(files))
-	err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-		s := make([]float64, nDev)
-		for j := 0; j < nDev; j++ {
-			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(i*nDev+j, 0))))
-			s[j] = nn.AdjustPrediction(raw, e.valMetrics)
-		}
-		scores[i] = s
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores, nil
-}
-
-// ProposeLayout predicts the throughput of every file at every candidate
-// location (including not moving it) and returns the layout assigning each
-// file to its best predicted location. With probability Epsilon a file is
-// assigned a random device instead — the exploration that keeps the
-// availability picture fresh (§V-H). The checker validates destinations;
-// invalid proposals fall back per the Action Checker rules.
-func (e *Engine) ProposeLayout(files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (map[int64]string, []Decision, error) {
-	return e.ProposeLayoutContext(context.Background(), files, checker, valid)
-}
-
 // scored is one file's prepared decision material: the decision shell
-// with its predictions, the candidate set the greedy rule maximizes over,
-// its validity-filtered form, and the full-width candidate list used for
-// exploration shuffles. On the exhaustive path cands spans every device;
-// on the pruned path it spans only the current-generation scored subset —
-// but explore always spans every device, so both paths consume identical
-// randomness and a fixed seed replays identically across modes.
+// with its predictions, and the validity-filtered candidates the greedy
+// rule maximizes over — every device scored under the current model
+// generation.
 type scored struct {
 	d       Decision
-	cands   []agents.Candidate
 	passing []agents.Candidate
-	explore []agents.Candidate
 }
 
-// ProposeLayoutContext is ProposeLayout with cancellation: ctx is checked
-// between candidate-scoring batches. The decision runs through the
-// three-stage pipeline in propose.go — prepare (mode selection and row
-// assembly, exhaustive or pruned when Config.TopK > 0), one batched
-// forward pass, finish (denormalization, cache writeback, selection). The
-// per-file validity filters fan out over the worker pool; only the
-// ε-greedy selection — the part that draws from e.rng — runs serially in
-// file order, so a fixed seed replays identically at any Parallelism.
+// ProposeLayoutContext predicts the throughput of every file at its
+// candidate locations (including not moving it) and returns the layout
+// assigning each file to its best predicted location. With probability
+// Epsilon a file is assigned a random device instead — the exploration
+// that keeps the availability picture fresh (§V-H). The checker validates
+// destinations; invalid proposals fall back per the Action Checker rules.
+//
+// The decision runs through the three-stage pipeline in propose.go —
+// prepare (invalidation, shortlist, row assembly), one batched forward
+// pass, finish (denormalization, score writeback, selection) — and ctx is
+// checked between candidate-scoring batches. The per-file validity
+// filters fan out over the worker pool; only the ε-greedy selection — the
+// part that draws from e.rng — runs serially in file order, so a fixed
+// seed replays identically at any Parallelism.
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (map[int64]string, []Decision, error) {
 	pd, err := e.prepareProposal(ctx, files, checker, valid)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out *mat.Matrix
-	if pd.rows() > 0 {
+	if pd.total > 0 {
 		out = e.forwardRows(pd.flat, pd.seq, pd.total)
 	}
 	return pd.finish(ctx, out, 0)
@@ -980,41 +883,22 @@ func (e *Engine) selectLayout(files []FileMeta, pre []scored, checker *agents.Ac
 			// Exploration: random movement, still subject to validation.
 			// The shuffle always spans the full device width — the choice
 			// only depends on which devices validate, never on scores, so
-			// pruned and exhaustive modes explore identically.
+			// pruned and all-device passes explore identically.
 			d.Random = true
-			exp := pre[i].explore
-			if exp == nil {
-				// Pruned path: widen to the full device list on demand,
-				// only for the files that actually explore. Predicted is
-				// irrelevant — the choice is the first device to validate.
-				exp = make([]agents.Candidate, len(e.devices))
-				for j, dev := range e.devices {
-					exp[j] = agents.Candidate{Device: dev}
-				}
+			shuffled := make([]agents.Candidate, len(e.devices))
+			for j, dev := range e.devices {
+				shuffled[j] = agents.Candidate{Device: dev}
 			}
-			shuffled := make([]agents.Candidate, len(exp))
-			copy(shuffled, exp)
 			e.rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-			passing := checker.Filter(shuffled, f.Size, valid)
-			if len(passing) > 0 {
+			if passing := checker.Filter(shuffled, f.Size, valid); len(passing) > 0 {
 				d.Chosen = passing[0].Device
 			} else {
 				d.Chosen = f.Device
 			}
-		} else if passing := pre[i].passing; len(passing) > 0 {
-			// The checker's greedy rule over the precomputed valid set.
-			best := passing[0]
-			for _, c := range passing[1:] {
-				if c.Predicted > best.Predicted {
-					best = c
-				}
-			}
-			d.Chosen = best.Device
-		} else if len(checker.AllDevices) > 0 {
-			// "In case all storage devices are invalid, a random movement
-			// is performed" (§V-H).
-			d.Chosen = checker.AllDevices[checker.Rng.Intn(len(checker.AllDevices))]
-			d.Random = true
+		} else if dev, random, ok := checker.Choose(pre[i].passing); ok {
+			// The Action Checker's rule over the precomputed valid set:
+			// greedy, or a random movement when nothing validates.
+			d.Chosen, d.Random = dev, random
 		} else {
 			d.Chosen = f.Device // nowhere to go: stay put
 		}

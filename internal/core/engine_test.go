@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"geomancy/internal/agents"
@@ -76,7 +77,7 @@ func TestTrainProducesMetrics(t *testing.T) {
 	if e.Trained() {
 		t.Error("engine should start untrained")
 	}
-	rep, err := e.Train()
+	rep, err := e.TrainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestTrainEmptyDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err == nil {
+	if _, err := e.TrainContext(context.Background()); err == nil {
 		t.Error("training on an empty ReplayDB should error")
 	}
 }
@@ -112,7 +113,7 @@ func TestTrainEmptyDB(t *testing.T) {
 func TestProposeRequiresTraining(t *testing.T) {
 	db := seedDB(t, 100)
 	e, _ := NewEngine(db, testDevices, quickCfg())
-	if _, _, err := e.ProposeLayout([]FileMeta{{ID: 1}}, nil, nil); err == nil {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}, nil, nil); err == nil {
 		t.Error("propose before training should error")
 	}
 }
@@ -125,14 +126,14 @@ func TestProposeLayoutCoversFilesAndCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	files := []FileMeta{
 		{ID: 1, Path: "/a", Size: 1e8, Device: "pic"},
 		{ID: 2, Path: "/b", Size: 2e8, Device: "USBtmp"},
 	}
-	layout, decisions, err := e.ProposeLayout(files, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +173,14 @@ func TestProposeLayoutExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	files := make([]FileMeta, 20)
 	for i := range files {
 		files[i] = FileMeta{ID: int64(i + 1), Size: 1e6, Device: "pic"}
 	}
-	_, decisions, err := e.ProposeLayout(files, nil, nil)
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestProposeLayoutRespectsValidator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Only USBtmp is valid.
@@ -214,7 +215,7 @@ func TestProposeLayoutRespectsValidator(t *testing.T) {
 		return nil
 	}
 	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
-	layout, _, err := e.ProposeLayout(files, nil, valid)
+	layout, _, err := e.ProposeLayoutContext(context.Background(), files, nil, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestRecurrentEnginePropose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Files with deep history and with none at all must both predict.
@@ -262,7 +263,7 @@ func TestRecurrentEnginePropose(t *testing.T) {
 		{ID: 1, Size: 1e8, Device: "pic"},   // has history in seedDB
 		{ID: 999, Size: 1e8, Device: "var"}, // never accessed
 	}
-	layout, decisions, err := e.ProposeLayout(files, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestLoopEndToEnd(t *testing.T) {
 	defer db.Close()
 
 	cfg := Config{Epochs: 6, WindowX: 500, CooldownRuns: 2, Seed: 11, LearningRate: 0.05}
-	loop, err := NewLoop(db, cluster, runner, cfg)
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestLoopEndToEnd(t *testing.T) {
 	loop.Observer = func(res storagesim.AccessResult, wl, run int) { observed++ }
 
 	for i := 0; i < 6; i++ {
-		stats, err := loop.RunOnce()
+		stats, err := loop.RunOnceContext(context.Background())
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -367,12 +368,12 @@ func TestEngineAdamOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Optimizer = "bogus"
 	e2, _ := NewEngine(db, testDevices, cfg)
-	if _, err := e2.Train(); err == nil {
+	if _, err := e2.TrainContext(context.Background()); err == nil {
 		t.Error("bogus optimizer should error")
 	}
 }
@@ -386,7 +387,7 @@ func TestEngineSmoothingModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Train(); err != nil {
+		if _, err := e.TrainContext(context.Background()); err != nil {
 			t.Fatalf("smoothing mode %d: %v", w, err)
 		}
 	}
@@ -397,7 +398,7 @@ func TestCheckerIntegration(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epsilon = 0
 	e, _ := NewEngine(db, testDevices, cfg)
-	e.Train()
+	e.TrainContext(context.Background())
 	cluster := storagesim.NewBluesky(12)
 	// Knock out every device: the Action Checker's random fallback fires.
 	for _, d := range cluster.DeviceNames() {
@@ -405,7 +406,7 @@ func TestCheckerIntegration(t *testing.T) {
 	}
 	checker := agents.NewActionChecker(rng.New(3), cluster.DeviceNames())
 	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
-	_, decisions, err := e.ProposeLayout(files, checker, agents.ClusterValidator(cluster))
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), files, checker, agents.ClusterValidator(cluster))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,10 +445,10 @@ func TestLatencyTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	layout, decisions, err := e.ProposeLayout([]FileMeta{{ID: 1, Size: 1e8, Device: "slow"}}, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1, Size: 1e8, Device: "slow"}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +491,7 @@ func TestEngineOverRemoteStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repR, err := remote.Train()
+	repR, err := remote.TrainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +499,7 @@ func TestEngineOverRemoteStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repL, err := local.Train()
+	repL, err := local.TrainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +512,11 @@ func TestEngineOverRemoteStore(t *testing.T) {
 	}
 	// Proposals agree too.
 	files := []FileMeta{{ID: 1, Size: 1e8, Device: "pic"}}
-	lr, _, err := remote.ProposeLayout(files, nil, nil)
+	lr, _, err := remote.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ll, _, err := local.ProposeLayout(files, nil, nil)
+	ll, _, err := local.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +541,12 @@ func TestLoopSurfacesDBErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, _ := replaydb.Open(replaydb.Options{})
-	loop, err := NewLoop(db, cluster, runner, Config{Epochs: 2, WindowX: 100, CooldownRuns: 2, Seed: 41})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 2, WindowX: 100, CooldownRuns: 2, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Close() // appends now fail
-	if _, err := loop.RunOnce(); err == nil {
+	if _, err := loop.RunOnceContext(context.Background()); err == nil {
 		t.Error("RunOnce should fail when telemetry cannot be recorded")
 	}
 }
@@ -567,16 +568,16 @@ func TestLoopSurvivesDeviceLossForPlacement(t *testing.T) {
 	}
 	db, _ := replaydb.Open(replaydb.Options{})
 	defer db.Close()
-	loop, err := NewLoop(db, cluster, runner, Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 42})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loop.RunOnce(); err != nil {
+	if _, err := loop.RunOnceContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cluster.SetAvailable("USBtmp", false)
 	for i := 0; i < 3; i++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			t.Fatalf("run after device loss: %v", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -170,13 +171,13 @@ func TestLoopWithGapScheduling(t *testing.T) {
 	db, _ := replaydb.Open(replaydb.Options{})
 	defer db.Close()
 
-	loop, err := NewLoop(db, cluster, runner, Config{Epochs: 5, WindowX: 400, CooldownRuns: 2, Seed: 21})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 5, WindowX: 400, CooldownRuns: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gaps := loop.EnableGapScheduling()
 	for i := 0; i < 4; i++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

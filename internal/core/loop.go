@@ -162,37 +162,16 @@ func (l *Loop) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// NewLoop assembles a geomancy-policy loop over an existing
-// cluster/runner/db.
-func NewLoop(db *replaydb.DB, cluster *storagesim.Cluster, runner Workload, cfg Config) (*Loop, error) {
-	return NewLoopWithStore(db, db, cluster, runner, cfg)
-}
-
-// NewLoopWithStore assembles a geomancy-policy loop whose engine trains
-// through store — e.g. an agents.RemoteStore, preserving the paper's
-// decoupling where "the DRL engine requests training data from the
-// ReplayDB via the Interface Daemon" (§V-E) — while movement records
-// still persist to db.
-func NewLoopWithStore(store TelemetryStore, db *replaydb.DB, cluster *storagesim.Cluster, runner Workload, cfg Config) (*Loop, error) {
-	return NewNamedLoop(store, db, cluster, runner, "geomancy", cfg)
-}
-
 // NewNamedLoop assembles a loop driven by the named placement policy
 // from the catalogue (policy.Catalogue; the empty name selects
-// "geomancy"). Engine-backed names build the DRL engine from cfg exactly
-// as NewLoopWithStore always has; baseline names run engine-free, with
-// any stochastic streams derived from cfg.Seed. The decision cadence is
-// cfg.CooldownRuns either way.
+// "geomancy"). Engine-backed names build the DRL engine from cfg, training
+// through store — e.g. an agents.RemoteStore, preserving the paper's
+// decoupling where "the DRL engine requests training data from the
+// ReplayDB via the Interface Daemon" (§V-E) — while movement records still
+// persist to db; baseline names run engine-free, with any stochastic
+// streams derived from cfg.Seed. The decision cadence is cfg.CooldownRuns
+// either way.
 func NewNamedLoop(store TelemetryStore, db *replaydb.DB, cluster *storagesim.Cluster, runner Workload, name string, cfg Config) (*Loop, error) {
-	l := &Loop{
-		Workload:    runner,
-		DB:          db,
-		Cluster:     cluster,
-		decideEvery: cfg.withDefaults().CooldownRuns,
-		lastRun:     -1,
-		lastAccess:  make(map[int64]float64),
-		accesses:    make(map[int64]int64),
-	}
 	var model *EngineModel
 	if EngineBacked(name) {
 		engine, err := NewEngine(store, cluster.DeviceNames(), cfg)
@@ -205,7 +184,7 @@ func NewNamedLoop(store TelemetryStore, db *replaydb.DB, cluster *storagesim.Clu
 	if err != nil {
 		return nil, err
 	}
-	l.Policy = p
+	l := NewPolicyLoop(db, cluster, runner, p, cfg.withDefaults().CooldownRuns)
 	l.SetModel(model)
 	return l, nil
 }
@@ -492,16 +471,11 @@ func (l *Loop) applyLayout(layout map[int64]string) ([]storagesim.MoveResult, er
 	return moves, nil
 }
 
-// RunOnce executes one workload run and, when the cadence allows, one
-// full decide-and-move cycle. It returns the run statistics.
-func (l *Loop) RunOnce() (workload.RunStats, error) {
-	return l.RunOnceContext(context.Background())
-}
-
-// RunOnceContext is RunOnce with cancellation: ctx is checked between
-// workload accesses, between training epochs, and between candidate-scoring
-// batches. A cancelled cycle returns ctx.Err() (possibly wrapped) promptly
-// without applying a partial layout.
+// RunOnceContext executes one workload run and, when the cadence allows,
+// one full decide-and-move cycle, returning the run statistics. ctx is
+// checked between workload accesses, between training epochs, and between
+// candidate-scoring batches. A cancelled cycle returns ctx.Err() (possibly
+// wrapped) promptly without applying a partial layout.
 func (l *Loop) RunOnceContext(ctx context.Context) (workload.RunStats, error) {
 	var obsErr error
 	stats, err := l.Workload.RunOnceContext(ctx, func(res storagesim.AccessResult, wl, run int) {

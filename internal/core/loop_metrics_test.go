@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"geomancy/internal/replaydb"
@@ -21,7 +22,7 @@ func TestLoopMetrics(t *testing.T) {
 	}
 	db, _ := replaydb.Open(replaydb.Options{})
 	defer db.Close()
-	loop, err := NewLoop(db, cluster, runner, Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13, LearningRate: 0.05})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13, LearningRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestLoopMetrics(t *testing.T) {
 	db.SetMetrics(reg)
 
 	for i := 0; i < 4; i++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}

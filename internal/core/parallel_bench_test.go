@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func benchmarkProposeLayout(b *testing.B, files, par int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	metas := make([]FileMeta, files)
@@ -23,7 +24,7 @@ func benchmarkProposeLayout(b *testing.B, files, par int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.ProposeLayout(metas, nil, nil); err != nil {
+		if _, _, err := e.ProposeLayoutContext(context.Background(), metas, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func quickLoop(t *testing.T) *Loop {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	loop, err := NewLoop(db, cluster, runner, Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,14 @@ func trainedEngine(t *testing.T, mutate func(*Config)) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// The batched candidateScores must reproduce the legacy per-pair
-// predictCandidate exactly — the regression anchor for the batched engine.
+// The batched pipeline must reproduce the per-pair predictCandidate oracle
+// exactly — the regression anchor for the batched engine.
 func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 	for _, model := range []int{1, 18} { // dense and recurrent
 		e := trainedEngine(t, func(c *Config) {
@@ -63,16 +63,16 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 			{ID: 3, Size: 2e8, Device: "var"},   // other history
 			{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
 		}
-		scores, err := e.candidateScores(context.Background(), files)
+		_, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range files {
-			for j, dev := range e.devices {
-				want := e.predictCandidate(f, dev)
-				if scores[i][j] != want {
+			for _, dev := range e.devices {
+				got, ok := decisions[i].Predictions[dev]
+				if want := e.predictCandidate(f, dev); !ok || got != want {
 					t.Errorf("model %d: file %d on %s: batched %v != legacy %v",
-						model, f.ID, dev, scores[i][j], want)
+						model, f.ID, dev, got, want)
 				}
 			}
 		}
@@ -100,11 +100,11 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 			files[i] = FileMeta{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 		}
 		for round := 0; round < 3; round++ {
-			ls, ds, err := serial.ProposeLayout(files, nil, nil)
+			ls, ds, err := serial.ProposeLayoutContext(context.Background(), files, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lp, dp, err := parallel.ProposeLayout(files, nil, nil)
+			lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestTrainParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Train()
+		rep, err := e.TrainContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,10 +191,10 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); !errors.Is(err, ErrNoTelemetry) {
+	if _, err := e.TrainContext(context.Background()); !errors.Is(err, ErrNoTelemetry) {
 		t.Errorf("Train on empty DB = %v, want ErrNoTelemetry", err)
 	}
-	if _, _, err := e.ProposeLayout([]FileMeta{{ID: 1}}, nil, nil); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}, nil, nil); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("ProposeLayout untrained = %v, want ErrNotTrained", err)
 	}
 }

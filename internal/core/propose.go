@@ -9,23 +9,24 @@ import (
 	"geomancy/internal/nn"
 )
 
-// The decision pipeline is split into three stages so a sharded
-// coordinator can interleave many engines' decisions around ONE batched
-// inference per cycle (ROADMAP item 2's amortized inference):
+// The engine has one decision pipeline, split into three stages so a
+// sharded coordinator can interleave many engines' decisions around ONE
+// batched inference per cycle:
 //
-//	prepare — dirty tracking, shortlist/task construction, and candidate
-//	          row assembly into the engine's input buffer. Draws no
-//	          randomness and runs no GEMM, so shards prepare concurrently.
-//	forward — one nn.ForwardBatch over the assembled rows. The legacy
-//	          single-engine path forwards its own rows; the coordinator
+//	prepare — invalidation, shortlist and task construction, and
+//	          candidate row assembly into the engine's input buffer. Draws
+//	          no randomness and runs no GEMM, so shards prepare
+//	          concurrently.
+//	forward — one nn.ForwardBatch over the assembled rows.
+//	          ProposeLayoutContext forwards its own rows; the coordinator
 //	          concatenates every shard's rows and forwards once.
-//	finish  — denormalization, cache writeback, and the serial ε-greedy
+//	finish  — denormalization, score writeback, and the serial ε-greedy
 //	          selection (the only stage that draws from e.rng).
 //
-// ProposeLayoutContext composes the three stages over one engine and is
-// bit-identical to the pre-split implementation: the same rows are
-// assembled in the same order, forwarded through the same network, and
-// selected with the same RNG stream.
+// An exhaustive pass (Config.TopK = 0, the first decision, the cadence
+// rescan) is the same body run with every file invalidated and every
+// device shortlisted: prepare forks once to choose the invalidation set
+// and the shortlist, finish once for the full-pass epilogue.
 
 // pendingDecision is a prepared-but-not-yet-scored decision: the task
 // list mapping batch rows to (file, device) pairings, plus the assembled
@@ -37,12 +38,11 @@ type pendingDecision struct {
 	checker *agents.ActionChecker
 	valid   agents.Validator
 
-	// pruned marks the shortlist path; entries holds each file's cache
-	// entry (pruned only), tasks the rows to score, total the row count.
-	pruned  bool
-	entries []*fileCache
-	tasks   []scoreTask
-	total   int
+	// full marks an all-device pass; tasks holds one entry per file (its
+	// score entry and the rows to score), total the row count.
+	full  bool
+	tasks []scoreTask
+	total int
 
 	// Assembled input: flat for dense models, seq for recurrent ones.
 	// Aliases of the engine's reusable buffers.
@@ -50,25 +50,10 @@ type pendingDecision struct {
 	seq  []*mat.Matrix
 }
 
-// exhaustiveTasks builds the full-grid task list: every file against
-// every device, rows laid out file-major exactly like candidateScores.
-func exhaustiveTasks(nFiles, nDev int) []scoreTask {
-	all := make([]int, nDev)
-	for j := range all {
-		all[j] = j
-	}
-	tasks := make([]scoreTask, nFiles)
-	for i := range tasks {
-		tasks[i] = scoreTask{file: i, devs: all, base: i * nDev}
-	}
-	return tasks
-}
-
 // prepareProposal runs the decision pipeline up to (but excluding) the
-// batched inference: mode selection, dirty-set maintenance, task-list
-// construction, and candidate-row assembly. It advances the decision
-// counter and watermark, so every prepare must be followed by exactly one
-// finish.
+// batched inference: invalidation, task-list construction, and
+// candidate-row assembly. It advances the decision counter and watermark,
+// so every prepare must be followed by exactly one finish.
 func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (*pendingDecision, error) {
 	if !e.trained {
 		return nil, ErrNotTrained
@@ -76,33 +61,19 @@ func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker 
 	if checker == nil {
 		checker = agents.NewActionChecker(e.rng, e.devices)
 	}
-	pruned := e.cfg.TopK > 0 && !e.fullRescanDue()
+	pd := &pendingDecision{eng: e, files: files, checker: checker, valid: valid,
+		full: e.cfg.TopK == 0 || e.fullRescanDue()}
 	e.decisionCount++
 
-	pd := &pendingDecision{eng: e, files: files, checker: checker, valid: valid, pruned: pruned}
-	if pruned {
-		// Dirty set: drop caches of files whose telemetry moved past the
-		// last scoring watermark. Without a ChangeTracker nothing can be
-		// trusted across decisions; the shortlist still prunes the device
-		// axis.
-		if e.tracker != nil {
-			for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
-				if ent, ok := e.cache[id]; ok {
-					ent.invalidate()
-				}
-			}
-			e.lastWatermark = e.tracker.Watermark()
-		} else {
-			for _, ent := range e.cache {
-				ent.invalidate()
-			}
-		}
-		short := e.deviceShortlist()
-		pd.entries, pd.tasks, pd.total = e.pruneTasks(files, short)
+	var short []int
+	if pd.full {
+		e.invalidateAll()
+		short = e.allDevices()
 	} else {
-		pd.total = len(files) * len(e.devices)
-		pd.tasks = exhaustiveTasks(len(files), len(e.devices))
+		e.invalidateChanged()
+		short = e.deviceShortlist()
 	}
+	pd.tasks, pd.total = e.pruneTasks(files, short)
 	if pd.total > 0 {
 		var err error
 		pd.flat, pd.seq, err = e.assembleTasks(ctx, files, pd.tasks, pd.total)
@@ -112,9 +83,6 @@ func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker 
 	}
 	return pd, nil
 }
-
-// rows returns the number of candidate rows awaiting inference.
-func (pd *pendingDecision) rows() int { return pd.total }
 
 // fillInto copies the assembled candidate rows into dst starting at row
 // base — the coordinator's concatenation step. Dense models only; the
@@ -128,101 +96,64 @@ func (pd *pendingDecision) fillInto(dst *mat.Matrix, base int) {
 }
 
 // finish consumes the inference output rows [base, base+total) of out and
-// completes the decision: denormalization, cache writeback (pruned) or
-// full-cache refresh (exhaustive with TopK), candidate filtering, and the
-// serial ε-greedy selection. out may be nil when rows() was 0.
+// completes the decision: denormalization, score writeback, the full-pass
+// epilogue, candidate filtering, and the serial ε-greedy selection. out
+// may be nil when total is 0.
 func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int) (map[int64]string, []Decision, error) {
 	e := pd.eng
 	files := pd.files
-	denorm := func(r int) float64 {
-		raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+r, 0))))
-		return nn.AdjustPrediction(raw, e.valMetrics)
-	}
 
-	if !pd.pruned {
-		nDev := len(e.devices)
-		scores := make([][]float64, len(files))
-		err := parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-			s := make([]float64, nDev)
-			for j := 0; j < nDev; j++ {
-				s[j] = denorm(i*nDev + j)
-			}
-			scores[i] = s
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if e.cfg.TopK > 0 {
-			e.refreshCacheFull(files, scores)
-		}
-		pre := make([]scored, len(files))
-		err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-			f := files[i]
-			d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64, len(e.devices))}
-			cands := make([]agents.Candidate, 0, len(e.devices))
-			for j, dev := range e.devices {
-				p := scores[i][j]
-				d.Predictions[dev] = p
-				// Candidate scores are maximize-me: latency negates.
-				cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
-			}
-			pre[i] = scored{d: d, cands: cands, passing: pd.checker.Filter(cands, f.Size, pd.valid), explore: cands}
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.selectLayout(files, pre, pd.checker, pd.valid)
-	}
-
-	// Pruned path: write the fresh scores back into the caches under the
-	// current generation, then decide from every current-generation score.
-	err := parallelFor(ctx, len(pd.tasks), e.cfg.Parallelism, func(ti int) {
-		t := pd.tasks[ti]
+	// Per file: write the fresh scores into its entry under the current
+	// generation, then decide from every current-generation score — the
+	// full width after an all-device pass (and for clean files still
+	// carrying one), the shortlist ∪ {current device} for freshly scored
+	// ones.
+	pre := make([]scored, len(files))
+	err := parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
+		f, t := files[i], pd.tasks[i]
 		for k, j := range t.devs {
-			t.ent.scores[j] = denorm(t.base + k)
+			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+t.base+k, 0))))
+			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
 			t.ent.gens[j] = e.modelGen
 		}
+		// Count first, so the map and the slice are allocated once at
+		// their final size whatever the width.
+		n := 0
+		for _, g := range t.ent.gens {
+			if g == e.modelGen {
+				n++
+			}
+		}
+		d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64, n)}
+		cands := make([]agents.Candidate, 0, n)
+		for j, dev := range e.devices {
+			if t.ent.gens[j] != e.modelGen {
+				continue
+			}
+			p := t.ent.scores[j]
+			d.Predictions[dev] = p
+			// Candidate scores are maximize-me: latency negates.
+			cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
+		}
+		pre[i] = scored{d: d, passing: pd.checker.Filter(cands, f.Size, pd.valid)}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Prepared decision material: candidates are every device scored
-	// under the current generation — the full width for clean files still
-	// carrying an exhaustive pass, the shortlist for freshly scored ones.
-	// explore stays nil; selectLayout widens it to the full device list
-	// only for the ε fraction of files that actually explore.
-	pre := make([]scored, len(files))
-	err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-		f := files[i]
-		ent := pd.entries[i]
-		d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64)}
-		cands := make([]agents.Candidate, 0, len(e.devices))
-		for j, dev := range e.devices {
-			if ent.gens[j] != e.modelGen {
-				continue
-			}
-			p := ent.scores[j]
-			d.Predictions[dev] = p
-			cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
-		}
-		pre[i] = scored{d: d, cands: cands, passing: pd.checker.Filter(cands, f.Size, pd.valid)}
-	})
-	if err != nil {
-		return nil, nil, err
+	if pd.full {
+		e.endFullPass(files, pd.tasks)
 	}
 	return e.selectLayout(files, pre, pd.checker, pd.valid)
 }
 
-// pruneTasks builds the pruned work list: per file, the shortlist ∪
+// pruneTasks builds the work list, one task per file: the shortlist ∪
 // {current device} entries not yet scored under the current model
-// generation.
-func (e *Engine) pruneTasks(files []FileMeta, short []int) (entries []*fileCache, tasks []scoreTask, total int) {
-	entries = make([]*fileCache, len(files))
-	tasks = make([]scoreTask, 0, len(files))
+// generation. After invalidateAll with the all-device shortlist that is
+// the full file-major files×devices grid.
+func (e *Engine) pruneTasks(files []FileMeta, short []int) (tasks []scoreTask, total int) {
+	tasks = make([]scoreTask, len(files))
 	for i, f := range files {
 		ent := e.ensureCache(f)
-		entries[i] = ent
 		var need []int
 		cur, curOK := e.devIndex[f.Device]
 		curListed := false
@@ -240,20 +171,17 @@ func (e *Engine) pruneTasks(files []FileMeta, short []int) (entries []*fileCache
 			copy(need[pos+1:], need[pos:])
 			need[pos] = cur
 		}
-		if len(need) > 0 {
-			tasks = append(tasks, scoreTask{file: i, ent: ent, devs: need, base: total})
-			total += len(need)
-		}
+		tasks[i] = scoreTask{ent: ent, devs: need, base: total}
+		total += len(need)
 	}
-	return entries, tasks, total
+	return tasks, total
 }
 
 // assembleTasks builds the candidate feature rows for every task into the
-// engine's reusable input buffers. A task with a cache entry reuses (and
-// fills) the entry's raw feature ingredients; a task without one (the
-// exhaustive grid) fetches them directly. Nothing here consumes e.rng,
-// and tasks touch disjoint rows and cache entries, so the fan-out is
-// race-free.
+// engine's reusable input buffers, reusing (and filling) each entry's raw
+// feature ingredients; a file with nothing to score is not even fetched.
+// Nothing here consumes e.rng, and tasks touch disjoint rows and entries,
+// so the fan-out is race-free.
 func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []scoreTask, total int) (*mat.Matrix, []*mat.Matrix, error) {
 	cols := e.net.InSize
 	recurrent := e.net.IsRecurrent()
@@ -266,21 +194,18 @@ func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []sc
 	} else {
 		flat = e.flatBuf(total, cols)
 	}
-	err := parallelFor(ctx, len(tasks), e.cfg.Parallelism, func(ti int) {
-		t := tasks[ti]
-		f := files[t.file]
+	err := parallelFor(ctx, len(tasks), e.cfg.Parallelism, func(i int) {
+		f, t := files[i], tasks[i]
+		if len(t.devs) == 0 {
+			return
+		}
 		// Candidate feature row ingredients: the file's typical access,
 		// stamped at the most recent known time.
-		var ff fileFeatures
-		if t.ent != nil {
-			if !t.ent.featValid {
-				t.ent.feat = e.gatherFileFeatures(f, recurrent)
-				t.ent.featValid = true
-			}
-			ff = t.ent.feat
-		} else {
-			ff = e.gatherFileFeatures(f, recurrent)
+		if !t.ent.featValid {
+			t.ent.feat = e.gatherFileFeatures(f, recurrent)
+			t.ent.featValid = true
 		}
+		ff := t.ent.feat
 		// History rows (normalized) are shared by every device pairing of
 		// this file; only the candidate row itself differs per device.
 		var hist [][]float64
@@ -302,8 +227,7 @@ func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []sc
 				continue
 			}
 			// The window is the file's history padded by repeating the
-			// candidate row, then the candidate row last — the batched form
-			// of predictCandidate's prepend-and-slice.
+			// candidate row, then the candidate row last.
 			need := w - 1
 			for x := 0; x < need; x++ {
 				if h := len(hist) - need + x; h >= 0 {

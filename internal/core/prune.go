@@ -7,11 +7,12 @@ import (
 )
 
 // Candidate pruning (Config.TopK > 0) makes the scoring hot path sublinear
-// in the candidate space. The exhaustive pass builds and scores all
-// files×devices rows on every decision; at warehouse scale (ROADMAP item
-// 2) almost all of that work re-derives scores that cannot have changed.
-// The pruned path keeps a per-file cache of candidate scores tagged with
-// the model generation that produced them, and per decision scores only:
+// in the candidate space. An all-device pass builds and scores all
+// files×devices rows; at warehouse scale almost all of that work re-derives
+// scores that cannot have changed. Every decision keeps a per-file entry of
+// candidate scores tagged with the model generation that produced them;
+// with pruning on the entries persist across decisions as a cache, and a
+// decision scores only:
 //
 //   - files whose telemetry changed since the last pass — the dirty set,
 //     answered by the ReplayDB's append watermark (ChangeTracker) instead
@@ -24,15 +25,16 @@ import (
 //     never reuse stale scores.
 //
 // Exactness contract: the first decision and every FullRescanEvery-th one
-// run the exhaustive pass, so pruning error cannot accumulate past one
-// cadence window. Between rescans, a clean file whose cache still carries
-// the full device width at the current generation decides over exactly
-// the exhaustive candidate set, bit-identically (batching never changes a
-// row's arithmetic); dirty or newly generated files decide over the
-// shortlist ∪ {current device}. Exploration draws are aligned by
-// construction (see scored.explore), so a pruned run and an exhaustive
-// run of the same seed consume identical randomness, and agree on the
-// chosen layout whenever the shortlist covers the argmax device.
+// invalidate every file and shortlist every device, so pruning error
+// cannot accumulate past one cadence window. Between rescans, a clean file
+// whose entry still carries the full device width at the current
+// generation decides over exactly the all-device candidate set,
+// bit-identically (batching never changes a row's arithmetic); dirty or
+// newly generated files decide over the shortlist ∪ {current device}.
+// Exploration always shuffles the full device list (selectLayout), so a
+// pruned run and an unpruned run of the same seed consume identical
+// randomness, and agree on the chosen layout whenever the shortlist covers
+// the argmax device.
 
 // ChangeTracker is the optional dirty-tracking view of a TelemetryStore.
 // The local *replaydb.DB implements it; a store that does not (e.g. a
@@ -58,7 +60,7 @@ type SummarySource func() []storagesim.DeviceSummary
 // but shortlists every device.
 func (e *Engine) SetSummarySource(src SummarySource) { e.summarySource = src }
 
-// fileCache is one file's pruning state: raw feature ingredients (valid
+// fileCache is one file's scoring entry: raw feature ingredients (valid
 // until the file's telemetry changes) and per-device candidate scores
 // tagged with the model generation that produced them. gens[j] == 0 means
 // never scored; entries are laid out in e.devices index order.
@@ -78,8 +80,10 @@ func (fc *fileCache) invalidate() {
 	}
 }
 
-// ensureCache returns the file's cache entry, creating or resetting it if
-// the device width or the file's size changed.
+// ensureCache returns the file's score entry, creating or resetting it if
+// the device width or the file's size changed. Only a pruning engine
+// retains what it creates; with TopK = 0 every entry is per-decision
+// scratch, private to its slot in the file list.
 func (e *Engine) ensureCache(f FileMeta) *fileCache {
 	ent, ok := e.cache[f.ID]
 	if !ok || len(ent.gens) != len(e.devices) {
@@ -88,7 +92,9 @@ func (e *Engine) ensureCache(f FileMeta) *fileCache {
 			scores: make([]float64, len(e.devices)),
 			gens:   make([]uint64, len(e.devices)),
 		}
-		e.cache[f.ID] = ent
+		if e.cfg.TopK > 0 {
+			e.cache[f.ID] = ent
+		}
 	} else if ent.size != f.Size {
 		ent.size = f.Size
 		ent.invalidate()
@@ -96,8 +102,8 @@ func (e *Engine) ensureCache(f FileMeta) *fileCache {
 	return ent
 }
 
-// fullRescanDue reports whether the next decision must run the exhaustive
-// pass: always the first, then every FullRescanEvery-th.
+// fullRescanDue reports whether the next pruned-mode decision must be an
+// all-device pass: always the first, then every FullRescanEvery-th.
 func (e *Engine) fullRescanDue() bool {
 	if e.decisionCount == 0 {
 		return true
@@ -105,24 +111,56 @@ func (e *Engine) fullRescanDue() bool {
 	return e.cfg.FullRescanEvery > 0 && e.decisionCount%uint64(e.cfg.FullRescanEvery) == 0
 }
 
-// refreshCacheFull records an exhaustive pass's full-width scores and
-// advances the dirty watermark. The cache is rebuilt from this file list,
-// so entries for files that left the working set are dropped here —
-// full rescans bound both pruning error and cache growth.
-func (e *Engine) refreshCacheFull(files []FileMeta, scores [][]float64) {
-	next := make(map[int64]*fileCache, len(files))
-	for i, f := range files {
-		ent := e.ensureCache(f)
-		copy(ent.scores, scores[i])
-		for j := range ent.gens {
-			ent.gens[j] = e.modelGen
-		}
-		next[f.ID] = ent
+// invalidateAll marks every cached entry stale.
+func (e *Engine) invalidateAll() {
+	for _, ent := range e.cache {
+		ent.invalidate()
 	}
-	e.cache = next
+}
+
+// invalidateChanged marks stale the entries of files whose telemetry moved
+// past the last scoring watermark, and advances the watermark. Without a
+// ChangeTracker nothing can be trusted across decisions; the shortlist
+// still prunes the device axis.
+func (e *Engine) invalidateChanged() {
+	if e.tracker == nil {
+		e.invalidateAll()
+		return
+	}
+	for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
+		if ent, ok := e.cache[id]; ok {
+			ent.invalidate()
+		}
+	}
+	e.lastWatermark = e.tracker.Watermark()
+}
+
+// endFullPass closes an all-device pass over files. With pruning on, the
+// pass's entries become the whole cache — files that left the working set
+// drop out, so full passes bound cache growth as well as pruning error —
+// and the dirty watermark advances. With pruning off the entries were
+// per-decision scratch: nothing is retained and the watermark never moves,
+// so an unpruned engine's checkpoints carry no pruning state.
+func (e *Engine) endFullPass(files []FileMeta, tasks []scoreTask) {
+	if e.cfg.TopK == 0 {
+		return
+	}
+	clear(e.cache)
+	for i, f := range files {
+		e.cache[f.ID] = tasks[i].ent
+	}
 	if e.tracker != nil {
 		e.lastWatermark = e.tracker.Watermark()
 	}
+}
+
+// allDevices returns every device index, ascending.
+func (e *Engine) allDevices() []int {
+	out := make([]int, len(e.devices))
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // deviceShortlist returns the sorted device indices a pruned decision
@@ -140,11 +178,7 @@ func (e *Engine) refreshCacheFull(files []FileMeta, scores [][]float64) {
 // Without a summary source every device is shortlisted.
 func (e *Engine) deviceShortlist() []int {
 	if e.summarySource == nil {
-		out := make([]int, len(e.devices))
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return e.allDevices()
 	}
 	type ranked struct {
 		idx int
@@ -191,13 +225,12 @@ func (e *Engine) deviceShortlist() []int {
 	return out[:dst]
 }
 
-// scoreTask is one file's pending inference work: the device indices to
-// score (ascending) and where its rows start in the batch. The pruned
-// decision body itself lives in propose.go (prepareProposal builds the
-// task list via pruneTasks; pendingDecision.finish writes scores back),
-// shared with the exhaustive path and the sharded coordinator.
+// scoreTask is one file's inference work: its score entry, the device
+// indices to score (ascending; empty when every candidate is current), and
+// where its rows start in the batch. The decision body lives in
+// propose.go: prepareProposal builds the task list via pruneTasks, and
+// pendingDecision.finish writes the scores back.
 type scoreTask struct {
-	file int
 	ent  *fileCache
 	devs []int
 	base int

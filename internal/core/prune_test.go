@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -91,19 +92,20 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 	if ff.rb != 250 || ff.wb != 250 || ff.ts != 0 {
 		t.Fatalf("cold prior = %+v, want rb=wb=250 ts=0", ff)
 	}
-	// The prior reaches the batched path and the single-candidate path
-	// identically (the bit-identity invariant of candidateScores).
-	if _, err := e.Train(); err != nil {
+	// The prior reaches the batched pipeline and the single-candidate
+	// oracle identically.
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cold := []FileMeta{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}}
-	scores, err := e.candidateScores(t.Context(), cold)
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, dev := range testDevices {
-		if got := e.predictCandidate(cold[0], dev); got != scores[0][j] {
-			t.Fatalf("cold file on %s: predictCandidate %v != batched %v", dev, got, scores[0][j])
+	for _, dev := range testDevices {
+		got, ok := decisions[0].Predictions[dev]
+		if want := e.predictCandidate(cold[0], dev); !ok || got != want {
+			t.Fatalf("cold file on %s: predictCandidate %v != batched %v", dev, want, got)
 		}
 	}
 }
@@ -125,7 +127,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
-		if _, err := e.Train(); err != nil {
+		if _, err := e.TrainContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return e, db
@@ -143,11 +145,11 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}
 	}
 	for step := 0; step < 10; step++ {
-		exLayout, exDec, err := ex.ProposeLayout(files, nil, nil)
+		exLayout, exDec, err := ex.ProposeLayoutContext(context.Background(), files, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prLayout, prDec, err := pr.ProposeLayout(files, nil, nil)
+		prLayout, prDec, err := pr.ProposeLayoutContext(context.Background(), files, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,10 +167,10 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		dirty(exDB, int64(step%4+1))
 		dirty(prDB, int64(step%4+1))
 		if step%3 == 2 {
-			if _, err := ex.Train(); err != nil {
+			if _, err := ex.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := pr.Train(); err != nil {
+			if _, err := pr.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -197,12 +199,12 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		t.Fatal("embedded ReplayDB should expose ChangeTracker")
 	}
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	files := testFiles()
-	if _, _, err := e.ProposeLayout(files, nil, nil); err != nil {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := store.byFileCalls
@@ -212,7 +214,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 
 	// Clean decision: every file reuses its cached full-width scores.
 	store.byFileCalls = 0
-	_, dec, err := e.ProposeLayout(files, nil, nil)
+	_, dec, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.byFileCalls = 0
-	_, dec, err = e.ProposeLayout(files, nil, nil)
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +271,19 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// var (index 4) is outside the top-1 shortlist; a file living there
 	// keeps its current device as a candidate anyway.
 	files := []FileMeta{{ID: 7, Path: "/v", Size: 1e8, Device: "var"}}
-	if _, _, err := e.ProposeLayout(files, nil, nil); err != nil { // decision 0: exhaustive
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
-	if _, err := e.Train(); err != nil { // new generation: cached scores stale
+	if _, err := e.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := e.ProposeLayout(files, nil, nil) // decision 1: pruned
+	_, dec, err := e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +304,10 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	sums[1].Available = false // pic
 	sums[2].Available = false // people
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return sums })
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err = e.ProposeLayout(files, nil, nil) // decision 2: pruned
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 2: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +323,67 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if len(dec[0].Predictions) != 4 {
 		t.Fatalf("narrow shortlist did not prune: %v", dec[0].Predictions)
 	}
-	_, dec, err = e.ProposeLayout(files, nil, nil) // decision 3: cadence rescan
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 3: cadence rescan
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dec[0].Predictions) != len(testDevices) {
 		t.Fatalf("cadence rescan width = %d, want full %d: %v",
 			len(dec[0].Predictions), len(testDevices), dec[0].Predictions)
+	}
+}
+
+// TestFullRescanRefreshesFeatureCache is the regression test for the
+// stale-feature bug of the separate exhaustive branch: a cadence rescan
+// scored files from freshly fetched features but left the per-file feature
+// cache untouched while advancing the dirty watermark, so the next pruned
+// decision saw a clean file and scored it from features cached before its
+// newest accesses. The full pass now fills the cache through the same code
+// as the pruned pass.
+func TestFullRescanRefreshesFeatureCache(t *testing.T) {
+	ctx := context.Background()
+	db := seedDB(t, 1200)
+	cfg := quickCfg()
+	cfg.Epsilon = 0
+	cfg.TopK = 2
+	cfg.FullRescanEvery = 2
+	e, err := NewEngine(db, testDevices, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
+	files := []FileMeta{{ID: 2, Path: "/f2", Size: 1e8, Device: "pic"}}
+	decide := func() Decision {
+		t.Helper()
+		if _, err := e.TrainContext(ctx); err != nil { // new generation: every score is stale
+			t.Fatal(err)
+		}
+		_, dec, err := e.ProposeLayoutContext(ctx, files, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec[0]
+	}
+	decide() // decision 0: full pass
+	decide() // decision 1: pruned — caches file 2's features
+	// New accesses move file 2's averaged rb/wb.
+	for i := 0; i < 3; i++ {
+		if _, err := db.AppendAccess(replaydb.AccessRecord{
+			Time: float64(3000 + i), FileID: 2, Device: "pic", BytesRead: 10, BytesWritten: 4e9,
+			OpenTS: int64(3000 + i), CloseTS: int64(3001 + i), Throughput: 5e8,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()      // decision 2: cadence rescan — advances the watermark past the new accesses
+	d := decide() // decision 3: pruned — file 2 is clean
+	if len(d.Predictions) != len(testDevices) {
+		t.Fatalf("TopK=2 covers the cluster, got %d predictions: %v", len(d.Predictions), d.Predictions)
+	}
+	for _, dev := range testDevices {
+		if want := e.predictCandidate(files[0], dev); d.Predictions[dev] != want {
+			t.Errorf("file 2 on %s: pruned decision predicted %v from cached features, oracle %v", dev, d.Predictions[dev], want)
+		}
 	}
 }
 
@@ -358,7 +414,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 		return e
 	}
 	e := mk()
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -371,7 +427,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	// Decision level, across a restore: the first pruned decision after the
 	// round-trip still scores the idle device.
 	files := []FileMeta{{ID: 7, Path: "/t", Size: 1e8, Device: "tmp"}}
-	if _, _, err := e.ProposeLayout(files, nil, nil); err != nil { // decision 0: exhaustive
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
 	st, err := e.State()
@@ -382,10 +438,10 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	if err := r.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Train(); err != nil { // new generation: cached scores stale
+	if _, err := r.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := r.ProposeLayout(files, nil, nil) // decision 1: pruned
+	_, dec, err := r.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,12 +468,12 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		return e
 	}
 	a := mk()
-	if _, err := a.Train(); err != nil {
+	if _, err := a.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	files := testFiles()
 	for i := 0; i < 3; i++ {
-		if _, _, err := a.ProposeLayout(files, nil, nil); err != nil {
+		if _, _, err := a.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -438,11 +494,11 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		la, da, err := a.ProposeLayout(files, nil, nil)
+		la, da, err := a.ProposeLayoutContext(context.Background(), files, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, db2, err := b.ProposeLayout(files, nil, nil)
+		lb, db2, err := b.ProposeLayoutContext(context.Background(), files, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,5 +508,24 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(da, db2) {
 			t.Fatalf("step %d: restored decisions diverged", i)
 		}
+	}
+
+	// With pruning off the score entries are per-decision scratch: no
+	// number of decisions puts pruning state into the snapshot.
+	cfg.TopK = 0
+	u := mk()
+	if _, err := u.TrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := u.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err = u.State(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.ScoreCache) != 0 || st.LastWatermark != 0 {
+		t.Fatalf("TopK=0 snapshot carries pruning state: %d cache entries, watermark %d", len(st.ScoreCache), st.LastWatermark)
 	}
 }

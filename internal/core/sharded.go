@@ -262,7 +262,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	bases := make([]int, len(s.units))
 	for i, pd := range pds {
 		bases[i] = total
-		total += pd.rows()
+		total += pd.total
 	}
 	var out *mat.Matrix
 	if total > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ func shardedBluesky(t *testing.T, db TelemetryStore, n int, cfg Config) *Sharded
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.globalEngine.Train(); err != nil {
+	if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -41,7 +42,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := plain.NewModel(cluster)
-	if _, err := plain.Train(); err != nil {
+	if _, err := plain.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,10 +65,10 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 			t.Fatalf("step %d: 1-shard decisions diverged from the engine's", step)
 		}
 		if step == 2 {
-			if _, err := plain.Train(); err != nil {
+			if _, err := plain.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.globalEngine.Train(); err != nil {
+			if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,7 +103,7 @@ func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 			layouts = append(layouts, l)
 			decs = append(decs, d)
 			if step == 2 {
-				if _, err := s.globalEngine.Train(); err != nil {
+				if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -350,10 +351,10 @@ func TestShardedStateRoundTrip(t *testing.T) {
 			t.Fatalf("step %d: restored decisions diverged", i)
 		}
 		if i == 1 {
-			if _, err := a.globalEngine.Train(); err != nil {
+			if _, err := a.globalEngine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.globalEngine.Train(); err != nil {
+			if _, err := b.globalEngine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -424,7 +425,7 @@ func shardedWarehouse(tb testing.TB, nFiles, nDev, shards int, cfg Config) (*Sha
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := s.globalEngine.Train(); err != nil {
+	if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return s, files

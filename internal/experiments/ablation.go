@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"geomancy/internal/core"
@@ -52,7 +53,7 @@ func ablationRun(opts Options, mutate func(*core.Config), gapScheduling bool) (A
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	loop, err := core.NewLoop(tb.db, tb.cluster, tb.runner, cfg)
+	loop, err := core.NewNamedLoop(tb.db, tb.db, tb.cluster, tb.runner, "geomancy", cfg)
 	if err != nil {
 		return AblationPoint{}, err
 	}
@@ -64,7 +65,7 @@ func ablationRun(opts Options, mutate func(*core.Config), gapScheduling bool) (A
 		sb.add(res.Throughput, res.End-res.Start)
 	}
 	for r := 0; r < opts.Runs; r++ {
-		if _, err := loop.RunOnce(); err != nil {
+		if _, err := loop.RunOnceContext(context.Background()); err != nil {
 			return AblationPoint{}, err
 		}
 	}

@@ -179,7 +179,7 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := engine.Train(); err != nil {
+	if _, err := engine.TrainContext(context.Background()); err != nil {
 		return nil, err
 	}
 	layout := tb.cluster.Layout()
@@ -188,7 +188,7 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 		metas = append(metas, core.FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: layout[f.ID]})
 	}
 	checker := agents.NewActionChecker(rng.New(opts.Seed+5), tb.cluster.DeviceNames())
-	proposed, _, err := engine.ProposeLayout(metas, checker, agents.ClusterValidator(tb.cluster))
+	proposed, _, err := engine.ProposeLayoutContext(context.Background(), metas, checker, agents.ClusterValidator(tb.cluster))
 	return proposed, err
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"geomancy/internal/core"
@@ -53,7 +54,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		return nil, err
 	}
 
-	loop, err := core.NewLoop(tb.db, tb.cluster, tb.runner, engineConfig(opts))
+	loop, err := core.NewNamedLoop(tb.db, tb.db, tb.cluster, tb.runner, "geomancy", engineConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +71,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 	var preSum float64
 	var preN int
 	for r := 0; r < phase1; r++ {
-		stats, err := loop.RunOnce()
+		stats, err := loop.RunOnceContext(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +100,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		if obsErr != nil {
 			return nil, obsErr
 		}
-		stats, err := loop.RunOnce()
+		stats, err := loop.RunOnceContext(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -85,11 +85,6 @@ func (p *Geomancy) Propose(ctx context.Context, s State) (map[int64]string, erro
 // LastExplored implements Explorer.
 func (p *Geomancy) LastExplored() int { return p.explored }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *Geomancy) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // DefaultRetrainEvery is Online's default full-retrain cadence: one full
 // cycle per this many proposals, incremental updates in between.
 const DefaultRetrainEvery = 4
@@ -172,11 +167,6 @@ func (p *Online) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *Online) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // Tiered is Geomancy restricted to cross-tier migrations (after
 // Harmonia's device-class-aware promote/demote, arXiv:2503.20507):
 // devices are grouped into performance tiers by hardware class, files
@@ -236,11 +226,6 @@ func (p *Tiered) Propose(ctx context.Context, s State) (map[int64]string, error)
 
 // LastExplored implements Explorer.
 func (p *Tiered) LastExplored() int { return p.explored }
-
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *Tiered) Layout(s State) map[int64]string { return layoutCompat(p, s) }
 
 // deviceTiers maps every device to its performance tier: devices are
 // grouped by hardware class (an unclassified device forms its own

@@ -290,29 +290,6 @@ func TestOneShotStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeprecatedLayoutMatchesPropose(t *testing.T) {
-	s := testState(18)
-	for _, tc := range []struct {
-		viaLayout  LayoutPolicy
-		viaPropose Policy
-	}{
-		{LRU{}, LRU{}},
-		{MRU{}, MRU{}},
-		{LFU{}, LFU{}},
-		{Weighted{Base: LFU{}}, Weighted{Base: LFU{}}},
-		{&RandomDynamic{Rng: rng.New(4)}, &RandomDynamic{Rng: rng.New(4)}},
-	} {
-		a := tc.viaLayout.Layout(s)
-		b, err := tc.viaPropose.Propose(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: Layout and Propose disagree", tc.viaLayout.Name())
-		}
-	}
-}
-
 func TestCatalogueNames(t *testing.T) {
 	names := Names()
 	if len(names) != len(Catalogue()) {

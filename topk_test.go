@@ -1,6 +1,7 @@
 package geomancy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -117,7 +118,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 		tb.Fatal(err)
 	}
 	eng.SetSummarySource(func() []storagesim.DeviceSummary { return sums })
-	if _, err := eng.Train(); err != nil {
+	if _, err := eng.TrainContext(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return &warehouseFixture{
@@ -138,7 +139,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 // the population sees fresh telemetry, then the engine proposes a layout.
 func proposeWarehouse(tb testing.TB, w *warehouseFixture) {
 	w.dirty(0.25)
-	if _, _, err := w.engine.ProposeLayout(w.files, nil, nil); err != nil {
+	if _, _, err := w.engine.ProposeLayoutContext(context.Background(), w.files, nil, nil); err != nil {
 		tb.Fatal(err)
 	}
 }
