@@ -16,7 +16,6 @@ import (
 	"os"
 	"testing"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/core"
 	"geomancy/internal/experiments"
 	"geomancy/internal/features"
@@ -178,7 +177,7 @@ func mustEOSDataset(b *testing.B, recs []trace.EOSRecord) *nn.Dataset {
 
 // scoringLoop builds a trained engine over a warmed-up testbed: the
 // candidate-scoring benchmark's fixture.
-func scoringLoop(tb testing.TB) (*core.Loop, []core.FileMeta, *storagesim.Cluster, func()) {
+func scoringLoop(tb testing.TB) (*core.Loop, []core.FileMeta, func()) {
 	tb.Helper()
 	const seed = 21
 	cluster := storagesim.NewBluesky(seed)
@@ -211,19 +210,18 @@ func scoringLoop(tb testing.TB) (*core.Loop, []core.FileMeta, *storagesim.Cluste
 	for _, f := range files {
 		metas = append(metas, core.FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: layout[f.ID]})
 	}
-	return loop, metas, cluster, func() { db.Close() }
+	return loop, metas, func() { db.Close() }
 }
 
 // BenchmarkScoringProposeLayout measures the engine's decision hot path:
 // one full candidate-scoring pass (len(files)×len(devices) batched
 // inferences) plus Action Checker validation and layout assembly.
 func BenchmarkScoringProposeLayout(b *testing.B) {
-	loop, metas, cluster, closeDB := scoringLoop(b)
+	loop, metas, closeDB := scoringLoop(b)
 	defer closeDB()
-	valid := agents.ClusterValidator(cluster)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := loop.Engine.ProposeLayoutContext(context.Background(), metas, loop.Checker, valid); err != nil {
+		if _, _, err := loop.Engine.ProposeLayoutContext(context.Background(), metas); err != nil {
 			b.Fatal(err)
 		}
 	}

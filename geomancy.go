@@ -359,9 +359,8 @@ type System struct {
 	runner  scenario.Workload
 	loop    *core.Loop
 
-	// sharded plane (nil without WithShards)
-	sharded *core.Sharded
-	shards  int
+	// shards is the WithShards partition width (0 = unsharded).
+	shards int
 
 	// distributed plane (nil without WithDistributed)
 	daemon     *agents.Daemon
@@ -441,6 +440,7 @@ func New(opts ...Option) (*System, error) {
 		db:            db,
 		runner:        runner,
 		bootstrapLeft: cfg.bootstrapRun,
+		shards:        cfg.shards,
 		seed:          cfg.seed,
 		replayPath:    cfg.replayPath,
 		metrics:       cfg.metrics,
@@ -475,32 +475,14 @@ func New(opts ...Option) (*System, error) {
 		TopK:            cfg.topK,
 		FullRescanEvery: cfg.fullRescan,
 	}
-	var loop *core.Loop
-	if cfg.shards > 0 {
-		if cfg.policy != "" && cfg.policy != "geomancy" {
-			sys.teardownAgents()
-			db.Close()
-			return nil, fmt.Errorf("geomancy: WithShards drives the %q policy; it cannot combine with WithPolicy(%q)",
-				"geomancy", cfg.policy)
-		}
-		sharded, err := core.NewSharded(store, cluster, cfg.shards, cfg.shardBy, engCfg)
-		if err != nil {
-			sys.teardownAgents()
-			db.Close()
-			return nil, fmt.Errorf("geomancy: building sharded coordinator: %w", err)
-		}
-		loop = core.NewPolicyLoop(db, cluster, runner, sharded, cfg.cooldown)
-		loop.SetModel(sharded.Model())
-		sys.sharded = sharded
-		sys.shards = cfg.shards
-	} else {
-		loop, err = core.NewNamedLoop(store, db, cluster, runner, cfg.policy, engCfg)
-		if err != nil {
-			sys.teardownAgents()
-			db.Close()
-			return nil, fmt.Errorf("geomancy: building loop: %w", err)
-		}
+	pol, model, err := core.BuildPolicy(store, cluster, cfg.policy, cfg.shards, cfg.shardBy, engCfg)
+	if err != nil {
+		sys.teardownAgents()
+		db.Close()
+		return nil, fmt.Errorf("geomancy: building policy: %w", err)
 	}
+	loop := core.NewPolicyLoop(db, cluster, runner, pol, cfg.cooldown)
+	loop.SetModel(model)
 	sys.loop = loop
 	if cfg.distributed {
 		rp := agents.RetryPolicy{}
@@ -663,8 +645,8 @@ func (s *System) RunContext(ctx context.Context) (RunStats, error) {
 				if e := s.monitors.Observe(res, wl, run); e != nil && obsErr == nil {
 					obsErr = e
 				}
-			} else {
-				s.recordBootstrap(res, wl, run)
+			} else if _, e := s.db.AppendAccess(replaydb.FromAccess(res, wl, run)); e != nil && obsErr == nil {
+				obsErr = e
 			}
 		})
 		if err == nil && s.monitors != nil {
@@ -687,25 +669,6 @@ func (s *System) RunContext(ctx context.Context) (RunStats, error) {
 	s.midRun = false
 	s.stats = append(s.stats, stats)
 	return stats, nil
-}
-
-// recordBootstrap stores warm-up telemetry directly.
-func (s *System) recordBootstrap(res storagesim.AccessResult, wl, run int) {
-	s.db.AppendAccess(replaydb.AccessRecord{
-		Time:         res.Start,
-		Workload:     int32(wl),
-		Run:          int32(run),
-		FileID:       res.FileID,
-		Path:         res.Path,
-		Device:       res.Device,
-		BytesRead:    res.BytesRead,
-		BytesWritten: res.BytesWritten,
-		OpenTS:       res.OpenTS,
-		OpenTMS:      res.OpenTMS,
-		CloseTS:      res.CloseTS,
-		CloseTMS:     res.CloseTMS,
-		Throughput:   res.Throughput,
-	})
 }
 
 // RunN executes n workload runs, stopping at the first error.
@@ -832,13 +795,6 @@ func (s *System) buildSnapshot() (*checkpoint.Snapshot, error) {
 		Policy:          pstate,
 		ReplayWatermark: s.db.Watermark(),
 	}
-	if s.sharded != nil {
-		snap.Shards = s.sharded.ShardCount()
-		snap.ShardStates, err = s.sharded.ShardStates()
-		if err != nil {
-			return nil, fmt.Errorf("geomancy: capturing shard states: %w", err)
-		}
-	}
 	if s.replayPath == "" {
 		snap.Accesses = s.db.All()
 		snap.Movements = s.db.Movements()
@@ -926,10 +882,6 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.Seed != s.seed {
 		return fmt.Errorf("geomancy: snapshot was taken with seed %d, options configure seed %d", snap.Seed, s.seed)
 	}
-	if snap.Shards != s.shards {
-		return fmt.Errorf("geomancy: snapshot was taken with %d shards, options configure %d — shard RNG streams do not translate across partitions",
-			snap.Shards, s.shards)
-	}
 	if s.replayPath == "" {
 		if err := s.db.Bulkload(snap.Accesses, snap.Movements); err != nil {
 			return fmt.Errorf("geomancy: restoring replay records: %w", err)
@@ -961,11 +913,6 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if s.loop.Engine != nil {
 		if err := s.loop.Engine.RestoreState(snap.Engine); err != nil {
 			return fmt.Errorf("geomancy: restoring engine: %w", err)
-		}
-	}
-	if s.sharded != nil {
-		if err := s.sharded.RestoreShardStates(snap.ShardStates); err != nil {
-			return fmt.Errorf("geomancy: restoring shard states: %w", err)
 		}
 	}
 	s.loop.RestoreState(snap.Loop)

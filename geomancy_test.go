@@ -2,6 +2,7 @@ package geomancy
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -131,5 +132,27 @@ func TestGapSchedulingOption(t *testing.T) {
 	}
 	if len(sys.Movements()) == 0 {
 		t.Error("gap scheduling blocked every movement")
+	}
+}
+
+// A ReplayDB that starts failing mid-bootstrap must fail the run: warm-up
+// telemetry is what the first training cycle learns from, so losing it
+// silently leaves Telemetry() and the WAL disagreeing with what the
+// workload did.
+func TestBootstrapRecordErrorSurfaces(t *testing.T) {
+	const failAt = 5
+	var sys *System
+	seen := 0
+	sys = quickSystem(t, WithObserver(func(AccessResult, int, int) {
+		if seen++; seen == failAt {
+			sys.db.Close() // the observer runs ahead of the append
+		}
+	}))
+	_, err := sys.Run()
+	if err == nil || !strings.Contains(err.Error(), "geomancy: recording bootstrap telemetry") {
+		t.Fatalf("Run over a closed store = %v, want a bootstrap recording error", err)
+	}
+	if got := sys.Telemetry(); got != failAt-1 {
+		t.Errorf("telemetry = %d records, want the %d stored before the failure", got, failAt-1)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geomancy/internal/replaydb"
-	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
 	"geomancy/internal/trace"
 )
@@ -113,6 +112,17 @@ func TestMonitorFlushAndRecordFidelity(t *testing.T) {
 	}
 	if rec.Throughput != res.Throughput || rec.CloseTMS != res.CloseTMS {
 		t.Errorf("telemetry mangled: %+v", rec)
+	}
+	// The wire shape cannot drift from the local one: a report's record is
+	// the direct conversion, and so is what the daemon stored (modulo the
+	// sequence number the database assigns).
+	direct := replaydb.FromAccess(res, 2, 5)
+	if got := ReportFromAccess(res, 2, 5).ToRecord(); got != direct {
+		t.Errorf("ReportFromAccess(...).ToRecord() = %+v, want the direct conversion %+v", got, direct)
+	}
+	rec.Seq = 0
+	if rec != direct {
+		t.Errorf("stored record %+v != direct conversion %+v", rec, direct)
 	}
 }
 
@@ -279,79 +289,6 @@ func TestDaemonRejectsUnknownType(t *testing.T) {
 	cl.mu.Unlock()
 	if reply.Type != TypeError {
 		t.Errorf("reply = %+v, want error", reply)
-	}
-}
-
-func TestActionCheckerChoosesBest(t *testing.T) {
-	ac := NewActionChecker(rng.New(1), []string{"a", "b", "c"})
-	cands := []Candidate{{"a", 1}, {"b", 5}, {"c", 3}}
-	dev, random, ok := ac.Choose(ac.Filter(cands, 0, nil))
-	if !ok || random || dev != "b" {
-		t.Errorf("Choose = %q random=%v ok=%v, want b/false/true", dev, random, ok)
-	}
-}
-
-func TestActionCheckerFiltersInvalid(t *testing.T) {
-	ac := NewActionChecker(rng.New(2), []string{"a", "b"})
-	valid := func(dev string, size int64) error {
-		if dev == "b" {
-			return fmt.Errorf("b is read-only")
-		}
-		return nil
-	}
-	cands := []Candidate{{"a", 1}, {"b", 99}}
-	dev, random, ok := ac.Choose(ac.Filter(cands, 0, valid))
-	if !ok || random || dev != "a" {
-		t.Errorf("Choose = %q random=%v, want a/false", dev, random)
-	}
-	got := ac.Filter(cands, 0, valid)
-	if len(got) != 1 || got[0].Device != "a" {
-		t.Errorf("Filter = %v", got)
-	}
-}
-
-func TestActionCheckerRandomFallback(t *testing.T) {
-	ac := NewActionChecker(rng.New(3), []string{"x", "y", "z"})
-	invalid := func(string, int64) error { return fmt.Errorf("nope") }
-	seen := map[string]bool{}
-	for i := 0; i < 60; i++ {
-		dev, random, ok := ac.Choose(ac.Filter([]Candidate{{"x", 1}}, 0, invalid))
-		if !ok || !random {
-			t.Fatalf("fallback not taken: %q %v %v", dev, random, ok)
-		}
-		seen[dev] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("random fallback not exploring: saw %v", seen)
-	}
-}
-
-func TestActionCheckerNowhereToGo(t *testing.T) {
-	ac := NewActionChecker(rng.New(4), nil)
-	if _, _, ok := ac.Choose(nil); ok {
-		t.Error("no candidates and no devices should report !ok")
-	}
-}
-
-func TestClusterValidator(t *testing.T) {
-	c := storagesim.NewBluesky(5)
-	v := ClusterValidator(c)
-	if err := v("file0", 1000); err != nil {
-		t.Errorf("healthy device rejected: %v", err)
-	}
-	if err := v("nodev", 0); err == nil {
-		t.Error("unknown device accepted")
-	}
-	c.SetAvailable("pic", false)
-	if err := v("pic", 0); err == nil {
-		t.Error("unavailable device accepted")
-	}
-	c.SetReadOnly("var", true)
-	if err := v("var", 0); err == nil {
-		t.Error("read-only device accepted")
-	}
-	if err := v("tmp", int64(5e18)); err == nil {
-		t.Error("oversized placement accepted")
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package agents implements Geomancy's distributed plumbing (§V-A): the
 // monitoring agents that watch one storage device each and report access
 // telemetry, the control agents that execute data movements on the target
-// system, the Interface Daemon — "a networking middleware that allows
+// system, and the Interface Daemon — "a networking middleware that allows
 // parallel requests to be sent between the target system, Geomancy, and
-// internally within Geomancy" — and the Action Checker, the final sanity
-// check on proposed movements (§V-H).
+// internally within Geomancy".
 //
 // Geomancy and the target system are separate entities communicating only
 // over the network; the wire protocol is newline-delimited JSON over TCP.
@@ -79,21 +78,7 @@ type Envelope struct {
 
 // ReportFromAccess converts simulator telemetry into a wire report.
 func ReportFromAccess(res storagesim.AccessResult, workloadID, run int) Report {
-	return Report{
-		Time:         res.Start,
-		Workload:     int32(workloadID),
-		Run:          int32(run),
-		FileID:       res.FileID,
-		Path:         res.Path,
-		Device:       res.Device,
-		BytesRead:    res.BytesRead,
-		BytesWritten: res.BytesWritten,
-		OpenTS:       res.OpenTS,
-		OpenTMS:      res.OpenTMS,
-		CloseTS:      res.CloseTS,
-		CloseTMS:     res.CloseTMS,
-		Throughput:   res.Throughput,
-	}
+	return ReportFromRecord(replaydb.FromAccess(res, workloadID, run))
 }
 
 // ToRecord converts a wire report into a ReplayDB access record.

@@ -20,6 +20,11 @@ var ErrUnavailable = errors.New("agents: peer unavailable")
 type unavailableError struct{ err error }
 
 func (e unavailableError) Error() string { return e.err.Error() }
+
+// Unavailable marks the error as a peer outage for callers that classify
+// by behaviour instead of importing this package (core.Loop's fail-open
+// mode), the way net.Error's Timeout does.
+func (e unavailableError) Unavailable() bool { return true }
 func (e unavailableError) Unwrap() []error {
 	return []error{ErrUnavailable, e.err}
 }

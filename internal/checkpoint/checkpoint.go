@@ -4,7 +4,7 @@
 // and every loop counter — serialized as one versioned, CRC-framed blob,
 // so an interrupted run restores and continues bit-for-bit.
 //
-// A checkpoint file is the 8-byte magic "GCKP0004" (format version in the
+// A checkpoint file is the 8-byte magic "GCKP0005" (format version in the
 // magic, like the replay WAL's "GRDB0001") followed by one frame: a type
 // byte, a little-endian uint32 payload length, the gob-encoded Snapshot,
 // and a CRC-32 (IEEE) of the payload. Truncated or bit-flipped files fail
@@ -37,10 +37,11 @@ import (
 	"geomancy/internal/workload"
 )
 
-// magic identifies a checkpoint file and its format version. GCKP0004
-// added the sharded-placement fields (Shards + per-shard opaque states);
-// older snapshots predate the sharded plane and do not restore into it.
-var magic = []byte("GCKP0004")
+// magic identifies a checkpoint file and its format version. In GCKP0005
+// a sharded coordinator's state rides the policy blob alone and every
+// engine is serialized once. No reader is kept for older versions: their
+// files fail with ErrCorrupt.
+var magic = []byte("GCKP0005")
 
 // frameSnapshot is the type byte of a Snapshot frame. Future format
 // extensions get new type bytes; readers reject types they do not know.
@@ -77,15 +78,6 @@ type Snapshot struct {
 	Loop    core.LoopState
 	Cluster storagesim.ClusterState
 
-	// Shards is the sharded coordinator's partition width when the
-	// snapshot was taken (0 = unsharded), and ShardStates its per-shard
-	// opaque blobs (shard engine + device-group accounting, one per
-	// shard). Restore rejects a snapshot whose partition width disagrees
-	// with the configured one: shard RNG streams and score caches are
-	// meaningless under a different partition.
-	Shards      int
-	ShardStates [][]byte
-
 	// WorkloadName names the scenario the snapshot was taken under
 	// ("belle" for the classic runner); restore refuses a snapshot whose
 	// scenario disagrees with the configured one. Workload is the
@@ -98,7 +90,9 @@ type Snapshot struct {
 	// (a policy.Policy Name, e.g. "Geomancy dynamic" or "lru"); restore
 	// refuses a snapshot whose policy disagrees with the configured one.
 	// Policy is the policy's opaque MarshalState blob — one-shot flags,
-	// RNG registers, online-update counters.
+	// RNG registers, online-update counters, and for the sharded
+	// coordinator its partition width and every shard unit's state (a
+	// blob of a different width is rejected by the policy itself).
 	PolicyName string
 	Policy     []byte
 

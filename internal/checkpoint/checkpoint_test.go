@@ -64,6 +64,16 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
 	}
+	// No reader is kept for the previous format: an otherwise intact file
+	// under the GCKP0004 magic is corrupt, not half-understood.
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("GCKP0004"), buf.Bytes()[len(magic):]...)
+	if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("GCKP0004 file: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestReadRejectsTruncation(t *testing.T) {

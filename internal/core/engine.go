@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/features"
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
@@ -45,8 +44,6 @@ type Config struct {
 	// ModelNumber picks the Table I architecture; default 1, the model
 	// the paper deployed.
 	ModelNumber int
-	// FeatureCount is Z; default 6 (rb, wb, ots, cts, fid, fsid).
-	FeatureCount int
 	// Epsilon is the random-exploration rate; default 0.1 ("random
 	// decisions are used by Geomancy 10% of the runs", §V-H).
 	Epsilon float64
@@ -61,8 +58,6 @@ type Config struct {
 	Epochs int
 	// LearningRate for plain SGD; default 0.05.
 	LearningRate float64
-	// BatchSize for mini-batch SGD; default 32.
-	BatchSize int
 	// SmoothWindow is the moving-average window applied to ReplayDB
 	// batches; default 8. 1 disables smoothing; negative selects the
 	// cumulative average (for the smoothing ablation).
@@ -107,9 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.ModelNumber == 0 {
 		c.ModelNumber = 1
 	}
-	if c.FeatureCount == 0 {
-		c.FeatureCount = 6
-	}
 	if c.Epsilon == 0 {
 		c.Epsilon = 0.1
 	}
@@ -124,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LearningRate == 0 {
 		c.LearningRate = 0.05
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 32
 	}
 	if c.SmoothWindow == 0 {
 		c.SmoothWindow = 8
@@ -153,6 +142,14 @@ func (c Config) withDefaults() Config {
 const (
 	TargetThroughput = "throughput"
 	TargetLatency    = "latency"
+)
+
+const (
+	// featureCount is Z, the width of FeatureVector's rows (rb, wb, ots,
+	// cts, fid, fsid) and so of the network's input layer.
+	featureCount = 6
+	// batchSize is the SGD mini-batch size.
+	batchSize = 32
 )
 
 // FileMeta is the engine's view of one workload file.
@@ -215,7 +212,10 @@ type Engine struct {
 	valMetrics   nn.Metrics
 	trained      bool
 
-	rewards []float64
+	// valid is the select stage's placement validator (select.go): can the
+	// device receive a file of this size right now? NewModel and NewSharded
+	// install storagesim.(*Cluster).CanPlace; nil means every device can.
+	valid func(device string, size int64) error
 
 	// Batched-inference buffers, reused across decisions.
 	scratch nn.Scratch    //geomancy:ephemeral scratch buffer, content meaningless between decisions
@@ -284,7 +284,7 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 		return nil, fmt.Errorf("core: unknown modeling target %q", cfg.Target)
 	}
 	r := rng.New(cfg.Seed)
-	net, err := nn.BuildModel(cfg.ModelNumber, cfg.FeatureCount, r.Rand)
+	net, err := nn.BuildModel(cfg.ModelNumber, featureCount, r.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("core: building model: %w", err)
 	}
@@ -318,22 +318,6 @@ func (e *Engine) SetDevices(devices []string) {
 	}
 	e.cache = make(map[int64]*fileCache)
 	e.modelGen++
-}
-
-// Devices returns the candidate location list.
-func (e *Engine) Devices() []string { return append([]string(nil), e.devices...) }
-
-// Network exposes the model (for persistence and inspection).
-func (e *Engine) Network() *nn.Network { return e.net }
-
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// ShouldAct reports whether the cooldown permits a layout change after the
-// given workload run index (runs are 0-based; the first decision happens
-// after the first CooldownRuns runs).
-func (e *Engine) ShouldAct(run int) bool {
-	return (run+1)%e.cfg.CooldownRuns == 0
 }
 
 // FeatureVector builds the paper's six-feature vector of one stored
@@ -384,21 +368,6 @@ func DecodeTarget(v float64) float64 {
 	return math.Expm1(v)
 }
 
-// featureRow builds the engine's feature vector for a stored access.
-func (e *Engine) featureRow(rec *replaydb.AccessRecord) []float64 {
-	return FeatureVector(rec, e.devIndex)
-}
-
-// SmoothByFile applies moving-average smoothing (window > 1; cumulative
-// for window < 0) within each (device, file) subsequence of recs — the
-// exported form of the engine's per-data-ID smoothing for the experiment
-// harness. Both the targets and the volume features (rows columns 0 and
-// 1: rb and wb) are smoothed together, so the feature→target relationship
-// survives: smoothing only one side would decouple them.
-func SmoothByFile(recs []replaydb.AccessRecord, rows [][]float64, targets []float64, window int) {
-	smoothGrouped(recs, rows, targets, window)
-}
-
 // smoothKey groups telemetry for smoothing.
 type smoothKey struct {
 	device string
@@ -406,9 +375,15 @@ type smoothKey struct {
 }
 
 // smoothGrouped applies the configured smoothing to targets and the rb/wb
-// feature columns within each (device, file) subsequence of recs.
+// feature columns (rows columns 0 and 1) within each (device, file)
+// subsequence of recs — "the data is batched by data ID" (§V-E).
+// Averaging across different files or devices would blur exactly the
+// per-file, per-location throughput differences the model exists to
+// learn (a 583 KB ROOT file and a 1.1 GB one see ~30× different
+// throughput on the same mount through latency amortization), and
+// smoothing only the targets would decouple them from their features.
 // window > 1 selects the moving average, window < 0 the cumulative
-// average, anything else is a no-op.
+// average (the smoothing ablation), anything else is a no-op.
 func smoothGrouped(recs []replaydb.AccessRecord, rows [][]float64, targets []float64, window int) {
 	if window == 1 || window == 0 {
 		return
@@ -433,9 +408,6 @@ func smoothGrouped(recs []replaydb.AccessRecord, rows [][]float64, targets []flo
 		for j, i := range idxs {
 			targets[i] = sub[j]
 		}
-		if rows == nil {
-			continue
-		}
 		for col := 0; col <= 1; col++ { // rb, wb
 			for j, i := range idxs {
 				sub[j] = rows[i][col]
@@ -446,6 +418,23 @@ func smoothGrouped(recs []replaydb.AccessRecord, rows [][]float64, targets []flo
 			}
 		}
 	}
+}
+
+// TrainingRows turns stored accesses into raw (un-normalized) training
+// material: recs are put in time order in place, each becomes a
+// FeatureVector row over devIndex and a target(rec) value, and both are
+// smoothed per (device, file) under window (see smoothGrouped). The
+// engine's fit and the experiment harness's per-mount datasets share it.
+func TrainingRows(recs []replaydb.AccessRecord, devIndex map[string]int, target func(*replaydb.AccessRecord) float64, window int) (rows [][]float64, targets []float64) {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	rows = make([][]float64, len(recs))
+	targets = make([]float64, len(recs))
+	for i := range recs {
+		rows[i] = FeatureVector(&recs[i], devIndex)
+		targets[i] = target(&recs[i])
+	}
+	smoothGrouped(recs, rows, targets, window)
+	return rows, targets
 }
 
 // targetValue extracts the modeled metric from a record: throughput, or
@@ -471,52 +460,59 @@ func (e *Engine) betterScore(pred float64) float64 {
 	return pred
 }
 
-// gatherTraining pulls the most recent WindowX accesses per device,
-// merges them in time order, and assembles smoothed, normalized training
-// data ("All requests for data contain the X most recent accesses for
-// each of the storage devices from the ReplayDB, thereby creating a
-// batch", §V-E).
-func (e *Engine) gatherTraining() (*nn.Dataset, error) {
-	var recs []replaydb.AccessRecord
-	for _, dev := range e.devices {
-		recs = append(recs, e.db.RecentByDevice(dev, e.cfg.WindowX)...)
-	}
-	if len(recs) == 0 {
-		return nil, ErrNoTelemetry
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+// Online-update defaults: the incremental cadence fine-tunes on a small
+// recent window for a couple of epochs, a fraction of a full cycle's
+// cost. Updates step at a fraction of the full-training learning rate:
+// the window is tiny and recent-only, so a full-size step lets the
+// newest accesses overwrite the ranking learned across the whole
+// telemetry history instead of nudging it toward the drift.
+const (
+	DefaultUpdateWindow  = 96
+	DefaultUpdateEpochs  = 2
+	DefaultUpdateLRScale = 0.1
+)
 
-	rows := make([][]float64, len(recs))
-	targets := make([]float64, len(recs))
-	for i := range recs {
-		rows[i] = e.featureRow(&recs[i])
-		targets[i] = EncodeTarget(e.targetValue(&recs[i]))
-	}
-	// Smoothing: moving average (default), cumulative average
-	// (SmoothWindow < 0, ablation), or none (SmoothWindow == 1).
-	// Smoothing is applied within each (device, file) subsequence — "the
-	// data is batched by data ID" (§V-E). Averaging across different
-	// files or devices would blur exactly the per-file, per-location
-	// throughput differences the model exists to learn (a 583 KB ROOT
-	// file and a 1.1 GB one see ~30× different throughput on the same
-	// mount through latency amortization).
-	smoothGrouped(recs, rows, targets, e.cfg.SmoothWindow)
-
-	x := mat.FromRows(rows)
-	e.featScaler.Fit(x)
-	xn := e.featScaler.Transform(x)
-	e.targetScaler.Fit(targets)
-	yn := e.targetScaler.TransformAll(targets)
-	return nn.NewDataset(xn, yn), nil
+// fitSpec is everything that distinguishes a full training cycle from an
+// incremental update.
+type fitSpec struct {
+	window  int     // most recent accesses fetched per device
+	epochs  int     // training epochs
+	lrScale float64 // step size as a fraction of Config.LearningRate
+	// full refits the scalers, trains on the 60% partition of the 60/20/20
+	// split and refreshes the validation metrics from the rest; an update
+	// keeps all three and trains on its whole (too small to split) window.
+	full bool
 }
 
 // TrainContext re-trains the network on the freshest ReplayDB window using
 // the paper's 60/20/20 split, and refreshes the MAE adjustment from the
-// validation partition. ctx is checked between training epochs, and a
-// cancelled cycle returns ctx.Err() without refreshing the model's scalers
-// or validation metrics.
+// validation partition ("All requests for data contain the X most recent
+// accesses for each of the storage devices from the ReplayDB, thereby
+// creating a batch", §V-E). ctx is checked between training epochs, and a
+// cancelled cycle returns ctx.Err() without refreshing the validation
+// metrics.
 func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
-	rep, err := e.train(ctx)
+	return e.fit(ctx, fitSpec{window: e.cfg.WindowX, epochs: e.cfg.Epochs, lrScale: 1, full: true})
+}
+
+// UpdateContext fine-tunes the trained model on only the newest
+// DefaultUpdateWindow accesses per device for DefaultUpdateEpochs epochs,
+// reusing the scalers fitted by the last full training cycle instead of
+// refitting them. Holding the normalization fixed is what makes the
+// update incremental: the newest telemetry — say, a shifted hotspot —
+// dominates the gradient instead of being averaged back into a
+// window-wide refit, so the model starts tracking drift on the very next
+// decision. Validation metrics and the MAE adjustment stay as the last
+// full cycle computed them; an engine with no completed full cycle
+// returns ErrNotTrained, an empty window ErrNoTelemetry.
+func (e *Engine) UpdateContext(ctx context.Context) (TrainReport, error) {
+	return e.fit(ctx, fitSpec{window: DefaultUpdateWindow, epochs: DefaultUpdateEpochs, lrScale: DefaultUpdateLRScale})
+}
+
+// fit runs the cycle spec describes and reports it on the training
+// metrics; every failure counts as a training error.
+func (e *Engine) fit(ctx context.Context, spec fitSpec) (TrainReport, error) {
+	rep, err := e.fitOnce(ctx, spec)
 	if err != nil {
 		e.metrics.trainErrors.Inc()
 		return rep, err
@@ -530,109 +526,35 @@ func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
 	return rep, nil
 }
 
-func (e *Engine) train(ctx context.Context) (TrainReport, error) {
-	ds, err := e.gatherTraining()
-	if err != nil {
-		return TrainReport{}, err
-	}
-	train, val, test := ds.Split()
-	if train.Len() == 0 {
-		return TrainReport{}, fmt.Errorf("core: training partition empty (%d samples)", ds.Len())
-	}
-
-	var opt nn.Optimizer
-	switch e.cfg.Optimizer {
-	case "sgd":
-		opt = &nn.SGD{LR: e.cfg.LearningRate}
-	case "adam":
-		opt = nn.NewAdam(e.cfg.LearningRate / 10)
-	default:
-		return TrainReport{}, fmt.Errorf("core: unknown optimizer %q", e.cfg.Optimizer)
-	}
-
-	start := time.Now() //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
-	loss, err := e.net.Fit(train, nn.FitConfig{
-		Epochs:      e.cfg.Epochs,
-		BatchSize:   e.cfg.BatchSize,
-		Optimizer:   opt,
-		Rng:         e.rng.Rand,
-		Parallelism: e.cfg.Parallelism,
-		Ctx:         ctx,
-	})
-	if err != nil {
-		return TrainReport{}, err
-	}
-	rep := TrainReport{
-		Samples:   ds.Len(),
-		FinalLoss: loss,
-		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
-	}
-	rep.Validation = e.evaluateDenorm(val)
-	rep.Test = e.evaluateDenorm(test)
-	e.valMetrics = rep.Validation
-	e.trained = true
-	e.modelGen++ // new weights, scalers, and MAE adjustment: cached scores are stale
-	return rep, nil
-}
-
-// Online-update defaults: the incremental cadence fine-tunes on a small
-// recent window for a couple of epochs, a fraction of a full cycle's
-// cost. Updates step at a fraction of the full-training learning rate:
-// the window is tiny and recent-only, so a full-size step lets the
-// newest accesses overwrite the ranking learned across the whole
-// telemetry history instead of nudging it toward the drift.
-const (
-	DefaultUpdateWindow  = 96
-	DefaultUpdateEpochs  = 2
-	DefaultUpdateLRScale = 0.1
-)
-
-// UpdateContext fine-tunes the trained model on only the newest `window`
-// accesses per device (0 selects DefaultUpdateWindow) for `epochs`
-// epochs (0 selects DefaultUpdateEpochs), reusing the scalers fitted by
-// the last full training cycle instead of refitting them. Holding the
-// normalization fixed is what makes the update incremental: the newest
-// telemetry — say, a shifted hotspot — dominates the gradient instead of
-// being averaged back into a window-wide refit, so the model starts
-// tracking drift on the very next decision. Validation metrics and the
-// MAE adjustment stay as the last full cycle computed them; an engine
-// with no completed full cycle returns ErrNotTrained, an empty window
-// ErrNoTelemetry.
-func (e *Engine) UpdateContext(ctx context.Context, window, epochs int) (TrainReport, error) {
-	if !e.trained {
+func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error) {
+	if !spec.full && !e.trained {
 		return TrainReport{}, ErrNotTrained
-	}
-	if window <= 0 {
-		window = DefaultUpdateWindow
-	}
-	if epochs <= 0 {
-		epochs = DefaultUpdateEpochs
 	}
 	var recs []replaydb.AccessRecord
 	for _, dev := range e.devices {
-		recs = append(recs, e.db.RecentByDevice(dev, window)...)
+		recs = append(recs, e.db.RecentByDevice(dev, spec.window)...)
 	}
 	if len(recs) == 0 {
-		e.metrics.trainErrors.Inc()
 		return TrainReport{}, ErrNoTelemetry
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-
-	rows := make([][]float64, len(recs))
-	targets := make([]float64, len(recs))
-	for i := range recs {
-		rows[i] = e.featureRow(&recs[i])
-		targets[i] = EncodeTarget(e.targetValue(&recs[i]))
-	}
-	// Same per-(device, file) smoothing as a full cycle, so update and
-	// retrain samples live on the same scale.
-	smoothGrouped(recs, rows, targets, e.cfg.SmoothWindow)
+	rows, targets := TrainingRows(recs, e.devIndex,
+		func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(e.targetValue(rec)) }, e.cfg.SmoothWindow)
 	x := mat.FromRows(rows)
-	xn := e.featScaler.Transform(x)
-	yn := e.targetScaler.TransformAll(targets)
-	ds := nn.NewDataset(xn, yn)
+	if spec.full {
+		e.featScaler.Fit(x)
+		e.targetScaler.Fit(targets)
+	}
+	ds := nn.NewDataset(e.featScaler.Transform(x), e.targetScaler.TransformAll(targets))
+	train := ds
+	var val, test *nn.Dataset
+	if spec.full {
+		train, val, test = ds.Split()
+		if train.Len() == 0 {
+			return TrainReport{}, fmt.Errorf("core: training partition empty (%d samples)", ds.Len())
+		}
+	}
 
-	lr := e.cfg.LearningRate * DefaultUpdateLRScale
+	lr := e.cfg.LearningRate * spec.lrScale
 	var opt nn.Optimizer
 	switch e.cfg.Optimizer {
 	case "sgd":
@@ -642,33 +564,34 @@ func (e *Engine) UpdateContext(ctx context.Context, window, epochs int) (TrainRe
 	default:
 		return TrainReport{}, fmt.Errorf("core: unknown optimizer %q", e.cfg.Optimizer)
 	}
+
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
-	loss, err := e.net.Fit(ds, nn.FitConfig{
-		Epochs:      epochs,
-		BatchSize:   e.cfg.BatchSize,
+	loss, err := e.net.Fit(train, nn.FitConfig{
+		Epochs:      spec.epochs,
+		BatchSize:   batchSize,
 		Optimizer:   opt,
 		Rng:         e.rng.Rand,
 		Parallelism: e.cfg.Parallelism,
 		Ctx:         ctx,
 	})
 	if err != nil {
-		e.metrics.trainErrors.Inc()
 		return TrainReport{}, err
 	}
-	e.modelGen++ // fine-tuned weights: cached scores are stale
 	rep := TrainReport{
 		Samples:   ds.Len(),
 		FinalLoss: loss,
 		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
-		// The last full cycle's held-out metrics still describe the
-		// model; an update's tiny window has no meaningful split.
-		Validation: e.valMetrics,
 	}
-	e.metrics.trainings.Inc()
-	e.metrics.duration.Set(rep.Duration.Seconds())
-	e.metrics.durationHist.Observe(rep.Duration.Seconds())
-	e.metrics.loss.Set(rep.FinalLoss)
-	e.metrics.samples.Set(float64(rep.Samples))
+	if spec.full {
+		rep.Validation = e.evaluateDenorm(val)
+		rep.Test = e.evaluateDenorm(test)
+		e.valMetrics = rep.Validation
+		e.trained = true
+	} else {
+		// The last full cycle's held-out metrics still describe the model.
+		rep.Validation = e.valMetrics
+	}
+	e.modelGen++ // new weights (and, after a full cycle, scalers and MAE adjustment): cached scores are stale
 	return rep, nil
 }
 
@@ -688,10 +611,6 @@ func (e *Engine) evaluateDenorm(ds *nn.Dataset) nn.Metrics {
 	}
 	return nn.EvaluatePredictions(preds, targets)
 }
-
-// Trained reports whether the engine has completed at least one training
-// cycle.
-func (e *Engine) Trained() bool { return e.trained }
 
 // fileFeatures are the raw ingredients of a file's candidate rows: the
 // averaged recent transfer volumes, the latest close timestamp, and (for
@@ -730,7 +649,7 @@ func (e *Engine) gatherFileFeatures(f FileMeta, withHist bool) fileFeatures {
 	if withHist {
 		ff.hist = make([][]float64, len(recent))
 		for i := range recent {
-			ff.hist[i] = e.featureRow(&recent[i])
+			ff.hist[i] = FeatureVector(&recent[i], e.devIndex)
 		}
 	}
 	return ff
@@ -842,15 +761,16 @@ func (e *Engine) forwardRows(flat *mat.Matrix, seq []*mat.Matrix, total int) *ma
 // generation.
 type scored struct {
 	d       Decision
-	passing []agents.Candidate
+	passing []candidate
 }
 
 // ProposeLayoutContext predicts the throughput of every file at its
 // candidate locations (including not moving it) and returns the layout
 // assigning each file to its best predicted location. With probability
 // Epsilon a file is assigned a random device instead — the exploration
-// that keeps the availability picture fresh (§V-H). The checker validates
-// destinations; invalid proposals fall back per the Action Checker rules.
+// that keeps the availability picture fresh (§V-H). The engine's
+// validator vets destinations; invalid proposals fall back per the
+// Action Checker rules (select.go).
 //
 // The decision runs through the three-stage pipeline in propose.go —
 // prepare (invalidation, shortlist, row assembly), one batched forward
@@ -859,8 +779,8 @@ type scored struct {
 // filters fan out over the worker pool; only the ε-greedy selection — the
 // part that draws from e.rng — runs serially in file order, so a fixed
 // seed replays identically at any Parallelism.
-func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (map[int64]string, []Decision, error) {
-	pd, err := e.prepareProposal(ctx, files, checker, valid)
+func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error) {
+	pd, err := e.prepareProposal(ctx, files)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -870,52 +790,3 @@ func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta, che
 	}
 	return pd.finish(ctx, out, 0)
 }
-
-// selectLayout runs the serial ε-greedy selection over prepared decision
-// material. This is the only stage that draws from e.rng.
-func (e *Engine) selectLayout(files []FileMeta, pre []scored, checker *agents.ActionChecker, valid agents.Validator) (map[int64]string, []Decision, error) {
-	layout := make(map[int64]string, len(files))
-	decisions := make([]Decision, 0, len(files))
-	for i := range files {
-		f := files[i]
-		d := pre[i].d
-		if e.rng.Float64() < e.cfg.Epsilon {
-			// Exploration: random movement, still subject to validation.
-			// The shuffle always spans the full device width — the choice
-			// only depends on which devices validate, never on scores, so
-			// pruned and all-device passes explore identically.
-			d.Random = true
-			shuffled := make([]agents.Candidate, len(e.devices))
-			for j, dev := range e.devices {
-				shuffled[j] = agents.Candidate{Device: dev}
-			}
-			e.rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-			if passing := checker.Filter(shuffled, f.Size, valid); len(passing) > 0 {
-				d.Chosen = passing[0].Device
-			} else {
-				d.Chosen = f.Device
-			}
-		} else if dev, random, ok := checker.Choose(pre[i].passing); ok {
-			// The Action Checker's rule over the precomputed valid set:
-			// greedy, or a random movement when nothing validates.
-			d.Chosen, d.Random = dev, random
-		} else {
-			d.Chosen = f.Device // nowhere to go: stay put
-		}
-		layout[f.ID] = d.Chosen
-		decisions = append(decisions, d)
-	}
-	return layout, decisions, nil
-}
-
-// RecordReward stores the throughput delta observed after a layout change:
-// "any increase in the throughput of the workload [is] a positive reward"
-// (§V). The history feeds diagnostics and tests.
-func (e *Engine) RecordReward(before, after float64) float64 {
-	r := after - before
-	e.rewards = append(e.rewards, r)
-	return r
-}
-
-// Rewards returns the reward history.
-func (e *Engine) Rewards() []float64 { return append([]float64(nil), e.rewards...) }

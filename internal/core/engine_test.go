@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"geomancy/internal/agents"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
+	"geomancy/internal/telemetry"
 	"geomancy/internal/trace"
 	"geomancy/internal/workload"
 )
@@ -51,7 +54,7 @@ func quickCfg() Config {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.ModelNumber != 1 || cfg.FeatureCount != 6 || cfg.Epsilon != 0.1 ||
+	if cfg.ModelNumber != 1 || cfg.Epsilon != 0.1 ||
 		cfg.CooldownRuns != 5 || cfg.WindowX != 2000 || cfg.Epochs != 200 ||
 		cfg.Optimizer != "sgd" || cfg.SmoothWindow != 8 {
 		t.Errorf("defaults wrong: %+v", cfg)
@@ -74,14 +77,14 @@ func TestTrainProducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Trained() {
+	if e.trained {
 		t.Error("engine should start untrained")
 	}
 	rep, err := e.TrainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Trained() {
+	if !e.trained {
 		t.Error("engine should be trained")
 	}
 	if rep.Samples != 1200 {
@@ -113,7 +116,7 @@ func TestTrainEmptyDB(t *testing.T) {
 func TestProposeRequiresTraining(t *testing.T) {
 	db := seedDB(t, 100)
 	e, _ := NewEngine(db, testDevices, quickCfg())
-	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}, nil, nil); err == nil {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}); err == nil {
 		t.Error("propose before training should error")
 	}
 }
@@ -133,7 +136,7 @@ func TestProposeLayoutCoversFilesAndCandidates(t *testing.T) {
 		{ID: 1, Path: "/a", Size: 1e8, Device: "pic"},
 		{ID: 2, Path: "/b", Size: 2e8, Device: "USBtmp"},
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestProposeLayoutExploration(t *testing.T) {
 	for i := range files {
 		files[i] = FileMeta{ID: int64(i + 1), Size: 1e6, Device: "pic"}
 	}
-	_, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +211,14 @@ func TestProposeLayoutRespectsValidator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only USBtmp is valid.
-	valid := func(dev string, size int64) error {
+	e.valid = func(dev string, size int64) error {
 		if dev != "USBtmp" {
 			return agentsErr("invalid")
 		}
 		return nil
 	}
 	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
-	layout, _, err := e.ProposeLayoutContext(context.Background(), files, nil, valid)
+	layout, _, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +232,10 @@ type agentsErr string
 func (e agentsErr) Error() string { return string(e) }
 
 func TestShouldAct(t *testing.T) {
-	db := seedDB(t, 10)
-	e, _ := NewEngine(db, testDevices, Config{CooldownRuns: 5, Epochs: 1})
+	l := NewPolicyLoop(nil, nil, nil, nil, 5)
 	acts := 0
 	for run := 0; run < 20; run++ {
-		if e.ShouldAct(run) {
+		if l.shouldDecide(run) {
 			acts++
 			if (run+1)%5 != 0 {
 				t.Errorf("acted on run %d", run)
@@ -263,7 +265,7 @@ func TestRecurrentEnginePropose(t *testing.T) {
 		{ID: 1, Size: 1e8, Device: "pic"},   // has history in seedDB
 		{ID: 999, Size: 1e8, Device: "var"}, // never accessed
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,25 +281,11 @@ func TestRecurrentEnginePropose(t *testing.T) {
 	}
 }
 
-func TestRewardBookkeeping(t *testing.T) {
-	db := seedDB(t, 10)
-	e, _ := NewEngine(db, testDevices, quickCfg())
-	if r := e.RecordReward(100, 130); r != 30 {
-		t.Errorf("reward = %v, want 30", r)
-	}
-	if r := e.RecordReward(100, 90); r != -10 {
-		t.Errorf("reward = %v, want -10", r)
-	}
-	if got := e.Rewards(); len(got) != 2 || got[0] != 30 || got[1] != -10 {
-		t.Errorf("history = %v", got)
-	}
-}
-
 func TestSetDevicesRefreshesCandidates(t *testing.T) {
 	db := seedDB(t, 10)
 	e, _ := NewEngine(db, testDevices, quickCfg())
 	e.SetDevices([]string{"file0", "pic"})
-	if got := e.Devices(); len(got) != 2 {
+	if got := e.devices; len(got) != 2 {
 		t.Errorf("Devices = %v", got)
 	}
 }
@@ -400,18 +388,27 @@ func TestCheckerIntegration(t *testing.T) {
 	e, _ := NewEngine(db, testDevices, cfg)
 	e.TrainContext(context.Background())
 	cluster := storagesim.NewBluesky(12)
-	// Knock out every device: the Action Checker's random fallback fires.
+	// Knock out every device: the Action Checker's random fallback fires,
+	// drawing from the engine's own stream.
 	for _, d := range cluster.DeviceNames() {
 		cluster.SetAvailable(d, false)
 	}
-	checker := agents.NewActionChecker(rng.New(3), cluster.DeviceNames())
+	e.valid = cluster.CanPlace
 	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
-	_, decisions, err := e.ProposeLayoutContext(context.Background(), files, checker, agents.ClusterValidator(cluster))
+	before := e.rng.State()
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !decisions[0].Random {
 		t.Error("all-invalid candidates must trigger the random fallback")
+	}
+	// One ε draw plus one fallback draw, both from e.rng.
+	want := rng.FromState(before)
+	want.Float64()
+	want.Intn(len(testDevices))
+	if e.rng.State() != want.State() {
+		t.Error("random fallback did not draw from the engine's stream")
 	}
 }
 
@@ -448,7 +445,7 @@ func TestLatencyTarget(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1, Size: 1e8, Device: "slow"}}, nil, nil)
+	layout, decisions, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1, Size: 1e8, Device: "slow"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +509,11 @@ func TestEngineOverRemoteStore(t *testing.T) {
 	}
 	// Proposals agree too.
 	files := []FileMeta{{ID: 1, Size: 1e8, Device: "pic"}}
-	lr, _, err := remote.ProposeLayoutContext(context.Background(), files, nil, nil)
+	lr, _, err := remote.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ll, _, err := local.ProposeLayoutContext(context.Background(), files, nil, nil)
+	ll, _, err := local.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,5 +582,61 @@ func TestLoopSurvivesDeviceLossForPlacement(t *testing.T) {
 		if dev == "USBtmp" {
 			t.Errorf("file %d placed on the unavailable device", id)
 		}
+	}
+}
+
+// An incremental update is the training body run on a small window with
+// the last full cycle's scalers and validation metrics held fixed, and it
+// reports failures the way a full cycle does: every error path counts as
+// a training error.
+func TestUpdateSharesTheFitBody(t *testing.T) {
+	db := seedDB(t, 1200)
+	e, err := NewEngine(db, testDevices, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	e.SetMetrics(reg)
+	trainErrs := reg.Counter(telemetry.MetricTrainingErrorsTotal)
+	trainings := reg.Counter(telemetry.MetricTrainingsTotal)
+
+	if _, err := e.UpdateContext(context.Background()); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("update before any full cycle = %v, want ErrNotTrained", err)
+	}
+	if got := trainErrs.Value(); got != 1 {
+		t.Errorf("training errors after an untrained update = %d, want 1", got)
+	}
+
+	full, err := e.TrainContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat, target, gen := e.featScaler.State(), e.targetScaler.State(), e.modelGen
+	rep, err := e.UpdateContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := DefaultUpdateWindow * len(testDevices); rep.Samples == 0 || rep.Samples > max {
+		t.Errorf("update trained on %d samples, want 1..%d (the newest window per device)", rep.Samples, max)
+	}
+	if rep.Validation != full.Validation {
+		t.Errorf("update reported validation %+v, want the last full cycle's %+v", rep.Validation, full.Validation)
+	}
+	if !reflect.DeepEqual(e.featScaler.State(), feat) || e.targetScaler.State() != target {
+		t.Error("update refitted the scalers")
+	}
+	if e.modelGen != gen+1 {
+		t.Errorf("model generation %d after an update, want %d", e.modelGen, gen+1)
+	}
+	if got := trainings.Value(); got != 2 {
+		t.Errorf("trainings counted = %d, want 2 (one full cycle, one update)", got)
+	}
+
+	e.cfg.Optimizer = "bogus"
+	if _, err := e.UpdateContext(context.Background()); err == nil {
+		t.Error("update with an unknown optimizer succeeded")
+	}
+	if got := trainErrs.Value(); got != 2 {
+		t.Errorf("training errors after an unknown-optimizer update = %d, want 2", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -78,9 +77,8 @@ type Loop struct {
 	// default; any scenario.Workload otherwise).
 	//geomancy:ephemeral snapshots itself as the checkpoint's workload blob
 	Workload Workload
-	DB       *replaydb.DB          //geomancy:ephemeral external store handle, re-wired at restore
-	Cluster  *storagesim.Cluster   //geomancy:ephemeral snapshots itself as Snapshot.Cluster (ClusterState)
-	Checker  *agents.ActionChecker //geomancy:ephemeral stateless wiring over the shared RNG, rebuilt at construction
+	DB       *replaydb.DB        //geomancy:ephemeral external store handle, re-wired at restore
+	Cluster  *storagesim.Cluster //geomancy:ephemeral snapshots itself as Snapshot.Cluster (ClusterState)
 
 	// model is the policy-plane bridge of an engine-backed policy; its
 	// training reports drain into trainLog after every proposal.
@@ -162,25 +160,14 @@ func (l *Loop) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// NewNamedLoop assembles a loop driven by the named placement policy
-// from the catalogue (policy.Catalogue; the empty name selects
-// "geomancy"). Engine-backed names build the DRL engine from cfg, training
-// through store — e.g. an agents.RemoteStore, preserving the paper's
-// decoupling where "the DRL engine requests training data from the
-// ReplayDB via the Interface Daemon" (§V-E) — while movement records still
-// persist to db; baseline names run engine-free, with any stochastic
-// streams derived from cfg.Seed. The decision cadence is cfg.CooldownRuns
-// either way.
+// NewNamedLoop assembles an unsharded loop driven by the named placement
+// policy from the catalogue (see BuildPolicy): learned names train through
+// store — e.g. an agents.RemoteStore, preserving the paper's decoupling
+// where "the DRL engine requests training data from the ReplayDB via the
+// Interface Daemon" (§V-E) — while movement records still persist to db.
+// The decision cadence is cfg.CooldownRuns.
 func NewNamedLoop(store TelemetryStore, db *replaydb.DB, cluster *storagesim.Cluster, runner Workload, name string, cfg Config) (*Loop, error) {
-	var model *EngineModel
-	if EngineBacked(name) {
-		engine, err := NewEngine(store, cluster.DeviceNames(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		model = engine.NewModel(cluster)
-	}
-	p, err := NewCataloguePolicy(name, model, cfg.Seed)
+	p, model, err := BuildPolicy(store, cluster, name, 0, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +195,13 @@ func NewPolicyLoop(db *replaydb.DB, cluster *storagesim.Cluster, runner Workload
 
 // SetModel installs the engine bridge behind the loop's policy: its
 // training reports drain into the TrainLog after every proposal, and its
-// engine/checker surface on the Engine/Checker fields for inspection and
-// checkpointing. NewNamedLoop installs the bridge automatically; a nil
-// model detaches (baseline policies).
+// engine surfaces on the Engine field for inspection and checkpointing.
+// NewNamedLoop installs the bridge automatically; a nil model detaches
+// (baseline policies).
 func (l *Loop) SetModel(m *EngineModel) {
 	l.model = m
 	if m != nil {
 		l.Engine = m.Engine
-		l.Checker = m.Checker
 	}
 }
 
@@ -225,10 +211,13 @@ func (l *Loop) Skipped() []SkippedDecision {
 }
 
 // degradable reports whether err is an outage the loop may fail open on:
-// unreachable agents, or an engine window that came back empty because
-// the remote store could not serve it.
+// an unreachable peer — any error in the chain that says so through an
+// Unavailable method, as the agents plane's transport failures do — or an
+// engine window that came back empty because the remote store could not
+// serve it.
 func degradable(err error) bool {
-	return errors.Is(err, agents.ErrUnavailable) || errors.Is(err, ErrNoTelemetry)
+	var outage interface{ Unavailable() bool }
+	return (errors.As(err, &outage) && outage.Unavailable()) || errors.Is(err, ErrNoTelemetry)
 }
 
 // noteDegraded records one fail-open cycle.
@@ -265,12 +254,6 @@ func (l *Loop) TrainLog() []TrainReport {
 // accesses observed before the loop took over (the experiment harness's
 // bootstrap phase records telemetry without a loop).
 func (l *Loop) SeedHeat(lastAccess map[int64]float64, accesses map[int64]int64) {
-	if l.lastAccess == nil {
-		l.lastAccess = make(map[int64]float64, len(lastAccess))
-	}
-	if l.accesses == nil {
-		l.accesses = make(map[int64]int64, len(accesses))
-	}
 	for id, t := range lastAccess {
 		l.lastAccess[id] = t
 	}
@@ -284,10 +267,6 @@ func (l *Loop) SeedHeat(lastAccess map[int64]float64, accesses map[int64]int64) 
 // ReplayDB otherwise.
 func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 	l.accessCount++
-	if l.lastAccess == nil {
-		l.lastAccess = make(map[int64]float64)
-		l.accesses = make(map[int64]int64)
-	}
 	l.lastAccess[res.FileID] = res.End
 	l.accesses[res.FileID]++
 	if l.metricsObs != nil {
@@ -299,21 +278,7 @@ func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 	if l.Recorder != nil {
 		return l.Recorder(res, wl, run)
 	}
-	_, err := l.DB.AppendAccess(replaydb.AccessRecord{
-		Time:         res.Start,
-		Workload:     int32(wl),
-		Run:          int32(run),
-		FileID:       res.FileID,
-		Path:         res.Path,
-		Device:       res.Device,
-		BytesRead:    res.BytesRead,
-		BytesWritten: res.BytesWritten,
-		OpenTS:       res.OpenTS,
-		OpenTMS:      res.OpenTMS,
-		CloseTS:      res.CloseTS,
-		CloseTMS:     res.CloseTMS,
-		Throughput:   res.Throughput,
-	})
+	_, err := l.DB.AppendAccess(replaydb.FromAccess(res, wl, run))
 	return err
 }
 

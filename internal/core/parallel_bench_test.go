@@ -24,7 +24,7 @@ func benchmarkProposeLayout(b *testing.B, files, par int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.ProposeLayoutContext(context.Background(), metas, nil, nil); err != nil {
+		if _, _, err := e.ProposeLayoutContext(context.Background(), metas); err != nil {
 			b.Fatal(err)
 		}
 	}

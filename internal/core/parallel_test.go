@@ -63,7 +63,7 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 			{ID: 3, Size: 2e8, Device: "var"},   // other history
 			{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
 		}
-		_, decisions, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+		_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +100,11 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 			files[i] = FileMeta{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 		}
 		for round := 0; round < 3; round++ {
-			ls, ds, err := serial.ProposeLayoutContext(context.Background(), files, nil, nil)
+			ls, ds, err := serial.ProposeLayoutContext(context.Background(), files)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files, nil, nil)
+			lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestTrainContextCancel(t *testing.T) {
 	if _, err := e.TrainContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("TrainContext(cancelled) = %v, want context.Canceled", err)
 	}
-	if e.Trained() {
+	if e.trained {
 		t.Error("cancelled training must not mark the engine trained")
 	}
 }
@@ -175,7 +175,7 @@ func TestProposeLayoutContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
-	if _, _, err := e.ProposeLayoutContext(ctx, files, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.ProposeLayoutContext(ctx, files); !errors.Is(err, context.Canceled) {
 		t.Errorf("ProposeLayoutContext(cancelled) = %v, want context.Canceled", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); !errors.Is(err, ErrNoTelemetry) {
 		t.Errorf("Train on empty DB = %v, want ErrNoTelemetry", err)
 	}
-	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}, nil, nil); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("ProposeLayout untrained = %v, want ErrNotTrained", err)
 	}
 }

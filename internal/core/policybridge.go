@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/policy"
-	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
 )
 
@@ -18,30 +15,25 @@ import (
 // inside the bridge; the loop (or any other driver) drains them with
 // Reports after each proposal.
 type EngineModel struct {
-	Engine  *Engine
-	Checker *agents.ActionChecker
-	Valid   agents.Validator
-	// UpdateWindow and UpdateEpochs tune the incremental cadence; zero
-	// selects DefaultUpdateWindow / DefaultUpdateEpochs.
-	UpdateWindow int
-	UpdateEpochs int
+	// Engine is the engine that trains: the only one when unsharded, the
+	// global one behind a sharded coordinator.
+	Engine *Engine
+	// decide produces a proposal's decisions: the engine's own pipeline,
+	// or the coordinator's DecideLayout over its shard engines.
+	decide func(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error)
 
 	reports []TrainReport
 }
 
-// NewModel bridges the engine to the policy plane: an EngineModel whose
-// Action Checker shares the engine's decision stream (so checkpointed
-// runs replay its draws bit-for-bit) and whose validator tracks the
-// cluster's live capacity and availability. The cluster also becomes the
-// engine's device-summary source, so candidate pruning (Config.TopK)
-// ranks shortlists from live recent-throughput digests.
+// NewModel bridges the engine to the policy plane and wires it to the
+// cluster: the engine's select stage validates destinations against the
+// cluster's live capacity and availability, and the cluster becomes the
+// device-summary source, so candidate pruning (Config.TopK) ranks
+// shortlists from live recent-throughput digests.
 func (e *Engine) NewModel(cluster *storagesim.Cluster) *EngineModel {
 	e.SetSummarySource(cluster.DeviceSummaries)
-	return &EngineModel{
-		Engine:  e,
-		Checker: agents.NewActionChecker(e.rng, cluster.DeviceNames()),
-		Valid:   agents.ClusterValidator(cluster),
-	}
+	e.valid = cluster.CanPlace
+	return &EngineModel{Engine: e, decide: e.ProposeLayoutContext}
 }
 
 // Retrain implements policy.Model: one full training cycle.
@@ -58,7 +50,7 @@ func (m *EngineModel) Retrain(ctx context.Context) error {
 // engine with no completed full cycle maps to policy.ErrNotReady so the
 // policy plane can fall back to a retrain without importing core.
 func (m *EngineModel) Update(ctx context.Context) error {
-	rep, err := m.Engine.UpdateContext(ctx, m.UpdateWindow, m.UpdateEpochs)
+	rep, err := m.Engine.UpdateContext(ctx)
 	if err != nil {
 		if errors.Is(err, ErrNotTrained) {
 			return fmt.Errorf("%w: %v", policy.ErrNotReady, err)
@@ -76,7 +68,7 @@ func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]st
 	for _, f := range s.Files {
 		files = append(files, FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: f.Device})
 	}
-	layout, decisions, err := m.Engine.ProposeLayoutContext(ctx, files, m.Checker, m.Valid)
+	layout, decisions, err := m.decide(ctx, files)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,44 +86,31 @@ func (m *EngineModel) Reports() []TrainReport {
 	return out
 }
 
-// EngineBacked reports whether the named catalogue policy drives the DRL
-// engine (and so needs an EngineModel and engine state in checkpoints).
-// The empty name is the default, "geomancy".
-func EngineBacked(name string) bool {
-	switch name {
-	case "", "geomancy", "online-geomancy", "tiered-geomancy":
-		return true
+// BuildPolicy is the one path from a policy name and a shard count to a
+// ready policy plus the engine bridge behind it (nil for a baseline; hand
+// it to Loop.SetModel): nothing more for a baseline (stochastic ones draw
+// from cfg.Seed), an engine wired to the cluster and training through
+// store for a learned policy, and for shards > 0 — policy.DefaultName
+// only — a coordinator over that many device groups (see NewSharded).
+func BuildPolicy(store TelemetryStore, cluster *storagesim.Cluster, name string, shards int, assign func(device string) int, cfg Config) (policy.Policy, *EngineModel, error) {
+	if shards > 0 {
+		if name != "" && name != policy.DefaultName {
+			return nil, nil, fmt.Errorf("core: only the %q policy shards; it cannot combine with policy %q", policy.DefaultName, name)
+		}
+		s, err := NewSharded(store, cluster, shards, assign, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, s.Model(), nil
 	}
-	return false
-}
-
-// NewCataloguePolicy builds the named policy from the catalogue (see
-// policy.Catalogue). Engine-backed names require model; baselines ignore
-// it. Stochastic baselines derive checkpointable streams from seed with
-// the same offsets the experiment matrix uses, so a facade run and a
-// matrix cell of the same seed draw identically.
-func NewCataloguePolicy(name string, model *EngineModel, seed int64) (policy.Policy, error) {
-	switch name {
-	case "", "geomancy":
-		return &policy.Geomancy{Model: model}, nil
-	case "online-geomancy":
-		return &policy.Online{Model: model}, nil
-	case "tiered-geomancy":
-		return &policy.Tiered{Model: model}, nil
-	case "lru":
-		return policy.LRU{}, nil
-	case "mru":
-		return policy.MRU{}, nil
-	case "lfu":
-		return policy.LFU{}, nil
-	case "lfu-weighted":
-		return policy.Weighted{Base: policy.LFU{}}, nil
-	case "random-dynamic":
-		return &policy.RandomDynamic{Rng: rng.New(seed + 2)}, nil
-	case "random-static":
-		return &policy.RandomStatic{Rng: rng.New(seed + 3)}, nil
-	case "noop":
-		return policy.NoOp{}, nil
-	}
-	return nil, fmt.Errorf("%w: %q (catalogue: %s)", policy.ErrUnknown, name, strings.Join(policy.Names(), ", "))
+	var model *EngineModel
+	p, err := policy.New(name, cfg.Seed, func() (policy.Model, error) {
+		engine, err := NewEngine(store, cluster.DeviceNames(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		model = engine.NewModel(cluster)
+		return model, nil
+	})
+	return p, model, err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
 )
@@ -33,10 +32,8 @@ import (
 // input rows in the owning engine's reusable buffers. The buffers are
 // valid until the engine's next prepare.
 type pendingDecision struct {
-	eng     *Engine
-	files   []FileMeta
-	checker *agents.ActionChecker
-	valid   agents.Validator
+	eng   *Engine
+	files []FileMeta
 
 	// full marks an all-device pass; tasks holds one entry per file (its
 	// score entry and the rows to score), total the row count.
@@ -54,15 +51,11 @@ type pendingDecision struct {
 // batched inference: invalidation, task-list construction, and
 // candidate-row assembly. It advances the decision counter and watermark,
 // so every prepare must be followed by exactly one finish.
-func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (*pendingDecision, error) {
+func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta) (*pendingDecision, error) {
 	if !e.trained {
 		return nil, ErrNotTrained
 	}
-	if checker == nil {
-		checker = agents.NewActionChecker(e.rng, e.devices)
-	}
-	pd := &pendingDecision{eng: e, files: files, checker: checker, valid: valid,
-		full: e.cfg.TopK == 0 || e.fullRescanDue()}
+	pd := &pendingDecision{eng: e, files: files, full: e.cfg.TopK == 0 || e.fullRescanDue()}
 	e.decisionCount++
 
 	var short []int
@@ -82,17 +75,6 @@ func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker 
 		}
 	}
 	return pd, nil
-}
-
-// fillInto copies the assembled candidate rows into dst starting at row
-// base — the coordinator's concatenation step. Dense models only; the
-// coordinator rejects recurrent architectures at construction.
-func (pd *pendingDecision) fillInto(dst *mat.Matrix, base int) {
-	if pd.total == 0 {
-		return
-	}
-	cols := pd.flat.Cols
-	copy(dst.Data[base*cols:(base+pd.total)*cols], pd.flat.Data[:pd.total*cols])
 }
 
 // finish consumes the inference output rows [base, base+total) of out and
@@ -125,7 +107,7 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 			}
 		}
 		d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64, n)}
-		cands := make([]agents.Candidate, 0, n)
+		cands := make([]candidate, 0, n)
 		for j, dev := range e.devices {
 			if t.ent.gens[j] != e.modelGen {
 				continue
@@ -133,9 +115,9 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 			p := t.ent.scores[j]
 			d.Predictions[dev] = p
 			// Candidate scores are maximize-me: latency negates.
-			cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
+			cands = append(cands, candidate{device: dev, score: e.betterScore(p)})
 		}
-		pre[i] = scored{d: d, passing: pd.checker.Filter(cands, f.Size, pd.valid)}
+		pre[i] = scored{d: d, passing: e.filterValid(cands, f.Size)}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -143,7 +125,7 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 	if pd.full {
 		e.endFullPass(files, pd.tasks)
 	}
-	return e.selectLayout(files, pre, pd.checker, pd.valid)
+	return e.selectLayout(files, pre)
 }
 
 // pruneTasks builds the work list, one task per file: the shortlist ∪

@@ -98,7 +98,7 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := []FileMeta{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}}
-	_, decisions, err := e.ProposeLayoutContext(context.Background(), cold, nil, nil)
+	_, decisions, err := e.ProposeLayoutContext(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		}
 	}
 	for step := 0; step < 10; step++ {
-		exLayout, exDec, err := ex.ProposeLayoutContext(context.Background(), files, nil, nil)
+		exLayout, exDec, err := ex.ProposeLayoutContext(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prLayout, prDec, err := pr.ProposeLayoutContext(context.Background(), files, nil, nil)
+		prLayout, prDec, err := pr.ProposeLayoutContext(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 	}
 
 	files := testFiles()
-	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil {
 		t.Fatal(err)
 	}
 	first := store.byFileCalls
@@ -214,7 +214,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 
 	// Clean decision: every file reuses its cached full-width scores.
 	store.byFileCalls = 0
-	_, dec, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	_, dec, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.byFileCalls = 0
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +277,13 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	// var (index 4) is outside the top-1 shortlist; a file living there
 	// keeps its current device as a candidate anyway.
 	files := []FileMeta{{ID: 7, Path: "/v", Size: 1e8, Device: "var"}}
-	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil { // decision 0: exhaustive
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
 	if _, err := e.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 1: pruned
+	_, dec, err := e.ProposeLayoutContext(context.Background(), files) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 2: pruned
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files) // decision 2: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if len(dec[0].Predictions) != 4 {
 		t.Fatalf("narrow shortlist did not prune: %v", dec[0].Predictions)
 	}
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 3: cadence rescan
+	_, dec, err = e.ProposeLayoutContext(context.Background(), files) // decision 3: cadence rescan
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 		if _, err := e.TrainContext(ctx); err != nil { // new generation: every score is stale
 			t.Fatal(err)
 		}
-		_, dec, err := e.ProposeLayoutContext(ctx, files, nil, nil)
+		_, dec, err := e.ProposeLayoutContext(ctx, files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	// Decision level, across a restore: the first pruned decision after the
 	// round-trip still scores the idle device.
 	files := []FileMeta{{ID: 7, Path: "/t", Size: 1e8, Device: "tmp"}}
-	if _, _, err := e.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil { // decision 0: exhaustive
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
 	st, err := e.State()
@@ -441,7 +441,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	if _, err := r.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := r.ProposeLayoutContext(context.Background(), files, nil, nil) // decision 1: pruned
+	_, dec, err := r.ProposeLayoutContext(context.Background(), files) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 	}
 	files := testFiles()
 	for i := 0; i < 3; i++ {
-		if _, _, err := a.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
+		if _, _, err := a.ProposeLayoutContext(context.Background(), files); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -494,11 +494,11 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		la, da, err := a.ProposeLayoutContext(context.Background(), files, nil, nil)
+		la, da, err := a.ProposeLayoutContext(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, db2, err := b.ProposeLayoutContext(context.Background(), files, nil, nil)
+		lb, db2, err := b.ProposeLayoutContext(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +518,7 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := u.ProposeLayoutContext(context.Background(), files, nil, nil); err != nil {
+		if _, _, err := u.ProposeLayoutContext(context.Background(), files); err != nil {
 			t.Fatal(err)
 		}
 	}

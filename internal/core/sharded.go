@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/mat"
 	"geomancy/internal/policy"
 	"geomancy/internal/rng"
@@ -37,17 +36,22 @@ import (
 //
 // Only the global engine trains; shard engines adopt its network and
 // normalization after every retrain (adoptScorer) and never train
-// themselves. A 1-shard coordinator routes every decision through the
-// global engine directly and is bit-identical to the unsharded policy.
+// themselves. At one shard the unit's engine IS the global engine, so
+// the same body is bit-identical to the unsharded policy.
+//
+// As a policy the coordinator is the embedded policy.Geomancy cycle over
+// Model(), whose proposal is DecideLayout, under its own name and blob.
 type Sharded struct {
+	policy.Geomancy //geomancy:ephemeral stateless cycle over Model(); the shard state is the coordinator's own MarshalState
+
 	units []shardUnit
 
 	// Training and batched inference happen on the global engine, which
-	// sees every device; the bridge model wires it into the loop.
-	globalEngine *Engine      //geomancy:ephemeral owned by units[?]/checkpoint engine half; rebuilt by NewSharded
+	// sees every device and snapshots itself through the engine half of
+	// the checkpoint; the bridge model wires it into the loop.
+	globalEngine *Engine
 	global       *EngineModel //geomancy:ephemeral policy-plane bridge, rebuilt by NewSharded
 	cluster      *storagesim.Cluster
-	cfg          Config //geomancy:ephemeral construction config, re-supplied by NewSharded on restore
 
 	// devShard maps a device name to its owning shard index.
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
@@ -59,19 +63,14 @@ type Sharded struct {
 	// copied; every retrain bumps the generation, so adoption re-fires on
 	// the first decision after any (re)train.
 	lastAdopted uint64 //geomancy:ephemeral adoption gate, re-primed by the first post-restore retrain
-
-	explored int
 }
 
 // shardUnit is one shard's decision machinery: the device-group view with
-// its accounting, the shard-local engine, and the shard's own action
-// checker (sharing the shard engine's RNG stream) and validator.
+// its accounting, and the shard-local engine.
 type shardUnit struct {
-	shard   *storagesim.Shard
-	engine  *Engine
-	checker *agents.ActionChecker //geomancy:ephemeral wraps the shard engine's RNG, whose stream restores with the engine state
-	valid   agents.Validator
-	tele    shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
+	shard  *storagesim.Shard
+	engine *Engine
+	tele   shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
 }
 
 // shardTelemetry holds one shard's pre-resolved counters; nil until
@@ -114,22 +113,19 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 		globalEngine: globalEngine,
 		global:       globalEngine.NewModel(cluster),
 		cluster:      cluster,
-		cfg:          globalEngine.cfg,
 		devShard:     make(map[string]int),
 	}
+	s.global.decide = s.DecideLayout
+	s.Geomancy.Model = s.global
 	for i, sh := range shards {
 		for _, name := range sh.DeviceNames() {
 			s.devShard[name] = i
 		}
-		var u shardUnit
-		u.shard = sh
+		u := shardUnit{shard: sh}
 		if n == 1 {
-			// One shard owns everything: its engine IS the global engine and
-			// its checker/validator are the bridge model's, so the decision
-			// sequence is the unsharded policy's, bit-for-bit.
+			// One shard owns everything: its engine IS the global engine, so
+			// the decision sequence is the unsharded policy's, bit-for-bit.
 			u.engine = globalEngine
-			u.checker = s.global.Checker
-			u.valid = s.global.Valid
 		} else {
 			shardCfg := cfg
 			shardCfg.Seed = rng.Split(cfg.Seed, i)
@@ -146,21 +142,18 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 				fsids = append(fsids, globalEngine.devIndex[name])
 			}
 			eng.fsids = fsids
+			eng.valid = cluster.CanPlace
 			u.engine = eng
-			u.checker = agents.NewActionChecker(eng.rng, sh.DeviceNames())
-			u.valid = agents.ClusterValidator(cluster)
 		}
 		s.units = append(s.units, u)
 	}
 	return s, nil
 }
 
-// Model returns the policy-plane bridge over the global engine; the loop
-// wires its Engine/Checker and drains training reports through it.
+// Model returns the policy-plane bridge: it trains the global engine and
+// proposes through DecideLayout; the loop drains training reports
+// through it.
 func (s *Sharded) Model() *EngineModel { return s.global }
-
-// ShardCount returns the partition width.
-func (s *Sharded) ShardCount() int { return len(s.units) }
 
 // Shard returns the i-th device group (for accounting inspection).
 func (s *Sharded) Shard(i int) *storagesim.Shard { return s.units[i].shard }
@@ -216,17 +209,6 @@ func (s *Sharded) adoptIfStale() {
 func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error) {
 	s.adoptIfStale()
 
-	if len(s.units) == 1 {
-		u := &s.units[0]
-		layout, decisions, err := u.engine.ProposeLayoutContext(ctx, files, u.checker, u.valid)
-		if err != nil {
-			return nil, nil, err
-		}
-		u.shard.NoteDecision(len(decisions))
-		u.tele.decisions.Add(uint64(len(decisions)))
-		return layout, decisions, nil
-	}
-
 	// Route files to their owning shards, preserving input order.
 	routed := make([][]FileMeta, len(s.units))
 	sizeOf := make(map[int64]int64, len(files))
@@ -244,8 +226,8 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	// surface in fixed shard order for determinism.
 	pds := make([]*pendingDecision, len(s.units))
 	errs := make([]error, len(s.units))
-	if err := parallelFor(ctx, len(s.units), s.cfg.Parallelism, func(i int) {
-		pds[i], errs[i] = s.units[i].engine.prepareProposal(ctx, routed[i], s.units[i].checker, s.units[i].valid)
+	if err := parallelFor(ctx, len(s.units), s.globalEngine.cfg.Parallelism, func(i int) {
+		pds[i], errs[i] = s.units[i].engine.prepareProposal(ctx, routed[i])
 	}); err != nil {
 		return nil, nil, err
 	}
@@ -257,7 +239,9 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 
 	// Stage 2 — concatenate every shard's rows and forward ONCE through
 	// the shared network on the global engine (one timed, observed GEMM
-	// per cycle).
+	// per cycle). A lone unit's buffers already are the whole batch and
+	// forward as they stand, which is what lets a recurrent model — its
+	// sequence input does not concatenate — run at one shard.
 	total := 0
 	bases := make([]int, len(s.units))
 	for i, pd := range pds {
@@ -266,14 +250,20 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	}
 	var out *mat.Matrix
 	if total > 0 {
-		cols := s.globalEngine.net.InSize
-		if s.combined == nil || s.combined.Rows != total || s.combined.Cols != cols {
-			s.combined = mat.New(total, cols)
+		flat, seq := pds[0].flat, pds[0].seq
+		if len(pds) > 1 {
+			cols := s.globalEngine.net.InSize
+			if s.combined == nil || s.combined.Rows != total || s.combined.Cols != cols {
+				s.combined = mat.New(total, cols)
+			}
+			for i, pd := range pds {
+				if pd.total > 0 { // dense rows only: recurrent models are rejected for n > 1
+					copy(s.combined.Data[bases[i]*cols:(bases[i]+pd.total)*cols], pd.flat.Data[:pd.total*cols])
+				}
+			}
+			flat, seq = s.combined, nil
 		}
-		for i, pd := range pds {
-			pd.fillInto(s.combined, bases[i])
-		}
-		out = s.globalEngine.forwardRows(s.combined, nil, total)
+		out = s.globalEngine.forwardRows(flat, seq, total)
 	}
 
 	// Stage 3 — finish concurrently. Selection draws randomness, but each
@@ -281,7 +271,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	// the layouts are independent of scheduling and identical at any
 	// Parallelism.
 	decs := make([][]Decision, len(s.units))
-	if err := parallelFor(ctx, len(s.units), s.cfg.Parallelism, func(i int) {
+	if err := parallelFor(ctx, len(s.units), s.globalEngine.cfg.Parallelism, func(i int) {
 		_, decs[i], errs[i] = pds[i].finish(ctx, out, bases[i])
 	}); err != nil {
 		return nil, nil, err
@@ -322,7 +312,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 // the digest is a throughput quantity, so under the latency target
 // escalation is disabled rather than comparing unlike metrics.
 func (s *Sharded) throughputDigest() *storagesim.DeviceSummary {
-	if s.cfg.Target != TargetThroughput {
+	if s.globalEngine.cfg.Target != TargetThroughput {
 		return nil
 	}
 	sums := s.cluster.DeviceSummaries()
@@ -378,103 +368,39 @@ const ShardedPolicyName = "sharded-geomancy"
 // Name implements policy.Policy.
 func (s *Sharded) Name() string { return ShardedPolicyName }
 
-// Propose implements policy.Policy: one full retrain of the global
-// engine (shard engines adopt the new scorer on the next decide), then
-// one sharded decision cycle over the snapshot's working set.
-func (s *Sharded) Propose(ctx context.Context, st policy.State) (map[int64]string, error) {
-	if err := s.global.Retrain(ctx); err != nil {
-		return nil, fmt.Errorf("policy: sharded retrain: %w", err)
-	}
-	files := make([]FileMeta, 0, len(st.Files))
-	for _, f := range st.Files {
-		files = append(files, FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: f.Device})
-	}
-	layout, decisions, err := s.DecideLayout(ctx, files)
-	if err != nil {
-		return nil, fmt.Errorf("policy: sharded proposal: %w", err)
-	}
-	explored := 0
-	for _, d := range decisions {
-		if d.Random && d.Chosen != d.Current {
-			explored++
-		}
-	}
-	s.explored = explored
-	return layout, nil
-}
-
-// LastExplored implements policy.Explorer.
-func (s *Sharded) LastExplored() int { return s.explored }
-
 // shardedState is the gob wire form of the coordinator's mutable state:
 // the partition width (restores reject a mismatch — a snapshot taken
-// under a different sharding cannot restore silently) and one opaque
-// blob per shard unit.
+// under a different sharding cannot restore silently) and one entry per
+// shard unit. The global engine rides the checkpoint's engine half.
 type shardedState struct {
-	Shards   int
-	Explored int
-	Units    [][]byte
+	Shards int
+	Units  []shardUnitState
 }
 
-// shardUnitState is one unit's wire form: the shard engine's full state
-// (RNG stream, adopted scorer, pruning caches) plus the device group's
-// identity and counters.
+// shardUnitState is one unit's wire form: the device group's identity and
+// counters plus the shard engine's full state (RNG stream, adopted
+// scorer, pruning caches) — nil at one shard, where it is the global one.
 type shardUnitState struct {
-	Engine EngineState
+	Engine *EngineState
 	Shard  storagesim.ShardState
-}
-
-// ShardStates returns one opaque blob per shard unit — the wire form the
-// checkpoint plane embeds directly (Snapshot.ShardStates).
-func (s *Sharded) ShardStates() ([][]byte, error) {
-	out := make([][]byte, 0, len(s.units))
-	for i := range s.units {
-		es, err := s.units[i].engine.State()
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded state, shard %d: %w", i, err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(shardUnitState{Engine: es, Shard: s.units[i].shard.State()}); err != nil {
-			return nil, fmt.Errorf("core: encoding shard %d state: %w", i, err)
-		}
-		out = append(out, buf.Bytes())
-	}
-	return out, nil
-}
-
-// RestoreShardStates restores every shard unit from its opaque blob. The
-// blob count must equal the partition width.
-func (s *Sharded) RestoreShardStates(blobs [][]byte) error {
-	if len(blobs) != len(s.units) {
-		return fmt.Errorf("core: snapshot has %d shards, coordinator has %d — rebuild with the snapshot's shard count", len(blobs), len(s.units))
-	}
-	for i, blob := range blobs {
-		var us shardUnitState
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&us); err != nil {
-			return fmt.Errorf("%w: shard %d: %v", policy.ErrBadState, i, err)
-		}
-		if err := s.units[i].engine.RestoreState(us.Engine); err != nil {
-			return fmt.Errorf("core: restoring shard %d engine: %w", i, err)
-		}
-		if err := s.units[i].shard.RestoreState(us.Shard); err != nil {
-			return fmt.Errorf("core: restoring shard %d: %w", i, err)
-		}
-	}
-	// Restored shard engines carry their own deserialized networks; the
-	// first post-restore retrain bumps the global generation past this
-	// gate and re-aliases them to the shared scorer.
-	s.lastAdopted = 0
-	return nil
 }
 
 // MarshalState implements policy.Policy.
 func (s *Sharded) MarshalState() ([]byte, error) {
-	units, err := s.ShardStates()
-	if err != nil {
-		return nil, err
+	st := shardedState{Shards: len(s.units)}
+	for i := range s.units {
+		us := shardUnitState{Shard: s.units[i].shard.State()}
+		if eng := s.units[i].engine; eng != s.globalEngine {
+			es, err := eng.State()
+			if err != nil {
+				return nil, fmt.Errorf("core: sharded state, shard %d: %w", i, err)
+			}
+			us.Engine = &es
+		}
+		st.Units = append(st.Units, us)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(shardedState{Shards: len(s.units), Explored: s.explored, Units: units}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("core: encoding sharded state: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -487,13 +413,26 @@ func (s *Sharded) UnmarshalState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("%w: %v", policy.ErrBadState, err)
 	}
-	if st.Shards != len(s.units) {
+	if st.Shards != len(s.units) || len(st.Units) != len(s.units) {
 		return fmt.Errorf("core: snapshot has %d shards, coordinator has %d — rebuild with the snapshot's shard count", st.Shards, len(s.units))
 	}
-	if err := s.RestoreShardStates(st.Units); err != nil {
-		return err
+	for i, us := range st.Units {
+		if eng := s.units[i].engine; eng != s.globalEngine {
+			if us.Engine == nil {
+				return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
+			}
+			if err := eng.RestoreState(*us.Engine); err != nil {
+				return fmt.Errorf("core: restoring shard %d engine: %w", i, err)
+			}
+		}
+		if err := s.units[i].shard.RestoreState(us.Shard); err != nil {
+			return fmt.Errorf("core: restoring shard %d: %w", i, err)
+		}
 	}
-	s.explored = st.Explored
+	// Restored shard engines carry their own deserialized networks; the
+	// first post-restore retrain bumps the global generation past this
+	// gate and re-aliases them to the shared scorer.
+	s.lastAdopted = 0
 	return nil
 }
 

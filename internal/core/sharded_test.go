@@ -41,7 +41,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := plain.NewModel(cluster)
+	plain.NewModel(cluster)
 	if _, err := plain.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 
 	files := testFiles()
 	for step := 0; step < 6; step++ {
-		wantLayout, wantDec, err := plain.ProposeLayoutContext(t.Context(), files, model.Checker, model.Valid)
+		wantLayout, wantDec, err := plain.ProposeLayoutContext(t.Context(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestShardedReservationsReleased(t *testing.T) {
 	if _, _, err := s.DecideLayout(t.Context(), testFiles()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.ShardCount(); i++ {
+	for i := 0; i < len(s.units); i++ {
 		for _, dev := range s.Shard(i).DeviceNames() {
 			if r := s.Shard(i).Reserved(dev); r != 0 {
 				t.Errorf("shard %d device %s holds %d reserved bytes after the cycle", i, dev, r)

@@ -10,10 +10,10 @@ import (
 )
 
 // EngineState is the serializable snapshot of a DRL engine: the decision
-// stream, the trained model, fitted normalization, and the reward log —
-// everything a restored engine needs to make the exact decisions the
-// interrupted one would have. The engine's Config and store binding are
-// reconstructed from configuration on restore.
+// stream, the trained model and fitted normalization — everything a
+// restored engine needs to make the exact decisions the interrupted one
+// would have. The engine's Config and store binding are reconstructed
+// from configuration on restore.
 type EngineState struct {
 	RNG     uint64
 	Net     []byte // nn wire format (architecture + weights)
@@ -23,8 +23,6 @@ type EngineState struct {
 	TargetScaler features.ScalarState
 	ValMetrics   nn.Metrics
 	Trained      bool
-
-	Rewards []float64
 
 	// Candidate-pruning bookkeeping (Config.TopK > 0): the decision
 	// counter anchors the full-rescan cadence, the watermark anchors the
@@ -61,7 +59,6 @@ func (e *Engine) State() (EngineState, error) {
 		TargetScaler:  e.targetScaler.State(),
 		ValMetrics:    e.valMetrics,
 		Trained:       e.trained,
-		Rewards:       append([]float64(nil), e.rewards...),
 		DecisionCount: e.decisionCount,
 		ModelGen:      e.modelGen,
 		LastWatermark: e.lastWatermark,
@@ -79,8 +76,6 @@ func (e *Engine) State() (EngineState, error) {
 }
 
 // RestoreState overwrites the engine with a previously captured snapshot.
-// The RNG is rewound in place so aliases (the loop's Action Checker
-// shares the stream) observe the restored state too.
 func (e *Engine) RestoreState(st EngineState) error {
 	net, err := nn.Load(bytes.NewReader(st.Net))
 	if err != nil {
@@ -93,13 +88,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 	e.targetScaler.RestoreState(st.TargetScaler)
 	e.valMetrics = st.ValMetrics
 	e.trained = st.Trained
-	e.rewards = append([]float64(nil), st.Rewards...)
 	e.decisionCount = st.DecisionCount
-	if st.ModelGen != 0 {
-		// Snapshots predating the pruning plane carry no generation; keep
-		// the fresh engine's counter (SetDevices above already bumped it).
-		e.modelGen = st.ModelGen
-	}
+	e.modelGen = st.ModelGen // after SetDevices, which bumps the fresh engine's counter
 	e.lastWatermark = st.LastWatermark
 	e.cache = make(map[int64]*fileCache, len(st.ScoreCache))
 	for _, fs := range st.ScoreCache {

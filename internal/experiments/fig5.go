@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"geomancy/internal/agents"
 	"geomancy/internal/core"
 	"geomancy/internal/policy"
-	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
 )
 
@@ -21,66 +19,13 @@ func staticBuilder(p policy.Policy) policyBuilder {
 	return func(*testbed) (policy.Policy, *core.EngineModel, error) { return p, nil, nil }
 }
 
-// tbEngineModel builds a DRL engine over the testbed's ReplayDB and
-// bridges it to the policy plane.
-func tbEngineModel(tb *testbed, opts Options) (*core.EngineModel, error) {
-	engine, err := core.NewEngine(tb.db, tb.cluster.DeviceNames(), engineConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewModel(tb.cluster), nil
-}
-
-// geomancyBuilder is the paper's closed loop: full retrain every decision.
-func geomancyBuilder(opts Options) policyBuilder {
+// namedBuilder builds the named catalogue policy over the testbed at the
+// given shard width (0 = unsharded) through core.BuildPolicy: learned
+// names get an engine over the testbed's ReplayDB configured by cfg,
+// baselines only read cfg.Seed.
+func namedBuilder(name string, shards int, cfg core.Config) policyBuilder {
 	return func(tb *testbed) (policy.Policy, *core.EngineModel, error) {
-		m, err := tbEngineModel(tb, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &policy.Geomancy{Model: m}, m, nil
-	}
-}
-
-// onlineBuilder is the incremental-learning variant: minibatch updates
-// between full retrains.
-func onlineBuilder(opts Options) policyBuilder {
-	return func(tb *testbed) (policy.Policy, *core.EngineModel, error) {
-		m, err := tbEngineModel(tb, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &policy.Online{Model: m}, m, nil
-	}
-}
-
-// tieredBuilder is the device-class-gated variant: only cross-tier
-// promote/demote moves survive.
-func tieredBuilder(opts Options) policyBuilder {
-	return func(tb *testbed) (policy.Policy, *core.EngineModel, error) {
-		m, err := tbEngineModel(tb, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &policy.Tiered{Model: m}, m, nil
-	}
-}
-
-// matrixShards is the sharded column's partition width: Bluesky's six
-// mounts split into two device groups of three.
-const matrixShards = 2
-
-// shardedBuilder is the sharded-coordinator variant: the testbed's
-// devices partition into matrixShards groups, each deciding over its own
-// subset with one batched inference per cycle and cross-shard
-// escalation (core.Sharded).
-func shardedBuilder(opts Options) policyBuilder {
-	return func(tb *testbed) (policy.Policy, *core.EngineModel, error) {
-		s, err := core.NewSharded(tb.db, tb.cluster, matrixShards, nil, engineConfig(opts))
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, s.Model(), nil
+		return core.BuildPolicy(tb.db, tb.cluster, name, shards, nil, cfg)
 	}
 }
 
@@ -156,7 +101,7 @@ func engineConfig(opts Options) core.Config {
 // runGeomancyDynamic executes the full closed loop and returns its series
 // plus the loop and testbed for utilization accounting.
 func runGeomancyDynamic(opts Options) (Series, *core.Loop, *testbed, error) {
-	return runScenarioPolicy("belle", geomancyBuilder(opts), opts)
+	return runScenarioPolicy("belle", namedBuilder("geomancy", 0, engineConfig(opts)), opts)
 }
 
 // geomancyStaticLayout trains an engine on a bootstrap ReplayDB (the
@@ -175,21 +120,11 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 	// One-shot static placement is pure exploitation: effectively no
 	// exploration (exactly 0 would select the 0.1 default).
 	cfg.Epsilon = 1e-9
-	engine, err := core.NewEngine(tb.db, tb.cluster.DeviceNames(), cfg)
+	p, _, err := core.BuildPolicy(tb.db, tb.cluster, "geomancy", 0, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := engine.TrainContext(context.Background()); err != nil {
-		return nil, err
-	}
-	layout := tb.cluster.Layout()
-	metas := make([]core.FileMeta, 0, len(tb.files))
-	for _, f := range tb.files {
-		metas = append(metas, core.FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: layout[f.ID]})
-	}
-	checker := agents.NewActionChecker(rng.New(opts.Seed+5), tb.cluster.DeviceNames())
-	proposed, _, err := engine.ProposeLayoutContext(context.Background(), metas, checker, agents.ClusterValidator(tb.cluster))
-	return proposed, err
+	return p.Propose(context.Background(), tb.policyState())
 }
 
 // ComparisonResult bundles the Fig. 5 series and the headline summary.
@@ -227,16 +162,10 @@ func Fig5a(opts Options) (*ComparisonResult, error) {
 	opts = opts.withDefaults()
 	res := &ComparisonResult{}
 
-	basePolicies := []policy.Policy{
-		policy.LRU{},
-		policy.MRU{},
-		policy.LFU{},
-		&policy.RandomDynamic{Rng: rng.New(opts.Seed + 2)},
-	}
-	for _, p := range basePolicies {
-		s, tb, err := runPolicy(p, opts)
+	for _, key := range []string{"lru", "mru", "lfu", "random-dynamic"} {
+		s, _, tb, err := runScenarioPolicy("belle", namedBuilder(key, 0, core.Config{Seed: opts.Seed}), opts)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", p.Name(), err)
+			return nil, fmt.Errorf("experiments: policy %s: %w", key, err)
 		}
 		tb.db.Close()
 		res.Series = append(res.Series, s)
@@ -257,8 +186,7 @@ func Fig5b(opts Options) (*ComparisonResult, error) {
 	opts = opts.withDefaults()
 	res := &ComparisonResult{}
 
-	rs := &policy.RandomStatic{Rng: rng.New(opts.Seed + 3)}
-	s, tb, err := runPolicy(rs, opts)
+	s, _, tb, err := runScenarioPolicy("belle", namedBuilder("random-static", 0, core.Config{Seed: opts.Seed}), opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: random static: %w", err)
 	}

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -269,5 +273,34 @@ func TestGainsComputation(t *testing.T) {
 	}
 	if len(gains([]Series{{Name: "LFU", Mean: 1}})) != 0 {
 		t.Error("no Geomancy series should yield no gains")
+	}
+}
+
+// The Action Checker's all-invalid fallback used to draw from a stream of
+// its own (seed+5) here; it now draws from the engine's. The fallback
+// never fires on the healthy testbed, so "Geomancy static" must be the
+// very layout the parent commit produced — the digests below were
+// recorded there (sha256 over "id=device;" in file-ID order).
+func TestGeomancyStaticLayoutUnchangedByStreamFold(t *testing.T) {
+	for seed, want := range map[int64]string{
+		1: "32aa8843b8714f976a47cda2f81e96820439746915a51c040654d5f48c22e49a",
+		7: "f9a29beecf8131fab3997b4748dc80d4960118ba1bbc40ce64e736dc00c5e334",
+	} {
+		layout, err := geomancyStaticLayout(Quick(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int64, 0, len(layout))
+		for id := range layout {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		h := sha256.New()
+		for _, id := range ids {
+			fmt.Fprintf(h, "%d=%s;", id, layout[id])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("seed %d: static layout digest %s, want the parent's %s", seed, got, want)
+		}
 	}
 }

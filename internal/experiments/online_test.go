@@ -45,12 +45,12 @@ func tailMean(s Series) float64 {
 // The run is fully deterministic, so the margins are stable.
 func TestOnlineGeomancyReconvergesAfterShift(t *testing.T) {
 	opts := shiftOptions(3)
-	online, _, tbO, err := runScenarioPolicy("hotspot-shift", onlineBuilder(opts), opts)
+	online, _, tbO, err := runScenarioPolicy("hotspot-shift", namedBuilder("online-geomancy", 0, engineConfig(opts)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbO.db.Close()
-	periodic, _, tbP, err := runScenarioPolicy("hotspot-shift", geomancyBuilder(opts), opts)
+	periodic, _, tbP, err := runScenarioPolicy("hotspot-shift", namedBuilder("geomancy", 0, engineConfig(opts)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestOnlineUpdateDeterminism(t *testing.T) {
 		}
 		run := func() outcome {
 			t.Helper()
-			s, _, tb, err := runScenarioPolicy("hotspot-shift", onlineBuilder(opts), opts)
+			s, _, tb, err := runScenarioPolicy("hotspot-shift", namedBuilder("online-geomancy", 0, engineConfig(opts)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"geomancy/internal/core"
-	"geomancy/internal/policy"
-	"geomancy/internal/rng"
 	"geomancy/internal/scenario"
 )
 
@@ -55,24 +53,29 @@ type matrixColumn struct {
 	build policyBuilder
 }
 
-// matrixColumns returns the full column set of one scenario row:
-// baselines first (stochastic ones on fresh streams derived from the
-// seed, so every cell is independent and the whole matrix is a pure
-// function of the options), then the learned family with classic
-// Geomancy last.
+// matrixShards is the sharded column's partition width: Bluesky's six
+// mounts split into two device groups of three.
+const matrixShards = 2
+
+// matrixColumns returns the full column set of one scenario row, every
+// column built by catalogue key: baselines first (stochastic ones on
+// fresh streams the catalogue derives from the options seed, so every
+// cell is independent and the whole matrix is a pure function of the
+// options), then the learned family on the experiment engine
+// configuration, with classic Geomancy last.
 func matrixColumns(opts Options) []matrixColumn {
-	seed := opts.Seed
+	base, eng := core.Config{Seed: opts.Seed}, engineConfig(opts)
 	return []matrixColumn{
-		{"LRU", staticBuilder(policy.LRU{})},
-		{"MRU", staticBuilder(policy.MRU{})},
-		{"LFU", staticBuilder(policy.LFU{})},
-		{"LFU (capacity-weighted)", staticBuilder(policy.Weighted{Base: policy.LFU{}})},
-		{"random dynamic", staticBuilder(&policy.RandomDynamic{Rng: rng.New(seed + 2)})},
-		{"random static", staticBuilder(&policy.RandomStatic{Rng: rng.New(seed + 3)})},
-		{TieredName, tieredBuilder(opts)},
-		{OnlineName, onlineBuilder(opts)},
-		{ShardedName, shardedBuilder(opts)},
-		{GeomancyName, geomancyBuilder(opts)},
+		{"LRU", namedBuilder("lru", 0, base)},
+		{"MRU", namedBuilder("mru", 0, base)},
+		{"LFU", namedBuilder("lfu", 0, base)},
+		{"LFU (capacity-weighted)", namedBuilder("lfu-weighted", 0, base)},
+		{"random dynamic", namedBuilder("random-dynamic", 0, base)},
+		{"random static", namedBuilder("random-static", 0, base)},
+		{TieredName, namedBuilder("tiered-geomancy", 0, eng)},
+		{OnlineName, namedBuilder("online-geomancy", 0, eng)},
+		{ShardedName, namedBuilder("geomancy", matrixShards, eng)},
+		{GeomancyName, namedBuilder("geomancy", 0, eng)},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"geomancy/internal/rng"
-	"sort"
 
 	"geomancy/internal/core"
 	"geomancy/internal/features"
@@ -63,21 +62,7 @@ func newScenarioTestbed(scenarioName string, seed int64) (*testbed, error) {
 func (tb *testbed) observe(res storagesim.AccessResult, wl, run int) error {
 	tb.lastAccess[res.FileID] = res.End
 	tb.accesses[res.FileID]++
-	_, err := tb.db.AppendAccess(replaydb.AccessRecord{
-		Time:         res.Start,
-		Workload:     int32(wl),
-		Run:          int32(run),
-		FileID:       res.FileID,
-		Path:         res.Path,
-		Device:       res.Device,
-		BytesRead:    res.BytesRead,
-		BytesWritten: res.BytesWritten,
-		OpenTS:       res.OpenTS,
-		OpenTMS:      res.OpenTMS,
-		CloseTS:      res.CloseTS,
-		CloseTMS:     res.CloseTMS,
-		Throughput:   res.Throughput,
-	})
+	_, err := tb.db.AppendAccess(replaydb.FromAccess(res, wl, run))
 	return err
 }
 
@@ -177,17 +162,10 @@ func deviceDataset(db *replaydb.DB, device string, devIndex map[string]int, wind
 	if len(recs) < 20 {
 		return nil, nil, fmt.Errorf("experiments: only %d records for device %s", len(recs), device)
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-	rows := make([][]float64, len(recs))
-	targets := make([]float64, len(recs))
-	for i := range recs {
-		rows[i] = core.FeatureVector(&recs[i], devIndex)
-		targets[i] = recs[i].Throughput
-	}
-	// Smooth per data ID (§V-E): mixing files would blur the per-file
-	// throughput differences the features predict.
-	core.SmoothByFile(recs, rows, targets, smooth)
-	// Model the target in log space (see core.EncodeTarget).
+	// Raw throughput is smoothed per data ID (§V-E), then modeled in log
+	// space (see core.EncodeTarget).
+	rows, targets := core.TrainingRows(recs, devIndex,
+		func(rec *replaydb.AccessRecord) float64 { return rec.Throughput }, smooth)
 	for i := range targets {
 		targets[i] = core.EncodeTarget(targets[i])
 	}

@@ -1,5 +1,12 @@
 package policy
 
+import (
+	"fmt"
+	"strings"
+
+	"geomancy/internal/rng"
+)
+
 // Info describes one catalogued policy: the key WithPolicy / -policy
 // accept, and a one-line description for listings.
 type Info struct {
@@ -7,31 +14,80 @@ type Info struct {
 	Description string
 }
 
-// Catalogue lists every selectable policy, baselines first and the
-// learned Geomancy family last. The metadata lives here; construction
-// lives where the dependencies do (core.NewCataloguePolicy wires the
-// engine-backed entries).
+// DefaultName is the policy the empty name selects.
+const DefaultName = "geomancy"
+
+// catalogue is the one table from policy name to constructor, baselines
+// first and the learned Geomancy family last; adding a policy is adding a
+// row. learned marks policies that drive a Model (and so need an engine
+// behind them). Baselines ignore the model; stochastic ones derive their
+// checkpointable stream from seed at a fixed per-policy offset, so every
+// driver of one seed — facade, experiment matrix — draws identically.
+var catalogue = []struct {
+	Info
+	learned bool
+	build   func(m Model, seed int64) Policy
+}{
+	{Info{"lru", "most recently used files on the fastest devices (§VI)"}, false,
+		func(Model, int64) Policy { return LRU{} }},
+	{Info{"mru", "most recently used files on the slowest devices (Chou & DeWitt)"}, false,
+		func(Model, int64) Policy { return MRU{} }},
+	{Info{"lfu", "most frequently used files on the fastest devices (Gupta et al.)"}, false,
+		func(Model, int64) Policy { return LFU{} }},
+	{Info{"lfu-weighted", "LFU with capacity-proportional group sizing"}, false,
+		func(Model, int64) Policy { return Weighted{Base: LFU{}} }},
+	{Info{"random-dynamic", "uniformly random placement, reshuffled every decision"}, false,
+		func(_ Model, seed int64) Policy { return &RandomDynamic{Rng: rng.New(seed + 2)} }},
+	{Info{"random-static", "one uniformly random placement, then frozen"}, false,
+		func(_ Model, seed int64) Policy { return &RandomStatic{Rng: rng.New(seed + 3)} }},
+	{Info{"noop", "never moves anything (spread-evenly control)"}, false,
+		func(Model, int64) Policy { return NoOp{} }},
+	{Info{"geomancy", "the paper's closed loop: retrain + ε-greedy proposal each decision"}, true,
+		func(m Model, _ int64) Policy { return &Geomancy{Model: m} }},
+	{Info{"online-geomancy", "geomancy with incremental minibatch updates between full retrains"}, true,
+		func(m Model, _ int64) Policy { return &Online{Model: m} }},
+	{Info{"tiered-geomancy", "geomancy gated to cross-tier promote/demote moves by device class"}, true,
+		func(m Model, _ int64) Policy { return &Tiered{Model: m} }},
+}
+
+// Catalogue lists every selectable policy in catalogue order.
 func Catalogue() []Info {
-	return []Info{
-		{"lru", "most recently used files on the fastest devices (§VI)"},
-		{"mru", "most recently used files on the slowest devices (Chou & DeWitt)"},
-		{"lfu", "most frequently used files on the fastest devices (Gupta et al.)"},
-		{"lfu-weighted", "LFU with capacity-proportional group sizing"},
-		{"random-dynamic", "uniformly random placement, reshuffled every decision"},
-		{"random-static", "one uniformly random placement, then frozen"},
-		{"noop", "never moves anything (spread-evenly control)"},
-		{"geomancy", "the paper's closed loop: retrain + ε-greedy proposal each decision"},
-		{"online-geomancy", "geomancy with incremental minibatch updates between full retrains"},
-		{"tiered-geomancy", "geomancy gated to cross-tier promote/demote moves by device class"},
+	infos := make([]Info, len(catalogue))
+	for i, e := range catalogue {
+		infos[i] = e.Info
 	}
+	return infos
 }
 
 // Names returns the catalogue keys in catalogue order.
 func Names() []string {
-	infos := Catalogue()
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
+	names := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		names[i] = e.Name
 	}
 	return names
+}
+
+// New builds the named policy; the empty name selects DefaultName and an
+// unknown one fails with ErrUnknown. A learned policy drives the Model
+// that model returns; baselines never call it and derive any stochastic
+// stream from seed.
+func New(name string, seed int64, model func() (Model, error)) (Policy, error) {
+	if name == "" {
+		name = DefaultName
+	}
+	for _, e := range catalogue {
+		if e.Name != name {
+			continue
+		}
+		var m Model
+		if e.learned {
+			var err error
+			if m, err = model(); err != nil {
+				return nil, err
+			}
+		}
+		return e.build(m, seed), nil
+	}
+	return nil, fmt.Errorf("%w: %q (catalogue: %s)", ErrUnknown, name, strings.Join(Names(), ", "))
 }

@@ -18,6 +18,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"geomancy/internal/storagesim"
 )
 
 // AccessRecord is one observed file access: the telemetry a monitoring
@@ -46,6 +48,28 @@ type AccessRecord struct {
 	CloseTS, CloseTMS int64
 	// Throughput is the measured bytes/second of the access.
 	Throughput float64
+}
+
+// FromAccess converts one simulated access into the record stored for it,
+// tagged with the workload id and run index it belongs to. Every path
+// from the simulator into the database — direct appends and the agents'
+// wire reports alike — goes through this one conversion.
+func FromAccess(res storagesim.AccessResult, workloadID, run int) AccessRecord {
+	return AccessRecord{
+		Time:         res.Start,
+		Workload:     int32(workloadID),
+		Run:          int32(run),
+		FileID:       res.FileID,
+		Path:         res.Path,
+		Device:       res.Device,
+		BytesRead:    res.BytesRead,
+		BytesWritten: res.BytesWritten,
+		OpenTS:       res.OpenTS,
+		OpenTMS:      res.OpenTMS,
+		CloseTS:      res.CloseTS,
+		CloseTMS:     res.CloseTMS,
+		Throughput:   res.Throughput,
+	}
 }
 
 // MovementRecord is one data-layout action: a file moved between devices.

@@ -151,6 +151,33 @@ func (c *Cluster) Device(name string) *Device {
 	return c.devices[name]
 }
 
+// CanPlace reports whether the named device can receive a file of size
+// bytes right now; a non-nil error names the rule that failed. It is the
+// validator the DRL engine's Action Checker stage filters candidate
+// destinations through (§V-H), and the same rules Move, PlaceFile and
+// Shard.Reserve enforce when the placement is actually made.
+func (c *Cluster) CanPlace(device string, size int64) error {
+	return c.Device(device).canReceive(device, size, 0)
+}
+
+// canReceive applies the four placement rules to d, the device called
+// name (nil when there is no such device): it must exist, be available,
+// be writable, and have room for size bytes once the bytes already
+// claimed by other pending placements are set aside.
+func (d *Device) canReceive(name string, size, claimed int64) error {
+	switch {
+	case d == nil:
+		return fmt.Errorf("storagesim: unknown device %q", name)
+	case !d.Available:
+		return fmt.Errorf("storagesim: device %q unavailable", name)
+	case d.ReadOnly:
+		return fmt.Errorf("storagesim: device %q is read-only", name)
+	case d.Free()-claimed < size:
+		return fmt.Errorf("storagesim: device %q full (%d free, need %d)", name, d.Free()-claimed, size)
+	}
+	return nil
+}
+
 // SetAvailable flips a device's availability (mount loss / recovery).
 func (c *Cluster) SetAvailable(name string, avail bool) error {
 	c.mu.Lock()
@@ -196,29 +223,20 @@ func (c *Cluster) SetExternalScale(name string, scale float64) error {
 func (c *Cluster) PlaceFile(id int64, path string, size int64, device string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.devices[device]
-	if !ok {
-		return fmt.Errorf("storagesim: unknown device %q", device)
-	}
-	if !d.Available {
-		return fmt.Errorf("storagesim: device %q unavailable", device)
-	}
-	if d.ReadOnly {
-		return fmt.Errorf("storagesim: device %q is read-only", device)
-	}
 	if size < 0 {
 		return fmt.Errorf("storagesim: negative file size %d", size)
 	}
-	// Capacity check before any mutation. A re-place frees the old copy's
-	// bytes, so when the destination already holds the file its current
-	// size counts as available.
-	avail := d.Free()
+	// Every check runs before any mutation. A re-place frees the old
+	// copy's bytes, so when the destination already holds the file its
+	// current size counts as available (a negative claim).
+	d := c.devices[device]
+	var freed int64
 	f, exists := c.files[id]
 	if exists && f.Device == device {
-		avail += f.Size
+		freed = f.Size
 	}
-	if avail < size {
-		return fmt.Errorf("storagesim: device %q full (%d free, need %d)", device, avail, size)
+	if err := d.canReceive(device, size, -freed); err != nil {
+		return err
 	}
 	if exists {
 		if old := c.devices[f.Device]; old != nil {
@@ -346,18 +364,9 @@ func (c *Cluster) Move(fileID int64, dst string) (MoveResult, error) {
 	if f.Device == dst {
 		return MoveResult{FileID: fileID, From: dst, To: dst, Start: c.now}, nil
 	}
-	to, ok := c.devices[dst]
-	if !ok {
-		return MoveResult{}, fmt.Errorf("storagesim: unknown device %q", dst)
-	}
-	if !to.Available {
-		return MoveResult{}, fmt.Errorf("storagesim: device %q unavailable", dst)
-	}
-	if to.ReadOnly {
-		return MoveResult{}, fmt.Errorf("storagesim: device %q is read-only", dst)
-	}
-	if to.Free() < f.Size {
-		return MoveResult{}, fmt.Errorf("storagesim: device %q full (%d free, need %d)", dst, to.Free(), f.Size)
+	to := c.devices[dst]
+	if err := to.canReceive(dst, f.Size, 0); err != nil {
+		return MoveResult{}, err
 	}
 	from := c.devices[f.Device]
 

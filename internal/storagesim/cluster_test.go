@@ -421,3 +421,25 @@ func TestBurstScheduleAdvances(t *testing.T) {
 
 // newRand is a tiny helper so property tests can derive their own stream.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func TestClusterValidator(t *testing.T) {
+	c := NewBluesky(5)
+	v := c.CanPlace
+	if err := v("file0", 1000); err != nil {
+		t.Errorf("healthy device rejected: %v", err)
+	}
+	if err := v("nodev", 0); err == nil {
+		t.Error("unknown device accepted")
+	}
+	c.SetAvailable("pic", false)
+	if err := v("pic", 0); err == nil {
+		t.Error("unavailable device accepted")
+	}
+	c.SetReadOnly("var", true)
+	if err := v("var", 0); err == nil {
+		t.Error("read-only device accepted")
+	}
+	if err := v("tmp", int64(5e18)); err == nil {
+		t.Error("oversized placement accepted")
+	}
+}

@@ -169,18 +169,8 @@ func (s *Shard) Reserve(device string, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("storagesim: negative reservation %d", size)
 	}
-	d := s.Device(device)
-	if d == nil {
-		return fmt.Errorf("storagesim: shard %d does not own device %q", s.index, device)
-	}
-	if !d.Available {
-		return fmt.Errorf("storagesim: device %q unavailable", device)
-	}
-	if d.ReadOnly {
-		return fmt.Errorf("storagesim: device %q is read-only", device)
-	}
-	if free := d.Free() - s.reserved[device]; free < size {
-		return fmt.Errorf("storagesim: device %q cannot cover reservation (%d unreserved, need %d)", device, free, size)
+	if err := s.Device(device).canReceive(device, size, s.reserved[device]); err != nil {
+		return fmt.Errorf("storagesim: shard %d reservation: %w", s.index, err)
 	}
 	s.reserved[device] += size
 	return nil

@@ -1,10 +1,16 @@
 package geomancy
 
 import (
+	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"geomancy/internal/checkpoint"
+	"geomancy/internal/core"
+	"geomancy/internal/storagesim"
 )
 
 // TestShardedMatchesUnsharded pins the coordinator's degenerate case: a
@@ -124,5 +130,57 @@ func TestShardedRestoreRejectsPartitionMismatch(t *testing.T) {
 func TestShardedRejectsBaselinePolicy(t *testing.T) {
 	if _, err := New(WithShards(2), WithPolicy("lru")); err == nil {
 		t.Fatal("New(WithShards, WithPolicy(lru)) succeeded")
+	}
+}
+
+// Sharded state rides the policy blob alone, and an engine is serialized
+// once: at one shard, unit 0's engine IS the global engine the snapshot's
+// engine half already carries, so the blob holds only the device group's
+// accounting; at two shards every unit carries its own shard engine.
+func TestShardedSnapshotCarriesEachEngineOnce(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sys, err := New(ckptOptions(1, WithShards(shards))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunN(5); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "snap.ckpt")
+		if err := sys.Checkpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Load(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snap.Engine.Trained || len(snap.Engine.Net) == 0 {
+			t.Fatalf("shards=%d: snapshot's engine half is missing the trained global engine", shards)
+		}
+		// The coordinator's wire form, mirrored field for field.
+		var blob struct {
+			Shards int
+			Units  []struct {
+				Engine *core.EngineState
+				Shard  storagesim.ShardState
+			}
+		}
+		if err := gob.NewDecoder(bytes.NewReader(snap.Policy)).Decode(&blob); err != nil {
+			t.Fatalf("shards=%d: decoding policy blob: %v", shards, err)
+		}
+		if blob.Shards != shards || len(blob.Units) != shards {
+			t.Fatalf("blob describes %d shards in %d units, want %d", blob.Shards, len(blob.Units), shards)
+		}
+		for i, u := range blob.Units {
+			if u.Shard.Index != i || len(u.Shard.Devices) == 0 {
+				t.Errorf("shards=%d unit %d: device-group state %+v", shards, i, u.Shard)
+			}
+			if has, want := u.Engine != nil, shards > 1; has != want {
+				t.Errorf("shards=%d unit %d: carries an engine state = %v, want %v", shards, i, has, want)
+			}
+		}
 	}
 }

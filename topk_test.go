@@ -139,7 +139,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 // the population sees fresh telemetry, then the engine proposes a layout.
 func proposeWarehouse(tb testing.TB, w *warehouseFixture) {
 	w.dirty(0.25)
-	if _, _, err := w.engine.ProposeLayoutContext(context.Background(), w.files, nil, nil); err != nil {
+	if _, _, err := w.engine.ProposeLayoutContext(context.Background(), w.files); err != nil {
 		tb.Fatal(err)
 	}
 }
