@@ -10,10 +10,8 @@ package geomancy
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"geomancy/internal/core"
@@ -173,7 +171,7 @@ func mustEOSDataset(b *testing.B, recs []trace.EOSRecord) *nn.Dataset {
 	return nn.NewDataset(x, ts.TransformAll(targets))
 }
 
-// --- Scoring and GEMM hot-path benches (BENCH_scoring.json baseline) ---
+// --- Scoring and GEMM hot-path benches ---
 
 // scoringLoop builds a trained engine over a warmed-up testbed: the
 // candidate-scoring benchmark's fixture.
@@ -381,57 +379,6 @@ func BenchmarkScoringGEMMParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mat.ParallelMulTo(dst, x, w, 4)
-	}
-}
-
-// benchRecord is one BENCH_scoring.json entry.
-type benchRecord struct {
-	Name      string  `json:"name"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Runs      int     `json:"runs"`
-}
-
-// TestBenchBaseline writes the scoring-path benchmark baseline as JSON to
-// the path in GEOMANCY_BENCH_JSON (skipped when unset, so the regular
-// test run stays fast). CI runs it with the env var set and uploads the
-// file as the BENCH_scoring.json artifact; the committed copy at the
-// repo root is the reference snapshot.
-func TestBenchBaseline(t *testing.T) {
-	path := os.Getenv("GEOMANCY_BENCH_JSON")
-	if path == "" {
-		t.Skip("GEOMANCY_BENCH_JSON not set")
-	}
-	var records []benchRecord
-	for _, bench := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"ScoringProposeLayout", BenchmarkScoringProposeLayout},
-		{"ScoringExhaustive2k", BenchmarkScoringExhaustive2k},
-		{"ScoringTopK", BenchmarkScoringTopK},
-		{"ScoringSharded16", BenchmarkScoringSharded16},
-		{"ScoringGEMM", BenchmarkScoringGEMM},
-		{"ScoringGEMMParallel", BenchmarkScoringGEMMParallel},
-	} {
-		res := testing.Benchmark(bench.fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %s did not run", bench.name)
-		}
-		ns := float64(res.NsPerOp())
-		rec := benchRecord{Name: bench.name, NsPerOp: ns, Runs: res.N}
-		if ns > 0 {
-			rec.OpsPerSec = 1e9 / ns
-		}
-		records = append(records, rec)
-		t.Logf("%s: %.0f ns/op (%.1f ops/s over %d runs)", rec.Name, rec.NsPerOp, rec.OpsPerSec, rec.Runs)
-	}
-	out, err := json.MarshalIndent(map[string]any{"benchmarks": records}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package geomancy
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"geomancy/internal/agents"
 	"geomancy/internal/telemetry"
 )
 
@@ -173,5 +175,21 @@ func TestDistributedDegradesWhenDaemonDies(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		t.Errorf("%d goroutines alive after Close (baseline %d); agent loops leaked", n, baseline)
+	}
+}
+
+// TestDistributedFailClosedSurfacesBootstrapOutage: fail-closed means an
+// unreachable daemon is a Run error from the first run on, bootstrap
+// included — the telemetry-only phase used to swallow it regardless.
+func TestDistributedFailClosedSurfacesBootstrapOutage(t *testing.T) {
+	pol := fastRetry()
+	pol.MaxAttempts = 2
+	pol.IOTimeout = 200 * time.Millisecond
+	sys, _ := distributedSystem(t, WithRetryPolicy(pol), WithFailOpen(false))
+	if err := sys.daemon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); !errors.Is(err, agents.ErrUnavailable) {
+		t.Fatalf("bootstrap run against a dead daemon: err = %v, want agents.ErrUnavailable", err)
 	}
 }

@@ -59,7 +59,7 @@ func runLFU() (float64, error) {
 	accessCount := map[int64]int64{}
 	var tpSum float64
 	var tpN int64
-	lfu := policy.LFU{}
+	lfu := policy.LFU()
 
 	fmt.Println("LFU base case:")
 	for r := 0; r < runs; r++ {

@@ -654,10 +654,11 @@ func (s *System) RunContext(ctx context.Context) (RunStats, error) {
 				obsErr = e
 			}
 		}
-		// An unreachable daemon during bootstrap is tolerated: the
-		// monitors retain the unacked batches and replay them on a later
-		// flush, so no telemetry is lost.
-		if err == nil && obsErr != nil && !errors.Is(obsErr, agents.ErrUnavailable) {
+		// A fail-open loop tolerates an unreachable daemon during
+		// bootstrap: the monitors retain the unacked batches and replay
+		// them on a later flush, so no telemetry is lost.
+		tolerated := s.loop.FailOpen && errors.Is(obsErr, agents.ErrUnavailable)
+		if err == nil && obsErr != nil && !tolerated {
 			return stats, fmt.Errorf("geomancy: recording bootstrap telemetry: %w", obsErr)
 		}
 	} else {

@@ -2,6 +2,7 @@ package agents
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -235,24 +236,24 @@ func TestClientRecentQuery(t *testing.T) {
 		}
 		db.AppendAccess(replaydb.AccessRecord{Time: float64(i), Device: dev, FileID: int64(i), Throughput: float64(i * 100)})
 	}
-	cl, err := NewClient(addr)
+	cl, err := DialRemoteStore(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	reports, err := cl.Recent("pic", 3)
+	recs, err := cl.query(Envelope{Type: TypeRecentQuery, Device: "pic", N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3", len(reports))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
-	if reports[0].Time != 5 || reports[2].Time != 9 {
-		t.Errorf("wrong window: %v .. %v", reports[0].Time, reports[2].Time)
+	if recs[0].Time != 5 || recs[2].Time != 9 {
+		t.Errorf("wrong window: %v .. %v", recs[0].Time, recs[2].Time)
 	}
 
-	all, err := cl.Recent("", 100)
+	all, err := cl.query(Envelope{Type: TypeRecentQuery, N: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestClientRecentQuery(t *testing.T) {
 		t.Errorf("all-device query returned %d, want 10", len(all))
 	}
 	// Sequential queries on one connection keep working.
-	again, err := cl.Recent("var", 2)
+	again, err := cl.query(Envelope{Type: TypeRecentQuery, Device: "var", N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,22 +272,19 @@ func TestClientRecentQuery(t *testing.T) {
 
 func TestDaemonRejectsUnknownType(t *testing.T) {
 	_, _, addr := startDaemon(t)
-	cl, err := NewClient(addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	// Hand-craft a bogus request through the client's encoder by asking
-	// for a type the daemon does not know: easiest is to dial raw.
-	cl.mu.Lock()
-	cl.enc.Encode(Envelope{Type: "bogus"})
-	cl.bw.Flush()
-	var reply Envelope
-	if err := cl.dec.Decode(&reply); err != nil {
-		cl.mu.Unlock()
+	defer conn.Close()
+	c := newCodec(conn)
+	if err := c.write(&Envelope{Type: "bogus"}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	cl.mu.Unlock()
+	var reply Envelope
+	if err := c.read(&reply, time.Now().Add(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	if reply.Type != TypeError {
 		t.Errorf("reply = %+v, want error", reply)
 	}

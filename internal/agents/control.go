@@ -1,15 +1,11 @@
 package agents
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
-
-	"geomancy/internal/rng"
 )
 
 // Mover executes one file movement on the target system. It reports
@@ -30,166 +26,107 @@ type Mover func(fileID int64, device string) (moved bool, err error)
 // already on is a no-op), so a push replayed after a reconnect is safe.
 type Control struct {
 	mover Mover
-	addr  string
-	opts  options
-	met   agentMetrics
-	rng   *rng.RNG // backoff jitter only
+	s     *session // registration and ack writes; the loop below reads
 
 	mu      sync.Mutex
-	conn    net.Conn
-	bw      *bufio.Writer
-	enc     *json.Encoder
 	applied int // total files moved over the agent's lifetime
-	closed  bool
 
-	stop chan struct{} // closed by Close; interrupts reconnect backoff
-	done chan struct{} // closed when the receive loop exits
+	stop     chan struct{} // closed by Close; interrupts reconnect backoff
+	stopOnce sync.Once
+	done     chan struct{} // closed when the receive loop exits
 }
 
 // NewControl dials the daemon, registers, and starts applying layout
 // pushes in the background.
-//
-//geomancy:allow ctxflow constructor dial is deadline-bounded by RetryPolicy.IOTimeout; no caller context exists yet
 func NewControl(addr string, mover Mover, opts ...Option) (*Control, error) {
 	if mover == nil {
 		return nil, fmt.Errorf("agents: control agent needs a mover")
 	}
-	o := buildOptions(opts)
 	c := &Control{
 		mover: mover,
-		addr:  addr,
-		opts:  o,
-		met:   metricsFor(o.reg, "control"),
-		rng:   rng.New(2027),
+		s:     newSession(addr, "control", 2027, opts),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	if err := c.connect(); err != nil {
+	conn, err := c.register()
+	if err != nil {
 		return nil, err
 	}
-	go c.run()
+	go c.run(conn)
 	return c, nil
 }
 
-// connect dials and registers one connection, installing it as current.
-func (c *Control) connect() error {
-	conn, err := c.opts.dial("tcp", c.addr)
+// register announces the agent on the session's connection (dialing one if
+// needed) and returns that connection to receive pushes on.
+func (c *Control) register() (*codec, error) {
+	conn, err := c.s.send(&Envelope{Type: TypeRegisterControl})
 	if err != nil {
-		return fmt.Errorf("agents: control dial: %w", err)
+		return nil, fmt.Errorf("agents: control register: %w", err)
 	}
-	bw := bufio.NewWriter(conn)
-	enc := json.NewEncoder(bw)
-	c.mu.Lock()
-	c.conn = conn
-	c.bw = bw
-	c.enc = enc
-	c.mu.Unlock()
-	if err := c.send(Envelope{Type: TypeRegisterControl}); err != nil {
-		conn.Close()
-		return err
-	}
-	return nil
+	return conn, nil
 }
 
-func (c *Control) send(env Envelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return fmt.Errorf("agents: control send: not connected")
-	}
-	//geomancy:nondeterministic I/O deadline computation; never reaches wire or layout output
-	if err := c.conn.SetWriteDeadline(time.Now().Add(c.opts.policy.IOTimeout)); err != nil {
-		return fmt.Errorf("agents: control send: %w", err)
-	}
-	//geomancy:allow locksafe connection-serialization lock; the write is deadline-bounded by RetryPolicy.IOTimeout
-	if err := c.enc.Encode(env); err != nil {
-		return fmt.Errorf("agents: control send: %w", err)
-	}
-	//geomancy:allow locksafe connection-serialization lock; the write is deadline-bounded by RetryPolicy.IOTimeout
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("agents: control send: %w", err)
-	}
-	return nil
-}
-
-// run reads layout pushes, reconnecting on connection loss until Close.
-func (c *Control) run() {
+// run applies layout pushes, reconnecting on connection loss until Close.
+func (c *Control) run(conn *codec) {
 	defer close(c.done)
-	for {
-		c.mu.Lock()
-		conn := c.conn
-		closed := c.closed
-		c.mu.Unlock()
-		if closed || conn == nil {
-			return
-		}
-		c.serveConn(conn)
-		if !c.reconnect() {
-			return
-		}
+	for conn != nil {
+		c.serve(conn)
+		c.s.mu.Lock()
+		c.s.dropLocked()
+		c.s.mu.Unlock()
+		conn = c.reconnect()
 	}
 }
 
-// serveConn applies pushes from one connection until it breaks.
-func (c *Control) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
+// serve applies pushes from one connection until it breaks.
+func (c *Control) serve(conn *codec) {
 	for {
 		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			conn.Close()
+		if err := conn.read(&env, time.Time{}); err != nil {
 			return
 		}
 		if env.Type != TypeLayout {
 			continue
 		}
-		moved := 0
-		var firstErr error
+		ack := Envelope{Type: TypeLayoutAck, ID: env.ID}
 		for _, entry := range env.Layout {
 			didMove, err := c.mover(entry.FileID, entry.Device)
 			if err != nil {
 				// Keep applying the rest; report the first failure.
-				if firstErr == nil {
-					firstErr = err
+				if ack.Error == "" {
+					ack.Error = err.Error()
 				}
 				continue
 			}
 			if didMove {
-				moved++
+				ack.Moved++
 			}
 		}
 		c.mu.Lock()
-		c.applied += moved
+		c.applied += ack.Moved
 		c.mu.Unlock()
-		ack := Envelope{Type: TypeLayoutAck, ID: env.ID, Moved: moved}
-		if firstErr != nil {
-			ack.Error = firstErr.Error()
-		}
-		if err := c.send(ack); err != nil {
-			conn.Close()
+		if _, err := c.s.send(&ack); err != nil {
 			return
 		}
 	}
 }
 
 // reconnect redials-and-reregisters with backoff until it succeeds or the
-// agent is closed. It reports whether a connection was established.
-func (c *Control) reconnect() bool {
+// agent is closed (nil).
+func (c *Control) reconnect() *codec {
 	for attempt := 1; ; attempt++ {
 		select {
 		case <-c.stop:
-			return false
-		case <-time.After(c.opts.policy.backoff(attempt, c.rng)):
+			return nil
+		case <-time.After(c.s.policy.backoff(attempt, c.s.rng)):
 		}
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return false
+		c.s.met.retries.Inc()
+		conn, err := c.register()
+		if err == nil {
+			return conn
 		}
-		c.met.retries.Inc()
-		if err := c.connect(); err == nil {
-			c.met.reconnects.Inc()
-			return true
+		if errors.Is(err, net.ErrClosed) {
+			return nil
 		}
 	}
 }
@@ -203,24 +140,8 @@ func (c *Control) Applied() int {
 
 // Close disconnects the agent and waits for its loop to stop.
 func (c *Control) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.done
-		return nil
-	}
-	c.closed = true
-	conn := c.conn
-	c.mu.Unlock()
-	close(c.stop)
-	var err error
-	if conn != nil {
-		// The serve loop closes the connection itself when it breaks; a
-		// second close here is a harmless no-op, not a failure.
-		if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-			err = cerr
-		}
-	}
+	err := c.s.close()
+	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 	return err
 }

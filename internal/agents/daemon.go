@@ -1,12 +1,9 @@
 package agents
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sort"
 	"sync"
@@ -45,14 +42,8 @@ type Daemon struct {
 	// perturb every agent connection.
 	WrapListener func(net.Listener) net.Listener
 
-	// Verbose enables structured connection/error logging with a [daemon]
-	// prefix. Quiet by default: connection handling errors are counted in
-	// the metrics but not printed.
-	Verbose bool
-	// Logger overrides the destination of verbose logs (default:
-	// log.Default()).
-	Logger *log.Logger
-
+	// Connection-handling errors are not logged; they count on
+	// geomancy_daemon_errors_total.
 	metrics daemonMetrics
 }
 
@@ -70,9 +61,10 @@ type daemonMetrics struct {
 	rpcPush      *telemetry.Histogram
 }
 
+// controlConn is one registered control agent: serve forwards its layout
+// acks to whichever push is waiting on them.
 type controlConn struct {
-	enc  *json.Encoder
-	conn net.Conn
+	c    *codec
 	acks chan Envelope
 }
 
@@ -104,18 +96,6 @@ func (d *Daemon) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// logf prints one structured log line when Verbose is set.
-func (d *Daemon) logf(format string, args ...any) {
-	if !d.Verbose {
-		return
-	}
-	l := d.Logger
-	if l == nil {
-		l = log.Default()
-	}
-	l.Printf("[daemon] "+format, args...)
-}
-
 // Start listens on addr (e.g. "127.0.0.1:0") and serves connections until
 // Close. It returns the bound address.
 //
@@ -131,7 +111,6 @@ func (d *Daemon) Start(addr string) (string, error) {
 	d.mu.Lock()
 	d.ln = ln
 	d.mu.Unlock()
-	d.logf("listening on %s", ln.Addr())
 	d.wg.Add(1)
 	go d.acceptLoop(ln)
 	return ln.Addr().String(), nil
@@ -144,19 +123,18 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				d.metrics.errorsTotal.Inc()
-				d.logf("accept: %v", err)
 			}
 			return // listener closed
 		}
 		d.metrics.connsTotal.Inc()
 		d.metrics.connsOpen.Add(1)
-		d.logf("accepted %s", conn.RemoteAddr())
 		d.wg.Add(1)
 		go d.serve(conn)
 	}
 }
 
-// serve handles one connection: a stream of JSON envelopes.
+// serve handles one connection: a stream of envelopes, each answered (if
+// its type has an answer) through the connection's codec.
 func (d *Daemon) serve(conn net.Conn) {
 	defer d.wg.Done()
 	defer conn.Close()
@@ -168,8 +146,7 @@ func (d *Daemon) serve(conn net.Conn) {
 	}
 	d.conns[conn] = struct{}{}
 	d.mu.Unlock()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	c := newCodec(conn)
 	var registered *controlConn
 	var regID uint64
 	defer func() {
@@ -177,80 +154,32 @@ func (d *Daemon) serve(conn net.Conn) {
 		delete(d.conns, conn)
 		if registered != nil {
 			delete(d.controls, regID)
-			d.logf("control agent %d disconnected (%s)", regID, conn.RemoteAddr())
 		}
 		d.mu.Unlock()
 	}()
 	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
+		var env, reply Envelope
+		if err := c.read(&env, time.Time{}); err != nil {
 			// EOF is the peer's orderly close; anything else is a broken
-			// or malformed stream worth surfacing.
+			// or malformed stream worth counting.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				d.metrics.errorsTotal.Inc()
-				d.logf("decode from %s: %v", conn.RemoteAddr(), err)
-			} else {
-				d.logf("peer %s closed", conn.RemoteAddr())
 			}
 			return
 		}
 		start := time.Now() //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
 		switch env.Type {
 		case TypeMetrics:
-			// Dedupe replayed batches: a monitor that never saw the ack
-			// re-sends the batch under its original (From, ID). Storing it
-			// again would double-count the telemetry, so acknowledge
-			// without appending.
-			if env.From != "" && env.ID != 0 {
-				d.mu.Lock()
-				dup := env.ID <= d.lastSeq[env.From]
-				d.mu.Unlock()
-				if dup {
-					d.metrics.duplicates.Inc()
-					d.logf("duplicate batch (%s, %d) deduped", env.From, env.ID)
-					if err := enc.Encode(Envelope{Type: TypeMetricsAck, ID: env.ID, N: len(env.Reports)}); err != nil {
-						d.metrics.errorsTotal.Inc()
-						return
-					}
-					continue
-				}
-			}
-			ok := true
-			for _, rep := range env.Reports {
-				if _, err := d.db.AppendAccess(rep.ToRecord()); err != nil {
-					d.metrics.errorsTotal.Inc()
-					d.logf("append from %s: %v", env.From, err)
-					enc.Encode(Envelope{Type: TypeError, Error: err.Error()})
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				return
-			}
-			if env.From != "" && env.ID != 0 {
-				d.mu.Lock()
-				if env.ID > d.lastSeq[env.From] {
-					d.lastSeq[env.From] = env.ID
-				}
-				d.mu.Unlock()
-			}
-			d.metrics.reportsTotal.Add(uint64(len(env.Reports)))
-			d.metrics.rpcMetrics.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
-			if err := enc.Encode(Envelope{Type: TypeMetricsAck, ID: env.ID, N: len(env.Reports)}); err != nil {
-				d.metrics.errorsTotal.Inc()
-				d.logf("ack to %s: %v", conn.RemoteAddr(), err)
-				return
-			}
+			reply = d.ingest(&env, start)
 		case TypeRegisterControl:
-			cc := &controlConn{enc: enc, conn: conn, acks: make(chan Envelope, 16)}
-			d.mu.Lock()
-			d.nextID++
-			regID = d.nextID
-			d.controls[regID] = cc
-			d.mu.Unlock()
-			registered = cc
-			d.logf("control agent %d registered (%s)", regID, conn.RemoteAddr())
+			if registered == nil {
+				registered = &controlConn{c: c, acks: make(chan Envelope, 16)}
+				d.mu.Lock()
+				d.nextID++
+				regID = d.nextID
+				d.controls[regID] = registered
+				d.mu.Unlock()
+			}
 		case TypeLayoutAck:
 			if registered != nil {
 				select {
@@ -268,22 +197,62 @@ func (d *Daemon) serve(conn net.Conn) {
 			default:
 				recs = d.db.RecentByDevice(env.Device, env.N)
 			}
-			reply := Envelope{Type: TypeRecentReply, ID: env.ID}
-			for _, rec := range recs {
-				reply.Reports = append(reply.Reports, ReportFromRecord(rec))
+			reply = Envelope{Type: TypeRecentReply, ID: env.ID, Reports: make([]Report, len(recs))}
+			for i, rec := range recs {
+				reply.Reports[i] = ReportFromRecord(rec)
 			}
 			d.metrics.rpcRecent.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
-			if err := enc.Encode(reply); err != nil {
-				d.metrics.errorsTotal.Inc()
-				d.logf("recent reply to %s: %v", conn.RemoteAddr(), err)
-				return
-			}
 		default:
+			reply = Envelope{Type: TypeError, Error: fmt.Sprintf("unknown message type %q", env.Type)}
+		}
+		if reply.Type == "" {
+			continue
+		}
+		if reply.Type == TypeError {
 			d.metrics.errorsTotal.Inc()
-			d.logf("unknown message type %q from %s", env.Type, conn.RemoteAddr())
-			enc.Encode(Envelope{Type: TypeError, Error: fmt.Sprintf("unknown message type %q", env.Type)})
+		}
+		if err := c.write(&reply, time.Time{}); err != nil {
+			d.metrics.errorsTotal.Inc()
+			return
+		}
+		if reply.Type == TypeError && env.Type == TypeMetrics {
+			return // the batch may be half stored; make the monitor redial and replay
 		}
 	}
+}
+
+// ingest stores one telemetry batch and returns its ack, or a TypeError
+// when the database refuses a record.
+func (d *Daemon) ingest(env *Envelope, start time.Time) Envelope {
+	ack := Envelope{Type: TypeMetricsAck, ID: env.ID, N: len(env.Reports)}
+	// Dedupe replayed batches: a monitor that never saw the ack re-sends
+	// the batch under its original (From, ID). Storing it again would
+	// double-count the telemetry, so acknowledge without appending.
+	keyed := env.From != "" && env.ID != 0
+	if keyed {
+		d.mu.Lock()
+		dup := env.ID <= d.lastSeq[env.From]
+		d.mu.Unlock()
+		if dup {
+			d.metrics.duplicates.Inc()
+			return ack
+		}
+	}
+	for _, rep := range env.Reports {
+		if _, err := d.db.AppendAccess(rep.ToRecord()); err != nil {
+			return Envelope{Type: TypeError, Error: err.Error()}
+		}
+	}
+	if keyed {
+		d.mu.Lock()
+		if env.ID > d.lastSeq[env.From] {
+			d.lastSeq[env.From] = env.ID
+		}
+		d.mu.Unlock()
+	}
+	d.metrics.reportsTotal.Add(uint64(len(env.Reports)))
+	d.metrics.rpcMetrics.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
+	return ack
 }
 
 // ControlCount returns the number of registered control agents.
@@ -293,15 +262,13 @@ func (d *Daemon) ControlCount() int {
 	return len(d.controls)
 }
 
-// PushOutcome reports how one control agent handled a layout push.
-type PushOutcome struct {
-	// Agent is the daemon-assigned registration ID.
-	Agent uint64
-	// Moved is the number of files the agent reports moving.
-	Moved int
-	// Err is the agent's failure, a transport error, or an ack timeout;
+// pushOutcome reports how one control agent handled a layout push.
+type pushOutcome struct {
+	agent uint64 // the daemon-assigned registration ID
+	moved int    // files the agent reports moving
+	// err is the agent's failure, a transport error, or an ack timeout;
 	// nil for a clean application.
-	Err error
+	err error
 }
 
 // PushLayout broadcasts a layout to every registered control agent and
@@ -315,93 +282,61 @@ type PushOutcome struct {
 // the error (if any) reports each failing agent's outcome. Acks are
 // correlated by a per-push ID so a late ack from a previous, timed-out
 // push is never credited to this one.
-//
-//geomancy:allow ctxflow push I/O is deadline-bounded by AckTimeout and replays idempotently via PushLayoutRetry
 func (d *Daemon) PushLayout(layout map[int64]string) (int, error) {
-	moved, outcomes, err := d.PushLayoutOutcomes(layout)
-	_ = outcomes
+	moved, _, err := d.push(layout)
 	return moved, err
 }
 
-// PushLayoutOutcomes is PushLayout with the per-agent outcomes exposed.
-//
-//geomancy:allow ctxflow push I/O is deadline-bounded by AckTimeout and replays idempotently via PushLayoutRetry
-func (d *Daemon) PushLayoutOutcomes(layout map[int64]string) (int, []PushOutcome, error) {
-	start := time.Now() //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
-	entries := make([]LayoutEntry, 0, len(layout))
+// push is the one push body, with the per-agent outcomes exposed.
+func (d *Daemon) push(layout map[int64]string) (int, []pushOutcome, error) {
+	start := time.Now() //geomancy:nondeterministic telemetry timestamp, write deadline and RPC-latency histogram; never reaches wire or layout output
+	env := Envelope{Type: TypeLayout, Layout: make([]LayoutEntry, 0, len(layout))}
 	for id, dev := range layout {
-		entries = append(entries, LayoutEntry{FileID: id, Device: dev})
+		env.Layout = append(env.Layout, LayoutEntry{FileID: id, Device: dev})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].FileID < entries[j].FileID })
+	sort.Slice(env.Layout, func(i, j int) bool { return env.Layout[i].FileID < env.Layout[j].FileID })
 
 	d.mu.Lock()
 	d.nextPush++
-	pushID := d.nextPush
-	ids := make([]uint64, 0, len(d.controls))
+	env.ID = d.nextPush
+	outcomes := make([]pushOutcome, 0, len(d.controls))
 	for id := range d.controls {
-		ids = append(ids, id)
+		outcomes = append(outcomes, pushOutcome{agent: id})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	targets := make([]*controlConn, 0, len(ids))
-	for _, id := range ids {
-		targets = append(targets, d.controls[id])
+	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].agent < outcomes[j].agent })
+	targets := make([]*controlConn, len(outcomes))
+	for i := range outcomes {
+		targets[i] = d.controls[outcomes[i].agent]
 	}
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		d.metrics.errorsTotal.Inc()
 		return 0, nil, markUnavailable(fmt.Errorf("agents: no control agents registered"))
 	}
-	env := Envelope{Type: TypeLayout, ID: pushID, Layout: entries}
 
 	// Write phase: contact every agent before waiting on any ack.
-	outcomes := make([]PushOutcome, len(targets))
 	for i, cc := range targets {
-		outcomes[i].Agent = ids[i]
-		cc.conn.SetWriteDeadline(time.Now().Add(d.AckTimeout)) //geomancy:nondeterministic I/O deadline computation; never reaches wire or layout output
-		if err := cc.enc.Encode(env); err != nil {
-			d.metrics.errorsTotal.Inc()
-			d.logf("layout push to %s: %v", cc.conn.RemoteAddr(), err)
-			outcomes[i].Err = markUnavailable(fmt.Errorf("push: %w", err))
+		if err := cc.c.write(&env, start.Add(d.AckTimeout)); err != nil {
+			outcomes[i].err = markUnavailable(fmt.Errorf("push: %w", err))
 		}
-		cc.conn.SetWriteDeadline(time.Time{})
 	}
 
 	// Ack phase: one shared deadline so a slow agent cannot stretch the
 	// wait to len(targets) × AckTimeout.
-	deadline := time.After(d.AckTimeout)
+	expired := make(chan struct{})
+	timer := time.AfterFunc(d.AckTimeout, func() { close(expired) })
+	defer timer.Stop()
 	var moved int
-	for i, cc := range targets {
-		if outcomes[i].Err != nil {
-			continue
-		}
-	await:
-		for {
-			select {
-			case ack := <-cc.acks:
-				if ack.ID != 0 && ack.ID != pushID {
-					continue await // stale ack from a superseded push
-				}
-				moved += ack.Moved
-				outcomes[i].Moved = ack.Moved
-				if ack.Error != "" {
-					d.metrics.errorsTotal.Inc()
-					d.logf("layout ack from %s: %s", cc.conn.RemoteAddr(), ack.Error)
-					outcomes[i].Err = fmt.Errorf("apply: %s", ack.Error)
-				}
-				break await
-			case <-deadline:
-				d.metrics.errorsTotal.Inc()
-				d.logf("layout ack from %s timed out after %v", cc.conn.RemoteAddr(), d.AckTimeout)
-				outcomes[i].Err = markUnavailable(fmt.Errorf("ack timed out after %v", d.AckTimeout))
-				break await
-			}
-		}
-	}
-
 	var errs []error
-	for _, oc := range outcomes {
-		if oc.Err != nil {
-			errs = append(errs, fmt.Errorf("agents: control agent %d: %w", oc.Agent, oc.Err))
+	for i, cc := range targets {
+		oc := &outcomes[i]
+		if oc.err == nil {
+			oc.moved, oc.err = d.awaitAck(cc, env.ID, expired)
+			moved += oc.moved
+		}
+		if oc.err != nil {
+			d.metrics.errorsTotal.Inc()
+			errs = append(errs, fmt.Errorf("agents: control agent %d: %w", oc.agent, oc.err))
 		}
 	}
 	if len(errs) > 0 {
@@ -409,8 +344,32 @@ func (d *Daemon) PushLayoutOutcomes(layout map[int64]string) (int, []PushOutcome
 	}
 	d.metrics.layoutPushes.Inc()
 	d.metrics.rpcPush.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
-	d.logf("pushed layout of %d files to %d control agents (%d moved)", len(entries), len(targets), moved)
 	return moved, outcomes, nil
+}
+
+// awaitAck waits for cc's ack of push id, or for expired to close. The
+// deadline is shared across agents, so an ack that arrived while an earlier
+// agent was being waited on still counts after it fires.
+func (d *Daemon) awaitAck(cc *controlConn, id uint64, expired <-chan struct{}) (int, error) {
+	for {
+		var ack Envelope
+		select {
+		case ack = <-cc.acks:
+		case <-expired:
+			select {
+			case ack = <-cc.acks:
+			default:
+				return 0, markUnavailable(fmt.Errorf("ack timed out after %v", d.AckTimeout))
+			}
+		}
+		if ack.ID != 0 && ack.ID != id {
+			continue // stale ack from a superseded push
+		}
+		if ack.Error != "" {
+			return ack.Moved, fmt.Errorf("apply: %s", ack.Error)
+		}
+		return ack.Moved, nil
+	}
 }
 
 // PushLayoutRetry is PushLayout with policy's retry budget. Replaying a
@@ -419,8 +378,6 @@ func (d *Daemon) PushLayoutOutcomes(layout map[int64]string) (int, []PushOutcome
 // transient transport fault need not cost the caller a decision cycle.
 // Mover failures (the target system refusing a move) are not retried:
 // repeating the request would not change the answer.
-//
-//geomancy:allow ctxflow push I/O is deadline-bounded by AckTimeout and replays idempotently via PushLayoutRetry
 func (d *Daemon) PushLayoutRetry(layout map[int64]string, policy RetryPolicy, jitter *rng.RNG) (int, error) {
 	policy = policy.withDefaults()
 	var lastErr error
@@ -428,7 +385,7 @@ func (d *Daemon) PushLayoutRetry(layout map[int64]string, policy RetryPolicy, ji
 		if attempt > 1 {
 			time.Sleep(policy.backoff(attempt-1, jitter))
 		}
-		moved, _, err := d.PushLayoutOutcomes(layout)
+		moved, _, err := d.push(layout)
 		if err == nil {
 			return moved, nil
 		}
@@ -463,6 +420,5 @@ func (d *Daemon) Close() error {
 		c.Close()
 	}
 	d.wg.Wait()
-	d.logf("closed")
 	return err
 }

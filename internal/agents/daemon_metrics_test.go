@@ -1,12 +1,9 @@
 package agents
 
 import (
-	"bytes"
 	"encoding/json"
-	"log"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -127,61 +124,4 @@ func TestDaemonMetrics(t *testing.T) {
 	if got := reg.Counter(telemetry.MetricDaemonLayoutPushes).Value(); got != 0 {
 		t.Errorf("layout_pushes_total = %d, want 0 (push failed)", got)
 	}
-}
-
-func TestDaemonVerboseLogging(t *testing.T) {
-	db := newTestDB(t)
-	d := NewDaemon(db)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	d.Verbose = true
-	d.Logger = log.New(lockedWriter{&mu, &buf}, "", 0)
-	addr, err := d.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One well-behaved connection, then one that sends garbage.
-	m, err := NewMonitor(addr, "pic", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Observe(sampleResult("pic", 0), 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "report stored", func() bool { return db.Len() == 1 })
-	m.Close()
-
-	garbage, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	garbage.Write([]byte("this is not JSON\n"))
-	garbage.Close()
-	waitFor(t, "decode error logged", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return strings.Contains(buf.String(), "decode from")
-	})
-	d.Close()
-
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	for _, want := range []string{"[daemon] listening on", "[daemon] accepted", "[daemon] decode from", "[daemon] closed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (lw lockedWriter) Write(p []byte) (int, error) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return lw.w.Write(p)
 }

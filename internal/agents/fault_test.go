@@ -157,14 +157,14 @@ func TestClientTimesOutOnHungDaemon(t *testing.T) {
 	pol := fastPolicy()
 	pol.MaxAttempts = 2
 	pol.IOTimeout = 50 * time.Millisecond
-	cl, err := NewClient(ln.Addr().String(), WithRetryPolicy(pol))
+	cl, err := DialRemoteStore(ln.Addr().String(), WithRetryPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
 	start := time.Now()
-	_, err = cl.Recent("", 10)
+	_, err = cl.query(Envelope{Type: TypeRecentQuery, N: 10})
 	if err == nil {
 		t.Fatal("query against hung daemon succeeded")
 	}
@@ -207,12 +207,12 @@ func TestClientDrainsStaleReplies(t *testing.T) {
 		}})
 	}()
 
-	cl, err := NewClient(ln.Addr().String(), WithRetryPolicy(fastPolicy()))
+	cl, err := DialRemoteStore(ln.Addr().String(), WithRetryPolicy(fastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	reports, err := cl.Recent("", 10)
+	reports, err := cl.query(Envelope{Type: TypeRecentQuery, N: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestPushLayoutContactsEveryAgent(t *testing.T) {
 	rawControl(t, addr)
 	waitFor(t, "3 control registrations", func() bool { return d.ControlCount() == 3 })
 
-	moved, outcomes, err := d.PushLayoutOutcomes(map[int64]string{1: "a", 2: "b"})
+	moved, outcomes, err := d.push(map[int64]string{1: "a", 2: "b"})
 	if err == nil {
 		t.Fatal("push with a silent agent reported success")
 	}
@@ -308,7 +308,7 @@ func TestPushLayoutContactsEveryAgent(t *testing.T) {
 	}
 	failures := 0
 	for _, oc := range outcomes {
-		if oc.Err != nil {
+		if oc.err != nil {
 			failures++
 		}
 	}

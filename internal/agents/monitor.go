@@ -1,14 +1,8 @@
 package agents
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
-	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
 )
 
@@ -31,20 +25,10 @@ type Monitor struct {
 	// BatchSize is the number of reports shipped per message.
 	BatchSize int
 
-	addr string
-	opts options
-	met  agentMetrics
-	rng  *rng.RNG // backoff jitter only; never affects behaviour
-
-	mu        sync.Mutex
-	conn      net.Conn
-	bw        *bufio.Writer
-	enc       *json.Encoder
-	dec       *json.Decoder
-	connected bool // a connection has succeeded before (reconnect metric)
-	next      uint64
-	batchID   uint64 // ID of the buffered batch; 0 = unassigned
-	batch     []Report
+	s       *session // s.mu also guards the fields below
+	next    uint64
+	batchID uint64 // ID of the buffered batch; 0 = unassigned
+	batch   []Report
 }
 
 // NewMonitor dials the Interface Daemon at addr and returns an agent for
@@ -55,51 +39,11 @@ func NewMonitor(addr, device string, batchSize int, opts ...Option) (*Monitor, e
 	if batchSize <= 0 {
 		batchSize = 32
 	}
-	o := buildOptions(opts)
-	m := &Monitor{
-		Device:    device,
-		BatchSize: batchSize,
-		addr:      addr,
-		opts:      o,
-		met:       metricsFor(o.reg, "monitor"),
-		rng:       rng.New(int64(len(device)) + 42),
-	}
-	if err := m.ensureConnLocked(); err != nil {
+	m := &Monitor{Device: device, BatchSize: batchSize, s: newSession(addr, "monitor", int64(len(device))+42, opts)}
+	if _, err := m.s.connectLocked(); err != nil {
 		return nil, fmt.Errorf("agents: monitor dial: %w", err)
 	}
 	return m, nil
-}
-
-// ensureConnLocked (re)establishes the daemon connection. Callers hold
-// m.mu (or are the constructor).
-func (m *Monitor) ensureConnLocked() error {
-	if m.conn != nil {
-		return nil
-	}
-	//geomancy:allow locksafe connection-serialization lock; the dial is deadline-bounded by RetryPolicy.IOTimeout
-	conn, err := m.opts.dial("tcp", m.addr)
-	if err != nil {
-		return err
-	}
-	m.conn = conn
-	m.bw = bufio.NewWriter(conn)
-	m.enc = json.NewEncoder(m.bw)
-	m.dec = json.NewDecoder(bufio.NewReader(conn))
-	if m.connected {
-		m.met.reconnects.Inc()
-	}
-	m.connected = true
-	return nil
-}
-
-// dropConnLocked discards a broken connection so the next attempt
-// redials. A fresh connection also guarantees a clean stream position: no
-// stale acks from timed-out round trips linger in the read buffer.
-func (m *Monitor) dropConnLocked() {
-	if m.conn != nil {
-		m.conn.Close()
-		m.conn = nil
-	}
 }
 
 // Observe records one access. Accesses on other devices are ignored, so a
@@ -109,8 +53,8 @@ func (m *Monitor) Observe(res storagesim.AccessResult, workloadID, run int) erro
 	if res.Device != m.Device {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.s.mu.Lock()
+	defer m.s.mu.Unlock()
 	m.batch = append(m.batch, ReportFromAccess(res, workloadID, run))
 	if len(m.batch) >= m.BatchSize {
 		return m.flushLocked()
@@ -120,15 +64,17 @@ func (m *Monitor) Observe(res storagesim.AccessResult, workloadID, run int) erro
 
 // Pending returns the number of buffered, unshipped reports.
 func (m *Monitor) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.s.mu.Lock()
+	defer m.s.mu.Unlock()
 	return len(m.batch)
 }
 
-// Flush ships any buffered reports immediately.
+// Flush ships any buffered reports immediately and waits for the daemon's
+// ack, so a completed Flush guarantees the telemetry is queryable (the
+// engine trains right after flushing).
 func (m *Monitor) Flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.s.mu.Lock()
+	defer m.s.mu.Unlock()
 	return m.flushLocked()
 }
 
@@ -136,101 +82,26 @@ func (m *Monitor) flushLocked() error {
 	if len(m.batch) == 0 {
 		return nil
 	}
-	// The batch ID is assigned once and survives retries: the daemon
-	// dedupes replays by (From, ID).
+	// The batch ID is assigned once and survives retries and failed
+	// flushes: the daemon dedupes replays by (From, ID).
 	if m.batchID == 0 {
 		m.next++
 		m.batchID = m.next
 	}
-	env := Envelope{Type: TypeMetrics, ID: m.batchID, From: m.Device, Reports: m.batch}
-	var lastErr error
-	for attempt := 1; attempt <= m.opts.policy.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			m.met.retries.Inc()
-			time.Sleep(m.opts.policy.backoff(attempt-1, m.rng))
-		}
-		if err := m.ensureConnLocked(); err != nil {
-			lastErr = err
-			continue
-		}
-		err := m.shipLocked(env)
-		if err == nil {
-			m.batch = m.batch[:0]
-			m.batchID = 0
-			return nil
-		}
-		if isFatalAck(err) {
-			// The daemon answered; the failure is its storage layer, not
-			// the transport. Keep the batch (and its ID) for the caller
-			// to retry; do not burn the retry budget on it.
-			return fmt.Errorf("agents: monitor %s: %w", m.Device, err)
-		}
-		lastErr = err
-		m.dropConnLocked()
+	req := Envelope{Type: TypeMetrics, ID: m.batchID, From: m.Device, Reports: m.batch}
+	if _, err := m.s.callLocked(&req, TypeMetricsAck); err != nil {
+		return fmt.Errorf("agents: monitor %s flush: %w", m.Device, err)
 	}
-	return markUnavailable(fmt.Errorf("agents: monitor %s flush: %w", m.Device, lastErr))
-}
-
-// fatalAckError marks a daemon-level (non-transport) rejection.
-type fatalAckError struct{ err error }
-
-func (e fatalAckError) Error() string { return e.err.Error() }
-func (e fatalAckError) Unwrap() error { return e.err }
-
-func isFatalAck(err error) bool {
-	_, ok := err.(fatalAckError)
-	return ok
-}
-
-// shipLocked performs one write-batch/read-ack round trip under the
-// policy's I/O deadline.
-func (m *Monitor) shipLocked(env Envelope) error {
-	deadline := time.Now().Add(m.opts.policy.IOTimeout) //geomancy:nondeterministic I/O deadline computation; never reaches wire or layout output
-	if err := m.conn.SetDeadline(deadline); err != nil {
-		return err
-	}
-	start := time.Now() //geomancy:nondeterministic telemetry timestamp for the ack-latency histogram
-	//geomancy:allow locksafe connection-serialization lock; the round trip is deadline-bounded by RetryPolicy.IOTimeout
-	if err := m.enc.Encode(env); err != nil {
-		return fmt.Errorf("write batch: %w", err)
-	}
-	//geomancy:allow locksafe connection-serialization lock; the round trip is deadline-bounded by RetryPolicy.IOTimeout
-	if err := m.bw.Flush(); err != nil {
-		return fmt.Errorf("write batch: %w", err)
-	}
-	// Wait for the daemon's ack so that a completed Flush guarantees the
-	// telemetry is queryable (the engine trains right after flushing).
-	// Acks for earlier IDs (replays of round trips whose ack was lost)
-	// are drained, never treated as answers to this batch.
-	for {
-		var ack Envelope
-		//geomancy:allow locksafe connection-serialization lock; the round trip is deadline-bounded by RetryPolicy.IOTimeout
-		if err := m.dec.Decode(&ack); err != nil {
-			return fmt.Errorf("read ack: %w", err)
-		}
-		switch {
-		case ack.Type == TypeError:
-			return fatalAckError{fmt.Errorf("daemon error: %s", ack.Error)}
-		case ack.Type == TypeMetricsAck && ack.ID < env.ID:
-			continue // stale ack from a superseded round trip
-		case ack.Type != TypeMetricsAck || ack.ID != env.ID:
-			return fmt.Errorf("unexpected ack %q (id %d, want %d)", ack.Type, ack.ID, env.ID)
-		}
-		m.met.ackLatency.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the ack-latency histogram
-		return nil
-	}
+	m.batch = m.batch[:0]
+	m.batchID = 0
+	return nil
 }
 
 // Close flushes and closes the connection.
 func (m *Monitor) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	err := m.flushLocked()
-	if m.conn != nil {
-		if cerr := m.conn.Close(); err == nil {
-			err = cerr
-		}
-		m.conn = nil
+	err := m.Flush()
+	if cerr := m.s.close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -238,12 +109,13 @@ func (m *Monitor) Close() error {
 // MonitorSet bundles one monitor per device behind a single Observer
 // callback, mirroring how agents sit on every mount of the target system.
 type MonitorSet struct {
-	monitors []*Monitor
+	monitors []*Monitor          // dial order: the order Flush and Close visit
+	byDevice map[string]*Monitor // Observe's route
 }
 
 // NewMonitorSet dials one monitoring agent per device name.
 func NewMonitorSet(addr string, devices []string, batchSize int, opts ...Option) (*MonitorSet, error) {
-	set := &MonitorSet{}
+	set := &MonitorSet{byDevice: make(map[string]*Monitor, len(devices))}
 	for _, dev := range devices {
 		m, err := NewMonitor(addr, dev, batchSize, opts...)
 		if err != nil {
@@ -251,16 +123,15 @@ func NewMonitorSet(addr string, devices []string, batchSize int, opts ...Option)
 			return nil, err
 		}
 		set.monitors = append(set.monitors, m)
+		set.byDevice[dev] = m
 	}
 	return set, nil
 }
 
-// Observe fans the access out to the device's agent.
+// Observe hands the access to the agent watching its device, if any.
 func (s *MonitorSet) Observe(res storagesim.AccessResult, workloadID, run int) error {
-	for _, m := range s.monitors {
-		if err := m.Observe(res, workloadID, run); err != nil {
-			return err
-		}
+	if m := s.byDevice[res.Device]; m != nil {
+		return m.Observe(res, workloadID, run)
 	}
 	return nil
 }

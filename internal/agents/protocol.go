@@ -39,8 +39,13 @@ const (
 	TypeError = "error"
 )
 
-// Report is the wire form of one observed access.
+// Report is the wire form of one observed access. It is
+// replaydb.AccessRecord under wire tags: the two structs have identical
+// fields in identical order, so ToRecord and ReportFromRecord are type
+// conversions, and adding a field to AccessRecord without adding it here
+// fails to compile. Seq is database-assigned and stays off the wire.
 type Report struct {
+	Seq          uint64  `json:"-"`
 	Time         float64 `json:"time"`
 	Workload     int32   `json:"workload"`
 	Run          int32   `json:"run"`
@@ -82,39 +87,7 @@ func ReportFromAccess(res storagesim.AccessResult, workloadID, run int) Report {
 }
 
 // ToRecord converts a wire report into a ReplayDB access record.
-func (r Report) ToRecord() replaydb.AccessRecord {
-	return replaydb.AccessRecord{
-		Time:         r.Time,
-		Workload:     r.Workload,
-		Run:          r.Run,
-		FileID:       r.FileID,
-		Path:         r.Path,
-		Device:       r.Device,
-		BytesRead:    r.BytesRead,
-		BytesWritten: r.BytesWritten,
-		OpenTS:       r.OpenTS,
-		OpenTMS:      r.OpenTMS,
-		CloseTS:      r.CloseTS,
-		CloseTMS:     r.CloseTMS,
-		Throughput:   r.Throughput,
-	}
-}
+func (r Report) ToRecord() replaydb.AccessRecord { return replaydb.AccessRecord(r) }
 
 // ReportFromRecord converts a stored record back to wire form.
-func ReportFromRecord(rec replaydb.AccessRecord) Report {
-	return Report{
-		Time:         rec.Time,
-		Workload:     rec.Workload,
-		Run:          rec.Run,
-		FileID:       rec.FileID,
-		Path:         rec.Path,
-		Device:       rec.Device,
-		BytesRead:    rec.BytesRead,
-		BytesWritten: rec.BytesWritten,
-		OpenTS:       rec.OpenTS,
-		OpenTMS:      rec.OpenTMS,
-		CloseTS:      rec.CloseTS,
-		CloseTMS:     rec.CloseTMS,
-		Throughput:   rec.Throughput,
-	}
-}
+func ReportFromRecord(rec replaydb.AccessRecord) Report { return Report(rec) }

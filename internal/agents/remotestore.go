@@ -1,7 +1,7 @@
 package agents
 
 import (
-	"sync"
+	"fmt"
 
 	"geomancy/internal/replaydb"
 )
@@ -12,74 +12,72 @@ import (
 // Interface Daemon" (§V-E). It lets the engine run in a separate process
 // from the database.
 //
-// The TelemetryStore interface has no error returns (the local DB cannot
-// fail); network failures therefore surface as empty results, with the
-// last error retained for inspection via Err.
+// Queries are idempotent reads, so the session's failure model applies
+// unchanged: each runs under the I/O deadline, transport failures redial
+// and repeat it, and stale replies are drained by ID. The TelemetryStore
+// interface has no error returns (the local DB cannot fail); a failed
+// query therefore surfaces as an empty result, with the last error
+// retained for inspection via Err.
 type RemoteStore struct {
-	mu      sync.Mutex
-	client  *Client
+	s       *session // s.mu also guards the fields below
+	next    uint64   // query ID counter
 	lastErr error
 }
 
-// NewRemoteStore wraps a daemon client.
-func NewRemoteStore(client *Client) *RemoteStore {
-	return &RemoteStore{client: client}
-}
-
-// DialRemoteStore connects a fresh client to the daemon at addr.
+// DialRemoteStore connects a query session to the daemon at addr.
+//
+//geomancy:allow ctxflow constructor dial is deadline-bounded by RetryPolicy.IOTimeout; no caller context exists yet
 func DialRemoteStore(addr string, opts ...Option) (*RemoteStore, error) {
-	cl, err := NewClient(addr, opts...)
-	if err != nil {
-		return nil, err
+	r := &RemoteStore{s: newSession(addr, "client", 1009, opts)}
+	if _, err := r.s.connectLocked(); err != nil {
+		return nil, fmt.Errorf("agents: client dial: %w", err)
 	}
-	return NewRemoteStore(cl), nil
+	return r, nil
 }
 
-// RecentByDevice implements core.TelemetryStore over the wire.
+// RecentByDevice implements core.TelemetryStore over the wire: the n most
+// recent accesses on a device (empty device = all devices), oldest first.
 func (r *RemoteStore) RecentByDevice(device string, n int) []replaydb.AccessRecord {
-	reports, err := r.client.Recent(device, n)
-	if err != nil {
-		r.setErr(err)
-		return nil
-	}
-	return toRecords(reports)
+	recs, _ := r.query(Envelope{Type: TypeRecentQuery, Device: device, N: n})
+	return recs
 }
 
-// RecentByFile implements core.TelemetryStore over the wire.
+// RecentByFile implements core.TelemetryStore over the wire: the n most
+// recent accesses of one file, oldest first.
 func (r *RemoteStore) RecentByFile(fileID int64, n int) []replaydb.AccessRecord {
-	reports, err := r.client.RecentByFile(fileID, n)
-	if err != nil {
-		r.setErr(err)
-		return nil
-	}
-	return toRecords(reports)
+	recs, _ := r.query(Envelope{Type: TypeRecentQuery, FileID: fileID, N: n})
+	return recs
 }
 
-func toRecords(reports []Report) []replaydb.AccessRecord {
-	if len(reports) == 0 {
-		return nil
+// query runs one recent-window request; the error is also retained for Err.
+func (r *RemoteStore) query(req Envelope) ([]replaydb.AccessRecord, error) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	r.next++
+	req.ID = r.next
+	reply, err := r.s.callLocked(&req, TypeRecentReply)
+	if err != nil {
+		r.lastErr = fmt.Errorf("agents: client query: %w", err)
+		return nil, r.lastErr
 	}
-	out := make([]replaydb.AccessRecord, len(reports))
-	for i, rep := range reports {
+	if len(reply.Reports) == 0 {
+		return nil, nil
+	}
+	out := make([]replaydb.AccessRecord, len(reply.Reports))
+	for i, rep := range reply.Reports {
 		out[i] = rep.ToRecord()
 	}
-	return out
+	return out, nil
 }
 
-func (r *RemoteStore) setErr(err error) {
-	r.mu.Lock()
-	r.lastErr = err
-	r.mu.Unlock()
-}
-
-// Err returns the most recent transport error, if any, and clears it.
+// Err returns the most recent query error, if any, and clears it.
 func (r *RemoteStore) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	err := r.lastErr
 	r.lastErr = nil
 	return err
 }
 
-// Close releases the underlying client connection.
-func (r *RemoteStore) Close() error { return r.client.Close() }
+// Close releases the connection.
+func (r *RemoteStore) Close() error { return r.s.close() }

@@ -2,7 +2,6 @@ package agents
 
 import (
 	"errors"
-	"net"
 	"time"
 
 	"geomancy/internal/rng"
@@ -98,37 +97,22 @@ func (p RetryPolicy) backoff(attempt int, jitter *rng.RNG) time.Duration {
 	return d
 }
 
-// DialFunc opens a connection to the daemon; tests substitute fault
-// injectors, the default is net.Dial.
-type DialFunc func(network, addr string) (net.Conn, error)
-
 // options collects the knobs shared by every agent constructor.
 type options struct {
-	dial   DialFunc
 	policy RetryPolicy
 	reg    *telemetry.Registry
 }
 
 func buildOptions(opts []Option) options {
-	o := options{dial: net.Dial, policy: RetryPolicy{}.withDefaults()}
+	o := options{policy: RetryPolicy{}.withDefaults()}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	return o
 }
 
-// Option customizes an agent (Monitor, MonitorSet, Client, Control).
+// Option customizes an agent (Monitor, MonitorSet, RemoteStore, Control).
 type Option func(*options)
-
-// WithDialer substitutes the transport used to reach the daemon (fault
-// injection, in-memory pipes, proxies).
-func WithDialer(d DialFunc) Option {
-	return func(o *options) {
-		if d != nil {
-			o.dial = d
-		}
-	}
-}
 
 // WithRetryPolicy overrides the default deadlines and retry budget.
 func WithRetryPolicy(p RetryPolicy) Option {

@@ -242,8 +242,8 @@ func WeightedPolicies(opts Options) (*ComparisonResult, error) {
 	opts = opts.withDefaults()
 	res := &ComparisonResult{}
 	for _, p := range []policy.Policy{
-		policy.LFU{},
-		policy.Weighted{Base: policy.LFU{}},
+		policy.LFU(),
+		policy.Weighted{Base: policy.LFU()},
 	} {
 		s, tb, err := runPolicy(p, opts)
 		if err != nil {

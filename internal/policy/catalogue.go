@@ -29,13 +29,13 @@ var catalogue = []struct {
 	build   func(m Model, seed int64) Policy
 }{
 	{Info{"lru", "most recently used files on the fastest devices (§VI)"}, false,
-		func(Model, int64) Policy { return LRU{} }},
+		func(Model, int64) Policy { return LRU() }},
 	{Info{"mru", "most recently used files on the slowest devices (Chou & DeWitt)"}, false,
-		func(Model, int64) Policy { return MRU{} }},
+		func(Model, int64) Policy { return MRU() }},
 	{Info{"lfu", "most frequently used files on the fastest devices (Gupta et al.)"}, false,
-		func(Model, int64) Policy { return LFU{} }},
+		func(Model, int64) Policy { return LFU() }},
 	{Info{"lfu-weighted", "LFU with capacity-proportional group sizing"}, false,
-		func(Model, int64) Policy { return Weighted{Base: LFU{}} }},
+		func(Model, int64) Policy { return Weighted{Base: LFU()} }},
 	{Info{"random-dynamic", "uniformly random placement, reshuffled every decision"}, false,
 		func(_ Model, seed int64) Policy { return &RandomDynamic{Rng: rng.New(seed + 2)} }},
 	{Info{"random-static", "one uniformly random placement, then frozen"}, false,

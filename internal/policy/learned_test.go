@@ -2,6 +2,7 @@ package policy
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -287,6 +288,53 @@ func TestOneShotStateRoundTrip(t *testing.T) {
 				t.Errorf("%s re-fired after restore", tc.name)
 			}
 		})
+	}
+}
+
+// TestBaselineBlobsFromBeforeTheFold: the state blobs below were written by
+// the commit before RandomStatic/RandomDynamic shared one stream form and
+// Static/SingleMount one embedded flag (rng.New(9), one Propose over
+// testState(6)); checkpoints holding them must still restore — same
+// stream position, same fired-already flag.
+func TestBaselineBlobsFromBeforeTheFold(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	const nextDraw = 699 // Rng.Intn(1000) right after the blob was taken
+	ctx := context.Background()
+	s := testState(6)
+
+	rs := &RandomStatic{}
+	if err := rs.UnmarshalState(unhex("2f7f0301011172616e646f6d537461746963537461746501ff800001020103524e470106000104446f6e6501020000000fff8001f8b54cda58fbbee887010100")); err != nil {
+		t.Fatal(err)
+	}
+	if l, _ := rs.Propose(ctx, s); l != nil {
+		t.Error("restored random-static re-fired")
+	}
+	if got := rs.Rng.Intn(1000); got != nextDraw {
+		t.Errorf("random-static next draw = %d, want %d", got, nextDraw)
+	}
+
+	rd := &RandomDynamic{}
+	if err := rd.UnmarshalState(unhex("28ff810301011272616e646f6d44796e616d6963537461746501ff820001010103524e4701060000000dff8201f8b54cda58fbbee88700")); err != nil {
+		t.Fatal(err)
+	}
+	if got := rd.Rng.Intn(1000); got != nextDraw {
+		t.Errorf("random-dynamic next draw = %d, want %d", got, nextDraw)
+	}
+
+	oneShot := unhex("23ff830301010c6f6e6553686f74537461746501ff840001010104446f6e65010200000005ff84010100")
+	for _, p := range []Policy{&SingleMount{Device: "d0"}, &Static{Target: map[int64]string{1: "d0"}}} {
+		if err := p.UnmarshalState(oneShot); err != nil {
+			t.Fatal(err)
+		}
+		if l, _ := p.Propose(ctx, s); l != nil {
+			t.Errorf("restored %s re-fired", p.Name())
+		}
 	}
 }
 

@@ -119,25 +119,21 @@ func unmarshalGob(data []byte, v any) error {
 	return nil
 }
 
-// devicesByThroughput returns device names ordered fastest first.
-func devicesByThroughput(devs []DeviceInfo) []string {
+// devicesByThroughput returns the devices ordered fastest first.
+func devicesByThroughput(devs []DeviceInfo) []DeviceInfo {
 	sorted := make([]DeviceInfo, len(devs))
 	copy(sorted, devs)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].Throughput > sorted[j].Throughput
 	})
-	names := make([]string, len(sorted))
-	for i, d := range sorted {
-		names[i] = d.Name
-	}
-	return names
+	return sorted
 }
 
 // assignGrouped implements the paper's shared heuristic skeleton: order
 // the files by some key, divide them evenly into as many groups as there
 // are devices, and place group i on the i-th fastest device. Files that
 // do not divide evenly land on the slowest device, as §VI specifies.
-func assignGrouped(files []FileInfo, devices []string) map[int64]string {
+func assignGrouped(files []FileInfo, devices []DeviceInfo) map[int64]string {
 	if len(devices) == 0 || len(files) == 0 {
 		return nil
 	}
@@ -147,7 +143,7 @@ func assignGrouped(files []FileInfo, devices []string) map[int64]string {
 		// Fewer files than devices: fastest devices get one file each,
 		// there is no remainder group.
 		for i, f := range files {
-			layout[f.ID] = devices[i]
+			layout[f.ID] = devices[i].Name
 		}
 		return layout
 	}
@@ -156,68 +152,87 @@ func assignGrouped(files []FileInfo, devices []string) map[int64]string {
 		if g >= len(devices) {
 			g = len(devices) - 1 // remainder → slowest device
 		}
-		layout[f.ID] = devices[g]
+		layout[f.ID] = devices[g].Name
 	}
 	return layout
 }
 
+// Ranked is the §VI recency/frequency heuristic family: rank the files,
+// then spread the ranking over the devices fastest first (assignGrouped).
+// LRU, MRU and LFU are its three members.
+type Ranked struct {
+	Stateless
+	name  string
+	ahead func(a, b FileInfo) bool // a ranks ahead of b: a goes to the faster device
+}
+
 // LRU places the most recently used files on the fastest devices and the
 // least recently used on the slowest (§VI).
-type LRU struct{ Stateless }
-
-// Name implements Policy.
-func (LRU) Name() string { return "LRU" }
-
-// Propose implements Policy.
-func (LRU) Propose(_ context.Context, s State) (map[int64]string, error) {
-	files := make([]FileInfo, len(s.Files))
-	copy(files, s.Files)
-	sort.SliceStable(files, func(i, j int) bool {
-		return files[i].LastAccess > files[j].LastAccess // most recent first
-	})
-	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
+func LRU() Ranked {
+	return Ranked{name: "LRU", ahead: func(a, b FileInfo) bool { return a.LastAccess > b.LastAccess }}
 }
 
 // MRU places the most recently used files on the slowest devices, which
 // benefits looping sequential scans (Chou & DeWitt; §VI).
-type MRU struct{ Stateless }
-
-// Name implements Policy.
-func (MRU) Name() string { return "MRU" }
-
-// Propose implements Policy.
-func (MRU) Propose(_ context.Context, s State) (map[int64]string, error) {
-	files := make([]FileInfo, len(s.Files))
-	copy(files, s.Files)
-	sort.SliceStable(files, func(i, j int) bool {
-		return files[i].LastAccess < files[j].LastAccess // least recent first
-	})
-	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
+func MRU() Ranked {
+	return Ranked{name: "MRU", ahead: func(a, b FileInfo) bool { return a.LastAccess < b.LastAccess }}
 }
 
 // LFU places heavily accessed files on fast devices and rarely accessed
 // files on slow ones (Gupta et al.; §VI).
-type LFU struct{ Stateless }
+func LFU() Ranked {
+	return Ranked{name: "LFU", ahead: func(a, b FileInfo) bool { return a.Accesses > b.Accesses }}
+}
 
 // Name implements Policy.
-func (LFU) Name() string { return "LFU" }
+func (r Ranked) Name() string { return r.name }
+
+// rank returns a copy of files in the policy's order, ties keeping their
+// snapshot order.
+func (r Ranked) rank(files []FileInfo) []FileInfo {
+	ranked := make([]FileInfo, len(files))
+	copy(ranked, files)
+	sort.SliceStable(ranked, func(i, j int) bool { return r.ahead(ranked[i], ranked[j]) })
+	return ranked
+}
 
 // Propose implements Policy.
-func (LFU) Propose(_ context.Context, s State) (map[int64]string, error) {
-	files := make([]FileInfo, len(s.Files))
-	copy(files, s.Files)
-	sort.SliceStable(files, func(i, j int) bool {
-		return files[i].Accesses > files[j].Accesses // most accessed first
-	})
-	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
+func (r Ranked) Propose(_ context.Context, s State) (map[int64]string, error) {
+	return assignGrouped(r.rank(s.Files), devicesByThroughput(s.Devices)), nil
+}
+
+// randomState is the gob wire form of the stochastic baselines' mutable
+// state: the stream position, so a restored policy replays the exact
+// draws the interrupted one would have made, and (RandomStatic only) the
+// one-shot flag whose loss would make a restored run re-fire the shuffle.
+type randomState struct {
+	RNG  uint64
+	Done bool
+}
+
+func marshalStream(r *rng.RNG, done bool) ([]byte, error) {
+	return marshalGob(randomState{RNG: r.State(), Done: done})
+}
+
+// unmarshalStream rewinds *r (creating it if nil) and returns the flag.
+func unmarshalStream(data []byte, r **rng.RNG) (done bool, err error) {
+	var st randomState
+	if err := unmarshalGob(data, &st); err != nil {
+		return false, err
+	}
+	if *r == nil {
+		*r = rng.FromState(st.RNG)
+	} else {
+		(*r).SetState(st.RNG)
+	}
+	return st.Done, nil
 }
 
 // RandomStatic shuffles every file to a uniformly random device once and
 // never moves them again (§VI "random static").
 type RandomStatic struct {
 	// Rng drives the shuffle. Use rng.New: the stream position is part
-	// of MarshalState, so a restored policy replays the exact draws the
-	// interrupted one would have made.
+	// of MarshalState.
 	Rng  *rng.RNG
 	done bool
 }
@@ -234,32 +249,16 @@ func (p *RandomStatic) Propose(_ context.Context, s State) (map[int64]string, er
 	return randomLayout(p.Rng, s), nil
 }
 
-// randomStaticState is the gob wire form of RandomStatic's mutable
-// state: the stream position and the one-shot flag whose loss would make
-// a restored run re-fire the shuffle.
-type randomStaticState struct {
-	RNG  uint64
-	Done bool
-}
-
 // MarshalState implements Policy.
-func (p *RandomStatic) MarshalState() ([]byte, error) {
-	return marshalGob(randomStaticState{RNG: p.Rng.State(), Done: p.done})
-}
+func (p *RandomStatic) MarshalState() ([]byte, error) { return marshalStream(p.Rng, p.done) }
 
 // UnmarshalState implements Policy.
 func (p *RandomStatic) UnmarshalState(data []byte) error {
-	var st randomStaticState
-	if err := unmarshalGob(data, &st); err != nil {
-		return err
+	done, err := unmarshalStream(data, &p.Rng)
+	if err == nil {
+		p.done = done
 	}
-	if p.Rng == nil {
-		p.Rng = rng.FromState(st.RNG)
-	} else {
-		p.Rng.SetState(st.RNG)
-	}
-	p.done = st.Done
-	return nil
+	return err
 }
 
 // RandomDynamic reshuffles file locations on every invocation (§VI
@@ -281,29 +280,13 @@ func (p *RandomDynamic) Propose(_ context.Context, s State) (map[int64]string, e
 	return randomLayout(p.Rng, s), nil
 }
 
-// randomDynamicState is the gob wire form of RandomDynamic's mutable
-// state: just the stream position.
-type randomDynamicState struct {
-	RNG uint64
-}
-
 // MarshalState implements Policy.
-func (p *RandomDynamic) MarshalState() ([]byte, error) {
-	return marshalGob(randomDynamicState{RNG: p.Rng.State()})
-}
+func (p *RandomDynamic) MarshalState() ([]byte, error) { return marshalStream(p.Rng, false) }
 
 // UnmarshalState implements Policy.
 func (p *RandomDynamic) UnmarshalState(data []byte) error {
-	var st randomDynamicState
-	if err := unmarshalGob(data, &st); err != nil {
-		return err
-	}
-	if p.Rng == nil {
-		p.Rng = rng.FromState(st.RNG)
-	} else {
-		p.Rng.SetState(st.RNG)
-	}
-	return nil
+	_, err := unmarshalStream(data, &p.Rng)
+	return err
 }
 
 func randomLayout(r *rng.RNG, s State) map[int64]string {
@@ -314,21 +297,46 @@ func randomLayout(r *rng.RNG, s State) map[int64]string {
 	return layout
 }
 
-// oneShotState is the gob wire form shared by the fixed-layout policies:
-// only the fired-already flag is mutable.
+// oneShot is the fired-already flag of the fixed-layout policies and the
+// serialization half of Policy for them: only the flag is mutable. Embed
+// it.
+type oneShot struct{ done bool }
+
+// oneShotState is oneShot's gob wire form.
 type oneShotState struct {
 	Done bool
+}
+
+// fire reports whether this is the first call.
+func (o *oneShot) fire() bool {
+	first := !o.done
+	o.done = true
+	return first
+}
+
+// MarshalState implements Policy.
+func (o *oneShot) MarshalState() ([]byte, error) { return marshalGob(oneShotState{Done: o.done}) }
+
+// UnmarshalState implements Policy.
+func (o *oneShot) UnmarshalState(data []byte) error {
+	var st oneShotState
+	if err := unmarshalGob(data, &st); err != nil {
+		return err
+	}
+	o.done = st.Done
+	return nil
 }
 
 // Static applies one fixed layout once — the paper's "Geomancy static"
 // and manual-tuning base cases both use it, differing only in where the
 // layout came from.
 type Static struct {
-	// Desc names the layout's origin, e.g. "Geomancy static".
-	//geomancy:ephemeral construction config, re-supplied when the policy is rebuilt
+	// Desc names the layout's origin, e.g. "Geomancy static". It and
+	// Target are construction config, re-supplied when the policy is
+	// rebuilt; only the embedded flag is checkpointed.
 	Desc   string
-	Target map[int64]string //geomancy:ephemeral construction config, re-supplied when the policy is rebuilt
-	done   bool
+	Target map[int64]string
+	oneShot
 }
 
 // Name implements Policy.
@@ -341,33 +349,17 @@ func (p *Static) Name() string {
 
 // Propose implements Policy.
 func (p *Static) Propose(context.Context, State) (map[int64]string, error) {
-	if p.done {
+	if !p.fire() {
 		return nil, nil
 	}
-	p.done = true
 	return p.Target, nil
-}
-
-// MarshalState implements Policy.
-func (p *Static) MarshalState() ([]byte, error) {
-	return marshalGob(oneShotState{Done: p.done})
-}
-
-// UnmarshalState implements Policy.
-func (p *Static) UnmarshalState(data []byte) error {
-	var st oneShotState
-	if err := unmarshalGob(data, &st); err != nil {
-		return err
-	}
-	p.done = st.Done
-	return nil
 }
 
 // SingleMount places every file on one device — experiment 2's
 // all-data-on-one-storage-point base case.
 type SingleMount struct {
-	Device string //geomancy:ephemeral construction config, re-supplied when the policy is rebuilt
-	done   bool
+	Device string // construction config, re-supplied when the policy is rebuilt
+	oneShot
 }
 
 // Name implements Policy.
@@ -375,30 +367,14 @@ func (p *SingleMount) Name() string { return fmt.Sprintf("all-on-%s", p.Device) 
 
 // Propose implements Policy.
 func (p *SingleMount) Propose(_ context.Context, s State) (map[int64]string, error) {
-	if p.done {
+	if !p.fire() {
 		return nil, nil
 	}
-	p.done = true
 	layout := make(map[int64]string, len(s.Files))
 	for _, f := range s.Files {
 		layout[f.ID] = p.Device
 	}
 	return layout, nil
-}
-
-// MarshalState implements Policy.
-func (p *SingleMount) MarshalState() ([]byte, error) {
-	return marshalGob(oneShotState{Done: p.done})
-}
-
-// UnmarshalState implements Policy.
-func (p *SingleMount) UnmarshalState(data []byte) error {
-	var st oneShotState
-	if err := unmarshalGob(data, &st); err != nil {
-		return err
-	}
-	p.done = st.Done
-	return nil
 }
 
 // NoOp never moves anything; the "leave the spread layout alone" control.

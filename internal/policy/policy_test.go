@@ -41,7 +41,7 @@ func propose(t *testing.T, p Policy, s State) map[int64]string {
 
 func TestLRUPlacesRecentOnFast(t *testing.T) {
 	s := testState(24)
-	layout := propose(t, LRU{}, s)
+	layout := propose(t, LRU(), s)
 	if len(layout) != 24 {
 		t.Fatalf("layout has %d entries, want 24", len(layout))
 	}
@@ -61,7 +61,7 @@ func TestLRUPlacesRecentOnFast(t *testing.T) {
 
 func TestMRUPlacesRecentOnSlow(t *testing.T) {
 	s := testState(24)
-	layout := propose(t, MRU{}, s)
+	layout := propose(t, MRU(), s)
 	for id := int64(21); id <= 24; id++ {
 		if layout[id] != "d5" {
 			t.Errorf("file %d on %s, want d5 (most recent → slowest)", id, layout[id])
@@ -76,7 +76,7 @@ func TestMRUPlacesRecentOnSlow(t *testing.T) {
 
 func TestLFUPlacesHotOnFast(t *testing.T) {
 	s := testState(24)
-	layout := propose(t, LFU{}, s)
+	layout := propose(t, LFU(), s)
 	// Files 1..4 have the highest access counts → fastest device.
 	for id := int64(1); id <= 4; id++ {
 		if layout[id] != "d0" {
@@ -93,7 +93,7 @@ func TestLFUPlacesHotOnFast(t *testing.T) {
 func TestRemainderGoesToSlowest(t *testing.T) {
 	// 26 files over 6 devices: groups of 4, remainder 2 → slowest.
 	s := testState(26)
-	layout := propose(t, LRU{}, s)
+	layout := propose(t, LRU(), s)
 	count := map[string]int{}
 	for _, d := range layout {
 		count[d]++
@@ -110,7 +110,7 @@ func TestRemainderGoesToSlowest(t *testing.T) {
 
 func TestFewerFilesThanDevices(t *testing.T) {
 	s := testState(3)
-	layout := propose(t, LFU{}, s)
+	layout := propose(t, LFU(), s)
 	if len(layout) != 3 {
 		t.Fatalf("layout has %d entries, want 3", len(layout))
 	}
@@ -124,7 +124,7 @@ func TestFewerFilesThanDevices(t *testing.T) {
 }
 
 func TestEmptyState(t *testing.T) {
-	for _, p := range []Policy{LRU{}, MRU{}, LFU{}, &RandomDynamic{Rng: rng.New(1)}, NoOp{}} {
+	for _, p := range []Policy{LRU(), MRU(), LFU(), &RandomDynamic{Rng: rng.New(1)}, NoOp{}} {
 		if l := propose(t, p, State{}); l != nil {
 			t.Errorf("%s on empty state = %v, want nil", p.Name(), l)
 		}
@@ -207,8 +207,8 @@ func TestDevicesByThroughputStable(t *testing.T) {
 	got := devicesByThroughput(devs)
 	want := []string{"fast", "mid", "slow"}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("order[%d] = %q, want %q", i, got[i], want[i])
+		if got[i].Name != want[i] {
+			t.Errorf("order[%d] = %q, want %q", i, got[i].Name, want[i])
 		}
 	}
 	// Input untouched.
@@ -224,7 +224,7 @@ func TestHeuristicLayoutsComplete(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)
 		s := testState(n)
-		for _, p := range []Policy{LRU{}, MRU{}, LFU{}} {
+		for _, p := range []Policy{LRU(), MRU(), LFU()} {
 			layout := propose(t, p, s)
 			if len(layout) != n {
 				return false

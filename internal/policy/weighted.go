@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"context"
-	"sort"
-)
+import "context"
 
 // Weighted wraps a recency/frequency heuristic with capacity-aware group
 // sizing. The paper's base cases "evenly spread the files across all
@@ -14,8 +11,8 @@ import (
 // ranking rule.
 type Weighted struct {
 	Stateless
-	// Base must be LRU, MRU or LFU; its Name is extended with
-	// " (capacity-weighted)".
+	// Base must be a Ranked policy (LRU, MRU or LFU); its Name is
+	// extended with " (capacity-weighted)".
 	Base Policy
 }
 
@@ -27,14 +24,14 @@ func (w Weighted) Propose(ctx context.Context, s State) (map[int64]string, error
 	if len(s.Devices) == 0 || len(s.Files) == 0 {
 		return nil, nil
 	}
-	// Rank files with the base policy's ordering by observing which
-	// groups it forms on an unweighted run, then re-cut the group
-	// boundaries by capacity share.
-	order := w.fileOrder(s)
-	if order == nil {
+	// Rank files with the base policy's ordering, then cut the group
+	// boundaries by capacity share instead of evenly.
+	base, ok := w.Base.(Ranked)
+	if !ok {
 		return nil, nil
 	}
-	devices := devicesByThroughputInfo(s.Devices)
+	order := base.rank(s.Files)
+	devices := devicesByThroughput(s.Devices)
 
 	var totalFree int64
 	for _, d := range devices {
@@ -66,33 +63,6 @@ func (w Weighted) Propose(ctx context.Context, s State) (map[int64]string, error
 		assigned++
 	}
 	return layout, nil
-}
-
-// fileOrder extracts the base policy's file ranking.
-func (w Weighted) fileOrder(s State) []FileInfo {
-	files := make([]FileInfo, len(s.Files))
-	copy(files, s.Files)
-	switch w.Base.(type) {
-	case LRU:
-		sort.SliceStable(files, func(i, j int) bool { return files[i].LastAccess > files[j].LastAccess })
-	case MRU:
-		sort.SliceStable(files, func(i, j int) bool { return files[i].LastAccess < files[j].LastAccess })
-	case LFU:
-		sort.SliceStable(files, func(i, j int) bool { return files[i].Accesses > files[j].Accesses })
-	default:
-		return nil
-	}
-	return files
-}
-
-// devicesByThroughputInfo orders the device infos fastest first.
-func devicesByThroughputInfo(devs []DeviceInfo) []DeviceInfo {
-	sorted := make([]DeviceInfo, len(devs))
-	copy(sorted, devs)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Throughput > sorted[j].Throughput
-	})
-	return sorted
 }
 
 func max64(a, b int64) int64 {

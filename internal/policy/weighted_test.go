@@ -28,7 +28,7 @@ func weightedState(nFiles int) State {
 
 func TestWeightedLFUSharesByCapacity(t *testing.T) {
 	s := weightedState(20)
-	layout := propose(t, Weighted{Base: LFU{}}, s)
+	layout := propose(t, Weighted{Base: LFU()}, s)
 	if len(layout) != 20 {
 		t.Fatalf("layout covers %d files, want 20", len(layout))
 	}
@@ -50,7 +50,7 @@ func TestWeightedLFUSharesByCapacity(t *testing.T) {
 
 func TestWeightedLRUOrdering(t *testing.T) {
 	s := weightedState(10)
-	layout := propose(t, Weighted{Base: LRU{}}, s)
+	layout := propose(t, Weighted{Base: LRU()}, s)
 	// Most recent (id 10) on the fastest device.
 	if layout[10] != "d0" {
 		t.Errorf("most recent file on %s, want d0", layout[10])
@@ -62,7 +62,7 @@ func TestWeightedLRUOrdering(t *testing.T) {
 }
 
 func TestWeightedName(t *testing.T) {
-	if got := (Weighted{Base: LFU{}}).Name(); got != "LFU (capacity-weighted)" {
+	if got := (Weighted{Base: LFU()}).Name(); got != "LFU (capacity-weighted)" {
 		t.Errorf("Name = %q", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestWeightedUnsupportedBase(t *testing.T) {
 }
 
 func TestWeightedEmptyState(t *testing.T) {
-	if l := propose(t, Weighted{Base: LFU{}}, State{}); l != nil {
+	if l := propose(t, Weighted{Base: LFU()}, State{}); l != nil {
 		t.Error("empty state should yield nil")
 	}
 }
@@ -85,7 +85,7 @@ func TestWeightedZeroCapacityFallsBack(t *testing.T) {
 	for i := range s.Devices {
 		s.Devices[i].Free = 0
 	}
-	layout := propose(t, Weighted{Base: LFU{}}, s)
+	layout := propose(t, Weighted{Base: LFU()}, s)
 	if len(layout) != 12 {
 		t.Fatalf("fallback layout covers %d files", len(layout))
 	}
@@ -104,7 +104,7 @@ func TestWeightedZeroCapacityFallsBack(t *testing.T) {
 func TestWeightedNegativeFreeClamped(t *testing.T) {
 	s := weightedState(10)
 	s.Devices[2].Free = -50 // over-committed device contributes nothing
-	layout := propose(t, Weighted{Base: LFU{}}, s)
+	layout := propose(t, Weighted{Base: LFU()}, s)
 	counts := map[string]int{}
 	for _, d := range layout {
 		counts[d]++
@@ -122,7 +122,7 @@ func TestWeightedRandomizedComplete(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(50)
 		s := weightedState(n)
-		for _, base := range []Policy{LRU{}, MRU{}, LFU{}} {
+		for _, base := range []Policy{LRU(), MRU(), LFU()} {
 			layout := propose(t, Weighted{Base: base}, s)
 			if len(layout) != n {
 				t.Fatalf("%s weighted layout covers %d of %d files", base.Name(), len(layout), n)

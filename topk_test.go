@@ -147,9 +147,9 @@ func proposeWarehouse(tb testing.TB, w *warehouseFixture) {
 // TestTopKSpeedup is the headline acceptance check: at 2048 files × 64
 // devices, steady-state pruned decisions (TopK=2 over eight classes,
 // 25% of files dirty per cycle) must average at least 5× lower ns/op
-// than exhaustive decisions over the same population. The committed
-// BENCH_scoring.json rows carry the absolute numbers; this test pins the
-// ratio so a regression in the pruning plane fails loudly.
+// than exhaustive decisions over the same population. bench/ carries the
+// absolute numbers (warehouse-topk); this test pins the ratio, which holds
+// on any machine, so a regression in the pruning plane fails loudly.
 func TestTopKSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warehouse-scale timing in -short mode")
