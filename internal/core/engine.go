@@ -530,7 +530,7 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	if !spec.full && !e.trained {
 		return TrainReport{}, ErrNotTrained
 	}
-	var recs []replaydb.AccessRecord
+	recs := make([]replaydb.AccessRecord, 0, len(e.devices)*spec.window)
 	for _, dev := range e.devices {
 		recs = append(recs, e.db.RecentByDevice(dev, spec.window)...)
 	}

@@ -64,6 +64,17 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// Resize re-slices m to rows rows over the storage it already has: the
+// way a buffer sized for a full batch serves a short last batch without a
+// new allocation. Contents are whatever the storage held; rows*Cols must
+// fit the capacity m was created with.
+func (m *Matrix) Resize(rows int) {
+	if rows < 0 || rows*m.Cols > cap(m.Data) {
+		panic(fmt.Sprintf("mat: Resize to %d rows exceeds the %d-value storage of a %d-column matrix", rows, cap(m.Data), m.Cols))
+	}
+	m.Rows, m.Data = rows, m.Data[:rows*m.Cols]
+}
+
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) float64 {
 	m.boundsCheck(r, c)
@@ -304,49 +315,6 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 	wg.Wait()
 }
 
-// MulTransA returns aᵀ×b without materializing the transpose.
-func MulTransA(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: MulTransA dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MulTransB returns a×bᵀ without materializing the transpose.
-func MulTransB(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTransB dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			orow[j] = sum
-		}
-	}
-	return out
-}
-
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -371,8 +339,9 @@ func Add(a, b *Matrix) *Matrix {
 // AddInPlace sets a += b elementwise.
 func AddInPlace(a, b *Matrix) {
 	sameShape("AddInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
+	ad, bd := a.Data, b.Data[:len(a.Data)]
+	for i, v := range bd {
+		ad[i] += v
 	}
 }
 
@@ -423,8 +392,9 @@ func (m *Matrix) ScaleInPlace(s float64) {
 // AddScaled sets a += s*b elementwise; the axpy of gradient descent.
 func AddScaled(a *Matrix, s float64, b *Matrix) {
 	sameShape("AddScaled", a, b)
-	for i := range a.Data {
-		a.Data[i] += s * b.Data[i]
+	ad, bd := a.Data, b.Data[:len(a.Data)]
+	for i, v := range bd {
+		ad[i] += s * v
 	}
 }
 

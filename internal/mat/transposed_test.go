@@ -1,0 +1,231 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refMulTransA and refMulTransB are the loops MulTransA and MulTransB were
+// before the write-into kernels: one product matrix built from +0, one
+// serial accumulator per dot product. They are the oracle the kernels must
+// match bit for bit.
+func refMulTransA(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	for k := 0; k < a.Rows; k++ {
+		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
+		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+func refMulTransB(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+			var sum float64
+			for k, av := range arow {
+				sum += av * brow[k]
+			}
+			orow[j] = sum
+		}
+	}
+	return out
+}
+
+// special values the kernels must carry exactly: the zero skip (0 and −0
+// in a), signed zeros in b, and the non-finite values of a diverging model.
+var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+
+// fills name how a test matrix is populated.
+var fills = []string{"normal", "sparse", "specials"}
+
+func filled(rng *rand.Rand, rows, cols int, fill string) *Matrix {
+	m := randomMatrix(rng, rows, cols)
+	for i := range m.Data {
+		switch fill {
+		case "sparse": // a ReLU layer's output: about half exact zeros
+			if rng.Intn(2) == 0 {
+				m.Data[i] = 0
+			}
+		case "specials":
+			if rng.Intn(3) == 0 {
+				m.Data[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	return m
+}
+
+// assertSameBits compares bit patterns, not values within a tolerance: −0
+// is not +0 and a finite value is not its neighbour. The one freedom is
+// which NaN a NaN is: when two NaNs with different payloads meet in an
+// addition the hardware returns its first operand, and which operand the
+// compiler puts first is not something Go source pins.
+func assertSameBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) && !(math.IsNaN(got.Data[i]) && math.IsNaN(want.Data[i])) {
+			t.Fatalf("%s: element (%d,%d) = %v (%#x), want %v (%#x)", what, i/want.Cols, i%want.Cols,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+var (
+	kernelRows = []int{1, 7, 8, 9, 32}
+	kernelCols = []int{1, 6, 24, 25, 96}
+)
+
+func TestAddMulTransAToMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, rows := range kernelRows {
+		for _, m := range kernelCols {
+			for _, n := range kernelCols {
+				for _, fa := range fills {
+					for _, fb := range fills {
+						what := fmt.Sprintf("%dx%dᵀ·%dx%d a=%s b=%s", rows, m, rows, n, fa, fb)
+						a, b := filled(rng, rows, m, fa), filled(rng, rows, n, fb)
+						want := refMulTransA(a, b)
+						assertSameBits(t, what+" wrapper", MulTransA(a, b), want)
+
+						// Into a zeroed dst: the product itself, and what the
+						// old dW += product pass left behind.
+						dst := New(m, n)
+						AddMulTransATo(dst, a, b)
+						assertSameBits(t, what+" zeroed dst", dst, want)
+						sum := New(m, n)
+						AddInPlace(sum, want)
+						assertSameBits(t, what+" vs 0 += product", dst, sum)
+
+						// Into a non-zero dst the chain starts from what is
+						// there, so the oracle is the reference loop seeded
+						// with the same values.
+						seed := filled(rng, m, n, fb)
+						got := seed.Clone()
+						AddMulTransATo(got, a, b)
+						assertSameBits(t, what+" seeded dst", got, refAddMulTransA(seed, a, b))
+					}
+				}
+			}
+		}
+	}
+}
+
+// refAddMulTransA is refMulTransA started from seed instead of +0.
+func refAddMulTransA(seed, a, b *Matrix) *Matrix {
+	out := seed.Clone()
+	for k := 0; k < a.Rows; k++ {
+		for i := 0; i < a.Cols; i++ {
+			av := a.Data[k*a.Cols+i]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += av * b.Data[k*b.Cols+j]
+			}
+		}
+	}
+	return out
+}
+
+func TestMulTransBToMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, rows := range kernelRows {
+		for _, n := range kernelCols { // rows of b = columns of the result
+			for _, kdim := range kernelCols {
+				for _, fa := range fills {
+					for _, fb := range fills {
+						what := fmt.Sprintf("%dx%d·(%dx%d)ᵀ a=%s b=%s", rows, kdim, n, kdim, fa, fb)
+						a, b := filled(rng, rows, kdim, fa), filled(rng, n, kdim, fb)
+						want := refMulTransB(a, b)
+						assertSameBits(t, what+" wrapper", MulTransB(a, b), want)
+						dst := New(rows, n)
+						dst.Fill(99) // must be overwritten, not accumulated into
+						MulTransBTo(dst, a, b)
+						assertSameBits(t, what, dst, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTransposedKernelPanics(t *testing.T) {
+	a, b := New(4, 3), New(4, 5)
+	w := New(6, 5)
+	shared := New(4, 4)
+	cases := map[string]func(){
+		"AddMulTransATo row mismatch": func() { AddMulTransATo(New(3, 5), a, New(5, 5)) },
+		"AddMulTransATo dst shape":    func() { AddMulTransATo(New(5, 3), a, b) },
+		"AddMulTransATo dst is a":     func() { AddMulTransATo(shared, shared, shared.Clone()) },
+		"AddMulTransATo dst is b":     func() { AddMulTransATo(shared, shared.Clone(), shared) },
+		"AddMulTransATo dst views a": func() {
+			AddMulTransATo(&Matrix{Rows: 2, Cols: 2, Data: shared.Data[4:8]}, &Matrix{Rows: 4, Cols: 2, Data: shared.Data[:8]}, New(4, 2))
+		},
+		"MulTransBTo inner mismatch": func() { MulTransBTo(New(4, 6), a, w) },
+		"MulTransBTo dst shape":      func() { MulTransBTo(New(6, 4), b, w) },
+		"MulTransBTo dst is a":       func() { MulTransBTo(shared, shared, shared.Clone()) },
+		"MulTransBTo dst is b":       func() { MulTransBTo(shared, shared.Clone(), shared) },
+		"MulTransA row mismatch":     func() { MulTransA(a, New(5, 5)) },
+		"MulTransB inner mismatch":   func() { MulTransB(a, w) },
+	}
+	for name, f := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			f()
+		})
+	}
+}
+
+func benchTransposed(b *testing.B, rows int, f func(a, w, g, dW, dX *Matrix)) {
+	rng := rand.New(rand.NewSource(5))
+	a := filled(rng, rows, 96, "sparse") // a ReLU layer's activations
+	w := randomMatrix(rng, 96, 48)
+	g := randomMatrix(rng, rows, 48)
+	dW, dX := New(96, 48), New(rows, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f(a, w, g, dW, dX)
+	}
+}
+
+func BenchmarkAddMulTransATo8(b *testing.B) {
+	benchTransposed(b, 8, func(a, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) })
+}
+func BenchmarkAddMulTransATo32(b *testing.B) {
+	benchTransposed(b, 32, func(a, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) })
+}
+func BenchmarkRefMulTransA8(b *testing.B) {
+	benchTransposed(b, 8, func(a, _, g, dW, _ *Matrix) { AddInPlace(dW, refMulTransA(a, g)) })
+}
+func BenchmarkMulTransBTo8(b *testing.B) {
+	benchTransposed(b, 8, func(_, w, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })
+}
+func BenchmarkMulTransBTo32(b *testing.B) {
+	benchTransposed(b, 32, func(_, w, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })
+}
+func BenchmarkRefMulTransB8(b *testing.B) {
+	benchTransposed(b, 8, func(_, w, g, _, _ *Matrix) { refMulTransB(g, w) })
+}

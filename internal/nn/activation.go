@@ -10,8 +10,9 @@
 // Networks are built either layer by layer or via BuildModel, which
 // constructs any of the 23 architectures of Table I by number.
 //
-// A Network is not safe for concurrent use: layers cache forward-pass
-// activations for the following backward pass.
+// A Network is not safe for concurrent use: recurrent layers cache
+// forward-pass activations for the following backward pass, and Fit
+// accumulates into the layers' gradient buffers.
 package nn
 
 import (

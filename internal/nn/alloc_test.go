@@ -1,0 +1,110 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// fitAllocs returns what one Fit of model 1 allocates, in bytes and in
+// objects: the least of three runs each, since the runtime's own
+// allocations (a goroutine descriptor the first time a helper is spawned,
+// say) land in the same counters.
+func fitAllocs(t *testing.T, ds *Dataset, epochs, parallelism int) (bytes, objects int64) {
+	t.Helper()
+	bytes, objects = -1, -1
+	for i := 0; i < 3; i++ {
+		net, err := BuildModel(1, 6, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := FitConfig{
+			Epochs: epochs, BatchSize: 32, Optimizer: &SGD{LR: 0.05},
+			Rng: rand.New(rand.NewSource(2)), Parallelism: parallelism,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := net.Fit(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := int64(after.TotalAlloc - before.TotalAlloc); bytes < 0 || b < bytes {
+			bytes = b
+		}
+		if o := int64(after.Mallocs - before.Mallocs); objects < 0 || o < objects {
+			objects = o
+		}
+	}
+	return bytes, objects
+}
+
+// What a dense Fit allocates is its scratch, built once per call, and the
+// shuffle permutation (one int per sample): nothing per minibatch and
+// nothing per epoch. A mat.New, Clone or closure that slips back into the
+// training loop shows up here as growth with the sample or epoch count,
+// on any machine, long before a benchmark run would notice it.
+func TestFitAllocations(t *testing.T) {
+	const (
+		slackBytes   = 8 << 10
+		slackObjects = 32
+		permBytes    = 8 // sampleIndexes: one int per sample
+	)
+	within := func(v, slack int64) bool { return v <= slack && v >= -slack }
+	small := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
+	large := testDataset(rand.New(rand.NewSource(8)), 8000, 6)
+	for _, par := range []int{1, 4} {
+		baseB, baseO := fitAllocs(t, small, 1, par)
+		largeB, largeO := fitAllocs(t, large, 1, par)
+		if d := largeB - baseB - permBytes*(8000-2000); !within(d, slackBytes) || !within(largeO-baseO, slackObjects) {
+			t.Errorf("parallelism %d: 8000 samples allocate %d B beyond the permutation and %d objects more than 2000 samples (%d B, %d objects)",
+				par, d, largeO-baseO, baseB, baseO)
+		}
+		epochsB, epochsO := fitAllocs(t, small, 4, par)
+		if !within(epochsB-baseB, slackBytes) || !within(epochsO-baseO, slackObjects) {
+			t.Errorf("parallelism %d: 4 epochs allocate %d B and %d objects more than 1 epoch (%d B, %d objects)",
+				par, epochsB-baseB, epochsO-baseO, baseB, baseO)
+		}
+		if baseB > 1<<20 {
+			t.Errorf("parallelism %d: one Fit allocates %d B; the scratch of model 1 is a few hundred kB", par, baseB)
+		}
+	}
+}
+
+// The scratch dies with the Fit that built it: training again on the same
+// network leaves the live heap where it was, so nothing sized by the batch
+// is parked on the Network or its layers between training cycles.
+func TestFitRetainsNothing(t *testing.T) {
+	ds := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
+	for _, par := range []int{1, 4} {
+		net, err := BuildModel(1, 6, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit := func() {
+			if _, err := net.Fit(ds, FitConfig{Epochs: 1, BatchSize: 32, Optimizer: &SGD{LR: 0.05}, Parallelism: par}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := func() int64 {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			return int64(m.HeapAlloc)
+		}
+		// Anything Fit parked on the network would show on every repeat;
+		// the least growth of three discounts the runtime's own garbage.
+		fit()
+		grew := int64(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			before := live()
+			fit()
+			if g := live() - before; g < grew {
+				grew = g
+			}
+		}
+		if grew > 16<<10 {
+			t.Errorf("parallelism %d: another Fit left %d B more on the live heap", par, grew)
+		}
+	}
+}

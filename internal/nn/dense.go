@@ -19,19 +19,6 @@ type layer interface {
 	grads() []*mat.Matrix
 }
 
-// flatLayer consumes and produces B×F matrices (one row per sample).
-type flatLayer interface {
-	layer
-	forward(x *mat.Matrix) *mat.Matrix
-	// backward receives dLoss/dOutput and returns dLoss/dInput, adding
-	// parameter gradients into the layer's accumulators.
-	backward(dOut *mat.Matrix) *mat.Matrix
-	// cloneShared returns a replica sharing this layer's parameter
-	// matrices but owning private gradient accumulators and forward
-	// caches, so worker replicas can backpropagate concurrently.
-	cloneShared() flatLayer
-}
-
 // seqLayer consumes a sequence of T timestep matrices (each B×F) and emits
 // the final hidden state as a B×H matrix. Recurrent layers appear only
 // first in Table I networks, so backwardSeq does not return input grads.
@@ -39,7 +26,10 @@ type seqLayer interface {
 	layer
 	forwardSeq(steps []*mat.Matrix) *mat.Matrix
 	backwardSeq(dOut *mat.Matrix)
-	// cloneShared mirrors flatLayer.cloneShared for recurrent heads.
+	// cloneShared returns a replica sharing this layer's parameter
+	// matrices but owning private gradient accumulators and forward
+	// caches, so the chunks of one minibatch can backpropagate
+	// concurrently.
 	cloneShared() seqLayer
 }
 
@@ -50,8 +40,6 @@ type Dense struct {
 
 	W, B   *mat.Matrix // weights In×Out, bias 1×Out
 	dW, dB *mat.Matrix //geomancy:ephemeral gradient scratch, recomputed by every backward pass
-
-	lastIn, lastOut *mat.Matrix //geomancy:ephemeral forward-pass cache for backward, overwritten every step
 }
 
 // NewDense returns a dense layer with Xavier-initialized weights.
@@ -75,28 +63,11 @@ func (d *Dense) outSize() int          { return d.Out }
 func (d *Dense) params() []*mat.Matrix { return []*mat.Matrix{d.W, d.B} }
 func (d *Dense) grads() []*mat.Matrix  { return []*mat.Matrix{d.dW, d.dB} }
 
-func (d *Dense) forward(x *mat.Matrix) *mat.Matrix {
-	out := mat.Mul(x, d.W)
-	out.AddRowVector(d.B)
-	if d.Act != Linear {
-		out.ApplyInPlace(d.Act.Apply)
-	}
-	d.lastIn, d.lastOut = x, out
-	return out
-}
-
-func (d *Dense) cloneShared() flatLayer {
-	return &Dense{
-		In: d.In, Out: d.Out, Act: d.Act,
-		W: d.W, B: d.B,
-		dW: mat.New(d.In, d.Out),
-		dB: mat.New(1, d.Out),
-	}
-}
-
-// forwardInto computes act(x·W + b) into dst without touching the
-// backward caches — the inference-only fast path. workers > 1 shards the
-// GEMM's output rows; every row is bit-identical to the serial product.
+// forwardInto computes act(x·W + b) into dst: the one forward body, for
+// inference and for the forward half of a training step alike (the layer
+// keeps no cache; whoever runs backwardInto hands the input and output
+// back). workers > 1 shards the GEMM's output rows; every row is
+// bit-identical to the serial product.
 func (d *Dense) forwardInto(dst, x *mat.Matrix, workers int) {
 	if workers > 1 {
 		mat.ParallelMulTo(dst, x, d.W, workers)
@@ -140,17 +111,48 @@ func (d *Dense) forwardInto(dst, x *mat.Matrix, workers int) {
 	}
 }
 
-func (d *Dense) backward(dOut *mat.Matrix) *mat.Matrix {
-	dZ := dOut
-	if d.Act != Linear {
-		dZ = mat.New(dOut.Rows, dOut.Cols)
-		for i := range dOut.Data {
-			dZ.Data[i] = dOut.Data[i] * d.Act.DerivFromOutput(d.lastOut.Data[i])
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
+
+// backwardInto is the one backward body. Given the layer's input and
+// output of the forward pass and dLoss/dOutput, it accumulates the
+// parameter gradients into dW and dB — which the caller has zeroed, so
+// that every element's sum starts from +0 exactly as a fresh product
+// matrix would (see mat.AddMulTransATo) — and, unless dX is nil, writes
+// dLoss/dInput into it. dZ is the buffer for dLoss/dZ; a Linear layer's
+// dZ is dOut itself and the buffer is not touched.
+func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut *mat.Matrix) {
+	switch d.Act {
+	case Linear:
+		dZ = dOut
+	case ReLU:
+		// The derivative is selected — on its bit pattern, so the compiler
+		// emits a conditional move: activation signs are close to random —
+		// and the product is still taken: 0·dOut keeps dOut's sign on the
+		// zero and turns ±Inf into NaN, as DerivFromOutput's factor does.
+		dz, do := dZ.Data[:len(out.Data)], dOut.Data[:len(out.Data)]
+		for i, y := range out.Data {
+			var deriv uint64
+			if y > 0 {
+				deriv = oneBits
+			}
+			dz[i] = do[i] * math.Float64frombits(deriv)
+		}
+	default:
+		for i, y := range out.Data {
+			dZ.Data[i] = dOut.Data[i] * d.Act.DerivFromOutput(y)
 		}
 	}
-	mat.AddInPlace(d.dW, mat.MulTransA(d.lastIn, dZ))
-	mat.AddInPlace(d.dB, dZ.SumRows())
-	return mat.MulTransB(dZ, d.W)
+	mat.AddMulTransATo(dW, in, dZ)
+	n := d.Out
+	for r := 0; r < dZ.Rows; r++ {
+		for j, v := range dZ.Data[r*n : (r+1)*n] {
+			dB.Data[j] += v
+		}
+	}
+	if dX != nil {
+		mat.MulTransBTo(dX, dZ, d.W)
+	}
 }
 
 func sprintfLayer(units int, kind string, act Activation) string {

@@ -16,17 +16,16 @@ func lossFor(net *Network, flat *mat.Matrix, seq []*mat.Matrix, y *mat.Matrix) f
 	return loss
 }
 
-// checkGradients compares every analytic gradient of net on the batch
-// against a central-difference numerical estimate.
+// checkGradients compares every analytic gradient of net on the batch —
+// as the training step Fit runs leaves them — against a central-difference
+// numerical estimate.
 func checkGradients(t *testing.T, net *Network, flat *mat.Matrix, seq []*mat.Matrix, y *mat.Matrix) {
 	t.Helper()
 	const eps = 1e-5
 	const tol = 1e-4
 
-	net.ZeroGrads()
-	pred := net.Forward(flat, seq)
-	_, dOut := MSELoss(pred, y)
-	net.Backward(dOut)
+	tr := newTrainer(net, nil, y.Rows, 1)
+	tr.lanes[0].step(net, &tr.chunks[0], flat, seq, y.Data, len(y.Data))
 
 	params := net.Params()
 	grads := net.GradsRef()
@@ -86,7 +85,7 @@ func TestDenseGradientsReLU(t *testing.T) {
 	net := NewNetwork(4).AddDense(6, ReLU, rng).AddDense(1, Linear, rng)
 	// Large bias pushes activations away from the ReLU kink so the
 	// numerical probe does not cross it.
-	net.flat[0].(*Dense).B.Fill(0.7)
+	net.flat[0].B.Fill(0.7)
 	x, y := denseBatch(rng, 3, 4)
 	checkGradients(t, net, x, nil, y)
 }

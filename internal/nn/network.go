@@ -31,7 +31,7 @@ type Network struct {
 	Window int
 
 	rec  seqLayer
-	flat []flatLayer
+	flat []*Dense
 }
 
 // NewNetwork returns an empty network expecting inSize input features.
@@ -127,13 +127,6 @@ func (n *Network) GradsRef() []*mat.Matrix {
 	return gs
 }
 
-// ZeroGrads clears every gradient accumulator; called before each batch.
-func (n *Network) ZeroGrads() {
-	for _, g := range n.GradsRef() {
-		g.Zero()
-	}
-}
-
 // ParamCount returns the number of trainable scalars.
 func (n *Network) ParamCount() int {
 	var c int
@@ -146,36 +139,9 @@ func (n *Network) ParamCount() int {
 // Forward runs a batch through the network. For dense networks pass the
 // B×Z feature matrix in flat and nil for seq; for recurrent networks pass
 // the T timestep matrices (each B×Z) in seq and nil for flat. The result
-// is B×OutSize.
+// is a fresh B×OutSize matrix: ForwardBatch on a scratch of its own.
 func (n *Network) Forward(flat *mat.Matrix, seq []*mat.Matrix) *mat.Matrix {
-	var h *mat.Matrix
-	if n.rec != nil {
-		if len(seq) == 0 {
-			panic("nn: recurrent network requires a sequence input")
-		}
-		h = n.rec.forwardSeq(seq)
-	} else {
-		if flat == nil {
-			panic("nn: dense network requires a flat input")
-		}
-		h = flat
-	}
-	for _, l := range n.flat {
-		h = l.forward(h)
-	}
-	return h
-}
-
-// Backward propagates dLoss/dOutput through the stack, accumulating
-// parameter gradients. Forward must have been called immediately before.
-func (n *Network) Backward(dOut *mat.Matrix) {
-	g := dOut
-	for i := len(n.flat) - 1; i >= 0; i-- {
-		g = n.flat[i].backward(g)
-	}
-	if n.rec != nil {
-		n.rec.backwardSeq(g)
-	}
+	return n.ForwardBatch(flat, seq, &Scratch{})
 }
 
 // FitConfig controls a training run.
@@ -228,16 +194,11 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 	}
 	params := n.Params()
 	grads := n.GradsRef()
-
-	// Worker replicas for parallel gradient accumulation: they alias the
-	// parameters but own their gradients and caches.
-	var workers []*Network
-	if cfg.Parallelism > 1 {
-		workers = make([]*Network, cfg.Parallelism)
-		for i := range workers {
-			workers[i] = n.cloneShared()
-		}
+	batchRows := cfg.BatchSize
+	if batchRows > len(idx) {
+		batchRows = len(idx)
 	}
+	tr := newTrainer(n, ds, batchRows, cfg.Parallelism)
 
 	var lastLoss float64
 	bestVal := math.Inf(1)
@@ -258,19 +219,7 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			batch := idx[start:end]
-			var loss float64
-			if workers != nil {
-				loss = n.fitBatchParallel(ds, batch, workers, grads)
-			} else {
-				flat, seq, y := n.assembleBatch(ds, batch)
-				pred := n.Forward(flat, seq)
-				var dOut *mat.Matrix
-				loss, dOut = MSELoss(pred, y)
-				n.ZeroGrads()
-				n.Backward(dOut)
-			}
-			epochLoss += loss
+			epochLoss += tr.minibatch(idx[start:end])
 			batches++
 			cfg.Optimizer.Step(params, grads)
 		}
@@ -301,36 +250,67 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 // ValidationLoss computes the MSE of the network over ds without
 // training.
 func (n *Network) ValidationLoss(ds *Dataset) float64 {
-	idx := n.sampleIndexes(ds)
-	if len(idx) == 0 {
-		return math.Inf(1)
-	}
-	const chunk = 256
 	var total float64
 	var count int
-	for start := 0; start < len(idx); start += chunk {
-		end := start + chunk
-		if end > len(idx) {
-			end = len(idx)
-		}
-		batch := idx[start:end]
-		flat, seq, y := n.assembleBatch(ds, batch)
-		pred := n.Forward(flat, seq)
-		loss, _ := MSELoss(pred, y)
-		total += loss * float64(len(batch))
-		count += len(batch)
+	n.predictChunks(ds, func(first int, pred *mat.Matrix) {
+		rows := pred.Rows
+		sse := sseLoss(nil, pred.Data, ds.Y[first:first+rows], 0)
+		total += sse / float64(len(pred.Data)) * float64(rows)
+		count += rows
+	})
+	if count == 0 {
+		return math.Inf(1)
 	}
 	return total / float64(count)
 }
 
-// sampleIndexes returns the dataset row indexes usable as sample anchors:
-// every row for dense models, rows with a full history window for
-// recurrent ones.
-func (n *Network) sampleIndexes(ds *Dataset) []int {
-	first := 0
-	if n.rec != nil {
-		first = n.window() - 1
+// predictChunkRows is the batch height of Predict and ValidationLoss.
+const predictChunkRows = 256
+
+// predictChunks scores every usable row of ds predictChunkRows anchors at
+// a time, handing f each chunk's predictions and the dataset row of its
+// first anchor (anchors are consecutive rows). Dense networks score row
+// views of ds.X, recurrent ones windows assembled per chunk; either way
+// the dense stack runs through ForwardBatch on one scratch scoped to the
+// call, so a call allocates one set of activation buffers however long ds
+// is, retains none of them, and pred is only valid until f returns.
+func (n *Network) predictChunks(ds *Dataset, f func(first int, pred *mat.Matrix)) {
+	var s Scratch
+	first := n.firstAnchor()
+	for lo := first; lo < ds.Len(); lo += predictChunkRows {
+		hi := lo + predictChunkRows
+		if hi > ds.Len() {
+			hi = ds.Len()
+		}
+		var flat *mat.Matrix
+		var seq []*mat.Matrix
+		if n.rec == nil {
+			flat = ds.Slice(lo, hi).X
+		} else {
+			rows := make([]int, hi-lo)
+			for i := range rows {
+				rows[i] = lo + i
+			}
+			seq = n.assembleSeq(ds, rows)
+		}
+		f(lo, n.ForwardBatch(flat, seq, &s))
 	}
+}
+
+// firstAnchor is the first dataset row usable as a sample anchor: row 0
+// for dense models, the first row with a full history window for
+// recurrent ones.
+func (n *Network) firstAnchor() int {
+	if n.rec != nil {
+		return n.window() - 1
+	}
+	return 0
+}
+
+// sampleIndexes returns the dataset row indexes usable as sample anchors,
+// in order: every row from firstAnchor on.
+func (n *Network) sampleIndexes(ds *Dataset) []int {
+	first := n.firstAnchor()
 	if ds.Len() <= first {
 		return nil
 	}
@@ -348,31 +328,19 @@ func (n *Network) window() int {
 	return DefaultWindow
 }
 
-// assembleBatch gathers the feature rows (flat or windowed) and target
-// column for the given anchor rows.
-func (n *Network) assembleBatch(ds *Dataset, rows []int) (*mat.Matrix, []*mat.Matrix, *mat.Matrix) {
-	b := len(rows)
-	y := mat.New(b, 1)
-	for i, r := range rows {
-		y.Set(i, 0, ds.Y[r])
-	}
-	if n.rec == nil {
-		flat := mat.New(b, n.InSize)
-		for i, r := range rows {
-			flat.SetRow(i, ds.X.Row(r))
-		}
-		return flat, nil, y
-	}
+// assembleSeq gathers a recurrent network's input for the given anchor
+// rows: one B×Z matrix per timestep of the window ending at each anchor.
+func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
 	w := n.window()
 	seq := make([]*mat.Matrix, w)
 	for t := 0; t < w; t++ {
-		step := mat.New(b, n.InSize)
+		step := mat.New(len(rows), n.InSize)
 		for i, r := range rows {
 			step.SetRow(i, ds.X.Row(r-w+1+t))
 		}
 		seq[t] = step
 	}
-	return nil, seq, y
+	return seq
 }
 
 // Predict returns the network outputs for every usable row of ds, aligned
@@ -382,19 +350,12 @@ func (n *Network) Predict(ds *Dataset) ([]float64, []int) {
 	if len(idx) == 0 {
 		return nil, nil
 	}
-	const chunk = 256
 	out := make([]float64, 0, len(idx))
-	for start := 0; start < len(idx); start += chunk {
-		end := start + chunk
-		if end > len(idx) {
-			end = len(idx)
-		}
-		flat, seq, _ := n.assembleBatch(ds, idx[start:end])
-		pred := n.Forward(flat, seq)
+	n.predictChunks(ds, func(_ int, pred *mat.Matrix) {
 		for r := 0; r < pred.Rows; r++ {
 			out = append(out, pred.At(r, 0))
 		}
-	}
+	})
 	return out, idx
 }
 
@@ -425,13 +386,7 @@ func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
 		panic(fmt.Sprintf("nn: MSELoss shape mismatch %dx%d vs %dx%d",
 			pred.Rows, pred.Cols, target.Rows, target.Cols))
 	}
-	nElem := float64(len(pred.Data))
 	grad := mat.New(pred.Rows, pred.Cols)
-	var loss float64
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / nElem
-	}
-	return loss / nElem, grad
+	sse := sseLoss(grad.Data, pred.Data, target.Data, len(pred.Data))
+	return sse / float64(len(pred.Data)), grad
 }

@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"geomancy/internal/mat"
-)
+import "geomancy/internal/mat"
 
 // Scratch holds preallocated activation buffers for ForwardBatch so a
 // caller scoring many batches of the same shape (the engine scores one
@@ -34,17 +29,17 @@ func (s *Scratch) buf(i, rows, cols int) *mat.Matrix {
 	return s.bufs[i]
 }
 
-// ForwardBatch is the inference-only batched forward pass: one GEMM per
-// dense layer over the whole B×Z input matrix, writing activations into
-// scratch buffers instead of fresh allocations and leaving the backward
-// caches untouched. Outputs are bit-for-bit identical to Forward (and to
-// B separate PredictOne calls) — each output row's arithmetic order does
-// not depend on the batch size or on Scratch.Parallelism. A nil scratch
-// falls back to Forward. Recurrent heads run through the regular
+// ForwardBatch is the batched forward pass: one GEMM per dense layer over
+// the whole B×Z input matrix, writing activations into scratch buffers
+// instead of fresh allocations. Each output row's arithmetic order does
+// not depend on the batch size or on Scratch.Parallelism, so outputs are
+// bit-for-bit what B separate PredictOne calls return. The result belongs
+// to the scratch and is overwritten by the next call on it; a nil scratch
+// means one of the call's own. Recurrent heads run through the regular
 // (allocating) sequence path; only the dense stack uses the scratch.
 func (n *Network) ForwardBatch(flat *mat.Matrix, seq []*mat.Matrix, s *Scratch) *mat.Matrix {
 	if s == nil {
-		return n.Forward(flat, seq)
+		s = &Scratch{}
 	}
 	var h *mat.Matrix
 	if n.rec != nil {
@@ -58,111 +53,10 @@ func (n *Network) ForwardBatch(flat *mat.Matrix, seq []*mat.Matrix, s *Scratch) 
 		}
 		h = flat
 	}
-	for i, l := range n.flat {
-		d, ok := l.(*Dense)
-		if !ok {
-			h = l.forward(h)
-			continue
-		}
+	for i, d := range n.flat {
 		dst := s.buf(i, h.Rows, d.Out)
 		d.forwardInto(dst, h, s.Parallelism)
 		h = dst
 	}
 	return h
-}
-
-// cloneShared returns a worker replica of the network: it aliases every
-// parameter matrix (so optimizer steps through the original are visible
-// immediately) but owns private gradient accumulators and forward caches,
-// letting replicas run forward/backward on disjoint sample shards
-// concurrently.
-func (n *Network) cloneShared() *Network {
-	c := &Network{Desc: n.Desc, InSize: n.InSize, Window: n.Window}
-	if n.rec != nil {
-		c.rec = n.rec.cloneShared()
-	}
-	for _, l := range n.flat {
-		c.flat = append(c.flat, l.cloneShared())
-	}
-	return c
-}
-
-// gradChunkRows is the fixed shard height of parallel gradient
-// accumulation. The chunk structure — not the worker count — determines
-// the floating-point reduction order, so training with any Parallelism ≥ 2
-// produces one canonical result regardless of how many goroutines actually
-// ran (a batch of 32 always reduces as four ordered 8-row chunks).
-const gradChunkRows = 8
-
-// fitBatchParallel accumulates one minibatch's gradient across fixed-size
-// row chunks evaluated by the worker replicas, then reduces the chunk
-// gradients into n's accumulators in chunk order. It returns the batch MSE
-// (sum of squared errors over every chunk divided by the batch size),
-// matching the serial path's loss semantics.
-func (n *Network) fitBatchParallel(ds *Dataset, batch []int, workers []*Network, grads []*mat.Matrix) float64 {
-	elems := len(batch) * n.OutSize()
-	nChunks := (len(batch) + gradChunkRows - 1) / gradChunkRows
-	sses := make([]float64, nChunks)
-	chunkGrads := make([][]*mat.Matrix, nChunks)
-	var next int64
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(wk *Network) {
-			defer wg.Done()
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * gradChunkRows
-				hi := lo + gradChunkRows
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				flat, seq, y := wk.assembleBatch(ds, batch[lo:hi])
-				pred := wk.Forward(flat, seq)
-				sse, dOut := sseLoss(pred, y, elems)
-				wk.ZeroGrads()
-				wk.Backward(dOut)
-				sses[c] = sse
-				wgs := wk.GradsRef()
-				snap := make([]*mat.Matrix, len(wgs))
-				for i, g := range wgs {
-					snap[i] = g.Clone()
-				}
-				chunkGrads[c] = snap
-			}
-		}(workers[w])
-	}
-	wg.Wait()
-	for _, g := range grads {
-		g.Zero()
-	}
-	var sse float64
-	for c := 0; c < nChunks; c++ {
-		sse += sses[c]
-		for i, g := range chunkGrads[c] {
-			mat.AddInPlace(grads[i], g)
-		}
-	}
-	return sse / float64(elems)
-}
-
-// sseLoss is the shard form of MSELoss: it returns the un-normalized sum
-// of squared errors for this shard while scaling the gradient by the full
-// batch's element count, so per-chunk backward passes accumulate exactly
-// the full-batch MSE gradient.
-func sseLoss(pred, target *mat.Matrix, batchElems int) (float64, *mat.Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: sseLoss shape mismatch")
-	}
-	grad := mat.New(pred.Rows, pred.Cols)
-	var sse float64
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		sse += d * d
-		grad.Data[i] = 2 * d / float64(batchElems)
-	}
-	return sse, grad
 }

@@ -48,6 +48,7 @@ func BenchmarkForwardBatch256x4(b *testing.B)   { benchmarkForwardBatch(b, 256, 
 
 func benchmarkFit(b *testing.B, par int) {
 	ds := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -142,8 +142,7 @@ func (n *Network) layerSpecs() []LayerSpec {
 			specs = append(specs, LayerSpec{Fixed: l.Out, Kind: "GRU", Act: l.Act})
 		}
 	}
-	for _, fl := range n.flat {
-		d := fl.(*Dense)
+	for _, d := range n.flat {
 		specs = append(specs, LayerSpec{Fixed: d.Out, Kind: "Dense", Act: d.Act})
 	}
 	return specs
