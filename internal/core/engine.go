@@ -723,23 +723,22 @@ func parallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
 }
 
 // flatBuf returns the engine's reusable flat-input buffer sized rows×cols.
+// A pruned decision scores a different number of rows every time, so the
+// buffer is reused by capacity (mat.Grow) and its contents are whatever
+// the last decision left: assembleTasks writes every row.
 func (e *Engine) flatBuf(rows, cols int) *mat.Matrix {
-	if e.inFlat == nil || e.inFlat.Rows != rows || e.inFlat.Cols != cols {
-		e.inFlat = mat.New(rows, cols)
-	}
+	e.inFlat = mat.Grow(e.inFlat, rows, cols)
 	return e.inFlat
 }
 
 // seqBufs returns the engine's reusable sequence-input buffers: w timestep
-// matrices, each rows×cols.
+// matrices, each rows×cols, reused like flatBuf's.
 func (e *Engine) seqBufs(w, rows, cols int) []*mat.Matrix {
 	if len(e.inSeq) != w {
 		e.inSeq = make([]*mat.Matrix, w)
 	}
 	for t := range e.inSeq {
-		if e.inSeq[t] == nil || e.inSeq[t].Rows != rows || e.inSeq[t].Cols != cols {
-			e.inSeq[t] = mat.New(rows, cols)
-		}
+		e.inSeq[t] = mat.Grow(e.inSeq[t], rows, cols)
 	}
 	return e.inSeq
 }

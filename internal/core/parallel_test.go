@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
+	"geomancy/internal/nn"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 	"geomancy/internal/trace"
@@ -123,6 +125,35 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The engine keeps no batch-sized activations between decisions: after a
+// decision that scored 40 200 candidate rows, everything its scoring
+// scratch holds — the predictions and one block of activations per worker
+// — is under 2 MB (the whole-batch activations were 54 MB).
+func TestScoringScratchStaysBlockSized(t *testing.T) {
+	e := trainedEngine(t, func(c *Config) { c.Parallelism = 4 })
+	files := make([]FileMeta, 6700)
+	for i := range files {
+		files[i] = FileMeta{ID: int64(i + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+	}
+	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil {
+		t.Fatal(err)
+	}
+	if rows := e.inFlat.Rows; rows != len(files)*len(testDevices) {
+		t.Fatalf("the decision scored %d rows, want %d", rows, len(files)*len(testDevices))
+	}
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	e.scratch = nn.Scratch{}
+	if freed := before - live(); freed > 2<<20 {
+		t.Errorf("dropping the scoring scratch after a %d-row decision freed %d B, want under 2 MB", e.inFlat.Rows, freed)
 	}
 }
 

@@ -253,9 +253,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 		flat, seq := pds[0].flat, pds[0].seq
 		if len(pds) > 1 {
 			cols := s.globalEngine.net.InSize
-			if s.combined == nil || s.combined.Rows != total || s.combined.Cols != cols {
-				s.combined = mat.New(total, cols)
-			}
+			s.combined = mat.Grow(s.combined, total, cols)
 			for i, pd := range pds {
 				if pd.total > 0 { // dense rows only: recurrent models are rejected for n > 1
 					copy(s.combined.Data[bases[i]*cols:(bases[i]+pd.total)*cols], pd.flat.Data[:pd.total*cols])

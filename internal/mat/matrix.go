@@ -75,6 +75,24 @@ func (m *Matrix) Resize(rows int) {
 	m.Rows, m.Data = rows, m.Data[:rows*m.Cols]
 }
 
+// Grow returns a rows×cols matrix for a buffer that is refilled at a
+// different height on every use: m itself, re-sliced, when its storage is
+// large enough, otherwise a new matrix with a quarter more room than asked
+// for, so that heights wandering around one size settle on one allocation
+// instead of making a new one each time. The contents are unspecified. m
+// may be nil.
+func Grow(m *Matrix, rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative dimensions %dx%d", rows, cols))
+	}
+	need := rows * cols
+	if m == nil || need > cap(m.Data) {
+		m = &Matrix{Data: make([]float64, need+need/4)}
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:need]
+	return m
+}
+
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) float64 {
 	m.boundsCheck(r, c)
@@ -167,17 +185,45 @@ func MulTo(dst, a, b *Matrix) {
 }
 
 // mulRows computes output rows [lo, hi) of dst = a×b. Each output row
-// depends only on the matching row of a, so disjoint row ranges can run
-// concurrently and each row's arithmetic order is identical no matter how
-// the rows are sharded.
+// depends only on the matching row of a, and every element sums all of its
+// products in ascending-k order from +0 — no term is skipped on any row, so
+// 0·±Inf is NaN wherever the row sits — which makes disjoint row ranges
+// safe to run concurrently and a row's bits independent of the batch it is
+// in, of how the rows are sharded and of which body below produced it.
 func mulRows(dst, a, b *Matrix, lo, hi int) {
+	n, kdim := b.Cols, a.Cols
+	j0 := 0
+	if useAVX2 && n >= 4 {
+		// Row i of the product is the combination of b's rows with row i of
+		// a as coefficients. The offsets of b's rows are the same for every
+		// i; kdim is a layer width, so they fit the stack.
+		var buf [256]int
+		off := buf[:0]
+		if kdim > len(buf) {
+			off = make([]int, 0, kdim)
+		}
+		for k := 0; k < kdim; k++ {
+			off = append(off, k*n)
+		}
+		j0 = n &^ 3
+		for i := lo; i < hi; i++ {
+			rowCombine(dst.Data[i*n:i*n+j0], b.Data, a.Data[i*kdim:(i+1)*kdim], off, false)
+		}
+	}
+	if j0 < n {
+		mulRowsGo(dst, a, b, lo, hi, j0)
+	}
+}
+
+// mulRowsGo is mulRows' portable body, over output columns [j0, b.Cols):
+// all of them where there is no assembly, the last few where there is.
+func mulRowsGo(dst, a, b *Matrix, lo, hi, j0 int) {
 	// Output rows are processed four at a time with a 4×2 register tile:
 	// eight accumulators live in registers across the whole k loop, so the
 	// hot loop issues no stores and reuses every loaded b element across
 	// four rows. Each output element still sums its products in
 	// ascending-k order, so the result is bit-identical to the
-	// one-row-at-a-time loop (an a-element of exactly 0 contributes a ±0
-	// whose addition can never change an accumulator that started at +0).
+	// one-row-at-a-time loop below.
 	n := b.Cols
 	kdim := a.Cols
 	i := lo
@@ -195,7 +241,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 		// two loads per step check-free. b.Data is reachable from the
 		// argument for the whole loop, so the pointer stays valid.
 		stride := uintptr(n) * 8
-		j := 0
+		j := j0
 		for ; j+2 <= n; j += 2 {
 			var s00, s01, s10, s11, s20, s21, s30, s31 float64
 			pb := unsafe.Pointer(&b.Data[j])
@@ -260,16 +306,12 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 		}
 	}
 	for ; i < hi; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		drow := dst.Data[i*n+j0 : (i+1)*n]
 		for j := range drow {
 			drow[j] = 0
 		}
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		for k, av := range a.Data[i*kdim : (i+1)*kdim] {
+			brow := b.Data[k*n+j0 : (k+1)*n]
 			for j, bv := range brow {
 				drow[j] += av * bv
 			}
@@ -318,12 +360,22 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
+	TransposeTo(out, m)
+	return out
+}
+
+// TransposeTo writes mᵀ into dst, which must be m.Cols×m.Rows and must not
+// alias m. Packing bᵀ once turns any number of a×bᵀ products into plain
+// forward products a×(bᵀ), element for element the same sums.
+func TransposeTo(dst, m *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("mat: TransposeTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Data[c*out.Cols+r] = m.Data[r*m.Cols+c]
+		for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			dst.Data[c*dst.Cols+r] = v
 		}
 	}
-	return out
 }
 
 // Add returns a+b elementwise.

@@ -340,8 +340,9 @@ func BenchmarkMul96x48(b *testing.B) {
 	x.Randomize(rng, 1)
 	w.Randomize(rng, 1)
 	dst := New(32, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulTo(dst, x, w)
-	}
+	benchEachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MulTo(dst, x, w)
+		}
+	})
 }

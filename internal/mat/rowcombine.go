@@ -1,0 +1,71 @@
+package mat
+
+import "unsafe"
+
+// useAVX2 selects the assembly row combination. It is set once, at package
+// init, from what the platform is (rowcombine_amd64.go); a variable only so
+// that tests can run both implementations in one process.
+var useAVX2 bool
+
+// rowCombine is the one primitive under the forward product and the
+// gradient product: out[j] (= | +=) Σₜ coef[t]·b[off[t]+j] for every j, the
+// sum taken in ascending t from +0 (accumulate false) or from what out[j]
+// held (accumulate true), each product rounded before it is added. Every
+// off[t]+len(out) must be within b: the callers build the offsets from
+// matrix shapes they have checked, and the assembly does not check again.
+//
+// On a CPU with AVX2 whole blocks of four columns go through
+// rowCombineAVX2, where one vector lane is one output element summing its
+// own products in the same order with the same two roundings, so the two
+// implementations agree bit for bit (up to which NaN a NaN is).
+func rowCombine(out, b, coef []float64, off []int, accumulate bool) {
+	j := 0
+	if useAVX2 && len(out) >= 4 {
+		_ = off[:len(coef)]
+		rowCombineAVX2(unsafe.SliceData(out), len(out), unsafe.SliceData(b), unsafe.SliceData(coef), unsafe.SliceData(off), len(coef), accumulate)
+		j = len(out) &^ 3
+	}
+	if j < len(out) {
+		rowCombineGo(out, b, coef, off, accumulate, j)
+	}
+}
+
+// rowCombineGo is rowCombine's portable body, over columns [j, len(out)):
+// eight output columns at a time are carried in registers across all terms,
+// so out is read and written once however many terms there are. Eight is
+// what pays: with four columns in flight the block is no faster than the
+// plain term-at-a-time loop.
+func rowCombineGo(out, b, coef []float64, off []int, accumulate bool, j int) {
+	n := len(out)
+	off = off[:len(coef)]
+	for ; j+8 <= n; j += 8 {
+		o := out[j : j+8 : j+8]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		if accumulate {
+			s0, s1, s2, s3, s4, s5, s6, s7 = o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		}
+		for t, v := range coef {
+			bo := off[t] + j
+			bb := b[bo : bo+8 : bo+8]
+			s0 += v * bb[0]
+			s1 += v * bb[1]
+			s2 += v * bb[2]
+			s3 += v * bb[3]
+			s4 += v * bb[4]
+			s5 += v * bb[5]
+			s6 += v * bb[6]
+			s7 += v * bb[7]
+		}
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; j < n; j++ {
+		var s float64
+		if accumulate {
+			s = out[j]
+		}
+		for t, v := range coef {
+			s += v * b[off[t]+j]
+		}
+		out[j] = s
+	}
+}

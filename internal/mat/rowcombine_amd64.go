@@ -1,0 +1,29 @@
+//go:build !purego
+
+package mat
+
+func init() { useAVX2 = detectAVX2() }
+
+// detectAVX2 reports whether rowCombineAVX2 may run here: the CPU has AVX2
+// and the OS saves the YMM registers across context switches.
+func detectAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if eax, _ := xgetbv(); eax&6 != 6 { // XCR0: SSE and AVX state enabled
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+//go:noescape
+func rowCombineAVX2(out *float64, n int, b *float64, coef *float64, off *int, terms int, accumulate bool)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)

@@ -68,12 +68,10 @@ func AddMulTransATo(dst, a, b *Matrix) {
 	m, n := a.Cols, b.Cols
 	// Up to transATile rows of a at a time: for each output row i the
 	// non-zero a[k][i] of the tile are compacted (value and the offset of
-	// b's row k), then eight output columns at a time are carried in
-	// registers across the whole tile, so dst is read and written once per
-	// tile instead of once per row of a, and the zero test runs once per
-	// (k,i) rather than inside the column loop. Eight is what pays: with
-	// four columns in flight the tile is no faster than the plain
-	// row-at-a-time loop.
+	// b's row k) and row i of dst takes their combination of b's rows in
+	// one rowCombine, so dst is read and written once per tile instead of
+	// once per row of a, and the zero test runs once per (k,i) rather than
+	// inside the column loop.
 	var av [transATile]float64
 	var off [transATile]int
 	for k0 := 0; k0 < a.Rows; k0 += transATile {
@@ -84,40 +82,17 @@ func AddMulTransATo(dst, a, b *Matrix) {
 		for i := 0; i < m; i++ {
 			cnt := 0
 			for k := k0; k < k1; k++ {
-				if v := a.Data[k*m+i]; v != 0 {
-					av[cnt], off[cnt] = v, k*n
+				// Stored first and kept only if non-zero: the count moves by
+				// a conditional add, not a branch that ReLU's near-random
+				// zeros would mispredict half the time.
+				v := a.Data[k*m+i]
+				av[cnt], off[cnt] = v, k*n
+				if v != 0 {
 					cnt++
 				}
 			}
-			if cnt == 0 {
-				continue
-			}
-			nz, offs := av[:cnt], off[:cnt]
-			orow := dst.Data[i*n : (i+1)*n]
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				o := orow[j : j+8 : j+8]
-				s0, s1, s2, s3, s4, s5, s6, s7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
-				for t, v := range nz {
-					bo := offs[t] + j
-					bb := b.Data[bo : bo+8 : bo+8]
-					s0 += v * bb[0]
-					s1 += v * bb[1]
-					s2 += v * bb[2]
-					s3 += v * bb[3]
-					s4 += v * bb[4]
-					s5 += v * bb[5]
-					s6 += v * bb[6]
-					s7 += v * bb[7]
-				}
-				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
-			}
-			for ; j < n; j++ {
-				s := orow[j]
-				for t, v := range nz {
-					s += v * b.Data[offs[t]+j]
-				}
-				orow[j] = s
+			if cnt > 0 {
+				rowCombine(dst.Data[i*n:(i+1)*n], b.Data, av[:cnt], off[:cnt], true)
 			}
 		}
 	}

@@ -94,38 +94,40 @@ var (
 )
 
 func TestAddMulTransAToMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, rows := range kernelRows {
-		for _, m := range kernelCols {
-			for _, n := range kernelCols {
-				for _, fa := range fills {
-					for _, fb := range fills {
-						what := fmt.Sprintf("%dx%dᵀ·%dx%d a=%s b=%s", rows, m, rows, n, fa, fb)
-						a, b := filled(rng, rows, m, fa), filled(rng, rows, n, fb)
-						want := refMulTransA(a, b)
-						assertSameBits(t, what+" wrapper", MulTransA(a, b), want)
+	onEachKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(21))
+		for _, rows := range kernelRows {
+			for _, m := range kernelCols {
+				for _, n := range kernelCols {
+					for _, fa := range fills {
+						for _, fb := range fills {
+							what := fmt.Sprintf("%s %dx%dᵀ·%dx%d a=%s b=%s", kernel, rows, m, rows, n, fa, fb)
+							a, b := filled(rng, rows, m, fa), filled(rng, rows, n, fb)
+							want := refMulTransA(a, b)
+							assertSameBits(t, what+" wrapper", MulTransA(a, b), want)
 
-						// Into a zeroed dst: the product itself, and what the
-						// old dW += product pass left behind.
-						dst := New(m, n)
-						AddMulTransATo(dst, a, b)
-						assertSameBits(t, what+" zeroed dst", dst, want)
-						sum := New(m, n)
-						AddInPlace(sum, want)
-						assertSameBits(t, what+" vs 0 += product", dst, sum)
+							// Into a zeroed dst: the product itself, and what the
+							// old dW += product pass left behind.
+							dst := New(m, n)
+							AddMulTransATo(dst, a, b)
+							assertSameBits(t, what+" zeroed dst", dst, want)
+							sum := New(m, n)
+							AddInPlace(sum, want)
+							assertSameBits(t, what+" vs 0 += product", dst, sum)
 
-						// Into a non-zero dst the chain starts from what is
-						// there, so the oracle is the reference loop seeded
-						// with the same values.
-						seed := filled(rng, m, n, fb)
-						got := seed.Clone()
-						AddMulTransATo(got, a, b)
-						assertSameBits(t, what+" seeded dst", got, refAddMulTransA(seed, a, b))
+							// Into a non-zero dst the chain starts from what is
+							// there, so the oracle is the reference loop seeded
+							// with the same values.
+							seed := filled(rng, m, n, fb)
+							got := seed.Clone()
+							AddMulTransATo(got, a, b)
+							assertSameBits(t, what+" seeded dst", got, refAddMulTransA(seed, a, b))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // refAddMulTransA is refMulTransA started from seed instead of +0.
@@ -146,25 +148,35 @@ func refAddMulTransA(seed, a, b *Matrix) *Matrix {
 }
 
 func TestMulTransBToMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, rows := range kernelRows {
-		for _, n := range kernelCols { // rows of b = columns of the result
-			for _, kdim := range kernelCols {
-				for _, fa := range fills {
-					for _, fb := range fills {
-						what := fmt.Sprintf("%dx%d·(%dx%d)ᵀ a=%s b=%s", rows, kdim, n, kdim, fa, fb)
-						a, b := filled(rng, rows, kdim, fa), filled(rng, n, kdim, fb)
-						want := refMulTransB(a, b)
-						assertSameBits(t, what+" wrapper", MulTransB(a, b), want)
-						dst := New(rows, n)
-						dst.Fill(99) // must be overwritten, not accumulated into
-						MulTransBTo(dst, a, b)
-						assertSameBits(t, what, dst, want)
+	onEachKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(22))
+		for _, rows := range kernelRows {
+			for _, n := range kernelCols { // rows of b = columns of the result
+				for _, kdim := range kernelCols {
+					for _, fa := range fills {
+						for _, fb := range fills {
+							what := fmt.Sprintf("%s %dx%d·(%dx%d)ᵀ a=%s b=%s", kernel, rows, kdim, n, kdim, fa, fb)
+							a, b := filled(rng, rows, kdim, fa), filled(rng, n, kdim, fb)
+							want := refMulTransB(a, b)
+							assertSameBits(t, what+" wrapper", MulTransB(a, b), want)
+							dst := New(rows, n)
+							dst.Fill(99) // must be overwritten, not accumulated into
+							MulTransBTo(dst, a, b)
+							assertSameBits(t, what, dst, want)
+
+							// The trainer's form: the forward product against
+							// bᵀ packed beforehand is the same sums.
+							bT := New(kdim, n)
+							TransposeTo(bT, b)
+							dst.Fill(99)
+							MulTo(dst, a, bT)
+							assertSameBits(t, what+" over packed bᵀ", dst, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestTransposedKernelPanics(t *testing.T) {
@@ -198,34 +210,49 @@ func TestTransposedKernelPanics(t *testing.T) {
 	}
 }
 
-func benchTransposed(b *testing.B, rows int, f func(a, w, g, dW, dX *Matrix)) {
+// benchTransposed returns a benchmark of f over the paper model's 96→48
+// layer at the given batch height.
+func benchTransposed(rows int, f func(a, w, wT, g, dW, dX *Matrix)) func(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	a := filled(rng, rows, 96, "sparse") // a ReLU layer's activations
 	w := randomMatrix(rng, 96, 48)
+	wT := w.Transpose()
 	g := randomMatrix(rng, rows, 48)
 	dW, dX := New(96, 48), New(rows, 96)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f(a, w, g, dW, dX)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f(a, w, wT, g, dW, dX)
+		}
 	}
 }
 
 func BenchmarkAddMulTransATo8(b *testing.B) {
-	benchTransposed(b, 8, func(a, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) })
+	benchEachKernel(b, benchTransposed(8, func(a, _, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) }))
 }
 func BenchmarkAddMulTransATo32(b *testing.B) {
-	benchTransposed(b, 32, func(a, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) })
+	benchEachKernel(b, benchTransposed(32, func(a, _, _, g, dW, _ *Matrix) { AddMulTransATo(dW, a, g) }))
 }
 func BenchmarkRefMulTransA8(b *testing.B) {
-	benchTransposed(b, 8, func(a, _, g, dW, _ *Matrix) { AddInPlace(dW, refMulTransA(a, g)) })
+	benchTransposed(8, func(a, _, _, g, dW, _ *Matrix) { AddInPlace(dW, refMulTransA(a, g)) })(b)
 }
+
+// The dense backward's dX = dZ·Wᵀ: the forward product over Wᵀ packed
+// beforehand, which is the form the assembly serves.
+func BenchmarkMulPackedTransB8(b *testing.B) {
+	benchEachKernel(b, benchTransposed(8, func(_, _, wT, g, _, dX *Matrix) { MulTo(dX, g, wT) }))
+}
+func BenchmarkMulPackedTransB32(b *testing.B) {
+	benchEachKernel(b, benchTransposed(32, func(_, _, wT, g, _, dX *Matrix) { MulTo(dX, g, wT) }))
+}
+
+// MulTransBTo has one body on every platform.
 func BenchmarkMulTransBTo8(b *testing.B) {
-	benchTransposed(b, 8, func(_, w, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })
+	benchTransposed(8, func(_, w, _, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })(b)
 }
 func BenchmarkMulTransBTo32(b *testing.B) {
-	benchTransposed(b, 32, func(_, w, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })
+	benchTransposed(32, func(_, w, _, g, _, dX *Matrix) { MulTransBTo(dX, g, w) })(b)
 }
 func BenchmarkRefMulTransB8(b *testing.B) {
-	benchTransposed(b, 8, func(_, w, g, _, _ *Matrix) { refMulTransB(g, w) })
+	benchTransposed(8, func(_, w, _, g, _, _ *Matrix) { refMulTransB(g, w) })(b)
 }

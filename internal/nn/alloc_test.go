@@ -50,7 +50,10 @@ func TestFitAllocations(t *testing.T) {
 		slackObjects = 32
 		permBytes    = 8 // sampleIndexes: one int per sample
 	)
-	within := func(v, slack int64) bool { return v <= slack && v >= -slack }
+	// One-sided: a leak is growth. A negative difference only says that the
+	// baseline run carried more of the runtime's own start-up allocations
+	// (goroutine descriptors for the helper lanes, say) than the longer one.
+	within := func(v, slack int64) bool { return v <= slack }
 	small := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
 	large := testDataset(rand.New(rand.NewSource(8)), 8000, 6)
 	for _, par := range []int{1, 4} {

@@ -66,14 +66,10 @@ func (d *Dense) grads() []*mat.Matrix  { return []*mat.Matrix{d.dW, d.dB} }
 // forwardInto computes act(x·W + b) into dst: the one forward body, for
 // inference and for the forward half of a training step alike (the layer
 // keeps no cache; whoever runs backwardInto hands the input and output
-// back). workers > 1 shards the GEMM's output rows; every row is
-// bit-identical to the serial product.
-func (d *Dense) forwardInto(dst, x *mat.Matrix, workers int) {
-	if workers > 1 {
-		mat.ParallelMulTo(dst, x, d.W, workers)
-	} else {
-		mat.MulTo(dst, x, d.W)
-	}
+// back). A row's result does not depend on the rows around it, so callers
+// are free to cut a batch into blocks and run them side by side.
+func (d *Dense) forwardInto(dst, x *mat.Matrix) {
+	mat.MulTo(dst, x, d.W)
 	// Fused bias+activation epilogue: one pass over dst instead of an
 	// AddRowVector pass plus a per-element method-value call. Each element
 	// still computes act(v + b[j]), so results are bit-identical to the
@@ -119,9 +115,12 @@ const oneBits = 0x3FF0000000000000
 // parameter gradients into dW and dB — which the caller has zeroed, so
 // that every element's sum starts from +0 exactly as a fresh product
 // matrix would (see mat.AddMulTransATo) — and, unless dX is nil, writes
-// dLoss/dInput into it. dZ is the buffer for dLoss/dZ; a Linear layer's
-// dZ is dOut itself and the buffer is not touched.
-func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut *mat.Matrix) {
+// dLoss/dInput = dZ·Wᵀ into it as the forward product against wT, the
+// caller's packed transpose of W: element for element the sums of
+// mat.MulTransBTo(dX, dZ, W), on the kernel that reads its right operand
+// along rows. dZ is the buffer for dLoss/dZ; a Linear layer's dZ is dOut
+// itself and the buffer is not touched.
+func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut, wT *mat.Matrix) {
 	switch d.Act {
 	case Linear:
 		dZ = dOut
@@ -151,7 +150,7 @@ func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut *mat.Matrix) {
 		}
 	}
 	if dX != nil {
-		mat.MulTransBTo(dX, dZ, d.W)
+		mat.MulTo(dX, dZ, wT)
 	}
 }
 

@@ -62,38 +62,40 @@ func TestFitGoldenWeights(t *testing.T) {
 	for _, g := range goldenFits {
 		name := fmt.Sprintf("model%d/adam=%v/par%d", g.model, g.adam, g.parallelism)
 		t.Run(name, func(t *testing.T) {
-			net, err := BuildModel(g.model, 6, rand.New(rand.NewSource(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 203 samples: six full 32-row batches and a last batch of 11
-			// (dense) or 4 (recurrent, Window 8) rows, whose last chunk is
-			// short as well.
-			ds := testDataset(rand.New(rand.NewSource(8)), 203, 6)
-			var opt Optimizer = &SGD{LR: 0.05}
-			adam := NewAdam(0.005)
-			if g.adam {
-				opt = adam
-			}
-			if _, err := net.Fit(ds, FitConfig{
-				Epochs:      3,
-				BatchSize:   32,
-				Optimizer:   opt,
-				Rng:         rand.New(rand.NewSource(2)),
-				Parallelism: g.parallelism,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if got := digestMatrices(net.Params()); got != g.params {
-				t.Errorf("params digest %s, want %s", got, g.params)
-			}
-			if g.adam {
-				st := adam.State()
-				got := digestFloats(append(append([][]float64{{float64(st.T)}}, st.M...), st.V...)...)
-				if got != g.moments {
-					t.Errorf("Adam moments digest %s, want %s", got, g.moments)
+			onEachKernel(t, func(kernel string) {
+				net, err := BuildModel(g.model, 6, rand.New(rand.NewSource(3)))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				// 203 samples: six full 32-row batches and a last batch of 11
+				// (dense) or 4 (recurrent, Window 8) rows, whose last chunk is
+				// short as well.
+				ds := testDataset(rand.New(rand.NewSource(8)), 203, 6)
+				var opt Optimizer = &SGD{LR: 0.05}
+				adam := NewAdam(0.005)
+				if g.adam {
+					opt = adam
+				}
+				if _, err := net.Fit(ds, FitConfig{
+					Epochs:      3,
+					BatchSize:   32,
+					Optimizer:   opt,
+					Rng:         rand.New(rand.NewSource(2)),
+					Parallelism: g.parallelism,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got := digestMatrices(net.Params()); got != g.params {
+					t.Errorf("%s kernels: params digest %s, want %s", kernel, got, g.params)
+				}
+				if g.adam {
+					st := adam.State()
+					got := digestFloats(append(append([][]float64{{float64(st.T)}}, st.M...), st.V...)...)
+					if got != g.moments {
+						t.Errorf("%s kernels: Adam moments digest %s, want %s", kernel, got, g.moments)
+					}
+				}
+			})
 		})
 	}
 }

@@ -25,7 +25,9 @@ func checkGradients(t *testing.T, net *Network, flat *mat.Matrix, seq []*mat.Mat
 	const tol = 1e-4
 
 	tr := newTrainer(net, nil, y.Rows, 1)
-	tr.lanes[0].step(net, &tr.chunks[0], flat, seq, y.Data, len(y.Data))
+	tr.elems = len(y.Data)
+	tr.packWeights()
+	tr.lanes[0].step(tr, &tr.chunks[0], flat, seq, y.Data)
 
 	params := net.Params()
 	grads := net.GradsRef()

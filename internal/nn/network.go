@@ -264,7 +264,9 @@ func (n *Network) ValidationLoss(ds *Dataset) float64 {
 	return total / float64(count)
 }
 
-// predictChunkRows is the batch height of Predict and ValidationLoss.
+// predictChunkRows is the block height of the batched forward pass — 256
+// rows of the paper model's activations are a third of a megabyte, which
+// stays in L2 — and the batch height of Predict and ValidationLoss.
 const predictChunkRows = 256
 
 // predictChunks scores every usable row of ds predictChunkRows anchors at

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -94,9 +95,11 @@ func testDataset(rng *rand.Rand, n, z int) *Dataset {
 	return NewDataset(mat.FromRows(rows), y)
 }
 
-// ForwardBatch must be bit-for-bit identical to Forward, to per-sample
-// PredictOne calls, and to itself at any Scratch.Parallelism — for dense
-// and recurrent architectures alike.
+// ForwardBatch must be bit-for-bit identical to per-sample PredictOne
+// calls, to Forward, and to itself at any Scratch.Parallelism and any batch
+// height — below, at and past the block boundaries, on one scratch that
+// meets the heights in no particular order — for dense and recurrent
+// architectures alike.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	for _, model := range []int{1, 18, 21} { // dense, SimpleRNN, LSTM head
 		rng := rand.New(rand.NewSource(5))
@@ -105,51 +108,85 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Window = 4
-		const batch = 37
+		scratches := []*Scratch{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 3}, {Parallelism: 4}}
 		drng := rand.New(rand.NewSource(9))
-		var flat *mat.Matrix
-		var seq []*mat.Matrix
-		if net.IsRecurrent() {
-			seq = make([]*mat.Matrix, net.Window)
-			for ti := range seq {
-				seq[ti] = mat.FromRows(randomRows(drng, batch, 6))
-			}
-		} else {
-			flat = mat.FromRows(randomRows(drng, batch, 6))
-		}
-		want := net.Forward(flat, seq)
-		for _, par := range []int{1, 4} {
-			s := &Scratch{Parallelism: par}
-			got := net.ForwardBatch(flat, seq, s)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("model %d parallelism %d: row %d ForwardBatch %v != Forward %v",
-						model, par, i/want.Cols, got.Data[i], want.Data[i])
-				}
-			}
-			// Reuse the scratch: buffers must not leak state between calls.
-			again := net.ForwardBatch(flat, seq, s)
-			for i := range want.Data {
-				if again.Data[i] != want.Data[i] {
-					t.Fatalf("model %d parallelism %d: scratch reuse diverged at %d", model, par, i)
-				}
-			}
-		}
-		// Per-sample equivalence: batching does not change any row's result.
-		for r := 0; r < batch; r++ {
-			var one float64
+		for _, batch := range []int{37, 4097, 1, 256, 255, 513, 257} {
+			var flat *mat.Matrix
+			var seq []*mat.Matrix
 			if net.IsRecurrent() {
-				win := make([][]float64, net.Window)
-				for ti := range win {
-					win[ti] = seq[ti].Row(r)
+				seq = make([]*mat.Matrix, net.Window)
+				for ti := range seq {
+					seq[ti] = mat.FromRows(randomRows(drng, batch, 6))
 				}
-				one = net.PredictOne(win)
 			} else {
-				one = net.PredictOne([][]float64{flat.Row(r)})
+				flat = mat.FromRows(randomRows(drng, batch, 6))
 			}
-			if one != want.At(r, 0) {
-				t.Fatalf("model %d: per-sample row %d = %v, batched = %v", model, r, one, want.At(r, 0))
+			// Per-sample: batching does not change any row's result.
+			want := mat.New(batch, 1)
+			for r := 0; r < batch; r++ {
+				if net.IsRecurrent() {
+					win := make([][]float64, net.Window)
+					for ti := range win {
+						win[ti] = seq[ti].Row(r)
+					}
+					want.Data[r] = net.PredictOne(win)
+				} else {
+					want.Data[r] = net.PredictOne([][]float64{flat.Row(r)})
+				}
 			}
+			same := func(what string, got *mat.Matrix) {
+				t.Helper()
+				if got.Rows != batch || got.Cols != 1 {
+					t.Fatalf("model %d batch %d %s: result is %dx%d", model, batch, what, got.Rows, got.Cols)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("model %d batch %d %s: row %d = %v, per-sample %v", model, batch, what, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			same("Forward", net.Forward(flat, seq))
+			for _, s := range scratches {
+				same(fmt.Sprintf("parallelism %d", s.Parallelism), net.ForwardBatch(flat, seq, s))
+				// Reuse the scratch: buffers must not leak state between calls.
+				same(fmt.Sprintf("parallelism %d again", s.Parallelism), net.ForwardBatch(flat, seq, s))
+			}
+		}
+	}
+}
+
+// A scratch in steady state allocates nothing, whatever height the next
+// batch has — a pruned decision never scores the same number of rows
+// twice — and what it keeps is block-sized: after a 40 000-row batch, the
+// output vector and one block of activations per worker.
+func TestForwardBatchSteadyState(t *testing.T) {
+	net, err := BuildModel(1, 6, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	big := mat.FromRows(randomRows(rng, 40000, 6))
+	for _, par := range []int{1, 4} {
+		s := &Scratch{Parallelism: par}
+		net.ForwardBatch(big, nil, s)
+		retained := cap(s.out.Data)
+		for _, l := range s.lanes {
+			for _, a := range l.acts {
+				if a != nil { // a lane that found every block taken has none
+					retained += cap(a.Data)
+				}
+			}
+		}
+		if retained *= 8; retained > 2<<20 {
+			t.Errorf("parallelism %d: the scratch keeps %d B after a 40 000-row batch, want under 2 MB", par, retained)
+		}
+		some := &mat.Matrix{Cols: 6}
+		if allocs := testing.AllocsPerRun(20, func() {
+			some.Rows = (some.Rows + 7919) % big.Rows // a different height every time
+			some.Data = big.Data[:some.Rows*6]
+			net.ForwardBatch(some, nil, s)
+		}); allocs != 0 {
+			t.Errorf("parallelism %d: a ForwardBatch on a warm scratch allocates %v objects", par, allocs)
 		}
 	}
 }

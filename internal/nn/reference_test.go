@@ -197,17 +197,26 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 							}
 							return loss, net.Params(), st
 						}
-						wantLoss, wantParams, wantOpt := fit(true)
-						gotLoss, gotParams, gotOpt := fit(false)
-						if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-							t.Errorf("loss %v, reference %v", gotLoss, wantLoss)
-						}
-						if got, want := digestMatrices(gotParams), digestMatrices(wantParams); got != want {
-							t.Errorf("params digest %s, reference %s", got, want)
-						}
-						if got, want := digestFloats(append(gotOpt.M, gotOpt.V...)...), digestFloats(append(wantOpt.M, wantOpt.V...)...); got != want {
-							t.Errorf("optimizer moments digest %s, reference %s", got, want)
-						}
+						// The reference runs once, on the portable kernels (the
+						// first onEachKernel visits); Fit on each implementation.
+						var wantLoss float64
+						var wantParams []*mat.Matrix
+						var wantOpt OptimizerState
+						onEachKernel(t, func(kernel string) {
+							if wantParams == nil {
+								wantLoss, wantParams, wantOpt = fit(true)
+							}
+							gotLoss, gotParams, gotOpt := fit(false)
+							if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+								t.Errorf("%s kernels: loss %v, reference %v", kernel, gotLoss, wantLoss)
+							}
+							if got, want := digestMatrices(gotParams), digestMatrices(wantParams); got != want {
+								t.Errorf("%s kernels: params digest %s, reference %s", kernel, got, want)
+							}
+							if got, want := digestFloats(append(gotOpt.M, gotOpt.V...)...), digestFloats(append(wantOpt.M, wantOpt.V...)...); got != want {
+								t.Errorf("%s kernels: optimizer moments digest %s, reference %s", kernel, got, want)
+							}
+						})
 					})
 				}
 			}

@@ -23,8 +23,10 @@ const gradChunkRows = 8
 // 0.8 M and 1.5× at 3 M) and makes every step's time depend on how fast
 // the OS wakes it and on whether it is descheduled holding the last chunk. Which
 // goroutine ran a chunk never shows in the result, so the cut-off is
-// invisible in the trained weights. A variable only so that tests can
-// force helpers onto small networks.
+// invisible in the trained weights. (Those gains were measured on the
+// scalar kernels; the vector kernels made a chunk about 2.5× cheaper and a
+// wake-up no cheaper, so the cut-off errs low now. Not re-measured.) A
+// variable only so that tests can force helpers onto small networks.
 var helperMinWork = 1 << 19
 
 // trainer is the working set of one Fit call: every buffer a minibatch
@@ -47,6 +49,10 @@ type trainer struct {
 	lanes     []*lane
 	chunks    []gradChunk
 	sses      []float64 // per chunk: its sum of squared errors
+	// wT[i] is dense layer i's Wᵀ, packed once per minibatch — the weights
+	// only change between minibatches — and read by every lane's backward
+	// pass; nil where no input gradient is computed (see lane.dX).
+	wT []*mat.Matrix
 
 	// The minibatch in flight, read by every lane.
 	batch   []int
@@ -113,6 +119,13 @@ func newTrainer(n *Network, ds *Dataset, batchRows, parallelism int) *trainer {
 			ch.grads = append(ch.grads, mat.New(d.In, d.Out), mat.New(1, d.Out))
 		}
 	}
+	for li, d := range n.flat {
+		var wT *mat.Matrix
+		if li > 0 || n.rec != nil {
+			wT = mat.New(d.Out, d.In)
+		}
+		t.wT = append(t.wT, wT)
+	}
 	rows := t.chunkRows
 	t.lanes = make([]*lane, nLanes)
 	for i := range t.lanes {
@@ -126,7 +139,7 @@ func newTrainer(n *Network, ds *Dataset, batchRows, parallelism int) *trainer {
 			if d.Act != Linear {
 				dZ = mat.New(rows, d.Out)
 			}
-			if li > 0 || n.rec != nil {
+			if t.wT[li] != nil {
 				dX = mat.New(rows, d.In)
 			}
 			l.dZ, l.dX = append(l.dZ, dZ), append(l.dX, dX)
@@ -146,6 +159,7 @@ func newTrainer(n *Network, ds *Dataset, batchRows, parallelism int) *trainer {
 func (t *trainer) minibatch(batch []int) float64 {
 	t.batch, t.elems = batch, len(batch)*t.net.OutSize()
 	t.nChunks = (len(batch) + t.chunkRows - 1) / t.chunkRows
+	t.packWeights()
 	t.next.Store(0)
 	helpers := len(t.lanes) - 1
 	if helpers > t.nChunks-1 {
@@ -173,6 +187,15 @@ func (t *trainer) minibatch(batch []int) float64 {
 		}
 	}
 	return sse / float64(t.elems)
+}
+
+// packWeights brings wT up to date with the layers' weights.
+func (t *trainer) packWeights() {
+	for i, wT := range t.wT {
+		if wT != nil {
+			mat.TransposeTo(wT, t.net.flat[i].W)
+		}
+	}
 }
 
 // drain runs unclaimed chunks of the minibatch in flight on l until none
@@ -203,17 +226,18 @@ func (t *trainer) drain(l *lane) {
 				copy(l.x.Row(i), t.ds.X.Row(r))
 			}
 		}
-		t.sses[c] = l.step(t.net, ch, l.x, seq, l.y[:len(rows)], t.elems)
+		t.sses[c] = l.step(t, ch, l.x, seq, l.y[:len(rows)])
 	}
 }
 
-// step is one forward and backward pass over a chunk: x (dense networks)
-// or seq (recurrent ones) in, the gradient of sse/batchElems with respect
-// to every parameter left in ch.grads, the chunk's sum of squared errors
-// returned. It is the only training step there is — a serial Fit runs it
-// once per minibatch, a parallel one once per chunk — and the dense part
-// of it allocates nothing.
-func (l *lane) step(n *Network, ch *gradChunk, x *mat.Matrix, seq []*mat.Matrix, y []float64, batchElems int) float64 {
+// step is one forward and backward pass over a chunk of t's minibatch: x
+// (dense networks) or seq (recurrent ones) in, the gradient of sse/t.elems
+// with respect to every parameter left in ch.grads, the chunk's sum of
+// squared errors returned. It is the only training step there is — a
+// serial Fit runs it once per minibatch, a parallel one once per chunk —
+// and the dense part of it allocates nothing.
+func (l *lane) step(t *trainer, ch *gradChunk, x *mat.Matrix, seq []*mat.Matrix, y []float64) float64 {
+	n := t.net
 	in := x
 	if ch.rec != nil {
 		in = ch.rec.forwardSeq(seq)
@@ -221,11 +245,11 @@ func (l *lane) step(n *Network, ch *gradChunk, x *mat.Matrix, seq []*mat.Matrix,
 	h := in
 	for i, d := range n.flat {
 		l.acts[i].Resize(h.Rows)
-		d.forwardInto(l.acts[i], h, 1)
+		d.forwardInto(l.acts[i], h)
 		h = l.acts[i]
 	}
 	l.dOut.Resize(h.Rows)
-	sse := sseLoss(l.dOut.Data, h.Data, y, batchElems)
+	sse := sseLoss(l.dOut.Data, h.Data, y, t.elems)
 
 	for _, g := range ch.grads {
 		g.Zero()
@@ -244,7 +268,7 @@ func (l *lane) step(n *Network, ch *gradChunk, x *mat.Matrix, seq []*mat.Matrix,
 		if dX != nil {
 			dX.Resize(g.Rows)
 		}
-		n.flat[i].backwardInto(dense[2*i], dense[2*i+1], dX, dZ, layerIn, l.acts[i], g)
+		n.flat[i].backwardInto(dense[2*i], dense[2*i+1], dX, dZ, layerIn, l.acts[i], g, t.wT[i])
 		g = dX
 	}
 	if ch.rec != nil {

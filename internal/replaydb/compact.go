@@ -26,15 +26,13 @@ func (db *DB) Compact(keepAccesses int) error {
 	}
 
 	// Trim memory state.
-	if keepAccesses < len(db.accesses) {
-		drop := len(db.accesses) - keepAccesses
-		db.accesses = append([]AccessRecord(nil), db.accesses[drop:]...)
+	if keepAccesses < db.accesses.n {
+		old := db.accesses
+		db.accesses = accessLog{}
 		db.byDevice = make(map[string][]int)
 		db.byFile = make(map[int64][]int)
-		for pos := range db.accesses {
-			rec := &db.accesses[pos]
-			db.byDevice[rec.Device] = append(db.byDevice[rec.Device], pos)
-			db.byFile[rec.FileID] = append(db.byFile[rec.FileID], pos)
+		for i := old.n - keepAccesses; i < old.n; i++ {
+			db.insertAccessNoSeq(*old.at(i))
 		}
 	}
 	if db.w == nil {
@@ -66,8 +64,8 @@ func (db *DB) Compact(keepAccesses int) error {
 	frame := func(typ recordType, payload []byte) []byte {
 		return appendFrame(nil, typ, payload)
 	}
-	for i := range db.accesses {
-		if err := write(frame(frameAccess, encodeAccess(&db.accesses[i]))); err != nil {
+	for i := 0; i < db.accesses.n; i++ {
+		if err := write(frame(frameAccess, encodeAccess(db.accesses.at(i)))); err != nil {
 			cleanup()
 			return fmt.Errorf("replaydb: compacting: %w", err)
 		}
@@ -116,8 +114,8 @@ func (db *DB) ExportCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("replaydb: exporting CSV: %w", err)
 	}
-	for i := range db.accesses {
-		r := &db.accesses[i]
+	for i := 0; i < db.accesses.n; i++ {
+		r := db.accesses.at(i)
 		row := []string{
 			strconv.FormatUint(r.Seq, 10),
 			strconv.FormatFloat(r.Time, 'g', -1, 64),

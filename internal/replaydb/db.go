@@ -30,7 +30,7 @@ type Options struct {
 type DB struct {
 	mu sync.RWMutex
 
-	accesses  []AccessRecord
+	accesses  accessLog
 	movements []MovementRecord
 	byDevice  map[string][]int // positions in accesses
 	byFile    map[int64][]int
@@ -173,8 +173,7 @@ type frameMark struct {
 }
 
 func (db *DB) insertAccess(rec AccessRecord) {
-	pos := len(db.accesses)
-	db.accesses = append(db.accesses, rec)
+	pos := db.accesses.push(rec)
 	db.byDevice[rec.Device] = append(db.byDevice[rec.Device], pos)
 	db.byFile[rec.FileID] = append(db.byFile[rec.FileID], pos)
 	if rec.Seq >= db.nextSeq {
@@ -246,8 +245,7 @@ func (db *DB) AppendAccess(rec AccessRecord) (AccessRecord, error) {
 // insertAccessNoSeq is insertAccess without the nextSeq adjustment (the
 // caller already assigned the sequence number).
 func (db *DB) insertAccessNoSeq(rec AccessRecord) {
-	pos := len(db.accesses)
-	db.accesses = append(db.accesses, rec)
+	pos := db.accesses.push(rec)
 	db.byDevice[rec.Device] = append(db.byDevice[rec.Device], pos)
 	db.byFile[rec.FileID] = append(db.byFile[rec.FileID], pos)
 }
@@ -274,7 +272,7 @@ func (db *DB) AppendMovement(m MovementRecord) (MovementRecord, error) {
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.accesses)
+	return db.accesses.n
 }
 
 // MovementCount returns the number of movement records.
@@ -288,9 +286,7 @@ func (db *DB) MovementCount() int {
 func (db *DB) All() []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]AccessRecord, len(db.accesses))
-	copy(out, db.accesses)
-	return out
+	return db.accesses.tail(0)
 }
 
 // Movements returns a copy of every movement record in append order.
@@ -327,13 +323,11 @@ func (db *DB) Recent(n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	start := len(db.accesses) - n
+	start := db.accesses.n - n
 	if start < 0 {
 		start = 0
 	}
-	out := make([]AccessRecord, len(db.accesses)-start)
-	copy(out, db.accesses[start:])
-	return out
+	return db.accesses.tail(start)
 }
 
 func (db *DB) collect(positions []int, n int) []AccessRecord {
@@ -346,7 +340,7 @@ func (db *DB) collect(positions []int, n int) []AccessRecord {
 	}
 	out := make([]AccessRecord, 0, len(positions)-start)
 	for _, p := range positions[start:] {
-		out = append(out, db.accesses[p])
+		out = append(out, *db.accesses.at(p))
 	}
 	return out
 }
@@ -357,9 +351,9 @@ func (db *DB) TimeRange(from, to float64) []AccessRecord {
 	defer db.mu.RUnlock()
 	db.queries.Inc()
 	var out []AccessRecord
-	for i := range db.accesses {
-		if t := db.accesses[i].Time; t >= from && t < to {
-			out = append(out, db.accesses[i])
+	for i := 0; i < db.accesses.n; i++ {
+		if rec := db.accesses.at(i); rec.Time >= from && rec.Time < to {
+			out = append(out, *rec)
 		}
 	}
 	return out

@@ -17,14 +17,15 @@ func (db *DB) FilesChangedSince(seq uint64) []int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	i := sort.Search(len(db.accesses), func(i int) bool { return db.accesses[i].Seq > seq })
-	if i == len(db.accesses) {
+	n := db.accesses.n
+	i := sort.Search(n, func(i int) bool { return db.accesses.at(i).Seq > seq })
+	if i == n {
 		return nil
 	}
 	seen := make(map[int64]struct{})
-	out := make([]int64, 0, len(db.accesses)-i)
-	for ; i < len(db.accesses); i++ {
-		id := db.accesses[i].FileID
+	out := make([]int64, 0, n-i)
+	for ; i < n; i++ {
+		id := db.accesses.at(i).FileID
 		if _, dup := seen[id]; dup {
 			continue
 		}
@@ -47,5 +48,5 @@ func (db *DB) FileLastSeq(fileID int64) uint64 {
 	if len(positions) == 0 {
 		return 0
 	}
-	return db.accesses[positions[len(positions)-1]].Seq
+	return db.accesses.at(positions[len(positions)-1]).Seq
 }

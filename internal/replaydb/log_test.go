@@ -1,0 +1,107 @@
+package replaydb
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestLogAcrossChunks drives every reader of the access log over a
+// database whose records span several chunks, against the same queries
+// answered from a plain slice of what was appended.
+func TestLogAcrossChunks(t *testing.T) {
+	db := memDB(t)
+	const n = 2*logChunk + 5
+	var want []AccessRecord
+	for i := 0; i < n; i++ {
+		rec, err := db.AppendAccess(sampleAccess(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	if db.Len() != n {
+		t.Fatalf("Len = %d, want %d", db.Len(), n)
+	}
+	if got := db.All(); !reflect.DeepEqual(got, want) {
+		t.Fatal("All differs from what was appended")
+	}
+	for _, k := range []int{0, 1, 5, 6, logChunk, logChunk + 5, logChunk + 6, n, n + 1} {
+		from := n - k
+		if from < 0 {
+			from = 0
+		}
+		if got := db.Recent(k); len(got) != n-from || (k > 0 && !reflect.DeepEqual(got, want[from:])) {
+			t.Errorf("Recent(%d): %d records, want the last %d", k, len(got), n-from)
+		}
+	}
+	var onPic, ofFile3 []AccessRecord
+	for _, r := range want {
+		if r.Device == "pic" {
+			onPic = append(onPic, r)
+		}
+		if r.FileID == 3 {
+			ofFile3 = append(ofFile3, r)
+		}
+	}
+	if got := db.RecentByDevice("pic", n); !reflect.DeepEqual(got, onPic) {
+		t.Error("RecentByDevice differs across chunks")
+	}
+	if got := db.RecentByFile(3, n); !reflect.DeepEqual(got, ofFile3) {
+		t.Error("RecentByFile differs across chunks")
+	}
+	if got := db.TimeRange(float64(logChunk-2), float64(logChunk+2)); !reflect.DeepEqual(got, want[logChunk-2:logChunk+2]) {
+		t.Error("TimeRange differs at a chunk boundary")
+	}
+	if got := db.Query(Filter{FileID: 3}); !reflect.DeepEqual(got, ofFile3) {
+		t.Error("Query differs across chunks")
+	}
+	// Seq is position+1 here: everything after the first chunk's last
+	// record touches all five files, the last record alone touches one.
+	if got := db.FilesChangedSince(uint64(logChunk)); len(got) != 5 {
+		t.Errorf("FilesChangedSince(first chunk) = %v, want all 5 files", got)
+	}
+	if got := db.FilesChangedSince(uint64(n - 1)); !reflect.DeepEqual(got, []int64{want[n-1].FileID}) {
+		t.Errorf("FilesChangedSince(n-1) = %v", got)
+	}
+	if got := db.FileLastSeq(want[n-1].FileID); got != uint64(n) {
+		t.Errorf("FileLastSeq = %d, want %d", got, n)
+	}
+
+	// Compaction keeps a tail that starts mid-chunk and re-bases positions.
+	keep := logChunk + 7
+	if err := db.Compact(keep); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.All(); !reflect.DeepEqual(got, want[n-keep:]) {
+		t.Fatal("Compact kept the wrong tail")
+	}
+	if got := db.RecentByDevice("pic", 3); !reflect.DeepEqual(got, onPic[len(onPic)-3:]) {
+		t.Error("RecentByDevice differs after Compact")
+	}
+}
+
+// TestTruncateAcrossChunks cuts a replayed log back to a sequence number
+// in an earlier chunk.
+func TestTruncateAcrossChunks(t *testing.T) {
+	var accesses []AccessRecord
+	for i := 0; i < 2*logChunk+5; i++ {
+		rec := sampleAccess(i)
+		rec.Seq = uint64(i + 1)
+		accesses = append(accesses, rec)
+	}
+	db := memDB(t)
+	if err := db.Bulkload(accesses, nil); err != nil {
+		t.Fatal(err)
+	}
+	db.appended = false // as after a WAL replay
+	cut := logChunk + 3
+	if err := db.TruncateTo(uint64(cut)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.All(); !reflect.DeepEqual(got, accesses[:cut]) {
+		t.Fatalf("TruncateTo kept %d records, want the first %d", len(got), cut)
+	}
+	if rec, err := db.AppendAccess(sampleAccess(0)); err != nil || rec.Seq != uint64(cut+1) {
+		t.Errorf("append after truncate: seq %d, err %v; want %d", rec.Seq, err, cut+1)
+	}
+}

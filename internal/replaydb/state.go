@@ -36,14 +36,14 @@ func (db *DB) TruncateTo(seq uint64) error {
 
 	accesses := db.accesses
 	movements := db.movements
-	db.accesses = nil
+	db.accesses = accessLog{}
 	db.movements = nil
 	db.byDevice = make(map[string][]int)
 	db.byFile = make(map[int64][]int)
 	db.nextSeq = 1
-	for i := range accesses {
-		if accesses[i].Seq <= seq {
-			db.insertAccess(accesses[i])
+	for i := 0; i < accesses.n; i++ {
+		if rec := accesses.at(i); rec.Seq <= seq {
+			db.insertAccess(*rec)
 		}
 	}
 	for i := range movements {
@@ -91,7 +91,7 @@ func (db *DB) Bulkload(accesses []AccessRecord, movements []MovementRecord) erro
 	if db.file != nil {
 		return fmt.Errorf("replaydb: Bulkload on a file-backed database; records replay from the WAL")
 	}
-	if len(db.accesses) > 0 || len(db.movements) > 0 {
+	if db.accesses.n > 0 || len(db.movements) > 0 {
 		return fmt.Errorf("replaydb: Bulkload into a non-empty database")
 	}
 	for i := range accesses {

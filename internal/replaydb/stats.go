@@ -34,7 +34,7 @@ func (db *DB) Summary() []DeviceSummary {
 		s.FirstTime = math.Inf(1)
 		s.LastTime = math.Inf(-1)
 		for _, p := range positions {
-			rec := &db.accesses[p]
+			rec := db.accesses.at(p)
 			sum += rec.Throughput
 			s.Bytes += rec.BytesRead + rec.BytesWritten
 			if rec.Time < s.FirstTime {
@@ -46,7 +46,7 @@ func (db *DB) Summary() []DeviceSummary {
 		}
 		mean := sum / float64(len(positions))
 		for _, p := range positions {
-			d := db.accesses[p].Throughput - mean
+			d := db.accesses.at(p).Throughput - mean
 			sq += d * d
 		}
 		s.MeanThroughput = mean
@@ -76,8 +76,8 @@ func (db *DB) Query(f Filter) []AccessRecord {
 	db.queries.Inc()
 	bounded := f.From != 0 || f.To != 0
 	var out []AccessRecord
-	for i := range db.accesses {
-		rec := &db.accesses[i]
+	for i := 0; i < db.accesses.n; i++ {
+		rec := db.accesses.at(i)
 		if f.Device != "" && rec.Device != f.Device {
 			continue
 		}
