@@ -2,7 +2,6 @@ package agents
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -272,13 +271,8 @@ func TestClientRecentQuery(t *testing.T) {
 
 func TestDaemonRejectsUnknownType(t *testing.T) {
 	_, _, addr := startDaemon(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := newCodec(conn)
-	if err := c.write(&Envelope{Type: "bogus"}, time.Time{}); err != nil {
+	c := framePeer(t, addr)
+	if err := c.write(&Envelope{Type: 0xEE}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	var reply Envelope

@@ -66,24 +66,29 @@ func (c *Control) register() (*codec, error) {
 	return conn, nil
 }
 
-// run applies layout pushes, reconnecting on connection loss until Close.
+// run applies layout pushes, reconnecting on connection loss until Close or
+// until the daemon turns out to speak another wire version.
 func (c *Control) run(conn *codec) {
 	defer close(c.done)
 	for conn != nil {
-		c.serve(conn)
+		err := c.serve(conn)
 		c.s.mu.Lock()
 		c.s.dropLocked()
 		c.s.mu.Unlock()
+		if errors.Is(err, ErrVersion) {
+			return // the daemon is another build; reconnecting cannot help
+		}
 		conn = c.reconnect()
 	}
 }
 
-// serve applies pushes from one connection until it breaks.
-func (c *Control) serve(conn *codec) {
+// serve applies pushes from one connection until it breaks, and returns
+// what broke it.
+func (c *Control) serve(conn *codec) error {
 	for {
 		var env Envelope
 		if err := conn.read(&env, time.Time{}); err != nil {
-			return
+			return err
 		}
 		if env.Type != TypeLayout {
 			continue
@@ -106,7 +111,7 @@ func (c *Control) serve(conn *codec) {
 		c.applied += ack.Moved
 		c.mu.Unlock()
 		if _, err := c.s.send(&ack); err != nil {
-			return
+			return err
 		}
 	}
 }

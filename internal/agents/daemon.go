@@ -90,9 +90,9 @@ func (d *Daemon) SetMetrics(reg *telemetry.Registry) {
 		reportsTotal: reg.Counter(telemetry.MetricDaemonReportsTotal),
 		layoutPushes: reg.Counter(telemetry.MetricDaemonLayoutPushes),
 		duplicates:   reg.Counter(telemetry.MetricDaemonDuplicateBatches),
-		rpcMetrics:   reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeMetrics)),
-		rpcRecent:    reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeRecentQuery)),
-		rpcPush:      reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeLayout)),
+		rpcMetrics:   reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeMetrics.String())),
+		rpcRecent:    reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeRecentQuery.String())),
+		rpcPush:      reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeLayout.String())),
 	}
 }
 
@@ -134,7 +134,9 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 }
 
 // serve handles one connection: a stream of envelopes, each answered (if
-// its type has an answer) through the connection's codec.
+// its type has an answer) through the connection's codec. A frame the
+// codec refuses — malformed, oversized, or of another wire version — is
+// answered with one TypeError saying why, and the connection is dropped.
 func (d *Daemon) serve(conn net.Conn) {
 	defer d.wg.Done()
 	defer conn.Close()
@@ -164,6 +166,9 @@ func (d *Daemon) serve(conn net.Conn) {
 			// or malformed stream worth counting.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				d.metrics.errorsTotal.Inc()
+				if errors.Is(err, ErrFrame) || errors.Is(err, ErrVersion) {
+					c.write(&Envelope{Type: TypeError, Error: err.Error()}, time.Time{})
+				}
 			}
 			return
 		}
@@ -188,24 +193,20 @@ func (d *Daemon) serve(conn net.Conn) {
 				}
 			}
 		case TypeRecentQuery:
-			var recs []replaydb.AccessRecord
+			reply = Envelope{Type: TypeRecentReply, ID: env.ID}
 			switch {
 			case env.FileID != 0:
-				recs = d.db.RecentByFile(env.FileID, env.N)
+				reply.Reports = d.db.RecentByFile(env.FileID, env.N)
 			case env.Device == "":
-				recs = d.db.Recent(env.N)
+				reply.Reports = d.db.Recent(env.N)
 			default:
-				recs = d.db.RecentByDevice(env.Device, env.N)
-			}
-			reply = Envelope{Type: TypeRecentReply, ID: env.ID, Reports: make([]Report, len(recs))}
-			for i, rec := range recs {
-				reply.Reports[i] = ReportFromRecord(rec)
+				reply.Reports = d.db.RecentByDevice(env.Device, env.N)
 			}
 			d.metrics.rpcRecent.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
 		default:
-			reply = Envelope{Type: TypeError, Error: fmt.Sprintf("unknown message type %q", env.Type)}
+			reply = Envelope{Type: TypeError, Error: fmt.Sprintf("unexpected message type %s", env.Type)}
 		}
-		if reply.Type == "" {
+		if reply.Type == 0 {
 			continue
 		}
 		if reply.Type == TypeError {
@@ -238,8 +239,8 @@ func (d *Daemon) ingest(env *Envelope, start time.Time) Envelope {
 			return ack
 		}
 	}
-	for _, rep := range env.Reports {
-		if _, err := d.db.AppendAccess(rep.ToRecord()); err != nil {
+	for i := range env.Reports {
+		if _, err := d.db.AppendAccess(env.Reports[i]); err != nil {
 			return Envelope{Type: TypeError, Error: err.Error()}
 		}
 	}

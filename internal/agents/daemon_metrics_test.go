@@ -1,8 +1,6 @@
 package agents
 
 import (
-	"encoding/json"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -21,26 +19,11 @@ func newTestDB(t *testing.T) *replaydb.DB {
 	return db
 }
 
-// registerRawControl dials the daemon and registers as a control agent
-// without an ack loop, so layout pushes to it hang until the ack timeout.
-func registerRawControl(t *testing.T, d *Daemon, addr string) net.Conn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	if err := json.NewEncoder(conn).Encode(Envelope{Type: TypeRegisterControl}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "raw control registration", func() bool { return d.ControlCount() == 1 })
-	return conn
-}
-
 func TestPushLayoutAckTimeout(t *testing.T) {
 	d, _, addr := startDaemon(t)
 	d.AckTimeout = 50 * time.Millisecond
-	registerRawControl(t, d, addr)
+	rawControl(t, addr)
+	waitFor(t, "raw control registration", func() bool { return d.ControlCount() == 1 })
 
 	start := time.Now()
 	_, err := d.PushLayout(map[int64]string{1: "pic"})
@@ -57,17 +40,16 @@ func TestPushLayoutAckTimeout(t *testing.T) {
 
 func TestPushLayoutErrorAck(t *testing.T) {
 	d, _, addr := startDaemon(t)
-	conn := registerRawControl(t, d, addr)
+	peer := rawControl(t, addr)
+	waitFor(t, "raw control registration", func() bool { return d.ControlCount() == 1 })
 
 	// Ack every layout push with an error, like a control agent whose
 	// mover failed.
 	go func() {
-		dec := json.NewDecoder(conn)
-		enc := json.NewEncoder(conn)
 		var env Envelope
-		for dec.Decode(&env) == nil {
+		for peer.read(&env, time.Time{}) == nil {
 			if env.Type == TypeLayout {
-				enc.Encode(Envelope{Type: TypeLayoutAck, Error: "mover: disk on fire"})
+				peer.write(&Envelope{Type: TypeLayoutAck, Error: "mover: disk on fire"}, time.Time{})
 			}
 		}
 	}()
@@ -110,7 +92,7 @@ func TestDaemonMetrics(t *testing.T) {
 	if got := reg.Counter(telemetry.MetricDaemonReportsTotal).Value(); got != 4 {
 		t.Errorf("reports_total = %d, want 4", got)
 	}
-	rpc := reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeMetrics))
+	rpc := reg.Histogram(telemetry.MetricDaemonRPCSeconds, telemetry.DefDurationBuckets, telemetry.L("type", TypeMetrics.String()))
 	if rpc.Count() != 1 {
 		t.Errorf("rpc histogram count = %d, want 1 batch", rpc.Count())
 	}

@@ -1,8 +1,6 @@
 package agents
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -191,20 +189,19 @@ func TestClientDrainsStaleReplies(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		enc := json.NewEncoder(conn)
+		c := newCodec(conn)
 		var req Envelope
-		if err := dec.Decode(&req); err != nil {
+		if err := c.read(&req, time.Time{}); err != nil {
 			return
 		}
 		// A stale reply from a round trip the client abandoned earlier...
-		enc.Encode(Envelope{Type: TypeRecentReply, ID: req.ID - 1, Reports: []Report{
+		c.write(&Envelope{Type: TypeRecentReply, ID: req.ID - 1, Reports: []replaydb.AccessRecord{
 			{Device: "stale", Throughput: 1},
-		}})
+		}}, time.Time{})
 		// ...then the real answer.
-		enc.Encode(Envelope{Type: TypeRecentReply, ID: req.ID, Reports: []Report{
+		c.write(&Envelope{Type: TypeRecentReply, ID: req.ID, Reports: []replaydb.AccessRecord{
 			{Device: "fresh", Throughput: 2},
-		}})
+		}}, time.Time{})
 	}()
 
 	cl, err := DialRemoteStore(ln.Addr().String(), WithRetryPolicy(fastPolicy()))
@@ -221,27 +218,36 @@ func TestClientDrainsStaleReplies(t *testing.T) {
 	}
 }
 
-// rawControl registers as a control agent over a bare connection so tests
-// can inspect the wire bytes the daemon sends.
-func rawControl(t *testing.T, addr string) (net.Conn, *json.Decoder, *json.Encoder) {
+// framePeer is the one raw peer the tests use: a bare connection to addr
+// that speaks frames through the package's codec and nothing else — no
+// session, no retry, no receive loop — so a test scripts exactly what
+// crosses the wire.
+func framePeer(t *testing.T, addr string) *codec {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(Envelope{Type: TypeRegisterControl}); err != nil {
+	return newCodec(conn)
+}
+
+// rawControl registers a framePeer as a control agent. It never acks unless
+// the test makes it, so a push to it hangs until the ack timeout.
+func rawControl(t *testing.T, addr string) *codec {
+	t.Helper()
+	c := framePeer(t, addr)
+	if err := c.write(&Envelope{Type: TypeRegisterControl}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	return conn, json.NewDecoder(bufio.NewReader(conn)), enc
+	return c
 }
 
 // TestPushLayoutDeterministicWireOrder: layout entries must leave the
 // daemon sorted by FileID, not in the map's random iteration order.
 func TestPushLayoutDeterministicWireOrder(t *testing.T) {
 	d, _, addr := startDaemon(t)
-	_, dec, enc := rawControl(t, addr)
+	peer := rawControl(t, addr)
 	waitFor(t, "control registration", func() bool { return d.ControlCount() == 1 })
 
 	layout := map[int64]string{5: "a", 1: "b", 9: "c", 3: "d", 7: "e"}
@@ -252,7 +258,7 @@ func TestPushLayoutDeterministicWireOrder(t *testing.T) {
 			errCh <- err
 		}()
 		var env Envelope
-		if err := dec.Decode(&env); err != nil {
+		if err := peer.read(&env, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < len(env.Layout); i++ {
@@ -260,7 +266,7 @@ func TestPushLayoutDeterministicWireOrder(t *testing.T) {
 				t.Fatalf("round %d: wire order not sorted by FileID: %+v", round, env.Layout)
 			}
 		}
-		if err := enc.Encode(Envelope{Type: TypeLayoutAck, ID: env.ID}); err != nil {
+		if err := peer.write(&Envelope{Type: TypeLayoutAck, ID: env.ID}, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-errCh; err != nil {

@@ -2,65 +2,62 @@ package agents
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
 
 	"geomancy/internal/replaydb"
+	"geomancy/internal/telemetry"
 )
 
 // FuzzEnvelopeDecode feeds arbitrary bytes to the two places the plane
 // reads a socket — the codec every agent session reads replies through,
-// and the daemon's serve loop — over a net.Pipe. Neither may panic; a
-// malformed frame must surface as an error (which drops the connection)
-// exactly where a reference decoder stops; and every report in a
-// well-formed frame must survive Report → AccessRecord → Report and a
-// second trip over the wire unchanged.
+// and the daemon's serve loop — over a net.Pipe. Neither may panic. The
+// codec stops at the first frame that is malformed, oversized or of
+// another version with ErrFrame / ErrVersion (never an untyped error, and
+// never having buffered more than the peer sent plus one doubling); a
+// stream that ends between frames is io.EOF and one that ends inside a
+// frame io.ErrUnexpectedEOF; and every frame it accepts re-encodes to the
+// very bytes it was decoded from. The daemon must answer or drop, count a
+// refused frame as an error, and return once the peer is gone with no
+// control agent left registered.
 func FuzzEnvelopeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The agents' read path.
-		var want []Envelope
-		ref := json.NewDecoder(bytes.NewReader(data))
-		var refErr error
-		for {
-			var env Envelope
-			if refErr = ref.Decode(&env); refErr != nil {
-				break
-			}
-			want = append(want, env)
-		}
 		c := newCodec(pipeFrom(t, data))
+		rest := data
+		refused := false
 		for i := 0; ; i++ {
 			var env Envelope
 			err := c.read(&env, time.Time{})
+			if cap(c.frame) > 2*len(data)+2*readChunk {
+				t.Fatalf("frame buffer grew to %d bytes for a %d-byte stream", cap(c.frame), len(data))
+			}
 			if err != nil {
-				if i != len(want) || (err == io.EOF) != (refErr == io.EOF) {
-					t.Fatalf("codec stopped at frame %d with %v; reference stopped at %d with %v", i, err, len(want), refErr)
+				switch {
+				case errors.Is(err, ErrFrame) || errors.Is(err, ErrVersion):
+					refused = true
+				case err == io.EOF:
+					if len(rest) != 0 {
+						t.Fatalf("clean EOF at frame %d with %d bytes undecoded", i, len(rest))
+					}
+				case err == io.ErrUnexpectedEOF:
+					if len(rest) == 0 {
+						t.Fatalf("frame %d: unexpected EOF at a frame boundary", i)
+					}
+				default:
+					t.Fatalf("frame %d: untyped error %v", i, err)
 				}
 				break
 			}
-			if i >= len(want) {
-				t.Fatalf("codec decoded frame %d past the reference's %d", i, len(want))
+			n := 4 + int(binary.LittleEndian.Uint32(rest))
+			if again := appendEnvelope(nil, &env); !bytes.Equal(again, rest[:n]) {
+				t.Fatalf("frame %d (%s) re-encodes to %x, came from %x", i, env.Type, again, rest[:n])
 			}
-			var wire bytes.Buffer
-			if err := json.NewEncoder(&wire).Encode(&env); err != nil {
-				t.Fatalf("re-encoding frame %d: %v", i, err)
-			}
-			var again Envelope
-			if err := json.Unmarshal(wire.Bytes(), &again); err != nil {
-				t.Fatalf("re-decoding frame %d: %v", i, err)
-			}
-			if len(again.Reports) != len(env.Reports) {
-				t.Fatalf("frame %d re-decoded with %d reports, want %d", i, len(again.Reports), len(env.Reports))
-			}
-			for j, rep := range env.Reports {
-				rec := rep.ToRecord()
-				if ReportFromRecord(rec) != rep || again.Reports[j].ToRecord() != rec {
-					t.Fatalf("frame %d report %d did not round-trip: %+v", i, j, rep)
-				}
-			}
+			rest = rest[n:]
 		}
 
 		// The daemon's serve loop: it must answer or drop, and return once
@@ -71,6 +68,8 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 		defer db.Close()
 		d := NewDaemon(db)
+		reg := telemetry.NewRegistry()
+		d.SetMetrics(reg)
 		d.wg.Add(1)
 		served := make(chan struct{})
 		go func() {
@@ -84,6 +83,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 		if n := d.ControlCount(); n != 0 {
 			t.Errorf("%d control agents still registered after the connection ended", n)
+		}
+		if refused && reg.Counter(telemetry.MetricDaemonErrorsTotal).Value() == 0 {
+			t.Error("the daemon refused a frame without counting an error")
 		}
 	})
 }

@@ -3,6 +3,7 @@ package agents
 import (
 	"fmt"
 
+	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 )
 
@@ -28,7 +29,7 @@ type Monitor struct {
 	s       *session // s.mu also guards the fields below
 	next    uint64
 	batchID uint64 // ID of the buffered batch; 0 = unassigned
-	batch   []Report
+	batch   []replaydb.AccessRecord
 }
 
 // NewMonitor dials the Interface Daemon at addr and returns an agent for
@@ -55,7 +56,7 @@ func (m *Monitor) Observe(res storagesim.AccessResult, workloadID, run int) erro
 	}
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	m.batch = append(m.batch, ReportFromAccess(res, workloadID, run))
+	m.batch = append(m.batch, replaydb.FromAccess(res, workloadID, run))
 	if len(m.batch) >= m.BatchSize {
 		return m.flushLocked()
 	}

@@ -6,88 +6,229 @@
 // internally within Geomancy".
 //
 // Geomancy and the target system are separate entities communicating only
-// over the network; the wire protocol is newline-delimited JSON over TCP.
+// over the network. The wire protocol is length-prefixed binary frames over
+// TCP (DESIGN.md §"Wire format"): a fixed header, then a body fixed per
+// message type whose access records are the ReplayDB's own record bytes —
+// internal/replaydb's encoder and decoder are the only ones a record meets,
+// on the socket and in the write-ahead log alike.
 package agents
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 )
+
+// MsgType is the one-byte message type of a frame.
+type MsgType uint8
 
 // Message types exchanged on the wire.
 const (
 	// TypeMetrics carries a batch of access reports from a monitoring
 	// agent to the Interface Daemon.
-	TypeMetrics = "metrics"
+	TypeMetrics MsgType = iota + 1
 	// TypeMetricsAck confirms a telemetry batch was durably stored, so a
 	// monitor's Flush has read-your-writes semantics for the engine.
-	TypeMetricsAck = "metrics_ack"
+	TypeMetricsAck
 	// TypeRegisterControl announces a control agent ready to execute
 	// layout updates.
-	TypeRegisterControl = "register_control"
+	TypeRegisterControl
 	// TypeLayout pushes a new data layout to control agents.
-	TypeLayout = "layout"
+	TypeLayout
 	// TypeLayoutAck reports the outcome of applying a layout.
-	TypeLayoutAck = "layout_ack"
+	TypeLayoutAck
 	// TypeRecentQuery asks the daemon for the most recent accesses of a
 	// device (empty device = all devices), or of one file when FileID is
 	// set.
-	TypeRecentQuery = "recent"
+	TypeRecentQuery
 	// TypeRecentReply answers a TypeRecentQuery.
-	TypeRecentReply = "recent_reply"
+	TypeRecentReply
 	// TypeError reports a protocol-level failure.
-	TypeError = "error"
+	TypeError
 )
 
-// Report is the wire form of one observed access. It is
-// replaydb.AccessRecord under wire tags: the two structs have identical
-// fields in identical order, so ToRecord and ReportFromRecord are type
-// conversions, and adding a field to AccessRecord without adding it here
-// fails to compile. Seq is database-assigned and stays off the wire.
-type Report struct {
-	Seq          uint64  `json:"-"`
-	Time         float64 `json:"time"`
-	Workload     int32   `json:"workload"`
-	Run          int32   `json:"run"`
-	FileID       int64   `json:"file_id"`
-	Path         string  `json:"path"`
-	Device       string  `json:"device"`
-	BytesRead    int64   `json:"rb"`
-	BytesWritten int64   `json:"wb"`
-	OpenTS       int64   `json:"ots"`
-	OpenTMS      int64   `json:"otms"`
-	CloseTS      int64   `json:"cts"`
-	CloseTMS     int64   `json:"ctms"`
-	Throughput   float64 `json:"throughput"`
+var typeNames = [...]string{
+	TypeMetrics: "metrics", TypeMetricsAck: "metrics_ack", TypeRegisterControl: "register_control",
+	TypeLayout: "layout", TypeLayoutAck: "layout_ack", TypeRecentQuery: "recent",
+	TypeRecentReply: "recent_reply", TypeError: "error",
 }
+
+// String names the type as logs and metric labels spell it.
+func (t MsgType) String() string {
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
+	}
+	return fmt.Sprintf("type(%d)", uint8(t))
+}
+
+// Report is one observed access as a monitoring agent reports it:
+// replaydb.AccessRecord under the agents' name. The wire carries the record
+// itself (Envelope.Reports), encoded by replaydb's record encoder; Seq is
+// database-assigned — zero in a monitor's batch, the stored sequence number
+// in a query reply.
+type Report replaydb.AccessRecord
 
 // LayoutEntry is one file→device assignment on the wire.
 type LayoutEntry struct {
-	FileID int64  `json:"file_id"`
-	Device string `json:"device"`
+	FileID int64
+	Device string
 }
 
-// Envelope is the single wire message; Type selects which fields matter.
+// Envelope is the single wire message; Type selects which fields matter
+// and which the frame carries. An envelope filled by a codec's read
+// borrows that codec's buffers for Reports and Layout: it is valid until
+// the next read on the same connection.
 type Envelope struct {
-	Type    string        `json:"type"`
-	From    string        `json:"from,omitempty"`
-	ID      uint64        `json:"id,omitempty"`
-	Reports []Report      `json:"reports,omitempty"`
-	Layout  []LayoutEntry `json:"layout,omitempty"`
-	Device  string        `json:"device,omitempty"`
-	FileID  int64         `json:"file_id,omitempty"`
-	N       int           `json:"n,omitempty"`
-	Moved   int           `json:"moved,omitempty"`
-	Error   string        `json:"error,omitempty"`
+	Type    MsgType
+	From    string
+	ID      uint64
+	Reports []replaydb.AccessRecord
+	Layout  []LayoutEntry
+	Device  string
+	FileID  int64
+	N       int
+	Moved   int
+	Error   string
+}
+
+// A frame is
+//
+//	u32 length | u8 version | u8 type | u64 id | body
+//
+// little-endian, length counting everything after itself. Bodies, with
+// str = u32 length + bytes and record = replaydb's access-record bytes:
+//
+//	metrics          str from | u32 count | count × record
+//	metrics_ack      u32 n
+//	register_control (empty)
+//	layout           u32 count | count × (u64 file id | str device)
+//	layout_ack       u32 moved | str error
+//	recent           str device | u64 file id | u32 n
+//	recent_reply     u32 count | count × record
+//	error            str error
+const (
+	wireVersion = 1
+	// frameFixed is the bytes of a frame between the length prefix and the
+	// body, and so the least a length prefix may say.
+	frameFixed = 1 + 1 + 8
+	// maxFrame caps the length prefix: over a hundred thousand records, and
+	// the most a reader will ever buffer for one peer.
+	maxFrame = 16 << 20
+)
+
+var (
+	// ErrFrame marks a frame that is not well formed: a length outside
+	// [frameFixed, maxFrame], an unknown type, or a body that does not
+	// decode whole. The stream cannot be trusted past it, so the reader
+	// drops the connection.
+	ErrFrame = errors.New("agents: malformed frame")
+	// ErrVersion marks a frame whose version byte is not this build's. No
+	// retry can change that, so sessions return it without spending their
+	// budget and control agents stop reconnecting.
+	ErrVersion = errors.New("agents: wire version mismatch")
+)
+
+// appendCount appends a count as a u32, clamped to what a u32 holds.
+func appendCount(dst []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(min(max(int64(n), 0), math.MaxUint32)))
+}
+
+func appendReports(dst []byte, reports []replaydb.AccessRecord) []byte {
+	dst = appendCount(dst, len(reports))
+	for i := range reports {
+		dst = replaydb.AppendAccessRecord(dst, &reports[i])
+	}
+	return dst
+}
+
+// appendEnvelope appends env's frame to dst.
+func appendEnvelope(dst []byte, env *Envelope) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, wireVersion, byte(env.Type))
+	dst = binary.LittleEndian.AppendUint64(dst, env.ID)
+	switch env.Type {
+	case TypeMetrics:
+		dst = appendReports(replaydb.AppendString(dst, env.From), env.Reports)
+	case TypeMetricsAck:
+		dst = appendCount(dst, env.N)
+	case TypeLayout:
+		dst = appendCount(dst, len(env.Layout))
+		for _, e := range env.Layout {
+			dst = replaydb.AppendString(binary.LittleEndian.AppendUint64(dst, uint64(e.FileID)), e.Device)
+		}
+	case TypeLayoutAck:
+		dst = replaydb.AppendString(appendCount(dst, env.Moved), env.Error)
+	case TypeRecentQuery:
+		dst = binary.LittleEndian.AppendUint64(replaydb.AppendString(dst, env.Device), uint64(env.FileID))
+		dst = appendCount(dst, env.N)
+	case TypeRecentReply:
+		dst = appendReports(dst, env.Reports)
+	case TypeError:
+		dst = replaydb.AppendString(dst, env.Error)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// readReports decodes a counted run of access records into the codec's
+// reused slice.
+func (c *codec) readReports() []replaydb.AccessRecord {
+	c.reports = c.reports[:0]
+	for n := c.dec.Count(replaydb.MinAccessRecordLen); n > 0; n-- {
+		c.reports = append(c.reports, c.dec.Access())
+	}
+	return c.reports
+}
+
+// decode fills env from one frame (the bytes after the length prefix).
+func (c *codec) decode(env *Envelope, frame []byte) error {
+	if frame[0] != wireVersion {
+		return fmt.Errorf("%w: peer speaks version %d, this build %d", ErrVersion, frame[0], wireVersion)
+	}
+	*env = Envelope{Type: MsgType(frame[1]), ID: binary.LittleEndian.Uint64(frame[2:])}
+	r := &c.dec
+	r.Reset(frame[frameFixed:])
+	switch env.Type {
+	case TypeMetrics:
+		env.From = r.Str()
+		env.Reports = c.readReports()
+	case TypeMetricsAck:
+		env.N = int(r.U32())
+	case TypeRegisterControl:
+	case TypeLayout:
+		c.layout = c.layout[:0]
+		for n := r.Count(8 + 4); n > 0; n-- {
+			c.layout = append(c.layout, LayoutEntry{FileID: int64(r.U64()), Device: r.Str()})
+		}
+		env.Layout = c.layout
+	case TypeLayoutAck:
+		env.Moved = int(r.U32())
+		env.Error = r.Str()
+	case TypeRecentQuery:
+		env.Device = r.Str()
+		env.FileID = int64(r.U64())
+		env.N = int(r.U32())
+	case TypeRecentReply:
+		env.Reports = c.readReports()
+	case TypeError:
+		env.Error = r.Str()
+	default:
+		return fmt.Errorf("%w: unknown message type %d", ErrFrame, frame[1])
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %s body: %v", ErrFrame, env.Type, err)
+	}
+	return nil
 }
 
 // ReportFromAccess converts simulator telemetry into a wire report.
 func ReportFromAccess(res storagesim.AccessResult, workloadID, run int) Report {
-	return ReportFromRecord(replaydb.FromAccess(res, workloadID, run))
+	return Report(replaydb.FromAccess(res, workloadID, run))
 }
 
 // ToRecord converts a wire report into a ReplayDB access record.
 func (r Report) ToRecord() replaydb.AccessRecord { return replaydb.AccessRecord(r) }
-
-// ReportFromRecord converts a stored record back to wire form.
-func ReportFromRecord(rec replaydb.AccessRecord) Report { return Report(rec) }

@@ -60,14 +60,8 @@ func (r *RemoteStore) query(req Envelope) ([]replaydb.AccessRecord, error) {
 		r.lastErr = fmt.Errorf("agents: client query: %w", err)
 		return nil, r.lastErr
 	}
-	if len(reply.Reports) == 0 {
-		return nil, nil
-	}
-	out := make([]replaydb.AccessRecord, len(reply.Reports))
-	for i, rep := range reply.Reports {
-		out[i] = rep.ToRecord()
-	}
-	return out, nil
+	// The reply borrows the connection's buffers; the caller keeps a copy.
+	return append([]replaydb.AccessRecord(nil), reply.Reports...), nil
 }
 
 // Err returns the most recent query error, if any, and clears it.

@@ -2,39 +2,57 @@ package agents
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
+	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
 )
 
-// codec frames one connection: newline-delimited JSON envelopes through a
-// single decoder and a single encoder. It is the only place in the package
-// where bytes meet the socket, and the only place a deadline is set. Each
-// connection has one reader goroutine and any number of writers, which
-// serialize on wmu. The deadline in force is remembered per direction so a
-// loop that never asks for one (the daemon's and the control agent's
-// receive loops, the daemon's acks) never makes the call.
+// codec frames one connection: it is the only place in the package where
+// bytes meet the socket, and the only place a deadline is set. A frame is
+// built whole in wbuf and leaves in one conn.Write; it is read into frame
+// and decoded through dec into reports and layout, all reused, so a frame
+// allocates only what it makes these grow by (dec interns the device and
+// path names that repeat in every record). Each connection has one reader
+// goroutine and any number of writers, which serialize on wmu. The deadline
+// in force is remembered per direction so a loop that never asks for one
+// (the daemon's and the control agent's receive loops, the daemon's acks)
+// never makes the call.
 type codec struct {
-	conn net.Conn
-	dec  *json.Decoder
-	rdl  time.Time // read deadline in force
-	wmu  sync.Mutex
-	enc  *json.Encoder // Encode issues one conn.Write per envelope
-	wdl  time.Time     // write deadline in force
+	conn    net.Conn
+	br      *bufio.Reader
+	frame   []byte
+	dec     replaydb.Decoder
+	reports []replaydb.AccessRecord // backs the last decoded Envelope.Reports
+	layout  []LayoutEntry           // backs the last decoded Envelope.Layout
+	rdl     time.Time               // read deadline in force
+	wmu     sync.Mutex
+	wbuf    []byte
+	wdl     time.Time // write deadline in force
 }
+
+// readChunk is the socket read buffer, and the first step a frame buffer
+// grows by: a 32-report batch is under 5 KB.
+const readChunk = 8 << 10
 
 func newCodec(conn net.Conn) *codec {
-	return &codec{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn)), enc: json.NewEncoder(conn)}
+	return &codec{conn: conn, br: bufio.NewReaderSize(conn, readChunk)}
 }
 
-// read decodes the next envelope, failing once deadline passes (the zero
-// time waits forever). A malformed frame is an error; the caller drops the
-// connection, since the stream position is lost.
+// read decodes the next frame into env, failing once deadline passes (the
+// zero time waits forever). The length prefix is checked against maxFrame
+// before anything is sized by it, and even then the frame buffer grows
+// past its present capacity only by doubling as bytes arrive, so a frame
+// costs memory in proportion to what the peer has sent of it. Any error
+// means the stream position is lost and the caller drops the connection;
+// io.EOF is the peer's orderly close between frames.
 func (c *codec) read(env *Envelope, deadline time.Time) error {
 	if !deadline.Equal(c.rdl) {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
@@ -42,15 +60,38 @@ func (c *codec) read(env *Envelope, deadline time.Time) error {
 		}
 		c.rdl = deadline
 	}
-	//geomancy:allow locksafe a session reads replies under its serialization lock, bounded by RetryPolicy.IOTimeout; receive loops read unlocked
-	return c.dec.Decode(env)
+	var prefix [4]byte
+	if _, err := io.ReadFull(c.br, prefix[:]); err != nil {
+		return err
+	}
+	n := int(binary.LittleEndian.Uint32(prefix[:]))
+	if n < frameFixed || n > maxFrame {
+		return fmt.Errorf("%w: length prefix %d outside [%d, %d]", ErrFrame, uint32(n), frameFixed, maxFrame)
+	}
+	c.frame = c.frame[:0]
+	for have := 0; have < n; have = len(c.frame) {
+		step := min(n-have, max(have, readChunk, cap(c.frame)-have))
+		c.frame = slices.Grow(c.frame, step)[:have+step]
+		if _, err := io.ReadFull(c.br, c.frame[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the peer left mid-frame
+			}
+			return err
+		}
+	}
+	return c.decode(env, c.frame)
 }
 
 // write frames env under the connection's writer lock, failing once
-// deadline passes (the zero time waits forever).
+// deadline passes (the zero time waits forever). A frame over maxFrame is
+// refused before any byte of it is sent.
 func (c *codec) write(env *Envelope, deadline time.Time) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.wbuf = appendEnvelope(c.wbuf[:0], env)
+	if len(c.wbuf)-4 > maxFrame {
+		return fmt.Errorf("%w: %s frame of %d bytes exceeds %d", ErrFrame, env.Type, len(c.wbuf)-4, maxFrame)
+	}
 	if !deadline.Equal(c.wdl) {
 		if err := c.conn.SetWriteDeadline(deadline); err != nil {
 			return err
@@ -58,15 +99,17 @@ func (c *codec) write(env *Envelope, deadline time.Time) error {
 		c.wdl = deadline
 	}
 	//geomancy:allow locksafe per-connection writer lock (and, from a session, its serialization lock); sessions bound the write by RetryPolicy.IOTimeout, pushes by AckTimeout
-	return c.enc.Encode(env)
+	_, err := c.conn.Write(c.wbuf)
+	return err
 }
 
 // session is an agent's connection to the Interface Daemon and the single
 // owner of its failure model: the connection is dialed lazily and redialed
 // after any transport failure, every attempt runs under the retry policy's
 // IOTimeout so a hung daemon surfaces as an error, replies are matched by
-// ID with stale ones drained, a daemon-level TypeError is returned without
-// retrying, and an exhausted budget is marked ErrUnavailable.
+// ID with stale ones drained, a daemon-level TypeError or a peer of another
+// wire version is returned without retrying, and an exhausted budget is
+// marked ErrUnavailable.
 //
 // mu serializes round trips and guards c, dialed, closed and whatever the
 // owning agent keeps alongside (the monitor's retained batch, the store's
@@ -127,7 +170,7 @@ func (s *session) dropLocked() error {
 // retrying transport failures under the policy's budget. Requests must be
 // safe to replay: queries are reads, and the daemon dedupes telemetry
 // batches by (From, ID). The caller holds s.mu.
-func (s *session) callLocked(req *Envelope, want string) (Envelope, error) {
+func (s *session) callLocked(req *Envelope, want MsgType) (Envelope, error) {
 	var lastErr error
 	for attempt := 1; attempt <= s.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -143,15 +186,19 @@ func (s *session) callLocked(req *Envelope, want string) (Envelope, error) {
 			// the transport, and repeating the request would not change it.
 			return Envelope{}, err
 		}
-		lastErr = err
 		s.dropLocked()
+		if errors.Is(err, ErrVersion) {
+			// Redialing reaches the same build; a retry cannot succeed.
+			return Envelope{}, err
+		}
+		lastErr = err
 	}
 	return Envelope{}, markUnavailable(lastErr)
 }
 
 // roundTripLocked is one attempt: write req and read until its reply, all
 // before one IOTimeout deadline.
-func (s *session) roundTripLocked(req *Envelope, want string) (Envelope, error) {
+func (s *session) roundTripLocked(req *Envelope, want MsgType) (Envelope, error) {
 	c, err := s.connectLocked()
 	if err != nil {
 		return Envelope{}, err
@@ -174,7 +221,7 @@ func (s *session) roundTripLocked(req *Envelope, want string) (Envelope, error) 
 			// abandoned; drain it so this request reads its own answer.
 			continue
 		case reply.Type != want || reply.ID != req.ID:
-			return Envelope{}, fmt.Errorf("unexpected reply %q (id %d, want %q id %d)", reply.Type, reply.ID, want, req.ID)
+			return Envelope{}, fmt.Errorf("unexpected reply %s (id %d, want %s id %d)", reply.Type, reply.ID, want, req.ID)
 		}
 		s.met.ackLatency.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the ack-latency histogram
 		return reply, nil

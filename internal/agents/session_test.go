@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geomancy/internal/replaydb"
 	"geomancy/internal/telemetry"
 )
 
@@ -76,7 +77,7 @@ func answer(req Envelope, tag string, shift uint64) Envelope {
 	if req.Type == TypeMetrics {
 		return Envelope{Type: TypeMetricsAck, ID: req.ID - shift}
 	}
-	return Envelope{Type: TypeRecentReply, ID: req.ID - shift, Reports: []Report{{Device: tag}}}
+	return Envelope{Type: TypeRecentReply, ID: req.ID - shift, Reports: []replaydb.AccessRecord{{Device: tag}}}
 }
 
 // TestSessionFaultScripts runs each transport fault once against the

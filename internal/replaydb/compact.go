@@ -1,6 +1,7 @@
 package replaydb
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -32,7 +33,7 @@ func (db *DB) Compact(keepAccesses int) error {
 		db.byDevice = make(map[string][]int)
 		db.byFile = make(map[int64][]int)
 		for i := old.n - keepAccesses; i < old.n; i++ {
-			db.insertAccessNoSeq(*old.at(i))
+			db.insertAccess(*old.at(i))
 		}
 	}
 	if db.w == nil {
@@ -49,42 +50,32 @@ func (db *DB) Compact(keepAccesses int) error {
 	if err != nil {
 		return fmt.Errorf("replaydb: compacting: %w", err)
 	}
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpPath)
+	// One frame at a time through the DB's own frame buffer, as appends do;
+	// the first failure of any step abandons the temporary file.
+	bw := bufio.NewWriter(tmp)
+	_, err = bw.Write(magic)
+	for i := 0; i < db.accesses.n && err == nil; i++ {
+		db.frame = appendAccessFrame(db.frame[:0], db.accesses.at(i))
+		_, err = bw.Write(db.frame)
 	}
-	write := func(data []byte) error {
-		_, err := tmp.Write(data)
-		return err
+	for i := 0; i < len(db.movements) && err == nil; i++ {
+		db.frame = appendMovementFrame(db.frame[:0], &db.movements[i])
+		_, err = bw.Write(db.frame)
 	}
-	if err := write(magic); err != nil {
-		cleanup()
-		return fmt.Errorf("replaydb: compacting: %w", err)
+	if err == nil {
+		//geomancy:allow locksafe bw wraps the local temporary WAL, not a socket; disk flush latency is bounded
+		err = bw.Flush()
 	}
-	frame := func(typ recordType, payload []byte) []byte {
-		return appendFrame(nil, typ, payload)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	for i := 0; i < db.accesses.n; i++ {
-		if err := write(frame(frameAccess, encodeAccess(db.accesses.at(i)))); err != nil {
-			cleanup()
-			return fmt.Errorf("replaydb: compacting: %w", err)
-		}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	for i := range db.movements {
-		if err := write(frame(frameMovement, encodeMovement(&db.movements[i]))); err != nil {
-			cleanup()
-			return fmt.Errorf("replaydb: compacting: %w", err)
-		}
+	if err == nil {
+		err = os.Rename(tmpPath, db.opts.Path)
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("replaydb: compacting: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("replaydb: compacting: %w", err)
-	}
-	if err := os.Rename(tmpPath, db.opts.Path); err != nil {
+	if err != nil {
 		os.Remove(tmpPath)
 		return fmt.Errorf("replaydb: compacting: %w", err)
 	}
@@ -138,16 +129,4 @@ func (db *DB) ExportCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// appendFrame appends one encoded WAL frame to dst.
-func appendFrame(dst []byte, typ recordType, payload []byte) []byte {
-	var hdr [5]byte
-	hdr[0] = byte(typ)
-	putLen(hdr[1:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var crc [4]byte
-	putLen(crc[:], checksum(payload))
-	return append(dst, crc[:]...)
 }

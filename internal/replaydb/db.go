@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"geomancy/internal/telemetry"
@@ -38,6 +38,7 @@ type DB struct {
 
 	file     *os.File
 	w        *bufio.Writer
+	frame    []byte // the WAL frame being written; reused across appends
 	opts     Options
 	unsynced int
 	closed   bool
@@ -84,18 +85,10 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replaydb: opening WAL: %w", err)
 	}
-	validLen, err := db.replay(f)
+	validLen, err := db.openWAL(f)
 	if err != nil {
 		f.Close()
 		return nil, err
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("replaydb: truncating torn WAL tail: %w", err)
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("replaydb: seeking WAL: %w", err)
 	}
 	db.file = f
 	db.w = bufio.NewWriter(f)
@@ -108,59 +101,91 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// replay loads every intact frame from f, returning the byte offset of the
-// end of the last valid frame.
-func (db *DB) replay(f *os.File) (int64, error) {
-	r := bufio.NewReader(f)
+// openWAL replays f and leaves it truncated to, and positioned at, the end
+// of its last intact frame.
+func (db *DB) openWAL(f *os.File) (int64, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("replaydb: opening WAL: %w", err)
+	}
+	validLen, err := db.replay(f, info.Size())
+	if err != nil {
+		return 0, fmt.Errorf("replaydb: replaying %s: %w", f.Name(), err)
+	}
+	if err := f.Truncate(validLen); err != nil {
+		return 0, fmt.Errorf("replaydb: truncating torn WAL tail: %w", err)
+	}
+	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("replaydb: seeking WAL: %w", err)
+	}
+	return validLen, nil
+}
+
+var errBadMagic = errors.New("not a ReplayDB WAL (bad magic)")
+
+// replay loads every intact frame of a WAL of size bytes read from src,
+// returning the byte offset of the end of the last valid frame. A frame
+// that is cut short, fails its checksum, or declares a payload longer than
+// the bytes left in the log is the torn tail: replay stops in front of it.
+// The declared length is never trusted further than that, so the payload
+// buffer — one, reused — is bounded by the size of the log itself.
+func (db *DB) replay(src io.Reader, size int64) (int64, error) {
+	r := bufio.NewReader(src)
 	hdr := make([]byte, len(magic))
 	n, err := io.ReadFull(r, hdr)
 	if errors.Is(err, io.EOF) || (errors.Is(err, io.ErrUnexpectedEOF) && n < len(magic)) {
 		return 0, nil // empty or stub file: start fresh
 	}
 	if err != nil {
-		return 0, fmt.Errorf("replaydb: reading WAL header: %w", err)
+		return 0, fmt.Errorf("reading WAL header: %w", err)
 	}
 	if string(hdr) != string(magic) {
-		return 0, fmt.Errorf("replaydb: %s is not a ReplayDB WAL (bad magic)", f.Name())
+		return 0, errBadMagic
 	}
 	valid := int64(len(magic))
-	var frame [5]byte
+	var dec Decoder
+	var frame [frameHeader]byte
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, frame[:]); err != nil {
 			break // clean EOF or torn header: stop at last valid offset
 		}
 		typ := recordType(frame[0])
-		plen := binary.LittleEndian.Uint32(frame[1:5])
-		payload := make([]byte, plen+4)
+		plen := int64(binary.LittleEndian.Uint32(frame[1:]))
+		if plen+4 > size-valid-frameHeader {
+			break // the length runs past the end of the log: torn tail
+		}
+		payload = slices.Grow(payload[:0], int(plen)+4)[:plen+4]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
 		body := payload[:plen]
-		want := binary.LittleEndian.Uint32(payload[plen:])
-		if crc32.Checksum(body, crcTable) != want {
+		if checksum(body) != binary.LittleEndian.Uint32(payload[plen:]) {
 			break // corrupt frame: treat as torn tail
 		}
+		// A frame holds exactly one record; only one that decodes whole
+		// is inserted.
+		dec.Reset(body)
 		var seq uint64
 		switch typ {
 		case frameAccess:
-			rec, err := decodeAccess(body)
-			if err != nil {
-				return valid, err
+			if rec := dec.Access(); dec.Done() == nil {
+				db.insertAccess(rec)
+				seq = rec.Seq
 			}
-			db.insertAccess(rec)
-			seq = rec.Seq
 		case frameMovement:
-			m, err := decodeMovement(body)
-			if err != nil {
-				return valid, err
+			if m := dec.Movement(); dec.Done() == nil {
+				db.insertMovement(m)
+				seq = m.Seq
 			}
-			db.insertMovement(m)
-			seq = m.Seq
 		default:
 			// Unknown frame type: future format. Stop replay here.
 			return valid, nil
 		}
-		valid += int64(5 + len(payload))
+		if err := dec.Done(); err != nil {
+			return valid, fmt.Errorf("%w: frame at offset %d is not one record", err, valid)
+		}
+		valid += frameHeader + plen + 4
 		db.marks = append(db.marks, frameMark{seq: seq, end: valid})
 	}
 	return valid, nil
@@ -190,23 +215,11 @@ func (db *DB) insertMovement(m MovementRecord) {
 
 var errClosed = errors.New("replaydb: database is closed")
 
-// writeFrame appends one frame to the WAL (no-op for memory databases).
-func (db *DB) writeFrame(typ recordType, payload []byte) error {
-	if db.w == nil {
-		return nil
-	}
-	var hdr [5]byte
-	hdr[0] = byte(typ)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := db.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := db.w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	if _, err := db.w.Write(crc[:]); err != nil {
+// writeFrame appends the frame built in db.frame to the WAL, syncing when
+// SyncEvery says so. The caller holds db.mu and has checked that there is
+// a log.
+func (db *DB) writeFrame() error {
+	if _, err := db.w.Write(db.frame); err != nil {
 		return err
 	}
 	db.unsynced++
@@ -234,20 +247,15 @@ func (db *DB) AppendAccess(rec AccessRecord) (AccessRecord, error) {
 	rec.Seq = db.nextSeq
 	db.nextSeq++
 	db.appended = true
-	if err := db.writeFrame(frameAccess, encodeAccess(&rec)); err != nil {
-		return rec, fmt.Errorf("replaydb: appending access: %w", err)
+	if db.w != nil { // a memory database has no log to encode for
+		db.frame = appendAccessFrame(db.frame[:0], &rec)
+		if err := db.writeFrame(); err != nil {
+			return rec, fmt.Errorf("replaydb: appending access: %w", err)
+		}
 	}
-	db.insertAccessNoSeq(rec)
+	db.insertAccess(rec)
 	db.accessInserts.Inc()
 	return rec, nil
-}
-
-// insertAccessNoSeq is insertAccess without the nextSeq adjustment (the
-// caller already assigned the sequence number).
-func (db *DB) insertAccessNoSeq(rec AccessRecord) {
-	pos := db.accesses.push(rec)
-	db.byDevice[rec.Device] = append(db.byDevice[rec.Device], pos)
-	db.byFile[rec.FileID] = append(db.byFile[rec.FileID], pos)
 }
 
 // AppendMovement stores one movement record.
@@ -260,8 +268,11 @@ func (db *DB) AppendMovement(m MovementRecord) (MovementRecord, error) {
 	m.Seq = db.nextSeq
 	db.nextSeq++
 	db.appended = true
-	if err := db.writeFrame(frameMovement, encodeMovement(&m)); err != nil {
-		return m, fmt.Errorf("replaydb: appending movement: %w", err)
+	if db.w != nil {
+		db.frame = appendMovementFrame(db.frame[:0], &m)
+		if err := db.writeFrame(); err != nil {
+			return m, fmt.Errorf("replaydb: appending movement: %w", err)
+		}
 	}
 	db.movements = append(db.movements, m)
 	db.movementInserts.Inc()
@@ -323,11 +334,7 @@ func (db *DB) Recent(n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	start := db.accesses.n - n
-	if start < 0 {
-		start = 0
-	}
-	return db.accesses.tail(start)
+	return db.accesses.tail(max(db.accesses.n-max(n, 0), 0))
 }
 
 func (db *DB) collect(positions []int, n int) []AccessRecord {

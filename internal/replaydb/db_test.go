@@ -1,6 +1,7 @@
 package replaydb
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -363,8 +364,10 @@ func TestEncodeDecodeAccessRoundTrip(t *testing.T) {
 		OpenTS: 1600000000, OpenTMS: 999, CloseTS: 1600000001, CloseTMS: 1,
 		Throughput: 7.61e9,
 	}
-	got, err := decodeAccess(encodeAccess(&rec))
-	if err != nil {
+	var dec Decoder
+	dec.Reset(AppendAccessRecord(nil, &rec))
+	got := dec.Access()
+	if err := dec.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got != rec {
@@ -374,26 +377,32 @@ func TestEncodeDecodeAccessRoundTrip(t *testing.T) {
 
 func TestDecodeAccessTruncated(t *testing.T) {
 	rec := AccessRecord{Path: "/x", Device: "d"}
-	payload := encodeAccess(&rec)
-	if _, err := decodeAccess(payload[:len(payload)-3]); err == nil {
-		t.Error("truncated payload should error")
-	}
-	if _, err := decodeAccess(nil); err == nil {
-		t.Error("empty payload should error")
+	payload := AppendAccessRecord(nil, &rec)
+	var dec Decoder
+	for name, b := range map[string][]byte{"truncated": payload[:len(payload)-3], "empty": nil, "trailing": append(payload, 0)} {
+		dec.Reset(b)
+		dec.Access()
+		if err := dec.Done(); !errors.Is(err, ErrRecord) {
+			t.Errorf("%s payload: err = %v, want ErrRecord", name, err)
+		}
 	}
 }
 
 func TestEncodeDecodeMovementRoundTrip(t *testing.T) {
 	m := MovementRecord{Seq: 3, Time: 55.5, FileID: 8, From: "pic", To: "file0", Bytes: 999, Duration: 1.25, AccessIndex: 4242}
-	got, err := decodeMovement(encodeMovement(&m))
-	if err != nil {
+	var dec Decoder
+	dec.Reset(AppendMovementRecord(nil, &m))
+	got := dec.Movement()
+	if err := dec.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got != m {
 		t.Errorf("round trip changed movement:\n  %+v\n  %+v", m, got)
 	}
-	if _, err := decodeMovement([]byte{1, 2}); err == nil {
-		t.Error("truncated movement should error")
+	dec.Reset([]byte{1, 2})
+	dec.Movement()
+	if err := dec.Done(); !errors.Is(err, ErrRecord) {
+		t.Errorf("truncated movement: err = %v, want ErrRecord", err)
 	}
 }
 

@@ -12,11 +12,9 @@
 package replaydb
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"hash/crc32"
-	"io"
 	"math"
 
 	"geomancy/internal/storagesim"
@@ -99,146 +97,198 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // checksum computes the WAL frame checksum of a payload.
 func checksum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
 
-// putLen stores a uint32 little-endian into b[:4].
-func putLen(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+// frameHeader is the bytes of a WAL frame before its payload: the record
+// type and the payload length. The payload's CRC follows it.
+const frameHeader = 5
 
-func putString(buf *bytes.Buffer, s string) {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(s)))
-	buf.Write(l[:])
-	buf.WriteString(s)
+// sealFrame completes the WAL frame whose header was appended at
+// dst[start:] and whose payload runs to the end of dst: it fills in the
+// payload length and appends the payload's checksum.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, checksum(payload))
 }
 
-func getString(r *bytes.Reader) (string, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", err
+// appendAccessFrame appends rec to dst as one WAL frame.
+func appendAccessFrame(dst []byte, rec *AccessRecord) []byte {
+	return sealFrame(AppendAccessRecord(append(dst, byte(frameAccess), 0, 0, 0, 0), rec), len(dst))
+}
+
+// appendMovementFrame appends m to dst as one WAL frame.
+func appendMovementFrame(dst []byte, m *MovementRecord) []byte {
+	return sealFrame(AppendMovementRecord(append(dst, byte(frameMovement), 0, 0, 0, 0), m), len(dst))
+}
+
+// The record layout is little-endian and fixed-order: every integer and
+// float field is eight bytes (the two int32 fields are zero-extended), a
+// string is a uint32 length and its bytes. It is what the WAL has always
+// held and what the agents' wire frames carry, so a record is encoded by
+// one function and decoded by one function wherever it crosses a boundary.
+
+// MinAccessRecordLen is the encoded size of an access record whose Path and
+// Device are empty: the bound a reader applies, through Decoder.Count, to a
+// record count it has not yet trusted.
+const MinAccessRecordLen = 12*8 + 2*4
+
+// ErrRecord reports bytes that do not decode: they end early, a string
+// length runs past the end, or an int32 field is not zero-extended (the
+// encoding of a record is unique).
+var ErrRecord = errors.New("replaydb: malformed record")
+
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+
+// AppendString appends s as the record layout spells a string.
+func AppendString(dst []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(s))), s...)
+}
+
+// AppendAccessRecord appends rec's encoding to dst and returns the extended
+// slice. It allocates only when dst must grow.
+func AppendAccessRecord(dst []byte, rec *AccessRecord) []byte {
+	dst = appendU64(dst, rec.Seq)
+	dst = appendU64(dst, math.Float64bits(rec.Time))
+	dst = appendU64(dst, uint64(uint32(rec.Workload)))
+	dst = appendU64(dst, uint64(uint32(rec.Run)))
+	dst = appendU64(dst, uint64(rec.FileID))
+	dst = AppendString(dst, rec.Path)
+	dst = AppendString(dst, rec.Device)
+	dst = appendU64(dst, uint64(rec.BytesRead))
+	dst = appendU64(dst, uint64(rec.BytesWritten))
+	dst = appendU64(dst, uint64(rec.OpenTS))
+	dst = appendU64(dst, uint64(rec.OpenTMS))
+	dst = appendU64(dst, uint64(rec.CloseTS))
+	dst = appendU64(dst, uint64(rec.CloseTMS))
+	return appendU64(dst, math.Float64bits(rec.Throughput))
+}
+
+// AppendMovementRecord appends m's encoding to dst.
+func AppendMovementRecord(dst []byte, m *MovementRecord) []byte {
+	dst = appendU64(dst, m.Seq)
+	dst = appendU64(dst, math.Float64bits(m.Time))
+	dst = appendU64(dst, uint64(m.FileID))
+	dst = AppendString(dst, m.From)
+	dst = AppendString(dst, m.To)
+	dst = appendU64(dst, uint64(m.Bytes))
+	dst = appendU64(dst, math.Float64bits(m.Duration))
+	return appendU64(dst, uint64(m.AccessIndex))
+}
+
+// maxInterned and maxInternedLen bound a Decoder's name table, in entries
+// and in bytes per entry. A log names a few dozen devices and as many paths
+// as it has files, each repeated in every record that touches it; a name
+// past either bound simply gets a string of its own, so a hostile peer
+// cannot park more than 256 KB in the table.
+const (
+	maxInterned    = 1024
+	maxInternedLen = 256
+)
+
+// Decoder walks encoded bytes in place. Reset points it at a buffer and
+// each read consumes from the front; a read past the end, or a malformed
+// field, latches and yields zeros from then on, so a caller decodes a whole
+// record — or a whole wire frame around several — and asks Done once.
+// Strings read by Str are interned: decoding a record whose names the
+// decoder has seen allocates nothing, and the records of one log share
+// their strings. The zero value is ready; a Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	b     []byte
+	bad   bool
+	names map[string]string
+}
+
+// Reset starts decoding b afresh; the name table is kept.
+func (d *Decoder) Reset(b []byte) { d.b, d.bad = b, false }
+
+// Done reports whether the buffer was decoded whole: nil when every read
+// since Reset succeeded and no byte is left over, ErrRecord otherwise.
+func (d *Decoder) Done() error {
+	if d.bad || len(d.b) != 0 {
+		return ErrRecord
 	}
-	n := binary.LittleEndian.Uint32(l[:])
-	if n > uint32(r.Len()) {
-		return "", fmt.Errorf("replaydb: string length %d exceeds remaining %d", n, r.Len())
+	return nil
+}
+
+func (d *Decoder) take(n int) []byte {
+	if uint(n) > uint(len(d.b)) {
+		d.b, d.bad = nil, true
+		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+// U32 reads a four-byte integer.
+func (d *Decoder) U32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return string(b), nil
+	return 0
 }
 
-func putU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func getU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+// U64 reads an eight-byte integer.
+func (d *Decoder) U64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return 0
 }
 
-func putI64(buf *bytes.Buffer, v int64)   { putU64(buf, uint64(v)) }
-func putF64(buf *bytes.Buffer, v float64) { putU64(buf, math.Float64bits(v)) }
-func putI32(buf *bytes.Buffer, v int32)   { putU64(buf, uint64(uint32(v))) }
+func (d *Decoder) i64() int64   { return int64(d.U64()) }
+func (d *Decoder) f64() float64 { return math.Float64frombits(d.U64()) }
 
-func getI64(r *bytes.Reader) (int64, error) {
-	v, err := getU64(r)
-	return int64(v), err
+func (d *Decoder) i32() int32 {
+	v := d.U64()
+	d.bad = d.bad || v>>32 != 0
+	return int32(uint32(v))
 }
 
-func getF64(r *bytes.Reader) (float64, error) {
-	v, err := getU64(r)
-	return math.Float64frombits(v), err
-}
-
-func getI32(r *bytes.Reader) (int32, error) {
-	v, err := getU64(r)
-	return int32(uint32(v)), err
-}
-
-// encodeAccess serializes a record into a WAL frame payload.
-func encodeAccess(rec *AccessRecord) []byte {
-	var buf bytes.Buffer
-	putU64(&buf, rec.Seq)
-	putF64(&buf, rec.Time)
-	putI32(&buf, rec.Workload)
-	putI32(&buf, rec.Run)
-	putI64(&buf, rec.FileID)
-	putString(&buf, rec.Path)
-	putString(&buf, rec.Device)
-	putI64(&buf, rec.BytesRead)
-	putI64(&buf, rec.BytesWritten)
-	putI64(&buf, rec.OpenTS)
-	putI64(&buf, rec.OpenTMS)
-	putI64(&buf, rec.CloseTS)
-	putI64(&buf, rec.CloseTMS)
-	putF64(&buf, rec.Throughput)
-	return buf.Bytes()
-}
-
-func decodeAccess(payload []byte) (AccessRecord, error) {
-	r := bytes.NewReader(payload)
-	var rec AccessRecord
-	var err error
-	read := func(f func() error) {
-		if err == nil {
-			err = f()
+// Str reads a length-prefixed string, shared with every equal one read
+// before (up to the table's bounds).
+func (d *Decoder) Str() string {
+	b := d.take(int(d.U32()))
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(d.names) < maxInterned && len(s) <= maxInternedLen {
+		if d.names == nil {
+			d.names = make(map[string]string)
 		}
+		d.names[s] = s
 	}
-	read(func() error { rec.Seq, err = getU64(r); return err })
-	read(func() error { rec.Time, err = getF64(r); return err })
-	read(func() error { rec.Workload, err = getI32(r); return err })
-	read(func() error { rec.Run, err = getI32(r); return err })
-	read(func() error { rec.FileID, err = getI64(r); return err })
-	read(func() error { rec.Path, err = getString(r); return err })
-	read(func() error { rec.Device, err = getString(r); return err })
-	read(func() error { rec.BytesRead, err = getI64(r); return err })
-	read(func() error { rec.BytesWritten, err = getI64(r); return err })
-	read(func() error { rec.OpenTS, err = getI64(r); return err })
-	read(func() error { rec.OpenTMS, err = getI64(r); return err })
-	read(func() error { rec.CloseTS, err = getI64(r); return err })
-	read(func() error { rec.CloseTMS, err = getI64(r); return err })
-	read(func() error { rec.Throughput, err = getF64(r); return err })
-	if err != nil {
-		return rec, fmt.Errorf("replaydb: decoding access record: %w", err)
-	}
-	return rec, nil
+	return s
 }
 
-func encodeMovement(m *MovementRecord) []byte {
-	var buf bytes.Buffer
-	putU64(&buf, m.Seq)
-	putF64(&buf, m.Time)
-	putI64(&buf, m.FileID)
-	putString(&buf, m.From)
-	putString(&buf, m.To)
-	putI64(&buf, m.Bytes)
-	putF64(&buf, m.Duration)
-	putI64(&buf, m.AccessIndex)
-	return buf.Bytes()
+// Count reads an element count and fails unless the bytes left could hold
+// that many elements of at least each bytes, so a hostile count sizes
+// nothing.
+func (d *Decoder) Count(each int) int {
+	n := int(d.U32())
+	if uint(n) > uint(len(d.b)/each) {
+		d.b, d.bad = nil, true
+		return 0
+	}
+	return n
 }
 
-func decodeMovement(payload []byte) (MovementRecord, error) {
-	r := bytes.NewReader(payload)
-	var m MovementRecord
-	var err error
-	read := func(f func() error) {
-		if err == nil {
-			err = f()
-		}
+// Access reads one access record.
+func (d *Decoder) Access() AccessRecord {
+	return AccessRecord{
+		Seq: d.U64(), Time: d.f64(), Workload: d.i32(), Run: d.i32(), FileID: d.i64(),
+		Path: d.Str(), Device: d.Str(),
+		BytesRead: d.i64(), BytesWritten: d.i64(),
+		OpenTS: d.i64(), OpenTMS: d.i64(), CloseTS: d.i64(), CloseTMS: d.i64(),
+		Throughput: d.f64(),
 	}
-	read(func() error { m.Seq, err = getU64(r); return err })
-	read(func() error { m.Time, err = getF64(r); return err })
-	read(func() error { m.FileID, err = getI64(r); return err })
-	read(func() error { m.From, err = getString(r); return err })
-	read(func() error { m.To, err = getString(r); return err })
-	read(func() error { m.Bytes, err = getI64(r); return err })
-	read(func() error { m.Duration, err = getF64(r); return err })
-	read(func() error { m.AccessIndex, err = getI64(r); return err })
-	if err != nil {
-		return m, fmt.Errorf("replaydb: decoding movement record: %w", err)
+}
+
+// Movement reads one movement record.
+func (d *Decoder) Movement() MovementRecord {
+	return MovementRecord{
+		Seq: d.U64(), Time: d.f64(), FileID: d.i64(), From: d.Str(), To: d.Str(),
+		Bytes: d.i64(), Duration: d.f64(), AccessIndex: d.i64(),
 	}
-	return m, nil
 }
