@@ -10,7 +10,6 @@ package geomancy
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -169,217 +168,6 @@ func mustEOSDataset(b *testing.B, recs []trace.EOSRecord) *nn.Dataset {
 	var ts features.ScalarScaler
 	ts.Fit(targets)
 	return nn.NewDataset(x, ts.TransformAll(targets))
-}
-
-// --- Scoring and GEMM hot-path benches ---
-
-// scoringLoop builds a trained engine over a warmed-up testbed: the
-// candidate-scoring benchmark's fixture.
-func scoringLoop(tb testing.TB) (*core.Loop, []core.FileMeta, func()) {
-	tb.Helper()
-	const seed = 21
-	cluster := storagesim.NewBluesky(seed)
-	files := trace.BelleFileSet(seed)
-	runner := workload.NewRunner(cluster, files, 1, seed)
-	if err := runner.SpreadEvenly(cluster.DeviceNames()); err != nil {
-		tb.Fatal(err)
-	}
-	db, err := replaydb.Open(replaydb.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	loop, err := core.NewNamedLoop(db, db, cluster, runner, "geomancy", quickEngineCfg(seed))
-	if err != nil {
-		db.Close()
-		tb.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		if _, err := loop.RunOnceContext(context.Background()); err != nil {
-			db.Close()
-			tb.Fatal(err)
-		}
-	}
-	if _, err := loop.Engine.TrainContext(context.Background()); err != nil {
-		db.Close()
-		tb.Fatal(err)
-	}
-	layout := cluster.Layout()
-	metas := make([]core.FileMeta, 0, len(files))
-	for _, f := range files {
-		metas = append(metas, core.FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: layout[f.ID]})
-	}
-	return loop, metas, func() { db.Close() }
-}
-
-// BenchmarkScoringProposeLayout measures the engine's decision hot path:
-// one full candidate-scoring pass (len(files)×len(devices) batched
-// inferences) plus Action Checker validation and layout assembly.
-func BenchmarkScoringProposeLayout(b *testing.B) {
-	loop, metas, closeDB := scoringLoop(b)
-	defer closeDB()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := loop.Engine.ProposeLayoutContext(context.Background(), metas); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScoringExhaustive2k measures the exhaustive O(F·D) decision
-// pass at warehouse scale: 2048 files × 64 devices, every candidate
-// re-scored each cycle. The TopK=0 counterpart of BenchmarkScoringTopK.
-func BenchmarkScoringExhaustive2k(b *testing.B) {
-	w := newWarehouse(b, 2048, 64, 0, 0)
-	proposeWarehouse(b, w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proposeWarehouse(b, w)
-	}
-}
-
-// BenchmarkScoringTopK measures the pruned decision pass over the same
-// 2048×64 population: TopK=2 per class, a quarter of the files dirty per
-// cycle, full rescan every 16th decision folded into the mean. See
-// TestTopKSpeedup for the asserted ≥5× ratio against the exhaustive pass.
-func BenchmarkScoringTopK(b *testing.B) {
-	w := newWarehouse(b, 2048, 64, 2, 16)
-	proposeWarehouse(b, w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proposeWarehouse(b, w)
-	}
-}
-
-// shardedScoringFixture builds a warehouse-scale sharded coordinator:
-// nDev synthetic devices across eight hardware classes partitioned into
-// nShards device groups, nFiles files with seeded telemetry, and the
-// global engine trained once. The returned dirty function mirrors the
-// warehouseFixture's steady-state telemetry churn.
-func shardedScoringFixture(tb testing.TB, nFiles, nDev, nShards int) (*core.Sharded, []core.FileMeta, func()) {
-	tb.Helper()
-	profiles := make([]storagesim.DeviceProfile, nDev)
-	speeds := make([]float64, nDev)
-	for i := range profiles {
-		class := i % 8
-		speeds[i] = float64(8-class)*1e9 + float64(i/8)*3e7
-		profiles[i] = storagesim.DeviceProfile{
-			Name:     fmt.Sprintf("dev%03d", i),
-			Class:    fmt.Sprintf("class%d", class),
-			ReadBW:   speeds[i],
-			WriteBW:  speeds[i],
-			Capacity: 1e13,
-		}
-	}
-	cluster, err := storagesim.NewCluster(profiles, storagesim.Config{Seed: 7})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	db, err := replaydb.Open(replaydb.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { db.Close() })
-	r := rand.New(rand.NewSource(31))
-	now := 0
-	appendFor := func(id int64, dev int) {
-		now++
-		if _, err := db.AppendAccess(replaydb.AccessRecord{
-			Time:       float64(now),
-			FileID:     id,
-			Device:     profiles[dev].Name,
-			BytesRead:  int64(1e8 + r.Float64()*9e8),
-			OpenTS:     int64(now),
-			CloseTS:    int64(now),
-			CloseTMS:   500,
-			Throughput: speeds[dev] * (0.7 + 0.6*r.Float64()),
-		}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	files := make([]core.FileMeta, nFiles)
-	for i := range files {
-		id := int64(i + 1)
-		dev := r.Intn(nDev)
-		files[i] = core.FileMeta{
-			ID:     id,
-			Path:   fmt.Sprintf("/wh/f%04d", i),
-			Size:   int64(1e8 + r.Float64()*4e8),
-			Device: profiles[dev].Name,
-		}
-		appendFor(id, dev)
-	}
-	cfg := core.Config{Epochs: 4, WindowX: 600, Seed: 31, Epsilon: 0.05}
-	sharded, err := core.NewSharded(db, cluster, nShards, nil, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := sharded.Model().Retrain(context.Background()); err != nil {
-		tb.Fatal(err)
-	}
-	dirty := func(fraction float64) {
-		n := int(float64(nFiles) * fraction)
-		for k := 0; k < n; k++ {
-			i := r.Intn(nFiles)
-			appendFor(files[i].ID, r.Intn(nDev))
-		}
-	}
-	return sharded, files, func() { dirty(0.25) }
-}
-
-// BenchmarkScoringSharded16 measures the sharded decision cycle over the
-// BenchmarkScoringExhaustive2k population split into 16 device groups:
-// per-shard candidate preparation, ONE cross-shard batched inference,
-// concurrent ε-greedy selection, and the escalation merge. See
-// TestShardedSpeedup (internal/core) for the asserted ≥4× ratio against
-// the unsharded pass at 4096×256.
-func BenchmarkScoringSharded16(b *testing.B) {
-	sharded, files, dirty := shardedScoringFixture(b, 2048, 64, 16)
-	ctx := context.Background()
-	if _, _, err := sharded.DecideLayout(ctx, files); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dirty()
-		if _, _, err := sharded.DecideLayout(ctx, files); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// gemmFixture builds a GEMM triple shaped like batched candidate scoring:
-// (files×devices) stacked feature rows through a hidden layer.
-func gemmFixture(rows, inner, cols int) (dst, a, bm *mat.Matrix) {
-	rng := rand.New(rand.NewSource(3))
-	a = mat.New(rows, inner)
-	bm = mat.New(inner, cols)
-	for i := range a.Data {
-		a.Data[i] = rng.Float64()
-	}
-	for i := range bm.Data {
-		bm.Data[i] = rng.Float64()
-	}
-	return mat.New(rows, cols), a, bm
-}
-
-// BenchmarkScoringGEMM measures the serial matrix multiply underneath
-// every inference batch (144 candidate rows through a 64-wide layer).
-func BenchmarkScoringGEMM(b *testing.B) {
-	dst, x, w := gemmFixture(144, 64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MulTo(dst, x, w)
-	}
-}
-
-// BenchmarkScoringGEMMParallel is the row-sharded variant the engine uses
-// with a worker pool.
-func BenchmarkScoringGEMMParallel(b *testing.B) {
-	dst, x, w := gemmFixture(144, 64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.ParallelMulTo(dst, x, w, 4)
-	}
 }
 
 // --- Ablation benches (DESIGN.md §Key design decisions) ---

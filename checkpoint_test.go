@@ -3,6 +3,7 @@ package geomancy
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,15 +25,27 @@ func ckptOptions(parallelism int, extra ...Option) []Option {
 }
 
 // trajectory captures everything the resume-equivalence assertions
-// compare: the layout, per-run stats, movement history, and replay-DB
-// record counts.
+// compare: the layout, per-run stats, movement history, train log and
+// replay-DB record counts.
 type trajectory struct {
 	Layout    map[int64]string
 	Stats     []RunStats
 	Movements []MovementEvent
+	Train     [][3]uint64
 	Telemetry int
 	MoveCount int
 	Mean      float64
+}
+
+// trainBits reduces the train log to what must replay: every report's
+// sample count, final loss and validation MARE, the floats as their bit
+// patterns. (Duration is wall-clock.)
+func trainBits(sys *System) [][3]uint64 {
+	var out [][3]uint64
+	for _, r := range sys.TrainLog() {
+		out = append(out, [3]uint64{uint64(r.Samples), math.Float64bits(r.FinalLoss), math.Float64bits(r.Validation.MARE)})
+	}
+	return out
 }
 
 func capture(t *testing.T, sys *System) trajectory {
@@ -41,6 +54,7 @@ func capture(t *testing.T, sys *System) trajectory {
 		Layout:    sys.Layout(),
 		Stats:     sys.Stats(),
 		Movements: sys.Movements(),
+		Train:     trainBits(sys),
 		Telemetry: sys.Telemetry(),
 		MoveCount: len(sys.Movements()),
 		Mean:      sys.MeanThroughput(),
@@ -52,30 +66,32 @@ func assertSameTrajectory(t *testing.T, got, want trajectory, label string) {
 	gj, _ := json.Marshal(got)
 	wj, _ := json.Marshal(want)
 	if string(gj) != string(wj) {
-		t.Errorf("%s: trajectories diverged\n  resumed:       %s\n  uninterrupted: %s", label, gj, wj)
+		t.Errorf("%s: trajectories diverged\n  got:  %s\n  want: %s", label, gj, wj)
 	}
 }
 
 // TestResumeEquivalence is the tentpole acceptance test: a run
 // checkpointed at run N and restored must produce a byte-identical
-// trajectory (layouts, stats, movements, replay counts) to the same-seed
-// uninterrupted run — at Parallelism 1 and 4, over both the memory and
-// file-backed replay databases.
+// trajectory (layouts, stats, movements, train log, replay counts) to the
+// same-seed uninterrupted run — at Parallelism 1 and 4, checkpointed at 1
+// and restored at 4 (the worker bound is not part of the state), over both
+// the memory and file-backed replay databases.
 func TestResumeEquivalence(t *testing.T) {
 	const checkpointAt, total = 5, 12
 
-	for _, p := range []int{1, 4} {
+	for _, c := range []struct {
+		name        string
+		p, restoreP int
+	}{{"1", 1, 1}, {"4", 4, 4}, {"1-then-4", 1, 4}} {
 		for _, fileBacked := range []bool{false, true} {
 			name := map[bool]string{false: "memdb", true: "waldb"}[fileBacked]
-			t.Run(name+"/parallelism="+string(rune('0'+p)), func(t *testing.T) {
+			t.Run(name+"/parallelism="+c.name, func(t *testing.T) {
 				dir := t.TempDir()
-				var refOpts, legOpts []Option
+				refOpts, legOpts, restoreOpts := ckptOptions(c.p), ckptOptions(c.p), ckptOptions(c.restoreP)
 				if fileBacked {
-					refOpts = ckptOptions(p, WithReplayDB(filepath.Join(dir, "ref.wal")))
-					legOpts = ckptOptions(p, WithReplayDB(filepath.Join(dir, "leg.wal")))
-				} else {
-					refOpts = ckptOptions(p)
-					legOpts = ckptOptions(p)
+					refOpts = append(refOpts, WithReplayDB(filepath.Join(dir, "ref.wal")))
+					legOpts = append(legOpts, WithReplayDB(filepath.Join(dir, "leg.wal")))
+					restoreOpts = append(restoreOpts, WithReplayDB(filepath.Join(dir, "leg.wal")))
 				}
 
 				// Uninterrupted reference run.
@@ -106,7 +122,7 @@ func TestResumeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				resumed, err := Restore(ckpt, legOpts...)
+				resumed, err := Restore(ckpt, restoreOpts...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,7 +55,7 @@ func main() {
 	model := flag.Int("model", 1, "Table I architecture number (1-23)")
 	epsilon := flag.Float64("epsilon", 0.1, "exploration rate")
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
-	parallel := flag.Int("parallel", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "engine worker pool size for scoring (0 = GOMAXPROCS); speed only, never changes a result")
 	shards := flag.Int("shards", 0, "partition devices into N placement shards with one batched inference per cycle (0 = unsharded)")
 	topK := flag.Int("topk", 0, "candidate pruning: score only the top-k devices per class by recent throughput (0 = exhaustive scoring)")
 	fullRescan := flag.Int("full-rescan-every", 0, "with -topk: every Nth decision re-scores the full candidate space (0 = default 8)")

@@ -100,10 +100,11 @@ func TestWithObserver(t *testing.T) {
 	}
 }
 
-// Any parallelism ≥ 2 is one canonical deterministic engine: equal seeds
-// with different worker-pool sizes produce identical runs and layouts.
+// The worker bound never affects a result: equal seeds at pool sizes 1, 2
+// and 8 give identical layouts, run stats, movements and train logs, bit
+// for bit.
 func TestWithParallelismDeterministic(t *testing.T) {
-	run := func(par int) (float64, map[int64]string) {
+	run := func(par int) trajectory {
 		sys, err := New(WithSeed(7), WithEpochs(4), WithTrainingWindow(200),
 			WithCooldown(2), WithBootstrapRuns(1), WithParallelism(par))
 		if err != nil {
@@ -113,16 +114,9 @@ func TestWithParallelismDeterministic(t *testing.T) {
 		if _, err := sys.RunN(5); err != nil {
 			t.Fatal(err)
 		}
-		return sys.MeanThroughput(), sys.Layout()
+		return capture(t, sys)
 	}
-	tp2, layout2 := run(2)
-	tp8, layout8 := run(8)
-	if tp2 != tp8 {
-		t.Errorf("parallelism 2 vs 8 throughput: %v vs %v", tp2, tp8)
-	}
-	for id, dev := range layout2 {
-		if layout8[id] != dev {
-			t.Errorf("file %d: parallelism 2 → %s, parallelism 8 → %s", id, dev, layout8[id])
-		}
-	}
+	want := run(1)
+	assertSameTrajectory(t, run(2), want, "parallelism 2 vs 1")
+	assertSameTrajectory(t, run(8), want, "parallelism 8 vs 1")
 }

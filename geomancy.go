@@ -246,11 +246,12 @@ func WithLatencyTarget() Option { return func(c *config) { c.target = core.Targe
 func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = true } }
 
 // WithParallelism bounds the engine's worker pool: candidate feature
-// assembly, the batched-inference GEMMs, and per-minibatch gradient
-// accumulation all fan out across n goroutines. The default is
-// runtime.GOMAXPROCS(0). n = 1 runs the serial engine bit-for-bit; any
-// n ≥ 2 is deterministic and independent of the actual worker count, so
-// equal seeds replay identically on any machine with at least two workers.
+// assembly, the blocks of the batched forward pass and (with WithShards)
+// per-shard prepare and finish fan out across n goroutines. The default is
+// runtime.GOMAXPROCS(0). n is a matter of speed only and never affects a
+// result: equal seeds give the same layouts, run stats and train log, bit
+// for bit, at any n and on any machine. Training does not use the pool —
+// every minibatch runs whole on one goroutine.
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTopK enables the engine's candidate pruning: each decision scores a
@@ -274,8 +275,8 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 // inference per cycle, and placements a shard clearly cannot serve
 // escalate to the cluster-wide throughput digest under two-phase
 // capacity reservations. Shard decisions run concurrently under the
-// WithParallelism worker bound, yet equal seeds replay identically at
-// any parallelism (fixed merge order, per-shard RNG streams). n = 1 is
+// WithParallelism worker bound, which never affects a result (fixed merge
+// order, per-shard RNG streams). n = 1 is
 // bit-identical to the unsharded engine; n = 0 (the default) disables
 // sharding entirely. Devices are grouped contiguously in profile order
 // unless WithShardBy overrides the assignment. Only the default
@@ -833,7 +834,8 @@ func (s *System) SaveCheckpoint() (string, error) {
 
 // Restore rebuilds a system from the snapshot at path. opts must repeat
 // the configuration of the checkpointed run (same seed, devices, files,
-// model, parallelism, replay path, ...): the system is first assembled
+// model, replay path, ...; WithParallelism may differ, it never affects a
+// result): the system is first assembled
 // from them, then every piece of dynamic state — RNG streams, trained
 // model and normalization, cluster clock and layout, workload cursor,
 // loop counters — is overwritten from the snapshot, after which Run

@@ -71,12 +71,12 @@ type Config struct {
 	// ablation).
 	Optimizer string
 	// Parallelism bounds the engine's worker pool: candidate feature
-	// assembly, the batched-inference GEMMs, and per-minibatch gradient
-	// accumulation all fan out across this many goroutines. 1 (the
-	// default) reproduces the serial engine bit-for-bit; any value ≥ 2 is
-	// deterministic and independent of the actual worker count, because
-	// the layout-deciding randomness stays on one goroutine and gradient
-	// reduction uses a fixed chunk structure.
+	// assembly, the blocks of the batched forward pass and, under a
+	// coordinator, per-shard prepare and finish fan out across this many
+	// goroutines. It is a matter of speed only and never changes a result:
+	// scoring is row-independent, the layout-deciding randomness stays on
+	// one goroutine, and training does not read it — a minibatch runs
+	// whole on the caller's goroutine. Default 1.
 	Parallelism int
 	// Target selects the modeled performance metric: "throughput" (the
 	// paper's choice) or "latency" (the §V-C future-work variant — some
@@ -567,12 +567,11 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	loss, err := e.net.Fit(train, nn.FitConfig{
-		Epochs:      spec.epochs,
-		BatchSize:   batchSize,
-		Optimizer:   opt,
-		Rng:         e.rng.Rand,
-		Parallelism: e.cfg.Parallelism,
-		Ctx:         ctx,
+		Epochs:    spec.epochs,
+		BatchSize: batchSize,
+		Optimizer: opt,
+		Rng:       e.rng.Rand,
+		Ctx:       ctx,
 	})
 	if err != nil {
 		return TrainReport{}, err

@@ -47,10 +47,6 @@ type Options struct {
 	TraceRecords int
 	// SeriesWindow is the access-count bucket for throughput series.
 	SeriesWindow int
-	// Parallelism sizes the engine worker pool. 0 (and 1) keep the serial
-	// engine, so the paper-reproduction numbers are bit-for-bit those of
-	// the original single-threaded implementation.
-	Parallelism int
 }
 
 // Paper returns the paper-scale options.

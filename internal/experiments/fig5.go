@@ -94,7 +94,6 @@ func engineConfig(opts Options) core.Config {
 		WindowX:      opts.WindowX,
 		CooldownRuns: opts.CooldownRuns,
 		Seed:         opts.Seed + 77,
-		Parallelism:  opts.Parallelism,
 	}
 }
 

@@ -71,30 +71,26 @@ func TestOnlineGeomancyReconvergesAfterShift(t *testing.T) {
 
 // TestOnlineUpdateDeterminism: the incremental-update path (scaler reuse,
 // minibatch SGD on the newest window) must be bit-identical across
-// same-seed runs, at serial and parallel training alike — otherwise
-// online-geomancy would break the module's resume and replay guarantees.
+// same-seed runs — otherwise online-geomancy would break the module's
+// resume and replay guarantees.
 func TestOnlineUpdateDeterminism(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		opts := shiftOptions(5)
-		opts.Runs = 8
-		opts.Parallelism = parallelism
+	opts := shiftOptions(5)
+	opts.Runs = 8
 
-		type outcome struct {
-			Series Series
-			Layout map[int64]string
+	type outcome struct {
+		Series Series
+		Layout map[int64]string
+	}
+	run := func() outcome {
+		t.Helper()
+		s, _, tb, err := runScenarioPolicy("hotspot-shift", namedBuilder("online-geomancy", 0, engineConfig(opts)), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		run := func() outcome {
-			t.Helper()
-			s, _, tb, err := runScenarioPolicy("hotspot-shift", namedBuilder("online-geomancy", 0, engineConfig(opts)), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.db.Close()
-			return outcome{Series: s, Layout: tb.cluster.Layout()}
-		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("parallelism %d: same-seed online runs diverged", parallelism)
-		}
+		defer tb.db.Close()
+		return outcome{Series: s, Layout: tb.cluster.Layout()}
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Error("same-seed online runs diverged")
 	}
 }

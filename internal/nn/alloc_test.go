@@ -9,9 +9,8 @@ import (
 
 // fitAllocs returns what one Fit of model 1 allocates, in bytes and in
 // objects: the least of three runs each, since the runtime's own
-// allocations (a goroutine descriptor the first time a helper is spawned,
-// say) land in the same counters.
-func fitAllocs(t *testing.T, ds *Dataset, epochs, parallelism int) (bytes, objects int64) {
+// allocations land in the same counters.
+func fitAllocs(t *testing.T, ds *Dataset, epochs int) (bytes, objects int64) {
 	t.Helper()
 	bytes, objects = -1, -1
 	for i := 0; i < 3; i++ {
@@ -21,7 +20,7 @@ func fitAllocs(t *testing.T, ds *Dataset, epochs, parallelism int) (bytes, objec
 		}
 		cfg := FitConfig{
 			Epochs: epochs, BatchSize: 32, Optimizer: &SGD{LR: 0.05},
-			Rng: rand.New(rand.NewSource(2)), Parallelism: parallelism,
+			Rng: rand.New(rand.NewSource(2)),
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -51,26 +50,26 @@ func TestFitAllocations(t *testing.T) {
 		permBytes    = 8 // sampleIndexes: one int per sample
 	)
 	// One-sided: a leak is growth. A negative difference only says that the
-	// baseline run carried more of the runtime's own start-up allocations
-	// (goroutine descriptors for the helper lanes, say) than the longer one.
+	// baseline run carried more of the runtime's own allocations than the
+	// longer one.
 	within := func(v, slack int64) bool { return v <= slack }
 	small := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
 	large := testDataset(rand.New(rand.NewSource(8)), 8000, 6)
-	for _, par := range []int{1, 4} {
-		baseB, baseO := fitAllocs(t, small, 1, par)
-		largeB, largeO := fitAllocs(t, large, 1, par)
-		if d := largeB - baseB - permBytes*(8000-2000); !within(d, slackBytes) || !within(largeO-baseO, slackObjects) {
-			t.Errorf("parallelism %d: 8000 samples allocate %d B beyond the permutation and %d objects more than 2000 samples (%d B, %d objects)",
-				par, d, largeO-baseO, baseB, baseO)
-		}
-		epochsB, epochsO := fitAllocs(t, small, 4, par)
-		if !within(epochsB-baseB, slackBytes) || !within(epochsO-baseO, slackObjects) {
-			t.Errorf("parallelism %d: 4 epochs allocate %d B and %d objects more than 1 epoch (%d B, %d objects)",
-				par, epochsB-baseB, epochsO-baseO, baseB, baseO)
-		}
-		if baseB > 1<<20 {
-			t.Errorf("parallelism %d: one Fit allocates %d B; the scratch of model 1 is a few hundred kB", par, baseB)
-		}
+	baseB, baseO := fitAllocs(t, small, 1)
+	largeB, largeO := fitAllocs(t, large, 1)
+	if d := largeB - baseB - permBytes*(8000-2000); !within(d, slackBytes) || !within(largeO-baseO, slackObjects) {
+		t.Errorf("8000 samples allocate %d B beyond the permutation and %d objects more than 2000 samples (%d B, %d objects)",
+			d, largeO-baseO, baseB, baseO)
+	}
+	epochsB, epochsO := fitAllocs(t, small, 4)
+	if !within(epochsB-baseB, slackBytes) || !within(epochsO-baseO, slackObjects) {
+		t.Errorf("4 epochs allocate %d B and %d objects more than 1 epoch (%d B, %d objects)",
+			epochsB-baseB, epochsO-baseO, baseB, baseO)
+	}
+	// Model 1's scratch at batch 32 is about 180 kB in about 50 objects,
+	// the permutation of 2000 samples 16 kB.
+	if baseB > 256<<10 || baseO > 80 {
+		t.Errorf("one Fit allocates %d B in %d objects; the scratch of model 1 is about 200 kB in about 50", baseB, baseO)
 	}
 }
 
@@ -79,35 +78,33 @@ func TestFitAllocations(t *testing.T) {
 // is parked on the Network or its layers between training cycles.
 func TestFitRetainsNothing(t *testing.T) {
 	ds := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
-	for _, par := range []int{1, 4} {
-		net, err := BuildModel(1, 6, rand.New(rand.NewSource(3)))
-		if err != nil {
+	net, err := BuildModel(1, 6, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := func() {
+		if _, err := net.Fit(ds, FitConfig{Epochs: 1, BatchSize: 32, Optimizer: &SGD{LR: 0.05}}); err != nil {
 			t.Fatal(err)
 		}
-		fit := func() {
-			if _, err := net.Fit(ds, FitConfig{Epochs: 1, BatchSize: 32, Optimizer: &SGD{LR: 0.05}, Parallelism: par}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		live := func() int64 {
-			runtime.GC()
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return int64(m.HeapAlloc)
-		}
-		// Anything Fit parked on the network would show on every repeat;
-		// the least growth of three discounts the runtime's own garbage.
+	}
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	// Anything Fit parked on the network would show on every repeat;
+	// the least growth of three discounts the runtime's own garbage.
+	fit()
+	grew := int64(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		before := live()
 		fit()
-		grew := int64(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			before := live()
-			fit()
-			if g := live() - before; g < grew {
-				grew = g
-			}
+		if g := live() - before; g < grew {
+			grew = g
 		}
-		if grew > 16<<10 {
-			t.Errorf("parallelism %d: another Fit left %d B more on the live heap", par, grew)
-		}
+	}
+	if grew > 16<<10 {
+		t.Errorf("another Fit left %d B more on the live heap", grew)
 	}
 }

@@ -26,11 +26,6 @@ type seqLayer interface {
 	layer
 	forwardSeq(steps []*mat.Matrix) *mat.Matrix
 	backwardSeq(dOut *mat.Matrix)
-	// cloneShared returns a replica sharing this layer's parameter
-	// matrices but owning private gradient accumulators and forward
-	// caches, so the chunks of one minibatch can backpropagate
-	// concurrently.
-	cloneShared() seqLayer
 }
 
 // Dense is a fully connected layer computing act(X·W + b).

@@ -24,10 +24,7 @@ func checkGradients(t *testing.T, net *Network, flat *mat.Matrix, seq []*mat.Mat
 	const eps = 1e-5
 	const tol = 1e-4
 
-	tr := newTrainer(net, nil, y.Rows, 1)
-	tr.elems = len(y.Data)
-	tr.packWeights()
-	tr.lanes[0].step(tr, &tr.chunks[0], flat, seq, y.Data)
+	newTrainer(net, nil, y.Rows).step(flat, seq, y.Data)
 
 	params := net.Params()
 	grads := net.GradsRef()

@@ -46,7 +46,7 @@ func BenchmarkForwardBatch64(b *testing.B)      { benchmarkForwardBatch(b, 64, 1
 func BenchmarkForwardBatch256(b *testing.B)     { benchmarkForwardBatch(b, 256, 1) }
 func BenchmarkForwardBatch256x4(b *testing.B)   { benchmarkForwardBatch(b, 256, 4) }
 
-func benchmarkFit(b *testing.B, par int) {
+func BenchmarkFit(b *testing.B) {
 	ds := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,15 +58,11 @@ func benchmarkFit(b *testing.B, par int) {
 		}
 		b.StartTimer()
 		if _, err := net.Fit(ds, FitConfig{
-			Epochs:      4,
-			BatchSize:   32,
-			Optimizer:   &SGD{LR: 0.05},
-			Parallelism: par,
+			Epochs:    4,
+			BatchSize: 32,
+			Optimizer: &SGD{LR: 0.05},
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkFitSerial(b *testing.B)    { benchmarkFit(b, 1) }
-func BenchmarkFitParallel4(b *testing.B) { benchmarkFit(b, 4) }

@@ -5,69 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"geomancy/internal/mat"
 )
-
-// The test networks are far below helperMinWork, so by default no parallel
-// Fit in this package would ever start a helper goroutine. The tests run
-// with the cut-off at zero — every Parallelism ≥ 2 Fit takes the concurrent
-// path, under the race detector too — and TestFitHelperCutoff puts it back.
-var shippedHelperMinWork = helperMinWork
-
-func TestMain(m *testing.M) {
-	helperMinWork = 0
-	os.Exit(m.Run())
-}
-
-// Helpers are a matter of speed only: the same Fit with helpers forced,
-// with the shipped cut-off and with helpers ruled out ends on the same
-// bits, and the cut-off keeps the paper's network at batch 32 on the
-// caller's goroutine while a wide one gets its lanes.
-func TestFitHelperCutoff(t *testing.T) {
-	shipped := shippedHelperMinWork
-	t.Cleanup(func() { helperMinWork = 0 })
-	for _, model := range []int{1, 18} {
-		var want string
-		for _, cut := range []int{0, shipped, math.MaxInt} {
-			helperMinWork = cut
-			net, err := BuildModel(model, 6, rand.New(rand.NewSource(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ds := testDataset(rand.New(rand.NewSource(8)), 203, 6)
-			if _, err := net.Fit(ds, FitConfig{
-				Epochs: 2, BatchSize: 32, Optimizer: NewAdam(0.005),
-				Rng: rand.New(rand.NewSource(2)), Parallelism: 4,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			got := digestMatrices(net.Params())
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Errorf("model %d: cut-off %d trains to %s, forced helpers to %s", model, cut, got, want)
-			}
-		}
-	}
-
-	helperMinWork = shipped
-	ds := testDataset(rand.New(rand.NewSource(8)), 64, 6)
-	paper, err := BuildModel(1, 6, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := newTrainer(paper, ds, 32, 4); len(tr.lanes) != 1 || tr.chunkRows != gradChunkRows {
-		t.Errorf("model 1 at batch 32: %d lanes of %d-row chunks, want 1 lane of %d-row chunks", len(tr.lanes), tr.chunkRows, gradChunkRows)
-	}
-	rng := rand.New(rand.NewSource(3))
-	wide := NewNetwork(6).AddDense(384, ReLU, rng).AddDense(192, ReLU, rng).AddDense(1, Linear, rng)
-	if tr := newTrainer(wide, ds, 32, 4); len(tr.lanes) != 4 {
-		t.Errorf("6-384-192-1 at batch 32: %d lanes, want 4", len(tr.lanes))
-	}
-}
 
 // randomRows returns n random feature rows of width z.
 func randomRows(rng *rand.Rand, n, z int) [][]float64 {
@@ -187,75 +128,6 @@ func TestForwardBatchSteadyState(t *testing.T) {
 			net.ForwardBatch(some, nil, s)
 		}); allocs != 0 {
 			t.Errorf("parallelism %d: a ForwardBatch on a warm scratch allocates %v objects", par, allocs)
-		}
-	}
-}
-
-// Training with any Parallelism ≥ 2 must produce one canonical result
-// independent of the worker count: a batch always reduces as fixed 8-row
-// chunks in chunk order.
-func TestFitParallelDeterministicAcrossWorkerCounts(t *testing.T) {
-	train := func(par int) (float64, []*mat.Matrix) {
-		rng := rand.New(rand.NewSource(3))
-		net, err := BuildModel(1, 6, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := testDataset(rand.New(rand.NewSource(8)), 200, 6)
-		loss, err := net.Fit(ds, FitConfig{
-			Epochs:      4,
-			BatchSize:   32,
-			Optimizer:   &SGD{LR: 0.05},
-			Rng:         rand.New(rand.NewSource(2)),
-			Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss, net.Params()
-	}
-	refLoss, refParams := train(2)
-	for _, par := range []int{3, 4, 8} {
-		loss, params := train(par)
-		if loss != refLoss {
-			t.Errorf("parallelism %d: loss %v != parallelism 2 loss %v", par, loss, refLoss)
-		}
-		for pi := range params {
-			for i := range params[pi].Data {
-				if params[pi].Data[i] != refParams[pi].Data[i] {
-					t.Fatalf("parallelism %d: param %d[%d] diverged", par, pi, i)
-				}
-			}
-		}
-	}
-}
-
-// Parallelism ≤ 1 must run the untouched serial path.
-func TestFitSerialUnchangedByParallelismOne(t *testing.T) {
-	train := func(par int) []*mat.Matrix {
-		rng := rand.New(rand.NewSource(3))
-		net, err := BuildModel(1, 6, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := testDataset(rand.New(rand.NewSource(8)), 150, 6)
-		if _, err := net.Fit(ds, FitConfig{
-			Epochs:      3,
-			BatchSize:   32,
-			Optimizer:   &SGD{LR: 0.05},
-			Rng:         rand.New(rand.NewSource(2)),
-			Parallelism: par,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return net.Params()
-	}
-	a, b := train(0), train(1)
-	for pi := range a {
-		for i := range a[pi].Data {
-			if a[pi].Data[i] != b[pi].Data[i] {
-				t.Fatalf("Parallelism 0 and 1 diverged at param %d[%d]", pi, i)
-			}
 		}
 	}
 }

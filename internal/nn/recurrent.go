@@ -38,14 +38,6 @@ func (r *SimpleRNN) outSize() int          { return r.Out }
 func (r *SimpleRNN) params() []*mat.Matrix { return []*mat.Matrix{r.Wx, r.Wh, r.B} }
 func (r *SimpleRNN) grads() []*mat.Matrix  { return []*mat.Matrix{r.dWx, r.dWh, r.dB} }
 
-func (r *SimpleRNN) cloneShared() seqLayer {
-	return &SimpleRNN{
-		In: r.In, Out: r.Out, Act: r.Act,
-		Wx: r.Wx, Wh: r.Wh, B: r.B,
-		dWx: mat.New(r.In, r.Out), dWh: mat.New(r.Out, r.Out), dB: mat.New(1, r.Out),
-	}
-}
-
 func (r *SimpleRNN) forwardSeq(steps []*mat.Matrix) *mat.Matrix {
 	batch := steps[0].Rows
 	r.inputs = steps
@@ -142,26 +134,6 @@ func (l *LSTM) params() []*mat.Matrix {
 
 func (l *LSTM) grads() []*mat.Matrix {
 	return []*mat.Matrix{l.dWi, l.dUi, l.dBi, l.dWf, l.dUf, l.dBf, l.dWo, l.dUo, l.dBo, l.dWg, l.dUg, l.dBg}
-}
-
-func (l *LSTM) cloneShared() seqLayer {
-	c := &LSTM{
-		In: l.In, Out: l.Out, Act: l.Act,
-		Wi: l.Wi, Ui: l.Ui, Bi: l.Bi,
-		Wf: l.Wf, Uf: l.Uf, Bf: l.Bf,
-		Wo: l.Wo, Uo: l.Uo, Bo: l.Bo,
-		Wg: l.Wg, Ug: l.Ug, Bg: l.Bg,
-	}
-	grad := func(dw, du, db **mat.Matrix) {
-		*dw = mat.New(l.In, l.Out)
-		*du = mat.New(l.Out, l.Out)
-		*db = mat.New(1, l.Out)
-	}
-	grad(&c.dWi, &c.dUi, &c.dBi)
-	grad(&c.dWf, &c.dUf, &c.dBf)
-	grad(&c.dWo, &c.dUo, &c.dBo)
-	grad(&c.dWg, &c.dUg, &c.dBg)
-	return c
 }
 
 func (l *LSTM) forwardSeq(steps []*mat.Matrix) *mat.Matrix {
@@ -306,24 +278,6 @@ func (g *GRU) params() []*mat.Matrix {
 
 func (g *GRU) grads() []*mat.Matrix {
 	return []*mat.Matrix{g.dWz, g.dUz, g.dBz, g.dWr, g.dUr, g.dBr, g.dWh, g.dUh, g.dBh}
-}
-
-func (g *GRU) cloneShared() seqLayer {
-	c := &GRU{
-		In: g.In, Out: g.Out, Act: g.Act,
-		Wz: g.Wz, Uz: g.Uz, Bz: g.Bz,
-		Wr: g.Wr, Ur: g.Ur, Br: g.Br,
-		Wh: g.Wh, Uh: g.Uh, Bh: g.Bh,
-	}
-	grad := func(dw, du, db **mat.Matrix) {
-		*dw = mat.New(g.In, g.Out)
-		*du = mat.New(g.Out, g.Out)
-		*db = mat.New(1, g.Out)
-	}
-	grad(&c.dWz, &c.dUz, &c.dBz)
-	grad(&c.dWr, &c.dUr, &c.dBr)
-	grad(&c.dWh, &c.dUh, &c.dBh)
-	return c
 }
 
 func (g *GRU) forwardSeq(steps []*mat.Matrix) *mat.Matrix {

@@ -13,12 +13,11 @@ import (
 // before the per-Fit scratch, kept here as the oracle the scratch trainer
 // must match bit for bit: a fresh matrix for every activation, dZ and
 // product, `dW += MulTransA(in, dZ)` as a separate pass, the dense input
-// gradient computed even where nothing reads it, every chunk's gradient
-// cloned and the clones added into zeroed accumulators in chunk order.
+// gradient computed even where nothing reads it.
 
 // refStep runs forward and backward over the anchor rows and leaves the
-// gradient of sse/batchElems in the network's own accumulators.
-func refStep(n *Network, ds *Dataset, rows []int, batchElems int) (sse float64) {
+// gradient of their MSE in the network's own accumulators.
+func refStep(n *Network, ds *Dataset, rows []int) (sse float64) {
 	y := mat.New(len(rows), 1)
 	for i, r := range rows {
 		y.Set(i, 0, ds.Y[r])
@@ -48,7 +47,7 @@ func refStep(n *Network, ds *Dataset, rows []int, batchElems int) (sse float64) 
 	for i := range h.Data {
 		diff := h.Data[i] - y.Data[i]
 		sse += diff * diff
-		g.Data[i] = 2 * diff / float64(batchElems)
+		g.Data[i] = 2 * diff / float64(len(h.Data))
 	}
 
 	for _, acc := range n.GradsRef() {
@@ -73,9 +72,8 @@ func refStep(n *Network, ds *Dataset, rows []int, batchElems int) (sse float64) 
 	return sse
 }
 
-// refFit is the old Fit loop: whole-batch steps when serial, ordered
-// gradChunkRows-row chunks otherwise (run one after another here — the
-// result never depended on which worker took which chunk).
+// refFit is the old Fit loop: one whole-batch step per minibatch. It
+// never looks at cfg.Parallelism.
 func refFit(n *Network, ds *Dataset, cfg FitConfig) float64 {
 	idx := n.sampleIndexes(ds)
 	params, grads := n.Params(), n.GradsRef()
@@ -92,36 +90,7 @@ func refFit(n *Network, ds *Dataset, cfg FitConfig) float64 {
 				end = len(idx)
 			}
 			batch := idx[start:end]
-			elems := len(batch) * n.OutSize()
-			var sse float64
-			if cfg.Parallelism <= 1 {
-				sse = refStep(n, ds, batch, elems)
-			} else {
-				var snaps [][]*mat.Matrix
-				var sses []float64
-				for lo := 0; lo < len(batch); lo += gradChunkRows {
-					hi := lo + gradChunkRows
-					if hi > len(batch) {
-						hi = len(batch)
-					}
-					sses = append(sses, refStep(n, ds, batch[lo:hi], elems))
-					snap := make([]*mat.Matrix, len(grads))
-					for i, g := range grads {
-						snap[i] = g.Clone()
-					}
-					snaps = append(snaps, snap)
-				}
-				for _, g := range grads {
-					g.Zero()
-				}
-				for c, snap := range snaps {
-					sse += sses[c]
-					for i, g := range snap {
-						mat.AddInPlace(grads[i], g)
-					}
-				}
-			}
-			epochLoss += sse / float64(elems)
+			epochLoss += refStep(n, ds, batch) / float64(len(batch)*n.OutSize())
 			batches++
 			cfg.Optimizer.Step(params, grads)
 		}
@@ -153,9 +122,10 @@ func randomNetwork(rng *rand.Rand, z int, recurrent bool) *Network {
 }
 
 // The scratch trainer against the reference, on shapes chosen for their
-// edges: a last batch of one row, a last chunk of one row (2 457 = 76·32 +
-// 25 is what the warehouse workload trains on, 25 = 3·8 + 1), a batch
-// smaller than a chunk, a dataset smaller than the batch.
+// edges: a last batch of one row, a short last batch (2 457 = 76·32 + 25
+// is what the warehouse workload trains on), a small batch, a dataset
+// smaller than the batch — each at two values of the inert
+// FitConfig.Parallelism.
 func TestFitMatchesReferenceTrainer(t *testing.T) {
 	shapes := []struct{ samples, batch int }{
 		{65, 32}, {57, 32}, {2457, 32}, {40, 5}, {7, 32}, {33, 16}, {100, 100},
