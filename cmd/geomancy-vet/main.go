@@ -1,6 +1,6 @@
 // Command geomancy-vet runs Geomancy's custom static-analysis suite —
 // determinism, rngsource, ctxflow, metricnames, errcompare, locksafe,
-// statecheck — over the module, in the spirit of `go vet` but enforcing
+// statecheck, testonly — over the module, in the spirit of `go vet` but enforcing
 // the repo's own invariants (see DESIGN.md §Enforced invariants).
 //
 // Usage:

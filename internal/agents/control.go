@@ -136,13 +136,6 @@ func (c *Control) reconnect() *codec {
 	}
 }
 
-// Applied returns the total number of file movements executed.
-func (c *Control) Applied() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applied
-}
-
 // Close disconnects the agent and waits for its loop to stop.
 func (c *Control) Close() error {
 	err := c.s.close()

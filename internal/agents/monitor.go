@@ -63,13 +63,6 @@ func (m *Monitor) Observe(res storagesim.AccessResult, workloadID, run int) erro
 	return nil
 }
 
-// Pending returns the number of buffered, unshipped reports.
-func (m *Monitor) Pending() int {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	return len(m.batch)
-}
-
 // Flush ships any buffered reports immediately and waits for the daemon's
 // ack, so a completed Flush guarantees the telemetry is queryable (the
 // engine trains right after flushing).
@@ -145,15 +138,6 @@ func (s *MonitorSet) Flush() error {
 		}
 	}
 	return nil
-}
-
-// Pending returns the total buffered, unshipped reports across agents.
-func (s *MonitorSet) Pending() int {
-	n := 0
-	for _, m := range s.monitors {
-		n += m.Pending()
-	}
-	return n
 }
 
 // Close closes every agent, returning the first error.

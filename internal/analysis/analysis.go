@@ -1,7 +1,7 @@
-// Package analysis is Geomancy's static-analysis suite: seven custom
+// Package analysis is Geomancy's static-analysis suite: eight custom
 // analyzers that mechanically enforce the repo's determinism, context,
-// metric-naming, error-handling, lock-safety, and serialization-coverage
-// invariants, plus the tiny framework they run on.
+// metric-naming, error-handling, lock-safety, serialization-coverage, and
+// no-test-only-surface invariants, plus the tiny framework they run on.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, facts) but is self-contained on the
@@ -35,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -55,7 +56,8 @@ type Analyzer struct {
 	Run func(pass *Pass) (any, error)
 	// Flush, if non-nil, runs once after every package: module-wide
 	// checks (e.g. "every declared metric name is used somewhere") that
-	// no single package can decide.
+	// no single package can decide. Its findings must point into one of
+	// the analyzed packages; directives there suppress them as usual.
 	Flush func(results []Result) []Diagnostic
 }
 
@@ -63,6 +65,7 @@ type Analyzer struct {
 type Result struct {
 	Pkg   *Package
 	Value any
+	pass  *Pass // reports the Flush findings that point into Pkg
 }
 
 // Diagnostic is one finding, positioned and attributed.
@@ -149,7 +152,12 @@ func (p *Pass) matchingDirective(file string, line int) *Directive {
 // diagnostic but is itself reported once, so it cannot hide findings
 // silently.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
+	p.report(p.Fset.Position(pos), fmt.Sprintf(format, args...))
+}
+
+// report is Reportf for an already-resolved position: the entry point of
+// a Flush pass's findings, which carry positions, not token.Pos.
+func (p *Pass) report(position token.Position, message string) {
 	if d := p.matchingDirective(position.Filename, position.Line); d != nil {
 		d.Used = true
 		if p.suppressed != nil {
@@ -157,7 +165,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 				Diagnostic: Diagnostic{
 					Pos:      position,
 					Analyzer: p.Analyzer.Name,
-					Message:  fmt.Sprintf(format, args...),
+					Message:  message,
 				},
 				Reason: d.Reason,
 			})
@@ -175,7 +183,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
+		Message:  message,
 	})
 }
 
@@ -208,6 +216,7 @@ func All() []*Analyzer {
 		ErrCompareAnalyzer,
 		LockSafeAnalyzer,
 		StateCheckAnalyzer,
+		TestOnlyAnalyzer,
 	}
 }
 
@@ -287,12 +296,21 @@ func run(analyzers []*Analyzer, pkgs []*Package, useFilter bool) (*Report, error
 			if err != nil {
 				return rep, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
-			results[a] = append(results[a], Result{Pkg: pkg, Value: value})
+			results[a] = append(results[a], Result{Pkg: pkg, Value: value, pass: pass})
 		}
 	}
+	// A Flush finding goes through the pass of the package it points into,
+	// so directives suppress it — and go stale — like any other finding.
 	for _, a := range analyzers {
-		if a.Flush != nil {
-			rep.Diagnostics = append(rep.Diagnostics, a.Flush(results[a])...)
+		if a.Flush == nil {
+			continue
+		}
+		for _, d := range a.Flush(results[a]) {
+			for _, r := range results[a] {
+				if r.Pkg.Dir == filepath.Dir(d.Pos.Filename) {
+					r.pass.report(d.Pos, d.Message)
+				}
+			}
 		}
 	}
 	rep.Stale = staleDirectives(pkgs)

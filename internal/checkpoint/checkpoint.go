@@ -131,8 +131,21 @@ func Write(w io.Writer, snap *Snapshot) error {
 }
 
 // Read parses a framed snapshot, returning ErrCorrupt for anything that
-// fails validation.
+// fails validation. The frame's declared length is not trusted: the
+// payload buffer grows as bytes actually arrive, so a header that lies
+// costs at most about twice what the reader really holds.
 func Read(r io.Reader) (*Snapshot, error) {
+	return read(r, -1)
+}
+
+// payloadStep is the first buffer of a payload read from a source of
+// unknown size; the buffer doubles from there up to the declared length.
+const payloadStep = 64 << 10
+
+// read is Read over a source known to hold size bytes in all (size < 0:
+// unknown). A known size bounds the declared length up front, so an
+// honest file decodes from one buffer of exactly its payload's size.
+func read(r io.Reader, size int64) (*Snapshot, error) {
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
@@ -147,10 +160,25 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if frame[0] != frameSnapshot {
 		return nil, fmt.Errorf("%w: unknown frame type 0x%02x", ErrCorrupt, frame[0])
 	}
-	plen := binary.LittleEndian.Uint32(frame[1:])
-	payload := make([]byte, int64(plen)+4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	plen := int64(binary.LittleEndian.Uint32(frame[1:]))
+	need := plen + 4 // payload and its CRC
+	first := min(need, payloadStep)
+	if size >= 0 {
+		if rest := size - int64(len(magic)+len(frame)); need > rest {
+			return nil, fmt.Errorf("%w: frame declares %d bytes, %d follow it", ErrCorrupt, need, rest)
+		}
+		first = need
+	}
+	payload := make([]byte, first)
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, payload[filled:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+		}
+		filled = len(payload)
+		if int64(filled) == need {
+			break
+		}
+		payload = append(payload, make([]byte, min(need-int64(filled), int64(filled)))...)
 	}
 	body := payload[:plen]
 	want := binary.LittleEndian.Uint32(payload[plen:])
@@ -201,7 +229,11 @@ func Load(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(f, info.Size())
 }
 
 func syncDir(dir string) error {
@@ -242,9 +274,6 @@ func NewStore(dir string) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Save writes snap as the next numbered snapshot and prunes old ones,
 // returning the path written.

@@ -1,0 +1,62 @@
+package checkpoint
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
+	"testing"
+)
+
+// framed wraps payload in a well-formed GCKP0005 frame — magic, type,
+// length, payload, CRC — so bytes the fuzzer invents reach the gob decoder
+// instead of dying at the checksum.
+func framed(payload []byte) []byte {
+	out := append([]byte(nil), magic...)
+	out = append(out, frameSnapshot)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// FuzzCheckpointRead feeds arbitrary bytes to Read twice: as a checkpoint
+// file, and as the payload of a correctly framed one. Either way Read
+// returns a snapshot or an ErrCorrupt — never another error, never a
+// panic — and what reading a file allocates is bounded by the file's own
+// length, whatever length its header declares. The committed corpus holds
+// real GCKP0005 snapshots (flat, and two shards with the coordinator's
+// nested per-shard engine blobs in Policy), each cut at every frame
+// boundary, with a flipped CRC, under the previous magic, and the 13-byte
+// header that used to ask for 4 GiB.
+func FuzzCheckpointRead(f *testing.F) {
+	var valid bytes.Buffer
+	if err := Write(&valid, sampleSnapshot()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte("GCKP0005\x01\xff\xff\xff\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read failed with an untyped error: %v", err)
+		}
+		if (snap == nil) == (err == nil) {
+			t.Fatalf("Read returned snapshot %v with error %v", snap != nil, err)
+		}
+		// Twice the input for the doubling buffer, once more for what gob
+		// builds from an honest payload, and a fixed allowance for gob's
+		// own machinery (its first decode compiles the Snapshot type).
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(data))+8<<20; grew > limit {
+			t.Fatalf("Read allocated %d bytes for a %d-byte input (limit %d)", grew, len(data), limit)
+		}
+		if snap, err := Read(bytes.NewReader(framed(data))); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read of a framed payload failed with an untyped error: %v", err)
+		} else if (snap == nil) == (err == nil) {
+			t.Fatalf("Read of a framed payload returned snapshot %v with error %v", snap != nil, err)
+		}
+	})
+}

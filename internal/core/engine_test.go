@@ -320,11 +320,11 @@ func TestLoopEndToEnd(t *testing.T) {
 			t.Fatalf("run %d made no accesses", i)
 		}
 	}
-	if loop.AccessCount() == 0 || int(loop.AccessCount()) != observed {
-		t.Errorf("access count %d, observer saw %d", loop.AccessCount(), observed)
+	if loop.accessCount == 0 || int(loop.accessCount) != observed {
+		t.Errorf("access count %d, observer saw %d", loop.accessCount, observed)
 	}
-	if db.Len() != int(loop.AccessCount()) {
-		t.Errorf("db has %d records, loop counted %d", db.Len(), loop.AccessCount())
+	if db.Len() != int(loop.accessCount) {
+		t.Errorf("db has %d records, loop counted %d", db.Len(), loop.accessCount)
 	}
 	// Cooldown 2 over 6 runs → 3 decision points.
 	if got := len(loop.TrainLog()); got != 3 {

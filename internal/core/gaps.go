@@ -112,41 +112,6 @@ func (g *GapPredictor) PredictGap(fileID int64) (mean, dev float64, ok bool) {
 	return s.mean, s.dev, true
 }
 
-// Cadence returns the intra-burst gap statistics (the all-gap EWMA before
-// release filtering); diagnostics use it.
-func (g *GapPredictor) Cadence(fileID int64) (mean, dev float64, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, found := g.stats[fileID]
-	if !found || s.n < 1 {
-		return 0, 0, false
-	}
-	return s.mean, s.dev, true
-}
-
-// LastAccess returns the most recent observed access time of the file.
-func (g *GapPredictor) LastAccess(fileID int64) (float64, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.stats[fileID]
-	if !ok {
-		return 0, false
-	}
-	return s.lastAccess, true
-}
-
-// Files returns the file IDs with gap statistics, sorted.
-func (g *GapPredictor) Files() []int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]int64, 0, len(g.stats))
-	for id := range g.stats {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // MoveEstimator predicts the transfer duration (seconds) of moving a file
 // to a destination device.
 type MoveEstimator func(fileID int64, dst string) float64

@@ -72,17 +72,6 @@ func TestGapPredictorNonMonotoneTime(t *testing.T) {
 	}
 }
 
-func TestGapPredictorFiles(t *testing.T) {
-	g := NewGapPredictor()
-	g.Observe(3, 1)
-	g.Observe(1, 1)
-	g.Observe(2, 1)
-	ids := g.Files()
-	if len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
-		t.Errorf("Files = %v", ids)
-	}
-}
-
 func TestMoveSchedulerFilter(t *testing.T) {
 	g := NewGapPredictor()
 	// File 1: long 100s gaps. File 2: hot, 0.1s gaps. File 3: no history.
@@ -182,7 +171,7 @@ func TestLoopWithGapScheduling(t *testing.T) {
 		}
 	}
 	// The predictor saw every file.
-	if got := len(gaps.Files()); got != len(files) {
+	if got := len(gaps.stats); got != len(files) {
 		t.Errorf("gap model tracked %d files, want %d", got, len(files))
 	}
 	// Deferral bookkeeping is consistent: the BELLE II pattern accesses

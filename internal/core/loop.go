@@ -237,9 +237,6 @@ func (l *Loop) EnableGapScheduling() *GapPredictor {
 // Deferrals returns every move the scheduler postponed.
 func (l *Loop) Deferrals() []Deferral { return append([]Deferral(nil), l.deferrals...) }
 
-// AccessCount returns the total accesses observed by the loop.
-func (l *Loop) AccessCount() int64 { return l.accessCount }
-
 // Movements returns the layout-application history.
 func (l *Loop) Movements() []MovementEvent {
 	return append([]MovementEvent(nil), l.movements...)

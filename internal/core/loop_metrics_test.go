@@ -41,8 +41,8 @@ func TestLoopMetrics(t *testing.T) {
 	for _, dev := range cluster.DeviceNames() {
 		accesses += reg.Counter(telemetry.MetricAccessesTotal, telemetry.L("device", dev)).Value()
 	}
-	if accesses != uint64(loop.AccessCount()) {
-		t.Errorf("access counters sum to %d, loop counted %d", accesses, loop.AccessCount())
+	if accesses != uint64(loop.accessCount) {
+		t.Errorf("access counters sum to %d, loop counted %d", accesses, loop.accessCount)
 	}
 	lat := reg.Histogram(telemetry.MetricAccessLatency, telemetry.DefLatencyBuckets, telemetry.L("device", "pic"))
 	if lat.Count() == 0 || lat.Quantile(0.95) <= 0 {

@@ -243,7 +243,7 @@ func TestLoopRunOnceContextCancel(t *testing.T) {
 	if _, err := loop.RunOnceContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunOnceContext(cancelled) = %v, want context.Canceled", err)
 	}
-	if loop.AccessCount() != 0 {
-		t.Errorf("cancelled run recorded %d accesses before the first item, want 0", loop.AccessCount())
+	if loop.accessCount != 0 {
+		t.Errorf("cancelled run recorded %d accesses before the first item, want 0", loop.accessCount)
 	}
 }

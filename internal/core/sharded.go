@@ -155,9 +155,6 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 // through it.
 func (s *Sharded) Model() *EngineModel { return s.global }
 
-// Shard returns the i-th device group (for accounting inspection).
-func (s *Sharded) Shard(i int) *storagesim.Shard { return s.units[i].shard }
-
 // SetMetrics installs per-shard decision/escalation/migration counters,
 // labeled {shard="i"}. A nil registry detaches.
 func (s *Sharded) SetMetrics(reg *telemetry.Registry) {

@@ -76,7 +76,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	if plain.rng.State() != s.globalEngine.rng.State() {
 		t.Fatal("RNG streams diverged between the engine and the 1-shard coordinator")
 	}
-	if got := s.Shard(0).Decisions(); got != 6*int64(len(files)) {
+	if got := s.units[0].shard.State().Decisions; got != 6*int64(len(files)) {
 		t.Errorf("shard 0 decision count = %d, want %d", got, 6*len(files))
 	}
 }
@@ -145,9 +145,9 @@ func TestShardedRouting(t *testing.T) {
 	}
 	owners := map[int64]int{1: 0, 2: 1, 3: 2}
 	for _, d := range dec {
-		shard := s.Shard(owners[d.FileID])
+		shard := s.units[owners[d.FileID]].shard
 		for dev := range d.Predictions {
-			if !shard.Contains(dev) {
+			if shard.Device(dev) == nil {
 				t.Errorf("file %d (shard %d) scored out-of-shard device %q", d.FileID, owners[d.FileID], dev)
 			}
 		}
@@ -159,7 +159,7 @@ func TestShardedRouting(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if got := s.Shard(i).Decisions(); got != 1 {
+		if got := s.units[i].shard.State().Decisions; got != 1 {
 			t.Errorf("shard %d decisions = %d, want 1", i, got)
 		}
 	}
@@ -196,9 +196,9 @@ func TestShardedEscalation(t *testing.T) {
 	if d.Chosen != digest.Name {
 		t.Fatalf("underperforming choice not escalated: chosen %q", d.Chosen)
 	}
-	if s.Shard(1).Escalations() != 1 || s.Shard(0).Migrations() != 1 {
+	if s.units[1].shard.State().Escalations != 1 || s.units[0].shard.State().Migrations != 1 {
 		t.Fatalf("counters after migration: escalations=%d migrations=%d, want 1/1",
-			s.Shard(1).Escalations(), s.Shard(0).Migrations())
+			s.units[1].shard.State().Escalations, s.units[0].shard.State().Migrations)
 	}
 
 	// A file the digest device cannot cover: escalation is counted, the
@@ -211,16 +211,16 @@ func TestShardedEscalation(t *testing.T) {
 	if d.Chosen != "tmp" {
 		t.Fatalf("failed reservation still moved the file to %q", d.Chosen)
 	}
-	if s.Shard(1).Escalations() != 2 || s.Shard(0).Migrations() != 1 {
+	if s.units[1].shard.State().Escalations != 2 || s.units[0].shard.State().Migrations != 1 {
 		t.Fatalf("counters after failed reservation: escalations=%d migrations=%d, want 2/1",
-			s.Shard(1).Escalations(), s.Shard(0).Migrations())
+			s.units[1].shard.State().Escalations, s.units[0].shard.State().Migrations)
 	}
 
 	// Exploration decisions probe, they do not escalate.
 	d = Decision{FileID: 3, Current: "tmp", Chosen: "tmp", Random: true,
 		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 10}}
 	s.escalate(1, &d, digest, 1e6)
-	if d.Chosen != "tmp" || s.Shard(1).Escalations() != 2 {
+	if d.Chosen != "tmp" || s.units[1].shard.State().Escalations != 2 {
 		t.Error("exploration decision escalated")
 	}
 
@@ -228,7 +228,7 @@ func TestShardedEscalation(t *testing.T) {
 	d = Decision{FileID: 4, Current: "pic", Chosen: "pic",
 		Predictions: map[string]float64{"pic": digest.RecentThroughput / 10}}
 	s.escalate(0, &d, digest, 1e6)
-	if d.Chosen != "pic" || s.Shard(0).Escalations() != 0 {
+	if d.Chosen != "pic" || s.units[0].shard.State().Escalations != 0 {
 		t.Error("in-shard digest treated as cross-shard escalation")
 	}
 
@@ -236,7 +236,7 @@ func TestShardedEscalation(t *testing.T) {
 	d = Decision{FileID: 5, Current: "tmp", Chosen: "tmp",
 		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 2}}
 	s.escalate(1, &d, digest, 1e6)
-	if d.Chosen != "tmp" || s.Shard(1).Escalations() != 2 {
+	if d.Chosen != "tmp" || s.units[1].shard.State().Escalations != 2 {
 		t.Error("adequately served choice escalated")
 	}
 }
@@ -254,8 +254,8 @@ func TestShardedReservationsReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(s.units); i++ {
-		for _, dev := range s.Shard(i).DeviceNames() {
-			if r := s.Shard(i).Reserved(dev); r != 0 {
+		for _, dev := range s.units[i].shard.DeviceNames() {
+			if r := s.units[i].shard.Reserved(dev); r != 0 {
 				t.Errorf("shard %d device %s holds %d reserved bytes after the cycle", i, dev, r)
 			}
 		}
@@ -332,8 +332,8 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	if err := b.UnmarshalState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if b.Shard(0).Decisions() != a.Shard(0).Decisions() {
-		t.Fatalf("restored shard 0 decisions = %d, want %d", b.Shard(0).Decisions(), a.Shard(0).Decisions())
+	if b.units[0].shard.State().Decisions != a.units[0].shard.State().Decisions {
+		t.Fatalf("restored shard 0 decisions = %d, want %d", b.units[0].shard.State().Decisions, a.units[0].shard.State().Decisions)
 	}
 	for i := 0; i < 4; i++ {
 		la, da, err := a.DecideLayout(t.Context(), files)

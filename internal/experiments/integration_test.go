@@ -173,7 +173,12 @@ func TestTable4Shape(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("%d rows, want 7 (6 mounts + Geomancy)", len(res.Rows))
 	}
-	best := res.Best()
+	var best Table4Row
+	for _, r := range res.Rows {
+		if r.Name != "Geomancy" && r.Mean > best.Mean {
+			best = r
+		}
+	}
 	if best.Name != "file0" {
 		t.Errorf("fastest single mount = %s, want file0 (Table IV ordering)", best.Name)
 	}

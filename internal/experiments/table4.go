@@ -86,25 +86,3 @@ func (r *Table4Result) Table() *Table {
 	}
 	return t
 }
-
-// Best returns the single-mount row with the highest mean throughput
-// (file0 in the paper).
-func (r *Table4Result) Best() Table4Row {
-	var best Table4Row
-	for _, row := range r.Rows {
-		if row.Name != "Geomancy" && row.Mean > best.Mean {
-			best = row
-		}
-	}
-	return best
-}
-
-// Geomancy returns Geomancy's own row.
-func (r *Table4Result) Geomancy() Table4Row {
-	for _, row := range r.Rows {
-		if row.Name == "Geomancy" {
-			return row
-		}
-	}
-	return Table4Row{}
-}

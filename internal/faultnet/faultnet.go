@@ -93,15 +93,6 @@ func (n *Network) Listener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, net: n}
 }
 
-// Dial wraps net.Dial with fault injection on the resulting connection.
-func (n *Network) Dial(network, addr string) (net.Conn, error) {
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return n.Wrap(c), nil
-}
-
 // Wrap attaches the next deterministic fault stream to c.
 func (n *Network) Wrap(c net.Conn) net.Conn {
 	idx := n.connIndex.Add(1)

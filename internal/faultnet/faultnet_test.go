@@ -21,6 +21,16 @@ func echoServer(ln net.Listener) {
 	}
 }
 
+// dial connects to addr and attaches fn's next fault stream to the
+// connection.
+func dial(fn *Network, addr string) (net.Conn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return fn.Wrap(c), nil
+}
+
 func TestZeroConfigPassesTrafficThrough(t *testing.T) {
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -31,7 +41,7 @@ func TestZeroConfigPassesTrafficThrough(t *testing.T) {
 	defer ln.Close()
 	go echoServer(ln)
 
-	conn, err := fn.Dial("tcp", ln.Addr().String())
+	conn, err := dial(fn, ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestDropSeversConnection(t *testing.T) {
 	go echoServer(raw)
 
 	fn := New(Config{Seed: 7, DropRate: 1})
-	conn, err := fn.Dial("tcp", raw.Addr().String())
+	conn, err := dial(fn, raw.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestPartialWriteTruncates(t *testing.T) {
 	}()
 
 	fn := New(Config{Seed: 3, PartialWriteRate: 1})
-	conn, err := fn.Dial("tcp", raw.Addr().String())
+	conn, err := dial(fn, raw.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func TestSameSeedSameFaultSequence(t *testing.T) {
 		fn := New(Config{Seed: seed, DropRate: 0.3})
 		var fails []int
 		for c := 0; c < 8; c++ {
-			conn, err := fn.Dial("tcp", raw.Addr().String())
+			conn, err := dial(fn, raw.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +196,7 @@ func TestDelayInjectsLatency(t *testing.T) {
 	go echoServer(raw)
 
 	fn := New(Config{Seed: 5, DelayRate: 1, Delay: 20 * time.Millisecond})
-	conn, err := fn.Dial("tcp", raw.Addr().String())
+	conn, err := dial(fn, raw.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

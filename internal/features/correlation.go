@@ -1,8 +1,7 @@
 // Package features implements the Geomancy feature pipeline (§V-D, §V-E):
 // Pearson-correlation feature discovery against throughput, min-max
-// normalization of numeric data into [0,1], the paper's file-path →
-// numeric-ID encoding, moving-average smoothing of ReplayDB batches, and
-// helpers for assembling model inputs.
+// normalization of numeric data into [0,1], and moving-average smoothing
+// of ReplayDB batches.
 package features
 
 import (
@@ -70,53 +69,4 @@ func SortByAbs(report []Correlation) {
 	sort.SliceStable(report, func(i, j int) bool {
 		return math.Abs(report[i].R) > math.Abs(report[j].R)
 	})
-}
-
-// SelectTopK automates §V-D's feature discovery: it ranks features by
-// |Pearson r| against the target and returns the names and column indexes
-// of the top k. Constant (r = 0) columns are skipped — "training the
-// neural network with these features may prevent the neural network from
-// converging quickly".
-func SelectTopK(names []string, columns [][]float64, target []float64, k int) (selected []string, indexes []int) {
-	report := CorrelationReport(names, columns, target)
-	type ranked struct {
-		Correlation
-		idx int
-	}
-	rs := make([]ranked, len(report))
-	for i, c := range report {
-		rs[i] = ranked{c, i}
-	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		return math.Abs(rs[i].R) > math.Abs(rs[j].R)
-	})
-	for _, r := range rs {
-		if len(selected) >= k {
-			break
-		}
-		if r.R == 0 {
-			continue
-		}
-		selected = append(selected, r.Name)
-		indexes = append(indexes, r.idx)
-	}
-	return selected, indexes
-}
-
-// ExtractColumns builds feature rows from the selected column indexes:
-// out[i][j] = columns[indexes[j]][i].
-func ExtractColumns(columns [][]float64, indexes []int) [][]float64 {
-	if len(columns) == 0 || len(indexes) == 0 {
-		return nil
-	}
-	n := len(columns[0])
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, len(indexes))
-		for j, idx := range indexes {
-			row[j] = columns[idx][i]
-		}
-		out[i] = row
-	}
-	return out
 }

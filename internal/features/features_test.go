@@ -125,10 +125,6 @@ func TestMinMaxScaler(t *testing.T) {
 	if got := s.TransformValue(0, 50); got != 1 {
 		t.Errorf("above-range = %v, want 1", got)
 	}
-	// Inverse round trip.
-	if got := s.Inverse(1, s.TransformValue(1, 25)); math.Abs(got-25) > 1e-12 {
-		t.Errorf("inverse = %v, want 25", got)
-	}
 }
 
 func TestMinMaxScalerConstantColumn(t *testing.T) {
@@ -173,78 +169,6 @@ func TestScalarScaler(t *testing.T) {
 	empty.Fit(nil)
 	if got := empty.Transform(5); got != 0 {
 		t.Errorf("empty-fit Transform = %v, want 0", got)
-	}
-}
-
-func TestPathEncoderPaperExample(t *testing.T) {
-	e := NewPathEncoder()
-	// foo→1, bar→2... wait: per-level indexes start at 1 per level.
-	// foo/bar/bat.root: level0 foo=1, level1 bar=1, level2 bat.root=1
-	// → 1*1000000 + 1*1000 + 1.
-	id := e.Encode("foo/bar/bat.root")
-	if id != 1001001 {
-		t.Errorf("Encode = %d, want 1001001", id)
-	}
-	// Same path encodes identically.
-	if again := e.Encode("foo/bar/bat.root"); again != id {
-		t.Errorf("re-encode = %d, want %d", again, id)
-	}
-	// Sibling file in the same directory: nearby ID (locality).
-	sib := e.Encode("foo/bar/other.root")
-	if sib != 1001002 {
-		t.Errorf("sibling = %d, want 1001002", sib)
-	}
-	if diff := sib - id; diff != 1 {
-		t.Errorf("sibling distance = %d, want 1", diff)
-	}
-	// Different top-level directory: far ID.
-	far := e.Encode("zzz/bar/bat.root")
-	if far-id < levelBase*levelBase-1 {
-		t.Errorf("different tree should be far: %d vs %d", far, id)
-	}
-}
-
-func TestPathEncoderLookup(t *testing.T) {
-	e := NewPathEncoder()
-	id := e.Encode("/a/b/c")
-	if got, ok := e.Lookup("a/b/c"); !ok || got != id {
-		t.Errorf("Lookup = %d,%v; want %d,true (slashes normalized)", got, ok, id)
-	}
-	if _, ok := e.Lookup("a/b/unknown"); ok {
-		t.Error("Lookup of unknown component should fail")
-	}
-	if _, ok := e.Lookup("a/b/c/d"); ok {
-		t.Error("Lookup deeper than seen should fail")
-	}
-	if id, ok := e.Lookup(""); !ok || id != 0 {
-		t.Errorf("empty path Lookup = %d,%v; want 0,true", id, ok)
-	}
-	if e.Depth() != 3 {
-		t.Errorf("Depth = %d, want 3", e.Depth())
-	}
-}
-
-func TestPathEncoderEmptyPath(t *testing.T) {
-	e := NewPathEncoder()
-	if id := e.Encode(""); id != 0 {
-		t.Errorf("empty path = %d, want 0", id)
-	}
-	if id := e.Encode("///"); id != 0 {
-		t.Errorf("slashes-only path = %d, want 0", id)
-	}
-}
-
-func TestPathEncoderConcurrent(t *testing.T) {
-	e := NewPathEncoder()
-	done := make(chan int64)
-	for i := 0; i < 8; i++ {
-		go func() { done <- e.Encode("x/y/z") }()
-	}
-	first := <-done
-	for i := 1; i < 8; i++ {
-		if got := <-done; got != first {
-			t.Fatalf("concurrent encodes disagree: %d vs %d", got, first)
-		}
 	}
 }
 
@@ -322,69 +246,5 @@ func TestMovingAverageBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSmoothColumns(t *testing.T) {
-	rows := [][]float64{{1, 10}, {3, 20}, {5, 30}}
-	out := SmoothColumns(rows, 2)
-	if out[0][0] != 1 || out[1][0] != 2 || out[2][0] != 4 {
-		t.Errorf("column 0 smoothed = %v", out)
-	}
-	if out[1][1] != 15 || out[2][1] != 25 {
-		t.Errorf("column 1 smoothed = %v", out)
-	}
-	if SmoothColumns(nil, 3) != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
-func TestSelectTopK(t *testing.T) {
-	target := []float64{1, 2, 3, 4, 5}
-	cols := [][]float64{
-		{5, 4, 3, 2, 1}, // strong negative
-		{1, 1, 1, 1, 1}, // constant, r = 0, must be skipped
-		{1, 2, 3, 4, 5}, // perfect positive
-		{2, 1, 4, 3, 6}, // moderate
-	}
-	names := []string{"neg", "const", "pos", "mid"}
-	sel, idx := SelectTopK(names, cols, target, 3)
-	if len(sel) != 3 {
-		t.Fatalf("selected %v", sel)
-	}
-	// pos and neg are |r| = 1; mid third; const excluded.
-	if sel[2] != "mid" {
-		t.Errorf("third pick = %q, want mid", sel[2])
-	}
-	for _, s := range sel {
-		if s == "const" {
-			t.Error("constant column must be skipped")
-		}
-	}
-	rows := ExtractColumns(cols, idx)
-	if len(rows) != 5 || len(rows[0]) != 3 {
-		t.Fatalf("rows shape %dx%d", len(rows), len(rows[0]))
-	}
-	// Row 0 holds the first sample of each selected column.
-	if rows[0][2] != cols[idx[2]][0] {
-		t.Error("ExtractColumns misaligned")
-	}
-}
-
-func TestSelectTopKMoreThanAvailable(t *testing.T) {
-	target := []float64{1, 2}
-	cols := [][]float64{{1, 2}, {3, 3}}
-	sel, idx := SelectTopK([]string{"a", "b"}, cols, target, 10)
-	if len(sel) != 1 || sel[0] != "a" || len(idx) != 1 {
-		t.Errorf("sel=%v idx=%v, want just the informative column", sel, idx)
-	}
-}
-
-func TestExtractColumnsEmpty(t *testing.T) {
-	if ExtractColumns(nil, []int{0}) != nil {
-		t.Error("empty columns should return nil")
-	}
-	if ExtractColumns([][]float64{{1}}, nil) != nil {
-		t.Error("empty indexes should return nil")
 	}
 }

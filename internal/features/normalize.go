@@ -75,12 +75,6 @@ func (s *MinMaxScaler) TransformValue(c int, v float64) float64 {
 	return t
 }
 
-// Inverse maps a normalized value of column c back to its original scale.
-func (s *MinMaxScaler) Inverse(c int, v float64) float64 {
-	s.mustFit(c + 1)
-	return s.Min[c] + v*(s.Max[c]-s.Min[c])
-}
-
 // FitTransform is Fit followed by Transform.
 func (s *MinMaxScaler) FitTransform(x *mat.Matrix) *mat.Matrix {
 	s.Fit(x)

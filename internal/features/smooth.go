@@ -39,27 +39,3 @@ func CumulativeAverage(xs []float64) []float64 {
 	}
 	return out
 }
-
-// SmoothColumns applies MovingAverage to each column of a row-major table
-// (rows = accesses in time order), returning a new table.
-func SmoothColumns(rows [][]float64, window int) [][]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	cols := len(rows[0])
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = make([]float64, cols)
-	}
-	col := make([]float64, len(rows))
-	for c := 0; c < cols; c++ {
-		for r := range rows {
-			col[r] = rows[r][c]
-		}
-		sm := MovingAverage(col, window)
-		for r := range rows {
-			out[r][c] = sm[r]
-		}
-	}
-	return out
-}

@@ -1,8 +1,8 @@
 // Package generator is the workload plane's library of deterministic
 // value generators — the distributions a scenario draws file indices,
-// operation offsets, and population sizes from (uniform, zipfian,
-// hotspot, exponential, counter, and a histogram-backed size generator,
-// modeled on the YCSB generator suite).
+// operation offsets, and population sizes from (zipfian, hotspot,
+// counter, and a histogram-backed size generator, modeled on the YCSB
+// generator suite).
 //
 // Every generator is a pure function of the *rng.RNG stream passed to
 // Next plus its own registers, and those registers are fully
@@ -15,7 +15,6 @@ package generator
 
 import (
 	"fmt"
-	"math"
 
 	"geomancy/internal/rng"
 )
@@ -54,74 +53,13 @@ func (s State) check(kind string, ni, nf int) error {
 	return nil
 }
 
-// Restore rebuilds a generator of the kind recorded in st. It is the
-// inverse of State for every generator in the package.
-func Restore(st State) (Generator, error) {
-	var g Generator
-	switch st.Kind {
-	case kindUniform:
-		g = &Uniform{}
-	case kindCounter:
-		g = &Counter{}
-	case kindZipfian:
-		g = &Zipfian{}
-	case kindHotspot:
-		g = &Hotspot{}
-	case kindExponential:
-		g = &Exponential{}
-	case kindSizeHistogram:
-		g = &SizeHistogram{}
-	default:
-		return nil, fmt.Errorf("generator: unknown kind %q", st.Kind)
-	}
-	if err := g.RestoreState(st); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // Kind tags of the package's generators.
 const (
-	kindUniform       = "uniform"
 	kindCounter       = "counter"
 	kindZipfian       = "zipfian"
 	kindHotspot       = "hotspot"
-	kindExponential   = "exponential"
 	kindSizeHistogram = "size-histogram"
 )
-
-// Uniform draws integers uniformly from [Lo, Hi] inclusive.
-type Uniform struct {
-	lo, hi int64
-}
-
-// NewUniform returns a uniform generator over [lo, hi]; an inverted
-// range collapses to the single value lo.
-func NewUniform(lo, hi int64) *Uniform {
-	if hi < lo {
-		hi = lo
-	}
-	return &Uniform{lo: lo, hi: hi}
-}
-
-// Next implements Generator.
-func (u *Uniform) Next(r *rng.RNG) int64 {
-	return u.lo + r.Int63n(u.hi-u.lo+1)
-}
-
-// State implements Generator.
-func (u *Uniform) State() State {
-	return State{Kind: kindUniform, I: []int64{u.lo, u.hi}}
-}
-
-// RestoreState implements Generator.
-func (u *Uniform) RestoreState(s State) error {
-	if err := s.check(kindUniform, 2, 0); err != nil {
-		return err
-	}
-	u.lo, u.hi = s.I[0], s.I[1]
-	return nil
-}
 
 // Counter is the sequential generator: it returns lo, lo+1, lo+2, …,
 // ignoring the stream entirely. Scenarios use it for ingest heads and
@@ -224,48 +162,5 @@ func (h *Hotspot) RestoreState(s State) error {
 	}
 	h.lo, h.hi = s.I[0], s.I[1]
 	h.hotFrac, h.hotOpn = s.F[0], s.F[1]
-	return nil
-}
-
-// Exponential draws non-negative integers with an exponentially
-// decaying frequency: value v appears with probability ∝ e^(−γv). The
-// YCSB parameterization is used: percentile of the mass inside the
-// first rangeV values.
-type Exponential struct {
-	gamma float64
-}
-
-// NewExponential returns a generator where percentile percent of the
-// draws fall inside [0, rangeV).
-func NewExponential(percentile, rangeV float64) *Exponential {
-	if percentile <= 0 || percentile >= 100 {
-		percentile = 95
-	}
-	if rangeV <= 0 {
-		rangeV = 1
-	}
-	return &Exponential{gamma: -math.Log(1-percentile/100) / rangeV}
-}
-
-// Next implements Generator.
-func (e *Exponential) Next(r *rng.RNG) int64 {
-	u := r.Float64()
-	for u == 0 { // Float64 is [0,1); exclude the log(0) corner
-		u = r.Float64()
-	}
-	return int64(-math.Log(u) / e.gamma)
-}
-
-// State implements Generator.
-func (e *Exponential) State() State {
-	return State{Kind: kindExponential, F: []float64{e.gamma}}
-}
-
-// RestoreState implements Generator.
-func (e *Exponential) RestoreState(s State) error {
-	if err := s.check(kindExponential, 0, 1); err != nil {
-		return err
-	}
-	e.gamma = s.F[0]
 	return nil
 }

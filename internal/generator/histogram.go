@@ -50,23 +50,6 @@ func NewSizeHistogram(buckets []SizeBucket) (*SizeHistogram, error) {
 	return h, nil
 }
 
-// Buckets returns a copy of the histogram's bands.
-func (h *SizeHistogram) Buckets() []SizeBucket {
-	return append([]SizeBucket(nil), h.buckets...)
-}
-
-// BucketIndex returns which band a size falls into (-1 if none) —
-// distribution tests use it to compare draw frequencies against
-// weights.
-func (h *SizeHistogram) BucketIndex(size int64) int {
-	for i, b := range h.buckets {
-		if size >= b.Lo && size <= b.Hi {
-			return i
-		}
-	}
-	return -1
-}
-
 // Next implements Generator, returning a size in bytes.
 func (h *SizeHistogram) Next(r *rng.RNG) int64 {
 	u := r.Float64() * h.total

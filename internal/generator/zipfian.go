@@ -1,6 +1,7 @@
 package generator
 
 import (
+	"fmt"
 	"math"
 
 	"geomancy/internal/rng"
@@ -12,11 +13,7 @@ const ZipfianTheta = 0.99
 
 // Zipfian draws ranks 0..items-1 with P(rank k) ∝ 1/(k+1)^θ, using
 // Gray et al.'s "Quickly Generating Billion-Record Synthetic Databases"
-// construction as popularized by YCSB. The generator supports growing
-// the item count mid-stream: the ζ(n, θ) normalizer is recomputed
-// incrementally from the last computed prefix instead of from scratch,
-// so appending items (an ingest workload) costs O(added) rather than
-// O(total) per growth step.
+// construction as popularized by YCSB.
 //
 // Rank 0 is the most popular item. Scenarios that want hot items spread
 // across the keyspace should permute ranks themselves (deterministically)
@@ -25,10 +22,7 @@ const ZipfianTheta = 0.99
 type Zipfian struct {
 	items int64
 	theta float64
-
-	// Incremental ζ state: zetan = ζ(countForZeta, θ).
-	countForZeta int64
-	zetan        float64
+	zetan float64 // ζ(items, θ), the normalizer
 
 	// Derived constants (functions of theta only).
 	//geomancy:ephemeral recomputed from theta by deriveConstants on construction and restore
@@ -45,47 +39,27 @@ func NewZipfian(items int64, theta float64) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		theta = ZipfianTheta
 	}
-	z := &Zipfian{items: items, theta: theta}
+	z := &Zipfian{items: items, theta: theta, zetan: zeta(items, theta)}
 	z.deriveConstants()
-	z.zetan = zetaRange(0, items, theta, 0)
-	z.countForZeta = items
 	return z
 }
 
 func (z *Zipfian) deriveConstants() {
-	z.zeta2theta = zetaRange(0, 2, z.theta, 0)
+	z.zeta2theta = zeta(2, z.theta)
 	z.alpha = 1 / (1 - z.theta)
 }
 
-// zetaRange extends ζ from a computed prefix: given base = ζ(from, θ),
-// it returns ζ(to, θ) by summing only the new terms — Gray's
-// incremental-item-count construction.
-func zetaRange(from, to int64, theta, base float64) float64 {
-	sum := base
-	for i := from; i < to; i++ {
+// zeta returns ζ(n, θ) = Σ_{i=1..n} 1/i^θ.
+func zeta(n int64, theta float64) float64 {
+	var sum float64
+	for i := int64(0); i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), theta)
 	}
 	return sum
 }
 
-// Grow raises the item count (a shrink is ignored: ζ cannot be
-// incrementally unwound, and scenarios only append). The normalizer is
-// extended lazily on the next draw.
-func (z *Zipfian) Grow(items int64) {
-	if items > z.items {
-		z.items = items
-	}
-}
-
-// Items returns the current item count.
-func (z *Zipfian) Items() int64 { return z.items }
-
 // Next implements Generator, returning a rank in [0, items).
 func (z *Zipfian) Next(r *rng.RNG) int64 {
-	if z.items > z.countForZeta {
-		z.zetan = zetaRange(z.countForZeta, z.items, z.theta, z.zetan)
-		z.countForZeta = z.items
-	}
 	u := r.Float64()
 	uz := u * z.zetan
 	if uz < 1 {
@@ -102,11 +76,13 @@ func (z *Zipfian) Next(r *rng.RNG) int64 {
 	return rank
 }
 
-// State implements Generator.
+// State implements Generator. The item count is stored twice: the second
+// register was the count ζ had been summed to when the count could grow
+// mid-stream, and the snapshot keeps its shape.
 func (z *Zipfian) State() State {
 	return State{
 		Kind: kindZipfian,
-		I:    []int64{z.items, z.countForZeta},
+		I:    []int64{z.items, z.items},
 		F:    []float64{z.theta, z.zetan},
 	}
 }
@@ -116,7 +92,10 @@ func (z *Zipfian) RestoreState(s State) error {
 	if err := s.check(kindZipfian, 2, 2); err != nil {
 		return err
 	}
-	z.items, z.countForZeta = s.I[0], s.I[1]
+	if s.I[0] != s.I[1] {
+		return fmt.Errorf("generator: zipfian state normalized over %d of %d items", s.I[1], s.I[0])
+	}
+	z.items = s.I[0]
 	z.theta, z.zetan = s.F[0], s.F[1]
 	z.deriveConstants()
 	return nil

@@ -32,6 +32,8 @@ func New(rows, cols int) *Matrix {
 
 // FromSlice builds a rows×cols matrix backed by a copy of data, which must
 // contain exactly rows*cols values in row-major order.
+//
+//geomancy:allow testonly literal operands and expected values in mat, nn and features kernel tests
 func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("mat: FromSlice got %d values for %dx%d", len(data), rows, cols))
@@ -138,13 +140,6 @@ func (m *Matrix) Zero() {
 func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
 		m.Data[i] = v
-	}
-}
-
-// Randomize fills m with uniform values in [-scale, scale) drawn from rng.
-func (m *Matrix) Randomize(rng *rand.Rand, scale float64) {
-	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
 	}
 }
 
@@ -357,13 +352,6 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 	wg.Wait()
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	TransposeTo(out, m)
-	return out
-}
-
 // TransposeTo writes mᵀ into dst, which must be m.Cols×m.Rows and must not
 // alias m. Packing bᵀ once turns any number of a×bᵀ products into plain
 // forward products a×(bᵀ), element for element the same sums.
@@ -378,16 +366,6 @@ func TransposeTo(dst, m *Matrix) {
 	}
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	sameShape("Add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace sets a += b elementwise.
 func AddInPlace(a, b *Matrix) {
 	sameShape("AddInPlace", a, b)
@@ -395,16 +373,6 @@ func AddInPlace(a, b *Matrix) {
 	for i, v := range bd {
 		ad[i] += v
 	}
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	sameShape("Sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
 }
 
 // Hadamard returns the elementwise product a∘b.
@@ -415,30 +383,6 @@ func Hadamard(a, b *Matrix) *Matrix {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
 	return out
-}
-
-// HadamardInPlace sets a *= b elementwise.
-func HadamardInPlace(a, b *Matrix) {
-	sameShape("HadamardInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] *= b.Data[i]
-	}
-}
-
-// Scale returns m scaled by s as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * s
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every element of m by s.
-func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
 }
 
 // AddScaled sets a += s*b elementwise; the axpy of gradient descent.
@@ -493,36 +437,10 @@ func (m *Matrix) SumRows() *Matrix {
 	return out
 }
 
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Equal reports whether a and b have the same shape and all elements are
 // within tol of each other.
+//
+//geomancy:allow testonly tolerance comparison in mat kernel tests and features.TestMinMaxScaler
 func Equal(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false

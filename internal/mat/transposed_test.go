@@ -216,7 +216,7 @@ func benchTransposed(rows int, f func(a, w, wT, g, dW, dX *Matrix)) func(b *test
 	rng := rand.New(rand.NewSource(5))
 	a := filled(rng, rows, 96, "sparse") // a ReLU layer's activations
 	w := randomMatrix(rng, 96, 48)
-	wT := w.Transpose()
+	wT := transpose(w)
 	g := randomMatrix(rng, rows, 48)
 	dW, dX := New(96, 48), New(rows, 96)
 	return func(b *testing.B) {

@@ -47,11 +47,18 @@ func checkGradients(t *testing.T, net *Network, flat *mat.Matrix, seq []*mat.Mat
 	}
 }
 
+// randomize fills m with uniform values in [-1, 1) drawn from rng.
+func randomize(m *mat.Matrix, rng *rand.Rand) {
+	for i := range m.Data {
+		m.Data[i] = rng.Float64()*2 - 1
+	}
+}
+
 func denseBatch(rng *rand.Rand, b, z int) (*mat.Matrix, *mat.Matrix) {
 	x := mat.New(b, z)
 	y := mat.New(b, 1)
-	x.Randomize(rng, 1)
-	y.Randomize(rng, 1)
+	randomize(x, rng)
+	randomize(y, rng)
 	return x, y
 }
 
@@ -59,10 +66,10 @@ func seqBatch(rng *rand.Rand, steps, b, z int) ([]*mat.Matrix, *mat.Matrix) {
 	seq := make([]*mat.Matrix, steps)
 	for t := range seq {
 		seq[t] = mat.New(b, z)
-		seq[t].Randomize(rng, 1)
+		randomize(seq[t], rng)
 	}
 	y := mat.New(b, 1)
-	y.Randomize(rng, 1)
+	randomize(y, rng)
 	return seq, y
 }
 

@@ -104,6 +104,8 @@ type OptimizerState struct {
 }
 
 // State captures the optimizer's hyperparameters.
+//
+//geomancy:allow testonly optimizer-state serialization, exercised by optimizer_state_test.go; ROADMAP item 7 warm-start axis decides whether it ships
 func (s *SGD) State() OptimizerState {
 	return OptimizerState{Kind: "SGD", LR: s.LR, Clip: s.Clip}
 }
@@ -111,6 +113,8 @@ func (s *SGD) State() OptimizerState {
 // State captures the optimizer, including the step counter and moment
 // buffers, so a restored Adam continues its bias-correction schedule
 // exactly where it left off.
+//
+//geomancy:allow testonly optimizer-state serialization, exercised by optimizer_state_test.go; ROADMAP item 7 warm-start axis decides whether it ships
 func (a *Adam) State() OptimizerState {
 	return OptimizerState{
 		Kind:  "Adam",
@@ -138,6 +142,8 @@ func copyMoments(src [][]float64) [][]float64 {
 // OptimizerStateOf captures any optimizer this package knows how to
 // serialize; unknown implementations return an error so callers fail
 // loudly instead of silently dropping training state.
+//
+//geomancy:allow testonly optimizer-state serialization, exercised by optimizer_state_test.go; ROADMAP item 7 warm-start axis decides whether it ships
 func OptimizerStateOf(opt Optimizer) (OptimizerState, error) {
 	switch o := opt.(type) {
 	case *SGD:

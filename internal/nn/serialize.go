@@ -32,6 +32,8 @@ func (n *Network) Save(w io.Writer) error {
 // training run interrupted between epochs resumes with the optimizer's
 // accumulated state (step counter and moments for Adam) instead of
 // restarting its schedule. A nil optimizer is equivalent to Save.
+//
+//geomancy:allow testonly optimizer-state serialization, exercised by optimizer_state_test.go; ROADMAP item 7 warm-start axis decides whether it ships
 func (n *Network) SaveWithOptimizer(w io.Writer, opt Optimizer) error {
 	snap := n.snapshot()
 	if opt != nil {

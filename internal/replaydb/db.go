@@ -123,10 +123,15 @@ func (db *DB) openWAL(f *os.File) (int64, error) {
 
 var errBadMagic = errors.New("not a ReplayDB WAL (bad magic)")
 
+// ErrFrameType reports an intact WAL frame of a type this build does not
+// know. Open fails on it and leaves the file as it found it.
+var ErrFrameType = errors.New("replaydb: unknown WAL frame type")
+
 // replay loads every intact frame of a WAL of size bytes read from src,
 // returning the byte offset of the end of the last valid frame. A frame
 // that is cut short, fails its checksum, or declares a payload longer than
 // the bytes left in the log is the torn tail: replay stops in front of it.
+// An intact frame that is not one record of a known type is an error.
 // The declared length is never trusted further than that, so the payload
 // buffer — one, reused — is bounded by the size of the log itself.
 func (db *DB) replay(src io.Reader, size int64) (int64, error) {
@@ -152,8 +157,11 @@ func (db *DB) replay(src io.Reader, size int64) (int64, error) {
 		}
 		typ := recordType(frame[0])
 		plen := int64(binary.LittleEndian.Uint32(frame[1:]))
-		if plen+4 > size-valid-frameHeader {
-			break // the length runs past the end of the log: torn tail
+		if plen+4 > size-valid-frameHeader || typ == 0 {
+			// The length runs past the end of the log, or the bytes are the
+			// zeros a crash leaves in an extended file (no frame has type 0,
+			// and an all-zero header and checksum would pass): torn tail.
+			break
 		}
 		payload = slices.Grow(payload[:0], int(plen)+4)[:plen+4]
 		if _, err := io.ReadFull(r, payload); err != nil {
@@ -179,8 +187,9 @@ func (db *DB) replay(src io.Reader, size int64) (int64, error) {
 				seq = m.Seq
 			}
 		default:
-			// Unknown frame type: future format. Stop replay here.
-			return valid, nil
+			// Checksum-valid, so not a torn tail: a newer writer's frame.
+			// Cutting the log here would destroy every record behind it.
+			return valid, fmt.Errorf("%w %d at offset %d", ErrFrameType, typ, valid)
 		}
 		if err := dec.Done(); err != nil {
 			return valid, fmt.Errorf("%w: frame at offset %d is not one record", err, valid)
@@ -348,31 +357,6 @@ func (db *DB) collect(positions []int, n int) []AccessRecord {
 	out := make([]AccessRecord, 0, len(positions)-start)
 	for _, p := range positions[start:] {
 		out = append(out, *db.accesses.at(p))
-	}
-	return out
-}
-
-// TimeRange returns all accesses with Time in [from, to), oldest first.
-func (db *DB) TimeRange(from, to float64) []AccessRecord {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.queries.Inc()
-	var out []AccessRecord
-	for i := 0; i < db.accesses.n; i++ {
-		if rec := db.accesses.at(i); rec.Time >= from && rec.Time < to {
-			out = append(out, *rec)
-		}
-	}
-	return out
-}
-
-// Devices returns the set of device names that have recorded accesses.
-func (db *DB) Devices() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.byDevice))
-	for d := range db.byDevice {
-		out = append(out, d)
 	}
 	return out
 }

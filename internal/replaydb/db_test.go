@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -99,31 +98,6 @@ func TestRecentQueries(t *testing.T) {
 	}
 	if got := db.RecentByDevice("file0", 0); got != nil {
 		t.Error("n=0 should return nil")
-	}
-}
-
-func TestTimeRange(t *testing.T) {
-	db := memDB(t)
-	for i := 0; i < 20; i++ {
-		db.AppendAccess(sampleAccess(i))
-	}
-	got := db.TimeRange(5, 10)
-	if len(got) != 5 {
-		t.Fatalf("TimeRange(5,10) = %d records, want 5", len(got))
-	}
-	if got[0].Time != 5 || got[4].Time != 9 {
-		t.Errorf("range bounds wrong: %v..%v", got[0].Time, got[4].Time)
-	}
-}
-
-func TestDevices(t *testing.T) {
-	db := memDB(t)
-	for i := 0; i < 12; i++ {
-		db.AppendAccess(sampleAccess(i))
-	}
-	devs := db.Devices()
-	if len(devs) != 6 {
-		t.Errorf("Devices = %v, want 6 names", devs)
 	}
 }
 
@@ -424,109 +398,4 @@ func TestSyncEveryFlushes(t *testing.T) {
 	}
 	db2.Close()
 	db.Close()
-}
-
-func TestCompactTrimsAndSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compact.wal")
-	db, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		db.AppendAccess(sampleAccess(i))
-	}
-	db.AppendMovement(MovementRecord{FileID: 1, From: "a", To: "b"})
-	if err := db.Compact(10); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 10 {
-		t.Errorf("Len after compact = %d, want 10", db.Len())
-	}
-	if db.MovementCount() != 1 {
-		t.Error("movements must survive compaction")
-	}
-	// Most recent records kept.
-	recent := db.Recent(10)
-	if recent[0].Time != 40 || recent[9].Time != 49 {
-		t.Errorf("kept window = %v..%v, want 40..49", recent[0].Time, recent[9].Time)
-	}
-	// Indexes rebuilt correctly.
-	if got := db.RecentByDevice("file0", 100); len(got) == 0 {
-		t.Error("device index broken after compact")
-	}
-	// Still writable; new records persist across reopen.
-	if _, err := db.AppendAccess(sampleAccess(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if db2.Len() != 11 {
-		t.Errorf("reopened Len = %d, want 11", db2.Len())
-	}
-	if db2.MovementCount() != 1 {
-		t.Error("movement lost across compact+reopen")
-	}
-}
-
-func TestCompactMemoryOnly(t *testing.T) {
-	db := memDB(t)
-	for i := 0; i < 20; i++ {
-		db.AppendAccess(sampleAccess(i))
-	}
-	if err := db.Compact(5); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 5 {
-		t.Errorf("Len = %d, want 5", db.Len())
-	}
-	if err := db.Compact(-1); err == nil {
-		t.Error("negative keep should error")
-	}
-}
-
-func TestCompactNoOpWhenSmall(t *testing.T) {
-	db := memDB(t)
-	for i := 0; i < 5; i++ {
-		db.AppendAccess(sampleAccess(i))
-	}
-	if err := db.Compact(100); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 5 {
-		t.Errorf("Len = %d, want 5", db.Len())
-	}
-}
-
-func TestCompactClosed(t *testing.T) {
-	db := memDB(t)
-	db.Close()
-	if err := db.Compact(1); err == nil {
-		t.Error("compact on closed db should error")
-	}
-}
-
-func TestExportCSV(t *testing.T) {
-	db := memDB(t)
-	db.AppendAccess(sampleAccess(0))
-	db.AppendAccess(sampleAccess(1))
-	var buf strings.Builder
-	if err := db.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "seq,time,workload") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "file0") {
-		t.Errorf("row = %q", lines[1])
-	}
 }

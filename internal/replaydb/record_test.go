@@ -265,13 +265,51 @@ func TestReplayCorruptLengthIsTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnknownFrameType: a checksum-valid frame of a type this
+// build does not know is a newer writer's record, not a torn tail. Open
+// used to truncate the log in front of it, destroying every record behind
+// it; it must fail with ErrFrameType and leave the file byte-identical. A
+// tail of zeros — what a crash leaves in an extended file — is still torn.
+func TestOpenRefusesUnknownFrameType(t *testing.T) {
+	unknown := sealFrame([]byte{9, 0, 0, 0, 0, 'n', 'e', 'w'}, 0)
+	rec := sampleAccess(5)
+	rec.Seq = 6
+	wal := appendAccessFrame(walWith(5, unknown...), &rec)
+	path := filepath.Join(t.TempDir(), "newer.wal")
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Path: path}); !errors.Is(err, ErrFrameType) {
+		if err == nil {
+			db.Close()
+		}
+		t.Errorf("Open = %v, want ErrFrameType", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wal) {
+		t.Errorf("Open changed the log: %d bytes (err %v), want the original %d", len(got), err, len(wal))
+	}
+
+	intact := walWith(5)
+	if err := os.WriteFile(path, append(intact, make([]byte, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatalf("Open over a zero-filled tail: %v", err)
+	}
+	defer db.Close()
+	if info, err := os.Stat(path); db.Len() != 5 || err != nil || info.Size() != int64(len(intact)) {
+		t.Errorf("zero tail: Len %d, size %d (err %v); want 5 records and %d bytes", db.Len(), info.Size(), err, len(intact))
+	}
+}
+
 // FuzzRecordDecode feeds arbitrary bytes to the one record decoder through
 // both of its trust boundaries: as a run of wire records, and as a
 // write-ahead log handed to replay. Neither may panic or size anything by
 // a length it read; a record that decodes re-encodes to the bytes it came
 // from; and replay never reports more valid bytes than it was given, loads
-// only frames that re-encode to themselves, and fails only with ErrRecord
-// or the bad-magic error.
+// only frames that re-encode to themselves, and fails only with ErrRecord,
+// ErrFrameType or the bad-magic error.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add(walWith(3))
 	f.Add(AppendAccessRecord(AppendAccessRecord(nil, &goldenAccess), &goldenAccess))
@@ -311,7 +349,7 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		defer db.Close()
 		valid, err := db.replay(bytes.NewReader(data), int64(len(data)))
-		if err != nil && !errors.Is(err, ErrRecord) && !errors.Is(err, errBadMagic) {
+		if err != nil && !errors.Is(err, ErrRecord) && !errors.Is(err, ErrFrameType) && !errors.Is(err, errBadMagic) {
 			t.Fatalf("replay failed with an untyped error: %v", err)
 		}
 		if valid < 0 || valid > int64(len(data)) {

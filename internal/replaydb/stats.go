@@ -56,41 +56,3 @@ func (db *DB) Summary() []DeviceSummary {
 	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
-
-// Filter selects access records matching every non-zero criterion.
-type Filter struct {
-	// Device restricts to one mount when non-empty.
-	Device string
-	// FileID restricts to one file when non-zero.
-	FileID int64
-	// Workload restricts to one workload id when non-zero.
-	Workload int32
-	// From/To bound Time as [From, To); both zero means unbounded.
-	From, To float64
-}
-
-// Query returns all access records matching f, in append order.
-func (db *DB) Query(f Filter) []AccessRecord {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.queries.Inc()
-	bounded := f.From != 0 || f.To != 0
-	var out []AccessRecord
-	for i := 0; i < db.accesses.n; i++ {
-		rec := db.accesses.at(i)
-		if f.Device != "" && rec.Device != f.Device {
-			continue
-		}
-		if f.FileID != 0 && rec.FileID != f.FileID {
-			continue
-		}
-		if f.Workload != 0 && rec.Workload != f.Workload {
-			continue
-		}
-		if bounded && (rec.Time < f.From || rec.Time >= f.To) {
-			continue
-		}
-		out = append(out, *rec)
-	}
-	return out
-}

@@ -39,39 +39,3 @@ func TestSummaryEmpty(t *testing.T) {
 		t.Errorf("empty db summary = %+v", got)
 	}
 }
-
-func TestQueryFilters(t *testing.T) {
-	db := memDB(t)
-	for i := 0; i < 30; i++ {
-		db.AppendAccess(AccessRecord{
-			Time:     float64(i),
-			Device:   []string{"a", "b"}[i%2],
-			FileID:   int64(i%3 + 1),
-			Workload: int32(i%2 + 1),
-		})
-	}
-	if got := db.Query(Filter{Device: "a"}); len(got) != 15 {
-		t.Errorf("device filter = %d records, want 15", len(got))
-	}
-	if got := db.Query(Filter{FileID: 2}); len(got) != 10 {
-		t.Errorf("file filter = %d records, want 10", len(got))
-	}
-	if got := db.Query(Filter{Workload: 1}); len(got) != 15 {
-		t.Errorf("workload filter = %d records, want 15", len(got))
-	}
-	if got := db.Query(Filter{From: 10, To: 20}); len(got) != 10 {
-		t.Errorf("time filter = %d records, want 10", len(got))
-	}
-	got := db.Query(Filter{Device: "a", Workload: 1, From: 0, To: 10})
-	for _, r := range got {
-		if r.Device != "a" || r.Workload != 1 || r.Time >= 10 {
-			t.Fatalf("combined filter leaked %+v", r)
-		}
-	}
-	if got := db.Query(Filter{Device: "zzz"}); got != nil {
-		t.Error("no-match query should return nil")
-	}
-	if got := db.Query(Filter{}); len(got) != 30 {
-		t.Errorf("empty filter = %d records, want all 30", len(got))
-	}
-}

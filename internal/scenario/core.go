@@ -9,7 +9,6 @@ import (
 	"geomancy/internal/generator"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
-	"geomancy/internal/telemetry"
 	"geomancy/internal/trace"
 	"geomancy/internal/workload"
 )
@@ -74,9 +73,9 @@ type CoreConfig struct {
 // pure function of (config, run counter, stream), so a Core restored
 // from MarshalState continues bit-identically.
 type Core struct {
-	cfg     CoreConfig          //geomancy:ephemeral construction config, re-supplied by NewCore on restore
-	files   []trace.BelleFile   //geomancy:ephemeral construction arg, re-supplied by NewCore on restore
-	cluster *storagesim.Cluster //geomancy:ephemeral serialized separately as the checkpoint's ClusterState
+	cfg CoreConfig //geomancy:ephemeral construction config, re-supplied by NewCore on restore
+	//geomancy:ephemeral file set and cluster binding, re-supplied by NewCore on restore; the cluster serializes as the checkpoint's ClusterState
+	workload.Set
 	rng     *rng.RNG
 	runs    int
 	chooser generator.Generator
@@ -120,8 +119,7 @@ func NewCore(cfg CoreConfig, cluster *storagesim.Cluster, files []trace.BelleFil
 	}
 	c := &Core{
 		cfg:     cfg,
-		files:   files,
-		cluster: cluster,
+		Set:     workload.NewSet(cluster, files),
 		rng:     rng.New(seed),
 		chooser: cfg.Chooser,
 	}
@@ -134,53 +132,8 @@ func NewCore(cfg CoreConfig, cluster *storagesim.Cluster, files []trace.BelleFil
 // Name implements Workload.
 func (c *Core) Name() string { return c.cfg.Name }
 
-// Files implements Workload.
-func (c *Core) Files() []trace.BelleFile { return c.files }
-
 // Runs implements Workload.
 func (c *Core) Runs() int { return c.runs }
-
-// Cluster exposes the underlying cluster for instrumentation.
-func (c *Core) Cluster() *storagesim.Cluster { return c.cluster }
-
-// SpreadEvenly implements Workload: round-robin initial placement.
-func (c *Core) SpreadEvenly(devices []string) error {
-	if len(devices) == 0 {
-		return fmt.Errorf("scenario %s: no devices to spread across", c.cfg.Name)
-	}
-	for i, f := range c.files {
-		dev := devices[i%len(devices)]
-		if err := c.cluster.PlaceFile(f.ID, f.Path, f.Size, dev); err != nil {
-			return fmt.Errorf("scenario %s: placing %s on %s: %w", c.cfg.Name, f.Path, dev, err)
-		}
-	}
-	return nil
-}
-
-// ApplyLayout implements Workload: re-homes files per the layout, the
-// same skip-invalid-destination semantics as the BELLE II runner.
-func (c *Core) ApplyLayout(layout map[int64]string) ([]storagesim.MoveResult, error) {
-	var moves []storagesim.MoveResult
-	for _, f := range c.files {
-		dst, ok := layout[f.ID]
-		if !ok {
-			continue
-		}
-		cur, err := c.cluster.File(f.ID)
-		if err != nil {
-			return moves, err
-		}
-		if cur.Device == dst {
-			continue
-		}
-		mv, err := c.cluster.Move(f.ID, dst)
-		if err != nil {
-			continue
-		}
-		moves = append(moves, mv)
-	}
-	return moves, nil
-}
 
 // readFraction returns the mix in effect for the current run: the last
 // phase whose StartRun has been reached, or the base config.
@@ -198,7 +151,7 @@ func (c *Core) readFraction() float64 {
 // within an operation is fixed (write decision, then index, then
 // fraction); every modifier below is deterministic in (runs, stream).
 func (c *Core) pickIndex(write bool) int {
-	n := int64(len(c.files))
+	n := int64(len(c.Files()))
 	if c.cfg.Ingest {
 		if write {
 			// Writes append at the moving head (wrapping over the
@@ -245,53 +198,19 @@ func (c *Core) RunOnce(obs workload.Observer) (workload.RunStats, error) {
 }
 
 // RunOnceContext implements Workload: OpsPerRun accesses drawn from the
-// generator chain, with the same stats assembly as the BELLE II runner.
-// A cancelled run returns partial statistics with ctx.Err() and does not
-// count as completed.
+// generator chain. A cancelled run returns Set.Run's partial statistics
+// and error and does not count as completed.
 func (c *Core) RunOnceContext(ctx context.Context, obs workload.Observer) (workload.RunStats, error) {
-	start := c.cluster.Now()
-	stats := workload.RunStats{Run: c.runs}
-	lat := telemetry.NewHistogram(telemetry.DefLatencyBuckets)
 	rf := c.readFraction()
-	var tpSum float64
-	for op := 0; op < c.cfg.OpsPerRun; op++ {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
+	stats, err := c.Run(ctx, obs, 1, c.runs, c.cfg.OpsPerRun, func(int) (int, float64, bool) {
 		write := c.rng.Float64() >= rf
-		f := c.files[c.pickIndex(write)]
-		frac := c.cfg.FracLo + (c.cfg.FracHi-c.cfg.FracLo)*c.rng.Float64()
-		bytes := int64(float64(f.Size) * frac)
-		if bytes <= 0 {
-			bytes = 1
-		}
-		var rb, wb int64
-		if write {
-			wb = bytes
-		} else {
-			rb = bytes
-		}
-		res, err := c.cluster.Access(f.ID, rb, wb)
-		if err != nil {
-			return stats, fmt.Errorf("scenario %s run %d: %w", c.cfg.Name, c.runs, err)
-		}
-		stats.Accesses++
-		stats.Bytes += rb + wb
-		tpSum += res.Throughput
-		lat.Observe(res.End - res.Start)
-		if obs != nil {
-			obs(res, 1, c.runs)
-		}
+		file := c.pickIndex(write)
+		return file, c.cfg.FracLo + (c.cfg.FracHi-c.cfg.FracLo)*c.rng.Float64(), write
+	})
+	if err == nil {
+		c.runs++
 	}
-	if stats.Accesses > 0 {
-		stats.MeanThroughput = tpSum / float64(stats.Accesses)
-		stats.LatencyP50 = lat.Quantile(0.50)
-		stats.LatencyP95 = lat.Quantile(0.95)
-		stats.LatencyP99 = lat.Quantile(0.99)
-	}
-	stats.Duration = c.cluster.Now() - start
-	c.runs++
-	return stats, nil
+	return stats, err
 }
 
 // coreState is the gob-serialized snapshot of a Core workload: the RNG

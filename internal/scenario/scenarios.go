@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"geomancy/internal/core"
 	"geomancy/internal/generator"
@@ -166,25 +165,4 @@ var builders = map[string]builder{
 			}, cluster, files, seed)
 		},
 	},
-}
-
-// HotShare reports the fraction of accesses falling on the hottest k of
-// n ranks under the zipfian head — a helper for distribution-level
-// assertions in tests and docs (ζ(k)/ζ(n) at θ).
-func HotShare(k, n int64, theta float64) float64 {
-	if k > n {
-		k = n
-	}
-	var num, den float64
-	for i := int64(0); i < n; i++ {
-		t := 1 / math.Pow(float64(i+1), theta)
-		den += t
-		if i < k {
-			num += t
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

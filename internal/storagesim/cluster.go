@@ -126,15 +126,6 @@ func (c *Cluster) Now() float64 {
 	return c.now
 }
 
-// AdvanceTo moves the virtual clock forward to t (no-op if t is earlier).
-func (c *Cluster) AdvanceTo(t float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // DeviceNames returns the device names in profile order.
 func (c *Cluster) DeviceNames() []string {
 	c.mu.Lock()
@@ -179,6 +170,8 @@ func (d *Device) canReceive(name string, size, claimed int64) error {
 }
 
 // SetAvailable flips a device's availability (mount loss / recovery).
+//
+//geomancy:allow testonly simulator control (mount loss): core.TestCheckerIntegration, workload.TestApplyLayoutSkipsInvalidDestination and TestRunErrorsOnUnavailableDevice
 func (c *Cluster) SetAvailable(name string, avail bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -191,6 +184,8 @@ func (c *Cluster) SetAvailable(name string, avail bool) error {
 }
 
 // SetReadOnly flips a device's write permission.
+//
+//geomancy:allow testonly simulator control (write permission), SetAvailable's pair: storagesim's TestAccessRejectsWriteToReadOnly, accounting and reservation tests
 func (c *Cluster) SetReadOnly(name string, ro bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,19 +194,6 @@ func (c *Cluster) SetReadOnly(name string, ro bool) error {
 		return fmt.Errorf("storagesim: unknown device %q", name)
 	}
 	d.ReadOnly = ro
-	return nil
-}
-
-// SetExternalScale multiplies a device's external contention; scenario
-// hooks use it to create sudden environment changes (Fig. 6).
-func (c *Cluster) SetExternalScale(name string, scale float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.devices[name]
-	if !ok {
-		return fmt.Errorf("storagesim: unknown device %q", name)
-	}
-	d.externalScale = scale
 	return nil
 }
 
@@ -260,6 +242,8 @@ func (c *Cluster) File(id int64) (FileState, error) {
 }
 
 // Files returns a snapshot of all file states sorted by ID.
+//
+//geomancy:allow testonly inspection: core, scenario and workload tests check placements and the used == Σ resident invariant through it
 func (c *Cluster) Files() []FileState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -461,25 +445,6 @@ func (c *Cluster) DeviceSummaries() []DeviceSummary {
 		})
 	}
 	return out
-}
-
-// TotalAccesses returns the number of accesses served by the cluster.
-func (c *Cluster) TotalAccesses() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalAccesses
-}
-
-// CurrentBandwidth reports the effective single-stream read bandwidth of a
-// device right now; instrumentation for examples and debugging.
-func (c *Cluster) CurrentBandwidth(name string) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.devices[name]
-	if !ok {
-		return 0, fmt.Errorf("storagesim: unknown device %q", name)
-	}
-	return d.effectiveBW(c.now, d.Profile.ReadBW), nil
 }
 
 // splitTS splits seconds into whole seconds and a millisecond part,

@@ -253,32 +253,9 @@ func TestSelfContentionSlowsDevice(t *testing.T) {
 	}
 	// Decay: after a long idle period load shrinks.
 	before := loaded.load
-	c.AdvanceTo(c.Now() + 300)
-	loaded.decayLoad(c.Now())
+	loaded.decayLoad(c.Now() + 300)
 	if loaded.load >= before/100 {
 		t.Errorf("load should decay: %v -> %v", before, loaded.load)
-	}
-}
-
-func TestExternalScale(t *testing.T) {
-	c := NewBluesky(10)
-	if err := c.SetExternalScale("people", 0); err != nil {
-		t.Fatal(err)
-	}
-	quiet, err := c.CurrentBandwidth("people")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetExternalScale("people", 1.6)
-	busy, _ := c.CurrentBandwidth("people")
-	if busy >= quiet {
-		t.Errorf("scaled-up contention should reduce bandwidth: %v -> %v", quiet, busy)
-	}
-	if err := c.SetExternalScale("nodev", 1); err == nil {
-		t.Error("unknown device should error")
-	}
-	if _, err := c.CurrentBandwidth("nodev"); err == nil {
-		t.Error("unknown device should error")
 	}
 }
 
@@ -334,20 +311,8 @@ func TestDeviceStatsAccounting(t *testing.T) {
 	if varStats.BusySeconds <= 0 {
 		t.Error("busy seconds should accumulate")
 	}
-	if c.TotalAccesses() != 10 {
-		t.Errorf("TotalAccesses = %d", c.TotalAccesses())
-	}
-}
-
-func TestAdvanceToMonotone(t *testing.T) {
-	c := NewBluesky(14)
-	c.AdvanceTo(100)
-	if c.Now() != 100 {
-		t.Errorf("Now = %v, want 100", c.Now())
-	}
-	c.AdvanceTo(50) // no-op
-	if c.Now() != 100 {
-		t.Error("AdvanceTo must not move the clock backwards")
+	if c.totalAccesses != 10 {
+		t.Errorf("totalAccesses = %d", c.totalAccesses)
 	}
 }
 

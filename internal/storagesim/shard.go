@@ -2,27 +2,6 @@ package storagesim
 
 import "fmt"
 
-// ClusterView is the read-and-summarize surface the placement plane
-// decides from: the full flat Cluster implements it, and so does a
-// Shard, which exposes the same surface filtered down to its device
-// subset. Engines and policies written against ClusterView work
-// unchanged whether they see the whole system or one shard of it.
-type ClusterView interface {
-	// DeviceNames returns the view's device names in profile order.
-	DeviceNames() []string
-	// DeviceSummaries returns one digest per device in the view, in
-	// profile order.
-	DeviceSummaries() []DeviceSummary
-	// Device returns the named device, or nil when the device is unknown
-	// to (or outside) the view.
-	Device(name string) *Device
-}
-
-var (
-	_ ClusterView = (*Cluster)(nil)
-	_ ClusterView = (*Shard)(nil)
-)
-
 // Shard is a disjoint device subset of a cluster with its own decision
 // accounting and a two-phase reservation ledger for cross-shard
 // migrations. Shards share the parent cluster's devices and virtual
@@ -32,7 +11,7 @@ var (
 // how many decisions/escalations/migrations it has made, and which
 // remote placements are tentatively holding bytes.
 type Shard struct {
-	parent  *Cluster //geomancy:ephemeral structural wiring, re-supplied by Cluster.Shards on restore
+	parent  *Cluster //geomancy:ephemeral structural wiring, re-supplied by Cluster.ShardBy on restore
 	index   int
 	names   []string
 	nameSet map[string]bool //geomancy:ephemeral derived from names by newShard
@@ -63,14 +42,6 @@ func newShard(parent *Cluster, index int, names []string) *Shard {
 		s.nameSet[n] = true
 	}
 	return s
-}
-
-// Shards partitions the cluster's devices into n contiguous groups in
-// profile order. Every device lands in exactly one shard; the first
-// len(devices) mod n shards carry one extra device when the division is
-// uneven. n must be in [1, len(devices)].
-func (c *Cluster) Shards(n int) ([]*Shard, error) {
-	return c.ShardBy(n, nil)
 }
 
 // ShardBy partitions the cluster's devices into n groups using assign,
@@ -122,12 +93,6 @@ func (c *Cluster) ShardBy(n int, assign func(device string) int) ([]*Shard, erro
 	return shards, nil
 }
 
-// Index returns the shard's position in the partition.
-func (s *Shard) Index() int { return s.index }
-
-// Contains reports whether the shard owns the named device.
-func (s *Shard) Contains(device string) bool { return s.nameSet[device] }
-
 // DeviceNames returns the shard's device names in profile order.
 func (s *Shard) DeviceNames() []string {
 	out := make([]string, len(s.names))
@@ -177,6 +142,8 @@ func (s *Shard) Reserve(device string, size int64) error {
 }
 
 // Reserved returns the bytes currently claimed on a device.
+//
+//geomancy:allow testonly core.TestShardedReservationsReleased reads the intra-cycle ledger, which State omits
 func (s *Shard) Reserved(device string) int64 { return s.reserved[device] }
 
 // ReleaseReservations drops every tentative claim — phase two of the
@@ -198,16 +165,6 @@ func (s *Shard) NoteEscalation() { s.escalations++ }
 // NoteMigration counts a committed cross-shard migration targeting this
 // shard.
 func (s *Shard) NoteMigration() { s.migrations++ }
-
-// Decisions returns the shard's cumulative decided-file count.
-func (s *Shard) Decisions() int64 { return s.decisions }
-
-// Escalations returns the shard's cumulative escalation count.
-func (s *Shard) Escalations() int64 { return s.escalations }
-
-// Migrations returns the cumulative cross-shard migrations into the
-// shard.
-func (s *Shard) Migrations() int64 { return s.migrations }
 
 // ShardState is the serializable snapshot of a shard: its identity (index
 // + owned devices, validated on restore) and its cumulative counters. The

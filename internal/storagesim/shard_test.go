@@ -11,27 +11,24 @@ func TestShardsPartition(t *testing.T) {
 	all := c.DeviceNames()
 
 	for _, n := range []int{1, 2, 3, 6} {
-		shards, err := c.Shards(n)
+		shards, err := c.ShardBy(n, nil)
 		if err != nil {
-			t.Fatalf("Shards(%d): %v", n, err)
+			t.Fatalf("ShardBy(%d): %v", n, err)
 		}
 		if len(shards) != n {
-			t.Fatalf("Shards(%d) returned %d shards", n, len(shards))
+			t.Fatalf("ShardBy(%d) returned %d shards", n, len(shards))
 		}
 		// Disjoint and covering, in profile order.
 		var flat []string
 		for i, s := range shards {
-			if s.Index() != i {
-				t.Errorf("shard %d reports index %d", i, s.Index())
+			if got := s.State().Index; got != i {
+				t.Errorf("shard %d reports index %d", i, got)
 			}
 			names := s.DeviceNames()
 			if len(names) == 0 {
-				t.Errorf("Shards(%d): shard %d is empty", n, i)
+				t.Errorf("ShardBy(%d): shard %d is empty", n, i)
 			}
 			for _, name := range names {
-				if !s.Contains(name) {
-					t.Errorf("shard %d does not Contain its own device %q", i, name)
-				}
 				if s.Device(name) == nil {
 					t.Errorf("shard %d Device(%q) = nil", i, name)
 				}
@@ -39,30 +36,30 @@ func TestShardsPartition(t *testing.T) {
 			flat = append(flat, names...)
 		}
 		if !reflect.DeepEqual(flat, all) {
-			t.Errorf("Shards(%d) partition %v does not cover %v", n, flat, all)
+			t.Errorf("ShardBy(%d) partition %v does not cover %v", n, flat, all)
 		}
 	}
 
-	if _, err := c.Shards(0); err == nil {
-		t.Error("Shards(0) should fail")
+	if _, err := c.ShardBy(0, nil); err == nil {
+		t.Error("zero shards should fail")
 	}
-	if _, err := c.Shards(len(all) + 1); err == nil {
+	if _, err := c.ShardBy(len(all)+1, nil); err == nil {
 		t.Error("more shards than devices should fail")
 	}
 }
 
 func TestShardViewFilters(t *testing.T) {
 	c := NewBluesky(1)
-	shards, err := c.Shards(2)
+	shards, err := c.ShardBy(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s0, s1 := shards[0], shards[1]
 
 	// A device owned by the other shard is invisible: nil Device, no
-	// summary, Contains false.
+	// summary.
 	other := s1.DeviceNames()[0]
-	if s0.Contains(other) || s0.Device(other) != nil {
+	if s0.Device(other) != nil {
 		t.Errorf("shard 0 sees shard 1's device %q", other)
 	}
 	sums := s0.DeviceSummaries()
@@ -110,7 +107,7 @@ func TestShardByCustomAssign(t *testing.T) {
 // shard to a clean slate.
 func TestShardReserveTwoPhase(t *testing.T) {
 	c := NewBluesky(1)
-	shards, err := c.Shards(2)
+	shards, err := c.ShardBy(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestShardReserveTwoPhase(t *testing.T) {
 
 func TestShardStateRoundTrip(t *testing.T) {
 	c := NewBluesky(1)
-	shards, err := c.Shards(3)
+	shards, err := c.ShardBy(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestShardStateRoundTrip(t *testing.T) {
 	st := s.State()
 
 	c2 := NewBluesky(1)
-	shards2, err := c2.Shards(3)
+	shards2, err := c2.ShardBy(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,16 +182,16 @@ func TestShardStateRoundTrip(t *testing.T) {
 	if err := r.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if r.Decisions() != 7 || r.Escalations() != 2 || r.Migrations() != 1 {
+	if got := r.State(); got.Decisions != 7 || got.Escalations != 2 || got.Migrations != 1 {
 		t.Errorf("restored counters = %d/%d/%d, want 7/2/1",
-			r.Decisions(), r.Escalations(), r.Migrations())
+			got.Decisions, got.Escalations, got.Migrations)
 	}
 
 	// Mismatched partition: wrong index, wrong device set.
 	if err := shards2[0].RestoreState(st); err == nil {
 		t.Error("restoring into the wrong shard index should fail")
 	}
-	shards4, err := c2.Shards(2)
+	shards4, err := c2.ShardBy(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

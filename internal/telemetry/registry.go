@@ -437,19 +437,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linearly spaced bucket bounds: start,
-// start+width, start+2·width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Default bucket layouts for the quantities the closed loop observes.
 var (
 	// DefLatencyBuckets covers access latencies from 100 µs to ~50 s.

@@ -39,69 +39,3 @@ func WriteCSV(w io.Writer, records []EOSRecord) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a trace previously written with WriteCSV.
-func ReadCSV(r io.Reader) ([]EOSRecord, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV header: %w", err)
-	}
-	if len(header) != NumFields {
-		return nil, fmt.Errorf("trace: CSV has %d columns, want %d", len(header), NumFields)
-	}
-	var out []EOSRecord
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading CSV line %d: %w", line, err)
-		}
-		rec, err := recordFromRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func recordFromRow(row []string) (EOSRecord, error) {
-	var rec EOSRecord
-	if len(row) != NumFields {
-		return rec, fmt.Errorf("row has %d columns, want %d", len(row), NumFields)
-	}
-	ints := []*int64{
-		&rec.RUID, &rec.RGID, &rec.TD, &rec.Host, &rec.LID,
-		&rec.FID, &rec.FSID,
-		&rec.OTS, &rec.OTMS, &rec.CTS, &rec.CTMS,
-		&rec.RB, &rec.WB,
-		&rec.SFwdB, &rec.SBwdB, &rec.SXlFwdB, &rec.SXlBwdB,
-		&rec.NRC, &rec.NWC, &rec.NFwds, &rec.NBwds, &rec.NXlFwds, &rec.NXlBwds,
-		nil, nil, // rt, wt handled as floats below
-		&rec.OSize, &rec.CSize,
-		&rec.SecGrps, &rec.SecRole, &rec.SecApp,
-		&rec.Protocol,
-	}
-	for i, dst := range ints {
-		if dst == nil {
-			continue
-		}
-		v, err := strconv.ParseInt(row[i], 10, 64)
-		if err != nil {
-			return rec, fmt.Errorf("column %s: %w", FieldNames[i], err)
-		}
-		*dst = v
-	}
-	var err error
-	if rec.RT, err = strconv.ParseFloat(row[23], 64); err != nil {
-		return rec, fmt.Errorf("column rt: %w", err)
-	}
-	if rec.WT, err = strconv.ParseFloat(row[24], 64); err != nil {
-		return rec, fmt.Errorf("column wt: %w", err)
-	}
-	rec.Path = row[NumFields-1]
-	return rec, nil
-}

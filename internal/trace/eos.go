@@ -10,11 +10,6 @@
 // substitution is auditable.
 package trace
 
-import (
-	"fmt"
-	"math"
-)
-
 // EOSRecord mirrors one entry of the CERN EOS file-access log: a single
 // file interaction from open to close. Field names follow the EOS log
 // schema referenced by the paper (rb, wb, ots/otms, cts/ctms, fid, fsid,
@@ -85,23 +80,6 @@ func (r *EOSRecord) Duration() float64 {
 	return cls - open
 }
 
-// Validate reports structural problems with the record.
-func (r *EOSRecord) Validate() error {
-	if r.RB < 0 || r.WB < 0 {
-		return fmt.Errorf("trace: negative byte counts rb=%d wb=%d", r.RB, r.WB)
-	}
-	if r.OTMS < 0 || r.OTMS > 999 || r.CTMS < 0 || r.CTMS > 999 {
-		return fmt.Errorf("trace: millisecond parts out of range otms=%d ctms=%d", r.OTMS, r.CTMS)
-	}
-	if r.Duration() < 0 {
-		return fmt.Errorf("trace: close before open (%d.%03d < %d.%03d)", r.CTS, r.CTMS, r.OTS, r.OTMS)
-	}
-	if math.IsNaN(r.RT) || math.IsNaN(r.WT) || r.RT < 0 || r.WT < 0 {
-		return fmt.Errorf("trace: invalid rt=%v wt=%v", r.RT, r.WT)
-	}
-	return nil
-}
-
 // FieldNames lists the numeric fields in the order Fields returns them.
 // These are the candidate model features examined in Fig. 4.
 var FieldNames = []string{
@@ -118,8 +96,7 @@ var FieldNames = []string{
 }
 
 // Fields returns the record's numeric fields in FieldNames order. The path
-// (the one non-numeric value of the 32) is excluded; features.PathEncoder
-// converts it separately.
+// (the one non-numeric value of the 32) is excluded.
 func (r *EOSRecord) Fields() []float64 {
 	return []float64{
 		float64(r.RUID), float64(r.RGID), float64(r.TD), float64(r.Host), float64(r.LID),

@@ -65,47 +65,33 @@ func MetricsObserver(reg *telemetry.Registry) Observer {
 	}
 }
 
-// Runner executes BELLE II runs against a cluster. It is the original
-// hardcoded workload of the reproduction and doubles as the "belle"
-// scenario of the workload plane (internal/scenario): every method the
-// scenario.Workload interface requires lives here.
-type Runner struct {
-	// ID distinguishes concurrent workloads (experiment 3 runs two).
-	//geomancy:ephemeral construction arg, re-supplied by NewRunner on restore
-	ID int
-
-	files   []trace.BelleFile   //geomancy:ephemeral construction arg, re-supplied by NewRunner on restore
-	cluster *storagesim.Cluster //geomancy:ephemeral serialized separately as the checkpoint's ClusterState
-	rng     *rng.RNG
-	runs    int
+// Set is a working set on a cluster: what every workload has whatever its
+// access pattern — initial placement, layout application, and the body of
+// a run. The BELLE II Runner and scenario.Core embed it and differ only in
+// where a run's next (file, fraction, write) comes from.
+type Set struct {
+	files   []trace.BelleFile
+	cluster *storagesim.Cluster
 }
 
-// NewRunner returns a workload runner for the given file set.
-func NewRunner(cluster *storagesim.Cluster, files []trace.BelleFile, id int, seed int64) *Runner {
-	return &Runner{
-		ID:      id,
-		files:   files,
-		cluster: cluster,
-		rng:     rng.New(seed),
-	}
+// NewSet binds files to cluster.
+func NewSet(cluster *storagesim.Cluster, files []trace.BelleFile) Set {
+	return Set{files: files, cluster: cluster}
 }
-
-// Name identifies the workload in scenario registries and checkpoints.
-func (r *Runner) Name() string { return "belle" }
 
 // Files returns the working set.
-func (r *Runner) Files() []trace.BelleFile { return r.files }
+func (s *Set) Files() []trace.BelleFile { return s.files }
 
 // SpreadEvenly places the working set round-robin across the given devices
 // — the paper's "basic spread policy (evenly across all available mounts)"
 // used as the starting layout for every experiment.
-func (r *Runner) SpreadEvenly(devices []string) error {
+func (s *Set) SpreadEvenly(devices []string) error {
 	if len(devices) == 0 {
 		return fmt.Errorf("workload: no devices to spread across")
 	}
-	for i, f := range r.files {
+	for i, f := range s.files {
 		dev := devices[i%len(devices)]
-		if err := r.cluster.PlaceFile(f.ID, f.Path, f.Size, dev); err != nil {
+		if err := s.cluster.PlaceFile(f.ID, f.Path, f.Size, dev); err != nil {
 			return fmt.Errorf("workload: placing %s on %s: %w", f.Path, dev, err)
 		}
 	}
@@ -114,21 +100,21 @@ func (r *Runner) SpreadEvenly(devices []string) error {
 
 // ApplyLayout re-homes files per the layout using cluster moves, returning
 // the movements performed. Files absent from the layout stay put.
-func (r *Runner) ApplyLayout(layout map[int64]string) ([]storagesim.MoveResult, error) {
+func (s *Set) ApplyLayout(layout map[int64]string) ([]storagesim.MoveResult, error) {
 	var moves []storagesim.MoveResult
-	for _, f := range r.files {
+	for _, f := range s.files {
 		dst, ok := layout[f.ID]
 		if !ok {
 			continue
 		}
-		cur, err := r.cluster.File(f.ID)
+		cur, err := s.cluster.File(f.ID)
 		if err != nil {
 			return moves, err
 		}
 		if cur.Device == dst {
 			continue
 		}
-		mv, err := r.cluster.Move(f.ID, dst)
+		mv, err := s.cluster.Move(f.ID, dst)
 		if err != nil {
 			// A single invalid destination must not abort the run;
 			// skip the move the way a control agent would log and
@@ -154,47 +140,43 @@ type RunStats struct {
 	LatencyP50, LatencyP95, LatencyP99 float64
 }
 
-// RunOnce executes one workload run: every file visited in random order,
-// each accessed 10–20 times in succession. The observer (if non-nil) sees
-// every access.
-func (r *Runner) RunOnce(obs Observer) (RunStats, error) {
-	return r.RunOnceContext(context.Background(), obs)
-}
-
-// RunOnceContext is RunOnce with cancellation: ctx is checked before every
-// access, and a cancelled run returns the partial statistics together with
-// ctx.Err() without counting as a completed run.
-func (r *Runner) RunOnceContext(ctx context.Context, obs Observer) (RunStats, error) {
-	seq := trace.BelleRun(r.rng.Rand, len(r.files))
-	start := r.cluster.Now()
-	stats := RunStats{Run: r.runs}
+// Run performs run number run of workload id: ops accesses, each of the
+// file, size fraction and direction next returns for it. next is called
+// once per access, in order, after the cancellation check — so a workload
+// draws from its stream in access order and a cancelled run draws nothing
+// further; it returns the partial statistics together with ctx.Err(). The
+// observer (if non-nil) sees every access.
+func (s *Set) Run(ctx context.Context, obs Observer, id, run, ops int, next func(op int) (file int, frac float64, write bool)) (RunStats, error) {
+	start := s.cluster.Now()
+	stats := RunStats{Run: run}
 	lat := telemetry.NewHistogram(telemetry.DefLatencyBuckets)
 	var tpSum float64
-	for _, a := range seq {
+	for op := 0; op < ops; op++ {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		f := r.files[a.FileIndex]
-		bytes := int64(float64(f.Size) * a.Fraction)
+		file, frac, write := next(op)
+		f := s.files[file]
+		bytes := int64(float64(f.Size) * frac)
 		if bytes <= 0 {
 			bytes = 1
 		}
 		var rb, wb int64
-		if a.Write {
+		if write {
 			wb = bytes
 		} else {
 			rb = bytes
 		}
-		res, err := r.cluster.Access(f.ID, rb, wb)
+		res, err := s.cluster.Access(f.ID, rb, wb)
 		if err != nil {
-			return stats, fmt.Errorf("workload %d run %d: %w", r.ID, r.runs, err)
+			return stats, fmt.Errorf("workload %d run %d: %w", id, run, err)
 		}
 		stats.Accesses++
 		stats.Bytes += rb + wb
 		tpSum += res.Throughput
 		lat.Observe(res.End - res.Start)
 		if obs != nil {
-			obs(res, r.ID, r.runs)
+			obs(res, id, run)
 		}
 	}
 	if stats.Accesses > 0 {
@@ -203,9 +185,51 @@ func (r *Runner) RunOnceContext(ctx context.Context, obs Observer) (RunStats, er
 		stats.LatencyP95 = lat.Quantile(0.95)
 		stats.LatencyP99 = lat.Quantile(0.99)
 	}
-	stats.Duration = r.cluster.Now() - start
-	r.runs++
+	stats.Duration = s.cluster.Now() - start
 	return stats, nil
+}
+
+// Runner executes BELLE II runs against a cluster. It is the original
+// hardcoded workload of the reproduction and doubles as the "belle"
+// scenario of the workload plane (internal/scenario): every method the
+// scenario.Workload interface requires lives here or on the embedded Set.
+type Runner struct {
+	// ID distinguishes concurrent workloads (experiment 3 runs two).
+	//geomancy:ephemeral construction arg, re-supplied by NewRunner on restore
+	ID int
+
+	//geomancy:ephemeral file set and cluster binding, re-supplied by NewRunner on restore; the cluster serializes as the checkpoint's ClusterState
+	Set
+	rng  *rng.RNG
+	runs int
+}
+
+// NewRunner returns a workload runner for the given file set.
+func NewRunner(cluster *storagesim.Cluster, files []trace.BelleFile, id int, seed int64) *Runner {
+	return &Runner{ID: id, Set: NewSet(cluster, files), rng: rng.New(seed)}
+}
+
+// Name identifies the workload in scenario registries and checkpoints.
+func (r *Runner) Name() string { return "belle" }
+
+// RunOnce executes one workload run: every file visited in random order,
+// each accessed 10–20 times in succession. The observer (if non-nil) sees
+// every access.
+func (r *Runner) RunOnce(obs Observer) (RunStats, error) {
+	return r.RunOnceContext(context.Background(), obs)
+}
+
+// RunOnceContext is RunOnce with cancellation: a cancelled run returns
+// Set.Run's partial statistics and error without counting as completed.
+func (r *Runner) RunOnceContext(ctx context.Context, obs Observer) (RunStats, error) {
+	seq := trace.BelleRun(r.rng.Rand, len(r.files))
+	stats, err := r.Run(ctx, obs, r.ID, r.runs, len(seq), func(op int) (int, float64, bool) {
+		return seq[op].FileIndex, seq[op].Fraction, seq[op].Write
+	})
+	if err == nil {
+		r.runs++
+	}
+	return stats, err
 }
 
 // Runs returns the number of completed runs.
@@ -251,7 +275,3 @@ func (r *Runner) UnmarshalState(data []byte) error {
 	r.RestoreState(st)
 	return nil
 }
-
-// Cluster exposes the underlying cluster (examples and experiments use it
-// for instrumentation).
-func (r *Runner) Cluster() *storagesim.Cluster { return r.cluster }

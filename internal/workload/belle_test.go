@@ -24,7 +24,7 @@ func newTestRunner(t *testing.T, seed int64) *Runner {
 func TestSpreadEvenly(t *testing.T) {
 	r := newTestRunner(t, 1)
 	counts := map[string]int{}
-	for _, f := range r.Cluster().Files() {
+	for _, f := range r.cluster.Files() {
 		counts[f.Device]++
 	}
 	// 24 files over 6 devices → 4 each.
@@ -101,7 +101,7 @@ func TestApplyLayoutMovesFiles(t *testing.T) {
 	if len(moves) != 20 {
 		t.Errorf("moves = %d, want 20", len(moves))
 	}
-	for _, f := range r.Cluster().Files() {
+	for _, f := range r.cluster.Files() {
 		if f.Device != "file0" {
 			t.Errorf("file %d still on %s", f.ID, f.Device)
 		}
@@ -118,7 +118,7 @@ func TestApplyLayoutMovesFiles(t *testing.T) {
 
 func TestApplyLayoutSkipsInvalidDestination(t *testing.T) {
 	r := newTestRunner(t, 4)
-	r.Cluster().SetAvailable("USBtmp", false)
+	r.cluster.SetAvailable("USBtmp", false)
 	layout := map[int64]string{r.Files()[0].ID: "USBtmp", r.Files()[1].ID: "file0"}
 	moves, err := r.ApplyLayout(layout)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestApplyLayoutSkipsInvalidDestination(t *testing.T) {
 
 func TestApplyLayoutPartial(t *testing.T) {
 	r := newTestRunner(t, 5)
-	before := r.Cluster().Layout()
+	before := r.cluster.Layout()
 	// Move only file 1; everything else untouched.
 	var target string
 	if before[1] == "file0" {
@@ -149,7 +149,7 @@ func TestApplyLayoutPartial(t *testing.T) {
 	if len(moves) != 1 || moves[0].FileID != 1 {
 		t.Fatalf("moves = %+v", moves)
 	}
-	after := r.Cluster().Layout()
+	after := r.cluster.Layout()
 	for id, dev := range before {
 		if id == 1 {
 			continue
@@ -189,7 +189,7 @@ func TestMetricsObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total uint64
-	for _, dev := range r.Cluster().DeviceNames() {
+	for _, dev := range r.cluster.DeviceNames() {
 		total += reg.Counter(telemetry.MetricAccessesTotal, telemetry.L("device", dev)).Value()
 	}
 	if total != uint64(stats.Accesses) {
@@ -217,7 +217,7 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRunErrorsOnUnavailableDevice(t *testing.T) {
 	r := newTestRunner(t, 8)
-	r.Cluster().SetAvailable("pic", false)
+	r.cluster.SetAvailable("pic", false)
 	if _, err := r.RunOnce(nil); err == nil {
 		t.Error("run should fail when a hosting device disappears")
 	}
