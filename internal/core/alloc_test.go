@@ -1,0 +1,92 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"geomancy/internal/replaydb"
+)
+
+// decisionAllocs returns what one steady-state decision of a 32-device ×
+// 256-file engine allocates, in bytes and in objects: the least of three
+// decisions each (the runtime's own allocations land in the same
+// counters), after two that size the reusable buffers. Before every
+// decision a quarter of the files see fresh telemetry, which is all a
+// pruned pass (topK > 0) re-scores; topK = 0 makes every decision a full
+// pass.
+func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
+	t.Helper()
+	const nFiles, nDev = 256, 32
+	cfg := Config{Epochs: 2, WindowX: 100, Seed: 31, Epsilon: 0.05, LearningRate: 0.05,
+		TopK: topK, FullRescanEvery: 1 << 20}
+	s, files := shardedWarehouse(t, nFiles, nDev, 1, cfg)
+	e, db := s.globalEngine, s.globalEngine.db.(*replaydb.DB)
+	now := nFiles
+	decide := func() (int64, int64) {
+		for i := 0; i < nFiles; i += 4 {
+			now++
+			if _, err := db.AppendAccess(replaydb.AccessRecord{
+				Time: float64(now), FileID: files[(i+now)%nFiles].ID, Device: files[i].Device,
+				BytesRead: 2e8, OpenTS: int64(now), CloseTS: int64(now + 1), Throughput: 2e9,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)
+	}
+	decide()
+	decide()
+	bytes, objects = -1, -1
+	for i := 0; i < 3; i++ {
+		b, o := decide()
+		if bytes < 0 || b < bytes {
+			bytes = b
+		}
+		if objects < 0 || o < objects {
+			objects = o
+		}
+	}
+	return bytes, objects
+}
+
+// A decision allocates per file, never per (file, device) pairing: the
+// score vectors live in the files' cache entries and candidate rows are
+// written straight into the inference buffer, so what is left is a file's
+// score entry and history fetch when it is (re)scored, its task's device
+// list, and the per-decision layout map and record slice. A name-keyed
+// score map, a candidate list or a boxed feature row that slips back into
+// the pipeline multiplies the object count by the device width and fails
+// here, on any machine, long before a benchmark row would show it.
+func TestDecisionAllocations(t *testing.T) {
+	const nFiles = 256
+	for _, tc := range []struct {
+		name           string
+		topK           int
+		objectsPerFile int64
+		bytes          int64
+	}{
+		// Every file: a fresh score entry (3 objects), its history fetch,
+		// and a device list grown to 32 by append.
+		{name: "full pass", topK: 0, objectsPerFile: 16, bytes: 512 << 10},
+		// A quarter of the files: history fetch and device list.
+		{name: "pruned pass", topK: 2, objectsPerFile: 4, bytes: 160 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bytes, objects := decisionAllocs(t, tc.topK)
+			t.Logf("%d B in %d objects (%.1f per file)", bytes, objects, float64(objects)/nFiles)
+			if objects > tc.objectsPerFile*nFiles {
+				t.Errorf("one decision allocates %d objects, want at most %d per file (%d)", objects, tc.objectsPerFile, tc.objectsPerFile*nFiles)
+			}
+			if bytes > tc.bytes {
+				t.Errorf("one decision allocates %d B, want at most %d", bytes, tc.bytes)
+			}
+		})
+	}
+}

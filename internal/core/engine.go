@@ -24,6 +24,7 @@ import (
 	"geomancy/internal/features"
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/telemetry"
 )
@@ -152,28 +153,6 @@ const (
 	batchSize = 32
 )
 
-// FileMeta is the engine's view of one workload file.
-type FileMeta struct {
-	ID     int64
-	Path   string
-	Size   int64
-	Device string
-}
-
-// Decision records why one file landed where it did.
-type Decision struct {
-	FileID int64
-	// Chosen is the selected device.
-	Chosen string
-	// Current is the device the file was on.
-	Current string
-	// Random marks an exploration move.
-	Random bool
-	// Predictions maps each candidate device to its predicted throughput
-	// (bytes/second, denormalized and MAE-adjusted).
-	Predictions map[string]float64
-}
-
 // TrainReport summarizes one training cycle.
 type TrainReport struct {
 	Samples    int
@@ -217,10 +196,12 @@ type Engine struct {
 	// install storagesim.(*Cluster).CanPlace; nil means every device can.
 	valid func(device string, size int64) error
 
-	// Batched-inference buffers, reused across decisions.
+	// Batched-inference buffers and the select stage's shuffle scratch,
+	// reused across decisions.
 	scratch nn.Scratch    //geomancy:ephemeral scratch buffer, content meaningless between decisions
 	inFlat  *mat.Matrix   //geomancy:ephemeral reusable inference buffer, overwritten per decision
 	inSeq   []*mat.Matrix //geomancy:ephemeral reusable inference buffer, overwritten per decision
+	perm    []int         //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
 
 	// fsids maps a local device index to the fsid feature value the
 	// model was trained with. Nil means identity (the engine trained over
@@ -628,7 +609,7 @@ type fileFeatures struct {
 // evenly between read and write volume: assuming reads only (the old
 // prior) mis-ranked write-heavy cold files against devices with
 // imbalanced read/write bandwidth, visible on the write-ingest scenario.
-func (e *Engine) gatherFileFeatures(f FileMeta, withHist bool) fileFeatures {
+func (e *Engine) gatherFileFeatures(f policy.FileInfo, withHist bool) fileFeatures {
 	recent := e.db.RecentByFile(f.ID, e.net.Window)
 	var ff fileFeatures
 	if len(recent) > 0 {
@@ -662,14 +643,15 @@ func (e *Engine) fsidOf(devIdx int) float64 {
 	return float64(devIdx)
 }
 
-// candidateRow builds the normalized candidate feature row for placing a
-// file with ingredients ff on the device at devIdx.
-func (e *Engine) candidateRow(ff fileFeatures, fileID int64, devIdx int) []float64 {
-	row := []float64{logBytes(ff.rb), logBytes(ff.wb), ff.ts, ff.ts, float64(fileID), e.fsidOf(devIdx)}
+// candidateRow fills row (featureCount wide) with the normalized candidate
+// features for placing a file with ingredients ff on the device at devIdx.
+func (e *Engine) candidateRow(row []float64, ff fileFeatures, fileID int64, devIdx int) {
+	row[0], row[1] = logBytes(ff.rb), logBytes(ff.wb)
+	row[2], row[3] = ff.ts, ff.ts
+	row[4], row[5] = float64(fileID), e.fsidOf(devIdx)
 	for c, v := range row {
 		row[c] = e.featScaler.TransformValue(c, v)
 	}
-	return row
 }
 
 func clamp01(v float64) float64 {
@@ -753,31 +735,23 @@ func (e *Engine) forwardRows(flat *mat.Matrix, seq []*mat.Matrix, total int) *ma
 	return out
 }
 
-// scored is one file's prepared decision material: the decision shell
-// with its predictions, and the validity-filtered candidates the greedy
-// rule maximizes over — every device scored under the current model
-// generation.
-type scored struct {
-	d       Decision
-	passing []candidate
-}
-
 // ProposeLayoutContext predicts the throughput of every file at its
 // candidate locations (including not moving it) and returns the layout
-// assigning each file to its best predicted location. With probability
-// Epsilon a file is assigned a random device instead — the exploration
-// that keeps the availability picture fresh (§V-H). The engine's
-// validator vets destinations; invalid proposals fall back per the
-// Action Checker rules (select.go).
+// assigning each file to its best predicted location, with one decision
+// record per file in input order. With probability Epsilon a file is
+// assigned a random device instead — the exploration that keeps the
+// availability picture fresh (§V-H). The engine's validator vets
+// destinations; invalid proposals fall back per the Action Checker rules
+// (select.go).
 //
 // The decision runs through the three-stage pipeline in propose.go —
 // prepare (invalidation, shortlist, row assembly), one batched forward
 // pass, finish (denormalization, score writeback, selection) — and ctx is
-// checked between candidate-scoring batches. The per-file validity
-// filters fan out over the worker pool; only the ε-greedy selection — the
+// checked between candidate-scoring batches. The per-file greedy picks
+// fan out over the worker pool; only the ε-greedy selection — the
 // part that draws from e.rng — runs serially in file order, so a fixed
 // seed replays identically at any Parallelism.
-func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error) {
+func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	pd, err := e.prepareProposal(ctx, files)
 	if err != nil {
 		return nil, nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geomancy/internal/agents"
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
@@ -116,7 +117,7 @@ func TestTrainEmptyDB(t *testing.T) {
 func TestProposeRequiresTraining(t *testing.T) {
 	db := seedDB(t, 100)
 	e, _ := NewEngine(db, testDevices, quickCfg())
-	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}); err == nil {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []policy.FileInfo{{ID: 1}}); err == nil {
 		t.Error("propose before training should error")
 	}
 }
@@ -132,38 +133,48 @@ func TestProposeLayoutCoversFilesAndCandidates(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	files := []FileMeta{
+	files := []policy.FileInfo{
 		{ID: 1, Path: "/a", Size: 1e8, Device: "pic"},
 		{ID: 2, Path: "/b", Size: 2e8, Device: "USBtmp"},
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files)
+	layout, decisions, scores, err := e.proposeScored(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(layout) != 2 || len(decisions) != 2 {
 		t.Fatalf("layout %v decisions %d", layout, len(decisions))
 	}
-	for _, d := range decisions {
-		if len(d.Predictions) != len(testDevices) {
-			t.Errorf("file %d has %d candidate predictions, want %d (must include 'don't move')",
-				d.FileID, len(d.Predictions), len(testDevices))
+	for i, d := range decisions {
+		if d.FileID != files[i].ID || d.Current != files[i].Device {
+			t.Errorf("decision %d is for file %d on %s, want input order (file %d on %s)",
+				i, d.FileID, d.Current, files[i].ID, files[i].Device)
 		}
-		if _, ok := d.Predictions[d.Current]; !ok {
+		preds := scores[i]
+		if len(preds) != len(testDevices) {
+			t.Errorf("file %d has %d candidate predictions, want %d (must include 'don't move')",
+				d.FileID, len(preds), len(testDevices))
+		}
+		if _, ok := preds[d.Current]; !ok {
 			t.Errorf("file %d missing prediction for its current location", d.FileID)
 		}
 		if d.Random {
 			t.Error("epsilon=0 must not explore")
 		}
-		// Chosen is the argmax of the predictions.
+		// Chosen is the argmax of the predictions, and the record carries
+		// its score.
 		best, bestV := "", -1.0
-		for dev, v := range d.Predictions {
+		for dev, v := range preds {
 			if v > bestV {
 				best, bestV = dev, v
 			}
 		}
 		if d.Chosen != best {
 			t.Errorf("file %d chose %s (%.3g) over argmax %s (%.3g)",
-				d.FileID, d.Chosen, d.Predictions[d.Chosen], best, bestV)
+				d.FileID, d.Chosen, preds[d.Chosen], best, bestV)
+		}
+		if d.Predicted != preds[d.Chosen] {
+			t.Errorf("file %d records %.3g for %s, its score entry says %.3g",
+				d.FileID, d.Predicted, d.Chosen, preds[d.Chosen])
 		}
 	}
 }
@@ -179,9 +190,9 @@ func TestProposeLayoutExploration(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	files := make([]FileMeta, 20)
+	files := make([]policy.FileInfo, 20)
 	for i := range files {
-		files[i] = FileMeta{ID: int64(i + 1), Size: 1e6, Device: "pic"}
+		files[i] = policy.FileInfo{ID: int64(i + 1), Size: 1e6, Device: "pic"}
 	}
 	_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
@@ -217,7 +228,7 @@ func TestProposeLayoutRespectsValidator(t *testing.T) {
 		}
 		return nil
 	}
-	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
+	files := []policy.FileInfo{{ID: 1, Size: 1e6, Device: "pic"}}
 	layout, _, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
@@ -261,21 +272,24 @@ func TestRecurrentEnginePropose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Files with deep history and with none at all must both predict.
-	files := []FileMeta{
+	files := []policy.FileInfo{
 		{ID: 1, Size: 1e8, Device: "pic"},   // has history in seedDB
 		{ID: 999, Size: 1e8, Device: "var"}, // never accessed
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), files)
+	layout, _, scores, err := e.proposeScored(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(layout) != 2 {
 		t.Fatalf("layout = %v", layout)
 	}
-	for _, d := range decisions {
-		for dev, p := range d.Predictions {
+	for i, preds := range scores {
+		if len(preds) != len(testDevices) {
+			t.Errorf("file %d scored on %d devices, want %d", files[i].ID, len(preds), len(testDevices))
+		}
+		for dev, p := range preds {
 			if p < 0 {
-				t.Errorf("file %d on %s predicted negative throughput %v", d.FileID, dev, p)
+				t.Errorf("file %d on %s predicted negative throughput %v", files[i].ID, dev, p)
 			}
 		}
 	}
@@ -394,7 +408,7 @@ func TestCheckerIntegration(t *testing.T) {
 		cluster.SetAvailable(d, false)
 	}
 	e.valid = cluster.CanPlace
-	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
+	files := []policy.FileInfo{{ID: 1, Size: 1e6, Device: "pic"}}
 	before := e.rng.State()
 	_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
@@ -445,17 +459,21 @@ func TestLatencyTarget(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	layout, decisions, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1, Size: 1e8, Device: "slow"}})
+	layout, decisions, scores, err := e.proposeScored(context.Background(), []policy.FileInfo{{ID: 1, Size: 1e8, Device: "slow"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := scores[0]
 	if layout[1] != "fast" {
-		t.Errorf("latency target chose %q, want fast (predictions %v)", layout[1], decisions[0].Predictions)
+		t.Errorf("latency target chose %q, want fast (predictions %v)", layout[1], p)
 	}
-	// The chosen device has the LOWER predicted latency.
-	p := decisions[0].Predictions
-	if p["fast"] >= p["slow"] {
+	// The chosen device has the LOWER predicted latency, which is what the
+	// decision record carries.
+	if len(p) != 2 || p["fast"] >= p["slow"] {
 		t.Errorf("predicted latency fast=%v slow=%v, want fast < slow", p["fast"], p["slow"])
+	}
+	if decisions[0].Predicted != p["fast"] {
+		t.Errorf("decision records %v, want the chosen device's predicted latency %v", decisions[0].Predicted, p["fast"])
 	}
 }
 
@@ -508,7 +526,7 @@ func TestEngineOverRemoteStore(t *testing.T) {
 			repR.Validation.MARE, repL.Validation.MARE)
 	}
 	// Proposals agree too.
-	files := []FileMeta{{ID: 1, Size: 1e8, Device: "pic"}}
+	files := []policy.FileInfo{{ID: 1, Size: 1e8, Device: "pic"}}
 	lr, _, err := remote.ProposeLayoutContext(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,45 @@
 package core
 
+import (
+	"context"
+
+	"geomancy/internal/mat"
+	"geomancy/internal/policy"
+)
+
+// proposeScored is ProposeLayoutContext — prepare, the engine's own forward
+// pass, finish — that also returns each file's name→score view of the
+// vector the select stage decided over: the entries of its fileCache
+// scored under the current model generation (bytes/s, denormalized and
+// MAE-adjusted). Decision records carry only the chosen device's score, so
+// this is how tests put the whole vector beside the reference scorer. The
+// entries are read from the pending decision's tasks, which also hold an
+// unpruned engine's per-decision scratch entries.
+func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
+	pd, err := e.prepareProposal(ctx, files)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var out *mat.Matrix
+	if pd.total > 0 {
+		out = e.forwardRows(pd.flat, pd.seq, pd.total)
+	}
+	layout, preds, err := pd.finish(ctx, out, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	scores := make([]map[string]float64, len(files))
+	for i, t := range pd.tasks {
+		scores[i] = make(map[string]float64)
+		for j, g := range t.ent.gens {
+			if g == e.modelGen {
+				scores[i][e.devices[j]] = t.ent.scores[j]
+			}
+		}
+	}
+	return layout, preds, scores, nil
+}
+
 // Cadence returns the intra-burst gap statistics (the all-gap EWMA before
 // release filtering).
 func (g *GapPredictor) Cadence(fileID int64) (mean, dev float64, ok bool) {

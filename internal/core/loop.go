@@ -284,38 +284,35 @@ func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 // window the paper's base cases read from the ReplayDB.
 const policyThroughputWindow = 200
 
-// policyState snapshots the system the way policies decide on it: mean
+// PolicyState snapshots the system the way policies decide on it: mean
 // device throughput over recent ReplayDB telemetry, free capacity and
 // hardware class per device, and the working set with its current
-// placement, recency, and access counts.
-func (l *Loop) policyState() policy.State {
-	var s policy.State
-	for _, name := range l.Cluster.DeviceNames() {
-		recent := l.DB.RecentByDevice(name, policyThroughputWindow)
-		var tp float64
-		if len(recent) > 0 {
-			for i := range recent {
-				tp += recent[i].Throughput
-			}
-			tp /= float64(len(recent))
-		}
-		dev := l.Cluster.Device(name)
+// placement, recency (lastAccess), and access counts (accesses). The loop
+// and the experiment harness's loop-less bootstrap both decide from it.
+func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64) policy.State {
+	names := cluster.DeviceNames()
+	s := policy.State{
+		Devices: make([]policy.DeviceInfo, 0, len(names)),
+		Files:   make([]policy.FileInfo, 0, len(files)),
+	}
+	for _, name := range names {
+		dev := cluster.Device(name)
 		s.Devices = append(s.Devices, policy.DeviceInfo{
 			Name:       name,
-			Throughput: tp,
+			Throughput: db.MeanThroughputByDevice(name, policyThroughputWindow),
 			Free:       dev.Free(),
 			Class:      dev.Profile.Class,
 		})
 	}
-	layout := l.Cluster.Layout()
-	for _, f := range l.Workload.Files() {
+	layout := cluster.Layout()
+	for _, f := range files {
 		s.Files = append(s.Files, policy.FileInfo{
 			ID:         f.ID,
 			Path:       f.Path,
 			Size:       f.Size,
 			Device:     layout[f.ID],
-			LastAccess: l.lastAccess[f.ID],
-			Accesses:   l.accesses[f.ID],
+			LastAccess: lastAccess[f.ID],
+			Accesses:   accesses[f.ID],
 		})
 	}
 	return s
@@ -342,7 +339,7 @@ func (l *Loop) Decide(ctx context.Context) error {
 // policy, filter the proposal through the movement scheduler, apply it,
 // and record the movements.
 func (l *Loop) decideCycle(ctx context.Context, run int) error {
-	layout, err := l.Policy.Propose(ctx, l.policyState())
+	layout, err := l.Policy.Propose(ctx, PolicyState(l.DB, l.Cluster, l.Workload.Files(), l.lastAccess, l.accesses))
 	if l.model != nil {
 		l.trainLog = append(l.trainLog, l.model.Reports()...)
 	}

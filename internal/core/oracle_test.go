@@ -1,15 +1,18 @@
 package core
 
-import "geomancy/internal/nn"
+import (
+	"geomancy/internal/nn"
+	"geomancy/internal/policy"
+)
 
 // predictCandidate is the reference oracle for the batched scoring
 // pipeline: the per-sample prediction the engine made before batching,
-// kept test-only so Decision.Predictions can be compared against an
-// independent implementation. It returns the adjusted predicted
+// kept test-only so the score vectors the pipeline writes (proposeScored)
+// can be compared against an independent implementation. It returns the adjusted predicted
 // throughput (bytes/s) of accessing file f when placed on device. For
 // recurrent models the candidate row is appended to the file's recent
 // history window.
-func (e *Engine) predictCandidate(f FileMeta, device string) float64 {
+func (e *Engine) predictCandidate(f policy.FileInfo, device string) float64 {
 	recurrent := e.net.IsRecurrent()
 	// Candidate feature row: the file's typical access at this location,
 	// stamped at the most recent known time.
@@ -18,7 +21,8 @@ func (e *Engine) predictCandidate(f FileMeta, device string) float64 {
 	if !ok {
 		devIdx = len(e.devices)
 	}
-	norm := e.candidateRow(ff, f.ID, devIdx)
+	norm := make([]float64, featureCount)
+	e.candidateRow(norm, ff, f.ID, devIdx)
 
 	var pred float64
 	if recurrent {

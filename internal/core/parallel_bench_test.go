@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"geomancy/internal/policy"
 )
 
 // benchmarkProposeLayout measures a full decision over a large synthetic
@@ -18,9 +20,9 @@ func benchmarkProposeLayout(b *testing.B, files, par int) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	metas := make([]FileMeta, files)
+	metas := make([]policy.FileInfo, files)
 	for i := range metas {
-		metas[i] = FileMeta{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+		metas[i] = policy.FileInfo{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

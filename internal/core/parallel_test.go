@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"geomancy/internal/nn"
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 	"geomancy/internal/trace"
@@ -61,18 +62,18 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 			c.ModelNumber = model
 			c.SeqWindow = 4
 		})
-		files := []FileMeta{
+		files := []policy.FileInfo{
 			{ID: 1, Size: 1e8, Device: "pic"},   // deep history in seedDB
 			{ID: 3, Size: 2e8, Device: "var"},   // other history
 			{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
 		}
-		_, decisions, err := e.ProposeLayoutContext(context.Background(), files)
+		_, _, scores, err := e.proposeScored(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range files {
 			for _, dev := range e.devices {
-				got, ok := decisions[i].Predictions[dev]
+				got, ok := scores[i][dev]
 				if want := e.predictCandidate(f, dev); !ok || got != want {
 					t.Errorf("model %d: file %d on %s: batched %v != legacy %v",
 						model, f.ID, dev, got, want)
@@ -98,9 +99,9 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 		parallel := mkEngine()
 		parallel.cfg.Parallelism = 4
 
-		files := make([]FileMeta, 40)
+		files := make([]policy.FileInfo, 40)
 		for i := range files {
-			files[i] = FileMeta{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+			files[i] = policy.FileInfo{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 		}
 		for round := 0; round < 3; round++ {
 			ls, ds, err := serial.ProposeLayoutContext(context.Background(), files)
@@ -135,9 +136,9 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 // — is under 2 MB (the whole-batch activations were 54 MB).
 func TestScoringScratchStaysBlockSized(t *testing.T) {
 	e := trainedEngine(t, func(c *Config) { c.Parallelism = 4 })
-	files := make([]FileMeta, 6700)
+	files := make([]policy.FileInfo, 6700)
 	for i := range files {
-		files[i] = FileMeta{ID: int64(i + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+		files[i] = policy.FileInfo{ID: int64(i + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 	}
 	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestProposeLayoutContextCancel(t *testing.T) {
 	e := trainedEngine(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	files := []FileMeta{{ID: 1, Size: 1e6, Device: "pic"}}
+	files := []policy.FileInfo{{ID: 1, Size: 1e6, Device: "pic"}}
 	if _, _, err := e.ProposeLayoutContext(ctx, files); !errors.Is(err, context.Canceled) {
 		t.Errorf("ProposeLayoutContext(cancelled) = %v, want context.Canceled", err)
 	}
@@ -230,7 +231,7 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); !errors.Is(err, ErrNoTelemetry) {
 		t.Errorf("Train on empty DB = %v, want ErrNoTelemetry", err)
 	}
-	if _, _, err := e.ProposeLayoutContext(context.Background(), []FileMeta{{ID: 1}}); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := e.ProposeLayoutContext(context.Background(), []policy.FileInfo{{ID: 1}}); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("ProposeLayout untrained = %v, want ErrNotTrained", err)
 	}
 }

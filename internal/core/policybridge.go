@@ -20,7 +20,7 @@ type EngineModel struct {
 	Engine *Engine
 	// decide produces a proposal's decisions: the engine's own pipeline,
 	// or the coordinator's DecideLayout over its shard engines.
-	decide func(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error)
+	decide func(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error)
 
 	reports []TrainReport
 }
@@ -64,19 +64,7 @@ func (m *EngineModel) Update(ctx context.Context) error {
 // Propose implements policy.Model: one batched ε-greedy proposal over
 // the snapshot's working set.
 func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]string, []policy.Prediction, error) {
-	files := make([]FileMeta, 0, len(s.Files))
-	for _, f := range s.Files {
-		files = append(files, FileMeta{ID: f.ID, Path: f.Path, Size: f.Size, Device: f.Device})
-	}
-	layout, decisions, err := m.decide(ctx, files)
-	if err != nil {
-		return nil, nil, err
-	}
-	preds := make([]policy.Prediction, 0, len(decisions))
-	for _, d := range decisions {
-		preds = append(preds, policy.Prediction{FileID: d.FileID, Current: d.Current, Chosen: d.Chosen, Random: d.Random})
-	}
-	return layout, preds, nil
+	return m.decide(ctx, s.Files)
 }
 
 // Reports drains the training reports accumulated since the last drain.

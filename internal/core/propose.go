@@ -6,6 +6,7 @@ import (
 
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
+	"geomancy/internal/policy"
 )
 
 // The engine has one decision pipeline, split into three stages so a
@@ -19,8 +20,16 @@ import (
 //	forward — one nn.ForwardBatch over the assembled rows.
 //	          ProposeLayoutContext forwards its own rows; the coordinator
 //	          concatenates every shard's rows and forwards once.
-//	finish  — denormalization, score writeback, and the serial ε-greedy
-//	          selection (the only stage that draws from e.rng).
+//	finish  — denormalization, score writeback, each file's greedy pick,
+//	          and the serial ε-greedy selection (the only stage that draws
+//	          from e.rng).
+//
+// The pipeline has one input type and one output type: the policy
+// snapshot's own []policy.FileInfo goes in (never copied) and one
+// policy.Prediction per file comes out, positionally aligned with the
+// input. Device names appear only at those two edges; in between a device
+// is its index in e.devices, and a file's per-device score vector lives in
+// its fileCache entry — nothing else holds a copy.
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
 // rescan) is the same body run with every file invalidated and every
@@ -33,7 +42,7 @@ import (
 // valid until the engine's next prepare.
 type pendingDecision struct {
 	eng   *Engine
-	files []FileMeta
+	files []policy.FileInfo
 
 	// full marks an all-device pass; tasks holds one entry per file (its
 	// score entry and the rows to score), total the row count.
@@ -51,7 +60,7 @@ type pendingDecision struct {
 // batched inference: invalidation, task-list construction, and
 // candidate-row assembly. It advances the decision counter and watermark,
 // so every prepare must be followed by exactly one finish.
-func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta) (*pendingDecision, error) {
+func (e *Engine) prepareProposal(ctx context.Context, files []policy.FileInfo) (*pendingDecision, error) {
 	if !e.trained {
 		return nil, ErrNotTrained
 	}
@@ -78,61 +87,41 @@ func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta) (*pendin
 }
 
 // finish consumes the inference output rows [base, base+total) of out and
-// completes the decision: denormalization, score writeback, the full-pass
-// epilogue, candidate filtering, and the serial ε-greedy selection. out
-// may be nil when total is 0.
-func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int) (map[int64]string, []Decision, error) {
+// completes the decision: denormalization, score writeback, each file's
+// greedy pick, the full-pass epilogue, and the serial ε-greedy selection.
+// out may be nil when total is 0.
+func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int) (map[int64]string, []policy.Prediction, error) {
 	e := pd.eng
-	files := pd.files
 
 	// Per file: write the fresh scores into its entry under the current
-	// generation, then decide from every current-generation score — the
-	// full width after an all-device pass (and for clean files still
+	// generation, then pick greedily from every current-generation score —
+	// the full width after an all-device pass (and for clean files still
 	// carrying one), the shortlist ∪ {current device} for freshly scored
 	// ones.
-	pre := make([]scored, len(files))
-	err := parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-		f, t := files[i], pd.tasks[i]
+	err := parallelFor(ctx, len(pd.files), e.cfg.Parallelism, func(i int) {
+		t := &pd.tasks[i]
 		for k, j := range t.devs {
 			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+t.base+k, 0))))
 			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
 			t.ent.gens[j] = e.modelGen
 		}
-		// Count first, so the map and the slice are allocated once at
-		// their final size whatever the width.
-		n := 0
-		for _, g := range t.ent.gens {
-			if g == e.modelGen {
-				n++
-			}
-		}
-		d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64, n)}
-		cands := make([]candidate, 0, n)
-		for j, dev := range e.devices {
-			if t.ent.gens[j] != e.modelGen {
-				continue
-			}
-			p := t.ent.scores[j]
-			d.Predictions[dev] = p
-			// Candidate scores are maximize-me: latency negates.
-			cands = append(cands, candidate{device: dev, score: e.betterScore(p)})
-		}
-		pre[i] = scored{d: d, passing: e.filterValid(cands, f.Size)}
+		t.pick = e.greedyPick(t.ent, pd.files[i].Size)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	if pd.full {
-		e.endFullPass(files, pd.tasks)
+		e.endFullPass(pd.files, pd.tasks)
 	}
-	return e.selectLayout(files, pre)
+	layout, preds := e.selectLayout(pd.files, pd.tasks)
+	return layout, preds, nil
 }
 
 // pruneTasks builds the work list, one task per file: the shortlist ∪
 // {current device} entries not yet scored under the current model
 // generation. After invalidateAll with the all-device shortlist that is
 // the full file-major files×devices grid.
-func (e *Engine) pruneTasks(files []FileMeta, short []int) (tasks []scoreTask, total int) {
+func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) (tasks []scoreTask, total int) {
 	tasks = make([]scoreTask, len(files))
 	for i, f := range files {
 		ent := e.ensureCache(f)
@@ -164,7 +153,7 @@ func (e *Engine) pruneTasks(files []FileMeta, short []int) (tasks []scoreTask, t
 // feature ingredients; a file with nothing to score is not even fetched.
 // Nothing here consumes e.rng, and tasks touch disjoint rows and entries,
 // so the fan-out is race-free.
-func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []scoreTask, total int) (*mat.Matrix, []*mat.Matrix, error) {
+func (e *Engine) assembleTasks(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, total int) (*mat.Matrix, []*mat.Matrix, error) {
 	cols := e.net.InSize
 	recurrent := e.net.IsRecurrent()
 	var flat *mat.Matrix
@@ -201,15 +190,17 @@ func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []sc
 				hist[k] = nrm
 			}
 		}
+		var rowBuf [featureCount]float64
+		norm := rowBuf[:]
 		for k, j := range t.devs {
-			norm := e.candidateRow(ff, f.ID, j)
 			r := t.base + k
 			if !recurrent {
-				flat.SetRow(r, norm)
+				e.candidateRow(flat.Row(r), ff, f.ID, j)
 				continue
 			}
 			// The window is the file's history padded by repeating the
 			// candidate row, then the candidate row last.
+			e.candidateRow(norm, ff, f.ID, j)
 			need := w - 1
 			for x := 0; x < need; x++ {
 				if h := len(hist) - need + x; h >= 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"geomancy/internal/policy"
 	"geomancy/internal/storagesim"
 )
 
@@ -63,7 +64,9 @@ func (e *Engine) SetSummarySource(src SummarySource) { e.summarySource = src }
 // fileCache is one file's scoring entry: raw feature ingredients (valid
 // until the file's telemetry changes) and per-device candidate scores
 // tagged with the model generation that produced them. gens[j] == 0 means
-// never scored; entries are laid out in e.devices index order.
+// never scored; entries are laid out in e.devices index order. The entry is
+// the one home of a file's per-device score vector: the select stage reads
+// it by index and a decision record carries only the chosen device's score.
 type fileCache struct {
 	size      int64
 	featValid bool         //geomancy:ephemeral feature-cache validity bit, recomputed from telemetry after restore
@@ -84,7 +87,7 @@ func (fc *fileCache) invalidate() {
 // the device width or the file's size changed. Only a pruning engine
 // retains what it creates; with TopK = 0 every entry is per-decision
 // scratch, private to its slot in the file list.
-func (e *Engine) ensureCache(f FileMeta) *fileCache {
+func (e *Engine) ensureCache(f policy.FileInfo) *fileCache {
 	ent, ok := e.cache[f.ID]
 	if !ok || len(ent.gens) != len(e.devices) {
 		ent = &fileCache{
@@ -141,7 +144,7 @@ func (e *Engine) invalidateChanged() {
 // and the dirty watermark advances. With pruning off the entries were
 // per-decision scratch: nothing is retained and the watermark never moves,
 // so an unpruned engine's checkpoints carry no pruning state.
-func (e *Engine) endFullPass(files []FileMeta, tasks []scoreTask) {
+func (e *Engine) endFullPass(files []policy.FileInfo, tasks []scoreTask) {
 	if e.cfg.TopK == 0 {
 		return
 	}
@@ -226,12 +229,13 @@ func (e *Engine) deviceShortlist() []int {
 }
 
 // scoreTask is one file's inference work: its score entry, the device
-// indices to score (ascending; empty when every candidate is current), and
-// where its rows start in the batch. The decision body lives in
-// propose.go: prepareProposal builds the task list via pruneTasks, and
-// pendingDecision.finish writes the scores back.
+// indices to score (ascending; empty when every candidate is current),
+// where its rows start in the batch, and — once finish has written the
+// scores back — the file's greedy pick (select.go). The decision body lives
+// in propose.go: prepareProposal builds the task list via pruneTasks.
 type scoreTask struct {
 	ent  *fileCache
 	devs []int
 	base int
+	pick int
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 )
@@ -36,8 +37,8 @@ func (c *countingStore) RecentByFile(id int64, n int) []replaydb.AccessRecord {
 	return c.DB.RecentByFile(id, n)
 }
 
-func testFiles() []FileMeta {
-	return []FileMeta{
+func testFiles() []policy.FileInfo {
+	return []policy.FileInfo{
 		{ID: 1, Path: "/a", Size: 1e8, Device: "pic"},
 		{ID: 2, Path: "/b", Size: 2e8, Device: "USBtmp"},
 		{ID: 3, Path: "/c", Size: 5e7, Device: "file0"},
@@ -88,7 +89,7 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 	}
 	// A file with no telemetry history gets the symmetric prior: half its
 	// size split evenly across read and write volume.
-	ff := e.gatherFileFeatures(FileMeta{ID: 999, Size: 1000}, false)
+	ff := e.gatherFileFeatures(policy.FileInfo{ID: 999, Size: 1000}, false)
 	if ff.rb != 250 || ff.wb != 250 || ff.ts != 0 {
 		t.Fatalf("cold prior = %+v, want rb=wb=250 ts=0", ff)
 	}
@@ -97,13 +98,13 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cold := []FileMeta{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}}
-	_, decisions, err := e.ProposeLayoutContext(context.Background(), cold)
+	cold := []policy.FileInfo{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}}
+	_, _, scores, err := e.proposeScored(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dev := range testDevices {
-		got, ok := decisions[0].Predictions[dev]
+		got, ok := scores[0][dev]
 		if want := e.predictCandidate(cold[0], dev); !ok || got != want {
 			t.Fatalf("cold file on %s: predictCandidate %v != batched %v", dev, want, got)
 		}
@@ -214,17 +215,17 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 
 	// Clean decision: every file reuses its cached full-width scores.
 	store.byFileCalls = 0
-	_, dec, err := e.ProposeLayoutContext(context.Background(), files)
+	_, _, scores, err := e.proposeScored(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.byFileCalls != 0 {
 		t.Fatalf("clean decision fetched %d file histories, want 0", store.byFileCalls)
 	}
-	for _, d := range dec {
-		if len(d.Predictions) != len(testDevices) {
+	for i, preds := range scores {
+		if len(preds) != len(testDevices) {
 			t.Fatalf("clean file %d kept %d cached predictions, want full width %d",
-				d.FileID, len(d.Predictions), len(testDevices))
+				files[i].ID, len(preds), len(testDevices))
 		}
 	}
 
@@ -236,23 +237,19 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.byFileCalls = 0
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files)
+	_, _, scores, err = e.proposeScored(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.byFileCalls != 1 {
 		t.Fatalf("one-dirty-file decision fetched %d file histories, want 1", store.byFileCalls)
 	}
-	for _, d := range dec {
-		want := len(testDevices)
-		if d.FileID == 2 {
-			// The dirty file was rescored against the shortlist only —
-			// which happens to be the full width here (TopK=2 covers the
-			// cluster), so it stays at full width too.
-			want = len(testDevices)
-		}
-		if len(d.Predictions) != want {
-			t.Fatalf("file %d has %d predictions, want %d", d.FileID, len(d.Predictions), want)
+	// The dirty file was rescored against the shortlist only — which is
+	// the full width here (TopK=2 covers the cluster), so it stays at full
+	// width like the clean ones.
+	for i, preds := range scores {
+		if len(preds) != len(testDevices) {
+			t.Fatalf("file %d has %d predictions, want %d", files[i].ID, len(preds), len(testDevices))
 		}
 	}
 }
@@ -276,24 +273,24 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	}
 	// var (index 4) is outside the top-1 shortlist; a file living there
 	// keeps its current device as a candidate anyway.
-	files := []FileMeta{{ID: 7, Path: "/v", Size: 1e8, Device: "var"}}
+	files := []policy.FileInfo{{ID: 7, Path: "/v", Size: 1e8, Device: "var"}}
 	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
 	if _, err := e.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := e.ProposeLayoutContext(context.Background(), files) // decision 1: pruned
+	_, _, scores, err := e.proposeScored(context.Background(), files) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"USBtmp", "file0", "people", "pic", "tmp", "var"}
-	if len(dec[0].Predictions) != 6 {
-		t.Fatalf("pruned width = %d predictions %v", len(dec[0].Predictions), dec[0].Predictions)
+	if len(scores[0]) != 6 {
+		t.Fatalf("pruned width = %d predictions %v", len(scores[0]), scores[0])
 	}
 	for _, devName := range want {
-		if _, ok := dec[0].Predictions[devName]; !ok {
-			t.Fatalf("pruned predictions missing %s: %v", devName, dec[0].Predictions)
+		if _, ok := scores[0][devName]; !ok {
+			t.Fatalf("pruned predictions missing %s: %v", devName, scores[0])
 		}
 	}
 	// Narrow case: shortlist (5 devices: one per class) ∪ current (var) =
@@ -307,29 +304,29 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files) // decision 2: pruned
+	_, _, scores, err = e.proposeScored(context.Background(), files) // decision 2: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Shortlist: file0 (raid5), tmp (raid1 head), USBtmp (usb) + current
 	// var. pic/people are out, and the retrain staled every cached score,
 	// so the decision is over exactly those four devices.
-	if _, ok := dec[0].Predictions["pic"]; ok {
-		t.Fatalf("pruned decision scored an unavailable class head: %v", dec[0].Predictions)
+	if _, ok := scores[0]["pic"]; ok {
+		t.Fatalf("pruned decision scored an unavailable class head: %v", scores[0])
 	}
-	if _, ok := dec[0].Predictions["var"]; !ok {
-		t.Fatalf("pruned decision must keep the current device: %v", dec[0].Predictions)
+	if _, ok := scores[0]["var"]; !ok {
+		t.Fatalf("pruned decision must keep the current device: %v", scores[0])
 	}
-	if len(dec[0].Predictions) != 4 {
-		t.Fatalf("narrow shortlist did not prune: %v", dec[0].Predictions)
+	if len(scores[0]) != 4 {
+		t.Fatalf("narrow shortlist did not prune: %v", scores[0])
 	}
-	_, dec, err = e.ProposeLayoutContext(context.Background(), files) // decision 3: cadence rescan
+	_, _, scores, err = e.proposeScored(context.Background(), files) // decision 3: cadence rescan
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec[0].Predictions) != len(testDevices) {
+	if len(scores[0]) != len(testDevices) {
 		t.Fatalf("cadence rescan width = %d, want full %d: %v",
-			len(dec[0].Predictions), len(testDevices), dec[0].Predictions)
+			len(scores[0]), len(testDevices), scores[0])
 	}
 }
 
@@ -352,17 +349,17 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
-	files := []FileMeta{{ID: 2, Path: "/f2", Size: 1e8, Device: "pic"}}
-	decide := func() Decision {
+	files := []policy.FileInfo{{ID: 2, Path: "/f2", Size: 1e8, Device: "pic"}}
+	decide := func() map[string]float64 {
 		t.Helper()
 		if _, err := e.TrainContext(ctx); err != nil { // new generation: every score is stale
 			t.Fatal(err)
 		}
-		_, dec, err := e.ProposeLayoutContext(ctx, files)
+		_, _, scores, err := e.proposeScored(ctx, files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dec[0]
+		return scores[0]
 	}
 	decide() // decision 0: full pass
 	decide() // decision 1: pruned — caches file 2's features
@@ -377,12 +374,12 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 	}
 	decide()      // decision 2: cadence rescan — advances the watermark past the new accesses
 	d := decide() // decision 3: pruned — file 2 is clean
-	if len(d.Predictions) != len(testDevices) {
-		t.Fatalf("TopK=2 covers the cluster, got %d predictions: %v", len(d.Predictions), d.Predictions)
+	if len(d) != len(testDevices) {
+		t.Fatalf("TopK=2 covers the cluster, got %d predictions: %v", len(d), d)
 	}
 	for _, dev := range testDevices {
-		if want := e.predictCandidate(files[0], dev); d.Predictions[dev] != want {
-			t.Errorf("file 2 on %s: pruned decision predicted %v from cached features, oracle %v", dev, d.Predictions[dev], want)
+		if want := e.predictCandidate(files[0], dev); d[dev] != want {
+			t.Errorf("file 2 on %s: pruned decision predicted %v from cached features, oracle %v", dev, d[dev], want)
 		}
 	}
 }
@@ -426,7 +423,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 
 	// Decision level, across a restore: the first pruned decision after the
 	// round-trip still scores the idle device.
-	files := []FileMeta{{ID: 7, Path: "/t", Size: 1e8, Device: "tmp"}}
+	files := []policy.FileInfo{{ID: 7, Path: "/t", Size: 1e8, Device: "tmp"}}
 	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
@@ -441,12 +438,12 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	if _, err := r.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
 		t.Fatal(err)
 	}
-	_, dec, err := r.ProposeLayoutContext(context.Background(), files) // decision 1: pruned
+	_, _, scores, err := r.proposeScored(context.Background(), files) // decision 1: pruned
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := dec[0].Predictions["var"]; !ok {
-		t.Fatalf("first pruned decision after restore never probed the idle device: %v", dec[0].Predictions)
+	if _, ok := scores[0]["var"]; !ok {
+		t.Fatalf("first pruned decision after restore never probed the idle device: %v", scores[0])
 	}
 }
 

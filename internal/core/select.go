@@ -1,88 +1,103 @@
 package core
 
+import "geomancy/internal/policy"
+
 // The select stage is the paper's Action Checker, "the last sanity check
 // for file movements in case permissions or availability changes in the
 // system" (§V-H), run on the engine's own decision: invalid destinations
-// leave the candidate list, the highest predicted throughput wins, and
+// never become a file's pick, the highest predicted throughput wins, and
 // when every candidate is invalid a random movement keeps the
 // availability picture fresh. That fallback and ε-greedy exploration both
 // draw from the engine's one stream over its one device list, so a
-// checkpointed run replays them.
+// checkpointed run replays them. Devices are indices into e.devices
+// throughout; selectLayout turns the chosen index back into a name.
 
-// candidate pairs a storage device with a maximize-me score for placing
-// a file there.
-type candidate struct {
-	device string
-	score  float64
+// canPlace reports whether the validator admits a file of size bytes on
+// the device at index j.
+func (e *Engine) canPlace(j int, size int64) bool {
+	return e.valid == nil || e.valid(e.devices[j], size) == nil
 }
 
-// filterValid returns the candidates that pass validation for a file of
-// size bytes, preserving order.
-func (e *Engine) filterValid(cands []candidate, size int64) []candidate {
-	out := make([]candidate, 0, len(cands))
-	for _, c := range cands {
-		if e.valid != nil && e.valid(c.device, size) != nil {
+// greedyPick returns the index of the best destination for the entry's
+// file: among the devices scored under the current model generation that
+// pass validation, the first with the strictly highest maximize-me score
+// (latency negates). -1 when none passes.
+func (e *Engine) greedyPick(ent *fileCache, size int64) int {
+	pick := -1
+	var best float64
+	for j, g := range ent.gens {
+		if g != e.modelGen || !e.canPlace(j, size) {
 			continue
 		}
-		out = append(out, c)
+		if s := e.betterScore(ent.scores[j]); pick < 0 || s > best {
+			pick, best = j, s
+		}
 	}
-	return out
+	return pick
 }
 
-// choose picks the destination for a file from the candidates that passed
-// filterValid: the one with the highest score, or a uniformly random
-// device when none passed. random reports whether the fallback fired; ok
-// is false only when there is nowhere at all to go.
-func (e *Engine) choose(passing []candidate) (device string, random, ok bool) {
-	if len(passing) > 0 {
-		best := passing[0]
-		for _, c := range passing[1:] {
-			if c.score > best.score {
-				best = c
-			}
-		}
-		return best.device, false, true
+// choose resolves a file's greedy pick into its destination: the pick
+// itself, or a uniformly random device when nothing validated (pick < 0).
+// random reports whether the fallback fired; ok is false only when there
+// is nowhere at all to go.
+func (e *Engine) choose(pick int) (dev int, random, ok bool) {
+	if pick >= 0 {
+		return pick, false, true
 	}
 	// "In case all storage devices are invalid, a random movement is
 	// performed" (§V-H).
 	if len(e.devices) == 0 {
-		return "", false, false
+		return -1, false, false
 	}
-	return e.devices[e.rng.Intn(len(e.devices))], true, true
+	return e.rng.Intn(len(e.devices)), true, true
 }
 
-// selectLayout runs the serial ε-greedy selection over prepared decision
-// material. This is the only stage that draws from e.rng.
-func (e *Engine) selectLayout(files []FileMeta, pre []scored) (map[int64]string, []Decision, error) {
+// shuffledDevices returns a uniformly shuffled permutation of every device
+// index, in the engine's reusable scratch.
+func (e *Engine) shuffledDevices() []int {
+	if len(e.perm) != len(e.devices) {
+		e.perm = make([]int, len(e.devices))
+	}
+	for j := range e.perm {
+		e.perm[j] = j
+	}
+	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
+	return e.perm
+}
+
+// selectLayout runs the serial ε-greedy selection over the files' greedy
+// picks and returns the layout with one decision record per file, in file
+// order. This is the only stage that draws from e.rng.
+func (e *Engine) selectLayout(files []policy.FileInfo, tasks []scoreTask) (map[int64]string, []policy.Prediction) {
 	layout := make(map[int64]string, len(files))
-	decisions := make([]Decision, 0, len(files))
-	for i := range files {
-		f := files[i]
-		d := pre[i].d
+	preds := make([]policy.Prediction, len(files))
+	for i, f := range files {
+		d := &preds[i]
+		*d = policy.Prediction{FileID: f.ID, Current: f.Device, Chosen: f.Device}
+		dev := -1 // nowhere to go: stay put
 		if e.rng.Float64() < e.cfg.Epsilon {
 			// Exploration: random movement, still subject to validation.
 			// The shuffle always spans the full device width — the choice
 			// only depends on which devices validate, never on scores, so
 			// pruned and all-device passes explore identically.
 			d.Random = true
-			shuffled := append([]string(nil), e.devices...)
-			e.rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-			d.Chosen = f.Device
-			for _, dev := range shuffled {
-				if e.valid == nil || e.valid(dev, f.Size) == nil {
-					d.Chosen = dev
+			for _, j := range e.shuffledDevices() {
+				if e.canPlace(j, f.Size) {
+					dev = j
 					break
 				}
 			}
-		} else if dev, random, ok := e.choose(pre[i].passing); ok {
-			// Greedy over the precomputed valid set, or a random movement
-			// when nothing validates.
-			d.Chosen, d.Random = dev, random
-		} else {
-			d.Chosen = f.Device // nowhere to go: stay put
+		} else if j, random, ok := e.choose(tasks[i].pick); ok {
+			// The greedy pick, or a random movement when nothing validated.
+			dev, d.Random = j, random
+		}
+		if dev >= 0 {
+			d.Chosen = e.devices[dev]
+			if ent := tasks[i].ent; ent.gens[dev] == e.modelGen {
+				d.Predicted = ent.scores[dev]
+			}
 		}
 		layout[f.ID] = d.Chosen
-		decisions = append(decisions, d)
 	}
-	return layout, decisions, nil
+	return layout, preds
 }

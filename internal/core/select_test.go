@@ -7,57 +7,90 @@ import (
 	"geomancy/internal/rng"
 )
 
-// selector builds the minimum of an engine the select stage reads: the
-// decision stream, the device universe, and the validator.
-func selector(seed int64, devices []string, valid func(string, int64) error) *Engine {
-	return &Engine{rng: rng.New(seed), devices: devices, valid: valid}
-}
+// TestActionChecker drives the select stage's greedy half — greedyPick then
+// choose — over one file's score entry: invalid destinations never win, the
+// first strictly highest score does, stale-generation scores are not
+// candidates, an all-invalid entry falls back to a random movement drawn
+// from the engine's stream, and an engine with no devices has nowhere to
+// go.
+func TestActionChecker(t *testing.T) {
+	const gen = 7
+	cur := []uint64{gen, gen, gen}
+	for _, tc := range []struct {
+		name    string
+		devices []string
+		scores  []float64
+		gens    []uint64
+		latency bool
+		invalid map[string]bool
 
-func TestActionCheckerChoosesBest(t *testing.T) {
-	e := selector(1, []string{"a", "b", "c"}, nil)
-	cands := []candidate{{"a", 1}, {"b", 5}, {"c", 3}}
-	dev, random, ok := e.choose(e.filterValid(cands, 0))
-	if !ok || random || dev != "b" {
-		t.Errorf("choose = %q random=%v ok=%v, want b/false/true", dev, random, ok)
-	}
-}
+		want       string // "" with wantRandom: any device
+		wantRandom bool
+		wantOK     bool
+	}{
+		{name: "highest wins", devices: []string{"a", "b", "c"}, scores: []float64{1, 5, 3}, gens: cur,
+			want: "b", wantOK: true},
+		{name: "first of equals wins", devices: []string{"a", "b", "c"}, scores: []float64{5, 5, 3}, gens: cur,
+			want: "a", wantOK: true},
+		{name: "latency minimizes", devices: []string{"a", "b", "c"}, scores: []float64{2, 5, 3}, gens: cur, latency: true,
+			want: "a", wantOK: true},
+		{name: "invalid filtered", devices: []string{"a", "b"}, scores: []float64{1, 99}, gens: cur[:2],
+			invalid: map[string]bool{"b": true}, want: "a", wantOK: true},
+		{name: "stale generation is no candidate", devices: []string{"a", "b", "c"}, scores: []float64{1, 99, 3},
+			gens: []uint64{gen, gen - 1, gen}, want: "c", wantOK: true},
+		{name: "all invalid falls back to random", devices: []string{"x", "y", "z"}, scores: []float64{1, 2, 3}, gens: cur,
+			invalid: map[string]bool{"x": true, "y": true, "z": true}, wantRandom: true, wantOK: true},
+		{name: "nowhere to go"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var validated []string
+			e := &Engine{rng: rng.New(3), devices: tc.devices, modelGen: gen}
+			e.valid = func(dev string, size int64) error {
+				validated = append(validated, dev)
+				if tc.invalid[dev] {
+					return fmt.Errorf("%s is read-only", dev)
+				}
+				return nil
+			}
+			if tc.latency {
+				e.cfg.Target = TargetLatency
+			}
+			ent := &fileCache{scores: tc.scores, gens: tc.gens}
 
-func TestActionCheckerFiltersInvalid(t *testing.T) {
-	e := selector(2, []string{"a", "b"}, func(dev string, size int64) error {
-		if dev == "b" {
-			return fmt.Errorf("b is read-only")
-		}
-		return nil
-	})
-	cands := []candidate{{"a", 1}, {"b", 99}}
-	dev, random, ok := e.choose(e.filterValid(cands, 0))
-	if !ok || random || dev != "a" {
-		t.Errorf("choose = %q random=%v, want a/false", dev, random)
-	}
-	got := e.filterValid(cands, 0)
-	if len(got) != 1 || got[0].device != "a" {
-		t.Errorf("filterValid = %v", got)
-	}
-}
+			pick := e.greedyPick(ent, 0)
+			// The validator sees every current-generation device once, in
+			// device order, and nothing else.
+			var scored []string
+			for j, g := range tc.gens {
+				if g == gen {
+					scored = append(scored, tc.devices[j])
+				}
+			}
+			if fmt.Sprint(validated) != fmt.Sprint(scored) {
+				t.Errorf("validator saw %v, want the scored devices %v", validated, scored)
+			}
+			if tc.wantRandom || !tc.wantOK {
+				if pick != -1 {
+					t.Fatalf("greedyPick = %d with nothing valid, want -1", pick)
+				}
+			} else if tc.devices[pick] != tc.want {
+				t.Fatalf("greedyPick = %s, want %s", tc.devices[pick], tc.want)
+			}
 
-func TestActionCheckerRandomFallback(t *testing.T) {
-	e := selector(3, []string{"x", "y", "z"}, func(string, int64) error { return fmt.Errorf("nope") })
-	seen := map[string]bool{}
-	for i := 0; i < 60; i++ {
-		dev, random, ok := e.choose(e.filterValid([]candidate{{"x", 1}}, 0))
-		if !ok || !random {
-			t.Fatalf("fallback not taken: %q %v %v", dev, random, ok)
-		}
-		seen[dev] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("random fallback not exploring: saw %v", seen)
-	}
-}
-
-func TestActionCheckerNowhereToGo(t *testing.T) {
-	e := selector(4, nil, nil)
-	if _, _, ok := e.choose(nil); ok {
-		t.Error("no candidates and no devices should report !ok")
+			seen := map[int]bool{}
+			for i := 0; i < 60; i++ {
+				dev, random, ok := e.choose(pick)
+				if ok != tc.wantOK || random != tc.wantRandom {
+					t.Fatalf("choose = %d random=%v ok=%v, want random=%v ok=%v", dev, random, ok, tc.wantRandom, tc.wantOK)
+				}
+				if ok && !random && dev != pick {
+					t.Fatalf("choose = %d, want the pick %d", dev, pick)
+				}
+				seen[dev] = true
+			}
+			if tc.wantRandom && len(seen) < 2 {
+				t.Errorf("random fallback not exploring: saw %v", seen)
+			}
+		})
 	}
 }

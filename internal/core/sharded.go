@@ -203,19 +203,17 @@ func (s *Sharded) adoptIfStale() {
 // selection concurrently on its own RNG stream, then merge in fixed
 // shard order with cross-shard escalation. The merged decision list is
 // ordered by shard, preserving input file order within each shard.
-func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64]string, []Decision, error) {
+func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	s.adoptIfStale()
 
 	// Route files to their owning shards, preserving input order.
-	routed := make([][]FileMeta, len(s.units))
-	sizeOf := make(map[int64]int64, len(files))
+	routed := make([][]policy.FileInfo, len(s.units))
 	for _, f := range files {
 		i, ok := s.devShard[f.Device]
 		if !ok {
 			return nil, nil, fmt.Errorf("core: file %d is on device %q, which no shard owns", f.ID, f.Device)
 		}
 		routed[i] = append(routed[i], f)
-		sizeOf[f.ID] = f.Size
 	}
 
 	// Stage 1 — prepare concurrently. Preparation draws no randomness and
@@ -265,7 +263,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	// shard draws only from its own stream (distinct rng.Split seeds), so
 	// the layouts are independent of scheduling and identical at any
 	// Parallelism.
-	decs := make([][]Decision, len(s.units))
+	decs := make([][]policy.Prediction, len(s.units))
 	if err := parallelFor(ctx, len(s.units), s.globalEngine.cfg.Parallelism, func(i int) {
 		_, decs[i], errs[i] = pds[i].finish(ctx, out, bases[i])
 	}); err != nil {
@@ -278,19 +276,19 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []FileMeta) (map[int64
 	}
 
 	// Stage 4 — merge in fixed shard order, escalating placements the
-	// owning shard clearly cannot serve.
+	// owning shard clearly cannot serve. A shard's decisions are
+	// positionally aligned with the files routed to it.
 	digest := s.throughputDigest()
 	layout := make(map[int64]string, len(files))
-	decisions := make([]Decision, 0, len(files))
+	decisions := make([]policy.Prediction, 0, len(files))
 	for i := range s.units {
-		u := &s.units[i]
-		u.shard.NoteDecision(len(decs[i]))
-		u.tele.decisions.Add(uint64(len(decs[i])))
-		for _, d := range decs[i] {
-			s.escalate(i, &d, digest, sizeOf[d.FileID])
+		s.units[i].tele.decisions.Add(uint64(len(decs[i])))
+		for k := range decs[i] {
+			d := &decs[i][k]
+			s.escalate(i, d, digest, routed[i][k].Size)
 			layout[d.FileID] = d.Chosen
-			decisions = append(decisions, d)
 		}
+		decisions = append(decisions, decs[i]...)
 	}
 	// Reservations only gate admission within this cycle; the committed
 	// layout re-validates in Cluster.Move.
@@ -331,7 +329,7 @@ func (s *Sharded) throughputDigest() *storagesim.DeviceSummary {
 // if the reservation holds, override the placement. Exploration
 // decisions never escalate — they exist to probe, not to optimize — and
 // a decision with no usable prediction for its choice stays put.
-func (s *Sharded) escalate(i int, d *Decision, digest *storagesim.DeviceSummary, size int64) {
+func (s *Sharded) escalate(i int, d *policy.Prediction, digest *storagesim.DeviceSummary, size int64) {
 	if digest == nil || d.Random {
 		return
 	}
@@ -339,13 +337,10 @@ func (s *Sharded) escalate(i int, d *Decision, digest *storagesim.DeviceSummary,
 	if !ok || owner == i {
 		return
 	}
-	pred, ok := d.Predictions[d.Chosen]
-	if !ok || pred <= 0 || digest.RecentThroughput <= escalationFactor*pred {
+	if d.Predicted <= 0 || digest.RecentThroughput <= escalationFactor*d.Predicted {
 		return
 	}
-	u := &s.units[i]
-	u.shard.NoteEscalation()
-	u.tele.escalations.Inc()
+	s.units[i].tele.escalations.Inc()
 	target := &s.units[owner]
 	if err := target.shard.Reserve(digest.Name, size); err != nil {
 		// The remote device cannot cover the file this cycle (capacity
@@ -353,7 +348,6 @@ func (s *Sharded) escalate(i int, d *Decision, digest *storagesim.DeviceSummary,
 		return
 	}
 	d.Chosen = digest.Name
-	target.shard.NoteMigration()
 	target.tele.migrations.Inc()
 }
 
@@ -372,9 +366,9 @@ type shardedState struct {
 	Units  []shardUnitState
 }
 
-// shardUnitState is one unit's wire form: the device group's identity and
-// counters plus the shard engine's full state (RNG stream, adopted
-// scorer, pruning caches) — nil at one shard, where it is the global one.
+// shardUnitState is one unit's wire form: the device group's identity plus
+// the shard engine's full state (RNG stream, adopted scorer, pruning
+// caches) — nil at one shard, where it is the global one.
 type shardUnitState struct {
 	Engine *EngineState
 	Shard  storagesim.ShardState

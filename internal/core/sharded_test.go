@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
@@ -25,6 +26,12 @@ func shardedBluesky(t *testing.T, db TelemetryStore, n int, cfg Config) *Sharded
 		t.Fatal(err)
 	}
 	return s
+}
+
+// shardCounter reads shard i's value of one of the coordinator's
+// per-shard counters from the registry installed with SetMetrics.
+func shardCounter(reg *telemetry.Registry, name string, i int) uint64 {
+	return reg.Counter(name, telemetry.L("shard", fmt.Sprint(i))).Value()
 }
 
 // TestShardedSingleShardMatchesEngine pins the compatibility contract: a
@@ -47,6 +54,8 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	}
 
 	s := shardedBluesky(t, db, 1, cfg)
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
 
 	files := testFiles()
 	for step := 0; step < 6; step++ {
@@ -76,7 +85,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	if plain.rng.State() != s.globalEngine.rng.State() {
 		t.Fatal("RNG streams diverged between the engine and the 1-shard coordinator")
 	}
-	if got := s.units[0].shard.State().Decisions; got != 6*int64(len(files)) {
+	if got := shardCounter(reg, telemetry.MetricShardDecisions, 0); got != 6*uint64(len(files)) {
 		t.Errorf("shard 0 decision count = %d, want %d", got, 6*len(files))
 	}
 }
@@ -87,14 +96,14 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 // reproduces the serial trajectory bit-for-bit, retrains included.
 func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 	db := seedDB(t, 1200)
-	run := func(parallelism int) ([]map[int64]string, [][]Decision) {
+	run := func(parallelism int) ([]map[int64]string, [][]policy.Prediction) {
 		cfg := quickCfg()
 		cfg.Epsilon = 0.3
 		cfg.Parallelism = parallelism
 		s := shardedBluesky(t, db, 4, cfg)
 		files := testFiles()
 		var layouts []map[int64]string
-		var decs [][]Decision
+		var decs [][]policy.Prediction
 		for step := 0; step < 6; step++ {
 			l, d, err := s.DecideLayout(t.Context(), files)
 			if err != nil {
@@ -129,9 +138,11 @@ func TestShardedRouting(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epsilon = 0 // greedy only: every choice comes from in-shard scores
 	s := shardedBluesky(t, db, 3, cfg)
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
 
 	// Bluesky into 3 shards: [file0, pic], [people, tmp], [var, USBtmp].
-	files := []FileMeta{
+	files := []policy.FileInfo{
 		{ID: 1, Path: "/a", Size: 1e8, Device: "pic"},
 		{ID: 2, Path: "/b", Size: 1e8, Device: "tmp"},
 		{ID: 3, Path: "/c", Size: 1e8, Device: "USBtmp"},
@@ -144,10 +155,20 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatalf("decided %d files, want %d", len(dec), len(files))
 	}
 	owners := map[int64]int{1: 0, 2: 1, 3: 2}
-	for _, d := range dec {
-		shard := s.units[owners[d.FileID]].shard
-		for dev := range d.Predictions {
-			if shard.Device(dev) == nil {
+	for k, d := range dec {
+		// The owning shard's engine scores the file on every one of its own
+		// devices and on nothing else.
+		u := s.units[owners[d.FileID]]
+		_, _, scores, err := u.engine.proposeScored(t.Context(), files[k:k+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scores[0]) != len(u.shard.DeviceNames()) {
+			t.Errorf("file %d (shard %d) scored on %d devices %v, want the shard's %d",
+				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.shard.DeviceNames()))
+		}
+		for dev := range scores[0] {
+			if u.shard.Device(dev) == nil {
 				t.Errorf("file %d (shard %d) scored out-of-shard device %q", d.FileID, owners[d.FileID], dev)
 			}
 		}
@@ -159,12 +180,12 @@ func TestShardedRouting(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if got := s.units[i].shard.State().Decisions; got != 1 {
+		if got := shardCounter(reg, telemetry.MetricShardDecisions, i); got != 1 {
 			t.Errorf("shard %d decisions = %d, want 1", i, got)
 		}
 	}
 
-	if _, _, err := s.DecideLayout(t.Context(), []FileMeta{{ID: 9, Device: "nosuch"}}); err == nil {
+	if _, _, err := s.DecideLayout(t.Context(), []policy.FileInfo{{ID: 9, Device: "nosuch"}}); err == nil {
 		t.Error("file on an unowned device should error")
 	}
 }
@@ -177,6 +198,10 @@ func TestShardedRouting(t *testing.T) {
 func TestShardedEscalation(t *testing.T) {
 	db := seedDB(t, 1200)
 	s := shardedBluesky(t, db, 2, quickCfg())
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
+	escalations := func(i int) uint64 { return shardCounter(reg, telemetry.MetricShardEscalations, i) }
+	migrations := func(i int) uint64 { return shardCounter(reg, telemetry.MetricShardMigrations, i) }
 
 	digest := s.throughputDigest()
 	if digest == nil {
@@ -190,54 +215,60 @@ func TestShardedEscalation(t *testing.T) {
 	}
 
 	// Far-underperforming choice in shard 1: escalates and migrates.
-	d := Decision{FileID: 1, Current: "tmp", Chosen: "tmp",
-		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 10}}
+	d := policy.Prediction{FileID: 1, Current: "tmp", Chosen: "tmp",
+		Predicted: digest.RecentThroughput / 10}
 	s.escalate(1, &d, digest, 1e6)
 	if d.Chosen != digest.Name {
 		t.Fatalf("underperforming choice not escalated: chosen %q", d.Chosen)
 	}
-	if s.units[1].shard.State().Escalations != 1 || s.units[0].shard.State().Migrations != 1 {
-		t.Fatalf("counters after migration: escalations=%d migrations=%d, want 1/1",
-			s.units[1].shard.State().Escalations, s.units[0].shard.State().Migrations)
+	if escalations(1) != 1 || migrations(0) != 1 {
+		t.Fatalf("counters after migration: escalations=%d migrations=%d, want 1/1", escalations(1), migrations(0))
 	}
 
 	// A file the digest device cannot cover: escalation is counted, the
 	// reservation fails, and the in-shard choice survives — two-phase
 	// accounting means nothing was committed anywhere.
 	huge := s.cluster.Device(digest.Name).Free() + 1
-	d = Decision{FileID: 2, Current: "tmp", Chosen: "tmp",
-		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 10}}
+	d = policy.Prediction{FileID: 2, Current: "tmp", Chosen: "tmp",
+		Predicted: digest.RecentThroughput / 10}
 	s.escalate(1, &d, digest, huge)
 	if d.Chosen != "tmp" {
 		t.Fatalf("failed reservation still moved the file to %q", d.Chosen)
 	}
-	if s.units[1].shard.State().Escalations != 2 || s.units[0].shard.State().Migrations != 1 {
-		t.Fatalf("counters after failed reservation: escalations=%d migrations=%d, want 2/1",
-			s.units[1].shard.State().Escalations, s.units[0].shard.State().Migrations)
+	if escalations(1) != 2 || migrations(0) != 1 {
+		t.Fatalf("counters after failed reservation: escalations=%d migrations=%d, want 2/1", escalations(1), migrations(0))
 	}
 
 	// Exploration decisions probe, they do not escalate.
-	d = Decision{FileID: 3, Current: "tmp", Chosen: "tmp", Random: true,
-		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 10}}
+	d = policy.Prediction{FileID: 3, Current: "tmp", Chosen: "tmp", Random: true,
+		Predicted: digest.RecentThroughput / 10}
 	s.escalate(1, &d, digest, 1e6)
-	if d.Chosen != "tmp" || s.units[1].shard.State().Escalations != 2 {
+	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("exploration decision escalated")
 	}
 
 	// A digest the deciding shard already owns is not an escalation.
-	d = Decision{FileID: 4, Current: "pic", Chosen: "pic",
-		Predictions: map[string]float64{"pic": digest.RecentThroughput / 10}}
+	d = policy.Prediction{FileID: 4, Current: "pic", Chosen: "pic",
+		Predicted: digest.RecentThroughput / 10}
 	s.escalate(0, &d, digest, 1e6)
-	if d.Chosen != "pic" || s.units[0].shard.State().Escalations != 0 {
+	if d.Chosen != "pic" || escalations(0) != 0 {
 		t.Error("in-shard digest treated as cross-shard escalation")
 	}
 
 	// A choice within escalationFactor of the digest stays put.
-	d = Decision{FileID: 5, Current: "tmp", Chosen: "tmp",
-		Predictions: map[string]float64{"tmp": digest.RecentThroughput / 2}}
+	d = policy.Prediction{FileID: 5, Current: "tmp", Chosen: "tmp",
+		Predicted: digest.RecentThroughput / 2}
 	s.escalate(1, &d, digest, 1e6)
-	if d.Chosen != "tmp" || s.units[1].shard.State().Escalations != 2 {
+	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("adequately served choice escalated")
+	}
+
+	// A choice the model did not score (Predicted 0) has nothing to compare
+	// against the digest and stays put.
+	d = policy.Prediction{FileID: 6, Current: "tmp", Chosen: "tmp"}
+	s.escalate(1, &d, digest, 1e6)
+	if d.Chosen != "tmp" || escalations(1) != 2 {
+		t.Error("unscored choice escalated")
 	}
 }
 
@@ -332,9 +363,6 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	if err := b.UnmarshalState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if b.units[0].shard.State().Decisions != a.units[0].shard.State().Decisions {
-		t.Fatalf("restored shard 0 decisions = %d, want %d", b.units[0].shard.State().Decisions, a.units[0].shard.State().Decisions)
-	}
 	for i := 0; i < 4; i++ {
 		la, da, err := a.DecideLayout(t.Context(), files)
 		if err != nil {
@@ -373,7 +401,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 // shardedWarehouse builds a coordinator over nDev synthetic devices in
 // eight hardware classes (mirroring the warehouse fixture at repo root)
 // with one seeded access per file, trained and ready to decide.
-func shardedWarehouse(tb testing.TB, nFiles, nDev, shards int, cfg Config) (*Sharded, []FileMeta) {
+func shardedWarehouse(tb testing.TB, nFiles, nDev, shards int, cfg Config) (*Sharded, []policy.FileInfo) {
 	tb.Helper()
 	profiles := make([]storagesim.DeviceProfile, nDev)
 	speeds := make([]float64, nDev)
@@ -398,11 +426,11 @@ func shardedWarehouse(tb testing.TB, nFiles, nDev, shards int, cfg Config) (*Sha
 	}
 	tb.Cleanup(func() { db.Close() })
 	r := rng.New(31)
-	files := make([]FileMeta, nFiles)
+	files := make([]policy.FileInfo, nFiles)
 	for i := range files {
 		id := int64(i + 1)
 		dev := r.Intn(nDev)
-		files[i] = FileMeta{
+		files[i] = policy.FileInfo{
 			ID:     id,
 			Path:   fmt.Sprintf("/wh/f%04d", i),
 			Size:   int64(1e8 + r.Float64()*4e8),

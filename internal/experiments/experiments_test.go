@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"geomancy/internal/core"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -188,7 +190,7 @@ func TestTestbedBootstrapCoversDevices(t *testing.T) {
 	if devs := len(tb.db.Summary()); devs < 4 {
 		t.Errorf("bootstrap telemetry covers %d devices, want most of 6", devs)
 	}
-	st := tb.policyState()
+	st := core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses)
 	if len(st.Devices) != 6 || len(st.Files) != 24 {
 		t.Errorf("policy state: %d devices, %d files", len(st.Devices), len(st.Files))
 	}

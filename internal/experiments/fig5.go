@@ -123,7 +123,7 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Propose(context.Background(), tb.policyState())
+	return p.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses))
 }
 
 // ComparisonResult bundles the Fig. 5 series and the headline summary.

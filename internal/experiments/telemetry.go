@@ -66,42 +66,6 @@ func (tb *testbed) observe(res storagesim.AccessResult, wl, run int) error {
 	return err
 }
 
-// policyState snapshots the system the way the paper's base cases see it:
-// device throughput from recent ReplayDB telemetry, file recency and
-// frequency from the run so far.
-func (tb *testbed) policyState() policy.State {
-	var s policy.State
-	for _, name := range tb.cluster.DeviceNames() {
-		recent := tb.db.RecentByDevice(name, 200)
-		var tp float64
-		if len(recent) > 0 {
-			for i := range recent {
-				tp += recent[i].Throughput
-			}
-			tp /= float64(len(recent))
-		}
-		dev := tb.cluster.Device(name)
-		s.Devices = append(s.Devices, policy.DeviceInfo{
-			Name:       name,
-			Throughput: tp,
-			Free:       dev.Free(),
-			Class:      dev.Profile.Class,
-		})
-	}
-	layout := tb.cluster.Layout()
-	for _, f := range tb.files {
-		s.Files = append(s.Files, policy.FileInfo{
-			ID:         f.ID,
-			Path:       f.Path,
-			Size:       f.Size,
-			Device:     layout[f.ID],
-			LastAccess: tb.lastAccess[f.ID],
-			Accesses:   tb.accesses[f.ID],
-		})
-	}
-	return s
-}
-
 // bootstrap runs warm-up workload runs with occasional random shuffles so
 // every device accumulates telemetry, mirroring the paper's pre-experiment
 // capture of 10,000 accesses per file set.
@@ -119,7 +83,7 @@ func (tb *testbed) bootstrap(runs int, seed int64) error {
 		if obsErr != nil {
 			return obsErr
 		}
-		layout, err := shuffler.Propose(context.Background(), tb.policyState())
+		layout, err := shuffler.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses))
 		if err != nil {
 			return err
 		}

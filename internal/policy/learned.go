@@ -34,6 +34,10 @@ type Prediction struct {
 	Chosen  string
 	// Random marks ε-greedy exploration decisions.
 	Random bool
+	// Predicted is the model's prediction for the file at Chosen (bytes/s
+	// under the throughput target); 0 when the model did not score that
+	// pairing this decision.
+	Predicted float64
 }
 
 // Explorer is implemented by policies that track how many of their last

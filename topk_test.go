@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"geomancy/internal/core"
+	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 )
@@ -49,7 +50,7 @@ func TestTopKScenarioLayoutAgreement(t *testing.T) {
 type warehouseFixture struct {
 	engine *core.Engine
 	db     *replaydb.DB
-	files  []core.FileMeta
+	files  []policy.FileInfo
 	dirty  func(fraction float64)
 }
 
@@ -76,7 +77,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { db.Close() })
-	files := make([]core.FileMeta, nFiles)
+	files := make([]policy.FileInfo, nFiles)
 	r := rand.New(rand.NewSource(31))
 	now := 0
 	appendFor := func(id int64, dev int) {
@@ -97,7 +98,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 	for i := range files {
 		id := int64(i + 1)
 		dev := r.Intn(nDev)
-		files[i] = core.FileMeta{
+		files[i] = policy.FileInfo{
 			ID:     id,
 			Path:   fmt.Sprintf("/wh/f%04d", i),
 			Size:   int64(1e8 + r.Float64()*4e8),
