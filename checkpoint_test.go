@@ -3,9 +3,12 @@ package geomancy
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -421,5 +424,49 @@ func TestRestorePolicyMismatch(t *testing.T) {
 
 	if _, err := Restore(ckpt, ckptOptions(1, WithPolicy("mru"))...); err == nil {
 		t.Error("Restore under a different policy should fail")
+	}
+}
+
+// layoutDigest is bench's order-independent layout fingerprint: FNV-64a
+// over "id=device;" in file-ID order.
+func layoutDigest(layout map[int64]string) string {
+	ids := make([]int64, 0, len(layout))
+	for id := range layout {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	h := fnv.New64a()
+	for _, id := range ids {
+		fmt.Fprintf(h, "%d=%s;", id, layout[id])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestRestoreParentSnapshot resumes a snapshot written by the commit before
+// the scheduler's headroom, the gap model's EWMA weight and the facade's
+// bootstrap counter stopped being checkpointed (ckptOptions with
+// online-geomancy and gap scheduling, memory-backed, taken after 4 runs,
+// past the warm-up). gob drops the fields the types no longer have, and
+// the resumed run must end where that commit's own resume ended.
+func TestRestoreParentSnapshot(t *testing.T) {
+	const (
+		runs        = 6
+		wantDigest  = "2ef02693471c8708"
+		wantRecords = 3668
+	)
+	sys, err := Restore(filepath.Join("testdata", "online_gaps_parent.ckpt"),
+		ckptOptions(1, WithPolicy("online-geomancy"), WithGapScheduling())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.RunN(runs); err != nil {
+		t.Fatal(err)
+	}
+	if got := layoutDigest(sys.Layout()); got != wantDigest {
+		t.Errorf("layout digest %s after %d resumed runs, the parent reached %s", got, runs, wantDigest)
+	}
+	if got := sys.Telemetry(); got != wantRecords {
+		t.Errorf("%d records after %d resumed runs, the parent reached %d", got, runs, wantRecords)
 	}
 }

@@ -132,3 +132,21 @@ func TestCrashSafetySIGKILL(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownTargetIsUsageError: a misspelled -target must stop the
+// command with a usage error instead of silently running the throughput
+// model.
+func TestUnknownTargetIsUsageError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-target", "latncy", "-runs", "1")
+	cmd.Env = append(os.Environ(), "GEOMANCY_RUN_MAIN=1")
+	var out strings.Builder
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-target latncy: %v, want exit status 2\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), `-target must be throughput or latency, not "latncy"`) {
+		t.Errorf("output does not name the bad -target value:\n%s", out.String())
+	}
+}

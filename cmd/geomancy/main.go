@@ -127,8 +127,14 @@ func main() {
 	if *fullRescan > 0 {
 		opts = append(opts, geomancy.WithFullRescanEvery(*fullRescan))
 	}
-	if *target == "latency" {
+	switch *target {
+	case "throughput":
+	case "latency":
 		opts = append(opts, geomancy.WithLatencyTarget())
+	default:
+		fmt.Fprintf(os.Stderr, "geomancy: -target must be throughput or latency, not %q\n", *target)
+		flag.Usage()
+		os.Exit(2)
 	}
 	faults := *faultDrop > 0 || *faultDelay > 0 || *faultPartial > 0
 	if faults {

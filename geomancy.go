@@ -175,7 +175,6 @@ type config struct {
 	workload      WorkloadBuilder
 	policy        string
 	shards        int
-	shardBy       func(string) int
 }
 
 // Option customizes New.
@@ -233,6 +232,9 @@ func WithWorkload(fn WorkloadBuilder) Option { return func(c *config) { c.worklo
 func WithFiles(files []File) Option { return func(c *config) { c.files = files } }
 
 // WithBootstrapRuns sets how many warm-up runs precede tuning; default 5.
+// Warm-up runs record telemetry — and the recency, frequency and gap
+// history policies decide from — exactly as later runs do, but no decision
+// follows them.
 func WithBootstrapRuns(n int) Option { return func(c *config) { c.bootstrapRun = n } }
 
 // WithLatencyTarget switches the engine to minimizing predicted access
@@ -278,19 +280,11 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 // WithParallelism worker bound, which never affects a result (fixed merge
 // order, per-shard RNG streams). n = 1 is
 // bit-identical to the unsharded engine; n = 0 (the default) disables
-// sharding entirely. Devices are grouped contiguously in profile order
-// unless WithShardBy overrides the assignment. Only the default
-// "geomancy" policy shards — combining WithShards with another
-// WithPolicy fails New — and recurrent architectures (WithModel) are
-// rejected for n > 1.
+// sharding entirely. Devices are grouped contiguously in profile order.
+// Only the default "geomancy" policy shards — combining WithShards with
+// another WithPolicy fails New — and recurrent architectures (WithModel)
+// are rejected for n > 1.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// WithShardBy overrides the sharded coordinator's device→shard
-// assignment: fn maps a device name to a shard index in [0, n). Only
-// meaningful with WithShards.
-func WithShardBy(fn func(device string) int) Option {
-	return func(c *config) { c.shardBy = fn }
-}
 
 // WithObserver taps every access's telemetry: fn runs synchronously for
 // each AccessResult the workload produces, during bootstrap and tuned runs
@@ -371,19 +365,17 @@ type System struct {
 	store      *agents.RemoteStore
 	fnet       *faultnet.Network
 
-	bootstrapLeft int
-	closed        bool
-	midRun        bool
-	stats         []RunStats
-	tpSum         float64
-	tpCount       int64
+	closed  bool
+	midRun  bool
+	stats   []RunStats
+	tpSum   float64
+	tpCount int64
 
 	seed       int64
 	replayPath string
 	ckptStore  *checkpoint.Store
 
-	metrics    *telemetry.Registry
-	metricsObs workload.Observer
+	metrics *telemetry.Registry
 }
 
 // New assembles a system: cluster, working set spread evenly, replay
@@ -437,15 +429,13 @@ func New(opts ...Option) (*System, error) {
 		return nil, fmt.Errorf("geomancy: opening replay database: %w", err)
 	}
 	sys := &System{
-		cluster:       cluster,
-		db:            db,
-		runner:        runner,
-		bootstrapLeft: cfg.bootstrapRun,
-		shards:        cfg.shards,
-		seed:          cfg.seed,
-		replayPath:    cfg.replayPath,
-		metrics:       cfg.metrics,
-		metricsObs:    workload.MetricsObserver(cfg.metrics),
+		cluster:    cluster,
+		db:         db,
+		runner:     runner,
+		shards:     cfg.shards,
+		seed:       cfg.seed,
+		replayPath: cfg.replayPath,
+		metrics:    cfg.metrics,
 	}
 	if cfg.checkpointDir != "" {
 		store, err := checkpoint.NewStore(cfg.checkpointDir)
@@ -476,7 +466,7 @@ func New(opts ...Option) (*System, error) {
 		TopK:            cfg.topK,
 		FullRescanEvery: cfg.fullRescan,
 	}
-	pol, model, err := core.BuildPolicy(store, cluster, cfg.policy, cfg.shards, cfg.shardBy, engCfg)
+	pol, model, err := core.BuildPolicy(store, cluster, cfg.policy, cfg.shards, engCfg)
 	if err != nil {
 		sys.teardownAgents()
 		db.Close()
@@ -484,6 +474,7 @@ func New(opts ...Option) (*System, error) {
 	}
 	loop := core.NewPolicyLoop(db, cluster, runner, pol, cfg.cooldown)
 	loop.SetModel(model)
+	loop.Warmup = cfg.bootstrapRun
 	sys.loop = loop
 	if cfg.distributed {
 		rp := agents.RetryPolicy{}
@@ -632,39 +623,7 @@ func (s *System) RunContext(ctx context.Context) (RunStats, error) {
 		return RunStats{}, err
 	}
 	s.midRun = true
-	var stats RunStats
-	var err error
-	if s.bootstrapLeft > 0 {
-		s.bootstrapLeft--
-		var obsErr error
-		stats, err = s.runner.RunOnceContext(ctx, func(res storagesim.AccessResult, wl, run int) {
-			s.loop.Observer(res, wl, run)
-			if s.metricsObs != nil {
-				s.metricsObs(res, wl, run)
-			}
-			if s.monitors != nil {
-				if e := s.monitors.Observe(res, wl, run); e != nil && obsErr == nil {
-					obsErr = e
-				}
-			} else if _, e := s.db.AppendAccess(replaydb.FromAccess(res, wl, run)); e != nil && obsErr == nil {
-				obsErr = e
-			}
-		})
-		if err == nil && s.monitors != nil {
-			if e := s.monitors.Flush(); e != nil && obsErr == nil {
-				obsErr = e
-			}
-		}
-		// A fail-open loop tolerates an unreachable daemon during
-		// bootstrap: the monitors retain the unacked batches and replay
-		// them on a later flush, so no telemetry is lost.
-		tolerated := s.loop.FailOpen && errors.Is(obsErr, agents.ErrUnavailable)
-		if err == nil && obsErr != nil && !tolerated {
-			return stats, fmt.Errorf("geomancy: recording bootstrap telemetry: %w", obsErr)
-		}
-	} else {
-		stats, err = s.loop.RunOnceContext(ctx)
-	}
+	stats, err := s.loop.RunOnceContext(ctx)
 	if err != nil {
 		return stats, err
 	}
@@ -784,7 +743,6 @@ func (s *System) buildSnapshot() (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{
 		Seed:            s.seed,
 		Runs:            len(s.stats),
-		BootstrapLeft:   s.bootstrapLeft,
 		TpSum:           s.tpSum,
 		TpCount:         s.tpCount,
 		Stats:           append([]RunStats(nil), s.stats...),
@@ -919,7 +877,6 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 		}
 	}
 	s.loop.RestoreState(snap.Loop)
-	s.bootstrapLeft = snap.BootstrapLeft
 	s.tpSum = snap.TpSum
 	s.tpCount = snap.TpCount
 	s.stats = append([]RunStats(nil), snap.Stats...)

@@ -1,9 +1,14 @@
 package geomancy
 
 import (
+	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"geomancy/internal/core"
+	"geomancy/internal/policy"
 )
 
 func quickSystem(t *testing.T, opts ...Option) *System {
@@ -138,21 +143,61 @@ func TestGapSchedulingOption(t *testing.T) {
 // A ReplayDB that starts failing mid-bootstrap must fail the run: warm-up
 // telemetry is what the first training cycle learns from, so losing it
 // silently leaves Telemetry() and the WAL disagreeing with what the
-// workload did.
+// workload did. Warm-up runs go through the loop, which appends an access
+// before its observers see it, so the failAt-th access is stored.
 func TestBootstrapRecordErrorSurfaces(t *testing.T) {
 	const failAt = 5
 	var sys *System
 	seen := 0
 	sys = quickSystem(t, WithObserver(func(AccessResult, int, int) {
 		if seen++; seen == failAt {
-			sys.db.Close() // the observer runs ahead of the append
+			sys.db.Close()
 		}
 	}))
 	_, err := sys.Run()
-	if err == nil || !strings.Contains(err.Error(), "geomancy: recording bootstrap telemetry") {
-		t.Fatalf("Run over a closed store = %v, want a bootstrap recording error", err)
+	if err == nil || !strings.Contains(err.Error(), "core: recording telemetry") {
+		t.Fatalf("Run over a closed store = %v, want a telemetry recording error", err)
 	}
-	if got := sys.Telemetry(); got != failAt-1 {
-		t.Errorf("telemetry = %d records, want the %d stored before the failure", got, failAt-1)
+	if got := sys.Telemetry(); got != failAt {
+		t.Errorf("telemetry = %d records, want the %d stored before the failure", got, failAt)
+	}
+}
+
+// Warm-up runs go through the loop, so the first decision of a policy that
+// reads access history sees the warm-up accesses: LFU's first layout is the
+// ranking by every access so far, not by the post-warm-up ones alone.
+func TestWarmupFeedsFirstDecision(t *testing.T) {
+	const warmup = 2
+	all := map[int64]int64{}
+	late := map[int64]int64{} // what a loop that skipped the warm-up would count
+	sys := quickSystem(t, WithPolicy("lfu"), WithBootstrapRuns(warmup), WithCooldown(3),
+		WithObserver(func(res AccessResult, _, run int) {
+			all[res.FileID]++
+			if run >= warmup {
+				late[res.FileID]++
+			}
+		}))
+	if _, err := sys.RunN(warmup + 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sys.Movements()); got != 1 {
+		t.Fatalf("%d decisions after %d runs, want the first one", got, warmup+1)
+	}
+	// LFU reads only the device ranking and the access counts, and neither
+	// moved since the decision.
+	lfu := func(counts map[int64]int64) map[int64]string {
+		layout, err := policy.LFU().Propose(context.Background(),
+			core.PolicyState(sys.db, sys.cluster, sys.runner.Files(), nil, counts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return layout
+	}
+	want := lfu(all)
+	if reflect.DeepEqual(want, lfu(late)) {
+		t.Fatal("warm-up and post-warm-up counts rank alike; the test cannot tell them apart")
+	}
+	if got := sys.Layout(); !reflect.DeepEqual(got, want) {
+		t.Errorf("first LFU layout = %v, want the ranking by all %d runs' accesses %v", got, warmup+1, want)
 	}
 }

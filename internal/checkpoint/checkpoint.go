@@ -69,10 +69,9 @@ type Snapshot struct {
 	Runs int
 
 	// Facade counters.
-	BootstrapLeft int
-	TpSum         float64
-	TpCount       int64
-	Stats         []workload.RunStats
+	TpSum   float64
+	TpCount int64
+	Stats   []workload.RunStats
 
 	Engine  core.EngineState
 	Loop    core.LoopState

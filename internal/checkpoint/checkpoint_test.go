@@ -16,12 +16,11 @@ import (
 // field-level encoding regressions.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		Seed:          42,
-		Runs:          7,
-		BootstrapLeft: 1,
-		TpSum:         1.5e9,
-		TpCount:       1200,
-		Stats:         []workload.RunStats{{Run: 0, Accesses: 300, Bytes: 1 << 30, MeanThroughput: 2e9}},
+		Seed:    42,
+		Runs:    7,
+		TpSum:   1.5e9,
+		TpCount: 1200,
+		Stats:   []workload.RunStats{{Run: 0, Accesses: 300, Bytes: 1 << 30, MeanThroughput: 2e9}},
 		Cluster: storagesim.ClusterState{
 			Now: 123.5,
 			RNG: 0xDEADBEEF,

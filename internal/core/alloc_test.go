@@ -18,7 +18,7 @@ import (
 func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 	t.Helper()
 	const nFiles, nDev = 256, 32
-	cfg := Config{Epochs: 2, WindowX: 100, Seed: 31, Epsilon: 0.05, LearningRate: 0.05,
+	cfg := Config{Epochs: 2, WindowX: 100, Seed: 31, Epsilon: 0.05,
 		TopK: topK, FullRescanEvery: 1 << 20}
 	s, files := shardedWarehouse(t, nFiles, nDev, 1, cfg)
 	e, db := s.globalEngine, s.globalEngine.db.(*replaydb.DB)

@@ -57,15 +57,10 @@ type Config struct {
 	WindowX int
 	// Epochs is the training epoch count; default 200 (§V-G).
 	Epochs int
-	// LearningRate for plain SGD; default 0.05.
-	LearningRate float64
 	// SmoothWindow is the moving-average window applied to ReplayDB
 	// batches; default 8. 1 disables smoothing; negative selects the
 	// cumulative average (for the smoothing ablation).
 	SmoothWindow int
-	// SeqWindow is the BPTT window for recurrent models; default
-	// nn.DefaultWindow.
-	SeqWindow int
 	// Seed drives exploration and weight initialization.
 	Seed int64
 	// Optimizer overrides SGD when set ("sgd" default, "adam" for the
@@ -115,14 +110,8 @@ func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = 200
 	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.05
-	}
 	if c.SmoothWindow == 0 {
 		c.SmoothWindow = 8
-	}
-	if c.SeqWindow == 0 {
-		c.SeqWindow = nn.DefaultWindow
 	}
 	if c.Optimizer == "" {
 		c.Optimizer = "sgd"
@@ -146,6 +135,9 @@ const (
 )
 
 const (
+	// learningRate is the full-cycle SGD step size (Adam takes a tenth of
+	// it); updates step at DefaultUpdateLRScale of it.
+	learningRate = 0.05
 	// featureCount is Z, the width of FeatureVector's rows (rb, wb, ots,
 	// cts, fid, fsid) and so of the network's input layer.
 	featureCount = 6
@@ -269,7 +261,6 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: building model: %w", err)
 	}
-	net.Window = cfg.SeqWindow
 	e := &Engine{
 		cfg:      cfg,
 		db:       db,
@@ -458,7 +449,7 @@ const (
 type fitSpec struct {
 	window  int     // most recent accesses fetched per device
 	epochs  int     // training epochs
-	lrScale float64 // step size as a fraction of Config.LearningRate
+	lrScale float64 // step size as a fraction of learningRate
 	// full refits the scalers, trains on the 60% partition of the 60/20/20
 	// split and refreshes the validation metrics from the rest; an update
 	// keeps all three and trains on its whole (too small to split) window.
@@ -535,7 +526,7 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		}
 	}
 
-	lr := e.cfg.LearningRate * spec.lrScale
+	lr := learningRate * spec.lrScale
 	var opt nn.Optimizer
 	switch e.cfg.Optimizer {
 	case "sgd":

@@ -50,7 +50,7 @@ func seedDB(t testing.TB, n int) *replaydb.DB {
 }
 
 func quickCfg() Config {
-	return Config{Epochs: 8, WindowX: 400, Seed: 1, LearningRate: 0.05}
+	return Config{Epochs: 8, WindowX: 400, Seed: 1}
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -262,7 +262,6 @@ func TestRecurrentEnginePropose(t *testing.T) {
 	db := seedDB(t, 600)
 	cfg := quickCfg()
 	cfg.ModelNumber = 18 // SimpleRNN head — the paper's runner-up
-	cfg.SeqWindow = 4
 	cfg.Epsilon = 0
 	e, err := NewEngine(db, testDevices, cfg)
 	if err != nil {
@@ -316,7 +315,7 @@ func TestLoopEndToEnd(t *testing.T) {
 	db, _ := replaydb.Open(replaydb.Options{})
 	defer db.Close()
 
-	cfg := Config{Epochs: 6, WindowX: 500, CooldownRuns: 2, Seed: 11, LearningRate: 0.05}
+	cfg := Config{Epochs: 6, WindowX: 500, CooldownRuns: 2, Seed: 11}
 	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +450,7 @@ func TestLatencyTarget(t *testing.T) {
 			Throughput: 1e8 / dur,
 		})
 	}
-	cfg := Config{Epochs: 25, WindowX: 500, Seed: 31, Target: TargetLatency, Epsilon: 1e-9, LearningRate: 0.05}
+	cfg := Config{Epochs: 25, WindowX: 500, Seed: 31, Target: TargetLatency, Epsilon: 1e-9}
 	e, err := NewEngine(db, []string{"fast", "slow"}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,6 @@ import (
 //
 // GapPredictor is safe for concurrent use.
 type GapPredictor struct {
-	// Alpha is the EWMA weight for new gap observations (default 0.25).
-	Alpha float64
-
 	mu    sync.Mutex
 	stats map[int64]*gapStats
 }
@@ -43,9 +40,12 @@ type gapStats struct {
 // as a release (end-of-burst idle period).
 const releaseFactor = 5
 
+// gapWeight is the EWMA weight of a new gap observation.
+const gapWeight = 0.25
+
 // NewGapPredictor returns an empty predictor.
 func NewGapPredictor() *GapPredictor {
-	return &GapPredictor{Alpha: 0.25, stats: make(map[int64]*gapStats)}
+	return &GapPredictor{stats: make(map[int64]*gapStats)}
 }
 
 // Observe records an access of the file at time t (virtual seconds).
@@ -68,7 +68,7 @@ func (g *GapPredictor) Observe(fileID int64, t float64) {
 		s.dev = gap / 2
 		return
 	}
-	a := g.alpha()
+	const a = gapWeight
 	if s.mean > 0 && gap > releaseFactor*s.mean {
 		// End-of-burst idle period: feed the release-gap model and keep
 		// the cadence model untouched.
@@ -86,13 +86,6 @@ func (g *GapPredictor) Observe(fileID int64, t float64) {
 	diff := math.Abs(gap - s.mean)
 	s.mean = (1-a)*s.mean + a*gap
 	s.dev = (1-a)*s.dev + a*diff
-}
-
-func (g *GapPredictor) alpha() float64 {
-	if g.Alpha > 0 && g.Alpha <= 1 {
-		return g.Alpha
-	}
-	return 0.25
 }
 
 // PredictGap returns the estimated mean and deviation of the file's
@@ -135,21 +128,15 @@ type Deferral struct {
 type MoveScheduler struct {
 	// Gaps supplies the per-file gap model.
 	Gaps *GapPredictor
-	// Headroom scales the required window: move only if
-	// predictedGap - dev ≥ Headroom × estimated transfer (default 1.5).
-	Headroom float64
 }
+
+// headroom scales the required window: move only if
+// predictedGap - dev ≥ headroom × estimated transfer.
+const headroom = 1.5
 
 // NewMoveScheduler returns a scheduler over the given predictor.
 func NewMoveScheduler(g *GapPredictor) *MoveScheduler {
-	return &MoveScheduler{Gaps: g, Headroom: 1.5}
-}
-
-func (s *MoveScheduler) headroom() float64 {
-	if s.Headroom > 0 {
-		return s.Headroom
-	}
-	return 1.5
+	return &MoveScheduler{Gaps: g}
 }
 
 // Filter splits a proposed layout into the moves safe to execute now and
@@ -168,7 +155,7 @@ func (s *MoveScheduler) Filter(layout map[int64]string, current map[int64]string
 			approved[id] = dst // no history: allow, and learn from it
 			continue
 		}
-		need := estimate(id, dst) * s.headroom()
+		need := estimate(id, dst) * headroom
 		window := mean - dev
 		if window >= need {
 			approved[id] = dst

@@ -107,27 +107,30 @@ func TestMoveSchedulerFilter(t *testing.T) {
 	}
 }
 
+// The scheduler admits a move only when its idle window covers 1.5× the
+// transfer: just under that a move passes, just over it is postponed.
 func TestMoveSchedulerHeadroom(t *testing.T) {
 	g := NewGapPredictor()
 	for i := 0; i < 10; i++ {
 		g.Observe(1, float64(i)*12) // 12s gaps, low dev
 	}
+	mean, dev, _ := g.PredictGap(1)
+	window := mean - dev
 	s := NewMoveScheduler(g)
 	current := map[int64]string{1: "a"}
 	layout := map[int64]string{1: "b"}
-	// 10s move × 1.5 headroom = 15s > 12s gap → deferred.
-	_, deferred := s.Filter(layout, current, func(int64, string) float64 { return 10 })
+	filter := func(move float64) (map[int64]string, []Deferral) {
+		return s.Filter(layout, current, func(int64, string) float64 { return move })
+	}
+	if approved, deferred := filter(window / 1.5 * 0.99); len(deferred) != 0 || approved[1] != "b" {
+		t.Errorf("1.5 × move just inside the %vs window: approved=%v deferred=%+v", window, approved, deferred)
+	}
+	_, deferred := filter(window / 1.5 * 1.01)
 	if len(deferred) != 1 {
-		t.Fatalf("deferred = %+v, want the tight-window move postponed", deferred)
+		t.Fatalf("1.5 × move just past the %vs window: deferred = %+v, want the move postponed", window, deferred)
 	}
 	if deferred[0].Hot {
 		t.Error("a merely tight window is not 'hot'")
-	}
-	// Lower headroom approves it.
-	s.Headroom = 1.0
-	approved, deferred := s.Filter(layout, current, func(int64, string) float64 { return 10 })
-	if len(deferred) != 0 || approved[1] != "b" {
-		t.Errorf("approved=%v deferred=%v with headroom 1.0", approved, deferred)
 	}
 }
 
@@ -216,41 +219,5 @@ func TestGapPredictorBurstyReleaseGaps(t *testing.T) {
 		func(int64, string) float64 { return 60 })
 	if len(deferred) != 0 || approved[1] != "b" {
 		t.Errorf("bursty file should be movable in its release gap (deferred %+v, mean %v dev %v)", deferred, mean, dev)
-	}
-}
-
-// A restored loop must keep the scheduler's configured headroom: before
-// LoopState carried it, RestoreState rebuilt the scheduler through
-// EnableGapScheduling and silently reverted a custom headroom to the 1.5
-// default, so the restored run deferred moves the original approved.
-func TestLoopStateRoundTripPreservesHeadroom(t *testing.T) {
-	l := &Loop{}
-	g := l.EnableGapScheduling()
-	l.Scheduler.Headroom = 1.0
-	for i := 0; i < 10; i++ {
-		g.Observe(1, float64(i)*12) // 12s gaps, low dev
-	}
-	current := map[int64]string{1: "a"}
-	layout := map[int64]string{1: "b"}
-	estimate := func(int64, string) float64 { return 10 }
-	// 10s move × 1.0 headroom = 10s < 12s window → approved.
-	approved, _ := l.Scheduler.Filter(layout, current, estimate)
-	if approved[1] != "b" {
-		t.Fatal("original loop should approve the move at headroom 1.0")
-	}
-
-	restored := &Loop{}
-	restored.RestoreState(l.State())
-	if restored.Scheduler == nil {
-		t.Fatal("restore did not enable gap scheduling")
-	}
-	if got := restored.Scheduler.Headroom; got != 1.0 {
-		t.Fatalf("restored headroom = %v, want 1.0 (custom headroom lost)", got)
-	}
-	// Behavioral check: the restored loop must make the same call. At the
-	// default 1.5 headroom this move would be deferred (15s > 12s window).
-	approvedR, deferredR := restored.Scheduler.Filter(layout, current, estimate)
-	if approvedR[1] != "b" || len(deferredR) != 0 {
-		t.Fatalf("restored loop diverged: approved=%v deferred=%+v", approvedR, deferredR)
 	}
 }

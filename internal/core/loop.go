@@ -89,6 +89,10 @@ type Loop struct {
 	// decisions to explicit Decide calls.
 	//geomancy:ephemeral construction config (CooldownRuns), re-supplied on rebuild
 	decideEvery int
+	// Warmup is the number of leading workload runs that only record
+	// telemetry: no decision follows a run whose index is below it.
+	//geomancy:ephemeral construction config (the facade's bootstrap runs), re-supplied on rebuild
+	Warmup int
 	// lastRun is the index of the last completed workload run, so
 	// out-of-cadence Decide calls attribute their movement events.
 	lastRun int
@@ -123,10 +127,9 @@ type Loop struct {
 	// returning an error.
 	//geomancy:ephemeral operator config, re-supplied on rebuild
 	FailOpen bool
-	// Scheduler, when set, gates movements on predicted access gaps (the
-	// paper's §X extension). Use EnableGapScheduling to install one wired
-	// to the loop's telemetry.
-	Scheduler *MoveScheduler
+	// scheduler, when set, gates movements on predicted access gaps (the
+	// paper's §X extension); EnableGapScheduling installs it.
+	scheduler *MoveScheduler
 
 	// metrics instrumentation, installed by SetMetrics; all handles no-op
 	// while nil.
@@ -167,7 +170,7 @@ func (l *Loop) SetMetrics(reg *telemetry.Registry) {
 // Interface Daemon" (§V-E) — while movement records still persist to db.
 // The decision cadence is cfg.CooldownRuns.
 func NewNamedLoop(store TelemetryStore, db *replaydb.DB, cluster *storagesim.Cluster, runner Workload, name string, cfg Config) (*Loop, error) {
-	p, model, err := BuildPolicy(store, cluster, name, 0, nil, cfg)
+	p, model, err := BuildPolicy(store, cluster, name, 0, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +233,7 @@ func (l *Loop) noteDegraded(run int, err error) {
 // loop's own telemetry and returns its predictor for inspection.
 func (l *Loop) EnableGapScheduling() *GapPredictor {
 	g := NewGapPredictor()
-	l.Scheduler = NewMoveScheduler(g)
+	l.scheduler = NewMoveScheduler(g)
 	return g
 }
 
@@ -269,8 +272,8 @@ func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 	if l.metricsObs != nil {
 		l.metricsObs(res, wl, run)
 	}
-	if l.Scheduler != nil && l.Scheduler.Gaps != nil {
-		l.Scheduler.Gaps.Observe(res.FileID, res.Start)
+	if l.scheduler != nil {
+		l.scheduler.Gaps.Observe(res.FileID, res.Start)
 	}
 	if l.Recorder != nil {
 		return l.Recorder(res, wl, run)
@@ -319,10 +322,10 @@ func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.Bel
 }
 
 // shouldDecide reports whether the cadence calls for a decision after
-// the given workload run (runs are 0-based; the first decision happens
-// after the first decideEvery runs).
+// the given workload run (runs are 0-based; the first decision follows the
+// first run past Warmup that completes a multiple of decideEvery runs).
 func (l *Loop) shouldDecide(run int) bool {
-	return l.decideEvery > 0 && (run+1)%l.decideEvery == 0
+	return l.decideEvery > 0 && run >= l.Warmup && (run+1)%l.decideEvery == 0
 }
 
 // Decide forces one decision cycle immediately, outside the automatic
@@ -349,7 +352,7 @@ func (l *Loop) decideCycle(ctx context.Context, run int) error {
 	if layout == nil {
 		return nil
 	}
-	if l.Scheduler != nil {
+	if l.scheduler != nil {
 		current := l.Cluster.Layout()
 		sizes := make(map[int64]int64, len(l.Workload.Files()))
 		for _, f := range l.Workload.Files() {
@@ -364,7 +367,7 @@ func (l *Loop) decideCycle(ctx context.Context, run int) error {
 		}
 		est := ClusterMoveEstimator(sizes, current, readBW, writeBW)
 		var deferred []Deferral
-		layout, deferred = l.Scheduler.Filter(layout, current, est)
+		layout, deferred = l.scheduler.Filter(layout, current, est)
 		l.deferrals = append(l.deferrals, deferred...)
 		l.deferralsCtr.Add(uint64(len(deferred)))
 	}

@@ -22,7 +22,7 @@ func TestLoopMetrics(t *testing.T) {
 	}
 	db, _ := replaydb.Open(replaydb.Options{})
 	defer db.Close()
-	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13, LearningRate: 0.05})
+	loop, err := NewNamedLoop(db, db, cluster, runner, "geomancy", Config{Epochs: 4, WindowX: 300, CooldownRuns: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

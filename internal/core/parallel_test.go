@@ -60,7 +60,6 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 	for _, model := range []int{1, 18} { // dense and recurrent
 		e := trainedEngine(t, func(c *Config) {
 			c.ModelNumber = model
-			c.SeqWindow = 4
 		})
 		files := []policy.FileInfo{
 			{ID: 1, Size: 1e8, Device: "pic"},   // deep history in seedDB
@@ -91,7 +90,6 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 		mkEngine := func() *Engine {
 			return trainedEngine(t, func(c *Config) {
 				c.ModelNumber = model
-				c.SeqWindow = 4
 				c.Epsilon = 0.3 // exercise the exploration branch too
 			})
 		}

@@ -80,12 +80,12 @@ func (m *EngineModel) Reports() []TrainReport {
 // from cfg.Seed), an engine wired to the cluster and training through
 // store for a learned policy, and for shards > 0 — policy.DefaultName
 // only — a coordinator over that many device groups (see NewSharded).
-func BuildPolicy(store TelemetryStore, cluster *storagesim.Cluster, name string, shards int, assign func(device string) int, cfg Config) (policy.Policy, *EngineModel, error) {
+func BuildPolicy(store TelemetryStore, cluster *storagesim.Cluster, name string, shards int, cfg Config) (policy.Policy, *EngineModel, error) {
 	if shards > 0 {
 		if name != "" && name != policy.DefaultName {
 			return nil, nil, fmt.Errorf("core: only the %q policy shards; it cannot combine with policy %q", policy.DefaultName, name)
 		}
-		s, err := NewSharded(store, cluster, shards, assign, cfg)
+		s, err := NewSharded(store, cluster, shards, nil, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -17,14 +17,14 @@ func TestBuildPolicyCoversCatalogue(t *testing.T) {
 	db := seedDB(t, 50)
 	for _, name := range append(policy.Names(), "") {
 		learned := name == "" || strings.HasSuffix(name, "geomancy")
-		p, model, err := BuildPolicy(db, storagesim.NewBluesky(1), name, 0, nil, quickCfg())
+		p, model, err := BuildPolicy(db, storagesim.NewBluesky(1), name, 0, quickCfg())
 		if err != nil || p == nil {
 			t.Fatalf("BuildPolicy(%q) = %v, %v", name, p, err)
 		}
 		if (model != nil) != learned {
 			t.Errorf("policy %q: engine bridge present = %v, learned = %v", name, model != nil, learned)
 		}
-		p, model, err = BuildPolicy(db, storagesim.NewBluesky(1), name, 2, nil, quickCfg())
+		p, model, err = BuildPolicy(db, storagesim.NewBluesky(1), name, 2, quickCfg())
 		if shardable := name == "" || name == policy.DefaultName; !shardable {
 			if err == nil {
 				t.Errorf("policy %q built at 2 shards; only %q shards", name, policy.DefaultName)
@@ -38,7 +38,7 @@ func TestBuildPolicyCoversCatalogue(t *testing.T) {
 			t.Errorf("BuildPolicy(%q, 2 shards) = %T with bridge %p, want the coordinator and its Model()", name, p, model)
 		}
 	}
-	if _, _, err := BuildPolicy(db, storagesim.NewBluesky(1), "nosuch", 0, nil, quickCfg()); !errors.Is(err, policy.ErrUnknown) {
+	if _, _, err := BuildPolicy(db, storagesim.NewBluesky(1), "nosuch", 0, quickCfg()); !errors.Is(err, policy.ErrUnknown) {
 		t.Errorf("unknown policy: err = %v, want policy.ErrUnknown", err)
 	}
 }

@@ -96,7 +96,8 @@ const escalationFactor = 4.0
 // cfg.Seed and serial internals (cross-shard concurrency comes from the
 // coordinator's cfg.Parallelism, not nested pools). Recurrent
 // architectures are rejected for n > 1: the cross-shard batch
-// concatenation is dense-only.
+// concatenation is dense-only. Every caller passes a nil assign; the
+// parameter stays only until the benchmark's traced pass stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
 	shards, err := cluster.ShardBy(n, assign)
 	if err != nil {

@@ -474,7 +474,7 @@ func TestShardedSpeedup(t *testing.T) {
 		nDev   = 256
 		reps   = 2
 	)
-	cfg := Config{Epochs: 4, WindowX: 400, Seed: 31, Epsilon: 0.05, LearningRate: 0.05, Parallelism: 4}
+	cfg := Config{Epochs: 4, WindowX: 400, Seed: 31, Epsilon: 0.05, Parallelism: 4}
 	measure := func(shards int) time.Duration {
 		s, files := shardedWarehouse(t, nFiles, nDev, shards, cfg)
 		if _, _, err := s.DecideLayout(t.Context(), files); err != nil { // warm buffers

@@ -117,7 +117,6 @@ type GapFileState struct {
 
 // GapPredictorState is the serializable snapshot of a GapPredictor.
 type GapPredictorState struct {
-	Alpha float64
 	Files []GapFileState
 }
 
@@ -126,7 +125,7 @@ type GapPredictorState struct {
 func (g *GapPredictor) State() GapPredictorState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := GapPredictorState{Alpha: g.Alpha}
+	var st GapPredictorState
 	for id, s := range g.stats {
 		st.Files = append(st.Files, GapFileState{
 			FileID:      id,
@@ -148,7 +147,6 @@ func (g *GapPredictor) State() GapPredictorState {
 func (g *GapPredictor) RestoreState(st GapPredictorState) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.Alpha = st.Alpha
 	g.stats = make(map[int64]*gapStats, len(st.Files))
 	for _, f := range st.Files {
 		g.stats[f.FileID] = &gapStats{
@@ -185,11 +183,6 @@ type LoopState struct {
 	Skipped     []SkippedDecision
 	Heat        []FileHeatState
 	Gaps        *GapPredictorState
-	// Headroom is the move scheduler's configured safety factor. Zero
-	// means the snapshot predates the field (or the loop has no
-	// scheduler); RestoreState then keeps the scheduler's current value
-	// rather than silently resetting admission headroom to zero.
-	Headroom float64
 }
 
 // State captures the loop's counters and logs. Heat entries are sorted
@@ -207,12 +200,9 @@ func (l *Loop) State() LoopState {
 		st.Heat = append(st.Heat, FileHeatState{FileID: id, LastAccess: t, Accesses: l.accesses[id]})
 	}
 	sort.Slice(st.Heat, func(i, j int) bool { return st.Heat[i].FileID < st.Heat[j].FileID })
-	if l.Scheduler != nil {
-		st.Headroom = l.Scheduler.Headroom
-		if l.Scheduler.Gaps != nil {
-			g := l.Scheduler.Gaps.State()
-			st.Gaps = &g
-		}
+	if l.scheduler != nil {
+		g := l.scheduler.Gaps.State()
+		st.Gaps = &g
 	}
 	return st
 }
@@ -234,12 +224,9 @@ func (l *Loop) RestoreState(st LoopState) {
 		l.accesses[h.FileID] = h.Accesses
 	}
 	if st.Gaps != nil {
-		if l.Scheduler == nil || l.Scheduler.Gaps == nil {
+		if l.scheduler == nil {
 			l.EnableGapScheduling()
 		}
-		l.Scheduler.Gaps.RestoreState(*st.Gaps)
-	}
-	if l.Scheduler != nil && st.Headroom > 0 {
-		l.Scheduler.Headroom = st.Headroom
+		l.scheduler.Gaps.RestoreState(*st.Gaps)
 	}
 }

@@ -25,7 +25,7 @@ func staticBuilder(p policy.Policy) policyBuilder {
 // baselines only read cfg.Seed.
 func namedBuilder(name string, shards int, cfg core.Config) policyBuilder {
 	return func(tb *testbed) (policy.Policy, *core.EngineModel, error) {
-		return core.BuildPolicy(tb.db, tb.cluster, name, shards, nil, cfg)
+		return core.BuildPolicy(tb.db, tb.cluster, name, shards, cfg)
 	}
 }
 
@@ -119,7 +119,7 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 	// One-shot static placement is pure exploitation: effectively no
 	// exploration (exactly 0 would select the 0.1 default).
 	cfg.Epsilon = 1e-9
-	p, _, err := core.BuildPolicy(tb.db, tb.cluster, "geomancy", 0, nil, cfg)
+	p, _, err := core.BuildPolicy(tb.db, tb.cluster, "geomancy", 0, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -85,8 +85,7 @@ func TestFitGoldenWeights(t *testing.T) {
 						t.Errorf("%s kernels: params digest %s, want %s", kernel, got, g.params)
 					}
 					if g.adam {
-						st := adam.State()
-						got := digestFloats(append(append([][]float64{{float64(st.T)}}, st.M...), st.V...)...)
+						got := digestFloats(append(append([][]float64{{float64(adam.t)}}, adam.m...), adam.v...)...)
 						if got != g.moments {
 							t.Errorf("%s kernels: Adam moments digest %s, want %s", kernel, got, g.moments)
 						}

@@ -18,32 +18,11 @@ type snapshot struct {
 	// Params holds the flattened data of every parameter matrix in
 	// Params() order.
 	Params [][]float64
-	// Opt, when non-nil, carries the optimizer mid-training (gob leaves
-	// it nil when decoding snapshots written before the field existed).
-	Opt *OptimizerState
 }
 
 // Save writes the network architecture and weights to w in gob format.
 func (n *Network) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(n.snapshot())
-}
-
-// SaveWithOptimizer writes the network together with its optimizer, so a
-// training run interrupted between epochs resumes with the optimizer's
-// accumulated state (step counter and moments for Adam) instead of
-// restarting its schedule. A nil optimizer is equivalent to Save.
-//
-//geomancy:allow testonly optimizer-state serialization, exercised by optimizer_state_test.go; ROADMAP item 7 warm-start axis decides whether it ships
-func (n *Network) SaveWithOptimizer(w io.Writer, opt Optimizer) error {
-	snap := n.snapshot()
-	if opt != nil {
-		st, err := OptimizerStateOf(opt)
-		if err != nil {
-			return err
-		}
-		snap.Opt = &st
-	}
-	return gob.NewEncoder(w).Encode(snap)
 }
 
 func (n *Network) snapshot() snapshot {
@@ -61,19 +40,11 @@ func (n *Network) snapshot() snapshot {
 	return snap
 }
 
-// Load reads a network previously written with Save (or
-// SaveWithOptimizer, discarding the optimizer).
+// Load reads a network previously written with Save.
 func Load(r io.Reader) (*Network, error) {
-	net, _, err := LoadWithOptimizer(r)
-	return net, err
-}
-
-// LoadWithOptimizer reads a network and, when the snapshot carries one,
-// its optimizer. Snapshots written by plain Save return a nil Optimizer.
-func LoadWithOptimizer(r io.Reader) (*Network, Optimizer, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("nn: decoding network: %w", err)
+		return nil, fmt.Errorf("nn: decoding network: %w", err)
 	}
 	// Build with a throwaway rng; weights are overwritten below.
 	rng := rng.NewRand(0)
@@ -89,44 +60,37 @@ func LoadWithOptimizer(r io.Reader) (*Network, Optimizer, error) {
 			net.AddDense(units, spec.Act, rng)
 		case "LSTM":
 			if i != 0 {
-				return nil, nil, fmt.Errorf("nn: snapshot has non-leading LSTM layer")
+				return nil, fmt.Errorf("nn: snapshot has non-leading LSTM layer")
 			}
 			net.AddLSTM(units, spec.Act, rng)
 		case "GRU":
 			if i != 0 {
-				return nil, nil, fmt.Errorf("nn: snapshot has non-leading GRU layer")
+				return nil, fmt.Errorf("nn: snapshot has non-leading GRU layer")
 			}
 			net.AddGRU(units, spec.Act, rng)
 		case "SimpleRNN":
 			if i != 0 {
-				return nil, nil, fmt.Errorf("nn: snapshot has non-leading SimpleRNN layer")
+				return nil, fmt.Errorf("nn: snapshot has non-leading SimpleRNN layer")
 			}
 			net.AddSimpleRNN(units, spec.Act, rng)
 		default:
-			return nil, nil, fmt.Errorf("nn: snapshot has unknown layer kind %q", spec.Kind)
+			return nil, fmt.Errorf("nn: snapshot has unknown layer kind %q", spec.Kind)
 		}
 	}
 	params := net.Params()
 	if len(params) != len(snap.Params) {
-		return nil, nil, fmt.Errorf("nn: snapshot has %d parameter blocks, network needs %d",
+		return nil, fmt.Errorf("nn: snapshot has %d parameter blocks, network needs %d",
 			len(snap.Params), len(params))
 	}
 	for i, p := range params {
 		if len(p.Data) != len(snap.Params[i]) {
-			return nil, nil, fmt.Errorf("nn: snapshot parameter %d has %d values, want %d",
+			return nil, fmt.Errorf("nn: snapshot parameter %d has %d values, want %d",
 				i, len(snap.Params[i]), len(p.Data))
 		}
 		copy(p.Data, snap.Params[i])
 	}
 	net.Desc = snap.Desc
-	if snap.Opt == nil {
-		return net, nil, nil
-	}
-	opt, err := OptimizerFromState(*snap.Opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, opt, nil
+	return net, nil
 }
 
 // layerSpecs reconstructs the LayerSpec list describing this network. All

@@ -78,21 +78,6 @@ func TestSGDStepDirection(t *testing.T) {
 	}
 }
 
-func TestSGDClip(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	net := NewNetwork(2).AddDense(1, Linear, rng)
-	w := net.Params()[0]
-	before := w.Clone()
-	g := net.GradsRef()[0]
-	g.Fill(100)
-	(&SGD{LR: 0.1, Clip: 1}).Step(net.Params(), net.GradsRef())
-	for i := range w.Data {
-		if got, want := w.Data[i], before.Data[i]-0.1; got != want {
-			t.Errorf("clipped param %d = %v, want %v", i, got, want)
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 with Adam driving a single scalar parameter.
 	rng := rand.New(rand.NewSource(62))

@@ -89,9 +89,9 @@ func (p *Geomancy) Propose(ctx context.Context, s State) (map[int64]string, erro
 // LastExplored implements Explorer.
 func (p *Geomancy) LastExplored() int { return p.explored }
 
-// DefaultRetrainEvery is Online's default full-retrain cadence: one full
-// cycle per this many proposals, incremental updates in between.
-const DefaultRetrainEvery = 4
+// retrainEvery is Online's full-retrain cadence: proposal 0 and every
+// retrainEvery-th after it retrain fully, the rest update incrementally.
+const retrainEvery = 4
 
 // Online is Geomancy with incremental learning between full retrains
 // (after Sibyl's continuously adapting placement, arXiv:2205.07394):
@@ -103,11 +103,6 @@ const DefaultRetrainEvery = 4
 // reproducing the stale placement.
 type Online struct {
 	Model Model //geomancy:ephemeral serializes through the engine half of the checkpoint
-	// RetrainEvery is the full-retrain cadence in proposals; proposal 0
-	// and every RetrainEvery-th after it retrain fully, the rest update
-	// incrementally. 0 selects DefaultRetrainEvery.
-	//geomancy:ephemeral construction config, re-supplied by policy wiring
-	RetrainEvery int
 
 	calls    int64
 	explored int //geomancy:ephemeral last-proposal telemetry (LastExplored), overwritten by the next Propose
@@ -118,11 +113,7 @@ func (p *Online) Name() string { return "online-geomancy" }
 
 // Propose implements Policy.
 func (p *Online) Propose(ctx context.Context, s State) (map[int64]string, error) {
-	every := p.RetrainEvery
-	if every <= 0 {
-		every = DefaultRetrainEvery
-	}
-	full := p.calls%int64(every) == 0
+	full := p.calls%retrainEvery == 0
 	p.calls++
 	if full {
 		if err := p.Model.Retrain(ctx); err != nil {

@@ -36,16 +36,16 @@ func (m *stubModel) Propose(context.Context, State) (map[int64]string, []Predict
 
 func TestOnlineRetrainCadence(t *testing.T) {
 	m := &stubModel{}
-	p := &Online{Model: m, RetrainEvery: 3}
+	p := &Online{Model: m}
 	ctx := context.Background()
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 2*retrainEvery+1; i++ {
 		if _, err := p.Propose(ctx, State{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Calls 0, 3, 6 retrain; 1, 2, 4, 5 update.
-	if m.retrains != 3 || m.updates != 4 {
-		t.Errorf("retrains=%d updates=%d, want 3/4", m.retrains, m.updates)
+	// Calls 0, 4, 8 retrain; 1–3 and 5–7 update.
+	if m.retrains != 3 || m.updates != 6 {
+		t.Errorf("retrains=%d updates=%d, want 3/6", m.retrains, m.updates)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestOnlineFallsBackOnNotReady(t *testing.T) {
 	// The model rejects updates until it has seen 2 retrains: the policy
 	// must fall back to a retrain instead of proposing untrained.
 	m := &stubModel{notReadyUntil: 2}
-	p := &Online{Model: m, RetrainEvery: 4}
+	p := &Online{Model: m}
 	ctx := context.Background()
 	if _, err := p.Propose(ctx, State{}); err != nil { // call 0: retrain
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestOnlineFallsBackOnNotReady(t *testing.T) {
 
 func TestOnlineStateRoundTrip(t *testing.T) {
 	m := &stubModel{}
-	p := &Online{Model: m, RetrainEvery: 2}
+	p := &Online{Model: m}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := p.Propose(ctx, State{}); err != nil {
@@ -85,14 +85,15 @@ func TestOnlineStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := &Online{Model: &stubModel{}, RetrainEvery: 2}
+	restored := &Online{Model: &stubModel{}}
 	if err := restored.UnmarshalState(blob); err != nil {
 		t.Fatal(err)
 	}
 	if restored.calls != p.calls {
 		t.Errorf("restored calls=%d, want %d", restored.calls, p.calls)
 	}
-	// The restored counter keeps the cadence phase: call 3 is an update.
+	// The restored counter keeps the cadence phase: call 3 is an update,
+	// where a counter reset to zero would retrain.
 	rm := restored.Model.(*stubModel)
 	if _, err := restored.Propose(ctx, State{}); err != nil {
 		t.Fatal(err)

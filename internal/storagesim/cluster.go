@@ -50,15 +50,13 @@ type MoveResult struct {
 type Config struct {
 	// Seed drives all stochastic processes.
 	Seed int64
-	// MoveBlocking is the fraction of a move's duration that stalls the
-	// workload clock. Geomancy transfers data "in the background" (§V-A)
-	// rate-limited to avoid bottlenecking the network, but the overhead is
-	// still partly visible; 0.25 models that residual interference.
-	MoveBlocking float64
-	// EpochOffset shifts device contention phases, letting tests start at
-	// different points of the diurnal wave.
-	EpochOffset float64
 }
+
+// moveBlocking is the fraction of a move's duration that stalls the
+// workload clock. Geomancy transfers data "in the background" (§V-A)
+// rate-limited to avoid bottlenecking the network, but the overhead is
+// still partly visible; 0.25 models that residual interference.
+const moveBlocking = 0.25
 
 // Cluster is the simulated storage system: a set of devices, the files
 // placed on them, and a virtual clock. Cluster methods are safe for
@@ -68,7 +66,6 @@ type Cluster struct {
 	mu      sync.Mutex
 	now     float64
 	rng     *rng.RNG
-	cfg     Config //geomancy:ephemeral construction config, re-supplied by NewCluster before RestoreState
 	devices map[string]*Device
 	order   []string // device names in profile order
 	files   map[int64]*FileState
@@ -78,16 +75,8 @@ type Cluster struct {
 
 // NewCluster builds a cluster from profiles.
 func NewCluster(profiles []DeviceProfile, cfg Config) (*Cluster, error) {
-	if cfg.MoveBlocking == 0 {
-		cfg.MoveBlocking = 0.25
-	}
-	if cfg.MoveBlocking < 0 || cfg.MoveBlocking > 1 {
-		return nil, fmt.Errorf("storagesim: MoveBlocking %v outside [0,1]", cfg.MoveBlocking)
-	}
 	c := &Cluster{
-		now:     cfg.EpochOffset,
 		rng:     rng.New(cfg.Seed),
-		cfg:     cfg,
 		devices: make(map[string]*Device),
 		files:   make(map[int64]*FileState),
 	}
@@ -336,7 +325,7 @@ func (c *Cluster) Access(fileID, readBytes, writeBytes int64) (AccessResult, err
 }
 
 // Move transfers a file to device dst, charging the transfer cost: the
-// full duration loads both devices, and MoveBlocking of it stalls the
+// full duration loads both devices, and moveBlocking of it stalls the
 // workload clock. Moving a file onto its current device is a no-op.
 func (c *Cluster) Move(fileID int64, dst string) (MoveResult, error) {
 	c.mu.Lock()
@@ -368,7 +357,7 @@ func (c *Cluster) Move(fileID int64, dst string) (MoveResult, error) {
 
 	from.addLoad(start, dur)
 	to.addLoad(start, dur)
-	c.now += dur * c.cfg.MoveBlocking
+	c.now += dur * moveBlocking
 
 	return MoveResult{FileID: fileID, From: prev, To: dst, Bytes: f.Size, Duration: dur, Start: start}, nil
 }

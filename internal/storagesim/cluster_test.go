@@ -40,9 +40,6 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster([]DeviceProfile{{Name: "a"}}, Config{}); err == nil {
 		t.Error("zero bandwidth should error")
 	}
-	if _, err := NewCluster([]DeviceProfile{{Name: "a", ReadBW: 1, WriteBW: 1}}, Config{MoveBlocking: 2}); err == nil {
-		t.Error("MoveBlocking > 1 should error")
-	}
 }
 
 func TestPlaceAndAccess(t *testing.T) {
