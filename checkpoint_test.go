@@ -10,6 +10,9 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"geomancy/internal/checkpoint"
+	"geomancy/internal/core"
 )
 
 // ckptOptions is the configuration shared by every leg of the resume
@@ -188,6 +191,84 @@ func TestScenarioResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameTrajectory(t, capture(t, resumed), want, name)
+		})
+	}
+}
+
+// TestResumePastTheHorizon resumes systems long past their replay horizon.
+// A memory-backed one checkpoints only the records it retains, plus how
+// many it appended. A WAL-backed one runs on past its checkpoint before it
+// closes, evicting records the checkpointed state still reads, so the
+// restore must rebuild them from the log. Either way the restored system
+// reports the checkpointed telemetry count and finishes on the
+// uninterrupted run's trajectory.
+func TestResumePastTheHorizon(t *testing.T) {
+	const checkpointAt, more = 8, 6
+	for _, fileBacked := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memdb", true: "waldb"}[fileBacked], func(t *testing.T) {
+			dir := t.TempDir()
+			opts, refOpts := ckptOptions(1, WithTrainingWindow(100)), ckptOptions(1, WithTrainingWindow(100))
+			if fileBacked {
+				opts = append(opts, WithReplayDB(filepath.Join(dir, "leg.wal")))
+				refOpts = append(refOpts, WithReplayDB(filepath.Join(dir, "ref.wal")))
+			}
+			ref, err := New(refOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			if _, err := ref.RunN(checkpointAt + more); err != nil {
+				t.Fatal(err)
+			}
+			want := capture(t, ref)
+
+			first, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.RunN(checkpointAt); err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(dir, "snap.ckpt")
+			if err := first.Checkpoint(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			telemetry := first.Telemetry()
+			h := core.ReplayHorizon(core.Config{WindowX: 100})
+			retained := len(first.Devices())*h.PerDevice + len(first.Layout())*h.PerFile
+			if fileBacked {
+				// Run on, so the log's end lies past the checkpoint.
+				if _, err := first.RunN(more); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := first.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := checkpoint.Load(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fileBacked && (snap.AccessCount != telemetry || len(snap.Accesses) > retained || len(snap.Accesses) >= telemetry) {
+				t.Fatalf("snapshot embeds %d records counted as %d; want the %d appended counted, at most %d embedded",
+					len(snap.Accesses), snap.AccessCount, telemetry, retained)
+			}
+
+			resumed, err := Restore(ckpt, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resumed.Close()
+			if got := resumed.Telemetry(); got != telemetry {
+				t.Fatalf("restored system reports %d records, the checkpointed one %d", got, telemetry)
+			}
+			if _, err := resumed.RunN(more); err != nil {
+				t.Fatal(err)
+			}
+			assertSameTrajectory(t, capture(t, resumed), want, "past the horizon")
+			if got, ref := layoutDigest(resumed.Layout()), layoutDigest(ref.Layout()); got != ref {
+				t.Errorf("resumed layout digest %s, uninterrupted %s", got, ref)
+			}
 		})
 	}
 }

@@ -424,7 +424,19 @@ func New(opts ...Option) (*System, error) {
 	if err := runner.SpreadEvenly(cluster.DeviceNames()); err != nil {
 		return nil, fmt.Errorf("geomancy: placing working set: %w", err)
 	}
-	db, err := replaydb.Open(replaydb.Options{Path: cfg.replayPath})
+	engCfg := core.Config{
+		ModelNumber:     cfg.model,
+		Epsilon:         cfg.epsilon,
+		CooldownRuns:    cfg.cooldown,
+		Epochs:          cfg.epochs,
+		WindowX:         cfg.windowX,
+		Seed:            cfg.seed,
+		Target:          cfg.target,
+		Parallelism:     cfg.parallelism,
+		TopK:            cfg.topK,
+		FullRescanEvery: cfg.fullRescan,
+	}
+	db, err := replaydb.Open(replaydb.Options{Path: cfg.replayPath, Horizon: core.ReplayHorizon(engCfg)})
 	if err != nil {
 		return nil, fmt.Errorf("geomancy: opening replay database: %w", err)
 	}
@@ -453,18 +465,6 @@ func New(opts ...Option) (*System, error) {
 			return nil, err
 		}
 		store = sys.store
-	}
-	engCfg := core.Config{
-		ModelNumber:     cfg.model,
-		Epsilon:         cfg.epsilon,
-		CooldownRuns:    cfg.cooldown,
-		Epochs:          cfg.epochs,
-		WindowX:         cfg.windowX,
-		Seed:            cfg.seed,
-		Target:          cfg.target,
-		Parallelism:     cfg.parallelism,
-		TopK:            cfg.topK,
-		FullRescanEvery: cfg.fullRescan,
 	}
 	pol, model, err := core.BuildPolicy(store, cluster, cfg.policy, cfg.shards, engCfg)
 	if err != nil {
@@ -710,8 +710,8 @@ func (s *System) FaultStats() FaultStats {
 
 // buildSnapshot captures the complete dynamic state of the system. The
 // replay WAL is synced first so the recorded watermark only covers
-// durable records; memory databases embed their records in the snapshot
-// instead.
+// durable records; memory databases embed the records they retain, and
+// how many they appended, in the snapshot instead.
 func (s *System) buildSnapshot() (*checkpoint.Snapshot, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -756,8 +756,7 @@ func (s *System) buildSnapshot() (*checkpoint.Snapshot, error) {
 		ReplayWatermark: s.db.Watermark(),
 	}
 	if s.replayPath == "" {
-		snap.Accesses = s.db.All()
-		snap.Movements = s.db.Movements()
+		snap.Accesses, snap.AccessCount = s.db.All(), s.db.Len()
 	}
 	return snap, nil
 }
@@ -844,7 +843,13 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 		return fmt.Errorf("geomancy: snapshot was taken with seed %d, options configure seed %d", snap.Seed, s.seed)
 	}
 	if s.replayPath == "" {
-		if err := s.db.Bulkload(snap.Accesses, snap.Movements); err != nil {
+		count := snap.AccessCount
+		if count == 0 {
+			// Written before the count was recorded, when a snapshot
+			// embedded every record.
+			count = len(snap.Accesses)
+		}
+		if err := s.db.Bulkload(snap.Accesses, count, snap.ReplayWatermark); err != nil {
 			return fmt.Errorf("geomancy: restoring replay records: %w", err)
 		}
 	} else {

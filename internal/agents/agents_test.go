@@ -252,13 +252,6 @@ func TestClientRecentQuery(t *testing.T) {
 		t.Errorf("wrong window: %v .. %v", recs[0].Time, recs[2].Time)
 	}
 
-	all, err := cl.query(Envelope{Type: TypeRecentQuery, N: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 10 {
-		t.Errorf("all-device query returned %d, want 10", len(all))
-	}
 	// Sequential queries on one connection keep working.
 	again, err := cl.query(Envelope{Type: TypeRecentQuery, Device: "var", N: 2})
 	if err != nil {
@@ -266,6 +259,48 @@ func TestClientRecentQuery(t *testing.T) {
 	}
 	if len(again) != 2 {
 		t.Errorf("second query returned %d, want 2", len(again))
+	}
+}
+
+// TestDaemonRefusesUnanswerableRecentQuery: a recent query that names
+// neither a file nor a device, or asks for more records than the database
+// retains, gets a TypeError — never a scan of the whole log, a panic, or a
+// silently shorter window — and the connection keeps serving.
+func TestDaemonRefusesUnanswerableRecentQuery(t *testing.T) {
+	db, err := replaydb.Open(replaydb.Options{Horizon: replaydb.Horizon{PerDevice: 4, PerFile: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 10; i++ {
+		db.AppendAccess(replaydb.AccessRecord{Time: float64(i), Device: "pic", FileID: 1})
+	}
+	d := NewDaemon(db)
+	addr, err := d.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c := framePeer(t, addr)
+	ask := func(q Envelope) Envelope {
+		t.Helper()
+		q.Type = TypeRecentQuery
+		if err := c.write(&q, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		var reply Envelope
+		if err := c.read(&reply, time.Now().Add(5*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	for _, q := range []Envelope{{N: 5}, {Device: "pic", N: 5}, {FileID: 1, N: 3}} {
+		if reply := ask(q); reply.Type != TypeError {
+			t.Errorf("query %+v: reply %+v, want a TypeError", q, reply)
+		}
+	}
+	if reply := ask(Envelope{ID: 7, Device: "pic", N: 4}); reply.Type != TypeRecentReply || reply.ID != 7 || len(reply.Reports) != 4 {
+		t.Errorf("in-horizon query after the refusals: reply %+v, want 4 records", reply)
 	}
 }
 

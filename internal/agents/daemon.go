@@ -193,15 +193,7 @@ func (d *Daemon) serve(conn net.Conn) {
 				}
 			}
 		case TypeRecentQuery:
-			reply = Envelope{Type: TypeRecentReply, ID: env.ID}
-			switch {
-			case env.FileID != 0:
-				reply.Reports = d.db.RecentByFile(env.FileID, env.N)
-			case env.Device == "":
-				reply.Reports = d.db.Recent(env.N)
-			default:
-				reply.Reports = d.db.RecentByDevice(env.Device, env.N)
-			}
+			reply = d.recent(&env)
 			d.metrics.rpcRecent.Observe(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp for the RPC-latency histogram
 		default:
 			reply = Envelope{Type: TypeError, Error: fmt.Sprintf("unexpected message type %s", env.Type)}
@@ -220,6 +212,31 @@ func (d *Daemon) serve(conn net.Conn) {
 			return // the batch may be half stored; make the monitor redial and replay
 		}
 	}
+}
+
+// recent answers one recent-window query. A query that names neither a
+// file nor a device, or asks for more records than the database retains
+// (its replaydb.Horizon), is one the database cannot answer: it gets a
+// TypeError.
+func (d *Daemon) recent(env *Envelope) Envelope {
+	h := d.db.Horizon()
+	keep := h.PerDevice
+	switch {
+	case env.FileID != 0:
+		keep = h.PerFile
+	case env.Device == "":
+		return Envelope{Type: TypeError, Error: "recent query names neither a file nor a device"}
+	}
+	if keep > 0 && env.N > keep {
+		return Envelope{Type: TypeError, Error: fmt.Sprintf("recent query for %d records; the database retains %d", env.N, keep)}
+	}
+	reply := Envelope{Type: TypeRecentReply, ID: env.ID}
+	if env.FileID != 0 {
+		reply.Reports = d.db.RecentByFile(env.FileID, env.N)
+	} else {
+		reply.Reports = d.db.RecentByDevice(env.Device, env.N)
+	}
+	return reply
 }
 
 // ingest stores one telemetry batch and returns its ack, or a TypeError

@@ -36,7 +36,7 @@ func DialRemoteStore(addr string, opts ...Option) (*RemoteStore, error) {
 }
 
 // RecentByDevice implements core.TelemetryStore over the wire: the n most
-// recent accesses on a device (empty device = all devices), oldest first.
+// recent accesses on a device, oldest first.
 func (r *RemoteStore) RecentByDevice(device string, n int) []replaydb.AccessRecord {
 	recs, _ := r.query(Envelope{Type: TypeRecentQuery, Device: device, N: n})
 	return recs

@@ -144,7 +144,7 @@ func TestOversizedFrameIsNotSent(t *testing.T) {
 	if err := peer.write(&big, time.Time{}); !errors.Is(err, ErrFrame) {
 		t.Fatalf("writing a %d-byte frame: err = %v, want ErrFrame", maxFrame+frameFixed+4, err)
 	}
-	if err := peer.write(&Envelope{Type: TypeRecentQuery, ID: 1, N: 1}, time.Time{}); err != nil {
+	if err := peer.write(&Envelope{Type: TypeRecentQuery, ID: 1, Device: "pic", N: 1}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	var reply Envelope

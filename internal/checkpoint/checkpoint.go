@@ -99,10 +99,14 @@ type Snapshot struct {
 	// by this snapshot. A file-backed database truncates its WAL to the
 	// watermark on restore (the discarded tail regenerates
 	// deterministically); a memory database reloads from the embedded
-	// records below instead.
+	// records below instead and continues numbering after the watermark.
 	ReplayWatermark uint64
-	Accesses        []replaydb.AccessRecord
-	Movements       []replaydb.MovementRecord
+	// Accesses are the access records a memory database retained, in
+	// sequence order, and AccessCount how many it had appended. Snapshots
+	// written before the count was recorded decode it as zero and embed
+	// every record, so zero reads as len(Accesses).
+	Accesses    []replaydb.AccessRecord
+	AccessCount int
 }
 
 // Write serializes snap to w in the framed checkpoint format.

@@ -33,7 +33,7 @@ func sampleSnapshot() *Snapshot {
 		Workload:        []byte{0x01, 0x02, 0x03},
 		ReplayWatermark: 4321,
 		Accesses:        []replaydb.AccessRecord{{Seq: 1, FileID: 1, Device: "file0", Throughput: 3e9}},
-		Movements:       []replaydb.MovementRecord{{Seq: 2, FileID: 1, From: "file0", To: "pic"}},
+		AccessCount:     9,
 	}
 }
 
@@ -53,7 +53,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if len(got.Cluster.Devices) != 1 || got.Cluster.Devices[0].Name != "file0" {
 		t.Errorf("cluster state did not round-trip: %+v", got.Cluster)
 	}
-	if got.ReplayWatermark != 4321 || len(got.Accesses) != 1 || len(got.Movements) != 1 {
+	if got.ReplayWatermark != 4321 || len(got.Accesses) != 1 || got.AccessCount != 9 {
 		t.Errorf("replay state did not round-trip: %+v", got)
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"geomancy/internal/agents"
+	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
@@ -655,5 +657,33 @@ func TestUpdateSharesTheFitBody(t *testing.T) {
 	}
 	if got := trainErrs.Value(); got != 2 {
 		t.Errorf("training errors after an unknown-optimizer update = %d, want 2", got)
+	}
+}
+
+// TestRestoreStateRejectsOtherWindow: the network's window sizes every
+// per-file ReplayDB query, which ReplayHorizon bounds at nn.DefaultWindow,
+// so a snapshot whose network reads another window is an error — not a
+// query past the horizon at the next decision.
+func TestRestoreStateRejectsOtherWindow(t *testing.T) {
+	e, err := NewEngine(seedDB(t, 50), testDevices, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.Load(bytes.NewReader(st.Net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Window = nn.DefaultWindow + 1
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st.Net = buf.Bytes()
+	if err := e.RestoreState(st); err == nil {
+		t.Fatal("RestoreState accepted a network reading a window past the horizon")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -286,6 +287,18 @@ func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 // averages into the policy snapshot's device throughput — the recency
 // window the paper's base cases read from the ReplayDB.
 const policyThroughputWindow = 200
+
+// ReplayHorizon is the retention a ReplayDB needs to answer every query a
+// loop and engines built from cfg make of it: per device, the widest of the
+// full-training window (WindowX), the online-update window and the policy
+// snapshot's throughput window; per file, the network's recent-access
+// window, which every engine builds at nn.DefaultWindow.
+func ReplayHorizon(cfg Config) replaydb.Horizon {
+	return replaydb.Horizon{
+		PerDevice: max(cfg.withDefaults().WindowX, DefaultUpdateWindow, policyThroughputWindow),
+		PerFile:   nn.DefaultWindow,
+	}
+}
 
 // PolicyState snapshots the system the way policies decide on it: mean
 // device throughput over recent ReplayDB telemetry, free capacity and

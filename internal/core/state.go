@@ -81,6 +81,10 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if err != nil {
 		return fmt.Errorf("core: restoring model: %w", err)
 	}
+	// The window sizes every per-file ReplayDB query (ReplayHorizon).
+	if net.Window != e.net.Window {
+		return fmt.Errorf("core: restoring model: snapshot window %d, engine reads %d", net.Window, e.net.Window)
+	}
 	e.rng.SetState(st.RNG)
 	e.net = net
 	e.SetDevices(st.Devices)

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -60,6 +62,89 @@ func TestSaveLoadRoundTripRecurrent(t *testing.T) {
 func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("Load of garbage should error")
+	}
+}
+
+// snapshotBlob gob-encodes snap as Save would.
+func snapshotBlob(t testing.TB, snap snapshot) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzNetworkLoad feeds arbitrary bytes to Load — what a checkpoint's
+// EngineState.Net hands it. Load may refuse them but not panic, and may not
+// size a layer by a width the blob's own weights do not back: a declared
+// Dense width of -3 used to panic in mat.New, one of 1<<40 to exhaust
+// memory. A network that loads is whole: it saves and reloads, and a dense
+// one answers a forward pass.
+func FuzzNetworkLoad(f *testing.F) {
+	// Model 1 over one input feature: the deployed architecture, in a blob
+	// small enough (2 KB, not 57) for the mutator to get through.
+	valid := MustBuildModel(1, 1, rand.New(rand.NewSource(70))).snapshot()
+	truncated := valid
+	truncated.Params = append([][]float64(nil), valid.Params...)
+	last := len(truncated.Params) - 1
+	truncated.Params[last] = truncated.Params[last][:len(truncated.Params[last])/2]
+	hostile := func(width int) snapshot {
+		return snapshot{InSize: 6, Layers: []LayerSpec{{Fixed: width, Kind: "Dense", Act: Linear}},
+			Params: [][]float64{make([]float64, 6), {0}}}
+	}
+	for _, snap := range []snapshot{valid, truncated, hostile(-3), hostile(1 << 40)} {
+		f.Add(snapshotBlob(f, snap))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		net, err := Load(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("a loaded network does not reload: %v", err)
+		}
+		if again.ParamCount() != net.ParamCount() {
+			t.Fatalf("reloaded network has %d parameters, the loaded one %d", again.ParamCount(), net.ParamCount())
+		}
+		if !net.IsRecurrent() {
+			net.PredictOne([][]float64{make([]float64, net.InSize)})
+		}
+	})
+}
+
+// TestLoadRejectsHostileShapes pins the fuzz seeds' verdicts: every blob
+// whose declared shape its weights do not back is an error, and the valid
+// one loads.
+func TestLoadRejectsHostileShapes(t *testing.T) {
+	valid := MustBuildModel(1, 6, rand.New(rand.NewSource(70))).snapshot()
+	if _, err := Load(bytes.NewReader(snapshotBlob(t, valid))); err != nil {
+		t.Fatalf("valid model-1 blob: %v", err)
+	}
+	cases := map[string]func(s *snapshot){
+		"negative width":  func(s *snapshot) { s.Layers[0].Fixed = -3 },
+		"huge width":      func(s *snapshot) { s.Layers[0].Fixed = 1 << 40 },
+		"overflowing Z":   func(s *snapshot) { s.Layers[0].Fixed, s.Layers[0].UnitsZ = 0, math.MaxInt/3 },
+		"zero input":      func(s *snapshot) { s.InSize = 0 },
+		"short block":     func(s *snapshot) { s.Params[1] = s.Params[1][:3] },
+		"missing block":   func(s *snapshot) { s.Params = s.Params[:len(s.Params)-1] },
+		"extra block":     func(s *snapshot) { s.Params = append(s.Params, []float64{1}) },
+		"unknown kind":    func(s *snapshot) { s.Layers[1].Kind = "Conv" },
+		"late recurrence": func(s *snapshot) { s.Layers[1].Kind = "GRU" },
+		"bad activation":  func(s *snapshot) { s.Layers[0].Act = 99 },
+	}
+	for name, mutate := range cases {
+		snap := valid
+		snap.Layers = append([]LayerSpec(nil), valid.Layers...)
+		snap.Params = append([][]float64(nil), valid.Params...)
+		mutate(&snap)
+		if _, err := Load(bytes.NewReader(snapshotBlob(t, snap))); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
 	}
 }
 

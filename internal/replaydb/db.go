@@ -2,10 +2,12 @@ package replaydb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -23,6 +25,24 @@ type Options struct {
 	// SyncEvery fsyncs the WAL after every n appends; 0 disables explicit
 	// syncing (the OS flushes on Close).
 	SyncEvery int
+	// Horizon bounds what the database keeps in memory; the zero Horizon
+	// keeps every record. The WAL holds every record either way.
+	Horizon Horizon
+}
+
+// Horizon is a retention horizon: a database opened with one keeps in
+// memory each device's newest PerDevice access records and each file's
+// newest PerFile, and nothing else — no movement record and no global log,
+// so its live heap stops growing once every device and file has been seen.
+// Set both or neither; the zero Horizon keeps every record for the life of
+// the database.
+//
+// A query for more records than the horizon keeps, on a device or file
+// whose ring is full, panics: the answer needs records that are gone, and
+// a shorter one would be silently wrong. Recent, Summary, Movements and
+// MovementCount need the whole log and panic under any horizon.
+type Horizon struct {
+	PerDevice, PerFile int
 }
 
 // DB is the ReplayDB: an append-only store of access and movement records
@@ -30,10 +50,16 @@ type Options struct {
 type DB struct {
 	mu sync.RWMutex
 
-	accesses  accessLog
+	// Access records, by device and by file. A keep-all database also holds
+	// every one in accesses, in append order, and its streams index it; under
+	// a horizon accesses stays empty and the streams hold their records.
+	accesses accessLog
+	byDevice map[string]*stream
+	byFile   map[int64]*stream
+	files    []*stream // byFile's streams, ascending by file ID
+	count    int       // access records ever appended
+	// movements is every movement record, kept at the zero horizon only.
 	movements []MovementRecord
-	byDevice  map[string][]int // positions in accesses
-	byFile    map[int64][]int
 	nextSeq   uint64
 
 	file     *os.File
@@ -43,11 +69,8 @@ type DB struct {
 	unsynced int
 	closed   bool
 
-	// marks are the (seq, end-offset) boundaries of replayed WAL frames;
-	// TruncateTo uses them to cut the file at a record boundary. appended
-	// flips on the first live write, after which the marks are stale and
-	// TruncateTo is refused.
-	marks    []frameMark
+	// appended flips on the first live write, after which TruncateTo is
+	// refused.
 	appended bool
 
 	// telemetry counters; nil handles no-op until SetMetrics installs a
@@ -72,12 +95,11 @@ func (db *DB) SetMetrics(reg *telemetry.Registry) {
 // mid-append — is truncated away, matching the recovery behaviour of a
 // journaled embedded database.
 func Open(opts Options) (*DB, error) {
-	db := &DB{
-		byDevice: make(map[string][]int),
-		byFile:   make(map[int64][]int),
-		nextSeq:  1,
-		opts:     opts,
+	if h := opts.Horizon; h.PerDevice < 0 || h.PerFile < 0 || (h.PerDevice == 0) != (h.PerFile == 0) {
+		return nil, fmt.Errorf("replaydb: horizon %+v: set PerDevice and PerFile both positive, or neither", h)
 	}
+	db := &DB{opts: opts}
+	db.reset()
 	if opts.Path == "" {
 		return db, nil
 	}
@@ -108,7 +130,7 @@ func (db *DB) openWAL(f *os.File) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replaydb: opening WAL: %w", err)
 	}
-	validLen, err := db.replay(f, info.Size())
+	validLen, err := db.replay(f, info.Size(), math.MaxUint64)
 	if err != nil {
 		return 0, fmt.Errorf("replaydb: replaying %s: %w", f.Name(), err)
 	}
@@ -127,14 +149,16 @@ var errBadMagic = errors.New("not a ReplayDB WAL (bad magic)")
 // know. Open fails on it and leaves the file as it found it.
 var ErrFrameType = errors.New("replaydb: unknown WAL frame type")
 
-// replay loads every intact frame of a WAL of size bytes read from src,
-// returning the byte offset of the end of the last valid frame. A frame
-// that is cut short, fails its checksum, or declares a payload longer than
-// the bytes left in the log is the torn tail: replay stops in front of it.
-// An intact frame that is not one record of a known type is an error.
-// The declared length is never trusted further than that, so the payload
-// buffer — one, reused — is bounded by the size of the log itself.
-func (db *DB) replay(src io.Reader, size int64) (int64, error) {
+// replay loads the intact frames of a WAL of size bytes read from src, up
+// to and including the one whose record has sequence number upTo, and
+// returns the byte offset where the last frame it loaded ends — for
+// TruncateTo, where the log is cut. A frame that is cut short, fails its
+// checksum, or declares a payload longer than the bytes left in the log is
+// the torn tail: replay stops in front of it. An intact frame that is not
+// one record of a known type is an error. The declared length is never
+// trusted further than that, so the payload buffer — one, reused — is
+// bounded by the size of the log itself.
+func (db *DB) replay(src io.Reader, size int64, upTo uint64) (int64, error) {
 	r := bufio.NewReader(src)
 	hdr := make([]byte, len(magic))
 	n, err := io.ReadFull(r, hdr)
@@ -174,18 +198,13 @@ func (db *DB) replay(src io.Reader, size int64) (int64, error) {
 		// A frame holds exactly one record; only one that decodes whole
 		// is inserted.
 		dec.Reset(body)
-		var seq uint64
+		var rec AccessRecord
+		var m MovementRecord
 		switch typ {
 		case frameAccess:
-			if rec := dec.Access(); dec.Done() == nil {
-				db.insertAccess(rec)
-				seq = rec.Seq
-			}
+			rec = dec.Access()
 		case frameMovement:
-			if m := dec.Movement(); dec.Done() == nil {
-				db.insertMovement(m)
-				seq = m.Seq
-			}
+			m = dec.Movement()
 		default:
 			// Checksum-valid, so not a torn tail: a newer writer's frame.
 			// Cutting the log here would destroy every record behind it.
@@ -194,29 +213,68 @@ func (db *DB) replay(src io.Reader, size int64) (int64, error) {
 		if err := dec.Done(); err != nil {
 			return valid, fmt.Errorf("%w: frame at offset %d is not one record", err, valid)
 		}
+		if max(rec.Seq, m.Seq) > upTo { // the frame's record is the nonzero one
+			break
+		}
+		if typ == frameAccess {
+			db.insertAccess(rec)
+		} else {
+			db.insertMovement(m)
+		}
 		valid += frameHeader + plen + 4
-		db.marks = append(db.marks, frameMark{seq: seq, end: valid})
 	}
 	return valid, nil
 }
 
-// frameMark records where a replayed frame ends in the WAL file.
-type frameMark struct {
-	seq uint64
-	end int64
+// reset empties the database's memory: the state Open starts from, and
+// TruncateTo rebuilds from.
+func (db *DB) reset() {
+	db.accesses = accessLog{}
+	db.byDevice = make(map[string]*stream)
+	db.byFile = make(map[int64]*stream)
+	db.files = nil
+	db.count = 0
+	db.movements = nil
+	db.nextSeq = 1
 }
 
+// keepsAll reports whether the database was opened with the zero horizon.
+func (db *DB) keepsAll() bool { return db.opts.Horizon.PerDevice == 0 }
+
 func (db *DB) insertAccess(rec AccessRecord) {
-	pos := db.accesses.push(rec)
-	db.byDevice[rec.Device] = append(db.byDevice[rec.Device], pos)
-	db.byFile[rec.FileID] = append(db.byFile[rec.FileID], pos)
+	dev := db.byDevice[rec.Device]
+	if dev == nil {
+		dev = &stream{ring: make([]AccessRecord, 0, db.opts.Horizon.PerDevice)}
+		db.byDevice[rec.Device] = dev
+	}
+	file := db.byFile[rec.FileID]
+	if file == nil {
+		file = &stream{id: rec.FileID, ring: make([]AccessRecord, 0, db.opts.Horizon.PerFile)}
+		db.byFile[rec.FileID] = file
+		i, _ := slices.BinarySearchFunc(db.files, rec.FileID, func(s *stream, id int64) int { return cmp.Compare(s.id, id) })
+		db.files = slices.Insert(db.files, i, file)
+	}
+	if db.keepsAll() {
+		pos := db.accesses.push(rec)
+		dev.pos = append(dev.pos, pos)
+		file.pos = append(file.pos, pos)
+	} else {
+		dev.push(rec)
+		file.push(rec)
+	}
+	file.lastSeq = rec.Seq
+	db.count++
 	if rec.Seq >= db.nextSeq {
 		db.nextSeq = rec.Seq + 1
 	}
 }
 
+// insertMovement takes the movement's sequence number; only a keep-all
+// database holds the record itself.
 func (db *DB) insertMovement(m MovementRecord) {
-	db.movements = append(db.movements, m)
+	if db.keepsAll() {
+		db.movements = append(db.movements, m)
+	}
 	if m.Seq >= db.nextSeq {
 		db.nextSeq = m.Seq + 1
 	}
@@ -283,39 +341,71 @@ func (db *DB) AppendMovement(m MovementRecord) (MovementRecord, error) {
 			return m, fmt.Errorf("replaydb: appending movement: %w", err)
 		}
 	}
-	db.movements = append(db.movements, m)
+	db.insertMovement(m)
 	db.movementInserts.Inc()
 	return m, nil
 }
 
-// Len returns the number of access records.
+// Len returns the number of access records ever appended, retained or
+// not.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.accesses.n
+	return db.count
 }
 
-// MovementCount returns the number of movement records.
+// MovementCount returns the number of movement records. It needs every
+// record, so it panics under a horizon.
 func (db *DB) MovementCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.mustKeepAll("MovementCount")
 	return len(db.movements)
 }
 
-// All returns a copy of every access record in append order.
+// All returns a copy of every retained access record in sequence order:
+// every record in a keep-all database; under a horizon, the union of the
+// device and file rings — what a memory-backed snapshot carries.
 func (db *DB) All() []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.accesses.tail(0)
+	if db.keepsAll() {
+		return db.accesses.tail(0)
+	}
+	var out []AccessRecord
+	for _, s := range db.byDevice {
+		out = append(append(out, s.ring[s.head:]...), s.ring[:s.head]...)
+	}
+	for _, s := range db.files {
+		out = append(append(out, s.ring[s.head:]...), s.ring[:s.head]...)
+	}
+	slices.SortFunc(out, func(a, b AccessRecord) int { return cmp.Compare(a.Seq, b.Seq) })
+	return slices.CompactFunc(out, func(a, b AccessRecord) bool { return a.Seq == b.Seq })
 }
 
-// Movements returns a copy of every movement record in append order.
+// Movements returns a copy of every movement record in append order. It
+// panics under a horizon, which keeps movement records in the WAL only.
 func (db *DB) Movements() []MovementRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.mustKeepAll("Movements")
 	out := make([]MovementRecord, len(db.movements))
 	copy(out, db.movements)
 	return out
+}
+
+// mustKeepAll panics under a horizon: the named query reads records a
+// horizon does not keep.
+func (db *DB) mustKeepAll(query string) {
+	if !db.keepsAll() {
+		panic(fmt.Sprintf("replaydb: %s needs every record; the database keeps a horizon of %+v", query, db.opts.Horizon))
+	}
+}
+
+// pastHorizon is the panic message of a query for the newest n records of
+// a device or file that keeps only keep.
+func pastHorizon(of string, n, keep int) string {
+	return fmt.Sprintf("replaydb: %d most recent accesses of %s requested past the retention horizon of %d", n, of, keep)
 }
 
 // RecentByDevice returns up to n most recent accesses observed on device,
@@ -324,7 +414,11 @@ func (db *DB) RecentByDevice(device string, n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	return db.collect(db.byDevice[device], n)
+	recs, ok := db.collect(db.byDevice[device], n)
+	if !ok {
+		panic(pastHorizon("device "+device, n, db.opts.Horizon.PerDevice))
+	}
+	return recs
 }
 
 // MeanThroughputByDevice returns the mean throughput of the device's up to
@@ -334,16 +428,32 @@ func (db *DB) MeanThroughputByDevice(device string, n int) float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	positions := db.byDevice[device]
-	positions = positions[max(len(positions)-max(n, 0), 0):]
-	if len(positions) == 0 {
+	s := db.byDevice[device]
+	if s == nil || n <= 0 {
 		return 0
 	}
 	var sum float64
-	for _, p := range positions {
-		sum += db.accesses.at(p).Throughput
+	var k int
+	if db.keepsAll() {
+		positions := s.pos[max(len(s.pos)-n, 0):]
+		for _, p := range positions {
+			sum += db.accesses.at(p).Throughput
+		}
+		k = len(positions)
+	} else {
+		older, newer, ok := s.newest(n)
+		if !ok {
+			panic(pastHorizon("device "+device, n, db.opts.Horizon.PerDevice))
+		}
+		for i := range older {
+			sum += older[i].Throughput
+		}
+		for i := range newer {
+			sum += newer[i].Throughput
+		}
+		k = len(older) + len(newer)
 	}
-	return sum / float64(len(positions))
+	return sum / float64(k) // a stream exists from its first record on, so k ≥ 1
 }
 
 // RecentByFile returns up to n most recent accesses of the file, oldest
@@ -353,31 +463,42 @@ func (db *DB) RecentByFile(fileID int64, n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	return db.collect(db.byFile[fileID], n)
+	recs, ok := db.collect(db.byFile[fileID], n)
+	if !ok {
+		panic(pastHorizon(fmt.Sprintf("file %d", fileID), n, db.opts.Horizon.PerFile))
+	}
+	return recs
 }
 
 // Recent returns up to n most recent accesses across all devices, oldest
-// first.
+// first. It needs the global log, so it panics under a horizon.
 func (db *DB) Recent(n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.mustKeepAll("Recent")
 	db.queries.Inc()
 	return db.accesses.tail(max(db.accesses.n-max(n, 0), 0))
 }
 
-func (db *DB) collect(positions []int, n int) []AccessRecord {
-	if n <= 0 {
-		return nil
+// collect copies the newest n records of s, oldest first; ok is false when
+// they reach past its horizon.
+func (db *DB) collect(s *stream, n int) (out []AccessRecord, ok bool) {
+	if s == nil || n <= 0 {
+		return nil, true
 	}
-	start := len(positions) - n
-	if start < 0 {
-		start = 0
+	if db.keepsAll() {
+		positions := s.pos[max(len(s.pos)-n, 0):]
+		out = make([]AccessRecord, len(positions))
+		for i, p := range positions {
+			out[i] = *db.accesses.at(p)
+		}
+		return out, true
 	}
-	out := make([]AccessRecord, 0, len(positions)-start)
-	for _, p := range positions[start:] {
-		out = append(out, *db.accesses.at(p))
+	older, newer, ok := s.newest(n)
+	if !ok {
+		return nil, false
 	}
-	return out
+	return append(append(make([]AccessRecord, 0, len(older)+len(newer)), older...), newer...), true
 }
 
 // Sync flushes buffered WAL writes to stable storage.

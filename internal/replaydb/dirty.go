@@ -1,13 +1,12 @@
 package replaydb
 
-import "sort"
-
 // Dirty tracking: the candidate-pruning plane asks the ReplayDB which
 // files gained telemetry since a watermark instead of re-reading every
 // file's history each decision. Access records are appended with strictly
-// increasing sequence numbers, so "changed since seq" is a binary search
-// for the first access past the watermark plus a scan of only the tail —
-// O(log N + changed), never O(files).
+// increasing sequence numbers, so a file changed since seq exactly when its
+// newest record's sequence number is past it; each file stream keeps that
+// number, and "changed since seq" is one scan of the streams in file-ID
+// order — O(files), with no record read and no per-call index built.
 
 // FilesChangedSince returns the IDs of files with at least one access
 // record appended after seq (the value a prior Watermark call returned),
@@ -17,22 +16,21 @@ func (db *DB) FilesChangedSince(seq uint64) []int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	n := db.accesses.n
-	i := sort.Search(n, func(i int) bool { return db.accesses.at(i).Seq > seq })
-	if i == n {
+	n := 0
+	for _, s := range db.files {
+		if s.lastSeq > seq {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	seen := make(map[int64]struct{})
-	out := make([]int64, 0, n-i)
-	for ; i < n; i++ {
-		id := db.accesses.at(i).FileID
-		if _, dup := seen[id]; dup {
-			continue
+	out := make([]int64, 0, n)
+	for _, s := range db.files {
+		if s.lastSeq > seq {
+			out = append(out, s.id)
 		}
-		seen[id] = struct{}{}
-		out = append(out, id)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -44,9 +42,8 @@ func (db *DB) FilesChangedSince(seq uint64) []int64 {
 func (db *DB) FileLastSeq(fileID int64) uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	positions := db.byFile[fileID]
-	if len(positions) == 0 {
-		return 0
+	if s := db.byFile[fileID]; s != nil {
+		return s.lastSeq
 	}
-	return db.accesses.at(positions[len(positions)-1]).Seq
+	return 0
 }

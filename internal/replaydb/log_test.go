@@ -1,6 +1,7 @@
 package replaydb
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -66,17 +67,27 @@ func TestLogAcrossChunks(t *testing.T) {
 // in an earlier chunk: the kept head ends mid-chunk and the per-device
 // index is rebuilt over it.
 func TestTruncateAcrossChunks(t *testing.T) {
-	var accesses []AccessRecord
-	for i := 0; i < 2*logChunk+5; i++ {
-		rec := sampleAccess(i)
-		rec.Seq = uint64(i + 1)
-		accesses = append(accesses, rec)
-	}
-	db := memDB(t)
-	if err := db.Bulkload(accesses, nil); err != nil {
+	path := filepath.Join(t.TempDir(), "replay.wal")
+	db, err := Open(Options{Path: path})
+	if err != nil {
 		t.Fatal(err)
 	}
-	db.appended = false // as after a WAL replay
+	var accesses []AccessRecord
+	for i := 0; i < 2*logChunk+5; i++ {
+		rec, err := db.AppendAccess(sampleAccess(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		accesses = append(accesses, rec)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	cut := logChunk + 3
 	if err := db.TruncateTo(uint64(cut)); err != nil {
 		t.Fatal(err)

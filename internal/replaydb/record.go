@@ -8,7 +8,9 @@
 // store with the same durability contract for this access pattern: an
 // append-only write-ahead log with CRC-framed records and torn-tail
 // recovery, plus in-memory indexes serving the engine's queries (the most
-// recent X accesses per storage device or per file, and time-range scans).
+// recent X accesses per storage device or per file). The log keeps every
+// record; memory keeps every record too, or, under a retention Horizon,
+// only as many per device and per file as those queries reach.
 package replaydb
 
 import (

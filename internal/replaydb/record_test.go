@@ -348,7 +348,7 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		valid, err := db.replay(bytes.NewReader(data), int64(len(data)))
+		valid, err := db.replay(bytes.NewReader(data), int64(len(data)), math.MaxUint64)
 		if err != nil && !errors.Is(err, ErrRecord) && !errors.Is(err, ErrFrameType) && !errors.Is(err, errBadMagic) {
 			t.Fatalf("replay failed with an untyped error: %v", err)
 		}
@@ -359,23 +359,24 @@ func FuzzRecordDecode(f *testing.F) {
 			return
 		}
 		// What replay accepted is a log: rebuilding it from the loaded
-		// records, in frame order, gives back the accepted prefix.
+		// records, in frame order — each frame's type byte says which kind
+		// comes next — gives back the accepted prefix.
 		rebuilt := append([]byte(nil), magic...)
 		accesses, movements := db.All(), db.Movements()
-		for _, mark := range db.marks {
-			switch {
-			case len(accesses) > 0 && accesses[0].Seq == mark.seq && recordType(data[len(rebuilt)]) == frameAccess:
+		for int64(len(rebuilt)) < valid {
+			switch typ := recordType(data[len(rebuilt)]); {
+			case typ == frameAccess && len(accesses) > 0:
 				rebuilt = appendAccessFrame(rebuilt, &accesses[0])
 				accesses = accesses[1:]
-			case len(movements) > 0 && movements[0].Seq == mark.seq:
+			case typ == frameMovement && len(movements) > 0:
 				rebuilt = appendMovementFrame(rebuilt, &movements[0])
 				movements = movements[1:]
 			default:
-				t.Fatalf("frame ending at %d (seq %d) matches no loaded record", mark.end, mark.seq)
+				t.Fatalf("frame at offset %d matches no loaded record", len(rebuilt))
 			}
-			if int64(len(rebuilt)) != mark.end {
-				t.Fatalf("rebuilt log is %d bytes at a frame replay ends at %d", len(rebuilt), mark.end)
-			}
+		}
+		if n := len(accesses) + len(movements); n > 0 {
+			t.Fatalf("%d loaded records lie past the %d bytes accepted", n, valid)
 		}
 		if !bytes.Equal(rebuilt, data[:valid]) {
 			t.Fatalf("loaded records re-encode to a different log than the %d bytes accepted", valid)

@@ -19,12 +19,15 @@ type DeviceSummary struct {
 
 // Summary computes per-device aggregates over all stored accesses,
 // ordered by device name — the data behind Table IV's throughput column
-// and cmd/replaydb's stats view.
+// and cmd/replaydb's stats view. It needs every record, so it panics under
+// a horizon.
 func (db *DB) Summary() []DeviceSummary {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.mustKeepAll("Summary")
 	out := make([]DeviceSummary, 0, len(db.byDevice))
-	for dev, positions := range db.byDevice {
+	for dev, st := range db.byDevice {
+		positions := st.pos
 		s := DeviceSummary{Device: dev, Accesses: len(positions)}
 		if len(positions) == 0 {
 			out = append(out, s)
