@@ -2,6 +2,8 @@ package agents
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -301,6 +303,32 @@ func TestDaemonRefusesUnanswerableRecentQuery(t *testing.T) {
 	}
 	if reply := ask(Envelope{ID: 7, Device: "pic", N: 4}); reply.Type != TypeRecentReply || reply.ID != 7 || len(reply.Reports) != 4 {
 		t.Errorf("in-horizon query after the refusals: reply %+v, want 4 records", reply)
+	}
+}
+
+// TestDaemonRefusesNonFiniteReport: a telemetry batch with one NaN report
+// gets a TypeError naming replaydb's refusal, and none of it is stored —
+// not even the valid report in front of it, so a replay of the batch
+// cannot count that one twice. A single such report used to reach the
+// training window and turn every fit over it into NaN.
+func TestDaemonRefusesNonFiniteReport(t *testing.T) {
+	_, db, addr := startDaemon(t)
+	c := framePeer(t, addr)
+	good := replaydb.AccessRecord{Time: 1, Device: "pic", FileID: 1, BytesRead: 10, Throughput: 5}
+	bad := good
+	bad.Throughput = math.NaN()
+	if err := c.write(&Envelope{Type: TypeMetrics, ID: 1, From: "pic", Reports: []replaydb.AccessRecord{good, bad}}, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	var reply Envelope
+	if err := c.read(&reply, time.Now().Add(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != TypeError || !strings.Contains(reply.Error, replaydb.ErrInvalidRecord.Error()) {
+		t.Errorf("reply = %+v, want a TypeError naming the invalid record", reply)
+	}
+	if n := db.Len(); n != 0 {
+		t.Errorf("Len = %d after the refused batch, want 0", n)
 	}
 }
 

@@ -240,7 +240,7 @@ func (d *Daemon) recent(env *Envelope) Envelope {
 }
 
 // ingest stores one telemetry batch and returns its ack, or a TypeError
-// when the database refuses a record.
+// when the database refuses a record (replaydb.ErrInvalidRecord among them).
 func (d *Daemon) ingest(env *Envelope, start time.Time) Envelope {
 	ack := Envelope{Type: TypeMetricsAck, ID: env.ID, N: len(env.Reports)}
 	// Dedupe replayed batches: a monitor that never saw the ack re-sends
@@ -254,6 +254,13 @@ func (d *Daemon) ingest(env *Envelope, start time.Time) Envelope {
 		if dup {
 			d.metrics.duplicates.Inc()
 			return ack
+		}
+	}
+	// A report the database would refuse refuses the whole batch before any
+	// of it is stored, so a replay of the batch cannot double-count a prefix.
+	for i := range env.Reports {
+		if err := env.Reports[i].Validate(); err != nil {
+			return Envelope{Type: TypeError, Error: fmt.Sprintf("report %d: %v", i, err)}
 		}
 	}
 	for i := range env.Reports {

@@ -59,8 +59,8 @@ func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 // A decision allocates per file, never per (file, device) pairing: the
 // score vectors live in the files' cache entries and candidate rows are
 // written straight into the inference buffer, so what is left is a file's
-// score entry and history fetch when it is (re)scored, its task's device
-// list, and the per-decision layout map and record slice. A name-keyed
+// score entry and history walk when it is (re)scored, and the per-decision
+// task list, device-list slice, layout map and record slice. A name-keyed
 // score map, a candidate list or a boxed feature row that slips back into
 // the pipeline multiplies the object count by the device width and fails
 // here, on any machine, long before a benchmark row would show it.
@@ -72,11 +72,12 @@ func TestDecisionAllocations(t *testing.T) {
 		objectsPerFile int64
 		bytes          int64
 	}{
-		// Every file: a fresh score entry (3 objects), its history fetch,
-		// and a device list grown to 32 by append.
-		{name: "full pass", topK: 0, objectsPerFile: 16, bytes: 512 << 10},
-		// A quarter of the files: history fetch and device list.
-		{name: "pruned pass", topK: 2, objectsPerFile: 4, bytes: 160 << 10},
+		// Every file: a fresh score entry (3 objects) and its history walk
+		// (2: the callback and what it sums into). The device lists share
+		// one slice per decision.
+		{name: "full pass", topK: 0, objectsPerFile: 6, bytes: 352 << 10},
+		// A quarter of the files: the history walk.
+		{name: "pruned pass", topK: 2, objectsPerFile: 1, bytes: 96 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bytes, objects := decisionAllocs(t, tc.topK)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"geomancy/internal/rng"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,7 +137,7 @@ const (
 	// learningRate is the full-cycle SGD step size (Adam takes a tenth of
 	// it); updates step at DefaultUpdateLRScale of it.
 	learningRate = 0.05
-	// featureCount is Z, the width of FeatureVector's rows (rb, wb, ots,
+	// featureCount is Z, the width of appendFeatures' rows (rb, wb, ots,
 	// cts, fid, fsid) and so of the network's input layer.
 	featureCount = 6
 	// batchSize is the SGD mini-batch size.
@@ -158,7 +157,9 @@ type TrainReport struct {
 // local *replaydb.DB satisfies it directly; agents.RemoteStore provides
 // the same view over the Interface Daemon's wire protocol, preserving the
 // paper's decoupling ("the DRL engine requests training data from the
-// ReplayDB via the Interface Daemon", §V-E).
+// ReplayDB via the Interface Daemon", §V-E). The engine reads a store that
+// can also walk its windows in place (windowWalker, as *replaydb.DB does)
+// without copying a record; any other store it reads through these copies.
 type TelemetryStore interface {
 	// RecentByDevice returns up to n most recent accesses on a device,
 	// oldest first.
@@ -170,9 +171,10 @@ type TelemetryStore interface {
 
 // Engine is the DRL engine.
 type Engine struct {
-	cfg Config         //geomancy:ephemeral construction config, re-supplied by NewEngine on restore
-	db  TelemetryStore //geomancy:ephemeral external store handle, re-wired at construction
-	rng *rng.RNG
+	cfg  Config         //geomancy:ephemeral construction config, re-supplied by NewEngine on restore
+	db   TelemetryStore //geomancy:ephemeral external store handle, re-wired at construction
+	walk windowWalker   //geomancy:ephemeral in-place view of db, re-wired at construction
+	rng  *rng.RNG
 
 	net      *nn.Network
 	devices  []string
@@ -264,6 +266,7 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	e := &Engine{
 		cfg:      cfg,
 		db:       db,
+		walk:     walkerOf(db),
 		rng:      r,
 		net:      net,
 		devIndex: make(map[string]int),
@@ -292,29 +295,6 @@ func (e *Engine) SetDevices(devices []string) {
 	e.modelGen++
 }
 
-// FeatureVector builds the paper's six-feature vector of one stored
-// access: rb, wb, ots (fractional seconds), cts, fid, fsid. The fsid is
-// the device's index in devIndex; unknown devices park one past the range.
-//
-// The volume features enter in log scale (log1p bytes): file sizes are
-// log-uniform over three decades, so a linear min-max normalization would
-// compress the throughput-deciding distinctions among small transfers
-// into a sliver near zero that gradient descent cannot resolve.
-func FeatureVector(rec *replaydb.AccessRecord, devIndex map[string]int) []float64 {
-	devIdx, ok := devIndex[rec.Device]
-	if !ok {
-		devIdx = len(devIndex)
-	}
-	return []float64{
-		logBytes(float64(rec.BytesRead)),
-		logBytes(float64(rec.BytesWritten)),
-		float64(rec.OpenTS) + float64(rec.OpenTMS)/1000,
-		float64(rec.CloseTS) + float64(rec.CloseTMS)/1000,
-		float64(rec.FileID),
-		float64(devIdx),
-	}
-}
-
 // logBytes is the volume-feature transform.
 func logBytes(v float64) float64 {
 	if v < 0 {
@@ -338,75 +318,6 @@ func EncodeTarget(v float64) float64 {
 // DecodeTarget inverts EncodeTarget.
 func DecodeTarget(v float64) float64 {
 	return math.Expm1(v)
-}
-
-// smoothKey groups telemetry for smoothing.
-type smoothKey struct {
-	device string
-	fileID int64
-}
-
-// smoothGrouped applies the configured smoothing to targets and the rb/wb
-// feature columns (rows columns 0 and 1) within each (device, file)
-// subsequence of recs — "the data is batched by data ID" (§V-E).
-// Averaging across different files or devices would blur exactly the
-// per-file, per-location throughput differences the model exists to
-// learn (a 583 KB ROOT file and a 1.1 GB one see ~30× different
-// throughput on the same mount through latency amortization), and
-// smoothing only the targets would decouple them from their features.
-// window > 1 selects the moving average, window < 0 the cumulative
-// average (the smoothing ablation), anything else is a no-op.
-func smoothGrouped(recs []replaydb.AccessRecord, rows [][]float64, targets []float64, window int) {
-	if window == 1 || window == 0 {
-		return
-	}
-	smooth := func(sub []float64) []float64 {
-		if window > 1 {
-			return features.MovingAverage(sub, window)
-		}
-		return features.CumulativeAverage(sub)
-	}
-	groups := make(map[smoothKey][]int)
-	for i := range recs {
-		k := smoothKey{recs[i].Device, recs[i].FileID}
-		groups[k] = append(groups[k], i)
-	}
-	for _, idxs := range groups {
-		sub := make([]float64, len(idxs))
-		for j, i := range idxs {
-			sub[j] = targets[i]
-		}
-		sub = smooth(sub)
-		for j, i := range idxs {
-			targets[i] = sub[j]
-		}
-		for col := 0; col <= 1; col++ { // rb, wb
-			for j, i := range idxs {
-				sub[j] = rows[i][col]
-			}
-			sc := smooth(sub[:len(idxs)])
-			for j, i := range idxs {
-				rows[i][col] = sc[j]
-			}
-		}
-	}
-}
-
-// TrainingRows turns stored accesses into raw (un-normalized) training
-// material: recs are put in time order in place, each becomes a
-// FeatureVector row over devIndex and a target(rec) value, and both are
-// smoothed per (device, file) under window (see smoothGrouped). The
-// engine's fit and the experiment harness's per-mount datasets share it.
-func TrainingRows(recs []replaydb.AccessRecord, devIndex map[string]int, target func(*replaydb.AccessRecord) float64, window int) (rows [][]float64, targets []float64) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-	rows = make([][]float64, len(recs))
-	targets = make([]float64, len(recs))
-	for i := range recs {
-		rows[i] = FeatureVector(&recs[i], devIndex)
-		targets[i] = target(&recs[i])
-	}
-	smoothGrouped(recs, rows, targets, window)
-	return rows, targets
 }
 
 // targetValue extracts the modeled metric from a record: throughput, or
@@ -502,21 +413,27 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	if !spec.full && !e.trained {
 		return TrainReport{}, ErrNotTrained
 	}
-	recs := make([]replaydb.AccessRecord, 0, len(e.devices)*spec.window)
-	for _, dev := range e.devices {
-		recs = append(recs, e.db.RecentByDevice(dev, spec.window)...)
-	}
-	if len(recs) == 0 {
+	// The training set is built, scaled and trained on in place, and dies
+	// with this call: nothing window-sized is kept on the engine.
+	x, targets := TrainingSet(e.db, e.devices, e.devIndex, spec.window,
+		func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(e.targetValue(rec)) }, e.cfg.SmoothWindow)
+	if x.Rows == 0 {
 		return TrainReport{}, ErrNoTelemetry
 	}
-	rows, targets := TrainingRows(recs, e.devIndex,
-		func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(e.targetValue(rec)) }, e.cfg.SmoothWindow)
-	x := mat.FromRows(rows)
 	if spec.full {
 		e.featScaler.Fit(x)
 		e.targetScaler.Fit(targets)
 	}
-	ds := nn.NewDataset(e.featScaler.Transform(x), e.targetScaler.TransformAll(targets))
+	for r := 0; r < x.Rows; r++ {
+		row := x.Row(r)
+		for c, v := range row {
+			row[c] = e.featScaler.TransformValue(c, v)
+		}
+	}
+	for i, v := range targets {
+		targets[i] = e.targetScaler.Transform(v)
+	}
+	ds := nn.NewDataset(x, targets)
 	train := ds
 	var val, test *nn.Dataset
 	if spec.full {
@@ -554,8 +471,11 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	}
 	if spec.full {
-		rep.Validation = e.evaluateDenorm(val)
-		rep.Test = e.evaluateDenorm(test)
+		// One scratch for both held-out partitions, scoped to this fit: on
+		// e.scratch its activation lanes would stay grown to a full block.
+		var s nn.Scratch
+		rep.Validation = e.evaluateDenorm(val, &s)
+		rep.Test = e.evaluateDenorm(test, &s)
 		e.valMetrics = rep.Validation
 		e.trained = true
 	} else {
@@ -569,9 +489,9 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 // evaluateDenorm computes prediction metrics on the original throughput
 // scale. Relative errors on normalized targets explode near the range
 // minimum; real throughputs are safely bounded away from zero, matching
-// how the paper reports its error percentages.
-func (e *Engine) evaluateDenorm(ds *nn.Dataset) nn.Metrics {
-	preds, idx := e.net.Predict(ds)
+// how the paper reports its error percentages. The forward pass runs on s.
+func (e *Engine) evaluateDenorm(ds *nn.Dataset, s *nn.Scratch) nn.Metrics {
+	preds, idx := e.net.Predict(ds, s)
 	if len(preds) == 0 {
 		return nn.Metrics{Diverged: true}
 	}
@@ -601,27 +521,28 @@ type fileFeatures struct {
 // prior) mis-ranked write-heavy cold files against devices with
 // imbalanced read/write bandwidth, visible on the write-ingest scenario.
 func (e *Engine) gatherFileFeatures(f policy.FileInfo, withHist bool) fileFeatures {
-	recent := e.db.RecentByFile(f.ID, e.net.Window)
-	var ff fileFeatures
-	if len(recent) > 0 {
-		last := recent[len(recent)-1]
-		ff.ts = float64(last.CloseTS) + float64(last.CloseTMS)/1000
-		var rbSum, wbSum float64
-		for i := range recent {
-			rbSum += float64(recent[i].BytesRead)
-			wbSum += float64(recent[i].BytesWritten)
+	// One accumulator, so the walk's callback captures one variable.
+	var acc struct {
+		ff           fileFeatures
+		n            int
+		rbSum, wbSum float64
+	}
+	e.walk.EachRecentByFile(f.ID, e.net.Window, func(rec *replaydb.AccessRecord) {
+		acc.n++
+		acc.rbSum += float64(rec.BytesRead)
+		acc.wbSum += float64(rec.BytesWritten)
+		acc.ff.ts = float64(rec.CloseTS) + float64(rec.CloseTMS)/1000 // the newest, once the walk ends
+		if withHist {
+			acc.ff.hist = append(acc.ff.hist, appendFeatures(make([]float64, 0, featureCount), rec, fsidFeature(e.devIndex, rec.Device)))
 		}
-		ff.rb = rbSum / float64(len(recent))
-		ff.wb = wbSum / float64(len(recent))
+	})
+	ff := acc.ff
+	if acc.n > 0 {
+		ff.rb = acc.rbSum / float64(acc.n)
+		ff.wb = acc.wbSum / float64(acc.n)
 	} else {
 		ff.rb = float64(f.Size) / 4
 		ff.wb = float64(f.Size) / 4
-	}
-	if withHist {
-		ff.hist = make([][]float64, len(recent))
-		for i := range recent {
-			ff.hist[i] = FeatureVector(&recent[i], e.devIndex)
-		}
 	}
 	return ff
 }

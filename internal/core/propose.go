@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
@@ -120,32 +119,54 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 // pruneTasks builds the work list, one task per file: the shortlist ∪
 // {current device} entries not yet scored under the current model
 // generation. After invalidateAll with the all-device shortlist that is
-// the full file-major files×devices grid.
+// the full file-major files×devices grid. It counts every task's devices
+// first, so the device lists share one exactly-sized slice, laid out as the
+// batch rows are.
 func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) (tasks []scoreTask, total int) {
 	tasks = make([]scoreTask, len(files))
 	for i, f := range files {
 		ent := e.ensureCache(f)
-		var need []int
-		cur, curOK := e.devIndex[f.Device]
-		curListed := false
-		for _, j := range short {
-			if curOK && j == cur {
-				curListed = true
-			}
-			if ent.gens[j] != e.modelGen {
-				need = append(need, j)
-			}
-		}
-		if curOK && !curListed && ent.gens[cur] != e.modelGen {
-			pos := sort.SearchInts(need, cur)
-			need = append(need, 0)
-			copy(need[pos+1:], need[pos:])
-			need[pos] = cur
-		}
-		tasks[i] = scoreTask{ent: ent, devs: need, base: total}
-		total += len(need)
+		tasks[i] = scoreTask{ent: ent, base: total}
+		total += e.unscored(nil, ent, f.Device, short)
+	}
+	devs := make([]int, total)
+	for i, f := range files {
+		t := &tasks[i]
+		end := t.base + e.unscored(devs[t.base:], t.ent, f.Device, short)
+		t.devs = devs[t.base:end:end]
 	}
 	return tasks, total
+}
+
+// unscored writes to dst, unless it is nil, the ascending indices of the
+// devices in short ∪ {the device named current} that ent holds no score
+// for under the current generation, and returns how many there are. short
+// is ascending.
+func (e *Engine) unscored(dst []int, ent *fileCache, current string, short []int) int {
+	cur, curOK := e.devIndex[current]
+	curOK = curOK && ent.gens[cur] != e.modelGen // an unscored current device not yet written
+	n := 0
+	put := func(j int) {
+		if dst != nil {
+			dst[n] = j
+		}
+		n++
+	}
+	for _, j := range short {
+		if curOK && cur <= j {
+			if cur < j { // not shortlisted: it goes here
+				put(cur)
+			}
+			curOK = false
+		}
+		if ent.gens[j] != e.modelGen {
+			put(j)
+		}
+	}
+	if curOK {
+		put(cur)
+	}
+	return n
 }
 
 // assembleTasks builds the candidate feature rows for every task into the

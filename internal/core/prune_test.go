@@ -26,10 +26,17 @@ func blueskySummaries() []storagesim.DeviceSummary {
 
 // countingStore wraps the ReplayDB, counting per-file feature fetches —
 // the per-decision cost the pruning plane exists to avoid. The embedded
-// DB keeps the ChangeTracker capability visible to the engine.
+// DB keeps the ChangeTracker and window-walk capabilities visible to the
+// engine, so both ways of reading a file's window count: the walk the
+// engine takes, and the copy it would take through a store without one.
 type countingStore struct {
 	*replaydb.DB
 	byFileCalls int
+}
+
+func (c *countingStore) EachRecentByFile(id int64, n int, fn func(*replaydb.AccessRecord)) {
+	c.byFileCalls++
+	c.DB.EachRecentByFile(id, n, fn)
 }
 
 func (c *countingStore) RecentByFile(id int64, n int) []replaydb.AccessRecord {

@@ -7,7 +7,6 @@ import (
 
 	"geomancy/internal/core"
 	"geomancy/internal/features"
-	"geomancy/internal/mat"
 	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
@@ -122,19 +121,18 @@ func (tb *testbed) bootstrapUntil(device string, target int, opts Options, seed 
 // percentages are computed on the real throughput scale (as the paper
 // reports them), not on normalized values that pass near zero.
 func deviceDataset(db *replaydb.DB, device string, devIndex map[string]int, windowX, smooth int) (*nn.Dataset, *features.ScalarScaler, error) {
-	recs := db.RecentByDevice(device, windowX)
-	if len(recs) < 20 {
-		return nil, nil, fmt.Errorf("experiments: only %d records for device %s", len(recs), device)
-	}
 	// Raw throughput is smoothed per data ID (§V-E), then modeled in log
 	// space (see core.EncodeTarget).
-	rows, targets := core.TrainingRows(recs, devIndex,
+	x, targets := core.TrainingSet(db, []string{device}, devIndex, windowX,
 		func(rec *replaydb.AccessRecord) float64 { return rec.Throughput }, smooth)
+	if x.Rows < 20 {
+		return nil, nil, fmt.Errorf("experiments: only %d records for device %s", x.Rows, device)
+	}
 	for i := range targets {
 		targets[i] = core.EncodeTarget(targets[i])
 	}
 	var fs features.MinMaxScaler
-	x := fs.FitTransform(mat.FromRows(rows))
+	x = fs.FitTransform(x)
 	ts := &features.ScalarScaler{}
 	ts.Fit(targets)
 	return nn.NewDataset(x, ts.TransformAll(targets)), ts, nil

@@ -206,16 +206,6 @@ func TestMovingAverageBadWindowPanics(t *testing.T) {
 	MovingAverage([]float64{1}, 0)
 }
 
-func TestCumulativeAverage(t *testing.T) {
-	got := CumulativeAverage([]float64{2, 4, 6})
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("CA[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // Property: a moving average never exceeds the running max or undercuts
 // the running min of its window.
 func TestMovingAverageBounded(t *testing.T) {

@@ -25,17 +25,3 @@ func MovingAverage(xs []float64, window int) []float64 {
 	}
 	return out
 }
-
-// CumulativeAverage returns the running mean of xs: out[i] = mean(xs[0..i]).
-// The paper rejects it for training because it washes out the short-term
-// fluctuations that indicate rapid performance decreases; it is retained
-// for the smoothing ablation benchmark.
-func CumulativeAverage(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, v := range xs {
-		sum += v
-		out[i] = sum / float64(i+1)
-	}
-	return out
-}

@@ -248,7 +248,7 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 func (n *Network) ValidationLoss(ds *Dataset) float64 {
 	var total float64
 	var count int
-	n.predictChunks(ds, func(first int, pred *mat.Matrix) {
+	n.predictChunks(ds, nil, func(first int, pred *mat.Matrix) {
 		rows := pred.Rows
 		sse := sseLoss(nil, pred.Data, ds.Y[first:first+rows])
 		total += sse / float64(len(pred.Data)) * float64(rows)
@@ -269,11 +269,15 @@ const predictChunkRows = 256
 // a time, handing f each chunk's predictions and the dataset row of its
 // first anchor (anchors are consecutive rows). Dense networks score row
 // views of ds.X, recurrent ones windows assembled per chunk; either way
-// the dense stack runs through ForwardBatch on one scratch scoped to the
-// call, so a call allocates one set of activation buffers however long ds
-// is, retains none of them, and pred is only valid until f returns.
-func (n *Network) predictChunks(ds *Dataset, f func(first int, pred *mat.Matrix)) {
-	var s Scratch
+// the dense stack runs through ForwardBatch on s — or, when s is nil, on one
+// scratch scoped to the call — so a dense call allocates at most one set of
+// activation buffers however long ds is, and pred is only valid until f
+// returns.
+func (n *Network) predictChunks(ds *Dataset, s *Scratch, f func(first int, pred *mat.Matrix)) {
+	if s == nil {
+		s = &Scratch{}
+	}
+	var view mat.Matrix // one row view, re-pointed per chunk
 	first := n.firstAnchor()
 	for lo := first; lo < ds.Len(); lo += predictChunkRows {
 		hi := lo + predictChunkRows
@@ -283,7 +287,8 @@ func (n *Network) predictChunks(ds *Dataset, f func(first int, pred *mat.Matrix)
 		var flat *mat.Matrix
 		var seq []*mat.Matrix
 		if n.rec == nil {
-			flat = ds.Slice(lo, hi).X
+			view = rowsOf(ds.X, lo, hi)
+			flat = &view
 		} else {
 			rows := make([]int, hi-lo)
 			for i := range rows {
@@ -291,7 +296,7 @@ func (n *Network) predictChunks(ds *Dataset, f func(first int, pred *mat.Matrix)
 			}
 			seq = n.assembleSeq(ds, rows)
 		}
-		f(lo, n.ForwardBatch(flat, seq, &s))
+		f(lo, n.ForwardBatch(flat, seq, s))
 	}
 }
 
@@ -342,14 +347,16 @@ func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
 }
 
 // Predict returns the network outputs for every usable row of ds, aligned
-// with the anchor indexes returned as the second value.
-func (n *Network) Predict(ds *Dataset) ([]float64, []int) {
+// with the anchor indexes returned as the second value. The forward pass
+// runs on s, which a caller scoring several datasets shares between them;
+// nil means a scratch of the call's own.
+func (n *Network) Predict(ds *Dataset, s *Scratch) ([]float64, []int) {
 	idx := n.sampleIndexes(ds)
 	if len(idx) == 0 {
 		return nil, nil
 	}
 	out := make([]float64, 0, len(idx))
-	n.predictChunks(ds, func(_ int, pred *mat.Matrix) {
+	n.predictChunks(ds, s, func(_ int, pred *mat.Matrix) {
 		for r := 0; r < pred.Rows; r++ {
 			out = append(out, pred.At(r, 0))
 		}

@@ -120,7 +120,7 @@ func TestRecurrentNeedsFullWindow(t *testing.T) {
 	if _, err := net.Fit(ds, FitConfig{Epochs: 1}); err != ErrNoData {
 		t.Errorf("Fit with short history = %v, want ErrNoData", err)
 	}
-	preds, idx := net.Predict(ds)
+	preds, idx := net.Predict(ds, nil)
 	if preds != nil || idx != nil {
 		t.Error("Predict with short history should return nil")
 	}
@@ -131,7 +131,7 @@ func TestPredictAlignment(t *testing.T) {
 	ds := synthDataset(rng, 50, 3)
 
 	dense := NewNetwork(3).AddDense(4, ReLU, rng).AddDense(1, Linear, rng)
-	preds, idx := dense.Predict(ds)
+	preds, idx := dense.Predict(ds, nil)
 	if len(preds) != 50 || len(idx) != 50 || idx[0] != 0 {
 		t.Errorf("dense Predict: %d preds, first idx %v", len(preds), idx[0])
 	}
@@ -139,7 +139,7 @@ func TestPredictAlignment(t *testing.T) {
 	rec := NewNetwork(3)
 	rec.Window = 8
 	rec.AddGRU(4, Tanh, rng).AddDense(1, Linear, rng)
-	preds, idx = rec.Predict(ds)
+	preds, idx = rec.Predict(ds, nil)
 	if len(preds) != 43 || idx[0] != 7 {
 		t.Errorf("recurrent Predict: %d preds, first idx %d; want 43 preds starting at 7", len(preds), idx[0])
 	}

@@ -155,7 +155,8 @@ var ErrFrameType = errors.New("replaydb: unknown WAL frame type")
 // TruncateTo, where the log is cut. A frame that is cut short, fails its
 // checksum, or declares a payload longer than the bytes left in the log is
 // the torn tail: replay stops in front of it. An intact frame that is not
-// one record of a known type is an error. The declared length is never
+// one record of a known type, or holds an access record that fails
+// Validate, is an error. The declared length is never
 // trusted further than that, so the payload buffer — one, reused — is
 // bounded by the size of the log itself.
 func (db *DB) replay(src io.Reader, size int64, upTo uint64) (int64, error) {
@@ -212,6 +213,13 @@ func (db *DB) replay(src io.Reader, size int64, upTo uint64) (int64, error) {
 		}
 		if err := dec.Done(); err != nil {
 			return valid, fmt.Errorf("%w: frame at offset %d is not one record", err, valid)
+		}
+		if typ == frameAccess {
+			// A record AppendAccess would refuse, in an intact frame: an
+			// error, as an unknown frame type is, not a tail to cut.
+			if err := rec.Validate(); err != nil {
+				return valid, fmt.Errorf("%w: frame at offset %d", err, valid)
+			}
 		}
 		if max(rec.Seq, m.Seq) > upTo { // the frame's record is the nonzero one
 			break
@@ -304,8 +312,12 @@ func (db *DB) writeFrame() error {
 }
 
 // AppendAccess stores one access record, assigning its sequence number.
-// The stored record (with Seq filled in) is returned.
+// The stored record (with Seq filled in) is returned. A record that fails
+// Validate is refused with ErrInvalidRecord and stores nothing.
 func (db *DB) AppendAccess(rec AccessRecord) (AccessRecord, error) {
+	if err := rec.Validate(); err != nil {
+		return rec, err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -408,66 +420,105 @@ func pastHorizon(of string, n, keep int) string {
 	return fmt.Sprintf("replaydb: %d most recent accesses of %s requested past the retention horizon of %d", n, of, keep)
 }
 
-// RecentByDevice returns up to n most recent accesses observed on device,
-// oldest first — the engine's per-device training query.
+// EachRecentByDevice calls fn on each of the up to n most recent accesses
+// observed on device, oldest first, in place: no record is copied — the
+// engine's per-device training query. fn runs under the database's read
+// lock, so it must not call back into the database (a second read lock
+// queues behind any writer waiting on the first, and deadlocks), and it must
+// not keep the pointer it is given: a later append overwrites the record.
+func (db *DB) EachRecentByDevice(device string, n int, fn func(*AccessRecord)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.queries.Inc()
+	db.eachByDevice(device, n, fn)
+}
+
+// EachRecentByFile is EachRecentByDevice for the file's up to n most recent
+// accesses — the per-file batch query (§V-E: "The data is batched by data
+// ID"). The same two rules bind fn.
+func (db *DB) EachRecentByFile(fileID int64, n int, fn func(*AccessRecord)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.queries.Inc()
+	db.eachByFile(fileID, n, fn)
+}
+
+// RecentByDevice returns a copy of what EachRecentByDevice walks.
 func (db *DB) RecentByDevice(device string, n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	recs, ok := db.collect(db.byDevice[device], n)
-	if !ok {
-		panic(pastHorizon("device "+device, n, db.opts.Horizon.PerDevice))
-	}
-	return recs
+	out := db.byDevice[device].alloc(n)
+	db.eachByDevice(device, n, func(rec *AccessRecord) { out = append(out, *rec) })
+	return out
 }
 
-// MeanThroughputByDevice returns the mean throughput of the device's up to
-// n most recent accesses, summed oldest first, or 0 when it has none — the
-// policy snapshot's per-device digest, read in place: no record is copied.
-func (db *DB) MeanThroughputByDevice(device string, n int) float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.queries.Inc()
-	s := db.byDevice[device]
-	if s == nil || n <= 0 {
-		return 0
-	}
-	var sum float64
-	var k int
-	if db.keepsAll() {
-		positions := s.pos[max(len(s.pos)-n, 0):]
-		for _, p := range positions {
-			sum += db.accesses.at(p).Throughput
-		}
-		k = len(positions)
-	} else {
-		older, newer, ok := s.newest(n)
-		if !ok {
-			panic(pastHorizon("device "+device, n, db.opts.Horizon.PerDevice))
-		}
-		for i := range older {
-			sum += older[i].Throughput
-		}
-		for i := range newer {
-			sum += newer[i].Throughput
-		}
-		k = len(older) + len(newer)
-	}
-	return sum / float64(k) // a stream exists from its first record on, so k ≥ 1
-}
-
-// RecentByFile returns up to n most recent accesses of the file, oldest
-// first — the per-file batch query (§V-E: "The data is batched by data
-// ID").
+// RecentByFile returns a copy of what EachRecentByFile walks.
 func (db *DB) RecentByFile(fileID int64, n int) []AccessRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.queries.Inc()
-	recs, ok := db.collect(db.byFile[fileID], n)
-	if !ok {
+	out := db.byFile[fileID].alloc(n)
+	db.eachByFile(fileID, n, func(rec *AccessRecord) { out = append(out, *rec) })
+	return out
+}
+
+// MeanThroughputByDevice returns the mean throughput of the device's up to
+// n most recent accesses, summed oldest first, or 0 when it has none — the
+// policy snapshot's per-device digest, read in place.
+func (db *DB) MeanThroughputByDevice(device string, n int) float64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.queries.Inc()
+	var sum float64
+	var k int
+	db.eachByDevice(device, n, func(rec *AccessRecord) {
+		sum += rec.Throughput
+		k++
+	})
+	if k == 0 {
+		return 0
+	}
+	return sum / float64(k)
+}
+
+// eachByDevice and eachByFile are the walk under the caller's read lock.
+func (db *DB) eachByDevice(device string, n int, fn func(*AccessRecord)) {
+	if !db.each(db.byDevice[device], n, fn) {
+		panic(pastHorizon("device "+device, n, db.opts.Horizon.PerDevice))
+	}
+}
+
+func (db *DB) eachByFile(fileID int64, n int, fn func(*AccessRecord)) {
+	if !db.each(db.byFile[fileID], n, fn) {
 		panic(pastHorizon(fmt.Sprintf("file %d", fileID), n, db.opts.Horizon.PerFile))
 	}
-	return recs
+}
+
+// each calls fn on the newest n records of s, oldest first, in place — the
+// one walk of a stream. It returns false, having called fn on none, when
+// they reach past the horizon.
+func (db *DB) each(s *stream, n int, fn func(*AccessRecord)) bool {
+	if s == nil || n <= 0 {
+		return true
+	}
+	if db.keepsAll() {
+		for _, p := range s.pos[max(len(s.pos)-n, 0):] {
+			fn(db.accesses.at(p))
+		}
+		return true
+	}
+	older, newer, ok := s.newest(n)
+	if !ok {
+		return false
+	}
+	for i := range older {
+		fn(&older[i])
+	}
+	for i := range newer {
+		fn(&newer[i])
+	}
+	return true
 }
 
 // Recent returns up to n most recent accesses across all devices, oldest
@@ -478,27 +529,6 @@ func (db *DB) Recent(n int) []AccessRecord {
 	db.mustKeepAll("Recent")
 	db.queries.Inc()
 	return db.accesses.tail(max(db.accesses.n-max(n, 0), 0))
-}
-
-// collect copies the newest n records of s, oldest first; ok is false when
-// they reach past its horizon.
-func (db *DB) collect(s *stream, n int) (out []AccessRecord, ok bool) {
-	if s == nil || n <= 0 {
-		return nil, true
-	}
-	if db.keepsAll() {
-		positions := s.pos[max(len(s.pos)-n, 0):]
-		out = make([]AccessRecord, len(positions))
-		for i, p := range positions {
-			out[i] = *db.accesses.at(p)
-		}
-		return out, true
-	}
-	older, newer, ok := s.newest(n)
-	if !ok {
-		return nil, false
-	}
-	return append(append(make([]AccessRecord, 0, len(older)+len(newer)), older...), newer...), true
 }
 
 // Sync flushes buffered WAL writes to stable storage.

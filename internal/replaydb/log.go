@@ -74,6 +74,16 @@ func (s *stream) push(rec AccessRecord) {
 	}
 }
 
+// alloc returns an empty slice with room for the newest n records of s, or
+// nil when there are none to copy; s may be nil. A stream holds its records
+// in pos or in ring, never both, and exists from its first record on.
+func (s *stream) alloc(n int) []AccessRecord {
+	if s == nil || n <= 0 {
+		return nil
+	}
+	return make([]AccessRecord, 0, min(n, len(s.pos)+len(s.ring)))
+}
+
 // newest returns the ring's newest n records, oldest first, as two
 // segments, read in place. ok is false when n is more than a full ring
 // holds: records the answer needs were dropped.

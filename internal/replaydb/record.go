@@ -16,6 +16,7 @@ package replaydb
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 
@@ -48,6 +49,26 @@ type AccessRecord struct {
 	CloseTS, CloseTMS int64
 	// Throughput is the measured bytes/second of the access.
 	Throughput float64
+}
+
+// ErrInvalidRecord reports an access record no query could use: a Time or
+// Throughput that is NaN or ±Inf, or a negative byte count. One such record
+// in a training window turns every fit over it into NaN, and a NaN Time
+// leaves the window with no time order.
+var ErrInvalidRecord = errors.New("replaydb: invalid access record")
+
+// Validate returns an error wrapping ErrInvalidRecord, naming the field,
+// when the database would refuse rec; nil otherwise.
+func (rec *AccessRecord) Validate() error {
+	switch {
+	case math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0):
+		return fmt.Errorf("%w: time %v", ErrInvalidRecord, rec.Time)
+	case math.IsNaN(rec.Throughput) || math.IsInf(rec.Throughput, 0):
+		return fmt.Errorf("%w: throughput %v", ErrInvalidRecord, rec.Throughput)
+	case rec.BytesRead < 0 || rec.BytesWritten < 0:
+		return fmt.Errorf("%w: %d bytes read, %d written", ErrInvalidRecord, rec.BytesRead, rec.BytesWritten)
+	}
+	return nil
 }
 
 // FromAccess converts one simulated access into the record stored for it,

@@ -303,13 +303,76 @@ func TestOpenRefusesUnknownFrameType(t *testing.T) {
 	}
 }
 
+// TestInvalidRecordsRefused: an access record with a NaN or infinite Time
+// or Throughput, or a negative byte count, is refused with ErrInvalidRecord
+// wherever records enter the database. AppendAccess stores nothing and
+// spends no sequence number on it; Bulkload refuses the export; and a WAL
+// frame holding one fails Open, as an unknown frame type does, leaving the
+// log as it found it. One such record used to poison every fit over a
+// window that held it.
+func TestInvalidRecordsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*AccessRecord)
+	}{
+		{"time NaN", func(r *AccessRecord) { r.Time = math.NaN() }},
+		{"time +Inf", func(r *AccessRecord) { r.Time = math.Inf(1) }},
+		{"time -Inf", func(r *AccessRecord) { r.Time = math.Inf(-1) }},
+		{"throughput NaN", func(r *AccessRecord) { r.Throughput = math.NaN() }},
+		{"throughput +Inf", func(r *AccessRecord) { r.Throughput = math.Inf(1) }},
+		{"throughput -Inf", func(r *AccessRecord) { r.Throughput = math.Inf(-1) }},
+		{"negative bytes read", func(r *AccessRecord) { r.BytesRead = -1 }},
+		{"negative bytes written", func(r *AccessRecord) { r.BytesWritten = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := sampleAccess(5)
+			tc.edit(&bad)
+			if err := bad.Validate(); !errors.Is(err, ErrInvalidRecord) {
+				t.Fatalf("Validate = %v, want ErrInvalidRecord", err)
+			}
+
+			db := memDB(t)
+			if _, err := db.AppendAccess(sampleAccess(0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.AppendAccess(bad); !errors.Is(err, ErrInvalidRecord) {
+				t.Errorf("AppendAccess = %v, want ErrInvalidRecord", err)
+			}
+			if db.Len() != 1 || db.Watermark() != 1 || len(db.RecentByDevice(bad.Device, 10)) != 0 {
+				t.Errorf("a refused append left Len %d, watermark %d", db.Len(), db.Watermark())
+			}
+
+			bad.Seq = 1
+			if err := memDB(t).Bulkload([]AccessRecord{bad}, 1, 1); !errors.Is(err, ErrInvalidRecord) {
+				t.Errorf("Bulkload = %v, want ErrInvalidRecord", err)
+			}
+
+			bad.Seq = 6
+			wal := appendAccessFrame(walWith(5), &bad)
+			path := filepath.Join(t.TempDir(), "invalid.wal")
+			if err := os.WriteFile(path, wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := Open(Options{Path: path}); !errors.Is(err, ErrInvalidRecord) {
+				if err == nil {
+					db.Close()
+				}
+				t.Errorf("Open = %v, want ErrInvalidRecord", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wal) {
+				t.Errorf("Open changed the log: %d bytes (err %v), want the original %d", len(got), err, len(wal))
+			}
+		})
+	}
+}
+
 // FuzzRecordDecode feeds arbitrary bytes to the one record decoder through
 // both of its trust boundaries: as a run of wire records, and as a
 // write-ahead log handed to replay. Neither may panic or size anything by
 // a length it read; a record that decodes re-encodes to the bytes it came
 // from; and replay never reports more valid bytes than it was given, loads
 // only frames that re-encode to themselves, and fails only with ErrRecord,
-// ErrFrameType or the bad-magic error.
+// ErrFrameType, ErrInvalidRecord or the bad-magic error.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add(walWith(3))
 	f.Add(AppendAccessRecord(AppendAccessRecord(nil, &goldenAccess), &goldenAccess))
@@ -349,7 +412,7 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		defer db.Close()
 		valid, err := db.replay(bytes.NewReader(data), int64(len(data)), math.MaxUint64)
-		if err != nil && !errors.Is(err, ErrRecord) && !errors.Is(err, ErrFrameType) && !errors.Is(err, errBadMagic) {
+		if err != nil && !errors.Is(err, ErrRecord) && !errors.Is(err, ErrFrameType) && !errors.Is(err, ErrInvalidRecord) && !errors.Is(err, errBadMagic) {
 			t.Fatalf("replay failed with an untyped error: %v", err)
 		}
 		if valid < 0 || valid > int64(len(data)) {

@@ -247,13 +247,19 @@ func TestRetentionPanicsPastHorizon(t *testing.T) {
 		t.Errorf("RecentByFile on a ring with room: %d records, want 1", got)
 	}
 	for query, call := range map[string]func(){
-		"RecentByDevice":         func() { db.RecentByDevice("pic", 5) },
+		"RecentByDevice": func() { db.RecentByDevice("pic", 5) },
+		"EachRecentByDevice": func() {
+			db.EachRecentByDevice("pic", 5, func(*AccessRecord) { t.Error("EachRecentByDevice walked past the horizon") })
+		},
 		"MeanThroughputByDevice": func() { db.MeanThroughputByDevice("pic", 5) },
 		"RecentByFile":           func() { db.RecentByFile(1, 3) },
-		"Recent":                 func() { db.Recent(1) },
-		"Summary":                func() { db.Summary() },
-		"Movements":              func() { db.Movements() },
-		"MovementCount":          func() { db.MovementCount() },
+		"EachRecentByFile": func() {
+			db.EachRecentByFile(1, 3, func(*AccessRecord) { t.Error("EachRecentByFile walked past the horizon") })
+		},
+		"Recent":        func() { db.Recent(1) },
+		"Summary":       func() { db.Summary() },
+		"Movements":     func() { db.Movements() },
+		"MovementCount": func() { db.MovementCount() },
 	} {
 		func() {
 			defer func() {

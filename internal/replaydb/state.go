@@ -73,7 +73,8 @@ func (db *DB) TruncateTo(seq uint64) error {
 // are the records it retained (All), count the access records it had
 // appended (Len), and watermark its Watermark, which the next append
 // continues from. The records must be in strictly increasing sequence
-// order, none past the watermark, and no more of them than count.
+// order, none past the watermark, no more of them than count, and each one
+// that AppendAccess would store (Validate).
 // File-backed databases recover their records from the WAL instead, so
 // Bulkload rejects them, as it does a database that already holds records.
 func (db *DB) Bulkload(accesses []AccessRecord, count int, watermark uint64) error {
@@ -95,6 +96,9 @@ func (db *DB) Bulkload(accesses []AccessRecord, count int, watermark uint64) err
 	for i := range accesses {
 		if seq := accesses[i].Seq; seq <= last || seq > watermark {
 			return fmt.Errorf("replaydb: Bulkload record %d has seq %d after seq %d, watermark %d", i, seq, last, watermark)
+		}
+		if err := accesses[i].Validate(); err != nil {
+			return fmt.Errorf("replaydb: Bulkload record %d: %w", i, err)
 		}
 		last = accesses[i].Seq
 	}

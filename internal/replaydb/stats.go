@@ -27,33 +27,22 @@ func (db *DB) Summary() []DeviceSummary {
 	db.mustKeepAll("Summary")
 	out := make([]DeviceSummary, 0, len(db.byDevice))
 	for dev, st := range db.byDevice {
-		positions := st.pos
-		s := DeviceSummary{Device: dev, Accesses: len(positions)}
-		if len(positions) == 0 {
-			out = append(out, s)
-			continue
-		}
+		n := len(st.pos) // a stream exists from its first record on, so n ≥ 1
+		s := DeviceSummary{Device: dev, Accesses: n, FirstTime: math.Inf(1), LastTime: math.Inf(-1)}
 		var sum, sq float64
-		s.FirstTime = math.Inf(1)
-		s.LastTime = math.Inf(-1)
-		for _, p := range positions {
-			rec := db.accesses.at(p)
+		db.each(st, n, func(rec *AccessRecord) {
 			sum += rec.Throughput
 			s.Bytes += rec.BytesRead + rec.BytesWritten
-			if rec.Time < s.FirstTime {
-				s.FirstTime = rec.Time
-			}
-			if rec.Time > s.LastTime {
-				s.LastTime = rec.Time
-			}
-		}
-		mean := sum / float64(len(positions))
-		for _, p := range positions {
-			d := db.accesses.at(p).Throughput - mean
+			s.FirstTime = min(s.FirstTime, rec.Time)
+			s.LastTime = max(s.LastTime, rec.Time)
+		})
+		mean := sum / float64(n)
+		db.each(st, n, func(rec *AccessRecord) {
+			d := rec.Throughput - mean
 			sq += d * d
-		}
+		})
 		s.MeanThroughput = mean
-		s.StdThroughput = math.Sqrt(sq / float64(len(positions)))
+		s.StdThroughput = math.Sqrt(sq / float64(n))
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
