@@ -190,15 +190,18 @@ type LoopState struct {
 }
 
 // State captures the loop's counters and logs. Heat entries are sorted
-// by file ID for a deterministic wire form.
+// by file ID for a deterministic wire form. The logs are the loop's own
+// slices, not copies — a snapshot is encoded and dropped before the loop
+// runs again, and the logs grow with the whole history — so the result is
+// valid until the next run: encode it first, and do not modify it.
 func (l *Loop) State() LoopState {
 	st := LoopState{
 		AccessCount: l.accessCount,
 		LastRun:     l.lastRun,
-		Movements:   append([]MovementEvent(nil), l.movements...),
-		TrainLog:    append([]TrainReport(nil), l.trainLog...),
-		Deferrals:   append([]Deferral(nil), l.deferrals...),
-		Skipped:     append([]SkippedDecision(nil), l.skipped...),
+		Movements:   l.movements,
+		TrainLog:    l.trainLog,
+		Deferrals:   l.deferrals,
+		Skipped:     l.skipped,
 	}
 	for id, t := range l.lastAccess {
 		st.Heat = append(st.Heat, FileHeatState{FileID: id, LastAccess: t, Accesses: l.accesses[id]})

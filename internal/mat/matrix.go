@@ -170,43 +170,113 @@ func Mul(a, b *Matrix) *Matrix {
 // MulTo computes dst = a×b, reusing dst's storage. dst must be a.Rows×b.Cols
 // and must not alias a or b.
 func MulTo(dst, a, b *Matrix) {
+	checkMul("MulTo", dst, a, b)
+	mulRows(dst, a, b, nil, false, 0, a.Rows)
+}
+
+// MulBiasTo computes dst = a×b + bias, bias added to every row, and then,
+// if rectify, sets every element less than zero to +0: a dense layer's
+// forward pass with its Linear or ReLU epilogue. dst must be a.Rows×b.Cols
+// and must not alias a or b; len(bias) must be b.Cols.
+//
+// Element (i,j) is MulTo's sum, then that sum + bias[j], then the select,
+// each step rounded as the separate passes would round it: the result is
+// bit-identical to MulTo followed by AddRowVector and a `v < 0 → 0` pass,
+// which keeps −0 and NaN as they are.
+func MulBiasTo(dst, a, b *Matrix, bias []float64, rectify bool) {
+	checkMul("MulBiasTo", dst, a, b)
+	if len(bias) != b.Cols {
+		panic(fmt.Sprintf("mat: MulBiasTo bias has %d values, want %d", len(bias), b.Cols))
+	}
+	mulRows(dst, a, b, bias, rectify, 0, a.Rows)
+}
+
+// checkMul panics unless dst = a×b is a product of matching shapes whose
+// destination shares no storage with an operand.
+func checkMul(op string, dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
+		panic(fmt.Sprintf("mat: %s dst is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	mulRows(dst, a, b, 0, a.Rows)
+	if overlaps(dst, a) || overlaps(dst, b) {
+		panic("mat: " + op + " dst aliases an operand")
+	}
 }
 
-// mulRows computes output rows [lo, hi) of dst = a×b. Each output row
-// depends only on the matching row of a, and every element sums all of its
-// products in ascending-k order from +0 — no term is skipped on any row, so
-// 0·±Inf is NaN wherever the row sits — which makes disjoint row ranges
-// safe to run concurrently and a row's bits independent of the batch it is
-// in, of how the rows are sharded and of which body below produced it.
-func mulRows(dst, a, b *Matrix, lo, hi int) {
+// mulRows computes output rows [lo, hi) of dst = a×b and, unless bias is
+// nil, MulBiasTo's epilogue on them. Each output row depends only on the
+// matching row of a, and every element sums all of its products in
+// ascending-k order from +0 — no term is skipped on any row, so 0·±Inf is
+// NaN wherever the row sits — which makes disjoint row ranges safe to run
+// concurrently and a row's bits independent of the batch it is in, of how
+// the rows are sharded, of whether it falls in a 4-row tile and of which
+// body below produced it.
+func mulRows(dst, a, b *Matrix, bias []float64, rectify bool, lo, hi int) {
 	n, kdim := b.Cols, a.Cols
 	j0 := 0
 	if useAVX2 && n >= 4 {
-		// Row i of the product is the combination of b's rows with row i of
-		// a as coefficients. The offsets of b's rows are the same for every
-		// i; kdim is a layer width, so they fit the stack.
-		var buf [256]int
-		off := buf[:0]
-		if kdim > len(buf) {
-			off = make([]int, 0, kdim)
-		}
-		for k := 0; k < kdim; k++ {
-			off = append(off, k*n)
-		}
 		j0 = n &^ 3
-		for i := lo; i < hi; i++ {
-			rowCombine(dst.Data[i*n:i*n+j0], b.Data, a.Data[i*kdim:(i+1)*kdim], off, false)
+		tiled := lo + (hi-lo)&^3
+		if tiled > lo {
+			mulTile4AVX2(unsafe.SliceData(dst.Data[lo*n:]), unsafe.SliceData(a.Data[lo*kdim:]), kdim,
+				unsafe.SliceData(b.Data), n, (tiled-lo)/4, unsafe.SliceData(bias), rectify)
+		}
+		if tiled < hi {
+			// The last rows: row i of the product is the combination of b's
+			// rows with row i of a as coefficients. The offsets of b's rows
+			// are the same for every i; kdim is a layer width, so they fit
+			// the stack.
+			var buf [256]int
+			off := buf[:0]
+			if kdim > len(buf) {
+				off = make([]int, 0, kdim)
+			}
+			for k := 0; k < kdim; k++ {
+				off = append(off, k*n)
+			}
+			for i := tiled; i < hi; i++ {
+				row := dst.Data[i*n : i*n+j0]
+				rowCombine(row, b.Data, a.Data[i*kdim:(i+1)*kdim], off, false)
+				if bias != nil {
+					epilogueGo(row, bias, rectify)
+				}
+			}
 		}
 	}
 	if j0 < n {
 		mulRowsGo(dst, a, b, lo, hi, j0)
+		if bias != nil {
+			for i := lo; i < hi; i++ {
+				epilogueGo(dst.Data[i*n+j0:(i+1)*n], bias[j0:], rectify)
+			}
+		}
+	}
+}
+
+// epilogueGo is the portable twin of mulTile4AVX2's epilogue, over one
+// stretch of a row and the matching stretch of bias: row[j] + bias[j],
+// the accumulated sum first as in the assembly, then, if rectify, v < 0 →
+// +0.
+func epilogueGo(row, bias []float64, rectify bool) {
+	bias = bias[:len(row)]
+	if !rectify {
+		for j, bv := range bias {
+			row[j] += bv
+		}
+		return
+	}
+	for j, bv := range bias {
+		v := row[j] + bv
+		// Selected on the bit pattern so the compiler emits a branchless
+		// select: activation signs are close to random, so a branch here
+		// mispredicts half the time. The strict v < 0 keeps −0 and NaN.
+		bits := math.Float64bits(v)
+		if v < 0 {
+			bits = 0
+		}
+		row[j] = math.Float64frombits(bits)
 	}
 }
 
@@ -218,11 +288,12 @@ func mulRowsGo(dst, a, b *Matrix, lo, hi, j0 int) {
 	// hot loop issues no stores and reuses every loaded b element across
 	// four rows. Each output element still sums its products in
 	// ascending-k order, so the result is bit-identical to the
-	// one-row-at-a-time loop below.
+	// one-row-at-a-time loop below. An empty inner dimension (b has no
+	// element to point the walk at) goes to that loop too.
 	n := b.Cols
 	kdim := a.Cols
 	i := lo
-	for ; i+4 <= hi; i += 4 {
+	for ; kdim > 0 && i+4 <= hi; i += 4 {
 		a0 := a.Data[i*kdim : (i+1)*kdim]
 		a1 := a.Data[(i+1)*kdim : (i+2)*kdim]
 		a2 := a.Data[(i+2)*kdim : (i+3)*kdim]
@@ -323,17 +394,12 @@ const parallelMulMinRows = 32
 // same arithmetic order as the serial product, so the result is
 // bit-for-bit identical for any worker count.
 func ParallelMulTo(dst, a, b *Matrix, workers int) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
+	checkMul("ParallelMulTo", dst, a, b)
 	if workers > a.Rows/parallelMulMinRows {
 		workers = a.Rows / parallelMulMinRows
 	}
 	if workers <= 1 {
-		mulRows(dst, a, b, 0, a.Rows)
+		mulRows(dst, a, b, nil, false, 0, a.Rows)
 		return
 	}
 	chunk := (a.Rows + workers - 1) / workers
@@ -346,7 +412,7 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			mulRows(dst, a, b, lo, hi)
+			mulRows(dst, a, b, nil, false, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

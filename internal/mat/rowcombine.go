@@ -2,9 +2,9 @@ package mat
 
 import "unsafe"
 
-// useAVX2 selects the assembly row combination. It is set once, at package
-// init, from what the platform is (rowcombine_amd64.go); a variable only so
-// that tests can run both implementations in one process.
+// useAVX2 selects the assembly row combination and tile kernel. It is set
+// once, at package init, from what the platform is (rowcombine_amd64.go); a
+// variable only so that tests can run both implementations in one process.
 var useAVX2 bool
 
 // rowCombine is the one primitive under the forward product and the

@@ -4,8 +4,8 @@ package mat
 
 func init() { useAVX2 = detectAVX2() }
 
-// detectAVX2 reports whether rowCombineAVX2 may run here: the CPU has AVX2
-// and the OS saves the YMM registers across context switches.
+// detectAVX2 reports whether the assembly kernels may run here: the CPU has
+// AVX2 and the OS saves the YMM registers across context switches.
 func detectAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -23,6 +23,9 @@ func detectAVX2() bool {
 
 //go:noescape
 func rowCombineAVX2(out *float64, n int, b *float64, coef *float64, off *int, terms int, accumulate bool)
+
+//go:noescape
+func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -154,6 +154,190 @@ done:
 	VZEROUPPER
 	RET
 
+// MAC folds one broadcast coefficient times one vector of B into one
+// accumulator, rounded as TERM rounds: acc += coef·bv.
+#define MAC(coef, bv, tmp, acc) \
+	VMULPD bv, coef, tmp; \
+	VADDPD tmp, acc, acc
+
+// RELU sets every lane of acc that is less than zero (ordered: NaN and −0
+// are not) to +0 and leaves the rest, exactly as `if v < 0 { v = 0 }`.
+// Y15 holds +0 and Y14 is scratch.
+#define RELU(acc) \
+	VCMPPD $0x11, Y15, acc, Y14; \
+	VANDNPD acc, Y14, acc
+
+// func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
+//
+// The forward product on tiles of four rows: for each of tiles·4 rows of
+// a (kdim wide) and of dst (n wide), dst[i][j] = Σₖ a[i][k]·b[k][j] over
+// ascending k from +0 for j in [0, n&^3), then + bias[j] unless bias is
+// nil, then v < 0 → +0 if rectify. Columns go in blocks of 8 (eight
+// accumulators: four rows by two vectors), then at most one of 4 (four).
+// Each term loads its vectors of B once and broadcasts a[i][k] for each of
+// the four rows, so a block has eight (or four) independent chains in
+// flight where a single row had two (or one). Every lane is one output
+// element summing its own products in the order rowCombineAVX2 does, and
+// the bias and the select are applied in registers before the one store.
+// The caller guarantees AVX2 (useAVX2), n >= 4 and that every row is in
+// bounds; the last n&3 columns are its own.
+TEXT ·mulTile4AVX2(SB), NOSPLIT, $0-57
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ kdim+16(FP), R9
+	SHLQ $3, R9               // R9: a's row stride in bytes
+	LEAQ (R9)(R9*2), R13      // R13: three of them
+	MOVQ n+32(FP), R11
+	SHLQ $3, R11              // R11: b's and dst's row stride in bytes
+	MOVQ tiles+40(FP), R12
+	TESTQ R12, R12
+	JZ   tilesdone
+
+tile:
+	MOVQ b+24(FP), SI         // SI: row 0 of b at the current column block
+	MOVQ bias+48(FP), BX      // BX: bias at the current column block
+	MOVQ n+32(FP), CX         // CX: columns left
+	LEAQ (R8)(R9*1), R10      // R10: end of the tile's first row of a
+
+cols8:
+	CMPQ CX, $8
+	JLT  cols4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, DX               // DX: row k of b
+	MOVQ R8, AX               // AX: column k of the tile's first row of a
+	CMPQ AX, R10
+	JEQ  bias8
+term8:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	VBROADCASTSD (AX), Y10
+	VBROADCASTSD (AX)(R9*1), Y11
+	VBROADCASTSD (AX)(R9*2), Y12
+	VBROADCASTSD (AX)(R13*1), Y13
+	MAC(Y10, Y8, Y14, Y0)
+	MAC(Y10, Y9, Y15, Y1)
+	MAC(Y11, Y8, Y14, Y2)
+	MAC(Y11, Y9, Y15, Y3)
+	MAC(Y12, Y8, Y14, Y4)
+	MAC(Y12, Y9, Y15, Y5)
+	MAC(Y13, Y8, Y14, Y6)
+	MAC(Y13, Y9, Y15, Y7)
+	ADDQ $8, AX
+	ADDQ R11, DX
+	CMPQ AX, R10
+	JNE  term8
+bias8:
+	CMPQ bias+48(FP), $0
+	JEQ  relu8
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y9, Y3, Y3
+	VADDPD Y8, Y4, Y4
+	VADDPD Y9, Y5, Y5
+	VADDPD Y8, Y6, Y6
+	VADDPD Y9, Y7, Y7
+relu8:
+	CMPB rectify+56(FP), $0
+	JEQ  store8
+	VXORPD Y15, Y15, Y15
+	RELU(Y0)
+	RELU(Y1)
+	RELU(Y2)
+	RELU(Y3)
+	RELU(Y4)
+	RELU(Y5)
+	RELU(Y6)
+	RELU(Y7)
+store8:
+	LEAQ (DI)(R11*2), DX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R11*1)
+	VMOVUPD Y3, 32(DI)(R11*1)
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	VMOVUPD Y6, (DX)(R11*1)
+	VMOVUPD Y7, 32(DX)(R11*1)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, BX
+	SUBQ $8, CX
+	JMP  cols8
+
+cols4:
+	CMPQ CX, $4
+	JLT  nexttile
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, DX
+	MOVQ R8, AX
+	CMPQ AX, R10
+	JEQ  bias4
+term4tile:
+	VMOVUPD (DX), Y8
+	VBROADCASTSD (AX), Y10
+	VBROADCASTSD (AX)(R9*1), Y11
+	VBROADCASTSD (AX)(R9*2), Y12
+	VBROADCASTSD (AX)(R13*1), Y13
+	MAC(Y10, Y8, Y14, Y0)
+	MAC(Y11, Y8, Y15, Y1)
+	MAC(Y12, Y8, Y14, Y2)
+	MAC(Y13, Y8, Y15, Y3)
+	ADDQ $8, AX
+	ADDQ R11, DX
+	CMPQ AX, R10
+	JNE  term4tile
+bias4:
+	CMPQ bias+48(FP), $0
+	JEQ  relu4
+	VMOVUPD (BX), Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y3, Y3
+relu4:
+	CMPB rectify+56(FP), $0
+	JEQ  store4tile
+	VXORPD Y15, Y15, Y15
+	RELU(Y0)
+	RELU(Y1)
+	RELU(Y2)
+	RELU(Y3)
+store4tile:
+	LEAQ (DI)(R11*2), DX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R11*1)
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, (DX)(R11*1)
+	ADDQ $32, DI
+	SUBQ $4, CX
+
+nexttile:
+	// DI is at column n - CX of the tile's first row; the next tile starts
+	// four rows below that row's column 0.
+	LEAQ (DI)(CX*8), DI
+	LEAQ (DI)(R11*2), DI
+	ADDQ R11, DI
+	LEAQ (R8)(R9*4), R8
+	DECQ R12
+	JNZ  tile
+
+tilesdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

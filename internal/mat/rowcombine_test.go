@@ -95,59 +95,81 @@ func TestRowCombineMatchesPortable(t *testing.T) {
 func FuzzRowCombine(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), false)
 	f.Fuzz(func(t *testing.T, data []byte, n, terms uint8, accumulate bool) {
-		// Values are the input's bytes read eight at a time, round and round.
-		pos := 0
-		next := func() uint64 {
-			var w [8]byte
-			for i := range w {
-				if len(data) > 0 {
-					w[i] = data[pos%len(data)]
-					pos++
-				}
-			}
-			return binary.LittleEndian.Uint64(w[:])
-		}
-		values := func(k int) []float64 {
-			v := make([]float64, k)
-			for i := range v {
-				v[i] = math.Float64frombits(next())
-			}
-			return v
-		}
-		shift := int(next() % 4)
-		b := values(shift + 2*int(n) + int(terms) + 1)[shift:]
+		in := &fuzzInput{data: data}
+		shift := int(in.next() % 4)
+		b := in.values(shift + 2*int(n) + int(terms) + 1)[shift:]
 		off := make([]int, terms)
 		for i := range off {
-			off[i] = int(next() % uint64(len(b)-int(n)+1))
+			off[i] = int(in.next() % uint64(len(b)-int(n)+1))
 		}
 		checkRowCombine(t, fmt.Sprintf("n=%d terms=%d accumulate=%v", n, terms, accumulate),
-			values(int(n)), b, values(int(terms)), off, accumulate, shift)
+			in.values(int(n)), b, in.values(int(terms)), off, accumulate, shift)
 	})
+}
+
+// fuzzInput turns a fuzzer's bytes into float64 bit patterns: the bytes
+// read eight at a time, round and round (all zeros when there are none).
+type fuzzInput struct {
+	data []byte
+	pos  int
+}
+
+func (in *fuzzInput) next() uint64 {
+	var w [8]byte
+	for i := range w {
+		if len(in.data) > 0 {
+			w[i] = in.data[in.pos%len(in.data)]
+			in.pos++
+		}
+	}
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+func (in *fuzzInput) values(k int) []float64 {
+	v := make([]float64, k)
+	for i := range v {
+		v[i] = math.Float64frombits(in.next())
+	}
+	return v
 }
 
 // A forward row's result must not depend on where the row sits: in which
 // batch, at which position of it (inside a 4-row tile or in the tail), or
 // on which side of a shard boundary. With non-finite weights that needs
-// every term summed on every row — 0·±Inf is NaN — on both implementations.
+// every term summed on every row — 0·±Inf is NaN — on both implementations,
+// and the fused epilogue applied alike to tiled and tail rows.
 func TestMulToRowPositionInvariant(t *testing.T) {
 	onEachKernel(t, func(kernel string) {
 		check := func(what string, row, b *Matrix) {
-			want := New(1, b.Cols)
-			MulTo(want, row, b)
 			place := func(rng *rand.Rand, rows, pos int) *Matrix {
 				a := filled(rng, rows, row.Cols, "specials")
 				a.SetRow(pos, row.Data)
 				return a
 			}
 			rng := rand.New(rand.NewSource(25))
-			for _, rows := range []int{1, 3, 4, 5, 8, 9, 33} {
-				for pos := 0; pos < rows; pos++ {
-					got := New(rows, b.Cols)
-					MulTo(got, place(rng, rows, pos), b)
-					at := Matrix{Rows: 1, Cols: b.Cols, Data: got.Row(pos)}
-					assertSameBits(t, fmt.Sprintf("%s %s: row %d of %d", kernel, what, pos, rows), &at, want)
+			bias := filled(rng, 1, b.Cols, "specials").Data
+			products := []struct {
+				name string
+				mul  func(dst, a *Matrix)
+			}{
+				{"MulTo", func(dst, a *Matrix) { MulTo(dst, a, b) }},
+				{"MulBiasTo", func(dst, a *Matrix) { MulBiasTo(dst, a, b, bias, false) }},
+				{"MulBiasTo rectified", func(dst, a *Matrix) { MulBiasTo(dst, a, b, bias, true) }},
+			}
+			for _, p := range products {
+				want := New(1, b.Cols)
+				p.mul(want, row)
+				for _, rows := range []int{1, 3, 4, 5, 8, 9, 33} {
+					for pos := 0; pos < rows; pos++ {
+						got := New(rows, b.Cols)
+						p.mul(got, place(rng, rows, pos))
+						at := Matrix{Rows: 1, Cols: b.Cols, Data: got.Row(pos)}
+						assertSameBits(t, fmt.Sprintf("%s %s %s: row %d of %d", kernel, p.name, what, pos, rows), &at, want)
+					}
 				}
 			}
+			want := New(1, b.Cols)
+			MulTo(want, row, b)
 			// 130 rows is the least ParallelMulTo cuts four ways; the cuts
 			// move with the worker count, and with them which rows are tiled.
 			const rows = 130

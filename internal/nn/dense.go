@@ -64,40 +64,12 @@ func (d *Dense) grads() []*mat.Matrix  { return []*mat.Matrix{d.dW, d.dB} }
 // back). A row's result does not depend on the rows around it, so callers
 // are free to cut a batch into blocks and run them side by side.
 func (d *Dense) forwardInto(dst, x *mat.Matrix) {
-	mat.MulTo(dst, x, d.W)
-	// Fused bias+activation epilogue: one pass over dst instead of an
-	// AddRowVector pass plus a per-element method-value call. Each element
-	// still computes act(v + b[j]), so results are bit-identical to the
-	// per-sample forward path.
-	bias := d.B.Data
-	n := len(bias)
-	switch d.Act {
-	case ReLU:
-		for r := 0; r < dst.Rows; r++ {
-			row := dst.Data[r*n : (r+1)*n]
-			for j, bv := range bias {
-				v := row[j] + bv
-				// Conditional on the integer bit pattern so the compiler
-				// emits a branchless select: activation signs are close to
-				// random, so a branch here mispredicts half the time. The
-				// strict v < 0 test keeps −0 and NaN unchanged, exactly
-				// like Activation.Apply.
-				bits := math.Float64bits(v)
-				if v < 0 {
-					bits = 0
-				}
-				row[j] = math.Float64frombits(bits)
-			}
-		}
-	case Linear:
-		for r := 0; r < dst.Rows; r++ {
-			row := dst.Data[r*n : (r+1)*n]
-			for j, bv := range bias {
-				row[j] += bv
-			}
-		}
-	default:
-		dst.AddRowVector(d.B)
+	// The bias, and a ReLU's select, run inside the product on each element
+	// before it is stored: v + b[j], then the strict v < 0 of
+	// Activation.Apply, so results are bit-identical to the per-sample
+	// forward path. Any other non-linear activation is one pass after it.
+	mat.MulBiasTo(dst, x, d.W, d.B.Data, d.Act == ReLU)
+	if d.Act != ReLU && d.Act != Linear {
 		dst.ApplyInPlace(d.Act.Apply)
 	}
 }
