@@ -451,13 +451,25 @@ func Hadamard(a, b *Matrix) *Matrix {
 	return out
 }
 
-// AddScaled sets a += s*b elementwise; the axpy of gradient descent.
+// AddScaled sets a += s*b elementwise; the axpy of gradient descent. It is
+// the one-term row combination, so every element is a + (s·b) with the
+// product rounded first, exactly as `a[i] += s*b[i]`.
 func AddScaled(a *Matrix, s float64, b *Matrix) {
 	sameShape("AddScaled", a, b)
-	ad, bd := a.Data, b.Data[:len(a.Data)]
-	for i, v := range bd {
-		ad[i] += s * v
-	}
+	coef, off := [1]float64{s}, [1]int{0}
+	rowCombine(a.Data, b.Data, coef[:], off[:], true)
+}
+
+// ReLUGradTo sets dst = grad ∘ (out > 0): the gradient through a ReLU whose
+// output was out. The derivative is 1 where out > 0 and 0 everywhere else,
+// NaN included (the compare is ordered), and the product is still taken,
+// so a zero derivative keeps grad's sign on the zero and turns ±Inf and
+// NaN into NaN, as multiplying by DerivFromOutput's factor does. dst may be
+// grad itself.
+func ReLUGradTo(dst, grad, out *Matrix) {
+	sameShape("ReLUGradTo", dst, grad)
+	sameShape("ReLUGradTo", dst, out)
+	reluGrad(dst.Data, grad.Data, out.Data)
 }
 
 // Apply returns a new matrix with f applied to every element of m.
@@ -491,16 +503,38 @@ func (m *Matrix) AddRowVector(v *Matrix) {
 }
 
 // SumRows returns a 1×Cols vector whose entries are the column sums of m;
-// the reduction used for bias gradients.
+// the reduction used for bias gradients. It is AddSumRowsTo into a fresh
+// +0 row.
 func (m *Matrix) SumRows() *Matrix {
 	out := New(1, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			out.Data[c] += v
-		}
-	}
+	AddSumRowsTo(out, m)
 	return out
+}
+
+// AddSumRowsTo adds the column sums of m into the 1×m.Cols vector dst,
+// which must not alias m. Element j becomes ((dst[j] + m[0][j]) + m[1][j])
+// + … in ascending row order: the row combination of m's rows with every
+// coefficient 1, and 1·x is x exactly, so each step is the plain `dst[j] +=
+// v`.
+func AddSumRowsTo(dst, m *Matrix) {
+	if dst.Rows != 1 || dst.Cols != m.Cols {
+		panic(fmt.Sprintf("mat: AddSumRowsTo dst is %dx%d, want 1x%d", dst.Rows, dst.Cols, m.Cols))
+	}
+	if overlaps(dst, m) {
+		panic("mat: AddSumRowsTo dst aliases m")
+	}
+	// Up to transATile rows per rowCombine; the offsets are relative to the
+	// tile's first row, so one set serves every tile.
+	n := m.Cols
+	var ones [transATile]float64
+	var off [transATile]int
+	for t := range ones {
+		ones[t], off[t] = 1, t*n
+	}
+	for r0 := 0; r0 < m.Rows; r0 += transATile {
+		terms := min(transATile, m.Rows-r0)
+		rowCombine(dst.Data, m.Data[r0*n:], ones[:terms], off[:terms], true)
+	}
 }
 
 // Equal reports whether a and b have the same shape and all elements are

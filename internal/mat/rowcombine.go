@@ -1,14 +1,18 @@
 package mat
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
-// useAVX2 selects the assembly row combination and tile kernel. It is set
+// useAVX2 selects the assembly row combination, tile and gate kernels. It is set
 // once, at package init, from what the platform is (rowcombine_amd64.go); a
 // variable only so that tests can run both implementations in one process.
 var useAVX2 bool
 
-// rowCombine is the one primitive under the forward product and the
-// gradient product: out[j] (= | +=) Σₜ coef[t]·b[off[t]+j] for every j, the
+// rowCombine is the one primitive under the forward product, the gradient
+// product, the bias gradient's column sum (every coef 1) and the SGD step
+// (one term): out[j] (= | +=) Σₜ coef[t]·b[off[t]+j] for every j, the
 // sum taken in ascending t from +0 (accumulate false) or from what out[j]
 // held (accumulate true), each product rounded before it is added. Every
 // off[t]+len(out) must be within b: the callers build the offsets from
@@ -67,5 +71,40 @@ func rowCombineGo(out, b, coef []float64, off []int, accumulate bool, j int) {
 			s += v * b[off[t]+j]
 		}
 		out[j] = s
+	}
+}
+
+// reluGrad is the ReLU derivative gate, dst[i] = grad[i] · (out[i] > 0 ?
+// 1 : 0), over three slices of one length. Whole blocks of four go through
+// reluGradAVX2 on a CPU with AVX2, the rest through reluGradGo; both take
+// the same ordered compare and the same one product, so they agree bit for
+// bit (up to which NaN a NaN is).
+func reluGrad(dst, grad, out []float64) {
+	i := 0
+	if useAVX2 && len(dst) >= 4 {
+		_, _ = grad[len(dst)-1], out[len(dst)-1]
+		reluGradAVX2(unsafe.SliceData(dst), unsafe.SliceData(grad), unsafe.SliceData(out), len(dst))
+		i = len(dst) &^ 3
+	}
+	if i < len(dst) {
+		reluGradGo(dst[i:], grad[i:], out[i:])
+	}
+}
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
+
+// reluGradGo is reluGrad's portable body. The derivative is selected on
+// its bit pattern, so the compiler emits a conditional move — activation
+// signs are close to random — and the product is still taken: 0·grad keeps
+// grad's sign on the zero and turns ±Inf into NaN.
+func reluGradGo(dst, grad, out []float64) {
+	grad, out = grad[:len(dst)], out[:len(dst)]
+	for i, y := range out {
+		var deriv uint64
+		if y > 0 {
+			deriv = oneBits
+		}
+		dst[i] = grad[i] * math.Float64frombits(deriv)
 	}
 }

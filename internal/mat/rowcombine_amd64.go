@@ -27,6 +27,9 @@ func rowCombineAVX2(out *float64, n int, b *float64, coef *float64, off *int, te
 //go:noescape
 func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
 
+//go:noescape
+func reluGradAVX2(dst *float64, grad *float64, out *float64, n int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -338,6 +338,61 @@ tilesdone:
 	VZEROUPPER
 	RET
 
+// GATE sets four elements of dst, at byte offset disp, to grad · (out > 0
+// ? 1 : 0): VCMPPD $0x1E (GT_OQ, false for NaN and for both zeros) of out
+// against +0 in Y15, the mask ANDed into 1.0 in Y14 to give 1 or +0, then
+// one VMULPD with grad, so a zero derivative still meets grad and turns
+// ±Inf into NaN. m is scratch.
+#define GATE(disp, m) \
+	VMOVUPD disp(DX), m; \
+	VCMPPD $0x1E, Y15, m, m; \
+	VANDPD Y14, m, m; \
+	VMULPD disp(SI), m, m; \
+	VMOVUPD m, disp(DI)
+
+// func reluGradAVX2(dst *float64, grad *float64, out *float64, n int)
+//
+// The ReLU derivative gate, dst[i] = grad[i] · (out[i] > 0 ? 1 : 0) for i
+// in [0, n&^3), in blocks of 16 elements, then of 4; the last n&3 are the
+// caller's. dst may be grad: each element is loaded before it is stored.
+// The caller guarantees AVX2 (useAVX2) and that the three are n long.
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ out+16(FP), DX
+	MOVQ n+24(FP), CX
+	VXORPD Y15, Y15, Y15
+	MOVQ $0x3FF0000000000000, AX // 1.0
+	MOVQ AX, X14
+	VPBROADCASTQ X14, Y14
+
+gate16:
+	CMPQ CX, $16
+	JLT  gate4
+	GATE(0, Y0)
+	GATE(32, Y1)
+	GATE(64, Y2)
+	GATE(96, Y3)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	JMP  gate16
+
+gate4:
+	CMPQ CX, $4
+	JLT  gatedone
+	GATE(0, Y0)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  gate4
+
+gatedone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -2,12 +2,16 @@
 
 package mat
 
-// rowCombineAVX2 and mulTile4AVX2 have no body on this platform and
-// useAVX2 stays false, so nothing calls them.
+// rowCombineAVX2, mulTile4AVX2 and reluGradAVX2 have no body on this
+// platform and useAVX2 stays false, so nothing calls them.
 func rowCombineAVX2(out *float64, n int, b *float64, coef *float64, off *int, terms int, accumulate bool) {
 	panic("mat: no assembly row combination on this platform")
 }
 
 func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool) {
 	panic("mat: no assembly tile kernel on this platform")
+}
+
+func reluGradAVX2(dst *float64, grad *float64, out *float64, n int) {
+	panic("mat: no assembly gate kernel on this platform")
 }

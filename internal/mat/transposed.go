@@ -39,8 +39,10 @@ func overlaps(x, y *Matrix) bool {
 }
 
 // transATile is how many rows of a (terms of one output element's sum) the
-// aᵀ×b kernel folds into dst per pass over it.
-const transATile = 8
+// aᵀ×b kernel and the column sum fold into dst per pass over it: a whole
+// minibatch of the trainer's 32 rows, so each row of dW and dB is read and
+// written once per step.
+const transATile = 32
 
 // AddMulTransATo accumulates dst += aᵀ×b. dst must be a.Cols×b.Cols and
 // must not alias a or b.
@@ -71,7 +73,8 @@ func AddMulTransATo(dst, a, b *Matrix) {
 	// b's row k) and row i of dst takes their combination of b's rows in
 	// one rowCombine, so dst is read and written once per tile instead of
 	// once per row of a, and the zero test runs once per (k,i) rather than
-	// inside the column loop.
+	// inside the column loop. Each element's chain still runs in ascending
+	// k from what dst held, so where the tiles fall changes no bit.
 	var av [transATile]float64
 	var off [transATile]int
 	for k0 := 0; k0 < a.Rows; k0 += transATile {

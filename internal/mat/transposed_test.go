@@ -91,12 +91,15 @@ func assertSameBits(t *testing.T, what string, got, want *Matrix) {
 var (
 	kernelRows = []int{1, 7, 8, 9, 32}
 	kernelCols = []int{1, 6, 24, 25, 96}
+	// transARows add heights past the 32-row tile that are not a multiple
+	// of it: the recurrent layers' MulTransA takes any batch height.
+	transARows = append(kernelRows, 31, 33, 70)
 )
 
 func TestAddMulTransAToMatchesReference(t *testing.T) {
 	onEachKernel(t, func(kernel string) {
 		rng := rand.New(rand.NewSource(21))
-		for _, rows := range kernelRows {
+		for _, rows := range transARows {
 			for _, m := range kernelCols {
 				for _, n := range kernelCols {
 					for _, fa := range fills {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -74,16 +73,13 @@ func (d *Dense) forwardInto(dst, x *mat.Matrix) {
 	}
 }
 
-// oneBits is the bit pattern of 1.0.
-const oneBits = 0x3FF0000000000000
-
 // backwardInto is the one backward body. Given the layer's input and
 // output of the forward pass and dLoss/dOutput, it accumulates the
 // parameter gradients into dW and dB — which the caller has zeroed, so
 // that every element's sum starts from +0 exactly as a fresh product
-// matrix would (see mat.AddMulTransATo) — and, unless dX is nil, writes
-// dLoss/dInput = dZ·Wᵀ into it as the forward product against wT, the
-// caller's packed transpose of W: element for element the sums of
+// matrix or SumRows would (see mat.AddMulTransATo) — and, unless dX is
+// nil, writes dLoss/dInput = dZ·Wᵀ into it as the forward product against
+// wT, the caller's packed transpose of W: element for element the sums of
 // mat.MulTransBTo(dX, dZ, W), on the kernel that reads its right operand
 // along rows. dZ is the buffer for dLoss/dZ; a Linear layer's dZ is dOut
 // itself and the buffer is not touched.
@@ -92,30 +88,14 @@ func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut, wT *mat.Matrix) {
 	case Linear:
 		dZ = dOut
 	case ReLU:
-		// The derivative is selected — on its bit pattern, so the compiler
-		// emits a conditional move: activation signs are close to random —
-		// and the product is still taken: 0·dOut keeps dOut's sign on the
-		// zero and turns ±Inf into NaN, as DerivFromOutput's factor does.
-		dz, do := dZ.Data[:len(out.Data)], dOut.Data[:len(out.Data)]
-		for i, y := range out.Data {
-			var deriv uint64
-			if y > 0 {
-				deriv = oneBits
-			}
-			dz[i] = do[i] * math.Float64frombits(deriv)
-		}
+		mat.ReLUGradTo(dZ, dOut, out)
 	default:
 		for i, y := range out.Data {
 			dZ.Data[i] = dOut.Data[i] * d.Act.DerivFromOutput(y)
 		}
 	}
 	mat.AddMulTransATo(dW, in, dZ)
-	n := d.Out
-	for r := 0; r < dZ.Rows; r++ {
-		for j, v := range dZ.Data[r*n : (r+1)*n] {
-			dB.Data[j] += v
-		}
-	}
+	mat.AddSumRowsTo(dB, dZ)
 	if dX != nil {
 		mat.MulTo(dX, dZ, wT)
 	}

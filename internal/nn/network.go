@@ -16,6 +16,12 @@ import (
 // ignore it.
 const DefaultWindow = 8
 
+// MaxWindow is the longest window Load accepts from a snapshot. A window
+// sizes a recurrent batch's input (window × rows × InSize values per
+// batch), so it is bounded like a layer width is; Table I's models read
+// DefaultWindow, and a thousand-step BPTT is already far past them.
+const MaxWindow = 1024
+
 // Network is a feed-forward stack, optionally headed by one recurrent layer
 // (every recurrent architecture in Table I has exactly one, in first
 // position). It predicts a scalar throughput from a feature vector (dense

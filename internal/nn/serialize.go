@@ -88,11 +88,20 @@ var gates = map[string]int{"SimpleRNN": 1, "GRU": 3, "LSTM": 4}
 // check verifies, allocating nothing, that the network the snapshot
 // declares is one Load can build and needs exactly the parameter blocks the
 // snapshot carries, in Params() order: every width positive and free of
-// overflow, every block exactly rows × cols values long. The blocks' own
-// lengths bound every allocation Load then makes by the size of the blob.
+// overflow, every block exactly rows × cols values long, the window in
+// [1, MaxWindow]. The blocks' own lengths bound every allocation Load then
+// makes by the size of the blob, and the window bounds what a recurrent
+// batch assembles.
 func (s *snapshot) check() error {
 	if s.InSize < 1 {
 		return fmt.Errorf("nn: snapshot input width %d", s.InSize)
+	}
+	if len(s.Layers) == 0 {
+		// The first layer's weights are what back InSize.
+		return fmt.Errorf("nn: snapshot has no layers")
+	}
+	if s.Window < 1 || s.Window > MaxWindow {
+		return fmt.Errorf("nn: snapshot window %d outside [1, %d]", s.Window, MaxWindow)
 	}
 	next := 0 // the parameter block checked next
 	block := func(rows, cols int) error {

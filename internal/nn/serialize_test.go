@@ -89,10 +89,17 @@ func FuzzNetworkLoad(f *testing.F) {
 	last := len(truncated.Params) - 1
 	truncated.Params[last] = truncated.Params[last][:len(truncated.Params[last])/2]
 	hostile := func(width int) snapshot {
-		return snapshot{InSize: 6, Layers: []LayerSpec{{Fixed: width, Kind: "Dense", Act: Linear}},
+		return snapshot{InSize: 6, Window: DefaultWindow, Layers: []LayerSpec{{Fixed: width, Kind: "Dense", Act: Linear}},
 			Params: [][]float64{make([]float64, 6), {0}}}
 	}
-	for _, snap := range []snapshot{valid, truncated, hostile(-3), hostile(1 << 40)} {
+	// A window is read as it is declared: a negative one used to be taken
+	// for DefaultWindow, a huge one to size every recurrent batch.
+	window := func(w int) snapshot {
+		snap := valid
+		snap.Window = w
+		return snap
+	}
+	for _, snap := range []snapshot{valid, truncated, hostile(-3), hostile(1 << 40), window(-1), window(0), window(1 << 40)} {
 		f.Add(snapshotBlob(f, snap))
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -125,6 +132,15 @@ func TestLoadRejectsHostileShapes(t *testing.T) {
 	if _, err := Load(bytes.NewReader(snapshotBlob(t, valid))); err != nil {
 		t.Fatalf("valid model-1 blob: %v", err)
 	}
+	longest := valid
+	longest.Window = MaxWindow
+	net, err := Load(bytes.NewReader(snapshotBlob(t, longest)))
+	if err != nil {
+		t.Fatalf("model-1 blob at MaxWindow: %v", err)
+	}
+	if net.Window != MaxWindow {
+		t.Fatalf("model-1 blob at MaxWindow loaded with window %d", net.Window)
+	}
 	cases := map[string]func(s *snapshot){
 		"negative width":  func(s *snapshot) { s.Layers[0].Fixed = -3 },
 		"huge width":      func(s *snapshot) { s.Layers[0].Fixed = 1 << 40 },
@@ -136,6 +152,10 @@ func TestLoadRejectsHostileShapes(t *testing.T) {
 		"unknown kind":    func(s *snapshot) { s.Layers[1].Kind = "Conv" },
 		"late recurrence": func(s *snapshot) { s.Layers[1].Kind = "GRU" },
 		"bad activation":  func(s *snapshot) { s.Layers[0].Act = 99 },
+		"no layers":       func(s *snapshot) { s.Layers, s.Params, s.InSize = nil, nil, 1<<40 },
+		"negative window": func(s *snapshot) { s.Window = -1 },
+		"zero window":     func(s *snapshot) { s.Window = 0 },
+		"huge window":     func(s *snapshot) { s.Window = MaxWindow + 1 },
 	}
 	for name, mutate := range cases {
 		snap := valid
