@@ -212,25 +212,6 @@ func quickEngineCfg(seed int64) core.Config {
 	return core.Config{Epochs: 10, WindowX: 600, CooldownRuns: 2, Seed: seed}
 }
 
-// BenchmarkAblationRecurrent compares the deployed dense model 1 against
-// the recurrent runner-up model 18 (§V-G's central trade-off).
-func BenchmarkAblationRecurrent(b *testing.B) {
-	for _, m := range []struct {
-		name  string
-		model int
-	}{{"model1-dense", 1}, {"model18-rnn", 18}} {
-		b.Run(m.name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				cfg := quickEngineCfg(int64(i + 1))
-				cfg.ModelNumber = m.model
-				tp = ablationLoop(b, int64(i+1), cfg)
-			}
-			b.ReportMetric(tp/1e9, "GB/s")
-		})
-	}
-}
-
 // BenchmarkAblationOptimizer reproduces the paper's SGD-vs-Adam choice.
 func BenchmarkAblationOptimizer(b *testing.B) {
 	for _, opt := range []string{"sgd", "adam"} {

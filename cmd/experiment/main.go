@@ -47,7 +47,7 @@ func main() {
 		ids = []string{"fig4", "table1", "table2", "table3", "fig5a", "fig5b", "table4", "fig6", "overhead"}
 	case "ablations":
 		ids = []string{"ablation-epsilon", "ablation-cooldown", "ablation-smoothing",
-			"ablation-optimizer", "ablation-model", "ablation-gaps"}
+			"ablation-optimizer", "ablation-gaps"}
 	}
 	for _, one := range ids {
 		start := time.Now()
@@ -160,8 +160,6 @@ func runExperiment(id string, opts experiments.Options, csv bool) error {
 		return runAblation(experiments.AblationSmoothing, opts, csv)
 	case "ablation-optimizer":
 		return runAblation(experiments.AblationOptimizer, opts, csv)
-	case "ablation-model":
-		return runAblation(experiments.AblationModel, opts, csv)
 	case "ablation-gaps":
 		return runAblation(experiments.AblationGapScheduling, opts, csv)
 	default:

@@ -52,7 +52,7 @@ func main() {
 	windowX := flag.Int("window", 1000, "per-device ReplayDB training window")
 	dbPath := flag.String("db", "", "ReplayDB WAL path (empty = in-memory)")
 	verbose := flag.Bool("v", false, "log layout decisions and checkpoint writes")
-	model := flag.Int("model", 1, "Table I architecture number (1-23)")
+	model := flag.Int("model", 1, "dense Table I architecture number (1-11)")
 	epsilon := flag.Float64("epsilon", 0.1, "exploration rate")
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
 	parallel := flag.Int("parallel", 0, "engine worker pool size for scoring (0 = GOMAXPROCS); speed only, never changes a result")

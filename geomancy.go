@@ -184,7 +184,8 @@ type Option func(*config)
 // identically.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithModel selects the Table I architecture (1–23); default 1.
+// WithModel selects one of the dense Table I architectures (1–11); default
+// 1. A recurrent one (12–23) fails New with core.ErrRecurrentModel.
 func WithModel(n int) Option { return func(c *config) { c.model = n } }
 
 // WithEpsilon sets the exploration rate; default 0.1.
@@ -282,8 +283,7 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 // bit-identical to the unsharded engine; n = 0 (the default) disables
 // sharding entirely. Devices are grouped contiguously in profile order.
 // Only the default "geomancy" policy shards — combining WithShards with
-// another WithPolicy fails New — and recurrent architectures (WithModel)
-// are rejected for n > 1.
+// another WithPolicy fails New.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithObserver taps every access's telemetry: fn runs synchronously for

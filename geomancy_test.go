@@ -2,6 +2,7 @@ package geomancy
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -65,6 +66,9 @@ func TestRunLifecycle(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	if _, err := New(WithModel(99)); err == nil {
 		t.Error("invalid model should error")
+	}
+	if _, err := New(WithModel(18)); !errors.Is(err, core.ErrRecurrentModel) {
+		t.Errorf("New(WithModel(18)) = %v, want core.ErrRecurrentModel", err)
 	}
 	if _, err := New(WithDevices([]DeviceProfile{})); err == nil {
 		t.Error("empty cluster should error")

@@ -37,12 +37,15 @@ var (
 	// ErrNotTrained reports a layout proposal requested before the first
 	// completed training cycle.
 	ErrNotTrained = errors.New("core: engine not trained")
+	// ErrRecurrentModel reports a recurrent Table I architecture (12–23);
+	// Table II compares those offline, and the engine scores dense ones.
+	ErrRecurrentModel = errors.New("core: recurrent architecture; the engine scores dense models only")
 )
 
 // Config tunes the engine. Zero values select the paper's settings.
 type Config struct {
-	// ModelNumber picks the Table I architecture; default 1, the model
-	// the paper deployed.
+	// ModelNumber picks the dense Table I architecture (1–11; a recurrent
+	// one is ErrRecurrentModel); default 1, the model the paper deployed.
 	ModelNumber int
 	// Epsilon is the random-exploration rate; default 0.1 ("random
 	// decisions are used by Geomancy 10% of the runs", §V-H).
@@ -142,6 +145,8 @@ const (
 	featureCount = 6
 	// batchSize is the SGD mini-batch size.
 	batchSize = 32
+	// fileHistory is how many recent accesses a file's candidate rows read.
+	fileHistory = 8
 )
 
 // TrainReport summarizes one training cycle.
@@ -192,10 +197,9 @@ type Engine struct {
 
 	// Batched-inference buffers and the select stage's shuffle scratch,
 	// reused across decisions.
-	scratch nn.Scratch    //geomancy:ephemeral scratch buffer, content meaningless between decisions
-	inFlat  *mat.Matrix   //geomancy:ephemeral reusable inference buffer, overwritten per decision
-	inSeq   []*mat.Matrix //geomancy:ephemeral reusable inference buffer, overwritten per decision
-	perm    []int         //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
+	scratch nn.Scratch  //geomancy:ephemeral scratch buffer, content meaningless between decisions
+	inFlat  *mat.Matrix //geomancy:ephemeral reusable inference buffer, overwritten per decision
+	perm    []int       //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
 
 	// fsids maps a local device index to the fsid feature value the
 	// model was trained with. Nil means identity (the engine trained over
@@ -262,6 +266,9 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	net, err := nn.BuildModel(cfg.ModelNumber, featureCount, r.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("core: building model: %w", err)
+	}
+	if net.IsRecurrent() {
+		return nil, fmt.Errorf("%w (model %d)", ErrRecurrentModel, cfg.ModelNumber)
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -504,37 +511,32 @@ func (e *Engine) evaluateDenorm(ds *nn.Dataset, s *nn.Scratch) nn.Metrics {
 }
 
 // fileFeatures are the raw ingredients of a file's candidate rows: the
-// averaged recent transfer volumes, the latest close timestamp, and (for
-// recurrent models) the raw feature rows of the file's history window.
-// They depend only on the file's telemetry and size — not on model
-// weights or scalers — so the pruning plane caches them until the file's
-// telemetry changes (see prune.go).
+// averaged recent transfer volumes and the latest close timestamp. They
+// depend only on the file's telemetry and size — not on model weights or
+// scalers — so the pruning plane caches them until the file's telemetry
+// changes (see prune.go).
 type fileFeatures struct {
 	rb, wb, ts float64
-	hist       [][]float64 // raw history rows, oldest first (recurrent models)
 }
 
-// gatherFileFeatures fetches a file's recent history from the ReplayDB
-// and reduces it to candidate-row ingredients. A file with no recorded
-// telemetry gets a symmetric cold-start prior — half its size split
-// evenly between read and write volume: assuming reads only (the old
-// prior) mis-ranked write-heavy cold files against devices with
+// gatherFileFeatures fetches a file's fileHistory most recent accesses
+// from the ReplayDB and reduces them to candidate-row ingredients. A file
+// with no recorded telemetry gets a symmetric cold-start prior — half its
+// size split evenly between read and write volume: assuming reads only
+// (the old prior) mis-ranked write-heavy cold files against devices with
 // imbalanced read/write bandwidth, visible on the write-ingest scenario.
-func (e *Engine) gatherFileFeatures(f policy.FileInfo, withHist bool) fileFeatures {
+func (e *Engine) gatherFileFeatures(f policy.FileInfo) fileFeatures {
 	// One accumulator, so the walk's callback captures one variable.
 	var acc struct {
 		ff           fileFeatures
 		n            int
 		rbSum, wbSum float64
 	}
-	e.walk.EachRecentByFile(f.ID, e.net.Window, func(rec *replaydb.AccessRecord) {
+	e.walk.EachRecentByFile(f.ID, fileHistory, func(rec *replaydb.AccessRecord) {
 		acc.n++
 		acc.rbSum += float64(rec.BytesRead)
 		acc.wbSum += float64(rec.BytesWritten)
 		acc.ff.ts = float64(rec.CloseTS) + float64(rec.CloseTMS)/1000 // the newest, once the walk ends
-		if withHist {
-			acc.ff.hist = append(acc.ff.hist, appendFeatures(make([]float64, 0, featureCount), rec, fsidFeature(e.devIndex, rec.Device)))
-		}
 	})
 	ff := acc.ff
 	if acc.n > 0 {
@@ -615,35 +617,14 @@ func parallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// flatBuf returns the engine's reusable flat-input buffer sized rows×cols.
-// A pruned decision scores a different number of rows every time, so the
-// buffer is reused by capacity (mat.Grow) and its contents are whatever
-// the last decision left: assembleTasks writes every row.
-func (e *Engine) flatBuf(rows, cols int) *mat.Matrix {
-	e.inFlat = mat.Grow(e.inFlat, rows, cols)
-	return e.inFlat
-}
-
-// seqBufs returns the engine's reusable sequence-input buffers: w timestep
-// matrices, each rows×cols, reused like flatBuf's.
-func (e *Engine) seqBufs(w, rows, cols int) []*mat.Matrix {
-	if len(e.inSeq) != w {
-		e.inSeq = make([]*mat.Matrix, w)
-	}
-	for t := range e.inSeq {
-		e.inSeq[t] = mat.Grow(e.inSeq[t], rows, cols)
-	}
-	return e.inSeq
-}
-
 // forwardRows runs the engine's (timed, observed) batched forward pass
 // over already-assembled input rows.
-func (e *Engine) forwardRows(flat *mat.Matrix, seq []*mat.Matrix, total int) *mat.Matrix {
+func (e *Engine) forwardRows(flat *mat.Matrix) *mat.Matrix {
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: inference duration is reported, never fed back into decisions
 	e.scratch.Parallelism = e.cfg.Parallelism
-	out := e.net.ForwardBatch(flat, seq, &e.scratch)
+	out := e.net.ForwardBatch(flat, nil, &e.scratch)
 	e.metrics.inferSeconds.Set(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp: inference duration is reported, never fed back into decisions
-	e.metrics.inferBatch.Observe(float64(total))
+	e.metrics.inferBatch.Observe(float64(flat.Rows))
 	return out
 }
 
@@ -670,7 +651,7 @@ func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileIn
 	}
 	var out *mat.Matrix
 	if pd.total > 0 {
-		out = e.forwardRows(pd.flat, pd.seq, pd.total)
+		out = e.forwardRows(pd.flat)
 	}
 	return pd.finish(ctx, out, 0)
 }

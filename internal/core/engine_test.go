@@ -260,37 +260,20 @@ func TestShouldAct(t *testing.T) {
 	}
 }
 
-func TestRecurrentEnginePropose(t *testing.T) {
-	db := seedDB(t, 600)
-	cfg := quickCfg()
-	cfg.ModelNumber = 18 // SimpleRNN head — the paper's runner-up
-	cfg.Epsilon = 0
-	e, err := NewEngine(db, testDevices, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.TrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Files with deep history and with none at all must both predict.
-	files := []policy.FileInfo{
-		{ID: 1, Size: 1e8, Device: "pic"},   // has history in seedDB
-		{ID: 999, Size: 1e8, Device: "var"}, // never accessed
-	}
-	layout, _, scores, err := e.proposeScored(context.Background(), files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout) != 2 {
-		t.Fatalf("layout = %v", layout)
-	}
-	for i, preds := range scores {
-		if len(preds) != len(testDevices) {
-			t.Errorf("file %d scored on %d devices, want %d", files[i].ID, len(preds), len(testDevices))
+// TestNewEngineRejectsRecurrent: the engine scores dense models only, so
+// every recurrent Table I architecture is refused at construction — by a
+// plain engine and by the sharded coordinator at any width.
+func TestNewEngineRejectsRecurrent(t *testing.T) {
+	db := seedDB(t, 10)
+	for m := 12; m <= nn.ModelCount; m++ {
+		cfg := quickCfg()
+		cfg.ModelNumber = m
+		if _, err := NewEngine(db, testDevices, cfg); !errors.Is(err, ErrRecurrentModel) {
+			t.Errorf("NewEngine(model %d) = %v, want ErrRecurrentModel", m, err)
 		}
-		for dev, p := range preds {
-			if p < 0 {
-				t.Errorf("file %d on %s predicted negative throughput %v", files[i].ID, dev, p)
+		for _, n := range []int{1, 2} {
+			if _, err := NewSharded(db, storagesim.NewBluesky(1), n, nil, cfg); !errors.Is(err, ErrRecurrentModel) {
+				t.Errorf("NewSharded(model %d, %d shards) = %v, want ErrRecurrentModel", m, n, err)
 			}
 		}
 	}
@@ -660,30 +643,45 @@ func TestUpdateSharesTheFitBody(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsOtherWindow: the network's window sizes every
-// per-file ReplayDB query, which ReplayHorizon bounds at nn.DefaultWindow,
-// so a snapshot whose network reads another window is an error — not a
-// query past the horizon at the next decision.
-func TestRestoreStateRejectsOtherWindow(t *testing.T) {
-	e, err := NewEngine(seedDB(t, 50), testDevices, quickCfg())
-	if err != nil {
-		t.Fatal(err)
+// TestRestoreStateRejectsUnscorableNetwork: a snapshot whose network the
+// dense scorer cannot run — recurrent, the wrong input width, more than
+// one output — is an error at restore, not a panic at the next decision,
+// and it leaves the engine as it was.
+func TestRestoreStateRejectsUnscorableNetwork(t *testing.T) {
+	r := rng.New(3).Rand
+	cases := map[string]*nn.Network{
+		"recurrent":    nn.MustBuildModel(18, featureCount, r),
+		"seven inputs": nn.MustBuildModel(1, featureCount+1, r),
+		"two outputs":  nn.NewNetwork(featureCount).AddDense(4, nn.ReLU, r).AddDense(2, nn.Linear, r),
 	}
-	st, err := e.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := nn.Load(bytes.NewReader(st.Net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Window = nn.DefaultWindow + 1
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st.Net = buf.Bytes()
-	if err := e.RestoreState(st); err == nil {
-		t.Fatal("RestoreState accepted a network reading a window past the horizon")
+	for name, net := range cases {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(seedDB(t, 50), testDevices, quickCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := net.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			st.Net = buf.Bytes()
+			st.RNG++
+			st.Devices = testDevices[:2]
+			rngBefore, netBefore := e.rng.State(), e.net
+			err = e.RestoreState(st)
+			if err == nil {
+				t.Fatal("RestoreState accepted a network the scorer cannot run")
+			}
+			if name == "recurrent" && !errors.Is(err, ErrRecurrentModel) {
+				t.Errorf("RestoreState = %v, want ErrRecurrentModel", err)
+			}
+			if e.rng.State() != rngBefore || !reflect.DeepEqual(e.devices, testDevices) || e.net != netBefore {
+				t.Error("a refused restore mutated the engine")
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (ma
 	}
 	var out *mat.Matrix
 	if pd.total > 0 {
-		out = e.forwardRows(pd.flat, pd.seq, pd.total)
+		out = e.forwardRows(pd.flat)
 	}
 	layout, preds, err := pd.finish(ctx, out, 0)
 	if err != nil {

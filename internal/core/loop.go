@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -291,12 +290,12 @@ const policyThroughputWindow = 200
 // ReplayHorizon is the retention a ReplayDB needs to answer every query a
 // loop and engines built from cfg make of it: per device, the widest of the
 // full-training window (WindowX), the online-update window and the policy
-// snapshot's throughput window; per file, the network's recent-access
-// window, which every engine builds at nn.DefaultWindow.
+// snapshot's throughput window; per file, the candidate-row history
+// (fileHistory).
 func ReplayHorizon(cfg Config) replaydb.Horizon {
 	return replaydb.Horizon{
 		PerDevice: max(cfg.withDefaults().WindowX, DefaultUpdateWindow, policyThroughputWindow),
-		PerFile:   nn.DefaultWindow,
+		PerFile:   fileHistory,
 	}
 }
 

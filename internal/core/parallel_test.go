@@ -57,26 +57,21 @@ func trainedEngine(t *testing.T, mutate func(*Config)) *Engine {
 // The batched pipeline must reproduce the per-pair predictCandidate oracle
 // exactly — the regression anchor for the batched engine.
 func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
-	for _, model := range []int{1, 18} { // dense and recurrent
-		e := trainedEngine(t, func(c *Config) {
-			c.ModelNumber = model
-		})
-		files := []policy.FileInfo{
-			{ID: 1, Size: 1e8, Device: "pic"},   // deep history in seedDB
-			{ID: 3, Size: 2e8, Device: "var"},   // other history
-			{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
-		}
-		_, _, scores, err := e.proposeScored(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range files {
-			for _, dev := range e.devices {
-				got, ok := scores[i][dev]
-				if want := e.predictCandidate(f, dev); !ok || got != want {
-					t.Errorf("model %d: file %d on %s: batched %v != legacy %v",
-						model, f.ID, dev, got, want)
-				}
+	e := trainedEngine(t, nil)
+	files := []policy.FileInfo{
+		{ID: 1, Size: 1e8, Device: "pic"},   // deep history in seedDB
+		{ID: 3, Size: 2e8, Device: "var"},   // other history
+		{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
+	}
+	_, _, scores, err := e.proposeScored(context.Background(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range files {
+		for _, dev := range e.devices {
+			got, ok := scores[i][dev]
+			if want := e.predictCandidate(f, dev); !ok || got != want {
+				t.Errorf("file %d on %s: batched %v != legacy %v", f.ID, dev, got, want)
 			}
 		}
 	}
@@ -86,43 +81,39 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 // the same seed: scoring is bit-identical at any parallelism and the
 // rng-consuming selection stays serial in file order.
 func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
-	for _, model := range []int{1, 18} {
-		mkEngine := func() *Engine {
-			return trainedEngine(t, func(c *Config) {
-				c.ModelNumber = model
-				c.Epsilon = 0.3 // exercise the exploration branch too
-			})
-		}
-		serial := mkEngine()
-		parallel := mkEngine()
-		parallel.cfg.Parallelism = 4
+	mkEngine := func() *Engine {
+		return trainedEngine(t, func(c *Config) {
+			c.Epsilon = 0.3 // exercise the exploration branch too
+		})
+	}
+	serial := mkEngine()
+	parallel := mkEngine()
+	parallel.cfg.Parallelism = 4
 
-		files := make([]policy.FileInfo, 40)
-		for i := range files {
-			files[i] = policy.FileInfo{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+	files := make([]policy.FileInfo, 40)
+	for i := range files {
+		files[i] = policy.FileInfo{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+	}
+	for round := 0; round < 3; round++ {
+		ls, ds, err := serial.ProposeLayoutContext(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for round := 0; round < 3; round++ {
-			ls, ds, err := serial.ProposeLayoutContext(context.Background(), files)
-			if err != nil {
-				t.Fatal(err)
+		lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ls) != len(lp) {
+			t.Fatalf("round %d: layout sizes differ", round)
+		}
+		for id, dev := range ls {
+			if lp[id] != dev {
+				t.Errorf("round %d: file %d serial→%s parallel→%s", round, id, dev, lp[id])
 			}
-			lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ls) != len(lp) {
-				t.Fatalf("model %d round %d: layout sizes differ", model, round)
-			}
-			for id, dev := range ls {
-				if lp[id] != dev {
-					t.Errorf("model %d round %d: file %d serial→%s parallel→%s", model, round, id, dev, lp[id])
-				}
-			}
-			for i := range ds {
-				if ds[i].Chosen != dp[i].Chosen || ds[i].Random != dp[i].Random {
-					t.Errorf("model %d round %d: decision %d differs: %+v vs %+v",
-						model, round, i, ds[i], dp[i])
-				}
+		}
+		for i := range ds {
+			if ds[i].Chosen != dp[i].Chosen || ds[i].Random != dp[i].Random {
+				t.Errorf("round %d: decision %d differs: %+v vs %+v", round, i, ds[i], dp[i])
 			}
 		}
 	}

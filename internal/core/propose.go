@@ -37,8 +37,8 @@ import (
 
 // pendingDecision is a prepared-but-not-yet-scored decision: the task
 // list mapping batch rows to (file, device) pairings, plus the assembled
-// input rows in the owning engine's reusable buffers. The buffers are
-// valid until the engine's next prepare.
+// input rows in the owning engine's reusable buffer. The buffer is valid
+// until the engine's next prepare.
 type pendingDecision struct {
 	eng   *Engine
 	files []policy.FileInfo
@@ -49,10 +49,8 @@ type pendingDecision struct {
 	tasks []scoreTask
 	total int
 
-	// Assembled input: flat for dense models, seq for recurrent ones.
-	// Aliases of the engine's reusable buffers.
+	// flat is the assembled input, an alias of the engine's reusable buffer.
 	flat *mat.Matrix
-	seq  []*mat.Matrix
 }
 
 // prepareProposal runs the decision pipeline up to (but excluding) the
@@ -77,7 +75,7 @@ func (e *Engine) prepareProposal(ctx context.Context, files []policy.FileInfo) (
 	pd.tasks, pd.total = e.pruneTasks(files, short)
 	if pd.total > 0 {
 		var err error
-		pd.flat, pd.seq, err = e.assembleTasks(ctx, files, pd.tasks, pd.total)
+		pd.flat, err = e.assembleTasks(ctx, files, pd.tasks, pd.total)
 		if err != nil {
 			return nil, err
 		}
@@ -170,22 +168,15 @@ func (e *Engine) unscored(dst []int, ent *fileCache, current string, short []int
 }
 
 // assembleTasks builds the candidate feature rows for every task into the
-// engine's reusable input buffers, reusing (and filling) each entry's raw
+// engine's reusable input buffer, reusing (and filling) each entry's raw
 // feature ingredients; a file with nothing to score is not even fetched.
-// Nothing here consumes e.rng, and tasks touch disjoint rows and entries,
-// so the fan-out is race-free.
-func (e *Engine) assembleTasks(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, total int) (*mat.Matrix, []*mat.Matrix, error) {
-	cols := e.net.InSize
-	recurrent := e.net.IsRecurrent()
-	var flat *mat.Matrix
-	var seq []*mat.Matrix
-	w := 1
-	if recurrent {
-		w = e.net.Window
-		seq = e.seqBufs(w, total, cols)
-	} else {
-		flat = e.flatBuf(total, cols)
-	}
+// A pruned decision scores a different number of rows every time, so the
+// buffer is reused by capacity and holds whatever the last decision left
+// until every row is written here. Nothing here consumes e.rng, and tasks
+// touch disjoint rows and entries, so the fan-out is race-free.
+func (e *Engine) assembleTasks(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, total int) (*mat.Matrix, error) {
+	e.inFlat = mat.Grow(e.inFlat, total, e.net.InSize)
+	flat := e.inFlat
 	err := parallelFor(ctx, len(tasks), e.cfg.Parallelism, func(i int) {
 		f, t := files[i], tasks[i]
 		if len(t.devs) == 0 {
@@ -194,50 +185,18 @@ func (e *Engine) assembleTasks(ctx context.Context, files []policy.FileInfo, tas
 		// Candidate feature row ingredients: the file's typical access,
 		// stamped at the most recent known time.
 		if !t.ent.featValid {
-			t.ent.feat = e.gatherFileFeatures(f, recurrent)
+			t.ent.feat = e.gatherFileFeatures(f)
 			t.ent.featValid = true
 		}
-		ff := t.ent.feat
-		// History rows (normalized) are shared by every device pairing of
-		// this file; only the candidate row itself differs per device.
-		var hist [][]float64
-		if recurrent {
-			hist = make([][]float64, len(ff.hist))
-			for k, raw := range ff.hist {
-				nrm := make([]float64, len(raw))
-				for c, v := range raw {
-					nrm[c] = e.featScaler.TransformValue(c, v)
-				}
-				hist[k] = nrm
-			}
-		}
-		var rowBuf [featureCount]float64
-		norm := rowBuf[:]
 		for k, j := range t.devs {
-			r := t.base + k
-			if !recurrent {
-				e.candidateRow(flat.Row(r), ff, f.ID, j)
-				continue
-			}
-			// The window is the file's history padded by repeating the
-			// candidate row, then the candidate row last.
-			e.candidateRow(norm, ff, f.ID, j)
-			need := w - 1
-			for x := 0; x < need; x++ {
-				if h := len(hist) - need + x; h >= 0 {
-					seq[x].SetRow(r, hist[h])
-				} else {
-					seq[x].SetRow(r, norm)
-				}
-			}
-			seq[need].SetRow(r, norm)
+			e.candidateRow(flat.Row(t.base+k), t.ent.feat, f.ID, j)
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return flat, seq, nil
+	return flat, nil
 }

@@ -96,7 +96,7 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 	}
 	// A file with no telemetry history gets the symmetric prior: half its
 	// size split evenly across read and write volume.
-	ff := e.gatherFileFeatures(policy.FileInfo{ID: 999, Size: 1000}, false)
+	ff := e.gatherFileFeatures(policy.FileInfo{ID: 999, Size: 1000})
 	if ff.rb != 250 || ff.wb != 250 || ff.ts != 0 {
 		t.Fatalf("cold prior = %+v, want rb=wb=250 ts=0", ff)
 	}

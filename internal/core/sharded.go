@@ -94,10 +94,9 @@ const escalationFactor = 4.0
 // builds the coordinator over them. cfg configures the global engine;
 // shard engines inherit it with a per-shard RNG stream split from
 // cfg.Seed and serial internals (cross-shard concurrency comes from the
-// coordinator's cfg.Parallelism, not nested pools). Recurrent
-// architectures are rejected for n > 1: the cross-shard batch
-// concatenation is dense-only. Every caller passes a nil assign; the
-// parameter stays only until the benchmark's traced pass stops passing it.
+// coordinator's cfg.Parallelism, not nested pools). Every caller passes a
+// nil assign; the parameter stays only until the benchmark's traced pass
+// stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
 	shards, err := cluster.ShardBy(n, assign)
 	if err != nil {
@@ -106,9 +105,6 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 	globalEngine, err := NewEngine(db, cluster.DeviceNames(), cfg)
 	if err != nil {
 		return nil, err
-	}
-	if n > 1 && globalEngine.net.IsRecurrent() {
-		return nil, fmt.Errorf("core: sharded coordinator requires a dense architecture (model %d is recurrent)", cfg.ModelNumber)
 	}
 	s := &Sharded{
 		globalEngine: globalEngine,
@@ -235,9 +231,8 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 
 	// Stage 2 — concatenate every shard's rows and forward ONCE through
 	// the shared network on the global engine (one timed, observed GEMM
-	// per cycle). A lone unit's buffers already are the whole batch and
-	// forward as they stand, which is what lets a recurrent model — its
-	// sequence input does not concatenate — run at one shard.
+	// per cycle). A lone unit's buffer already is the whole batch and
+	// forwards as it stands.
 	total := 0
 	bases := make([]int, len(s.units))
 	for i, pd := range pds {
@@ -246,18 +241,18 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 	}
 	var out *mat.Matrix
 	if total > 0 {
-		flat, seq := pds[0].flat, pds[0].seq
+		flat := pds[0].flat
 		if len(pds) > 1 {
 			cols := s.globalEngine.net.InSize
 			s.combined = mat.Grow(s.combined, total, cols)
 			for i, pd := range pds {
-				if pd.total > 0 { // dense rows only: recurrent models are rejected for n > 1
+				if pd.total > 0 {
 					copy(s.combined.Data[bases[i]*cols:(bases[i]+pd.total)*cols], pd.flat.Data[:pd.total*cols])
 				}
 			}
-			flat, seq = s.combined, nil
+			flat = s.combined
 		}
-		out = s.globalEngine.forwardRows(flat, seq, total)
+		out = s.globalEngine.forwardRows(flat)
 	}
 
 	// Stage 3 — finish concurrently. Selection draws randomness, but each

@@ -496,17 +496,3 @@ func TestShardedSpeedup(t *testing.T) {
 		t.Errorf("sharded decisions only %.1fx faster than unsharded, want ≥ 4x", ratio)
 	}
 }
-
-// TestShardedRejectsRecurrent pins the dense-only constraint of the
-// cross-shard batch concatenation.
-func TestShardedRejectsRecurrent(t *testing.T) {
-	db := seedDB(t, 100)
-	cfg := quickCfg()
-	cfg.ModelNumber = 12 // LSTM
-	if _, err := NewSharded(db, storagesim.NewBluesky(1), 2, nil, cfg); err == nil {
-		t.Error("recurrent architecture should be rejected for n > 1")
-	}
-	if _, err := NewSharded(db, storagesim.NewBluesky(1), 1, nil, cfg); err != nil {
-		t.Errorf("recurrent architecture with a single shard should build: %v", err)
-	}
-}

@@ -75,15 +75,20 @@ func (e *Engine) State() (EngineState, error) {
 	return st, nil
 }
 
-// RestoreState overwrites the engine with a previously captured snapshot.
+// RestoreState overwrites the engine with a previously captured snapshot,
+// refusing first a network the dense scorer cannot run.
 func (e *Engine) RestoreState(st EngineState) error {
 	net, err := nn.Load(bytes.NewReader(st.Net))
 	if err != nil {
 		return fmt.Errorf("core: restoring model: %w", err)
 	}
-	// The window sizes every per-file ReplayDB query (ReplayHorizon).
-	if net.Window != e.net.Window {
-		return fmt.Errorf("core: restoring model: snapshot window %d, engine reads %d", net.Window, e.net.Window)
+	switch {
+	case net.IsRecurrent():
+		return fmt.Errorf("core: restoring model: %w (%s)", ErrRecurrentModel, net)
+	case net.InSize != featureCount:
+		return fmt.Errorf("core: restoring model: %d inputs, the engine scores %d features", net.InSize, featureCount)
+	case net.OutSize() != 1:
+		return fmt.Errorf("core: restoring model: %d outputs, the engine scores one", net.OutSize())
 	}
 	e.rng.SetState(st.RNG)
 	e.net = net

@@ -150,23 +150,6 @@ func AblationOptimizer(opts Options) (*AblationResult, error) {
 	return res, nil
 }
 
-// AblationModel compares the deployed dense model 1 against the recurrent
-// runner-up model 18 inside the full closed loop.
-func AblationModel(opts Options) (*AblationResult, error) {
-	opts = opts.withDefaults()
-	res := &AblationResult{Name: "architecture in the loop (paper deployed model 1)"}
-	for _, m := range []int{1, 18} {
-		n := m
-		p, err := ablationRun(opts, func(cfg *core.Config) { cfg.ModelNumber = n }, false)
-		if err != nil {
-			return nil, err
-		}
-		p.Label = fmt.Sprintf("model %d", m)
-		res.Points = append(res.Points, p)
-	}
-	return res, nil
-}
-
 // AblationGapScheduling measures the §X movement-scheduler extension.
 func AblationGapScheduling(opts Options) (*AblationResult, error) {
 	opts = opts.withDefaults()

@@ -21,7 +21,6 @@ func TestAblationSweeps(t *testing.T) {
 		{"cooldown", AblationCooldown, 3},
 		{"smoothing", AblationSmoothing, 3},
 		{"optimizer", AblationOptimizer, 2},
-		{"model", AblationModel, 2},
 		{"gaps", AblationGapScheduling, 2},
 	}
 	for _, c := range cases {
