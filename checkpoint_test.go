@@ -1,6 +1,7 @@
 package geomancy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -505,6 +506,52 @@ func TestRestorePolicyMismatch(t *testing.T) {
 
 	if _, err := Restore(ckpt, ckptOptions(1, WithPolicy("mru"))...); err == nil {
 		t.Error("Restore under a different policy should fail")
+	}
+}
+
+// TestRestoreMismatchLeavesWALUntouched: a restore refused for another
+// policy or scenario than the snapshot's fails before it touches the
+// replay log. The WAL holds records past the snapshot's watermark, which
+// a restore that went ahead would cut; a refused one leaves every byte.
+func TestRestoreMismatchLeavesWALUntouched(t *testing.T) {
+	for name, c := range map[string]struct{ taken, restored Option }{
+		"policy":   {WithPolicy("lru"), WithPolicy("mru")},
+		"scenario": {WithScenario("zipfian-hot"), WithScenario("cold-scan")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			wal, ckpt := filepath.Join(dir, "replay.wal"), filepath.Join(dir, "snap.ckpt")
+			sys, err := New(ckptOptions(1, c.taken, WithReplayDB(wal))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RunN(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Checkpoint(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RunN(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(ckpt, ckptOptions(1, c.restored, WithReplayDB(wal))...); err == nil {
+				t.Fatal("Restore under mismatched options succeeded")
+			}
+			after, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Errorf("a refused restore changed the WAL: %d bytes before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 

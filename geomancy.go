@@ -839,10 +839,21 @@ func restoreSystem(snap *checkpoint.Snapshot, opts []Option) (*System, error) {
 	return sys, nil
 }
 
-// applySnapshot overwrites the freshly built system's dynamic state.
+// applySnapshot overwrites the freshly built system's dynamic state. A
+// snapshot the options do not describe — another seed, scenario or policy —
+// is refused before anything is touched, the replay log above all: a
+// refused restore leaves the WAL as it found it.
 func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.Seed != s.seed {
 		return fmt.Errorf("geomancy: snapshot was taken with seed %d, options configure seed %d", snap.Seed, s.seed)
+	}
+	if snap.WorkloadName != s.runner.Name() {
+		return fmt.Errorf("geomancy: snapshot was taken under scenario %q, options configure %q",
+			snap.WorkloadName, s.runner.Name())
+	}
+	if snap.PolicyName != s.loop.Policy.Name() {
+		return fmt.Errorf("geomancy: snapshot was taken under policy %q, options configure %q",
+			snap.PolicyName, s.loop.Policy.Name())
 	}
 	if s.replayPath == "" {
 		count := snap.AccessCount
@@ -864,16 +875,8 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if err := s.cluster.RestoreState(snap.Cluster); err != nil {
 		return fmt.Errorf("geomancy: restoring cluster: %w", err)
 	}
-	if snap.WorkloadName != s.runner.Name() {
-		return fmt.Errorf("geomancy: snapshot was taken under scenario %q, options configure %q",
-			snap.WorkloadName, s.runner.Name())
-	}
 	if err := s.runner.UnmarshalState(snap.Workload); err != nil {
 		return fmt.Errorf("geomancy: restoring workload: %w", err)
-	}
-	if snap.PolicyName != s.loop.Policy.Name() {
-		return fmt.Errorf("geomancy: snapshot was taken under policy %q, options configure %q",
-			snap.PolicyName, s.loop.Policy.Name())
 	}
 	if err := s.loop.Policy.UnmarshalState(snap.Policy); err != nil {
 		return fmt.Errorf("geomancy: restoring policy: %w", err)

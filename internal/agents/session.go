@@ -47,12 +47,15 @@ func newCodec(conn net.Conn) *codec {
 }
 
 // read decodes the next frame into env, failing once deadline passes (the
-// zero time waits forever). The length prefix is checked against maxFrame
-// before anything is sized by it, and even then the frame buffer grows
-// past its present capacity only by doubling as bytes arrive, so a frame
-// costs memory in proportion to what the peer has sent of it. Any error
-// means the stream position is lost and the caller drops the connection;
-// io.EOF is the peer's orderly close between frames.
+// zero time waits forever, so a caller holding a lock must pass a non-zero
+// deadline: the frame reads below are allowlisted for locksafe on that
+// condition, which the analyzer cannot check). The length prefix is
+// checked against maxFrame before anything is sized by it, and even then
+// the frame buffer grows past its present capacity only by doubling as
+// bytes arrive, so a frame costs memory in proportion to what the peer
+// has sent of it. Any error means the stream position is lost and the
+// caller drops the connection; io.EOF is the peer's orderly close between
+// frames.
 func (c *codec) read(env *Envelope, deadline time.Time) error {
 	if !deadline.Equal(c.rdl) {
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
@@ -61,6 +64,7 @@ func (c *codec) read(env *Envelope, deadline time.Time) error {
 		c.rdl = deadline
 	}
 	var prefix [4]byte
+	//geomancy:allow locksafe bounded only by the caller's deadline: a caller holding a lock must pass a non-zero one (session.roundTripLocked passes start+IOTimeout); the zero-deadline readers, the daemon's and control agent's receive loops, hold no lock
 	if _, err := io.ReadFull(c.br, prefix[:]); err != nil {
 		return err
 	}
@@ -72,6 +76,7 @@ func (c *codec) read(env *Envelope, deadline time.Time) error {
 	for have := 0; have < n; have = len(c.frame) {
 		step := min(n-have, max(have, readChunk, cap(c.frame)-have))
 		c.frame = slices.Grow(c.frame, step)[:have+step]
+		//geomancy:allow locksafe bounded by the same caller's deadline as the length prefix, which a lock-holding caller must make non-zero
 		if _, err := io.ReadFull(c.br, c.frame[have:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // the peer left mid-frame

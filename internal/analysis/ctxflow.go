@@ -181,8 +181,23 @@ var blockingConnMethods = map[string]bool{
 	"Read": true, "Write": true, "Accept": true,
 }
 
+// streamReader names the reader handed to io.ReadFull or io.ReadAtLeast
+// when its static type is one that waits on a peer — a bufio.Reader, the
+// way a connection is read frame by frame, or a connection itself — and
+// is "" otherwise (an io.Reader could be either, and stays unflagged).
+func streamReader(t types.Type) string {
+	switch {
+	case typeIsFromPkg(t, "bufio", "Reader"):
+		return "bufio.Reader"
+	case isNetConnLike(t):
+		return "net.Conn"
+	}
+	return ""
+}
+
 // ioCallDesc classifies a call as direct I/O, returning a description
-// ("net.Dial", "net.Conn.Write", ...) or "".
+// ("net.Dial", "net.Conn.Write", "io.ReadFull over bufio.Reader", ...) or
+// "".
 func ioCallDesc(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
 	if fn != nil && fn.Pkg() != nil {
@@ -193,6 +208,11 @@ func ioCallDesc(info *types.Info, call *ast.CallExpr) string {
 			}
 			if fn.Pkg().Path() == "net" && fn.Name() == "Listen" {
 				return "net.Listen"
+			}
+			if fn.Pkg().Path() == "io" && (fn.Name() == "ReadFull" || fn.Name() == "ReadAtLeast") && len(call.Args) > 0 {
+				if src := streamReader(info.TypeOf(call.Args[0])); src != "" {
+					return "io." + fn.Name() + " over " + src
+				}
 			}
 			return ""
 		}

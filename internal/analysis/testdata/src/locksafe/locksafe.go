@@ -3,6 +3,9 @@
 package locksafe
 
 import (
+	"bufio"
+	"bytes"
+	"io"
 	"net"
 	"sync"
 )
@@ -120,3 +123,44 @@ func (p *Pool) CallsAudited(b []byte) error {
 }
 
 var _ = []any{(*Pool).badSend, (*Pool).writeLocked, (*Pool).allowedSpawn, (*Pool).allowedWrite}
+
+// Framer reads length-prefixed frames as the agents' codec does: io.ReadFull
+// over a buffered reader of a connection.
+type Framer struct {
+	mu   sync.Mutex
+	br   *bufio.Reader
+	conn net.Conn
+}
+
+func (f *Framer) BadReadFull(p []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := io.ReadFull(f.br, p) // want `network I/O \(io\.ReadFull over bufio\.Reader\) while f\.mu is held`
+	return err
+}
+
+func (f *Framer) BadReadAtLeast(p []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := io.ReadAtLeast(f.conn, p, 1) // want `network I/O \(io\.ReadAtLeast over net\.Conn\) while f\.mu is held`
+	return err
+}
+
+// frame reads with no lock of its own: a caller holding one inherits it.
+func (f *Framer) frame(p []byte) error {
+	_, err := io.ReadFull(f.br, p)
+	return err
+}
+
+func (f *Framer) BadFrame(p []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.frame(p) // want `call to Framer\.frame transitively performs network I/O \(io\.ReadFull over bufio\.Reader\) while f\.mu is held`
+}
+
+func (f *Framer) GoodReadFull(p []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := io.ReadFull(bytes.NewReader(p), p) // clean: an in-memory reader never waits on a peer
+	return err
+}

@@ -40,6 +40,10 @@ var (
 	// ErrRecurrentModel reports a recurrent Table I architecture (12–23);
 	// Table II compares those offline, and the engine scores dense ones.
 	ErrRecurrentModel = errors.New("core: recurrent architecture; the engine scores dense models only")
+	// ErrInvalidState reports an engine snapshot that disagrees with itself
+	// or with the engine's feature vector, refused before anything is
+	// restored.
+	ErrInvalidState = errors.New("core: inconsistent engine state")
 )
 
 // Config tunes the engine. Zero values select the paper's settings.

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"geomancy/internal/agents"
+	"geomancy/internal/features"
 	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
@@ -678,6 +680,53 @@ func TestRestoreStateRejectsUnscorableNetwork(t *testing.T) {
 			}
 			if name == "recurrent" && !errors.Is(err, ErrRecurrentModel) {
 				t.Errorf("RestoreState = %v, want ErrRecurrentModel", err)
+			}
+			if e.rng.State() != rngBefore || !reflect.DeepEqual(e.devices, testDevices) || e.net != netBefore {
+				t.Error("a refused restore mutated the engine")
+			}
+		})
+	}
+}
+
+// TestRestoreStateRejectsInconsistentState: a snapshot a later decision
+// would index past — a score-cache entry with fewer scores than
+// generations, a fitted feature scaler narrower than the feature vector —
+// is refused with ErrInvalidState, and the engine is left as it was.
+func TestRestoreStateRejectsInconsistentState(t *testing.T) {
+	short, full := make([]float64, featureCount-1), make([]float64, featureCount)
+	cases := []struct {
+		name    string
+		corrupt func(st *EngineState)
+		want    string
+	}{
+		{"scores shorter than generations", func(st *EngineState) {
+			st.ScoreCache = append(st.ScoreCache, FileScoreState{FileID: 7, Size: 1,
+				Scores: make([]float64, 2), Gens: make([]uint64, len(testDevices))})
+		}, "file 7 has 2 scores for 6 generations"},
+		{"scaler minima short", func(st *EngineState) {
+			st.FeatScaler = features.MinMaxState{Min: short, Max: full, Fitted: true}
+		}, "5 minima and 6 maxima"},
+		{"scaler maxima short", func(st *EngineState) {
+			st.FeatScaler = features.MinMaxState{Min: full, Max: short, Fitted: true}
+		}, "6 minima and 5 maxima"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := NewEngine(seedDB(t, 50), testDevices, quickCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(&st)
+			st.RNG++
+			st.Devices = testDevices[:2]
+			rngBefore, netBefore := e.rng.State(), e.net
+			err = e.RestoreState(st)
+			if !errors.Is(err, ErrInvalidState) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RestoreState = %v, want ErrInvalidState naming %q", err, c.want)
 			}
 			if e.rng.State() != rngBefore || !reflect.DeepEqual(e.devices, testDevices) || e.net != netBefore {
 				t.Error("a refused restore mutated the engine")

@@ -76,7 +76,10 @@ func (e *Engine) State() (EngineState, error) {
 }
 
 // RestoreState overwrites the engine with a previously captured snapshot,
-// refusing first a network the dense scorer cannot run.
+// refusing first, with nothing changed, a network the dense scorer cannot
+// run and a snapshot a later decision would index past: a score-cache entry
+// with fewer or more scores than generations, or a fitted feature scaler
+// narrower than the feature vector (ErrInvalidState).
 func (e *Engine) RestoreState(st EngineState) error {
 	net, err := nn.Load(bytes.NewReader(st.Net))
 	if err != nil {
@@ -89,6 +92,16 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("core: restoring model: %d inputs, the engine scores %d features", net.InSize, featureCount)
 	case net.OutSize() != 1:
 		return fmt.Errorf("core: restoring model: %d outputs, the engine scores one", net.OutSize())
+	}
+	for _, fs := range st.ScoreCache {
+		if len(fs.Scores) != len(fs.Gens) {
+			return fmt.Errorf("core: restoring score cache: %w: file %d has %d scores for %d generations",
+				ErrInvalidState, fs.FileID, len(fs.Scores), len(fs.Gens))
+		}
+	}
+	if fs := st.FeatScaler; fs.Fitted && (len(fs.Min) < featureCount || len(fs.Max) < featureCount) {
+		return fmt.Errorf("core: restoring feature scaler: %w: %d minima and %d maxima for %d features",
+			ErrInvalidState, len(fs.Min), len(fs.Max), featureCount)
 	}
 	e.rng.SetState(st.RNG)
 	e.net = net

@@ -421,13 +421,47 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 // TransposeTo writes mᵀ into dst, which must be m.Cols×m.Rows and must not
 // alias m. Packing bᵀ once turns any number of a×bᵀ products into plain
 // forward products a×(bᵀ), element for element the same sums.
+//
+// Whole 4×4 blocks move with four contiguous loads and four contiguous
+// stores: on a CPU with AVX2 transpose4AVX2 turns each block in registers,
+// and transposeGo takes the rows and columns past the last whole block,
+// and everything elsewhere. Only bits move, so every body writes every
+// value exactly, NaN payloads included.
 func TransposeTo(dst, m *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("mat: TransposeTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
 	}
-	for r := 0; r < m.Rows; r++ {
-		for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
-			dst.Data[c*dst.Cols+r] = v
+	if overlaps(dst, m) {
+		panic("mat: TransposeTo dst aliases m")
+	}
+	c0 := 0
+	if useAVX2 && m.Rows >= 4 && m.Cols >= 4 {
+		transpose4AVX2(unsafe.SliceData(dst.Data), unsafe.SliceData(m.Data), m.Rows, m.Cols)
+		c0 = m.Cols &^ 3
+	}
+	transposeGo(dst, m, c0)
+}
+
+// transposeGo is TransposeTo's portable body: columns [c0, m.Cols) of the
+// rows in whole blocks of four, then every column of the rows after them.
+// Four rows go at a time, so each column of m becomes four adjacent stores
+// into one row of dst instead of four stores a row apart.
+func transposeGo(dst, m *Matrix, c0 int) {
+	rows, cols := m.Rows, m.Cols
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := m.Data[r*cols : (r+1)*cols]
+		s1 := m.Data[(r+1)*cols : (r+2)*cols]
+		s2 := m.Data[(r+2)*cols : (r+3)*cols]
+		s3 := m.Data[(r+3)*cols : (r+4)*cols]
+		for c := c0; c < cols; c++ {
+			d := dst.Data[c*rows+r : c*rows+r+4 : c*rows+r+4]
+			d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
+		}
+	}
+	for ; r < rows; r++ {
+		for c, v := range m.Data[r*cols : (r+1)*cols] {
+			dst.Data[c*rows+r] = v
 		}
 	}
 }

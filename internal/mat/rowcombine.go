@@ -2,10 +2,11 @@ package mat
 
 import (
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
-// useAVX2 selects the assembly row combination, tile and gate kernels. It is set
+// useAVX2 selects the assembly kernels of this package. It is set
 // once, at package init, from what the platform is (rowcombine_amd64.go); a
 // variable only so that tests can run both implementations in one process.
 var useAVX2 bool
@@ -71,6 +72,68 @@ func rowCombineGo(out, b, coef []float64, off []int, accumulate bool, j int) {
 			s += v * b[off[t]+j]
 		}
 		out[j] = s
+	}
+}
+
+// rowCombineMasks is rowCombine's accumulate form over consecutive rows,
+// each with the terms its own bit mask picks. For every row r of out —
+// len(masks) rows of n, one after another — and every j,
+// out[r][j] += Σₜ coef[r+coff[t]]·b[boff[t]+j] over the set bits t of
+// masks[r] in ascending order, each product rounded before it is added.
+// Coefficients and rows are read where they lie: coef steps one element
+// per row, as a row-major matrix's columns do when coff holds its row
+// offsets, so a caller that picks terms by testing them copies nothing.
+// Every set bit must index coff and boff, and every coefficient and row be
+// within coef and b: the callers build these from shapes they have
+// checked, and the assembly does not check again.
+//
+// On a CPU with AVX2 the whole blocks of four columns of every row go
+// through rowCombineMasksAVX2 in one call, the rest through the loop
+// below; both sum each element's terms in the same order with the same
+// two roundings.
+func rowCombineMasks(out []float64, n int, b, coef []float64, coff, boff []int, masks []uint64) {
+	j0 := 0
+	if useAVX2 && n >= 4 && len(masks) > 0 {
+		_ = out[len(masks)*n-1]
+		rowCombineMasksAVX2(unsafe.SliceData(out), n, unsafe.SliceData(b), unsafe.SliceData(boff),
+			unsafe.SliceData(coef), unsafe.SliceData(coff), unsafe.SliceData(masks), len(masks))
+		j0 = n &^ 3
+	}
+	for r, mask := range masks {
+		row := out[r*n : (r+1)*n]
+		for j := j0; j < n; j++ {
+			s := row[j]
+			for m := mask; m != 0; m &= m - 1 {
+				t := bits.TrailingZeros64(m)
+				s += coef[r+coff[t]] * b[boff[t]+j]
+			}
+			row[j] = s
+		}
+	}
+}
+
+// nonzeroMasks sets masks[c], for each column c < len(masks) of a tile of
+// rows rows of a (row stride `stride` elements), to the bit mask of the
+// column's non-zero elements: bit t is set when a[t·stride+c] != 0, so −0
+// is not and NaN is. rows must be in [1, 64] and masks not empty. Whole
+// blocks of four columns go through nonzeroMasksAVX2 on a CPU with AVX2 —
+// VCMPPD NEQ_UQ, the same test — the rest through the loop below.
+func nonzeroMasks(masks []uint64, a []float64, stride, rows int) {
+	_ = a[(rows-1)*stride+len(masks)-1]
+	c := 0
+	if useAVX2 && len(masks) >= 4 {
+		nonzeroMasksAVX2(unsafe.SliceData(masks), unsafe.SliceData(a), stride, rows, len(masks)/4)
+		c = len(masks) &^ 3
+	}
+	for ; c < len(masks); c++ {
+		var mask uint64
+		for t := rows - 1; t >= 0; t-- {
+			mask <<= 1
+			if a[t*stride+c] != 0 {
+				mask |= 1
+			}
+		}
+		masks[c] = mask
 	}
 }
 

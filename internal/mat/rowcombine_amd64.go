@@ -25,6 +25,15 @@ func detectAVX2() bool {
 func rowCombineAVX2(out *float64, n int, b *float64, coef *float64, off *int, terms int, accumulate bool)
 
 //go:noescape
+func rowCombineMasksAVX2(out *float64, n int, b *float64, boff *int, coef *float64, coff *int, masks *uint64, rows int)
+
+//go:noescape
+func nonzeroMasksAVX2(masks *uint64, a *float64, stride int, rows int, blocks int)
+
+//go:noescape
+func transpose4AVX2(dst *float64, src *float64, rows int, cols int)
+
+//go:noescape
 func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
 
 //go:noescape

@@ -10,6 +10,58 @@
 	VMULPD disp(DX), Y8, tmp; \
 	VADDPD tmp, acc, acc
 
+// TERMS8 and TERMS4 fold one term into a block of 32 or 16 columns, whose
+// accumulators are Y0…Y7 or Y0…Y3.
+#define TERMS8 \
+	TERM(0, Y9, Y0); \
+	TERM(32, Y10, Y1); \
+	TERM(64, Y11, Y2); \
+	TERM(96, Y12, Y3); \
+	TERM(128, Y13, Y4); \
+	TERM(160, Y14, Y5); \
+	TERM(192, Y15, Y6); \
+	TERM(224, Y9, Y7)
+
+#define TERMS4 \
+	TERM(0, Y9, Y0); \
+	TERM(32, Y10, Y1); \
+	TERM(64, Y11, Y2); \
+	TERM(96, Y12, Y3)
+
+// LOAD8, STORE8, LOAD4 and STORE4 move a block's accumulators between
+// Y0…Y7 (Y0…Y3) and the output row at DI.
+#define LOAD8 \
+	VMOVUPD 0(DI), Y0; \
+	VMOVUPD 32(DI), Y1; \
+	VMOVUPD 64(DI), Y2; \
+	VMOVUPD 96(DI), Y3; \
+	VMOVUPD 128(DI), Y4; \
+	VMOVUPD 160(DI), Y5; \
+	VMOVUPD 192(DI), Y6; \
+	VMOVUPD 224(DI), Y7
+
+#define STORE8 \
+	VMOVUPD Y0, 0(DI); \
+	VMOVUPD Y1, 32(DI); \
+	VMOVUPD Y2, 64(DI); \
+	VMOVUPD Y3, 96(DI); \
+	VMOVUPD Y4, 128(DI); \
+	VMOVUPD Y5, 160(DI); \
+	VMOVUPD Y6, 192(DI); \
+	VMOVUPD Y7, 224(DI)
+
+#define LOAD4 \
+	VMOVUPD 0(DI), Y0; \
+	VMOVUPD 32(DI), Y1; \
+	VMOVUPD 64(DI), Y2; \
+	VMOVUPD 96(DI), Y3
+
+#define STORE4 \
+	VMOVUPD Y0, 0(DI); \
+	VMOVUPD Y1, 32(DI); \
+	VMOVUPD Y2, 64(DI); \
+	VMOVUPD Y3, 96(DI)
+
 // NEXT loads term AX: its coefficient broadcast into Y8 and the address of
 // its row of B (at the current column block) into DX.
 #define NEXT \
@@ -48,40 +100,19 @@ block32:
 	VXORPD Y7, Y7, Y7
 	JMP  sum32
 load32:
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
+	LOAD8
 sum32:
 	XORQ AX, AX
 	TESTQ R10, R10
 	JZ   store32
 term32:
 	NEXT
-	TERM(0, Y9, Y0)
-	TERM(32, Y10, Y1)
-	TERM(64, Y11, Y2)
-	TERM(96, Y12, Y3)
-	TERM(128, Y13, Y4)
-	TERM(160, Y14, Y5)
-	TERM(192, Y15, Y6)
-	TERM(224, Y9, Y7)
+	TERMS8
 	INCQ AX
 	CMPQ AX, R10
 	JLT  term32
 store32:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
+	STORE8
 	ADDQ $256, DI
 	ADDQ $256, SI
 	SUBQ $32, CX
@@ -98,28 +129,19 @@ block16:
 	VXORPD Y3, Y3, Y3
 	JMP  sum16
 load16:
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
+	LOAD4
 sum16:
 	XORQ AX, AX
 	TESTQ R10, R10
 	JZ   store16
 term16:
 	NEXT
-	TERM(0, Y9, Y0)
-	TERM(32, Y10, Y1)
-	TERM(64, Y11, Y2)
-	TERM(96, Y12, Y3)
+	TERMS4
 	INCQ AX
 	CMPQ AX, R10
 	JLT  term16
 store16:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	STORE4
 	ADDQ $128, DI
 	ADDQ $128, SI
 	SUBQ $16, CX
@@ -151,6 +173,110 @@ store4:
 	JMP  block4
 
 done:
+	VZEROUPPER
+	RET
+
+// NEXTBIT loads the term at the lowest set bit t of BX, into AX: its
+// coefficient coef[coff[t]] (R8 at the current row's coefficients)
+// broadcast into Y8 and the address of b's row at boff[t] (at the current
+// column block) into DX.
+#define NEXTBIT \
+	BSFQ BX, AX; \
+	MOVQ (R12)(AX*8), DX; \
+	VBROADCASTSD (R8)(DX*8), Y8; \
+	MOVQ (R9)(AX*8), DX; \
+	LEAQ (SI)(DX*8), DX
+
+// CLEARBIT clears the lowest set bit of BX, x & (x−1), setting ZF when
+// none is left; AX is free again once NEXTBIT has used it.
+#define CLEARBIT \
+	LEAQ -1(BX), AX; \
+	ANDQ AX, BX
+
+// func rowCombineMasksAVX2(out *float64, n int, b *float64, boff *int, coef *float64, coff *int, masks *uint64, rows int)
+//
+// For each of rows output rows r — n wide, one after another in out —
+// out[r][j] += Σₜ coef[r+coff[t]]·b[boff[t]+j] for j in [0, n&^3), t over
+// the set bits of masks[r] in ascending order: rowCombineAVX2's accumulate
+// form with the terms picked by a mask instead of listed, in the same
+// column blocks. Each block walks the mask afresh, BSF finding the next
+// term and CLEARBIT dropping it, so every lane sums its own products in
+// ascending t. A row whose mask is zero is not touched. The caller
+// guarantees AVX2 (useAVX2) and that every term's coefficient and row are
+// in bounds; the last n&3 columns of every row are its own.
+TEXT ·rowCombineMasksAVX2(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ boff+24(FP), R9
+	MOVQ coef+32(FP), R8
+	MOVQ coff+40(FP), R12
+	MOVQ masks+48(FP), R10
+	MOVQ rows+56(FP), R11
+	TESTQ R11, R11
+	JZ   mdone
+
+mrow:
+	MOVQ (R10), R13           // R13: this row's mask
+	MOVQ n+8(FP), CX          // CX: columns left
+	MOVQ b+16(FP), SI         // SI: b at the current column block
+	TESTQ R13, R13
+	JZ   mnextrow
+
+mblock32:
+	CMPQ CX, $32
+	JLT  mblock16
+	LOAD8
+	MOVQ R13, BX
+mterm32:
+	NEXTBIT
+	TERMS8
+	CLEARBIT
+	JNZ  mterm32
+	STORE8
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, CX
+	JMP  mblock32
+
+mblock16:
+	CMPQ CX, $16
+	JLT  mblock4
+	LOAD4
+	MOVQ R13, BX
+mterm16:
+	NEXTBIT
+	TERMS4
+	CLEARBIT
+	JNZ  mterm16
+	STORE4
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, CX
+
+mblock4:
+	CMPQ CX, $4
+	JLT  mnextrow
+	VMOVUPD 0(DI), Y0
+	MOVQ R13, BX
+mterm4:
+	NEXTBIT
+	TERM(0, Y9, Y0)
+	CLEARBIT
+	JNZ  mterm4
+	VMOVUPD Y0, 0(DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  mblock4
+
+mnextrow:
+	// DI is at column n - CX of this row; the next row starts CX on.
+	LEAQ (DI)(CX*8), DI
+	ADDQ $8, R8               // the next row's coefficients: a's next column
+	ADDQ $8, R10
+	DECQ R11
+	JNZ  mrow
+
+mdone:
 	VZEROUPPER
 	RET
 
@@ -390,6 +516,112 @@ gate4:
 	JMP  gate4
 
 gatedone:
+	VZEROUPPER
+	RET
+
+// func nonzeroMasksAVX2(masks *uint64, a *float64, stride int, rows int, blocks int)
+//
+// The zero-skip masks of the first blocks·4 columns of a rows-high tile of
+// a (row stride `stride` elements): masks[c] gets bit t set when
+// a[t·stride+c] is not zero. VCMPPD $4 (NEQ_UQ: true for NaN, false for +0
+// and −0) of a row's four columns against +0 gives all-ones lanes where an
+// element counts. The rows go from the last to the first, each shifting
+// the block's four 64-bit masks left by one (VPSLLQ) and subtracting the
+// compare (VPSUBQ: −1 sets the bit the shift cleared), so no element is
+// moved. The caller guarantees AVX2 (useAVX2), rows in [1, 64] and that
+// the tile is in bounds.
+TEXT ·nonzeroMasksAVX2(SB), NOSPLIT, $0-40
+	MOVQ masks+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ stride+16(FP), R8
+	SHLQ $3, R8               // R8: a's row stride in bytes
+	MOVQ rows+24(FP), R9
+	MOVQ R9, R10
+	DECQ R10
+	IMULQ R8, R10             // R10: offset of the tile's last row
+	MOVQ blocks+32(FP), CX
+	TESTQ CX, CX
+	JZ   masksdone
+	VXORPD Y15, Y15, Y15
+
+maskblock:
+	VPXOR Y0, Y0, Y0
+	LEAQ (SI)(R10*1), DX      // DX: the block in the last row
+	MOVQ R9, AX
+maskrow:
+	VPSLLQ $1, Y0, Y0
+	VCMPPD $4, (DX), Y15, Y1
+	VPSUBQ Y1, Y0, Y0
+	SUBQ R8, DX
+	DECQ AX
+	JNZ  maskrow
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  maskblock
+
+masksdone:
+	VZEROUPPER
+	RET
+
+// func transpose4AVX2(dst *float64, src *float64, rows int, cols int)
+//
+// dst = srcᵀ over the whole 4×4 blocks of the rows × cols matrix src — its
+// first rows&^3 rows and cols&^3 columns — dst being cols × rows. Each
+// block is four contiguous loads, turned in registers (VUNPCKLPD and
+// VUNPCKHPD pair two rows' even and odd columns within each 128-bit half,
+// VPERM2F128 joins the halves) and four contiguous stores; only bits move.
+// The caller guarantees AVX2 (useAVX2); the rest of the matrix is its own.
+TEXT ·transpose4AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ R9, R10
+	SHLQ $3, R10              // R10: src's row stride in bytes
+	LEAQ (R10)(R10*2), R11    // R11: three of them
+	MOVQ R8, R12
+	SHLQ $3, R12              // R12: dst's row stride in bytes
+	LEAQ (R12)(R12*2), R13    // R13: three of them
+	SHRQ $2, R8               // R8: row blocks left
+	SHRQ $2, R9               // R9: column blocks per row block
+	TESTQ R8, R8
+	JZ   transdone
+	TESTQ R9, R9
+	JZ   transdone
+
+transrow:
+	MOVQ SI, AX               // AX: src at the block
+	MOVQ DI, DX               // DX: dst at the block, transposed
+	MOVQ R9, CX
+transblock:
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R10*1), Y1
+	VMOVUPD (AX)(R10*2), Y2
+	VMOVUPD (AX)(R11*1), Y3
+	VUNPCKLPD Y1, Y0, Y4      // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD Y1, Y0, Y5      // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD Y3, Y2, Y6      // r2[0] r3[0] r2[2] r3[2]
+	VUNPCKHPD Y3, Y2, Y7      // r2[1] r3[1] r2[3] r3[3]
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, (DX)(R12*1)
+	VMOVUPD Y2, (DX)(R12*2)
+	VMOVUPD Y3, (DX)(R13*1)
+	ADDQ $32, AX
+	LEAQ (DX)(R12*4), DX
+	DECQ CX
+	JNZ  transblock
+	LEAQ (SI)(R10*4), SI
+	ADDQ $32, DI
+	DECQ R8
+	JNZ  transrow
+
+transdone:
 	VZEROUPPER
 	RET
 

@@ -57,6 +57,13 @@ const transATile = 32
 // dst changes nothing, because a chain that starts at +0 can never end on
 // −0 (x + y is −0 only when both are) and 0 + x is x for every other x,
 // NaN payloads included.
+//
+// On a CPU with AVX2 the zero test runs on vector compares and no term is
+// copied (addMulTransAMasked); elsewhere the non-zero terms of a tile are
+// compacted into lists, because the masked body's Go twins walk a mask per
+// output element and run about 3.5× slower than the compaction in portable
+// Go. The two bodies take the same terms in the same order with the same
+// roundings, so they agree bit for bit.
 func AddMulTransATo(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransA dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -67,8 +74,13 @@ func AddMulTransATo(dst, a, b *Matrix) {
 	if overlaps(dst, a) || overlaps(dst, b) {
 		panic("mat: AddMulTransATo dst aliases an operand")
 	}
+	if useAVX2 {
+		addMulTransAMasked(dst, a, b)
+		return
+	}
 	m, n := a.Cols, b.Cols
-	// Up to transATile rows of a at a time: for each output row i the
+	// The portable body, and the masked one's oracle. Up to transATile
+	// rows of a at a time: for each output row i the
 	// non-zero a[k][i] of the tile are compacted (value and the offset of
 	// b's row k) and row i of dst takes their combination of b's rows in
 	// one rowCombine, so dst is read and written once per tile instead of
@@ -97,6 +109,34 @@ func AddMulTransATo(dst, a, b *Matrix) {
 			if cnt > 0 {
 				rowCombine(dst.Data[i*n:(i+1)*n], b.Data, av[:cnt], off[:cnt], true)
 			}
+		}
+	}
+}
+
+// maskCols is how many columns of a addMulTransAMasked takes the masks of
+// at a time, so that they fit a fixed array on its stack at any width.
+const maskCols = 64
+
+// addMulTransAMasked is AddMulTransATo on the vector kernels. Per tile of
+// up to transATile rows of a, nonzeroMasks gives each output row i the bit
+// mask of the tile's rows k whose a[k][i] is not zero, and rowCombineMasks
+// walks every row's set bits in ascending k, reading a[k][i] and b's row k
+// where they lie through offset tables that serve every tile: nothing is
+// copied, and dst is read and written once per tile, as before.
+func addMulTransAMasked(dst, a, b *Matrix) {
+	m, n := a.Cols, b.Cols
+	var coff, boff [transATile]int
+	for t := range coff {
+		coff[t], boff[t] = t*m, t*n
+	}
+	var masks [maskCols]uint64
+	for k0 := 0; k0 < a.Rows; k0 += transATile {
+		rows := min(transATile, a.Rows-k0)
+		at, bt := a.Data[k0*m:], b.Data[k0*n:]
+		for i0 := 0; i0 < m; i0 += maskCols {
+			cols := masks[:min(maskCols, m-i0)]
+			nonzeroMasks(cols, at[i0:], m, rows)
+			rowCombineMasks(dst.Data[i0*n:(i0+len(cols))*n], n, bt, at[i0:], coff[:rows], boff[:rows], cols)
 		}
 	}
 }

@@ -150,6 +150,48 @@ func refAddMulTransA(seed, a, b *Matrix) *Matrix {
 	return out
 }
 
+// mixed is values with about one in eight replaced by a special — ±0, ±Inf
+// or NaN — which arbitrary bit patterns alone reach too rarely for the
+// zero skip and 0·Inf to meet.
+func (in *fuzzInput) mixed(k int) []float64 {
+	v := in.values(k)
+	for i, x := range v {
+		if u := math.Float64bits(x); u%8 == 0 {
+			v[i] = specials[(u/8)%uint64(len(specials))]
+		}
+	}
+	return v
+}
+
+// FuzzAddMulTransA checks the weight gradient's vector body against its
+// portable twin, and both against the reference loop, on bit patterns
+// mixed with ±0, ±Inf and NaN in a, b and the seeded dst, at any height up
+// to two tiles and a tail and at widths on and off the 4-column blocks.
+// The seed corpus is under testdata.
+func FuzzAddMulTransA(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, rows, m, n uint8) {
+		in := &fuzzInput{data: data}
+		r, mc, nc := int(rows%80), int(m%40), int(n%40)
+		a := &Matrix{Rows: r, Cols: mc, Data: in.mixed(r * mc)}
+		b := &Matrix{Rows: r, Cols: nc, Data: in.mixed(r * nc)}
+		seed := &Matrix{Rows: mc, Cols: nc, Data: in.mixed(mc * nc)}
+		what := fmt.Sprintf("%dx%dᵀ·%dx%d", r, mc, r, nc)
+		want := refAddMulTransA(seed, a, b)
+		var portable *Matrix
+		onEachKernel(t, func(kernel string) {
+			got := seed.Clone()
+			AddMulTransATo(got, a, b)
+			assertSameBits(t, what+" "+kernel+" against the reference loop", got, want)
+			if portable == nil {
+				portable = got
+			} else {
+				assertSameBits(t, what+" "+kernel+" against portable", got, portable)
+			}
+		})
+	})
+}
+
 func TestMulTransBToMatchesReference(t *testing.T) {
 	onEachKernel(t, func(kernel string) {
 		rng := rand.New(rand.NewSource(22))
@@ -182,6 +224,41 @@ func TestMulTransBToMatchesReference(t *testing.T) {
 	})
 }
 
+// TestTransposeToMatchesLoop runs both transpose bodies over every shape
+// around the 4×4 block, 1×n and n×1 included, from views at every
+// alignment into a dirtied, guarded dst, against the element loop. Only
+// bits move, so the comparison is exact, NaN payloads included.
+func TestTransposeToMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 24, 48, 96}
+	shift := 0
+	for _, rows := range sizes {
+		for _, cols := range sizes {
+			shift = (shift + 1) % 4
+			m := viewOf(rng, rows, cols, "specials", shift)
+			m.Data[0] = math.Float64frombits(0x7ff8dead0000beef) // a NaN with a payload
+			onEachKernel(t, func(kernel string) {
+				dirty := make([]float64, rows*cols)
+				for i := range dirty {
+					dirty[i] = -7.25
+				}
+				d, intact := guarded(dirty, (shift+1)%4)
+				TransposeTo(&Matrix{Rows: cols, Cols: rows, Data: d}, m)
+				if !intact() {
+					t.Fatalf("%s %dx%d: wrote outside dst", kernel, rows, cols)
+				}
+				for r := 0; r < rows; r++ {
+					for c := 0; c < cols; c++ {
+						if got, want := math.Float64bits(d[c*rows+r]), math.Float64bits(m.Data[r*cols+c]); got != want {
+							t.Fatalf("%s %dx%d: dst(%d,%d) = %#x, want %#x", kernel, rows, cols, c, r, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestTransposedKernelPanics(t *testing.T) {
 	a, b := New(4, 3), New(4, 5)
 	w := New(6, 5)
@@ -200,6 +277,8 @@ func TestTransposedKernelPanics(t *testing.T) {
 		"MulTransBTo dst is b":       func() { MulTransBTo(shared, shared.Clone(), shared) },
 		"MulTransA row mismatch":     func() { MulTransA(a, New(5, 5)) },
 		"MulTransB inner mismatch":   func() { MulTransB(a, w) },
+		"TransposeTo dst shape":      func() { TransposeTo(New(4, 3), a) },
+		"TransposeTo dst is m":       func() { TransposeTo(shared, shared) },
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -258,4 +337,43 @@ func BenchmarkMulTransBTo32(b *testing.B) {
 }
 func BenchmarkRefMulTransB8(b *testing.B) {
 	benchTransposed(8, func(_, w, _, g, _, _ *Matrix) { refMulTransB(g, w) })(b)
+}
+
+// BenchmarkAddMulTransAToModel1 is one minibatch's weight gradients of
+// model 1: 32 rows through its four layers, 6→96→48→24→1, with a
+// ReLU-sparse left operand.
+func BenchmarkAddMulTransAToModel1(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	widths := []int{6, 96, 48, 24, 1}
+	var as, gs, dWs []*Matrix
+	for l := 0; l+1 < len(widths); l++ {
+		as = append(as, filled(rng, 32, widths[l], "sparse"))
+		gs = append(gs, randomMatrix(rng, 32, widths[l+1]))
+		dWs = append(dWs, New(widths[l], widths[l+1]))
+	}
+	benchEachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for l, a := range as {
+				AddMulTransATo(dWs[l], a, gs[l])
+			}
+		}
+	})
+}
+
+// BenchmarkTransposeTo is the trainer's per-minibatch pack of model 1's
+// three transposed weights: 96×48, 48×24 and 24×1.
+func BenchmarkTransposeTo(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	var ws, wTs []*Matrix
+	for _, s := range [][2]int{{96, 48}, {48, 24}, {24, 1}} {
+		ws = append(ws, randomMatrix(rng, s[0], s[1]))
+		wTs = append(wTs, New(s[1], s[0]))
+	}
+	benchEachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for l, w := range ws {
+				TransposeTo(wTs[l], w)
+			}
+		}
+	})
 }
