@@ -55,8 +55,8 @@ func main() {
 	model := flag.Int("model", 1, "dense Table I architecture number (1-11)")
 	epsilon := flag.Float64("epsilon", 0.1, "exploration rate")
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
-	parallel := flag.Int("parallel", 0, "engine worker pool size for scoring (0 = GOMAXPROCS); speed only, never changes a result")
-	shards := flag.Int("shards", 0, "partition devices into N placement shards with one batched inference per cycle (0 = unsharded)")
+	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time (0 = GOMAXPROCS); speed only, never changes a result")
+	shards := flag.Int("shards", 0, "partition devices into N placement shards, decided one after another through one scoring loop (0 = unsharded)")
 	topK := flag.Int("topk", 0, "candidate pruning: score only the top-k devices per class by recent throughput (0 = exhaustive scoring)")
 	fullRescan := flag.Int("full-rescan-every", 0, "with -topk: every Nth decision re-scores the full candidate space (0 = default 8)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory: resume from it on start, checkpoint into it while running (empty = disabled)")
@@ -224,11 +224,15 @@ func run(ctx context.Context, stopping *atomic.Bool, runs int, ckptDir string, c
 	trained := len(sys.TrainLog())
 	moved := len(sys.Movements())
 	skipped := len(sys.Skipped())
-	for len(sys.Stats()) < runs && !stopping.Load() {
+	// Stats copies every run so far; count the runs here instead of calling
+	// it each time round.
+	done := len(sys.Stats())
+	for done < runs && !stopping.Load() {
 		stats, err := sys.RunContext(ctx)
 		if err != nil {
 			return err
 		}
+		done++
 		fmt.Printf("run %2d: %4d accesses, mean %.2f GB/s, p50/p95/p99 latency %.1f/%.1f/%.1f ms\n",
 			stats.Run, stats.Accesses, stats.MeanThroughput/1e9,
 			stats.LatencyP50*1e3, stats.LatencyP95*1e3, stats.LatencyP99*1e3)
@@ -257,7 +261,7 @@ func run(ctx context.Context, stopping *atomic.Bool, runs int, ckptDir string, c
 			}
 			skipped = len(sk)
 		}
-		if ckptDir != "" && ckptEvery > 0 && len(sys.Stats())%ckptEvery == 0 {
+		if ckptDir != "" && ckptEvery > 0 && done%ckptEvery == 0 {
 			path, err := sys.SaveCheckpoint()
 			if err != nil {
 				return fmt.Errorf("checkpointing: %w", err)
@@ -274,7 +278,7 @@ func run(ctx context.Context, stopping *atomic.Bool, runs int, ckptDir string, c
 			movedFiles += ev.Moved
 		}
 		fmt.Printf("overall mean throughput: %.2f GB/s over %d runs (%d telemetry records, %d movements)\n",
-			sys.MeanThroughput()/1e9, len(sys.Stats()), n, movedFiles)
+			sys.MeanThroughput()/1e9, done, n, movedFiles)
 	}
 	if faults {
 		st := sys.FaultStats()

@@ -248,13 +248,15 @@ func WithLatencyTarget() Option { return func(c *config) { c.target = core.Targe
 // paper's §X extension).
 func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = true } }
 
-// WithParallelism bounds the engine's worker pool: candidate feature
-// assembly, the blocks of the batched forward pass and (with WithShards)
-// per-shard prepare and finish fan out across n goroutines. The default is
-// runtime.GOMAXPROCS(0). n is a matter of speed only and never affects a
-// result: equal seeds give the same layouts, run stats and train log, bit
-// for bit, at any n and on any machine. Training does not use the pool —
-// every minibatch runs whole on one goroutine.
+// WithParallelism bounds the engine's scoring loop: a decision's files are
+// cut into runs of about 256 candidate rows, and up to n goroutines each
+// take a run end to end — features gathered, rows forwarded, scores and
+// greedy picks written back. With WithShards the shards go through that
+// loop one after another. The default is runtime.GOMAXPROCS(0). n is a
+// matter of speed only and never affects a result: equal seeds give the
+// same layouts, run stats and train log, bit for bit, at any n and on any
+// machine. Training does not use the pool — every minibatch runs whole on
+// one goroutine.
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTopK enables the engine's candidate pruning: each decision scores a
@@ -273,13 +275,12 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 
 // WithShards partitions the cluster's devices into n shards and drives
 // placement through the sharded coordinator: each shard owns a
-// lightweight engine deciding over its own device subset, every shard's
-// candidate rows forward through the shared network in ONE batched
-// inference per cycle, and placements a shard clearly cannot serve
-// escalate to the cluster-wide throughput digest under two-phase
-// capacity reservations. Shard decisions run concurrently under the
-// WithParallelism worker bound, which never affects a result (fixed merge
-// order, per-shard RNG streams). n = 1 is
+// lightweight engine deciding over its own device subset through the
+// shared network, and placements a shard clearly cannot serve escalate to
+// the cluster-wide throughput digest under two-phase capacity
+// reservations. Shards decide one after another, each through the same
+// scoring loop on the WithParallelism workers, which never affects a
+// result (fixed merge order, per-shard RNG streams). n = 1 is
 // bit-identical to the unsharded engine; n = 0 (the default) disables
 // sharding entirely. Devices are grouped contiguously in profile order.
 // Only the default "geomancy" policy shards — combining WithShards with

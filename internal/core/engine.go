@@ -16,12 +16,9 @@ import (
 	"fmt"
 	"geomancy/internal/rng"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"geomancy/internal/features"
-	"geomancy/internal/mat"
 	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
@@ -72,10 +69,12 @@ type Config struct {
 	// Optimizer overrides SGD when set ("sgd" default, "adam" for the
 	// ablation).
 	Optimizer string
-	// Parallelism bounds the engine's worker pool: candidate feature
-	// assembly, the blocks of the batched forward pass and, under a
-	// coordinator, per-shard prepare and finish fan out across this many
-	// goroutines. It is a matter of speed only and never changes a result:
+	// Parallelism bounds the scoring loop: a decision's runs of
+	// consecutive files (about nn.BlockRows candidate rows each) are
+	// scored end to end — features gathered, rows forwarded, scores
+	// written back, greedy picks made — on up to this many goroutines,
+	// under a coordinator one shard after another. It is the only fan-out
+	// of a decision, a matter of speed only, and never changes a result:
 	// scoring is row-independent, the layout-deciding randomness stays on
 	// one goroutine, and training does not read it — a minibatch runs
 	// whole on the caller's goroutine. Default 1.
@@ -199,11 +198,11 @@ type Engine struct {
 	// install storagesim.(*Cluster).CanPlace; nil means every device can.
 	valid func(device string, size int64) error
 
-	// Batched-inference buffers and the select stage's shuffle scratch,
+	// The scoring loop's pool (propose.go), shared by pointer with a
+	// coordinator's shard engines, and the select stage's shuffle scratch,
 	// reused across decisions.
-	scratch nn.Scratch  //geomancy:ephemeral scratch buffer, content meaningless between decisions
-	inFlat  *mat.Matrix //geomancy:ephemeral reusable inference buffer, overwritten per decision
-	perm    []int       //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
+	pool *scorePool //geomancy:ephemeral per-worker scoring buffers, content meaningless between decisions
+	perm []int      //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
 
 	// fsids maps a local device index to the fsid feature value the
 	// model was trained with. Nil means identity (the engine trained over
@@ -255,6 +254,16 @@ func (e *Engine) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
+// observeScoring reports one proposal's or one sharded cycle's scoring
+// once: its rows into the batch-size histogram, its time into the
+// duration gauge. A call that scored nothing reports nothing.
+func (m *engineMetrics) observeScoring(t scoreTally) {
+	if t.rows > 0 {
+		m.inferSeconds.Set(t.took.Seconds())
+		m.inferBatch.Observe(float64(t.rows))
+	}
+}
+
 // NewEngine builds an engine over the ReplayDB for the given candidate
 // devices (the paper's refreshed configuration file of storage points a
 // file may occupy, §V-F).
@@ -283,6 +292,7 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 		devIndex: make(map[string]int),
 		modelGen: 1,
 		cache:    make(map[int64]*fileCache),
+		pool:     &scorePool{},
 	}
 	// Dirty tracking is a capability, not a requirement: the local
 	// *replaydb.DB provides it, a RemoteStore may not. Without it the
@@ -482,8 +492,8 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	}
 	if spec.full {
-		// One scratch for both held-out partitions, scoped to this fit: on
-		// e.scratch its activation lanes would stay grown to a full block.
+		// One scratch for both held-out partitions, scoped to this fit: on a
+		// scoring lane its activations would stay grown to a full block.
 		var s nn.Scratch
 		rep.Validation = e.evaluateDenorm(val, &s)
 		rep.Test = e.evaluateDenorm(test, &s)
@@ -582,56 +592,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// parallelFor runs fn(i) for every i in [0, n) across up to workers
-// goroutines, checking ctx between work items. workers ≤ 1 runs inline.
-// The iteration partition never affects results: callers only use it for
-// independent per-item work.
-func parallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// forwardRows runs the engine's (timed, observed) batched forward pass
-// over already-assembled input rows.
-func (e *Engine) forwardRows(flat *mat.Matrix) *mat.Matrix {
-	start := time.Now() //geomancy:nondeterministic telemetry timestamp: inference duration is reported, never fed back into decisions
-	e.scratch.Parallelism = e.cfg.Parallelism
-	out := e.net.ForwardBatch(flat, nil, &e.scratch)
-	e.metrics.inferSeconds.Set(time.Since(start).Seconds()) //geomancy:nondeterministic telemetry timestamp: inference duration is reported, never fed back into decisions
-	e.metrics.inferBatch.Observe(float64(flat.Rows))
-	return out
-}
-
 // ProposeLayoutContext predicts the throughput of every file at its
 // candidate locations (including not moving it) and returns the layout
 // assigning each file to its best predicted location, with one decision
@@ -641,21 +601,14 @@ func (e *Engine) forwardRows(flat *mat.Matrix) *mat.Matrix {
 // destinations; invalid proposals fall back per the Action Checker rules
 // (select.go).
 //
-// The decision runs through the three-stage pipeline in propose.go —
-// prepare (invalidation, shortlist, row assembly), one batched forward
-// pass, finish (denormalization, score writeback, selection) — and ctx is
-// checked between candidate-scoring batches. The per-file greedy picks
-// fan out over the worker pool; only the ε-greedy selection — the
-// part that draws from e.rng — runs serially in file order, so a fixed
-// seed replays identically at any Parallelism.
+// The decision runs through the body in propose.go — prepare
+// (invalidation, shortlist, task list), score (runs of files scored end to
+// end on the worker pool), select — and ctx is checked between runs. Only
+// the ε-greedy selection — the part that draws from e.rng — runs serially
+// in file order, so a fixed seed replays identically at any Parallelism.
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	pd, err := e.prepareProposal(ctx, files)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out *mat.Matrix
-	if pd.total > 0 {
-		out = e.forwardRows(pd.flat)
-	}
-	return pd.finish(ctx, out, 0)
+	var tally scoreTally
+	layout, preds, err := e.decide(ctx, files, &tally)
+	e.metrics.observeScoring(tally)
+	return layout, preds, err
 }

@@ -3,33 +3,34 @@ package core
 import (
 	"context"
 
-	"geomancy/internal/mat"
 	"geomancy/internal/policy"
 )
 
-// proposeScored is ProposeLayoutContext — prepare, the engine's own forward
-// pass, finish — that also returns each file's name→score view of the
+// proposeScored is ProposeLayoutContext — decide's prepare, score and
+// select, reported — that also returns each file's name→score view of the
 // vector the select stage decided over: the entries of its fileCache
 // scored under the current model generation (bytes/s, denormalized and
 // MAE-adjusted). Decision records carry only the chosen device's score, so
 // this is how tests put the whole vector beside the reference scorer. The
-// entries are read from the pending decision's tasks, which also hold an
-// unpruned engine's per-decision scratch entries.
+// entries are read from the decision's tasks, which also hold an unpruned
+// engine's per-decision scratch entries.
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
-	pd, err := e.prepareProposal(ctx, files)
+	tasks, full, err := e.prepare(files)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var out *mat.Matrix
-	if pd.total > 0 {
-		out = e.forwardRows(pd.flat)
-	}
-	layout, preds, err := pd.finish(ctx, out, 0)
+	var tally scoreTally
+	err = e.score(ctx, files, tasks, &tally)
+	e.metrics.observeScoring(tally)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	if full {
+		e.endFullPass(files, tasks)
+	}
+	layout, preds := e.selectLayout(files, tasks)
 	scores := make([]map[string]float64, len(files))
-	for i, t := range pd.tasks {
+	for i, t := range tasks {
 		scores[i] = make(map[string]float64)
 		for j, g := range t.ent.gens {
 			if g == e.modelGen {

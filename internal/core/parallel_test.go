@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
-	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
+	"geomancy/internal/telemetry"
 	"geomancy/internal/trace"
 	"geomancy/internal/workload"
 )
@@ -79,52 +80,102 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 
 // A parallel engine must propose the exact layout a serial engine does at
 // the same seed: scoring is bit-identical at any parallelism and the
-// rng-consuming selection stays serial in file order.
+// rng-consuming selection stays serial in file order. The working set is
+// 130 files × 6 devices: runs of 42 files (252 rows), then a partial one,
+// so two and four workers both get runs to share. The pruned engine then
+// re-scores only the files that saw fresh telemetry — every third — so
+// clean files with no rows sit in the middle of its runs.
 func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
-	mkEngine := func() *Engine {
-		return trainedEngine(t, func(c *Config) {
-			c.Epsilon = 0.3 // exercise the exploration branch too
-		})
-	}
-	serial := mkEngine()
-	parallel := mkEngine()
-	parallel.cfg.Parallelism = 4
-
-	files := make([]policy.FileInfo, 40)
+	const nFiles = 130
+	files := make([]policy.FileInfo, nFiles)
 	for i := range files {
-		files[i] = policy.FileInfo{ID: int64(i%30 + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
+		files[i] = policy.FileInfo{ID: int64(i + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
 	}
-	for round := 0; round < 3; round++ {
-		ls, ds, err := serial.ProposeLayoutContext(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lp, dp, err := parallel.ProposeLayoutContext(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ls) != len(lp) {
-			t.Fatalf("round %d: layout sizes differ", round)
-		}
-		for id, dev := range ls {
-			if lp[id] != dev {
-				t.Errorf("round %d: file %d serial→%s parallel→%s", round, id, dev, lp[id])
+	type round struct {
+		rows   float64
+		layout map[int64]string
+		preds  []policy.Prediction
+		scores []map[string]float64
+	}
+	decide := func(t *testing.T, topK, par int) []round {
+		e := trainedEngine(t, func(c *Config) {
+			c.Epsilon = 0.3 // exercise the exploration branch too
+			c.TopK = topK
+			c.Parallelism = par
+		})
+		reg := telemetry.NewRegistry()
+		e.SetMetrics(reg)
+		rows := reg.Histogram(telemetry.MetricInferenceBatchSize, telemetry.DefBatchSizeBuckets)
+		db := e.db.(*replaydb.DB)
+		var rounds []round
+		for r := 0; r < 3; r++ {
+			if r > 0 {
+				for i := r % 3; i < nFiles; i += 3 {
+					if _, err := db.AppendAccess(replaydb.AccessRecord{
+						Time: float64(5000 + 200*r + i), FileID: files[i].ID, Device: files[i].Device, BytesRead: 2e8,
+						OpenTS: int64(5000 + 200*r + i), CloseTS: int64(5001 + 200*r + i), Throughput: 1.5e9,
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-		for i := range ds {
-			if ds[i].Chosen != dp[i].Chosen || ds[i].Random != dp[i].Random {
-				t.Errorf("round %d: decision %d differs: %+v vs %+v", round, i, ds[i], dp[i])
+			before := rows.Sum()
+			layout, preds, scores, err := e.proposeScored(context.Background(), files)
+			if err != nil {
+				t.Fatal(err)
 			}
+			rounds = append(rounds, round{rows.Sum() - before, layout, preds, scores})
 		}
+		return rounds
+	}
+	for _, tc := range []struct {
+		name string
+		topK int
+		// rows each round must score: a full pass is every pairing, a
+		// pruned one every third file's.
+		rows []float64
+	}{
+		{"all-device passes", 0, []float64{nFiles * 6, nFiles * 6, nFiles * 6}},
+		{"pruned passes", 6, []float64{nFiles * 6, 43 * 6, 43 * 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := decide(t, tc.topK, 1)
+			for r, w := range want {
+				if w.rows != tc.rows[r] {
+					t.Fatalf("round %d scored %v rows, want %v", r, w.rows, tc.rows[r])
+				}
+			}
+			for _, par := range []int{2, 4} {
+				for r, got := range decide(t, tc.topK, par) {
+					w := want[r]
+					if got.rows != w.rows || !reflect.DeepEqual(got.layout, w.layout) || !reflect.DeepEqual(got.preds, w.preds) {
+						t.Fatalf("parallelism %d round %d: decisions differ from the serial engine's", par, r)
+					}
+					for i := range files {
+						if len(got.scores[i]) != len(w.scores[i]) {
+							t.Fatalf("parallelism %d round %d file %d: %d scores, serial %d", par, r, files[i].ID, len(got.scores[i]), len(w.scores[i]))
+						}
+						for dev, v := range w.scores[i] {
+							if math.Float64bits(got.scores[i][dev]) != math.Float64bits(v) {
+								t.Fatalf("parallelism %d round %d file %d on %s: %v, serial %v", par, r, files[i].ID, dev, got.scores[i][dev], v)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
-// The engine keeps no batch-sized activations between decisions: after a
-// decision that scored 40 200 candidate rows, everything its scoring
-// scratch holds — the predictions and one block of activations per worker
-// — is under 2 MB (the whole-batch activations were 54 MB).
+// The engine keeps no batch-sized buffers between decisions: after a
+// decision that scored 40 200 candidate rows on four workers, everything
+// the lane pool holds — per worker, one run's input rows, its predictions
+// and one block of activations — is under 2 MB (the whole-batch
+// activations were 54 MB).
 func TestScoringScratchStaysBlockSized(t *testing.T) {
 	e := trainedEngine(t, func(c *Config) { c.Parallelism = 4 })
+	reg := telemetry.NewRegistry()
+	e.SetMetrics(reg)
 	files := make([]policy.FileInfo, 6700)
 	for i := range files {
 		files[i] = policy.FileInfo{ID: int64(i + 1), Size: int64(1e6 * (i%7 + 1)), Device: testDevices[i%len(testDevices)]}
@@ -132,8 +183,12 @@ func TestScoringScratchStaysBlockSized(t *testing.T) {
 	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil {
 		t.Fatal(err)
 	}
-	if rows := e.inFlat.Rows; rows != len(files)*len(testDevices) {
-		t.Fatalf("the decision scored %d rows, want %d", rows, len(files)*len(testDevices))
+	rows := reg.Histogram(telemetry.MetricInferenceBatchSize, telemetry.DefBatchSizeBuckets).Sum()
+	if want := float64(len(files) * len(testDevices)); rows != want {
+		t.Fatalf("the decision scored %v rows, want %v", rows, want)
+	}
+	if n := len(e.pool.lanes); n != 4 {
+		t.Fatalf("the decision ran on %d lanes, want 4", n)
 	}
 	live := func() int64 {
 		runtime.GC()
@@ -142,9 +197,9 @@ func TestScoringScratchStaysBlockSized(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := live()
-	e.scratch = nn.Scratch{}
+	e.pool.lanes = nil
 	if freed := before - live(); freed > 2<<20 {
-		t.Errorf("dropping the scoring scratch after a %d-row decision freed %d B, want under 2 MB", e.inFlat.Rows, freed)
+		t.Errorf("dropping the lane pool after a %v-row decision freed %d B, want under 2 MB", rows, freed)
 	}
 }
 

@@ -2,116 +2,104 @@ package core
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 )
 
-// The engine has one decision pipeline, split into three stages so a
-// sharded coordinator can interleave many engines' decisions around ONE
-// batched inference per cycle:
+// The engine has one decision body, decide, in three stages:
 //
-//	prepare — invalidation, shortlist and task construction, and
-//	          candidate row assembly into the engine's input buffer. Draws
-//	          no randomness and runs no GEMM, so shards prepare
-//	          concurrently.
-//	forward — one nn.ForwardBatch over the assembled rows.
-//	          ProposeLayoutContext forwards its own rows; the coordinator
-//	          concatenates every shard's rows and forwards once.
-//	finish  — denormalization, score writeback, each file's greedy pick,
-//	          and the serial ε-greedy selection (the only stage that draws
-//	          from e.rng).
+//	prepare — invalidation, the shortlist and the task list: which
+//	          (file, device) pairings this decision scores. Serial.
+//	score   — one parallelFor over runs of consecutive files, the only
+//	          goroutine fan-out of a decision. A worker takes its run end to
+//	          end on its own lane: stale features gathered, candidate rows
+//	          written into the lane's input block, one serial
+//	          nn.ForwardBatch, scores written back under the current
+//	          generation, each file's greedy pick made. Draws no randomness.
+//	select  — the full-pass epilogue and the serial ε-greedy selection
+//	          (the only stage that draws from e.rng).
 //
-// The pipeline has one input type and one output type: the policy
-// snapshot's own []policy.FileInfo goes in (never copied) and one
-// policy.Prediction per file comes out, positionally aligned with the
-// input. Device names appear only at those two edges; in between a device
-// is its index in e.devices, and a file's per-device score vector lives in
-// its fileCache entry — nothing else holds a copy.
+// ProposeLayoutContext runs the body once; Sharded.DecideLayout runs it
+// shard by shard on the shard engines, which share the global engine's
+// scoring pool. Either reports what scoring did once per call.
+//
+// The body has one input type and one output type: the policy snapshot's
+// own []policy.FileInfo goes in (never copied) and one policy.Prediction
+// per file comes out, positionally aligned with the input. Device names
+// appear only at those two edges; in between a device is its index in
+// e.devices, and a file's per-device score vector lives in its fileCache
+// entry — nothing else holds a copy.
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
 // rescan) is the same body run with every file invalidated and every
 // device shortlisted: prepare forks once to choose the invalidation set
-// and the shortlist, finish once for the full-pass epilogue.
+// and the shortlist, decide once for the full-pass epilogue.
 
-// pendingDecision is a prepared-but-not-yet-scored decision: the task
-// list mapping batch rows to (file, device) pairings, plus the assembled
-// input rows in the owning engine's reusable buffer. The buffer is valid
-// until the engine's next prepare.
-type pendingDecision struct {
-	eng   *Engine
-	files []policy.FileInfo
-
-	// full marks an all-device pass; tasks holds one entry per file (its
-	// score entry and the rows to score), total the row count.
-	full  bool
-	tasks []scoreTask
-	total int
-
-	// flat is the assembled input, an alias of the engine's reusable buffer.
-	flat *mat.Matrix
+// scorePool is what the scoring loop reuses from one decision to the
+// next: one lane per worker and the run boundaries of the decision in
+// flight. The global engine owns it; shard engines share it by pointer,
+// as they share its network, because shards decide one at a time.
+type scorePool struct {
+	lanes []*scoreLane
+	runs  []int
 }
 
-// prepareProposal runs the decision pipeline up to (but excluding) the
-// batched inference: invalidation, task-list construction, and
-// candidate-row assembly. It advances the decision counter and watermark,
-// so every prepare must be followed by exactly one finish.
-func (e *Engine) prepareProposal(ctx context.Context, files []policy.FileInfo) (*pendingDecision, error) {
-	if !e.trained {
-		return nil, ErrNotTrained
-	}
-	pd := &pendingDecision{eng: e, files: files, full: e.cfg.TopK == 0 || e.fullRescanDue()}
-	e.decisionCount++
+// scoreLane is one scoring worker's buffers: the input rows of the run it
+// is on and the forward pass's scratch. A run holds at most nn.BlockRows
+// rows unless one file alone has more, so a lane stays block-sized however
+// many rows a decision scores.
+type scoreLane struct {
+	in      *mat.Matrix
+	scratch nn.Scratch
+}
 
+// scoreTally is what the scoring stages of one proposal or one sharded
+// cycle did: the candidate rows they scored and the wall time they took.
+type scoreTally struct {
+	rows int
+	took time.Duration
+}
+
+// decide runs one decision over files: prepare, score, select. It adds
+// what its scoring did to tally, for the caller to report once.
+func (e *Engine) decide(ctx context.Context, files []policy.FileInfo, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
+	tasks, full, err := e.prepare(files)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.score(ctx, files, tasks, tally); err != nil {
+		return nil, nil, err
+	}
+	if full {
+		e.endFullPass(files, tasks)
+	}
+	layout, preds := e.selectLayout(files, tasks)
+	return layout, preds, nil
+}
+
+// prepare runs a decision up to scoring: it advances the decision counter,
+// marks stale what changed (everything, on an all-device pass, which full
+// reports) and builds the task list over the shortlist.
+func (e *Engine) prepare(files []policy.FileInfo) (tasks []scoreTask, full bool, err error) {
+	if !e.trained {
+		return nil, false, ErrNotTrained
+	}
+	full = e.cfg.TopK == 0 || e.fullRescanDue()
+	e.decisionCount++
 	var short []int
-	if pd.full {
+	if full {
 		e.invalidateAll()
 		short = e.allDevices()
 	} else {
 		e.invalidateChanged()
 		short = e.deviceShortlist()
 	}
-	pd.tasks, pd.total = e.pruneTasks(files, short)
-	if pd.total > 0 {
-		var err error
-		pd.flat, err = e.assembleTasks(ctx, files, pd.tasks, pd.total)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pd, nil
-}
-
-// finish consumes the inference output rows [base, base+total) of out and
-// completes the decision: denormalization, score writeback, each file's
-// greedy pick, the full-pass epilogue, and the serial ε-greedy selection.
-// out may be nil when total is 0.
-func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int) (map[int64]string, []policy.Prediction, error) {
-	e := pd.eng
-
-	// Per file: write the fresh scores into its entry under the current
-	// generation, then pick greedily from every current-generation score —
-	// the full width after an all-device pass (and for clean files still
-	// carrying one), the shortlist ∪ {current device} for freshly scored
-	// ones.
-	err := parallelFor(ctx, len(pd.files), e.cfg.Parallelism, func(i int) {
-		t := &pd.tasks[i]
-		for k, j := range t.devs {
-			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+t.base+k, 0))))
-			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
-			t.ent.gens[j] = e.modelGen
-		}
-		t.pick = e.greedyPick(t.ent, pd.files[i].Size)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if pd.full {
-		e.endFullPass(pd.files, pd.tasks)
-	}
-	layout, preds := e.selectLayout(pd.files, pd.tasks)
-	return layout, preds, nil
+	return e.pruneTasks(files, short), full, nil
 }
 
 // pruneTasks builds the work list, one task per file: the shortlist ∪
@@ -119,9 +107,10 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 // generation. After invalidateAll with the all-device shortlist that is
 // the full file-major files×devices grid. It counts every task's devices
 // first, so the device lists share one exactly-sized slice, laid out as the
-// batch rows are.
-func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) (tasks []scoreTask, total int) {
-	tasks = make([]scoreTask, len(files))
+// candidate rows are.
+func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) []scoreTask {
+	tasks := make([]scoreTask, len(files))
+	total := 0
 	for i, f := range files {
 		ent := e.ensureCache(f)
 		tasks[i] = scoreTask{ent: ent, base: total}
@@ -133,7 +122,7 @@ func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) (tasks []score
 		end := t.base + e.unscored(devs[t.base:], t.ent, f.Device, short)
 		t.devs = devs[t.base:end:end]
 	}
-	return tasks, total
+	return tasks
 }
 
 // unscored writes to dst, unless it is nil, the ascending indices of the
@@ -167,36 +156,108 @@ func (e *Engine) unscored(dst []int, ent *fileCache, current string, short []int
 	return n
 }
 
-// assembleTasks builds the candidate feature rows for every task into the
-// engine's reusable input buffer, reusing (and filling) each entry's raw
-// feature ingredients; a file with nothing to score is not even fetched.
-// A pruned decision scores a different number of rows every time, so the
-// buffer is reused by capacity and holds whatever the last decision left
-// until every row is written here. Nothing here consumes e.rng, and tasks
-// touch disjoint rows and entries, so the fan-out is race-free.
-func (e *Engine) assembleTasks(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, total int) (*mat.Matrix, error) {
-	e.inFlat = mat.Grow(e.inFlat, total, e.net.InSize)
-	flat := e.inFlat
-	err := parallelFor(ctx, len(tasks), e.cfg.Parallelism, func(i int) {
-		f, t := files[i], tasks[i]
-		if len(t.devs) == 0 {
-			return
-		}
-		// Candidate feature row ingredients: the file's typical access,
-		// stamped at the most recent known time.
-		if !t.ent.featValid {
-			t.ent.feat = e.gatherFileFeatures(f)
-			t.ent.featValid = true
-		}
-		for k, j := range t.devs {
-			e.candidateRow(flat.Row(t.base+k), t.ent.feat, f.ID, j)
-		}
+// score scores every task's pairings and makes every file's greedy pick,
+// run by run on up to Config.Parallelism workers, and adds the rows and
+// the time to tally.
+func (e *Engine) score(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, tally *scoreTally) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	start := time.Now() //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
+	p := e.pool
+	p.runs = runStarts(p.runs[:0], tasks)
+	workers := min(e.cfg.Parallelism, len(p.runs)-1)
+	for len(p.lanes) < workers {
+		p.lanes = append(p.lanes, &scoreLane{})
+	}
+	err := parallelFor(ctx, len(p.runs)-1, workers, func(w, r int) {
+		lo, hi := p.runs[r], p.runs[r+1]
+		e.scoreRun(p.lanes[w], files[lo:hi], tasks[lo:hi])
 	})
-	if err != nil {
-		return nil, err
+	last := tasks[len(tasks)-1]
+	tally.rows += last.base + len(last.devs)
+	tally.took += time.Since(start) //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
+	return err
+}
+
+// runStarts cuts the tasks into runs of consecutive files: a run ends
+// before the file whose rows would take it past nn.BlockRows, unless it
+// has no rows yet. It appends to starts each run's first task index, then
+// len(tasks). Files with nothing to score join the run they fall in.
+func runStarts(starts []int, tasks []scoreTask) []int {
+	starts = append(starts, 0)
+	lo := 0 // the first row of the open run
+	for i, t := range tasks {
+		if t.base > lo && t.base+len(t.devs)-lo > nn.BlockRows {
+			starts = append(starts, i)
+			lo = t.base
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return append(starts, len(tasks))
+}
+
+// scoreRun takes one run of files through scoring on lane l: it gathers
+// the raw feature ingredients a file with rows to score lacks (the file's
+// typical access, stamped at the most recent known time), writes the
+// run's candidate rows into the lane's input block, forwards them, writes
+// each score into its file's entry under the current generation, and
+// picks each file's greedy destination. Runs touch disjoint tasks and
+// entries, and nothing here draws from e.rng, so runs may score in any
+// order on any worker.
+func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTask) {
+	last := tasks[len(tasks)-1]
+	base := tasks[0].base
+	var out *mat.Matrix
+	if rows := last.base + len(last.devs) - base; rows > 0 {
+		l.in = mat.Grow(l.in, rows, featureCount)
+		for i, f := range files {
+			t := &tasks[i]
+			if len(t.devs) > 0 && !t.ent.featValid {
+				t.ent.feat = e.gatherFileFeatures(f)
+				t.ent.featValid = true
+			}
+			for k, j := range t.devs {
+				e.candidateRow(l.in.Row(t.base-base+k), t.ent.feat, f.ID, j)
+			}
+		}
+		out = e.net.ForwardBatch(l.in, nil, &l.scratch)
 	}
-	return flat, nil
+	for i := range tasks {
+		t := &tasks[i]
+		for k, j := range t.devs {
+			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
+			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
+			t.ent.gens[j] = e.modelGen
+		}
+		t.pick = e.greedyPick(t.ent, files[i].Size)
+	}
+}
+
+// parallelFor runs fn(w, i) for every i in [0, n) on up to workers
+// goroutines, the caller's among them, w being the index in [0, workers)
+// of the one running it, and checks ctx between items. The partition
+// never affects results: callers only use it for independent per-item
+// work.
+func parallelFor(ctx context.Context, n, workers int, fn func(w, i int)) error {
+	var next atomic.Int64
+	work := func(w int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return ctx.Err()
 }

@@ -228,11 +228,11 @@ func (e *Engine) deviceShortlist() []int {
 	return out[:dst]
 }
 
-// scoreTask is one file's inference work: its score entry, the device
+// scoreTask is one file's scoring work: its score entry, the device
 // indices to score (ascending; empty when every candidate is current),
-// where its rows start in the batch, and — once finish has written the
-// scores back — the file's greedy pick (select.go). The decision body lives
-// in propose.go: prepareProposal builds the task list via pruneTasks.
+// where its rows start among the decision's candidate rows, and — once
+// its run is scored — the file's greedy pick (select.go). The decision
+// body lives in propose.go: prepare builds the task list via pruneTasks.
 type scoreTask struct {
 	ent  *fileCache
 	devs []int

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"geomancy/internal/mat"
 	"geomancy/internal/policy"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
@@ -20,14 +19,12 @@ import (
 // that decides only over its own device subset, and the coordinator
 //
 //   - routes every file to the shard owning its current device,
-//   - runs the shards' decision pipelines concurrently under the
-//     repository's deterministic-parallelism rules — shards always merge
-//     in fixed index order and each shard draws from its own RNG stream
-//     (rng.Split of the coordinator seed), so any Parallelism produces
-//     the serial layout bit-for-bit,
-//   - amortizes inference by concatenating every shard's candidate rows
-//     into ONE batched forward pass per cycle through the shared network
-//     (one GEMM per cycle instead of one per shard), and
+//   - runs the engine's decision body on each shard in turn, whose
+//     scoring loop fans out over the scoring pool every shard engine
+//     shares with the global engine, on the shared network; each shard
+//     draws from its own RNG stream (rng.Split of the coordinator seed)
+//     and shards merge in fixed index order, so any Parallelism produces
+//     the serial layout bit-for-bit, and
 //   - escalates: when a shard's best in-shard placement underperforms the
 //     cluster-wide throughput digest by escalationFactor, the coordinator
 //     attempts a cross-shard migration under two-phase accounting
@@ -46,18 +43,15 @@ type Sharded struct {
 
 	units []shardUnit
 
-	// Training and batched inference happen on the global engine, which
-	// sees every device and snapshots itself through the engine half of
-	// the checkpoint; the bridge model wires it into the loop.
+	// Training happens on the global engine, which sees every device,
+	// owns the scoring pool and snapshots itself through the engine half
+	// of the checkpoint; the bridge model wires it into the loop.
 	globalEngine *Engine
 	global       *EngineModel //geomancy:ephemeral policy-plane bridge, rebuilt by NewSharded
 	cluster      *storagesim.Cluster
 
 	// devShard maps a device name to its owning shard index.
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
-
-	// combined is the reusable cross-shard inference buffer.
-	combined *mat.Matrix //geomancy:ephemeral reusable inference buffer, overwritten per cycle
 
 	// lastAdopted is the global model generation the shard engines last
 	// copied; every retrain bumps the generation, so adoption re-fires on
@@ -93,10 +87,9 @@ const escalationFactor = 4.0
 // profile order, or by assign when non-nil; see storagesim.ShardBy) and
 // builds the coordinator over them. cfg configures the global engine;
 // shard engines inherit it with a per-shard RNG stream split from
-// cfg.Seed and serial internals (cross-shard concurrency comes from the
-// coordinator's cfg.Parallelism, not nested pools). Every caller passes a
-// nil assign; the parameter stays only until the benchmark's traced pass
-// stops passing it.
+// cfg.Seed, and score on the global engine's scoring pool. Every caller
+// passes a nil assign; the parameter stays only until the benchmark's
+// traced pass stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
 	shards, err := cluster.ShardBy(n, assign)
 	if err != nil {
@@ -126,7 +119,6 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 		} else {
 			shardCfg := cfg
 			shardCfg.Seed = rng.Split(cfg.Seed, i)
-			shardCfg.Parallelism = 1
 			eng, err := NewEngine(db, sh.DeviceNames(), shardCfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: shard %d engine: %w", i, err)
@@ -140,6 +132,7 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 			}
 			eng.fsids = fsids
 			eng.valid = cluster.CanPlace
+			eng.pool = globalEngine.pool
 			u.engine = eng
 		}
 		s.units = append(s.units, u)
@@ -194,12 +187,11 @@ func (s *Sharded) adoptIfStale() {
 }
 
 // DecideLayout runs one sharded decision cycle over the working set:
-// route each file to the shard owning its current device, prepare every
-// shard's candidate rows concurrently, forward ALL rows through the
-// shared network in one batched inference, finish each shard's ε-greedy
-// selection concurrently on its own RNG stream, then merge in fixed
-// shard order with cross-shard escalation. The merged decision list is
-// ordered by shard, preserving input file order within each shard.
+// route each file to the shard owning its current device, run each
+// shard's decision on its own engine and RNG stream, report the cycle's
+// scoring once, then merge in fixed shard order with cross-shard
+// escalation. The merged decision list is ordered by shard, preserving
+// input file order within each shard.
 func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	s.adoptIfStale()
 
@@ -213,65 +205,20 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 		routed[i] = append(routed[i], f)
 	}
 
-	// Stage 1 — prepare concurrently. Preparation draws no randomness and
-	// shards touch disjoint engines, so the fan-out is race-free; errors
-	// surface in fixed shard order for determinism.
-	pds := make([]*pendingDecision, len(s.units))
-	errs := make([]error, len(s.units))
-	if err := parallelFor(ctx, len(s.units), s.globalEngine.cfg.Parallelism, func(i int) {
-		pds[i], errs[i] = s.units[i].engine.prepareProposal(ctx, routed[i])
-	}); err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Stage 2 — concatenate every shard's rows and forward ONCE through
-	// the shared network on the global engine (one timed, observed GEMM
-	// per cycle). A lone unit's buffer already is the whole batch and
-	// forwards as it stands.
-	total := 0
-	bases := make([]int, len(s.units))
-	for i, pd := range pds {
-		bases[i] = total
-		total += pd.total
-	}
-	var out *mat.Matrix
-	if total > 0 {
-		flat := pds[0].flat
-		if len(pds) > 1 {
-			cols := s.globalEngine.net.InSize
-			s.combined = mat.Grow(s.combined, total, cols)
-			for i, pd := range pds {
-				if pd.total > 0 {
-					copy(s.combined.Data[bases[i]*cols:(bases[i]+pd.total)*cols], pd.flat.Data[:pd.total*cols])
-				}
-			}
-			flat = s.combined
-		}
-		out = s.globalEngine.forwardRows(flat)
-	}
-
-	// Stage 3 — finish concurrently. Selection draws randomness, but each
-	// shard draws only from its own stream (distinct rng.Split seeds), so
-	// the layouts are independent of scheduling and identical at any
-	// Parallelism.
+	// Decide shard by shard. A shard engine touches only its own entries
+	// and stream, so the order is free; every decision is made before the
+	// first escalation reserves anything.
 	decs := make([][]policy.Prediction, len(s.units))
-	if err := parallelFor(ctx, len(s.units), s.globalEngine.cfg.Parallelism, func(i int) {
-		_, decs[i], errs[i] = pds[i].finish(ctx, out, bases[i])
-	}); err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
+	var tally scoreTally
+	for i := range s.units {
+		var err error
+		if _, decs[i], err = s.units[i].engine.decide(ctx, routed[i], &tally); err != nil {
 			return nil, nil, err
 		}
 	}
+	s.globalEngine.metrics.observeScoring(tally)
 
-	// Stage 4 — merge in fixed shard order, escalating placements the
+	// Merge in fixed shard order, escalating placements the
 	// owning shard clearly cannot serve. A shard's decisions are
 	// positionally aligned with the files routed to it.
 	digest := s.throughputDigest()

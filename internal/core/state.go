@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"geomancy/internal/features"
@@ -77,9 +78,10 @@ func (e *Engine) State() (EngineState, error) {
 
 // RestoreState overwrites the engine with a previously captured snapshot,
 // refusing first, with nothing changed, a network the dense scorer cannot
-// run and a snapshot a later decision would index past: a score-cache entry
-// with fewer or more scores than generations, or a fitted feature scaler
-// narrower than the feature vector (ErrInvalidState).
+// run and a snapshot a later decision would index past or mis-route: a
+// score-cache entry with fewer or more scores than generations, a fitted
+// feature scaler narrower than the feature vector, or a device list other
+// than the one the engine was built over (ErrInvalidState).
 func (e *Engine) RestoreState(st EngineState) error {
 	net, err := nn.Load(bytes.NewReader(st.Net))
 	if err != nil {
@@ -103,15 +105,18 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("core: restoring feature scaler: %w: %d minima and %d maxima for %d features",
 			ErrInvalidState, len(fs.Min), len(fs.Max), featureCount)
 	}
+	if !slices.Equal(st.Devices, e.devices) {
+		return fmt.Errorf("core: restoring devices: %w: the snapshot scores %q, the engine %q",
+			ErrInvalidState, st.Devices, e.devices)
+	}
 	e.rng.SetState(st.RNG)
 	e.net = net
-	e.SetDevices(st.Devices)
 	e.featScaler.RestoreState(st.FeatScaler)
 	e.targetScaler.RestoreState(st.TargetScaler)
 	e.valMetrics = st.ValMetrics
 	e.trained = st.Trained
 	e.decisionCount = st.DecisionCount
-	e.modelGen = st.ModelGen // after SetDevices, which bumps the fresh engine's counter
+	e.modelGen = st.ModelGen
 	e.lastWatermark = st.LastWatermark
 	e.cache = make(map[int64]*fileCache, len(st.ScoreCache))
 	for _, fs := range st.ScoreCache {

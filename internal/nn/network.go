@@ -266,12 +266,13 @@ func (n *Network) ValidationLoss(ds *Dataset) float64 {
 	return total / float64(count)
 }
 
-// predictChunkRows is the block height of the batched forward pass — 256
-// rows of the paper model's activations are a third of a megabyte, which
-// stays in L2 — and the batch height of Predict and ValidationLoss.
-const predictChunkRows = 256
+// BlockRows is the block height of the batched forward pass — 256 rows of
+// the paper model's activations are a third of a megabyte, which stays in
+// L2 — the batch height of Predict and ValidationLoss, and the height of
+// the engine's scoring runs.
+const BlockRows = 256
 
-// predictChunks scores every usable row of ds predictChunkRows anchors at
+// predictChunks scores every usable row of ds BlockRows anchors at
 // a time, handing f each chunk's predictions and the dataset row of its
 // first anchor (anchors are consecutive rows). Dense networks score row
 // views of ds.X, recurrent ones windows assembled per chunk; either way
@@ -285,8 +286,8 @@ func (n *Network) predictChunks(ds *Dataset, s *Scratch, f func(first int, pred 
 	}
 	var view mat.Matrix // one row view, re-pointed per chunk
 	first := n.firstAnchor()
-	for lo := first; lo < ds.Len(); lo += predictChunkRows {
-		hi := lo + predictChunkRows
+	for lo := first; lo < ds.Len(); lo += BlockRows {
+		hi := lo + BlockRows
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}

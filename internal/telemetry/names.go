@@ -78,8 +78,8 @@ func RegisterHelp(r *Registry) {
 		MetricTrainingErrorsTotal:    "Training cycles that failed.",
 		MetricTrainingDurationHist:   "Distribution of training-cycle wall times.",
 		MetricTrainingValidationMAE:  "Validation mean absolute relative error of the most recent cycle.",
-		MetricInferenceBatchSize:     "Distribution of candidate rows scored per batched inference.",
-		MetricInferenceDuration:      "Wall time of the most recent batched candidate inference.",
+		MetricInferenceBatchSize:     "Distribution of candidate rows scored per decision (per cycle across all shards).",
+		MetricInferenceDuration:      "Wall time of the most recent decision's scoring stage: feature gather, forward pass, score writeback and greedy picks.",
 		MetricShardDecisions:         "Files decided per placement shard.",
 		MetricShardEscalations:       "Shard decisions escalated to the global digest check.",
 		MetricShardMigrations:        "Committed cross-shard migrations into each shard.",
