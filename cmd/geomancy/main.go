@@ -46,7 +46,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "Interface Daemon listen address")
 	runs := flag.Int("runs", 25, "workload runs to execute")
 	seed := flag.Int64("seed", 1, "random seed")
-	epochs := flag.Int("epochs", 40, "training epochs per decision")
+	epochs := flag.Int("epochs", 40, "training epochs of a cold fit; a warm fit trains in proportion to the telemetry taken since the last one")
 	cooldown := flag.Int("cooldown", 5, "runs between layout decisions")
 	bootstrap := flag.Int("bootstrap", 5, "telemetry-only warm-up runs before the first decision")
 	windowX := flag.Int("window", 1000, "per-device ReplayDB training window")
@@ -246,8 +246,8 @@ func run(ctx context.Context, stopping *atomic.Bool, runs int, ckptDir string, c
 				movedFiles += ev.Moved
 			}
 			moved = len(events)
-			fmt.Printf("  tuned: trained on %d samples in %v (val MARE %s), moved %d files\n",
-				rep.Samples, rep.Duration.Round(time.Millisecond), rep.Validation.String(), movedFiles)
+			fmt.Printf("  tuned: trained on %d samples in %d epochs (%v, val MARE %s), moved %d files\n",
+				rep.Samples, rep.Epochs, rep.Duration.Round(time.Millisecond), rep.Validation.String(), movedFiles)
 			if verbose {
 				for _, ev := range events[len(events)-1:] {
 					fmt.Printf("    layout push at access %d: %d moved, %d explored\n",

@@ -195,8 +195,10 @@ func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps 
 // default 5.
 func WithCooldown(runs int) Option { return func(c *config) { c.cooldown = runs } }
 
-// WithEpochs sets the training epochs per decision; default 200 (the
-// paper's setting — use a smaller value for interactive experimentation).
+// WithEpochs sets the training epochs of a cold fit; default 200 (the
+// paper's per-decision setting — use a smaller value for interactive
+// experimentation). A warm retrain trains a share of them in proportion to
+// the telemetry recorded since the last one, at least one epoch.
 func WithEpochs(epochs int) Option { return func(c *config) { c.epochs = epochs } }
 
 // WithTrainingWindow sets the per-device ReplayDB window; default 2000.

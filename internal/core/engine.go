@@ -58,8 +58,16 @@ type Config struct {
 	// for training; default 2000 (6 devices × 2000 = the paper's 12,000
 	// training entries).
 	WindowX int
-	// Epochs is the training epoch count; default 200 (§V-G).
+	// Epochs is the epoch count of a cold full fit; default 200 (§V-G).
+	// A warm full fit trains it in proportion to the records taken since
+	// the last one: ceil(Epochs × new ÷ rows), at least 1 (see
+	// TrainContext), so each row is trained about Epochs times over its
+	// stay in the window rather than Epochs times per decision.
 	Epochs int
+	// FixedEpochs makes every full fit train Epochs, warm or cold: the
+	// paper's per-decision schedule (§V-G), kept for the paper-scale
+	// reproduction.
+	FixedEpochs bool
 	// SmoothWindow is the moving-average window applied to ReplayDB
 	// batches; default 8. 1 disables smoothing; negative selects the
 	// cumulative average (for the smoothing ablation).
@@ -155,6 +163,7 @@ const (
 // TrainReport summarizes one training cycle.
 type TrainReport struct {
 	Samples    int
+	Epochs     int // epochs the cycle trained
 	FinalLoss  float64
 	Validation nn.Metrics
 	Test       nn.Metrics
@@ -192,6 +201,9 @@ type Engine struct {
 	targetScaler features.ScalarScaler
 	valMetrics   nn.Metrics
 	trained      bool
+	// trainedSeq is the newest record Seq the last successful full fit
+	// read: the next full fit's budget counts the records above it.
+	trainedSeq uint64
 
 	// valid is the select stage's placement validator (select.go): can the
 	// device receive a file of this size right now? NewModel and NewSharded
@@ -232,13 +244,14 @@ type engineMetrics struct {
 	durationHist *telemetry.Histogram
 	loss         *telemetry.Gauge
 	samples      *telemetry.Gauge
+	epochs       *telemetry.Gauge
 	valMARE      *telemetry.Gauge
 	inferBatch   *telemetry.Histogram
 	inferSeconds *telemetry.Gauge
 }
 
 // SetMetrics points the engine's training instrumentation at reg: a
-// training-cycle counter, duration/loss/sample-count gauges refreshed
+// training-cycle counter, duration/loss/sample-count/epoch gauges refreshed
 // every cycle, and a duration histogram. A nil registry detaches.
 func (e *Engine) SetMetrics(reg *telemetry.Registry) {
 	e.metrics = engineMetrics{
@@ -248,6 +261,7 @@ func (e *Engine) SetMetrics(reg *telemetry.Registry) {
 		durationHist: reg.Histogram(telemetry.MetricTrainingDurationHist, telemetry.DefDurationBuckets),
 		loss:         reg.Gauge(telemetry.MetricTrainingLoss),
 		samples:      reg.Gauge(telemetry.MetricTrainingSamples),
+		epochs:       reg.Gauge(telemetry.MetricTrainingEpochs),
 		valMARE:      reg.Gauge(telemetry.MetricTrainingValidationMAE),
 		inferBatch:   reg.Histogram(telemetry.MetricInferenceBatchSize, telemetry.DefBatchSizeBuckets),
 		inferSeconds: reg.Gauge(telemetry.MetricInferenceDuration),
@@ -380,7 +394,7 @@ const (
 // incremental update.
 type fitSpec struct {
 	window  int     // most recent accesses fetched per device
-	epochs  int     // training epochs
+	epochs  int     // training epochs (a warm full fit trains a share; see TrainContext)
 	lrScale float64 // step size as a fraction of learningRate
 	// full refits the scalers, trains on the 60% partition of the 60/20/20
 	// split and refreshes the validation metrics from the rest; an update
@@ -392,9 +406,17 @@ type fitSpec struct {
 // the paper's 60/20/20 split, and refreshes the MAE adjustment from the
 // validation partition ("All requests for data contain the X most recent
 // accesses for each of the storage devices from the ReplayDB, thereby
-// creating a batch", §V-E). ctx is checked between training epochs, and a
-// cancelled cycle returns ctx.Err() without refreshing the validation
-// metrics.
+// creating a batch", §V-E). A cold fit trains Config.Epochs epochs. A warm
+// one (the engine is already trained) trains ceil(Epochs × new ÷ rows),
+// at least one and at most Epochs, where rows is the window's size and new
+// the number of records the store took since the last full fit read its
+// window (the Seq span between that window's newest record and this one's);
+// Config.FixedEpochs trains Epochs every time. The scalers are refitted
+// either way. ctx is checked between training epochs, and a cancelled
+// cycle returns ctx.Err() without refreshing the validation metrics or
+// the mark of what the last full fit read; its refitted scalers and
+// half-trained weights do start a new model generation, so no cached
+// score is taken for current.
 func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
 	return e.fit(ctx, fitSpec{window: e.cfg.WindowX, epochs: e.cfg.Epochs, lrScale: 1, full: true})
 }
@@ -426,6 +448,7 @@ func (e *Engine) fit(ctx context.Context, spec fitSpec) (TrainReport, error) {
 	e.metrics.durationHist.Observe(rep.Duration.Seconds())
 	e.metrics.loss.Set(rep.FinalLoss)
 	e.metrics.samples.Set(float64(rep.Samples))
+	e.metrics.epochs.Set(float64(rep.Epochs))
 	e.metrics.valMARE.Set(rep.Validation.MARE)
 	return rep, nil
 }
@@ -434,13 +457,32 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	if !spec.full && !e.trained {
 		return TrainReport{}, ErrNotTrained
 	}
+	lr := learningRate * spec.lrScale
+	var opt nn.Optimizer
+	switch e.cfg.Optimizer {
+	case "sgd":
+		opt = &nn.SGD{LR: lr}
+	case "adam":
+		opt = nn.NewAdam(lr / 10)
+	default:
+		return TrainReport{}, fmt.Errorf("core: unknown optimizer %q", e.cfg.Optimizer)
+	}
 	// The training set is built, scaled and trained on in place, and dies
-	// with this call: nothing window-sized is kept on the engine.
+	// with this call: nothing window-sized is kept on the engine. The
+	// target callback sees each row's record once, so it also finds the
+	// newest Seq the window holds.
+	newest := e.trainedSeq
 	x, targets := TrainingSet(e.db, e.devices, e.devIndex, spec.window,
-		func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(e.targetValue(rec)) }, e.cfg.SmoothWindow)
+		func(rec *replaydb.AccessRecord) float64 {
+			newest = max(newest, rec.Seq)
+			return EncodeTarget(e.targetValue(rec))
+		}, e.cfg.SmoothWindow)
 	if x.Rows == 0 {
 		return TrainReport{}, ErrNoTelemetry
 	}
+	// From here on the fit changes the scalers or the weights, finished or
+	// not: cached scores are stale on every return path.
+	e.modelGen++
 	if spec.full {
 		e.featScaler.Fit(x)
 		e.targetScaler.Fit(targets)
@@ -464,20 +506,18 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		}
 	}
 
-	lr := learningRate * spec.lrScale
-	var opt nn.Optimizer
-	switch e.cfg.Optimizer {
-	case "sgd":
-		opt = &nn.SGD{LR: lr}
-	case "adam":
-		opt = nn.NewAdam(lr / 10)
-	default:
-		return TrainReport{}, fmt.Errorf("core: unknown optimizer %q", e.cfg.Optimizer)
+	// A warm full fit trains in proportion to the records the store took
+	// since the last one read its window: every Seq above that fit's
+	// newest, up to this window's. As many as the window holds, or more,
+	// train the full budget.
+	epochs := spec.epochs
+	if span := newest - e.trainedSeq; spec.full && e.trained && !e.cfg.FixedEpochs && span < uint64(x.Rows) {
+		epochs = max(1, (spec.epochs*int(span)+x.Rows-1)/x.Rows)
 	}
 
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	loss, err := e.net.Fit(train, nn.FitConfig{
-		Epochs:    spec.epochs,
+		Epochs:    epochs,
 		BatchSize: batchSize,
 		Optimizer: opt,
 		Rng:       e.rng.Rand,
@@ -488,6 +528,7 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	}
 	rep := TrainReport{
 		Samples:   ds.Len(),
+		Epochs:    epochs,
 		FinalLoss: loss,
 		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	}
@@ -499,11 +540,11 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		rep.Test = e.evaluateDenorm(test, &s)
 		e.valMetrics = rep.Validation
 		e.trained = true
+		e.trainedSeq = newest
 	} else {
 		// The last full cycle's held-out metrics still describe the model.
 		rep.Validation = e.valMetrics
 	}
-	e.modelGen++ // new weights (and, after a full cycle, scalers and MAE adjustment): cached scores are stale
 	return rep, nil
 }
 

@@ -24,6 +24,10 @@ type EngineState struct {
 	TargetScaler features.ScalarState
 	ValMetrics   nn.Metrics
 	Trained      bool
+	// TrainedSeq is the newest record Seq the last full fit read. A
+	// snapshot without it (zero) counts every record as new, so the next
+	// full fit trains the full Config.Epochs.
+	TrainedSeq uint64
 
 	// Candidate-pruning bookkeeping (Config.TopK > 0): the decision
 	// counter anchors the full-rescan cadence, the watermark anchors the
@@ -60,6 +64,7 @@ func (e *Engine) State() (EngineState, error) {
 		TargetScaler:  e.targetScaler.State(),
 		ValMetrics:    e.valMetrics,
 		Trained:       e.trained,
+		TrainedSeq:    e.trainedSeq,
 		DecisionCount: e.decisionCount,
 		ModelGen:      e.modelGen,
 		LastWatermark: e.lastWatermark,
@@ -115,6 +120,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 	e.targetScaler.RestoreState(st.TargetScaler)
 	e.valMetrics = st.ValMetrics
 	e.trained = st.Trained
+	e.trainedSeq = st.TrainedSeq
 	e.decisionCount = st.DecisionCount
 	e.modelGen = st.ModelGen
 	e.lastWatermark = st.LastWatermark

@@ -37,8 +37,13 @@ type Options struct {
 	// BootstrapRuns precede measurement to fill the ReplayDB, mirroring
 	// the paper's 10,000-access warm-up.
 	BootstrapRuns int
-	// Epochs is the neural-network training epoch count.
+	// Epochs is the neural-network training epoch count: of every full
+	// fit under FixedEpochs, otherwise of a cold one (core.Config.Epochs).
 	Epochs int
+	// FixedEpochs trains Epochs on every full fit, the paper's
+	// per-decision schedule (§V-G), instead of a warm fit's share of them.
+	// Options that leave Epochs zero take Paper's schedule, this included.
+	FixedEpochs bool
 	// WindowX is the per-device ReplayDB window for training.
 	WindowX int
 	// CooldownRuns is the Geomancy decision cadence.
@@ -56,6 +61,7 @@ func Paper(seed int64) Options {
 		Runs:          50,
 		BootstrapRuns: 25,
 		Epochs:        200,
+		FixedEpochs:   true,
 		WindowX:       2000,
 		CooldownRuns:  5,
 		TraceRecords:  50000,
@@ -85,8 +91,8 @@ func (o Options) withDefaults() Options {
 	if o.BootstrapRuns == 0 {
 		o.BootstrapRuns = def.BootstrapRuns
 	}
-	if o.Epochs == 0 {
-		o.Epochs = def.Epochs
+	if o.Epochs == 0 { // the schedule defaults whole: the paper's epochs, every fit
+		o.Epochs, o.FixedEpochs = def.Epochs, def.FixedEpochs
 	}
 	if o.WindowX == 0 {
 		o.WindowX = def.WindowX

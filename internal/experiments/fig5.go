@@ -91,6 +91,7 @@ func runPolicy(p policy.Policy, opts Options) (Series, *testbed, error) {
 func engineConfig(opts Options) core.Config {
 	return core.Config{
 		Epochs:       opts.Epochs,
+		FixedEpochs:  opts.FixedEpochs,
 		WindowX:      opts.WindowX,
 		CooldownRuns: opts.CooldownRuns,
 		Seed:         opts.Seed + 77,

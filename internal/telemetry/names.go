@@ -22,6 +22,7 @@ const (
 	MetricTrainingDuration      = "geomancy_training_duration_seconds"
 	MetricTrainingLoss          = "geomancy_training_loss"
 	MetricTrainingSamples       = "geomancy_training_samples"
+	MetricTrainingEpochs        = "geomancy_training_epochs"
 	MetricTrainingErrorsTotal   = "geomancy_training_errors_total"
 	MetricTrainingDurationHist  = "geomancy_training_duration_seconds_hist"
 	MetricTrainingValidationMAE = "geomancy_training_validation_mare"
@@ -75,6 +76,7 @@ func RegisterHelp(r *Registry) {
 		MetricTrainingDuration:       "Wall time of the most recent training cycle.",
 		MetricTrainingLoss:           "Final training loss of the most recent cycle.",
 		MetricTrainingSamples:        "Sample count of the most recent training cycle.",
+		MetricTrainingEpochs:         "Epochs the most recent training cycle trained (a warm full fit trains a share, in proportion to the records taken since the last one).",
 		MetricTrainingErrorsTotal:    "Training cycles that failed.",
 		MetricTrainingDurationHist:   "Distribution of training-cycle wall times.",
 		MetricTrainingValidationMAE:  "Validation mean absolute relative error of the most recent cycle.",
