@@ -7,7 +7,11 @@
 //	           [-scale quick|paper] [-seed N] [-csv]
 //
 // -id matrix runs the per-scenario policy matrix: every workload
-// scenario under every baseline policy plus the Geomancy loop.
+// scenario under every baseline policy and the learned Geomancy family,
+// at ten seeds from -seed up. Each cell is the median [q1, q3] of the
+// policy's mean throughput over the seeds, and each learned variant's
+// cell counts its paired wins: the seeds at which it beat classic
+// Geomancy on that scenario.
 //
 // At -scale paper the model search (table2) trains all 23 architectures
 // for 200 epochs and takes minutes of CPU time; -scale quick (the default)
@@ -23,8 +27,12 @@ import (
 	"geomancy/internal/experiments"
 )
 
+// matrixSeeds is the number of seeds -id matrix runs per cell.
+const matrixSeeds = 10
+
 func main() {
-	id := flag.String("id", "all", "experiment id: fig4, table1, table2, table3, fig5a, fig5b, table4, fig6, overhead, all")
+	id := flag.String("id", "all", "experiment id: fig4, table1, table2, table3, fig5a, fig5b, table4, fig6, overhead, all, "+
+		"matrix, weighted, ablations, ablation-{epsilon,cooldown,smoothing,optimizer,gaps}")
 	scale := flag.String("scale", "quick", "quick or paper")
 	seed := flag.Int64("seed", 1, "random seed")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
@@ -141,7 +149,7 @@ func runExperiment(id string, opts experiments.Options, csv bool) error {
 		}
 		return emit(res.Table(), csv)
 	case "matrix":
-		res, err := experiments.PolicyMatrix(opts, nil)
+		res, err := experiments.PolicyMatrix(opts, nil, matrixSeeds)
 		if err != nil {
 			return err
 		}

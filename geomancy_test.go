@@ -73,6 +73,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(WithDevices([]DeviceProfile{})); err == nil {
 		t.Error("empty cluster should error")
 	}
+	if _, err := New(WithPolicy("tiered-geomancy")); !errors.Is(err, ErrUnknownPolicy) {
+		t.Errorf("New(WithPolicy(tiered-geomancy)) = %v, want ErrUnknownPolicy", err)
+	}
 }
 
 func TestPersistentReplayDB(t *testing.T) {

@@ -300,10 +300,10 @@ func ReplayHorizon(cfg Config) replaydb.Horizon {
 }
 
 // PolicyState snapshots the system the way policies decide on it: mean
-// device throughput over recent ReplayDB telemetry, free capacity and
-// hardware class per device, and the working set with its current
-// placement, recency (lastAccess), and access counts (accesses). The loop
-// and the experiment harness's loop-less bootstrap both decide from it.
+// device throughput over recent ReplayDB telemetry and free capacity per
+// device, and the working set with its current placement, recency
+// (lastAccess), and access counts (accesses). The loop and the experiment
+// harness's loop-less bootstrap both decide from it.
 func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64) policy.State {
 	names := cluster.DeviceNames()
 	s := policy.State{
@@ -316,7 +316,6 @@ func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.Bel
 			Name:       name,
 			Throughput: db.MeanThroughputByDevice(name, policyThroughputWindow),
 			Free:       dev.Free(),
-			Class:      dev.Profile.Class,
 		})
 	}
 	layout := cluster.Layout()

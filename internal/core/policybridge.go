@@ -10,7 +10,7 @@ import (
 )
 
 // EngineModel adapts the DRL engine to the policy plane's Model
-// contract, so policy.Geomancy / Online / Tiered can drive the engine
+// contract, so policy.Geomancy and policy.Online can drive the engine
 // without the policy package importing core. Training reports accumulate
 // inside the bridge; the loop (or any other driver) drains them with
 // Reports after each proposal.

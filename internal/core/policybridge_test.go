@@ -38,7 +38,9 @@ func TestBuildPolicyCoversCatalogue(t *testing.T) {
 			t.Errorf("BuildPolicy(%q, 2 shards) = %T with bridge %p, want the coordinator and its Model()", name, p, model)
 		}
 	}
-	if _, _, err := BuildPolicy(db, storagesim.NewBluesky(1), "nosuch", 0, quickCfg()); !errors.Is(err, policy.ErrUnknown) {
-		t.Errorf("unknown policy: err = %v, want policy.ErrUnknown", err)
+	for _, name := range []string{"nosuch", "tiered-geomancy"} {
+		if _, _, err := BuildPolicy(db, storagesim.NewBluesky(1), name, 0, quickCfg()); !errors.Is(err, policy.ErrUnknown) {
+			t.Errorf("unknown policy %q: err = %v, want policy.ErrUnknown", name, err)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // baseline plus the engine, with a winner per scenario and a consistent
 // tally.
 func TestPolicyMatrixCoversCatalogue(t *testing.T) {
-	res, err := PolicyMatrix(Quick(1), nil)
+	res, err := PolicyMatrix(Quick(1), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,15 +23,15 @@ func TestPolicyMatrixCoversCatalogue(t *testing.T) {
 		t.Errorf("policies = %v, want ≥6 baselines then the learned family ending in %q", res.Policies, GeomancyName)
 	}
 	n := len(res.Policies)
-	if res.Policies[n-2] != ShardedName || res.Policies[n-3] != OnlineName || res.Policies[n-4] != TieredName {
-		t.Errorf("learned tail = %v, want [%q %q %q %q]",
-			res.Policies[n-4:], TieredName, OnlineName, ShardedName, GeomancyName)
+	if res.Policies[n-2] != ShardedName || res.Policies[n-3] != OnlineName {
+		t.Errorf("learned tail = %v, want [%q %q %q]",
+			res.Policies[n-3:], OnlineName, ShardedName, GeomancyName)
 	}
-	if len(res.Mean) != len(res.Scenarios) || len(res.Winner) != len(res.Scenarios) {
+	if len(res.Median) != len(res.Scenarios) || len(res.Winner) != len(res.Scenarios) {
 		t.Fatalf("ragged result: %d scenarios, %d rows, %d winners",
-			len(res.Scenarios), len(res.Mean), len(res.Winner))
+			len(res.Scenarios), len(res.Median), len(res.Winner))
 	}
-	for i, row := range res.Mean {
+	for i, row := range res.Median {
 		if len(row) != len(res.Policies) {
 			t.Fatalf("row %d has %d cells, want %d", i, len(row), len(res.Policies))
 		}
@@ -60,7 +60,7 @@ func TestPolicyMatrixCoversCatalogue(t *testing.T) {
 // partitioned — so its mean throughput should track the unsharded
 // column on every scenario, not just in aggregate.
 func TestShardedPolicyMatrixParity(t *testing.T) {
-	res, err := PolicyMatrix(Quick(1), nil)
+	res, err := PolicyMatrix(Quick(1), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestShardedPolicyMatrixParity(t *testing.T) {
 		t.Fatalf("policies = %v, want both %q and %q", res.Policies, ShardedName, GeomancyName)
 	}
 	var shardedSum, geomancySum float64
-	for i, row := range res.Mean {
+	for i, row := range res.Median {
 		sharded, geomancy := row[shardedCol], row[geomancyCol]
 		t.Logf("%-16s sharded %.3g  geomancy %.3g  (%.2fx)",
 			res.Scenarios[i], sharded, geomancy, sharded/geomancy)
@@ -104,11 +104,11 @@ func TestShardedPolicyMatrixParity(t *testing.T) {
 // the rendered table bit-for-bit.
 func TestPolicyMatrixDeterministic(t *testing.T) {
 	scenarios := []string{"zipfian-hot", "hotspot-shift"}
-	a, err := PolicyMatrix(Quick(7), scenarios)
+	a, err := PolicyMatrix(Quick(7), scenarios, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PolicyMatrix(Quick(7), scenarios)
+	b, err := PolicyMatrix(Quick(7), scenarios, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,5 +124,72 @@ func TestPolicyMatrixDeterministic(t *testing.T) {
 	}
 	if ta.String() != tb.String() {
 		t.Fatal("same-seed rendered tables diverged")
+	}
+}
+
+// Over several seeds, every cell's band must hold its median, a paired
+// win count cannot exceed the seeds run, and each seed's cells must equal
+// a one-seed matrix at that seed: cells run on independent fresh
+// testbeds, so aggregation must not perturb them.
+func TestPolicyMatrixSeeds(t *testing.T) {
+	const seeds = 3
+	scenarios := []string{"zipfian-hot", "hotspot-shift"}
+	opts := Quick(4)
+	res, err := PolicyMatrix(opts, scenarios, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{4, 5, 6}; !reflect.DeepEqual(res.Seeds, want) {
+		t.Fatalf("seeds = %v, want %v", res.Seeds, want)
+	}
+	for i := range res.Scenarios {
+		for j, name := range res.Policies {
+			q1, med, q3 := res.Q1[i][j], res.Median[i][j], res.Q3[i][j]
+			if !(q1 <= med && med <= q3) {
+				t.Errorf("%s under %s: q1 %v, median %v, q3 %v out of order", res.Scenarios[i], name, q1, med, q3)
+			}
+			if w := res.Wins[i][j]; w < 0 || w > seeds {
+				t.Errorf("%s under %s: %d wins over %d seeds", res.Scenarios[i], name, w, seeds)
+			}
+			if len(res.Cells[i][j]) != seeds {
+				t.Fatalf("%s under %s: %d cells, want %d", res.Scenarios[i], name, len(res.Cells[i][j]), seeds)
+			}
+		}
+		if w := res.Wins[i][len(res.Policies)-1]; w != 0 {
+			t.Errorf("%s: %s beat itself %d times", res.Scenarios[i], GeomancyName, w)
+		}
+	}
+	for s, seed := range res.Seeds {
+		at := opts
+		at.Seed = seed
+		one, err := PolicyMatrix(at, scenarios, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Scenarios {
+			for j, name := range res.Policies {
+				if got, want := res.Cells[i][j][s], one.Median[i][j]; got != want {
+					t.Errorf("seed %d, %s under %s: cell %v, one-seed matrix %v", seed, res.Scenarios[i], name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The exclusive-method quartiles: interpolated inside the sample,
+// clamped to its ends, the median in the middle.
+func TestQuartile(t *testing.T) {
+	for _, c := range []struct {
+		xs        []float64
+		q1, m, q3 float64
+	}{
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{1, 3}, 1, 2, 3},
+		{[]float64{1, 2, 9}, 1, 2, 9},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2.75, 5.5, 8.25},
+	} {
+		if q1, m, q3 := quartile(c.xs, 1), quartile(c.xs, 2), quartile(c.xs, 3); q1 != c.q1 || m != c.m || q3 != c.q3 {
+			t.Errorf("quartiles of %v = %v %v %v, want %v %v %v", c.xs, q1, m, q3, c.q1, c.m, c.q3)
+		}
 	}
 }

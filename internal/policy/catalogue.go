@@ -46,8 +46,6 @@ var catalogue = []struct {
 		func(m Model, _ int64) Policy { return &Geomancy{Model: m} }},
 	{Info{"online-geomancy", "geomancy with incremental minibatch updates between full retrains"}, true,
 		func(m Model, _ int64) Policy { return &Online{Model: m} }},
-	{Info{"tiered-geomancy", "geomancy gated to cross-tier promote/demote moves by device class"}, true,
-		func(m Model, _ int64) Policy { return &Tiered{Model: m} }},
 }
 
 // Catalogue lists every selectable policy in catalogue order.

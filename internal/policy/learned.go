@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Model is the narrow surface of a learned placement engine the policy
@@ -160,135 +159,4 @@ func (p *Online) UnmarshalState(data []byte) error {
 	}
 	p.calls = st.Calls
 	return nil
-}
-
-// Tiered is Geomancy restricted to cross-tier migrations (after
-// Harmonia's device-class-aware promote/demote, arXiv:2503.20507):
-// devices are grouped into performance tiers by hardware class, files
-// are split into hot and cold halves by access count, and of the model's
-// proposed moves only promotions of hot files and demotions of cold ones
-// survive — lateral shuffles inside a tier, cold promotions, and hot
-// demotions are suppressed (the file stays put). The gate trades some of
-// the model's freedom for migration traffic that always has a tiering
-// rationale.
-type Tiered struct {
-	Stateless
-	Model    Model
-	explored int //geomancy:ephemeral last-proposal telemetry (LastExplored), overwritten by the next Propose
-}
-
-// Name implements Policy.
-func (p *Tiered) Name() string { return "tiered-geomancy" }
-
-// Propose implements Policy.
-func (p *Tiered) Propose(ctx context.Context, s State) (map[int64]string, error) {
-	if err := p.Model.Retrain(ctx); err != nil {
-		return nil, fmt.Errorf("policy: tiered retrain: %w", err)
-	}
-	_, preds, err := p.Model.Propose(ctx, s)
-	if err != nil {
-		return nil, fmt.Errorf("policy: tiered proposal: %w", err)
-	}
-	tiers := deviceTiers(s.Devices)
-	hot := hotFiles(s.Files)
-	layout := make(map[int64]string, len(preds))
-	explored := 0
-	for _, d := range preds {
-		chosen := d.Chosen
-		ct, haveCur := tiers[d.Current]
-		nt, haveNew := tiers[d.Chosen]
-		switch {
-		case d.Chosen == d.Current:
-			// Staying put is always allowed.
-		case !haveCur || !haveNew:
-			// A device outside the snapshot (shouldn't happen): trust the
-			// model rather than inventing a rule.
-		case nt == ct:
-			chosen = d.Current // lateral move inside a tier: suppress
-		case nt < ct && !hot[d.FileID]:
-			chosen = d.Current // promotion is reserved for hot files
-		case nt > ct && hot[d.FileID]:
-			chosen = d.Current // never demote a hot file
-		}
-		layout[d.FileID] = chosen
-		if d.Random && chosen != d.Current {
-			explored++
-		}
-	}
-	p.explored = explored
-	return layout, nil
-}
-
-// LastExplored implements Explorer.
-func (p *Tiered) LastExplored() int { return p.explored }
-
-// deviceTiers maps every device to its performance tier: devices are
-// grouped by hardware class (an unclassified device forms its own
-// class), classes are ranked by mean observed throughput, and tier 0 is
-// the fastest class. Iteration stays in slice order throughout so the
-// ranking is deterministic; throughput ties break by class name.
-func deviceTiers(devs []DeviceInfo) map[string]int {
-	classOf := func(d DeviceInfo) string {
-		if d.Class != "" {
-			return d.Class
-		}
-		return "device:" + d.Name
-	}
-	type group struct {
-		key string
-		sum float64
-		n   int
-	}
-	var groups []group
-	index := make(map[string]int)
-	for _, d := range devs {
-		key := classOf(d)
-		gi, ok := index[key]
-		if !ok {
-			gi = len(groups)
-			index[key] = gi
-			groups = append(groups, group{key: key})
-		}
-		groups[gi].sum += d.Throughput
-		groups[gi].n++
-	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		mi := groups[i].sum / float64(groups[i].n)
-		mj := groups[j].sum / float64(groups[j].n)
-		if mi != mj {
-			return mi > mj
-		}
-		return groups[i].key < groups[j].key
-	})
-	tierOf := make(map[string]int, len(groups))
-	for tier, g := range groups {
-		tierOf[g.key] = tier
-	}
-	tiers := make(map[string]int, len(devs))
-	for _, d := range devs {
-		tiers[d.Name] = tierOf[classOf(d)]
-	}
-	return tiers
-}
-
-// hotFiles splits the working set at the median access count: files at
-// or above it (having been accessed at all) are hot. With no access
-// history yet, nothing is hot and only demotions pass the gate.
-func hotFiles(files []FileInfo) map[int64]bool {
-	if len(files) == 0 {
-		return nil
-	}
-	counts := make([]int64, len(files))
-	for i, f := range files {
-		counts[i] = f.Accesses
-	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
-	median := counts[len(counts)/2]
-	hot := make(map[int64]bool, len(files))
-	for _, f := range files {
-		if f.Accesses > 0 && f.Accesses >= median {
-			hot[f.ID] = true
-		}
-	}
-	return hot
 }

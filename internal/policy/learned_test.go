@@ -110,95 +110,6 @@ func TestUnmarshalBadState(t *testing.T) {
 	}
 }
 
-// tieredState builds two tiers (ssd: s0 s1 fast; hdd: h0 h1 slow) and
-// four files: 1 and 2 hot (on h0 and s0), 3 and 4 cold (on s1 and h1).
-func tieredState() State {
-	return State{
-		Devices: []DeviceInfo{
-			{Name: "s0", Throughput: 1000, Class: "ssd"},
-			{Name: "s1", Throughput: 900, Class: "ssd"},
-			{Name: "h0", Throughput: 100, Class: "hdd"},
-			{Name: "h1", Throughput: 80, Class: "hdd"},
-		},
-		Files: []FileInfo{
-			{ID: 1, Device: "h0", Accesses: 50},
-			{ID: 2, Device: "s0", Accesses: 40},
-			{ID: 3, Device: "s1", Accesses: 1},
-			{ID: 4, Device: "h1", Accesses: 0},
-		},
-	}
-}
-
-func TestTieredGatesMoves(t *testing.T) {
-	s := tieredState()
-	m := &stubModel{
-		layout: map[int64]string{1: "s1", 2: "s1", 3: "s0", 4: "h0"},
-		preds: []Prediction{
-			{FileID: 1, Current: "h0", Chosen: "s1"}, // hot promotion: allowed
-			{FileID: 2, Current: "s0", Chosen: "s1"}, // lateral inside ssd: suppressed
-			{FileID: 3, Current: "s1", Chosen: "s0"}, // cold lateral: suppressed
-			{FileID: 4, Current: "h1", Chosen: "s0"}, // cold promotion: suppressed
-		},
-	}
-	p := &Tiered{Model: m}
-	layout, err := p.Propose(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int64]string{1: "s1", 2: "s0", 3: "s1", 4: "h1"}
-	if !reflect.DeepEqual(layout, want) {
-		t.Errorf("layout = %v, want %v", layout, want)
-	}
-}
-
-func TestTieredNeverDemotesHot(t *testing.T) {
-	s := tieredState()
-	m := &stubModel{
-		layout: map[int64]string{2: "h1"},
-		preds:  []Prediction{{FileID: 2, Current: "s0", Chosen: "h1"}},
-	}
-	p := &Tiered{Model: m}
-	layout, err := p.Propose(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout[2] != "s0" {
-		t.Errorf("hot file demoted to %q, want kept on s0", layout[2])
-	}
-}
-
-func TestTieredAllowsColdDemotion(t *testing.T) {
-	s := tieredState()
-	m := &stubModel{
-		layout: map[int64]string{3: "h1"},
-		preds:  []Prediction{{FileID: 3, Current: "s1", Chosen: "h1"}},
-	}
-	p := &Tiered{Model: m}
-	layout, err := p.Propose(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout[3] != "h1" {
-		t.Errorf("cold demotion suppressed (got %q), want h1", layout[3])
-	}
-}
-
-func TestDeviceTiersRanking(t *testing.T) {
-	tiers := deviceTiers(tieredState().Devices)
-	want := map[string]int{"s0": 0, "s1": 0, "h0": 1, "h1": 1}
-	if !reflect.DeepEqual(tiers, want) {
-		t.Errorf("tiers = %v, want %v", tiers, want)
-	}
-	// Unclassified devices form their own single-device classes.
-	tiers = deviceTiers([]DeviceInfo{
-		{Name: "a", Throughput: 10},
-		{Name: "b", Throughput: 20},
-	})
-	if tiers["b"] != 0 || tiers["a"] != 1 {
-		t.Errorf("unclassified tiers = %v, want b→0, a→1", tiers)
-	}
-}
-
 func TestRandomStaticStateRoundTrip(t *testing.T) {
 	s := testState(12)
 	p := &RandomStatic{Rng: rng.New(9)}
@@ -351,12 +262,12 @@ func TestCatalogueNames(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"geomancy", "online-geomancy", "tiered-geomancy", "lru", "noop"} {
+	for _, want := range []string{"geomancy", "online-geomancy", "lru", "noop"} {
 		if !seen[want] {
 			t.Errorf("catalogue missing %q", want)
 		}
 	}
-	if last := names[len(names)-1]; last != "tiered-geomancy" {
+	if last := names[len(names)-1]; last != "online-geomancy" {
 		t.Errorf("catalogue order changed: last = %q", last)
 	}
 }

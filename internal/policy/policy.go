@@ -2,7 +2,7 @@
 // contract implemented by the paper's base cases (§VI) — LRU, MRU (Chou
 // & DeWitt), LFU (Gupta et al.), random static, random dynamic, a fixed
 // static layout, and all-on-one-mount placement — and by the learned
-// Geomancy family (Geomancy, Online, Tiered) adapting the DRL engine
+// Geomancy family (Geomancy, Online) adapting the DRL engine
 // through the Model bridge. Dynamic policies re-rank devices from the
 // latest telemetry snapshot on every invocation, exactly as the paper's
 // base cases "access the updated performance values from the ReplayDB".
@@ -46,10 +46,6 @@ type DeviceInfo struct {
 	Throughput float64
 	// Free is the remaining capacity in bytes.
 	Free int64
-	// Class names the device's hardware class ("raid5", "nfs", "usb",
-	// ...). Tier-aware policies group devices by class; empty means
-	// unclassified, and each unclassified device forms its own class.
-	Class string
 }
 
 // FileInfo is a policy's view of one workload file.

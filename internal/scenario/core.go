@@ -242,24 +242,40 @@ func (c *Core) MarshalState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalState implements Workload.
+// UnmarshalState implements Workload. The blob comes from outside the
+// program, so it is checked whole before anything is assigned: a negative
+// run counter or ingest head would index the file set out of range on the
+// next run, and a refused blob leaves the workload as it was.
 func (c *Core) UnmarshalState(data []byte) error {
 	var st coreState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("scenario %s: unmarshaling state: %w", c.cfg.Name, err)
 	}
-	if err := c.chooser.RestoreState(st.Chooser); err != nil {
-		return fmt.Errorf("scenario %s: restoring chooser: %w", c.cfg.Name, err)
+	if st.Runs < 0 {
+		return fmt.Errorf("scenario %s: snapshot run counter %d is negative", c.cfg.Name, st.Runs)
 	}
+	var head *generator.Counter
 	if st.HasHead {
 		if c.head == nil {
 			return fmt.Errorf("scenario %s: snapshot has an ingest head but the scenario does not", c.cfg.Name)
 		}
-		if err := c.head.RestoreState(st.Head); err != nil {
+		head = generator.NewCounter(0)
+		if err := head.RestoreState(st.Head); err != nil {
 			return fmt.Errorf("scenario %s: restoring ingest head: %w", c.cfg.Name, err)
+		}
+		if next := st.Head.I[0]; next < 0 {
+			return fmt.Errorf("scenario %s: snapshot ingest head %d is negative", c.cfg.Name, next)
 		}
 	} else if c.head != nil {
 		return fmt.Errorf("scenario %s: snapshot lacks the ingest head", c.cfg.Name)
+	}
+	// The chooser checks its snapshot before it assigns, so it is the last
+	// step that can fail.
+	if err := c.chooser.RestoreState(st.Chooser); err != nil {
+		return fmt.Errorf("scenario %s: restoring chooser: %w", c.cfg.Name, err)
+	}
+	if head != nil {
+		c.head = head
 	}
 	c.rng.SetState(st.RNG)
 	c.runs = st.Runs

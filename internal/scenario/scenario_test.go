@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -254,5 +256,51 @@ func TestUnmarshalRejectsMismatchedShape(t *testing.T) {
 	}
 	if err := plain.UnmarshalState(blob); err == nil {
 		t.Error("zipfian-hot absorbed a write-ingest snapshot")
+	}
+}
+
+// A snapshot is input from outside the program: a negative run counter or
+// ingest head must be refused before anything is assigned, so the refused
+// workload keeps drawing exactly the sequence it would have drawn, instead
+// of indexing its file set out of range on the next run.
+func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
+	for _, c := range []struct {
+		scenario, field string
+		edit            func(*coreState)
+	}{
+		{"diurnal-tenants", "run counter", func(st *coreState) { st.Runs = -9 }},
+		{"write-ingest", "ingest head", func(st *coreState) { st.Head.I[0] = -5 }},
+	} {
+		t.Run(c.scenario, func(t *testing.T) {
+			src := buildSpread(t, c.scenario, 5)
+			traceRuns(t, src, 1)
+			blob, err := src.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st coreState
+			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(&st)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+
+			w := buildSpread(t, c.scenario, 5)
+			err = w.UnmarshalState(bad.Bytes())
+			runs := w.Runs()
+			got := traceRuns(t, w, 2)
+			if err == nil {
+				t.Fatalf("a snapshot with a negative %s was accepted", c.field)
+			}
+			if runs != 0 {
+				t.Errorf("refused restore left run counter %d, want 0", runs)
+			}
+			if want := traceRuns(t, buildSpread(t, c.scenario, 5), 2); !reflect.DeepEqual(got, want) {
+				t.Error("refused restore changed the access sequence")
+			}
+		})
 	}
 }
