@@ -263,15 +263,17 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 
 // WithTopK enables the engine's candidate pruning: each decision scores a
 // file against only the top-k devices per device class by recent
-// throughput (plus the file's current device), and skips files whose
-// telemetry has not changed since their last scoring. The first decision
-// and every WithFullRescanEvery-th one still run the exhaustive pass, so
-// pruning error cannot accumulate. k = 0 (the default) scores every
-// (file, device) pairing on every decision — the paper's behavior.
+// throughput (plus the file's current device), and files whose telemetry
+// has not changed since the last decision keep their feature ingredients
+// instead of re-reading their history. The first decision and every
+// WithFullRescanEvery-th one still run the exhaustive pass, so pruning
+// error cannot accumulate. k = 0 (the default) scores every (file, device)
+// pairing on every decision — the paper's behavior.
 func WithTopK(k int) Option { return func(c *config) { c.topK = k } }
 
 // WithFullRescanEvery sets the pruning cadence: with WithTopK, every Nth
-// decision re-scores the full candidate space and refreshes every cache.
+// decision scores the full candidate space and refetches every file's
+// features.
 // Default 8. Ignored without WithTopK.
 func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan = n } }
 

@@ -13,8 +13,8 @@ import (
 // decisions each (the runtime's own allocations land in the same
 // counters), after two that size the reusable buffers. Before every
 // decision a quarter of the files see fresh telemetry, which is all a
-// pruned pass (topK > 0) re-scores; topK = 0 makes every decision a full
-// pass.
+// pruned pass (topK > 0) refetches features for; topK = 0 makes every
+// decision a full pass.
 func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 	t.Helper()
 	const nFiles, nDev = 256, 32
@@ -57,10 +57,10 @@ func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 }
 
 // A decision allocates per file, never per (file, device) pairing: the
-// score vectors live in the files' cache entries and candidate rows are
+// device lists and scores live in the scoring pool and candidate rows are
 // written straight into the inference buffer, so what is left is a file's
-// score entry and history walk when it is (re)scored, and the per-decision
-// task list, device-list slice, layout map and record slice. A name-keyed
+// feature entry and history walk when its features are (re)fetched, and
+// the per-decision task list, layout map and record slice. A name-keyed
 // score map, a candidate list or a boxed feature row that slips back into
 // the pipeline multiplies the object count by the device width and fails
 // here, on any machine, long before a benchmark row would show it.
@@ -72,9 +72,8 @@ func TestDecisionAllocations(t *testing.T) {
 		objectsPerFile int64
 		bytes          int64
 	}{
-		// Every file: a fresh score entry (3 objects) and its history walk
-		// (2: the callback and what it sums into). The device lists share
-		// one slice per decision.
+		// Every file: a fresh feature entry (1 object) and its history walk
+		// (2: the callback and what it sums into).
 		{name: "full pass", topK: 0, objectsPerFile: 6, bytes: 352 << 10},
 		// A quarter of the files: the history walk.
 		{name: "pruned pass", topK: 2, objectsPerFile: 1, bytes: 96 << 10},

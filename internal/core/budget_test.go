@@ -178,11 +178,12 @@ func TestWarmFitEpochBudget(t *testing.T) {
 	})
 }
 
-// TestCancelledFitInvalidatesScores: a full fit cancelled after it refitted
-// the scalers and trained an epoch leaves a model the cached scores no
-// longer describe, so the next decision must score under it, not hand back
-// the previous model's score vectors as current.
-func TestCancelledFitInvalidatesScores(t *testing.T) {
+// TestDecisionAfterCancelledFitScoresEveryCandidate: a full fit cancelled
+// after it refitted the scalers and trained an epoch leaves a new model,
+// and the next decision scores every candidate it picks from under that
+// model: each score equals predictCandidate's, none is the previous
+// model's.
+func TestDecisionAfterCancelledFitScoresEveryCandidate(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
 	cfg.Epsilon = 0
@@ -211,11 +212,11 @@ func TestCancelledFitInvalidatesScores(t *testing.T) {
 	}
 	for i, f := range files {
 		if len(scores[i]) == 0 {
-			t.Fatalf("file %d has no current score after the cancelled fit", f.ID)
+			t.Fatalf("file %d has no score after the cancelled fit", f.ID)
 		}
 		for dev, got := range scores[i] {
 			if want := e.predictCandidate(f, dev); got != want {
-				t.Errorf("file %d on %s: current score %v, the model now predicts %v", f.ID, dev, got, want)
+				t.Errorf("file %d on %s: scored %v, the model now predicts %v", f.ID, dev, got, want)
 			}
 		}
 	}

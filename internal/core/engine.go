@@ -96,13 +96,16 @@ type Config struct {
 	// TopK enables candidate pruning: a decision scores each file against
 	// only the top-K devices per device class by recent throughput (plus
 	// the file's current device) instead of every device, and files whose
-	// telemetry has not changed since their last scoring reuse cached
-	// scores. 0 (the default) keeps the exhaustive O(files×devices) pass
-	// on every decision — the paper's behavior, bit-for-bit.
+	// telemetry has not changed since the last decision keep their feature
+	// ingredients instead of re-reading their history. Every candidate is
+	// scored afresh each decision. 0 (the default) keeps the exhaustive
+	// O(files×devices) pass on every decision — the paper's behavior,
+	// bit-for-bit.
 	TopK int
 	// FullRescanEvery is the pruning cadence: with TopK > 0, every Nth
 	// decision (and always the first) falls back to the exhaustive pass,
-	// re-scoring the full candidate space and refreshing every cache.
+	// scoring the full candidate space and refetching every file's
+	// features.
 	// Default 8. Ignored when TopK is 0.
 	FullRescanEvery int
 }
@@ -166,7 +169,6 @@ type TrainReport struct {
 	Epochs     int // epochs the cycle trained
 	FinalLoss  float64
 	Validation nn.Metrics
-	Test       nn.Metrics
 	Duration   time.Duration
 }
 
@@ -228,9 +230,13 @@ type Engine struct {
 	tracker       ChangeTracker
 	summarySource SummarySource
 	decisionCount uint64
-	modelGen      uint64
 	lastWatermark uint64
-	cache         map[int64]*fileCache
+	cache         map[int64]*fileCache //geomancy:ephemeral per-file feature ingredients, refetched from the restored ReplayDB
+
+	// modelGen is the model version: every fit that reached training bumps
+	// it, and the sharded coordinator re-adopts the global scorer when it
+	// moves (Sharded.adoptIfStale).
+	modelGen uint64 //geomancy:ephemeral adoption-gate version; a restore re-primes the gate (Sharded.UnmarshalState)
 
 	metrics engineMetrics //geomancy:ephemeral telemetry handles, re-installed by SetMetrics
 }
@@ -303,31 +309,21 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 		walk:     walkerOf(db),
 		rng:      r,
 		net:      net,
-		devIndex: make(map[string]int),
+		devices:  append([]string(nil), devices...),
+		devIndex: make(map[string]int, len(devices)),
 		modelGen: 1,
 		cache:    make(map[int64]*fileCache),
 		pool:     &scorePool{},
+	}
+	for i, d := range devices {
+		e.devIndex[d] = i
 	}
 	// Dirty tracking is a capability, not a requirement: the local
 	// *replaydb.DB provides it, a RemoteStore may not. Without it the
 	// pruned path still shortlists devices but treats every file as
 	// changed on every decision.
 	e.tracker, _ = db.(ChangeTracker)
-	e.SetDevices(devices)
 	return e, nil
-}
-
-// SetDevices refreshes the candidate location list. Cached candidate
-// scores are laid out per device index, so any device-list change drops
-// them and starts a new model generation.
-func (e *Engine) SetDevices(devices []string) {
-	e.devices = append([]string(nil), devices...)
-	e.devIndex = make(map[string]int, len(devices))
-	for i, d := range devices {
-		e.devIndex[d] = i
-	}
-	e.cache = make(map[int64]*fileCache)
-	e.modelGen++
 }
 
 // logBytes is the volume-feature transform.
@@ -415,8 +411,8 @@ type fitSpec struct {
 // either way. ctx is checked between training epochs, and a cancelled
 // cycle returns ctx.Err() without refreshing the validation metrics or
 // the mark of what the last full fit read; its refitted scalers and
-// half-trained weights do start a new model generation, so no cached
-// score is taken for current.
+// half-trained weights do start a new model generation, so a sharded
+// coordinator's shards adopt them.
 func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
 	return e.fit(ctx, fitSpec{window: e.cfg.WindowX, epochs: e.cfg.Epochs, lrScale: 1, full: true})
 }
@@ -481,7 +477,7 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		return TrainReport{}, ErrNoTelemetry
 	}
 	// From here on the fit changes the scalers or the weights, finished or
-	// not: cached scores are stale on every return path.
+	// not: the model is a new version on every return path.
 	e.modelGen++
 	if spec.full {
 		e.featScaler.Fit(x)
@@ -498,9 +494,11 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	}
 	ds := nn.NewDataset(x, targets)
 	train := ds
-	var val, test *nn.Dataset
+	var val *nn.Dataset
 	if spec.full {
-		train, val, test = ds.Split()
+		// §V-G's 60/20/20 split: train on the first 60%, validate on the
+		// next 20%; the last 20% is held out of both.
+		train, val, _ = ds.Split()
 		if train.Len() == 0 {
 			return TrainReport{}, fmt.Errorf("core: training partition empty (%d samples)", ds.Len())
 		}
@@ -533,11 +531,7 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 		Duration:  time.Since(start), //geomancy:nondeterministic telemetry timestamp: training duration is reported, never fed back into decisions
 	}
 	if spec.full {
-		// One scratch for both held-out partitions, scoped to this fit: on a
-		// scoring lane its activations would stay grown to a full block.
-		var s nn.Scratch
-		rep.Validation = e.evaluateDenorm(val, &s)
-		rep.Test = e.evaluateDenorm(test, &s)
+		rep.Validation = e.evaluateDenorm(val)
 		e.valMetrics = rep.Validation
 		e.trained = true
 		e.trainedSeq = newest
@@ -551,9 +545,9 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 // evaluateDenorm computes prediction metrics on the original throughput
 // scale. Relative errors on normalized targets explode near the range
 // minimum; real throughputs are safely bounded away from zero, matching
-// how the paper reports its error percentages. The forward pass runs on s.
-func (e *Engine) evaluateDenorm(ds *nn.Dataset, s *nn.Scratch) nn.Metrics {
-	preds, idx := e.net.Predict(ds, s)
+// how the paper reports its error percentages.
+func (e *Engine) evaluateDenorm(ds *nn.Dataset) nn.Metrics {
+	preds, idx := e.net.Predict(ds)
 	if len(preds) == 0 {
 		return nn.Metrics{Diverged: true}
 	}

@@ -178,7 +178,7 @@ func TestProposeLayoutCoversFilesAndCandidates(t *testing.T) {
 				d.FileID, d.Chosen, preds[d.Chosen], best, bestV)
 		}
 		if d.Predicted != preds[d.Chosen] {
-			t.Errorf("file %d records %.3g for %s, its score entry says %.3g",
+			t.Errorf("file %d records %.3g for %s, its score says %.3g",
 				d.FileID, d.Predicted, d.Chosen, preds[d.Chosen])
 		}
 	}
@@ -279,15 +279,6 @@ func TestNewEngineRejectsRecurrent(t *testing.T) {
 				t.Errorf("NewSharded(model %d, %d shards) = %v, want ErrRecurrentModel", m, n, err)
 			}
 		}
-	}
-}
-
-func TestSetDevicesRefreshesCandidates(t *testing.T) {
-	db := seedDB(t, 10)
-	e, _ := NewEngine(db, testDevices, quickCfg())
-	e.SetDevices([]string{"file0", "pic"})
-	if got := e.devices; len(got) != 2 {
-		t.Errorf("Devices = %v", got)
 	}
 }
 
@@ -690,9 +681,9 @@ func TestRestoreStateRejectsUnscorableNetwork(t *testing.T) {
 }
 
 // TestRestoreStateRejectsInconsistentState: a snapshot a later decision
-// would index past — a score-cache entry with fewer scores than
-// generations, a fitted feature scaler narrower than the feature vector —
-// is refused with ErrInvalidState, and the engine is left as it was.
+// would index past — a fitted feature scaler narrower than the feature
+// vector — is refused with ErrInvalidState, and the engine is left as it
+// was.
 func TestRestoreStateRejectsInconsistentState(t *testing.T) {
 	short, full := make([]float64, featureCount-1), make([]float64, featureCount)
 	cases := []struct {
@@ -700,10 +691,6 @@ func TestRestoreStateRejectsInconsistentState(t *testing.T) {
 		corrupt func(st *EngineState)
 		want    string
 	}{
-		{"scores shorter than generations", func(st *EngineState) {
-			st.ScoreCache = append(st.ScoreCache, FileScoreState{FileID: 7, Size: 1,
-				Scores: make([]float64, 2), Gens: make([]uint64, len(testDevices))})
-		}, "file 7 has 2 scores for 6 generations"},
 		{"scaler minima short", func(st *EngineState) {
 			st.FeatScaler = features.MinMaxState{Min: short, Max: full, Fitted: true}
 		}, "5 minima and 6 maxima"},

@@ -8,12 +8,10 @@ import (
 
 // proposeScored is ProposeLayoutContext — decide's prepare, score and
 // select, reported — that also returns each file's name→score view of the
-// vector the select stage decided over: the entries of its fileCache
-// scored under the current model generation (bytes/s, denormalized and
-// MAE-adjusted). Decision records carry only the chosen device's score, so
-// this is how tests put the whole vector beside the reference scorer. The
-// entries are read from the decision's tasks, which also hold an unpruned
-// engine's per-decision scratch entries.
+// scores the select stage decided over: the decision's scores of the
+// file's task devices (bytes/s, denormalized and MAE-adjusted). Decision
+// records carry only the chosen device's score, so this is how tests put
+// the whole vector beside the reference scorer.
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
 	tasks, full, err := e.prepare(files)
 	if err != nil {
@@ -32,10 +30,8 @@ func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (ma
 	scores := make([]map[string]float64, len(files))
 	for i, t := range tasks {
 		scores[i] = make(map[string]float64)
-		for j, g := range t.ent.gens {
-			if g == e.modelGen {
-				scores[i][e.devices[j]] = t.ent.scores[j]
-			}
+		for k, j := range t.devs {
+			scores[i][e.devices[j]] = e.pool.scores[t.base+k]
 		}
 	}
 	return layout, preds, scores, nil

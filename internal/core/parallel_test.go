@@ -82,9 +82,9 @@ func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 // the same seed: scoring is bit-identical at any parallelism and the
 // rng-consuming selection stays serial in file order. The working set is
 // 130 files × 6 devices: runs of 42 files (252 rows), then a partial one,
-// so two and four workers both get runs to share. The pruned engine then
-// re-scores only the files that saw fresh telemetry — every third — so
-// clean files with no rows sit in the middle of its runs.
+// so two and four workers both get runs to share. Before each later round
+// every third file sees fresh telemetry, so the pruned engine's runs mix
+// files whose features it refetches with files that keep cached ones.
 func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 	const nFiles = 130
 	files := make([]policy.FileInfo, nFiles)
@@ -131,12 +131,13 @@ func TestProposeLayoutParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		topK int
-		// rows each round must score: a full pass is every pairing, a
-		// pruned one every third file's.
+		// rows each round must score: every file against the shortlist ∪
+		// its current device, which with no summary source is every
+		// pairing, pruned or not.
 		rows []float64
 	}{
 		{"all-device passes", 0, []float64{nFiles * 6, nFiles * 6, nFiles * 6}},
-		{"pruned passes", 6, []float64{nFiles * 6, 43 * 6, 43 * 6}},
+		{"pruned passes", 6, []float64{nFiles * 6, nFiles * 6, nFiles * 6}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := decide(t, tc.topK, 1)

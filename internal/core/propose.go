@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,8 @@ import (
 //	          goroutine fan-out of a decision. A worker takes its run end to
 //	          end on its own lane: stale features gathered, candidate rows
 //	          written into the lane's input block, one serial
-//	          nn.ForwardBatch, scores written back under the current
-//	          generation, each file's greedy pick made. Draws no randomness.
+//	          nn.ForwardBatch, scores written into the decision's score
+//	          slice, each file's greedy pick made. Draws no randomness.
 //	select  — the full-pass epilogue and the serial ε-greedy selection
 //	          (the only stage that draws from e.rng).
 //
@@ -32,8 +33,10 @@ import (
 // own []policy.FileInfo goes in (never copied) and one policy.Prediction
 // per file comes out, positionally aligned with the input. Device names
 // appear only at those two edges; in between a device is its index in
-// e.devices, and a file's per-device score vector lives in its fileCache
-// entry — nothing else holds a copy.
+// e.devices. A decision's scores live for that decision: the pool's score
+// slice holds them, indexed as the tasks' device lists are, and the next
+// decision overwrites them. Only feature ingredients persist between
+// decisions (prune.go).
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
 // rescan) is the same body run with every file invalidated and every
@@ -41,12 +44,18 @@ import (
 // and the shortlist, decide once for the full-pass epilogue.
 
 // scorePool is what the scoring loop reuses from one decision to the
-// next: one lane per worker and the run boundaries of the decision in
-// flight. The global engine owns it; shard engines share it by pointer,
-// as they share its network, because shards decide one at a time.
+// next: one lane per worker, and the run boundaries, candidate devices and
+// scores of the decision in flight. The global engine owns it; shard
+// engines share it by pointer, as they share its network, because shards
+// decide, selection included, one at a time.
 type scorePool struct {
 	lanes []*scoreLane
 	runs  []int
+	// devs holds the device lists of the tasks whose current device is not
+	// shortlisted (pruneTasks); scores[t.base+k] is the score of task t's
+	// device t.devs[k] (bytes/s, denormalized and MAE-adjusted).
+	devs   []int
+	scores []float64
 }
 
 // scoreLane is one scoring worker's buffers: the input rows of the run it
@@ -103,57 +112,30 @@ func (e *Engine) prepare(files []policy.FileInfo) (tasks []scoreTask, full bool,
 }
 
 // pruneTasks builds the work list, one task per file: the shortlist ∪
-// {current device} entries not yet scored under the current model
-// generation. After invalidateAll with the all-device shortlist that is
-// the full file-major files×devices grid. It counts every task's devices
-// first, so the device lists share one exactly-sized slice, laid out as the
-// candidate rows are.
+// {current device}, ascending. With the all-device shortlist that is the
+// full file-major files×devices grid. A file on a shortlisted device
+// shares short itself; any other gets its own list, short with its device
+// inserted, in the pool's devs. A list made before devs grows keeps
+// pointing at the old array, whose contents never change again.
 func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) []scoreTask {
 	tasks := make([]scoreTask, len(files))
+	p := e.pool
+	p.devs = p.devs[:0]
 	total := 0
 	for i, f := range files {
-		ent := e.ensureCache(f)
-		tasks[i] = scoreTask{ent: ent, base: total}
-		total += e.unscored(nil, ent, f.Device, short)
-	}
-	devs := make([]int, total)
-	for i, f := range files {
-		t := &tasks[i]
-		end := t.base + e.unscored(devs[t.base:], t.ent, f.Device, short)
-		t.devs = devs[t.base:end:end]
-	}
-	return tasks
-}
-
-// unscored writes to dst, unless it is nil, the ascending indices of the
-// devices in short ∪ {the device named current} that ent holds no score
-// for under the current generation, and returns how many there are. short
-// is ascending.
-func (e *Engine) unscored(dst []int, ent *fileCache, current string, short []int) int {
-	cur, curOK := e.devIndex[current]
-	curOK = curOK && ent.gens[cur] != e.modelGen // an unscored current device not yet written
-	n := 0
-	put := func(j int) {
-		if dst != nil {
-			dst[n] = j
-		}
-		n++
-	}
-	for _, j := range short {
-		if curOK && cur <= j {
-			if cur < j { // not shortlisted: it goes here
-				put(cur)
+		devs := short
+		if cur, ok := e.devIndex[f.Device]; ok {
+			if at, in := slices.BinarySearch(short, cur); !in {
+				n := len(p.devs)
+				p.devs = append(append(append(p.devs, short[:at]...), cur), short[at:]...)
+				devs = p.devs[n:len(p.devs):len(p.devs)]
 			}
-			curOK = false
 		}
-		if ent.gens[j] != e.modelGen {
-			put(j)
-		}
+		tasks[i] = scoreTask{ent: e.ensureCache(f), devs: devs, base: total}
+		total += len(devs)
 	}
-	if curOK {
-		put(cur)
-	}
-	return n
+	p.scores = slices.Grow(p.scores[:0], total)[:total]
+	return tasks
 }
 
 // score scores every task's pairings and makes every file's greedy pick,
@@ -200,10 +182,9 @@ func runStarts(starts []int, tasks []scoreTask) []int {
 // the raw feature ingredients a file with rows to score lacks (the file's
 // typical access, stamped at the most recent known time), writes the
 // run's candidate rows into the lane's input block, forwards them, writes
-// each score into its file's entry under the current generation, and
-// picks each file's greedy destination. Runs touch disjoint tasks and
-// entries, and nothing here draws from e.rng, so runs may score in any
-// order on any worker.
+// each score into the decision's score slice, and picks each file's greedy
+// destination. Runs touch disjoint tasks, entries and scores, and nothing
+// here draws from e.rng, so runs may score in any order on any worker.
 func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTask) {
 	last := tasks[len(tasks)-1]
 	base := tasks[0].base
@@ -224,12 +205,12 @@ func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTa
 	}
 	for i := range tasks {
 		t := &tasks[i]
-		for k, j := range t.devs {
+		scores := e.pool.scores[t.base : t.base+len(t.devs)]
+		for k := range t.devs {
 			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
-			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
-			t.ent.gens[j] = e.modelGen
+			scores[k] = nn.AdjustPrediction(raw, e.valMetrics)
 		}
-		t.pick = e.greedyPick(t.ent, files[i].Size)
+		t.pick = e.greedyPick(t.devs, scores, files[i].Size)
 	}
 }
 

@@ -8,34 +8,31 @@ import (
 )
 
 // Candidate pruning (Config.TopK > 0) makes the scoring hot path sublinear
-// in the candidate space. An all-device pass builds and scores all
-// files×devices rows; at warehouse scale almost all of that work re-derives
-// scores that cannot have changed. Every decision keeps a per-file entry of
-// candidate scores tagged with the model generation that produced them;
-// with pruning on the entries persist across decisions as a cache, and a
-// decision scores only:
+// in the device axis. An all-device pass builds and scores all
+// files×devices rows; a pruned decision scores each file only
 //
-//   - files whose telemetry changed since the last pass — the dirty set,
-//     answered by the ReplayDB's append watermark (ChangeTracker) instead
-//     of re-reading every file's history;
 //   - against a device shortlist — the top-K devices per device class by
 //     recent effective throughput (storagesim.DeviceSummary), always
 //     including the file's current device;
-//   - plus anything the current model generation has not scored yet: a
-//     retrain or incremental update bumps the generation, so fresh weights
-//     never reuse stale scores.
+//   - from feature ingredients cached per file across decisions, refetched
+//     only for files whose telemetry changed since the last pass — the
+//     dirty set, answered by the ReplayDB's append watermark
+//     (ChangeTracker) instead of re-reading every file's history.
+//
+// Scores are never cached: every decision scores its candidates under the
+// model it runs on (the policy retrains before every decision, so a
+// cross-decision score could never be current).
 //
 // Exactness contract: the first decision and every FullRescanEvery-th one
-// invalidate every file and shortlist every device, so pruning error
-// cannot accumulate past one cadence window. Between rescans, a clean file
-// whose entry still carries the full device width at the current
-// generation decides over exactly the all-device candidate set,
-// bit-identically (batching never changes a row's arithmetic); dirty or
-// newly generated files decide over the shortlist ∪ {current device}.
-// Exploration always shuffles the full device list (selectLayout), so a
-// pruned run and an unpruned run of the same seed consume identical
-// randomness, and agree on the chosen layout whenever the shortlist covers
-// the argmax device.
+// refetch every file's features and shortlist every device, so pruning
+// error cannot accumulate past one cadence window. Between rescans a file
+// decides over the shortlist ∪ {current device}, each score bit-identical
+// to the all-device pass's for the same pairing (batching never changes a
+// row's arithmetic, and a clean file's cached features are the ones a
+// refetch would return). Exploration always shuffles the full device list
+// (selectLayout), so a pruned run and an unpruned run of the same seed
+// consume identical randomness, and agree on the chosen layout whenever
+// the shortlist covers the argmax device.
 
 // ChangeTracker is the optional dirty-tracking view of a TelemetryStore.
 // The local *replaydb.DB implements it; a store that does not (e.g. a
@@ -57,50 +54,32 @@ type ChangeTracker interface {
 type SummarySource func() []storagesim.DeviceSummary
 
 // SetSummarySource installs the device-summary provider the pruned path
-// builds shortlists from. Without one, pruning still skips clean files
-// but shortlists every device.
+// builds shortlists from. Without one, pruning still keeps clean files'
+// features but shortlists every device.
 func (e *Engine) SetSummarySource(src SummarySource) { e.summarySource = src }
 
-// fileCache is one file's scoring entry: raw feature ingredients (valid
-// until the file's telemetry changes) and per-device candidate scores
-// tagged with the model generation that produced them. gens[j] == 0 means
-// never scored; entries are laid out in e.devices index order. The entry is
-// the one home of a file's per-device score vector: the select stage reads
-// it by index and a decision record carries only the chosen device's score.
+// fileCache is one file's feature entry: the raw ingredients of its
+// candidate rows, valid until the file's telemetry or size changes.
 type fileCache struct {
 	size      int64
-	featValid bool         //geomancy:ephemeral feature-cache validity bit, recomputed from telemetry after restore
-	feat      fileFeatures //geomancy:ephemeral raw feature ingredients, recomputed from telemetry after restore
-	scores    []float64
-	gens      []uint64
+	featValid bool
+	feat      fileFeatures
 }
 
-// invalidate drops everything derived from the file's telemetry.
-func (fc *fileCache) invalidate() {
-	fc.featValid = false
-	for i := range fc.gens {
-		fc.gens[i] = 0
-	}
-}
-
-// ensureCache returns the file's score entry, creating or resetting it if
-// the device width or the file's size changed. Only a pruning engine
-// retains what it creates; with TopK = 0 every entry is per-decision
-// scratch, private to its slot in the file list.
+// ensureCache returns the file's entry, creating it, or marking its
+// features stale if the file's size changed. Only a pruning engine retains
+// what it creates; with TopK = 0 every entry is per-decision scratch,
+// private to its slot in the file list.
 func (e *Engine) ensureCache(f policy.FileInfo) *fileCache {
 	ent, ok := e.cache[f.ID]
-	if !ok || len(ent.gens) != len(e.devices) {
-		ent = &fileCache{
-			size:   f.Size,
-			scores: make([]float64, len(e.devices)),
-			gens:   make([]uint64, len(e.devices)),
-		}
+	if !ok {
+		ent = &fileCache{size: f.Size}
 		if e.cfg.TopK > 0 {
 			e.cache[f.ID] = ent
 		}
 	} else if ent.size != f.Size {
 		ent.size = f.Size
-		ent.invalidate()
+		ent.featValid = false
 	}
 	return ent
 }
@@ -114,10 +93,10 @@ func (e *Engine) fullRescanDue() bool {
 	return e.cfg.FullRescanEvery > 0 && e.decisionCount%uint64(e.cfg.FullRescanEvery) == 0
 }
 
-// invalidateAll marks every cached entry stale.
+// invalidateAll marks every cached entry's features stale.
 func (e *Engine) invalidateAll() {
 	for _, ent := range e.cache {
-		ent.invalidate()
+		ent.featValid = false
 	}
 }
 
@@ -132,7 +111,7 @@ func (e *Engine) invalidateChanged() {
 	}
 	for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
 		if ent, ok := e.cache[id]; ok {
-			ent.invalidate()
+			ent.featValid = false
 		}
 	}
 	e.lastWatermark = e.tracker.Watermark()
@@ -228,11 +207,11 @@ func (e *Engine) deviceShortlist() []int {
 	return out[:dst]
 }
 
-// scoreTask is one file's scoring work: its score entry, the device
-// indices to score (ascending; empty when every candidate is current),
-// where its rows start among the decision's candidate rows, and — once
-// its run is scored — the file's greedy pick (select.go). The decision
-// body lives in propose.go: prepare builds the task list via pruneTasks.
+// scoreTask is one file's scoring work: its feature entry, the device
+// indices to score (ascending), where its rows — and its scores in the
+// pool's score slice — start among the decision's, and, once its run is
+// scored, the file's greedy pick (select.go). The decision body lives in
+// propose.go: prepare builds the task list via pruneTasks.
 type scoreTask struct {
 	ent  *fileCache
 	devs []int

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
+	"geomancy/internal/features"
+	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -121,8 +125,9 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 // TestPrunedMatchesExhaustive is the layout-agreement contract at engine
 // level: with a shortlist covering every device (TopK=2 on the Bluesky
 // class structure), a pruned engine and an exhaustive engine of the same
-// seed propose identical layouts decision after decision — through cache
-// hits, dirty files, retrains, and exploration draws.
+// seed propose identical layouts decision after decision — through clean
+// and dirty files, decisions with and without a fit before them, and
+// exploration draws.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	mk := func(topK int) (*Engine, *replaydb.DB) {
 		db := seedDB(t, 1200)
@@ -171,7 +176,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			}
 		}
 		// Mutate the world between decisions: dirty a file on both DBs,
-		// and retrain on a cadence that exercises generation bumps.
+		// and retrain on a cadence, so some decisions follow a fit and some
+		// do not.
 		dirty(exDB, int64(step%4+1))
 		dirty(prDB, int64(step%4+1))
 		if step%3 == 2 {
@@ -191,7 +197,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 // TestPrunedSkipsCleanFiles checks the incremental accounting: after the
 // first (exhaustive) decision, a decision with no new telemetry fetches
 // no per-file features at all, and a decision with one dirty file fetches
-// exactly that file's.
+// exactly that file's. Every decision still scores every candidate.
 func TestPrunedSkipsCleanFiles(t *testing.T) {
 	base := seedDB(t, 1200)
 	store := &countingStore{DB: base}
@@ -220,7 +226,8 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		t.Fatalf("exhaustive pass fetched %d files, want ≥ %d", first, len(files))
 	}
 
-	// Clean decision: every file reuses its cached full-width scores.
+	// Clean decision: every file keeps its cached features and is scored
+	// over the shortlist, the full width here (TopK=2 covers the cluster).
 	store.byFileCalls = 0
 	_, _, scores, err := e.proposeScored(context.Background(), files)
 	if err != nil {
@@ -236,7 +243,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 		}
 	}
 
-	// One dirty file: only it is re-featurized and re-scored.
+	// One dirty file: only it is re-featurized.
 	if _, err := base.AppendAccess(replaydb.AccessRecord{
 		Time: 3000, FileID: 2, Device: "USBtmp", BytesRead: 1e8,
 		OpenTS: 3000, CloseTS: 3001, Throughput: 5e8,
@@ -251,9 +258,8 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 	if store.byFileCalls != 1 {
 		t.Fatalf("one-dirty-file decision fetched %d file histories, want 1", store.byFileCalls)
 	}
-	// The dirty file was rescored against the shortlist only — which is
-	// the full width here (TopK=2 covers the cluster), so it stays at full
-	// width like the clean ones.
+	// Every file, dirty or clean, is scored against the shortlist — the
+	// full width here.
 	for i, preds := range scores {
 		if len(preds) != len(testDevices) {
 			t.Fatalf("file %d has %d predictions, want %d", files[i].ID, len(preds), len(testDevices))
@@ -261,8 +267,9 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 	}
 }
 
-// TestPrunedNarrowShortlist checks genuine pruning: with TopK=1 a dirty
-// file is scored against strictly fewer devices (shortlist ∪ current),
+// TestPrunedNarrowShortlist checks genuine pruning: with TopK=1 a pruned
+// decision scores a file against strictly fewer devices (shortlist ∪
+// current),
 // while the full-rescan cadence still restores the full width.
 func TestPrunedNarrowShortlist(t *testing.T) {
 	db := seedDB(t, 1200)
@@ -284,7 +291,7 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if _, _, err := e.ProposeLayoutContext(context.Background(), files); err != nil { // decision 0: exhaustive
 		t.Fatal(err)
 	}
-	if _, err := e.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
+	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, scores, err := e.proposeScored(context.Background(), files) // decision 1: pruned
@@ -316,8 +323,8 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shortlist: file0 (raid5), tmp (raid1 head), USBtmp (usb) + current
-	// var. pic/people are out, and the retrain staled every cached score,
-	// so the decision is over exactly those four devices.
+	// var. pic/people are out, so the decision is over exactly those four
+	// devices.
 	if _, ok := scores[0]["pic"]; ok {
 		t.Fatalf("pruned decision scored an unavailable class head: %v", scores[0])
 	}
@@ -359,7 +366,7 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 	files := []policy.FileInfo{{ID: 2, Path: "/f2", Size: 1e8, Device: "pic"}}
 	decide := func() map[string]float64 {
 		t.Helper()
-		if _, err := e.TrainContext(ctx); err != nil { // new generation: every score is stale
+		if _, err := e.TrainContext(ctx); err != nil {
 			t.Fatal(err)
 		}
 		_, _, scores, err := e.proposeScored(ctx, files)
@@ -442,7 +449,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	if err := r.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.TrainContext(context.Background()); err != nil { // new generation: cached scores stale
+	if _, err := r.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, scores, err := r.proposeScored(context.Background(), files) // decision 1: pruned
@@ -456,7 +463,8 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 
 // TestPrunedStateRoundTrip checks bit-identical resume mid-pruned-stream:
 // a restored engine continues the decision sequence exactly where the
-// original would have, caches and cadence included.
+// original would have, cadence and dirty watermark included, and neither
+// a pruned nor an unpruned snapshot carries per-file score state.
 func TestPrunedStateRoundTrip(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -484,6 +492,9 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 	st, err := a.State()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if old := asParentState(t, st); len(old.ScoreCache) != 0 || old.ModelGen != 0 {
+		t.Fatalf("TopK=2 snapshot carries score state: %d cache entries, generation %d", len(old.ScoreCache), old.ModelGen)
 	}
 
 	b := mk()
@@ -514,8 +525,8 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	// With pruning off the score entries are per-decision scratch: no
-	// number of decisions puts pruning state into the snapshot.
+	// With pruning off no number of decisions puts pruning state into the
+	// snapshot.
 	cfg.TopK = 0
 	u := mk()
 	if _, err := u.TrainContext(context.Background()); err != nil {
@@ -529,7 +540,126 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 	if st, err = u.State(); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.ScoreCache) != 0 || st.LastWatermark != 0 {
-		t.Fatalf("TopK=0 snapshot carries pruning state: %d cache entries, watermark %d", len(st.ScoreCache), st.LastWatermark)
+	if old := asParentState(t, st); len(old.ScoreCache) != 0 || st.LastWatermark != 0 {
+		t.Fatalf("TopK=0 snapshot carries pruning state: %d cache entries, watermark %d", len(old.ScoreCache), st.LastWatermark)
+	}
+}
+
+// parentEngineState is EngineState as snapshots wrote it while the engine
+// cached scores across decisions: the model generation and every file's
+// per-device scores and generations rode along.
+type parentEngineState struct {
+	RNG           uint64
+	Net           []byte
+	Devices       []string
+	FeatScaler    features.MinMaxState
+	TargetScaler  features.ScalarState
+	ValMetrics    nn.Metrics
+	Trained       bool
+	TrainedSeq    uint64
+	DecisionCount uint64
+	ModelGen      uint64
+	LastWatermark uint64
+	ScoreCache    []parentFileScoreState
+}
+
+type parentFileScoreState struct {
+	FileID int64
+	Size   int64
+	Scores []float64
+	Gens   []uint64
+}
+
+// gobRoundTrip encodes from and decodes the bytes into to.
+func gobRoundTrip(t *testing.T, from, to any) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(from); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(to); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// asParentState reads a snapshot the way a parent-form reader would.
+func asParentState(t *testing.T, st EngineState) parentEngineState {
+	t.Helper()
+	var old parentEngineState
+	gobRoundTrip(t, st, &old)
+	return old
+}
+
+// TestRestoreIgnoresParentScoreCache: a snapshot written while the engine
+// still cached scores restores, and its score cache is ignored. Even cached
+// scores tagged with the snapshot's current generation, which the old
+// engine would have reused on a decision without a fit, change nothing:
+// the next decisions equal those restored from the same state without
+// them.
+func TestRestoreIgnoresParentScoreCache(t *testing.T) {
+	db := seedDB(t, 1200)
+	cfg := quickCfg()
+	cfg.Epsilon = 0.3
+	cfg.TopK = 2
+	cfg.FullRescanEvery = 4
+	mk := func() *Engine {
+		e, err := NewEngine(db, testDevices, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
+		return e
+	}
+	a := mk()
+	if _, err := a.TrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files := testFiles()
+	for i := 0; i < 2; i++ {
+		if _, _, err := a.ProposeLayoutContext(context.Background(), files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := a.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The parent form: every file cached, at the current generation, with a
+	// score that would win on the last device and lose everywhere else.
+	old := asParentState(t, st)
+	old.ModelGen = 9
+	for _, f := range files {
+		fs := parentFileScoreState{FileID: f.ID, Size: f.Size,
+			Scores: make([]float64, len(testDevices)), Gens: make([]uint64, len(testDevices))}
+		for j := range fs.Gens {
+			fs.Gens[j] = old.ModelGen
+		}
+		fs.Scores[len(testDevices)-1] = 1e30
+		old.ScoreCache = append(old.ScoreCache, fs)
+	}
+	var withCache, without EngineState
+	gobRoundTrip(t, old, &withCache)
+	gobRoundTrip(t, st, &without)
+
+	b, c := mk(), mk()
+	if err := b.RestoreState(withCache); err != nil {
+		t.Fatalf("restoring a parent-form snapshot with a score cache: %v", err)
+	}
+	if err := c.RestoreState(without); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		lb, db2, err := b.ProposeLayoutContext(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, dc, err := c.ProposeLayoutContext(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lb, lc) || !reflect.DeepEqual(db2, dc) {
+			t.Fatalf("decision %d: restored with the score cache %v, without %v", i, db2, dc)
+		}
 	}
 }

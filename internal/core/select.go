@@ -1,6 +1,10 @@
 package core
 
-import "geomancy/internal/policy"
+import (
+	"slices"
+
+	"geomancy/internal/policy"
+)
 
 // The select stage is the paper's Action Checker, "the last sanity check
 // for file movements in case permissions or availability changes in the
@@ -18,18 +22,19 @@ func (e *Engine) canPlace(j int, size int64) bool {
 	return e.valid == nil || e.valid(e.devices[j], size) == nil
 }
 
-// greedyPick returns the index of the best destination for the entry's
-// file: among the devices scored under the current model generation that
-// pass validation, the first with the strictly highest maximize-me score
-// (latency negates). -1 when none passes.
-func (e *Engine) greedyPick(ent *fileCache, size int64) int {
+// greedyPick returns the index of the best destination for a file of size
+// bytes that this decision scored on devs (ascending), scores[k] being
+// devs[k]'s: among the devices that pass validation, the first with the
+// strictly highest maximize-me score (latency negates). -1 when none
+// passes.
+func (e *Engine) greedyPick(devs []int, scores []float64, size int64) int {
 	pick := -1
 	var best float64
-	for j, g := range ent.gens {
-		if g != e.modelGen || !e.canPlace(j, size) {
+	for k, j := range devs {
+		if !e.canPlace(j, size) {
 			continue
 		}
-		if s := e.betterScore(ent.scores[j]); pick < 0 || s > best {
+		if s := e.betterScore(scores[k]); pick < 0 || s > best {
 			pick, best = j, s
 		}
 	}
@@ -93,8 +98,9 @@ func (e *Engine) selectLayout(files []policy.FileInfo, tasks []scoreTask) (map[i
 		}
 		if dev >= 0 {
 			d.Chosen = e.devices[dev]
-			if ent := tasks[i].ent; ent.gens[dev] == e.modelGen {
-				d.Predicted = ent.scores[dev]
+			t := &tasks[i]
+			if k, ok := slices.BinarySearch(t.devs, dev); ok {
+				d.Predicted = e.pool.scores[t.base+k]
 			}
 		}
 		layout[f.ID] = d.Chosen

@@ -8,19 +8,18 @@ import (
 )
 
 // TestActionChecker drives the select stage's greedy half — greedyPick then
-// choose — over one file's score entry: invalid destinations never win, the
-// first strictly highest score does, stale-generation scores are not
-// candidates, an all-invalid entry falls back to a random movement drawn
-// from the engine's stream, and an engine with no devices has nowhere to
-// go.
+// choose — over one file's scored devices: invalid destinations never win,
+// the first strictly highest score does, a device the decision did not
+// score is no candidate, an all-invalid file falls back to a random
+// movement drawn from the engine's stream, and an engine with no devices
+// has nowhere to go.
 func TestActionChecker(t *testing.T) {
-	const gen = 7
-	cur := []uint64{gen, gen, gen}
+	all := []int{0, 1, 2}
 	for _, tc := range []struct {
 		name    string
 		devices []string
-		scores  []float64
-		gens    []uint64
+		devs    []int     // the devices the decision scored, ascending
+		scores  []float64 // scores[k] is devs[k]'s
 		latency bool
 		invalid map[string]bool
 
@@ -28,23 +27,23 @@ func TestActionChecker(t *testing.T) {
 		wantRandom bool
 		wantOK     bool
 	}{
-		{name: "highest wins", devices: []string{"a", "b", "c"}, scores: []float64{1, 5, 3}, gens: cur,
+		{name: "highest wins", devices: []string{"a", "b", "c"}, devs: all, scores: []float64{1, 5, 3},
 			want: "b", wantOK: true},
-		{name: "first of equals wins", devices: []string{"a", "b", "c"}, scores: []float64{5, 5, 3}, gens: cur,
+		{name: "first of equals wins", devices: []string{"a", "b", "c"}, devs: all, scores: []float64{5, 5, 3},
 			want: "a", wantOK: true},
-		{name: "latency minimizes", devices: []string{"a", "b", "c"}, scores: []float64{2, 5, 3}, gens: cur, latency: true,
+		{name: "latency minimizes", devices: []string{"a", "b", "c"}, devs: all, scores: []float64{2, 5, 3}, latency: true,
 			want: "a", wantOK: true},
-		{name: "invalid filtered", devices: []string{"a", "b"}, scores: []float64{1, 99}, gens: cur[:2],
+		{name: "invalid filtered", devices: []string{"a", "b"}, devs: all[:2], scores: []float64{1, 99},
 			invalid: map[string]bool{"b": true}, want: "a", wantOK: true},
-		{name: "stale generation is no candidate", devices: []string{"a", "b", "c"}, scores: []float64{1, 99, 3},
-			gens: []uint64{gen, gen - 1, gen}, want: "c", wantOK: true},
-		{name: "all invalid falls back to random", devices: []string{"x", "y", "z"}, scores: []float64{1, 2, 3}, gens: cur,
+		{name: "an unscored device is no candidate", devices: []string{"a", "b", "c", "d"}, devs: []int{0, 2, 3},
+			scores: []float64{1, 3, 2}, want: "c", wantOK: true},
+		{name: "all invalid falls back to random", devices: []string{"x", "y", "z"}, devs: all, scores: []float64{1, 2, 3},
 			invalid: map[string]bool{"x": true, "y": true, "z": true}, wantRandom: true, wantOK: true},
 		{name: "nowhere to go"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var validated []string
-			e := &Engine{rng: rng.New(3), devices: tc.devices, modelGen: gen}
+			e := &Engine{rng: rng.New(3), devices: tc.devices}
 			e.valid = func(dev string, size int64) error {
 				validated = append(validated, dev)
 				if tc.invalid[dev] {
@@ -55,16 +54,12 @@ func TestActionChecker(t *testing.T) {
 			if tc.latency {
 				e.cfg.Target = TargetLatency
 			}
-			ent := &fileCache{scores: tc.scores, gens: tc.gens}
-
-			pick := e.greedyPick(ent, 0)
-			// The validator sees every current-generation device once, in
-			// device order, and nothing else.
+			pick := e.greedyPick(tc.devs, tc.scores, 0)
+			// The validator sees every scored device once, in device order,
+			// and nothing else.
 			var scored []string
-			for j, g := range tc.gens {
-				if g == gen {
-					scored = append(scored, tc.devices[j])
-				}
+			for _, j := range tc.devs {
+				scored = append(scored, tc.devices[j])
 			}
 			if fmt.Sprint(validated) != fmt.Sprint(scored) {
 				t.Errorf("validator saw %v, want the scored devices %v", validated, scored)

@@ -54,9 +54,9 @@ type Sharded struct {
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
 
 	// lastAdopted is the global model generation the shard engines last
-	// copied; every retrain bumps the generation, so adoption re-fires on
-	// the first decision after any (re)train.
-	lastAdopted uint64 //geomancy:ephemeral adoption gate, re-primed by the first post-restore retrain
+	// copied; every fit bumps the generation, so adoption re-fires on the
+	// first decision after any fit.
+	lastAdopted uint64 //geomancy:ephemeral adoption gate, reset by UnmarshalState so the first post-restore decision adopts
 }
 
 // shardUnit is one shard's decision machinery: the device-group view with
@@ -160,9 +160,8 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 
 // adoptScorer points a shard engine's scoring machinery at the freshly
 // trained global engine: the network is shared by pointer (shard engines
-// never mutate weights — they only forward), normalization and the MAE
-// adjustment are copied by value, and the shard's model generation bumps
-// so cached candidate scores from the previous weights go stale.
+// never mutate weights — they only forward), and normalization and the MAE
+// adjustment are copied by value.
 func (e *Engine) adoptScorer(src *Engine) {
 	if e == src {
 		return
@@ -172,7 +171,6 @@ func (e *Engine) adoptScorer(src *Engine) {
 	e.targetScaler = src.targetScaler
 	e.valMetrics = src.valMetrics
 	e.trained = src.trained
-	e.modelGen++
 }
 
 // adoptIfStale refreshes every shard engine's scorer after a retrain.
@@ -361,9 +359,9 @@ func (s *Sharded) UnmarshalState(data []byte) error {
 			return fmt.Errorf("core: restoring shard %d: %w", i, err)
 		}
 	}
-	// Restored shard engines carry their own deserialized networks; the
-	// first post-restore retrain bumps the global generation past this
-	// gate and re-aliases them to the shared scorer.
+	// Restored shard engines carry their own deserialized networks; no
+	// model version is 0, so the first post-restore decision re-aliases
+	// them to the shared scorer.
 	s.lastAdopted = 0
 	return nil
 }

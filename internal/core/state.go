@@ -30,24 +30,15 @@ type EngineState struct {
 	TrainedSeq uint64
 
 	// Candidate-pruning bookkeeping (Config.TopK > 0): the decision
-	// counter anchors the full-rescan cadence, the watermark anchors the
-	// dirty set, and the score cache carries each file's per-device
-	// scores and generations, so a restored run's pruned decisions replay
-	// bit-for-bit. All zero/empty on engines that never pruned; feature
-	// ingredients are deliberately not captured — a restored engine
-	// refetches them, deterministically, from the restored ReplayDB.
+	// counter anchors the full-rescan cadence and the watermark the dirty
+	// set, so a restored run's pruned decisions replay bit-for-bit. Both
+	// zero on engines that never pruned. Nothing per file is captured:
+	// scores live for one decision, and a restored engine refetches the
+	// feature ingredients, deterministically, from the restored ReplayDB.
+	// Snapshots written while the engine still cached scores carry
+	// ModelGen and ScoreCache too; gob drops both on decode.
 	DecisionCount uint64
-	ModelGen      uint64
 	LastWatermark uint64
-	ScoreCache    []FileScoreState
-}
-
-// FileScoreState is one file's serialized score-cache entry.
-type FileScoreState struct {
-	FileID int64
-	Size   int64
-	Scores []float64
-	Gens   []uint64
 }
 
 // State captures the engine mid-run.
@@ -56,7 +47,7 @@ func (e *Engine) State() (EngineState, error) {
 	if err := e.net.Save(&buf); err != nil {
 		return EngineState{}, fmt.Errorf("core: serializing model: %w", err)
 	}
-	st := EngineState{
+	return EngineState{
 		RNG:           e.rng.State(),
 		Net:           buf.Bytes(),
 		Devices:       append([]string(nil), e.devices...),
@@ -66,27 +57,16 @@ func (e *Engine) State() (EngineState, error) {
 		Trained:       e.trained,
 		TrainedSeq:    e.trainedSeq,
 		DecisionCount: e.decisionCount,
-		ModelGen:      e.modelGen,
 		LastWatermark: e.lastWatermark,
-	}
-	for id, ent := range e.cache {
-		st.ScoreCache = append(st.ScoreCache, FileScoreState{
-			FileID: id,
-			Size:   ent.size,
-			Scores: append([]float64(nil), ent.scores...),
-			Gens:   append([]uint64(nil), ent.gens...),
-		})
-	}
-	sort.Slice(st.ScoreCache, func(i, j int) bool { return st.ScoreCache[i].FileID < st.ScoreCache[j].FileID })
-	return st, nil
+	}, nil
 }
 
 // RestoreState overwrites the engine with a previously captured snapshot,
 // refusing first, with nothing changed, a network the dense scorer cannot
 // run and a snapshot a later decision would index past or mis-route: a
-// score-cache entry with fewer or more scores than generations, a fitted
-// feature scaler narrower than the feature vector, or a device list other
-// than the one the engine was built over (ErrInvalidState).
+// fitted feature scaler narrower than the feature vector, or a device list
+// other than the one the engine was built over (ErrInvalidState). The
+// feature cache starts empty.
 func (e *Engine) RestoreState(st EngineState) error {
 	net, err := nn.Load(bytes.NewReader(st.Net))
 	if err != nil {
@@ -99,12 +79,6 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("core: restoring model: %d inputs, the engine scores %d features", net.InSize, featureCount)
 	case net.OutSize() != 1:
 		return fmt.Errorf("core: restoring model: %d outputs, the engine scores one", net.OutSize())
-	}
-	for _, fs := range st.ScoreCache {
-		if len(fs.Scores) != len(fs.Gens) {
-			return fmt.Errorf("core: restoring score cache: %w: file %d has %d scores for %d generations",
-				ErrInvalidState, fs.FileID, len(fs.Scores), len(fs.Gens))
-		}
 	}
 	if fs := st.FeatScaler; fs.Fitted && (len(fs.Min) < featureCount || len(fs.Max) < featureCount) {
 		return fmt.Errorf("core: restoring feature scaler: %w: %d minima and %d maxima for %d features",
@@ -122,16 +96,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 	e.trained = st.Trained
 	e.trainedSeq = st.TrainedSeq
 	e.decisionCount = st.DecisionCount
-	e.modelGen = st.ModelGen
 	e.lastWatermark = st.LastWatermark
-	e.cache = make(map[int64]*fileCache, len(st.ScoreCache))
-	for _, fs := range st.ScoreCache {
-		e.cache[fs.FileID] = &fileCache{
-			size:   fs.Size,
-			scores: append([]float64(nil), fs.Scores...),
-			gens:   append([]uint64(nil), fs.Gens...),
-		}
-	}
+	clear(e.cache)
 	return nil
 }
 

@@ -114,7 +114,7 @@ func evaluateModel(n int, ds *nn.Dataset, scaler *features.ScalarScaler, opts Op
 	}
 
 	start = time.Now()
-	preds, idx := net.Predict(test, nil)
+	preds, idx := net.Predict(test)
 	predTime := time.Since(start)
 	m := denormMetrics(preds, test, idx, scaler)
 	return ModelResult{

@@ -81,7 +81,7 @@ func overheadFor(recs []trace.EOSRecord, z int, opts Options) (OverheadRow, erro
 	trainTime := time.Since(start)
 
 	start = time.Now()
-	preds, idx := net.Predict(test, nil)
+	preds, idx := net.Predict(test)
 	batchTime := time.Since(start)
 
 	// Single-prediction latency: one feature row through the net.

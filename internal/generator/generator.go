@@ -89,10 +89,14 @@ func (c *Counter) State() State {
 	return State{Kind: kindCounter, I: []int64{c.next}}
 }
 
-// RestoreState implements Generator.
+// RestoreState implements Generator. Counters index file sets from 0 up,
+// so a negative register is refused, with the counter left as it was.
 func (c *Counter) RestoreState(s State) error {
 	if err := s.check(kindCounter, 1, 0); err != nil {
 		return err
+	}
+	if s.I[0] < 0 {
+		return fmt.Errorf("generator: counter state %d is negative", s.I[0])
 	}
 	c.next = s.I[0]
 	return nil

@@ -79,7 +79,7 @@ const relErrFloor = 1e-6
 
 // Evaluate computes prediction-quality metrics for the network on ds.
 func (n *Network) Evaluate(ds *Dataset) Metrics {
-	preds, idx := n.Predict(ds, nil)
+	preds, idx := n.Predict(ds)
 	if len(preds) == 0 {
 		return Metrics{Diverged: true}
 	}

@@ -159,11 +159,6 @@ type FitConfig struct {
 	Rng *rand.Rand
 	// Verbose, when non-nil, receives one line per epoch.
 	Verbose func(epoch int, trainLoss float64)
-	// Validation, when non-nil together with Patience > 0, enables early
-	// stopping: training halts when the validation loss has not improved
-	// for Patience consecutive epochs.
-	Validation *Dataset
-	Patience   int
 	// Parallelism is ignored: Fit runs every minibatch whole, on the
 	// caller's goroutine, so no value here can change a trained bit
 	// (TestFitGoldenWeights reaches every golden at 1 and at 4). The field
@@ -203,8 +198,6 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 	tr := newTrainer(n, ds, batchRows)
 
 	var lastLoss float64
-	bestVal := math.Inf(1)
-	sinceBest := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
@@ -233,79 +226,15 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 			// Numerically diverged; further epochs cannot recover.
 			return lastLoss, nil
 		}
-		if cfg.Validation != nil && cfg.Patience > 0 {
-			vl := n.ValidationLoss(cfg.Validation)
-			if vl < bestVal-1e-12 {
-				bestVal = vl
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if sinceBest >= cfg.Patience {
-					return lastLoss, nil // early stop
-				}
-			}
-		}
 	}
 	return lastLoss, nil
 }
 
-// ValidationLoss computes the MSE of the network over ds without
-// training.
-func (n *Network) ValidationLoss(ds *Dataset) float64 {
-	var total float64
-	var count int
-	n.predictChunks(ds, nil, func(first int, pred *mat.Matrix) {
-		rows := pred.Rows
-		sse := sseLoss(nil, pred.Data, ds.Y[first:first+rows])
-		total += sse / float64(len(pred.Data)) * float64(rows)
-		count += rows
-	})
-	if count == 0 {
-		return math.Inf(1)
-	}
-	return total / float64(count)
-}
-
 // BlockRows is the block height of the batched forward pass — 256 rows of
 // the paper model's activations are a third of a megabyte, which stays in
-// L2 — the batch height of Predict and ValidationLoss, and the height of
-// the engine's scoring runs.
+// L2 — the batch height of Predict, and the height of the engine's scoring
+// runs.
 const BlockRows = 256
-
-// predictChunks scores every usable row of ds BlockRows anchors at
-// a time, handing f each chunk's predictions and the dataset row of its
-// first anchor (anchors are consecutive rows). Dense networks score row
-// views of ds.X, recurrent ones windows assembled per chunk; either way
-// the dense stack runs through ForwardBatch on s — or, when s is nil, on one
-// scratch scoped to the call — so a dense call allocates at most one set of
-// activation buffers however long ds is, and pred is only valid until f
-// returns.
-func (n *Network) predictChunks(ds *Dataset, s *Scratch, f func(first int, pred *mat.Matrix)) {
-	if s == nil {
-		s = &Scratch{}
-	}
-	var view mat.Matrix // one row view, re-pointed per chunk
-	first := n.firstAnchor()
-	for lo := first; lo < ds.Len(); lo += BlockRows {
-		hi := lo + BlockRows
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		var flat *mat.Matrix
-		var seq []*mat.Matrix
-		if n.rec == nil {
-			view = rowsOf(ds.X, lo, hi)
-			flat = &view
-		} else {
-			rows := make([]int, hi-lo)
-			for i := range rows {
-				rows[i] = lo + i
-			}
-			seq = n.assembleSeq(ds, rows)
-		}
-		f(lo, n.ForwardBatch(flat, seq, s))
-	}
-}
 
 // firstAnchor is the first dataset row usable as a sample anchor: row 0
 // for dense models, the first row with a full history window for
@@ -354,20 +283,35 @@ func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
 }
 
 // Predict returns the network outputs for every usable row of ds, aligned
-// with the anchor indexes returned as the second value. The forward pass
-// runs on s, which a caller scoring several datasets shares between them;
-// nil means a scratch of the call's own.
-func (n *Network) Predict(ds *Dataset, s *Scratch) ([]float64, []int) {
+// with the anchor indexes returned as the second value. It scores
+// BlockRows anchors at a time (anchors are consecutive rows): dense
+// networks score row views of ds.X, recurrent ones windows assembled per
+// block, and either way the dense stack runs through ForwardBatch on one
+// scratch scoped to the call, so a dense call allocates at most one set of
+// activation buffers however long ds is.
+func (n *Network) Predict(ds *Dataset) ([]float64, []int) {
 	idx := n.sampleIndexes(ds)
 	if len(idx) == 0 {
 		return nil, nil
 	}
 	out := make([]float64, 0, len(idx))
-	n.predictChunks(ds, s, func(_ int, pred *mat.Matrix) {
+	var s Scratch
+	var view mat.Matrix // one row view, re-pointed per block
+	for lo := 0; lo < len(idx); lo += BlockRows {
+		hi := min(lo+BlockRows, len(idx))
+		var flat *mat.Matrix
+		var seq []*mat.Matrix
+		if n.rec == nil {
+			view = rowsOf(ds.X, idx[lo], idx[hi-1]+1)
+			flat = &view
+		} else {
+			seq = n.assembleSeq(ds, idx[lo:hi])
+		}
+		pred := n.ForwardBatch(flat, seq, &s)
 		for r := 0; r < pred.Rows; r++ {
 			out = append(out, pred.At(r, 0))
 		}
-	})
+	}
 	return out, idx
 }
 

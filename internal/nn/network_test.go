@@ -120,7 +120,7 @@ func TestRecurrentNeedsFullWindow(t *testing.T) {
 	if _, err := net.Fit(ds, FitConfig{Epochs: 1}); err != ErrNoData {
 		t.Errorf("Fit with short history = %v, want ErrNoData", err)
 	}
-	preds, idx := net.Predict(ds, nil)
+	preds, idx := net.Predict(ds)
 	if preds != nil || idx != nil {
 		t.Error("Predict with short history should return nil")
 	}
@@ -131,7 +131,7 @@ func TestPredictAlignment(t *testing.T) {
 	ds := synthDataset(rng, 50, 3)
 
 	dense := NewNetwork(3).AddDense(4, ReLU, rng).AddDense(1, Linear, rng)
-	preds, idx := dense.Predict(ds, nil)
+	preds, idx := dense.Predict(ds)
 	if len(preds) != 50 || len(idx) != 50 || idx[0] != 0 {
 		t.Errorf("dense Predict: %d preds, first idx %v", len(preds), idx[0])
 	}
@@ -139,7 +139,7 @@ func TestPredictAlignment(t *testing.T) {
 	rec := NewNetwork(3)
 	rec.Window = 8
 	rec.AddGRU(4, Tanh, rng).AddDense(1, Linear, rng)
-	preds, idx = rec.Predict(ds, nil)
+	preds, idx = rec.Predict(ds)
 	if len(preds) != 43 || idx[0] != 7 {
 		t.Errorf("recurrent Predict: %d preds, first idx %d; want 43 preds starting at 7", len(preds), idx[0])
 	}
@@ -236,42 +236,5 @@ func TestDivergenceReportedNotPanic(t *testing.T) {
 	m := net.Evaluate(ds)
 	if !m.Diverged {
 		t.Error("Evaluate should report divergence after numeric blow-up")
-	}
-}
-
-func TestEarlyStopping(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	ds := synthDataset(rng, 300, 3)
-	train, val, _ := ds.Split()
-
-	epochsRun := 0
-	net := NewNetwork(3).AddDense(8, ReLU, rng).AddDense(1, Linear, rng)
-	_, err := net.Fit(train, FitConfig{
-		Epochs: 500, BatchSize: 32, Optimizer: &SGD{LR: 0.05}, Rng: rng,
-		Validation: val, Patience: 5,
-		Verbose: func(epoch int, loss float64) { epochsRun = epoch + 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epochsRun >= 500 {
-		t.Errorf("early stopping never fired (%d epochs)", epochsRun)
-	}
-	if epochsRun < 6 {
-		t.Errorf("stopped suspiciously early (%d epochs)", epochsRun)
-	}
-}
-
-func TestValidationLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	ds := synthDataset(rng, 60, 3)
-	net := NewNetwork(3).AddDense(4, ReLU, rng).AddDense(1, Linear, rng)
-	vl := net.ValidationLoss(ds)
-	if math.IsNaN(vl) || vl < 0 {
-		t.Errorf("ValidationLoss = %v", vl)
-	}
-	empty := NewDataset(mat.New(0, 3), nil)
-	if got := net.ValidationLoss(empty); !math.IsInf(got, 1) {
-		t.Errorf("empty ValidationLoss = %v, want +Inf", got)
 	}
 }

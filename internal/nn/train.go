@@ -126,9 +126,9 @@ func (t *trainer) step(x *mat.Matrix, seq []*mat.Matrix, y []float64) float64 {
 	return sse
 }
 
-// sseLoss returns the sum of squared errors of pred against target and,
-// unless grad is nil, writes the MSE gradient — that of sse/len(pred) with
-// respect to pred — into it.
+// sseLoss returns the sum of squared errors of pred against target and
+// writes the MSE gradient — that of sse/len(pred) with respect to pred —
+// into grad.
 func sseLoss(grad, pred, target []float64) float64 {
 	if len(pred) != len(target) {
 		panic("nn: loss shape mismatch")
@@ -138,9 +138,7 @@ func sseLoss(grad, pred, target []float64) float64 {
 	for i, p := range pred {
 		d := p - target[i]
 		sse += d * d
-		if grad != nil {
-			grad[i] = 2 * d / elems
-		}
+		grad[i] = 2 * d / elems
 	}
 	return sse
 }

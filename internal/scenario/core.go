@@ -244,7 +244,8 @@ func (c *Core) MarshalState() ([]byte, error) {
 
 // UnmarshalState implements Workload. The blob comes from outside the
 // program, so it is checked whole before anything is assigned: a negative
-// run counter or ingest head would index the file set out of range on the
+// run counter, or a negative ingest head or counter chooser (which
+// generator.Counter refuses), would index the file set out of range on the
 // next run, and a refused blob leaves the workload as it was.
 func (c *Core) UnmarshalState(data []byte) error {
 	var st coreState
@@ -262,9 +263,6 @@ func (c *Core) UnmarshalState(data []byte) error {
 		head = generator.NewCounter(0)
 		if err := head.RestoreState(st.Head); err != nil {
 			return fmt.Errorf("scenario %s: restoring ingest head: %w", c.cfg.Name, err)
-		}
-		if next := st.Head.I[0]; next < 0 {
-			return fmt.Errorf("scenario %s: snapshot ingest head %d is negative", c.cfg.Name, next)
 		}
 	} else if c.head != nil {
 		return fmt.Errorf("scenario %s: snapshot lacks the ingest head", c.cfg.Name)

@@ -259,10 +259,11 @@ func TestUnmarshalRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
-// A snapshot is input from outside the program: a negative run counter or
-// ingest head must be refused before anything is assigned, so the refused
-// workload keeps drawing exactly the sequence it would have drawn, instead
-// of indexing its file set out of range on the next run.
+// A snapshot is input from outside the program: a negative run counter,
+// ingest head or counter chooser must be refused before anything is
+// assigned, so the refused workload keeps drawing exactly the sequence it
+// would have drawn, instead of indexing its file set out of range on the
+// next run.
 func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
 	for _, c := range []struct {
 		scenario, field string
@@ -270,6 +271,7 @@ func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
 	}{
 		{"diurnal-tenants", "run counter", func(st *coreState) { st.Runs = -9 }},
 		{"write-ingest", "ingest head", func(st *coreState) { st.Head.I[0] = -5 }},
+		{"cold-scan", "chooser", func(st *coreState) { st.Chooser.I[0] = -3 }},
 	} {
 		t.Run(c.scenario, func(t *testing.T) {
 			src := buildSpread(t, c.scenario, 5)

@@ -97,7 +97,7 @@ func TestShardedResumeEquivalence(t *testing.T) {
 }
 
 // A snapshot only restores under its own partition width: shard RNG
-// streams and score caches are meaningless under a different sharding,
+// streams and shard engines are meaningless under a different sharding,
 // so both a different WithShards and an unsharded restore are rejected.
 func TestShardedRestoreRejectsPartitionMismatch(t *testing.T) {
 	sys, err := New(ckptOptions(1, WithShards(2))...)

@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"geomancy/internal/core"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
+	"geomancy/internal/telemetry"
 )
 
 // TestTopKScenarioLayoutAgreement is the exactness contract end to end:
@@ -44,14 +44,34 @@ func TestTopKScenarioLayoutAgreement(t *testing.T) {
 // warehouseFixture is a warehouse-scale scoring population: nDev synthetic
 // devices across eight hardware classes and nFiles files with seeded
 // telemetry, plus a trained engine configured with the given pruning
-// knobs. The returned dirty function appends fresh telemetry for a
-// fraction of the population, modelling the steady-state cycle where most
-// files are cold between decisions.
+// knobs, reading through a store that counts per-file history fetches.
+// The returned dirty function appends fresh telemetry for a fraction of
+// the population, modelling the steady-state cycle where most files are
+// cold between decisions.
 type warehouseFixture struct {
 	engine *core.Engine
 	db     *replaydb.DB
+	store  *fetchCountingStore
 	files  []policy.FileInfo
 	dirty  func(fraction float64)
+}
+
+// fetchCountingStore is the ReplayDB with every read of one file's recent
+// history counted, whether the engine walks it in place or copies it. The
+// embedded DB keeps the dirty-tracking capability visible to the engine.
+type fetchCountingStore struct {
+	*replaydb.DB
+	fetches int
+}
+
+func (c *fetchCountingStore) EachRecentByFile(id int64, n int, fn func(*replaydb.AccessRecord)) {
+	c.fetches++
+	c.DB.EachRecentByFile(id, n, fn)
+}
+
+func (c *fetchCountingStore) RecentByFile(id int64, n int) []replaydb.AccessRecord {
+	c.fetches++
+	return c.DB.RecentByFile(id, n)
 }
 
 func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseFixture {
@@ -114,7 +134,8 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 		TopK:            topK,
 		FullRescanEvery: fullRescan,
 	}
-	eng, err := core.NewEngine(db, devices, cfg)
+	store := &fetchCountingStore{DB: db}
+	eng, err := core.NewEngine(store, devices, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -125,6 +146,7 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 	return &warehouseFixture{
 		engine: eng,
 		db:     db,
+		store:  store,
 		files:  files,
 		dirty: func(fraction float64) {
 			n := int(float64(nFiles) * fraction)
@@ -136,40 +158,64 @@ func newWarehouse(tb testing.TB, nFiles, nDev, topK, fullRescan int) *warehouseF
 	}
 }
 
-// proposeWarehouse drives one steady-state decision cycle: a quarter of
-// the population sees fresh telemetry, then the engine proposes a layout.
-func proposeWarehouse(tb testing.TB, w *warehouseFixture) {
-	w.dirty(0.25)
-	if _, _, err := w.engine.ProposeLayoutContext(context.Background(), w.files); err != nil {
-		tb.Fatal(err)
-	}
-}
-
-// TestTopKSpeedup is the headline acceptance check: at 2048 files × 64
-// devices, steady-state pruned decisions (TopK=2 over eight classes,
-// 25% of files dirty per cycle) must average at least 5× lower ns/op
-// than exhaustive decisions over the same population. bench/ carries the
-// absolute numbers (warehouse-topk); this test pins the ratio, which holds
-// on any machine, so a regression in the pruning plane fails loudly.
-func TestTopKSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("warehouse-scale timing in -short mode")
-	}
-	const reps = 4
-	measure := func(topK, fullRescan int) time.Duration {
-		w := newWarehouse(t, 2048, 64, topK, fullRescan)
-		proposeWarehouse(t, w) // first decision is always a full rescan
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			proposeWarehouse(t, w)
+// TestTopKPrunedWork pins what pruning saves per decision at 2048 files ×
+// 64 devices (TopK=2 over eight classes, a quarter of the files given
+// fresh telemetry before every decision), counted rather than timed, so it
+// holds on any machine. An exhaustive decision scores every files×devices
+// row and fetches every file's history. A steady-state pruned decision
+// scores each file against the 16 shortlisted devices plus its current
+// one, 17/64 of the rows at most, and fetches only the histories of the
+// files whose telemetry changed. bench/'s warehouse-topk workload carries
+// the absolute times.
+func TestTopKPrunedWork(t *testing.T) {
+	const nFiles, nDev, reps = 2048, 64, 4
+	// Class c holds the devices i ≡ c (mod 8), ranked by i/8, so the top two
+	// of every class are devices 48–63.
+	shortlisted := func(dev string) bool {
+		var i int
+		if _, err := fmt.Sscanf(dev, "dev%03d", &i); err != nil {
+			t.Fatal(err)
 		}
-		return time.Since(start) / reps
+		return i >= 48
 	}
-	exhaustive := measure(0, 0)
-	pruned := measure(2, 16)
-	ratio := float64(exhaustive) / float64(pruned)
-	t.Logf("exhaustive %v/op, pruned %v/op: %.1fx", exhaustive, pruned, ratio)
-	if ratio < 5 {
-		t.Errorf("pruned scoring only %.1fx faster than exhaustive, want ≥ 5x", ratio)
+	for _, tc := range []struct {
+		name             string
+		topK, fullRescan int
+	}{
+		{"exhaustive", 0, 0},
+		{"pruned", 2, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWarehouse(t, nFiles, nDev, tc.topK, tc.fullRescan)
+			reg := telemetry.NewRegistry()
+			w.engine.SetMetrics(reg)
+			rows := reg.Histogram(telemetry.MetricInferenceBatchSize, telemetry.DefBatchSizeBuckets)
+			for i := 0; i <= reps; i++ { // the first decision is always a full pass
+				mark := w.db.Watermark()
+				w.dirty(0.25)
+				dirty := len(w.db.FilesChangedSince(mark))
+				before := rows.Sum()
+				w.store.fetches = 0
+				if _, _, err := w.engine.ProposeLayoutContext(context.Background(), w.files); err != nil {
+					t.Fatal(err)
+				}
+				wantRows, wantFetches := nFiles*nDev, nFiles
+				if tc.topK > 0 && i > 0 {
+					wantRows, wantFetches = 0, dirty
+					for _, f := range w.files {
+						wantRows += 16
+						if !shortlisted(f.Device) {
+							wantRows++
+						}
+					}
+				}
+				if got := rows.Sum() - before; got != float64(wantRows) {
+					t.Errorf("decision %d scored %v rows, want %d", i, got, wantRows)
+				}
+				if w.store.fetches != wantFetches {
+					t.Errorf("decision %d fetched %d file histories, want %d (%d files dirty)", i, w.store.fetches, wantFetches, dirty)
+				}
+			}
+		})
 	}
 }
