@@ -279,8 +279,8 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 
 // WithShards partitions the cluster's devices into n shards and drives
 // placement through the sharded coordinator: each shard owns a
-// lightweight engine deciding over its own device subset through the
-// shared network, and placements a shard clearly cannot serve escalate to
+// lightweight engine deciding over its own device subset through the one
+// model the global engine trains, and placements a shard clearly cannot serve escalate to
 // the cluster-wide throughput digest under two-phase capacity
 // reservations. Shards decide one after another, each through the same
 // scoring loop on the WithParallelism workers, which never affects a

@@ -21,7 +21,7 @@ func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 	cfg := Config{Epochs: 2, WindowX: 100, Seed: 31, Epsilon: 0.05,
 		TopK: topK, FullRescanEvery: 1 << 20}
 	s, files := shardedWarehouse(t, nFiles, nDev, 1, cfg)
-	e, db := s.globalEngine, s.globalEngine.db.(*replaydb.DB)
+	e, db := s.global.Engine, s.global.Engine.db.(*replaydb.DB)
 	now := nFiles
 	decide := func() (int64, int64) {
 		for i := 0; i < nFiles; i += 4 {

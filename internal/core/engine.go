@@ -195,14 +195,13 @@ type Engine struct {
 	walk windowWalker   //geomancy:ephemeral in-place view of db, re-wired at construction
 	rng  *rng.RNG
 
-	net      *nn.Network
+	// The model the engine scores through; a sharded coordinator points
+	// every shard engine at the global engine's.
+	*model
+
 	devices  []string
 	devIndex map[string]int //geomancy:ephemeral derived index over devices, rebuilt at construction
 
-	featScaler   features.MinMaxScaler
-	targetScaler features.ScalarScaler
-	valMetrics   nn.Metrics
-	trained      bool
 	// trainedSeq is the newest record Seq the last successful full fit
 	// read: the next full fit's budget counts the records above it.
 	trainedSeq uint64
@@ -233,12 +232,19 @@ type Engine struct {
 	lastWatermark uint64
 	cache         map[int64]*fileCache //geomancy:ephemeral per-file feature ingredients, refetched from the restored ReplayDB
 
-	// modelGen is the model version: every fit that reached training bumps
-	// it, and the sharded coordinator re-adopts the global scorer when it
-	// moves (Sharded.adoptIfStale).
-	modelGen uint64 //geomancy:ephemeral adoption-gate version; a restore re-primes the gate (Sharded.UnmarshalState)
-
 	metrics engineMetrics //geomancy:ephemeral telemetry handles, re-installed by SetMetrics
+}
+
+// model is what a fit writes and scoring reads: the network, the fitted
+// normalization, the held-out metrics behind the MAE adjustment and
+// whether a full fit has completed. One engine fits it; any number may
+// score through it by pointer.
+type model struct {
+	net          *nn.Network
+	featScaler   features.MinMaxScaler
+	targetScaler features.ScalarScaler
+	valMetrics   nn.Metrics
+	trained      bool
 }
 
 // engineMetrics holds the engine's pre-resolved telemetry handles; all
@@ -308,10 +314,9 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 		db:       db,
 		walk:     walkerOf(db),
 		rng:      r,
-		net:      net,
+		model:    &model{net: net},
 		devices:  append([]string(nil), devices...),
 		devIndex: make(map[string]int, len(devices)),
-		modelGen: 1,
 		cache:    make(map[int64]*fileCache),
 		pool:     &scorePool{},
 	}
@@ -411,8 +416,8 @@ type fitSpec struct {
 // either way. ctx is checked between training epochs, and a cancelled
 // cycle returns ctx.Err() without refreshing the validation metrics or
 // the mark of what the last full fit read; its refitted scalers and
-// half-trained weights do start a new model generation, so a sharded
-// coordinator's shards adopt them.
+// half-trained weights stay in the model, which the next decision scores
+// through.
 func (e *Engine) TrainContext(ctx context.Context) (TrainReport, error) {
 	return e.fit(ctx, fitSpec{window: e.cfg.WindowX, epochs: e.cfg.Epochs, lrScale: 1, full: true})
 }
@@ -476,9 +481,6 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 	if x.Rows == 0 {
 		return TrainReport{}, ErrNoTelemetry
 	}
-	// From here on the fit changes the scalers or the weights, finished or
-	// not: the model is a new version on every return path.
-	e.modelGen++
 	if spec.full {
 		e.featScaler.Fit(x)
 		e.targetScaler.Fit(targets)

@@ -46,7 +46,7 @@ import (
 // scorePool is what the scoring loop reuses from one decision to the
 // next: one lane per worker, and the run boundaries, candidate devices and
 // scores of the decision in flight. The global engine owns it; shard
-// engines share it by pointer, as they share its network, because shards
+// engines share it by pointer, as they share its model, because shards
 // decide, selection included, one at a time.
 type scorePool struct {
 	lanes []*scoreLane

@@ -21,7 +21,7 @@ import (
 //   - routes every file to the shard owning its current device,
 //   - runs the engine's decision body on each shard in turn, whose
 //     scoring loop fans out over the scoring pool every shard engine
-//     shares with the global engine, on the shared network; each shard
+//     shares with the global engine, through the one model; each shard
 //     draws from its own RNG stream (rng.Split of the coordinator seed)
 //     and shards merge in fixed index order, so any Parallelism produces
 //     the serial layout bit-for-bit, and
@@ -31,10 +31,11 @@ import (
 //     (Shard.Reserve first, so a remote placement that no longer fits is
 //     abandoned without ever touching used-bytes).
 //
-// Only the global engine trains; shard engines adopt its network and
-// normalization after every retrain (adoptScorer) and never train
-// themselves. At one shard the unit's engine IS the global engine, so
-// the same body is bit-identical to the unsharded policy.
+// There is one model: the global engine fits it, and every shard engine
+// scores through it by pointer, so a shard decision reads whatever the
+// last fit left, finished or cancelled. Shard engines never train. At one
+// shard the unit's engine IS the global engine, so the same body is
+// bit-identical to the unsharded policy.
 //
 // As a policy the coordinator is the embedded policy.Geomancy cycle over
 // Model(), whose proposal is DecideLayout, under its own name and blob.
@@ -43,20 +44,14 @@ type Sharded struct {
 
 	units []shardUnit
 
-	// Training happens on the global engine, which sees every device,
-	// owns the scoring pool and snapshots itself through the engine half
-	// of the checkpoint; the bridge model wires it into the loop.
-	globalEngine *Engine
-	global       *EngineModel //geomancy:ephemeral policy-plane bridge, rebuilt by NewSharded
-	cluster      *storagesim.Cluster
+	// global bridges the global engine into the loop. That engine trains,
+	// sees every device, owns the model and the scoring pool, and
+	// snapshots itself through the engine half of the checkpoint.
+	global  *EngineModel //geomancy:ephemeral policy-plane bridge, rebuilt by NewSharded
+	cluster *storagesim.Cluster
 
 	// devShard maps a device name to its owning shard index.
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
-
-	// lastAdopted is the global model generation the shard engines last
-	// copied; every fit bumps the generation, so adoption re-fires on the
-	// first decision after any fit.
-	lastAdopted uint64 //geomancy:ephemeral adoption gate, reset by UnmarshalState so the first post-restore decision adopts
 }
 
 // shardUnit is one shard's decision machinery: the device-group view with
@@ -87,9 +82,9 @@ const escalationFactor = 4.0
 // profile order, or by assign when non-nil; see storagesim.ShardBy) and
 // builds the coordinator over them. cfg configures the global engine;
 // shard engines inherit it with a per-shard RNG stream split from
-// cfg.Seed, and score on the global engine's scoring pool. Every caller
-// passes a nil assign; the parameter stays only until the benchmark's
-// traced pass stops passing it.
+// cfg.Seed, and score through the global engine's model on its scoring
+// pool. Every caller passes a nil assign; the parameter stays only until
+// the benchmark's traced pass stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
 	shards, err := cluster.ShardBy(n, assign)
 	if err != nil {
@@ -100,10 +95,9 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 		return nil, err
 	}
 	s := &Sharded{
-		globalEngine: globalEngine,
-		global:       globalEngine.NewModel(cluster),
-		cluster:      cluster,
-		devShard:     make(map[string]int),
+		global:   globalEngine.NewModel(cluster),
+		cluster:  cluster,
+		devShard: make(map[string]int),
 	}
 	s.global.decide = s.DecideLayout
 	s.Geomancy.Model = s.global
@@ -124,14 +118,17 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 				return nil, fmt.Errorf("core: shard %d engine: %w", i, err)
 			}
 			eng.SetSummarySource(sh.DeviceSummaries)
-			// The shard scores through the globally-trained network, whose
-			// fsid feature is the device's GLOBAL index.
+			// The shard scores through the global engine's model, whose fsid
+			// feature is the device's GLOBAL index. NewEngine built the shard
+			// its own network, and the shard's stream starts after those
+			// initialization draws; the network itself is dropped here.
 			fsids := make([]int, 0, len(sh.DeviceNames()))
 			for _, name := range sh.DeviceNames() {
 				fsids = append(fsids, globalEngine.devIndex[name])
 			}
 			eng.fsids = fsids
 			eng.valid = cluster.CanPlace
+			eng.model = globalEngine.model
 			eng.pool = globalEngine.pool
 			u.engine = eng
 		}
@@ -158,32 +155,6 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// adoptScorer points a shard engine's scoring machinery at the freshly
-// trained global engine: the network is shared by pointer (shard engines
-// never mutate weights — they only forward), and normalization and the MAE
-// adjustment are copied by value.
-func (e *Engine) adoptScorer(src *Engine) {
-	if e == src {
-		return
-	}
-	e.net = src.net
-	e.featScaler = src.featScaler
-	e.targetScaler = src.targetScaler
-	e.valMetrics = src.valMetrics
-	e.trained = src.trained
-}
-
-// adoptIfStale refreshes every shard engine's scorer after a retrain.
-func (s *Sharded) adoptIfStale() {
-	if s.globalEngine.modelGen == s.lastAdopted {
-		return
-	}
-	for i := range s.units {
-		s.units[i].engine.adoptScorer(s.globalEngine)
-	}
-	s.lastAdopted = s.globalEngine.modelGen
-}
-
 // DecideLayout runs one sharded decision cycle over the working set:
 // route each file to the shard owning its current device, run each
 // shard's decision on its own engine and RNG stream, report the cycle's
@@ -191,8 +162,6 @@ func (s *Sharded) adoptIfStale() {
 // escalation. The merged decision list is ordered by shard, preserving
 // input file order within each shard.
 func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	s.adoptIfStale()
-
 	// Route files to their owning shards, preserving input order.
 	routed := make([][]policy.FileInfo, len(s.units))
 	for _, f := range files {
@@ -214,7 +183,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 			return nil, nil, err
 		}
 	}
-	s.globalEngine.metrics.observeScoring(tally)
+	s.global.Engine.metrics.observeScoring(tally)
 
 	// Merge in fixed shard order, escalating placements the
 	// owning shard clearly cannot serve. A shard's decisions are
@@ -246,7 +215,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 // the digest is a throughput quantity, so under the latency target
 // escalation is disabled rather than comparing unlike metrics.
 func (s *Sharded) throughputDigest() *storagesim.DeviceSummary {
-	if s.globalEngine.cfg.Target != TargetThroughput {
+	if s.global.Engine.cfg.Target != TargetThroughput {
 		return nil
 	}
 	sums := s.cluster.DeviceSummaries()
@@ -308,11 +277,22 @@ type shardedState struct {
 }
 
 // shardUnitState is one unit's wire form: the device group's identity plus
-// the shard engine's full state (RNG stream, adopted scorer, pruning
-// caches) — nil at one shard, where it is the global one.
+// the shard engine's own state — nil at one shard, where the unit's engine
+// is the global one.
 type shardUnitState struct {
-	Engine *EngineState
+	Engine *shardEngineState
 	Shard  storagesim.ShardState
+}
+
+// shardEngineState is what a shard engine owns: its RNG stream and its
+// pruning bookkeeping. The model it scores through is the global engine's,
+// which the checkpoint's engine half carries once. Gob matches fields by
+// name, so a unit that carries a full EngineState, as older snapshots do,
+// restores into this and its copy of the model is dropped.
+type shardEngineState struct {
+	RNG           uint64
+	DecisionCount uint64
+	LastWatermark uint64
 }
 
 // MarshalState implements policy.Policy.
@@ -320,12 +300,13 @@ func (s *Sharded) MarshalState() ([]byte, error) {
 	st := shardedState{Shards: len(s.units)}
 	for i := range s.units {
 		us := shardUnitState{Shard: s.units[i].shard.State()}
-		if eng := s.units[i].engine; eng != s.globalEngine {
-			es, err := eng.State()
-			if err != nil {
-				return nil, fmt.Errorf("core: sharded state, shard %d: %w", i, err)
+		if len(s.units) > 1 { // at one shard the unit's engine is the global one
+			eng := s.units[i].engine
+			us.Engine = &shardEngineState{
+				RNG:           eng.rng.State(),
+				DecisionCount: eng.decisionCount,
+				LastWatermark: eng.lastWatermark,
 			}
-			us.Engine = &es
 		}
 		st.Units = append(st.Units, us)
 	}
@@ -337,7 +318,9 @@ func (s *Sharded) MarshalState() ([]byte, error) {
 }
 
 // UnmarshalState implements policy.Policy. The blob must describe the
-// same partition width this coordinator was built with.
+// same partition width this coordinator was built with, and every unit is
+// checked before any shard engine is restored: a refused blob changes
+// nothing.
 func (s *Sharded) UnmarshalState(data []byte) error {
 	var st shardedState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -347,22 +330,23 @@ func (s *Sharded) UnmarshalState(data []byte) error {
 		return fmt.Errorf("core: snapshot has %d shards, coordinator has %d — rebuild with the snapshot's shard count", st.Shards, len(s.units))
 	}
 	for i, us := range st.Units {
-		if eng := s.units[i].engine; eng != s.globalEngine {
-			if us.Engine == nil {
-				return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
-			}
-			if err := eng.RestoreState(*us.Engine); err != nil {
-				return fmt.Errorf("core: restoring shard %d engine: %w", i, err)
-			}
+		if us.Engine == nil && len(s.units) > 1 {
+			return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
 		}
 		if err := s.units[i].shard.RestoreState(us.Shard); err != nil {
 			return fmt.Errorf("core: restoring shard %d: %w", i, err)
 		}
 	}
-	// Restored shard engines carry their own deserialized networks; no
-	// model version is 0, so the first post-restore decision re-aliases
-	// them to the shared scorer.
-	s.lastAdopted = 0
+	if len(s.units) == 1 {
+		return nil // the unit's engine is the global one
+	}
+	for i, us := range st.Units {
+		eng := s.units[i].engine
+		eng.rng.SetState(us.Engine.RNG)
+		eng.decisionCount = us.Engine.DecisionCount
+		eng.lastWatermark = us.Engine.LastWatermark
+		clear(eng.cache)
+	}
 	return nil
 }
 

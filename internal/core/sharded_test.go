@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,7 +24,7 @@ func shardedBluesky(t *testing.T, db TelemetryStore, n int, cfg Config) *Sharded
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
+	if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -77,12 +79,12 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 			if _, err := plain.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
+			if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if plain.rng.State() != s.globalEngine.rng.State() {
+	if plain.rng.State() != s.global.Engine.rng.State() {
 		t.Fatal("RNG streams diverged between the engine and the 1-shard coordinator")
 	}
 	if got := shardCounter(reg, telemetry.MetricShardDecisions, 0); got != 6*uint64(len(files)) {
@@ -113,7 +115,7 @@ func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 			layouts = append(layouts, l)
 			decs = append(decs, d)
 			if step == 2 {
-				if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
+				if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -304,7 +306,7 @@ func TestShardedRowsObservedOncePerCycle(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			s := shardedBluesky(t, db, n, quickCfg())
 			reg := telemetry.NewRegistry()
-			s.globalEngine.SetMetrics(reg)
+			s.global.Engine.SetMetrics(reg)
 			s.SetMetrics(reg)
 
 			hist := reg.Histogram(telemetry.MetricInferenceBatchSize, telemetry.DefBatchSizeBuckets)
@@ -333,10 +335,10 @@ func TestShardedRowsObservedOncePerCycle(t *testing.T) {
 }
 
 // TestShardedStateRoundTrip checks bit-identical resume of the whole
-// coordinator: shard engines (RNG streams, adopted scorers, pruning
-// caches), shard accounting, and the global engine restore into a fresh
-// coordinator that continues the exact trajectory. A snapshot from a
-// different partition width is rejected.
+// coordinator: shard engines (RNG streams, pruning bookkeeping), shard
+// accounting, and the global engine with the model every shard scores
+// through restore into a fresh coordinator that continues the exact
+// trajectory. A snapshot from a different partition width is rejected.
 func TestShardedStateRoundTrip(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -353,7 +355,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, err := a.globalEngine.State()
+	ga, err := a.global.Engine.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +364,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.globalEngine.RestoreState(ga); err != nil {
+	if err := b.global.Engine.RestoreState(ga); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.UnmarshalState(blob); err != nil {
@@ -384,10 +386,10 @@ func TestShardedStateRoundTrip(t *testing.T) {
 			t.Fatalf("step %d: restored decisions diverged", i)
 		}
 		if i == 1 {
-			if _, err := a.globalEngine.TrainContext(context.Background()); err != nil {
+			if _, err := a.global.Engine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.globalEngine.TrainContext(context.Background()); err != nil {
+			if _, err := b.global.Engine.TrainContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -400,6 +402,131 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	}
 	if err := c.UnmarshalState(blob); err == nil {
 		t.Error("restoring a 2-shard snapshot into a 3-shard coordinator should fail")
+	}
+}
+
+// shardedSnapshot decides three times on a two-shard coordinator and
+// returns it with its policy blob and its global engine's state.
+func shardedSnapshot(t *testing.T, db TelemetryStore, cfg Config) (*Sharded, []byte, EngineState) {
+	t.Helper()
+	a := shardedBluesky(t, db, 2, cfg)
+	for i := 0; i < 3; i++ {
+		if _, _, err := a.DecideLayout(t.Context(), testFiles()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := a.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga, err := a.global.Engine.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, blob, ga
+}
+
+// TestShardedRestoreAllOrNothing: a coordinator blob refused at a later
+// unit leaves every earlier shard engine as it was — every unit is checked
+// before any stream is restored.
+func TestShardedRestoreAllOrNothing(t *testing.T) {
+	db := seedDB(t, 1200)
+	_, blob, _ := shardedSnapshot(t, db, quickCfg())
+	for name, corrupt := range map[string]func(*shardedState){
+		"foreign shard index": func(st *shardedState) { st.Units[1].Shard.Index = 7 },
+		"no engine state":     func(st *shardedState) { st.Units[1].Engine = nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var st shardedState
+			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(&st)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+			b := shardedBluesky(t, db, 2, quickCfg())
+			eng := b.units[0].engine
+			rngBefore, countBefore := eng.rng.State(), eng.decisionCount
+			if err := b.UnmarshalState(bad.Bytes()); err == nil {
+				t.Fatal("UnmarshalState accepted a blob with a bad unit 1")
+			}
+			if eng.rng.State() != rngBefore || eng.decisionCount != countBefore {
+				t.Errorf("refused restore moved shard 0: RNG %x → %x, decisions %d → %d",
+					rngBefore, eng.rng.State(), countBefore, eng.decisionCount)
+			}
+		})
+	}
+}
+
+// TestShardedRestoreParentBlob: a blob whose units each carry a full
+// EngineState, network included — the form coordinators wrote while every
+// shard engine held its own copy of the model — restores, and the
+// coordinator decides from it exactly as from the current form.
+func TestShardedRestoreParentBlob(t *testing.T) {
+	db := seedDB(t, 1200)
+	cfg := quickCfg()
+	cfg.Epsilon = 0.3
+	a, blob, ga := shardedSnapshot(t, db, cfg)
+
+	type parentUnit struct {
+		Engine *EngineState
+		Shard  storagesim.ShardState
+	}
+	parent := struct {
+		Shards int
+		Units  []parentUnit
+	}{Shards: len(a.units)}
+	for i := range a.units {
+		es, err := a.units[i].engine.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(es.Net) == 0 {
+			t.Fatal("parent-form unit carries no network")
+		}
+		parent.Units = append(parent.Units, parentUnit{Engine: &es, Shard: a.units[i].shard.State()})
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(parent); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(data []byte) *Sharded {
+		s, err := NewSharded(db, storagesim.NewBluesky(1), 2, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.global.Engine.RestoreState(ga); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UnmarshalState(data); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Both restores continue the uninterrupted coordinator's decisions.
+	runs := []*Sharded{a, restore(old.Bytes()), restore(blob)}
+	for i := 0; i < 4; i++ {
+		var decs [3][]policy.Prediction
+		for k, s := range runs {
+			var err error
+			if _, decs[k], err = s.DecideLayout(t.Context(), testFiles()); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !reflect.DeepEqual(decs[1], decs[2]) {
+			t.Fatalf("step %d: the parent-form restore decided %v, the current-form one %v", i, decs[1], decs[2])
+		}
+		if !reflect.DeepEqual(decs[0], decs[2]) {
+			t.Fatalf("step %d: the restores decided %v, the original %v", i, decs[2], decs[0])
+		}
 	}
 }
 
@@ -458,7 +585,7 @@ func shardedWarehouse(tb testing.TB, nFiles, nDev, shards int, cfg Config) (*Sha
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := s.globalEngine.TrainContext(context.Background()); err != nil {
+	if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return s, files

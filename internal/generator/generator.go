@@ -159,10 +159,15 @@ func (h *Hotspot) State() State {
 	return State{Kind: kindHotspot, I: []int64{h.lo, h.hi}, F: []float64{h.hotFrac, h.hotOpn}}
 }
 
-// RestoreState implements Generator.
+// RestoreState implements Generator. Next draws from a non-empty range
+// of file indices, so a negative lo or an hi below lo is refused, with the
+// generator left as it was.
 func (h *Hotspot) RestoreState(s State) error {
 	if err := s.check(kindHotspot, 2, 2); err != nil {
 		return err
+	}
+	if lo, hi := s.I[0], s.I[1]; lo < 0 || hi < lo {
+		return fmt.Errorf("generator: hotspot state draws from [%d, %d]", lo, hi)
 	}
 	h.lo, h.hi = s.I[0], s.I[1]
 	h.hotFrac, h.hotOpn = s.F[0], s.F[1]

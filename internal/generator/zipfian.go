@@ -87,10 +87,15 @@ func (z *Zipfian) State() State {
 	}
 }
 
-// RestoreState implements Generator.
+// RestoreState implements Generator. Next draws a rank below the item
+// count, so a count below one is refused, with the generator left as it
+// was.
 func (z *Zipfian) RestoreState(s State) error {
 	if err := s.check(kindZipfian, 2, 2); err != nil {
 		return err
+	}
+	if s.I[0] < 1 {
+		return fmt.Errorf("generator: zipfian state has %d items", s.I[0])
 	}
 	if s.I[0] != s.I[1] {
 		return fmt.Errorf("generator: zipfian state normalized over %d of %d items", s.I[1], s.I[0])

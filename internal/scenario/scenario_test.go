@@ -260,20 +260,24 @@ func TestUnmarshalRejectsMismatchedShape(t *testing.T) {
 }
 
 // A snapshot is input from outside the program: a negative run counter,
-// ingest head or counter chooser must be refused before anything is
-// assigned, so the refused workload keeps drawing exactly the sequence it
-// would have drawn, instead of indexing its file set out of range on the
-// next run.
+// ingest head or counter chooser, and a chooser register Next cannot draw
+// from (an inverted hotspot range, a zipfian over fewer than one item),
+// must be refused before anything is assigned, so the refused workload
+// keeps drawing exactly the sequence it would have drawn, instead of
+// indexing its file set out of range or panicking on the next run.
 func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
 	for _, c := range []struct {
-		scenario, field string
-		edit            func(*coreState)
+		name, scenario, field string
+		edit                  func(*coreState)
 	}{
-		{"diurnal-tenants", "run counter", func(st *coreState) { st.Runs = -9 }},
-		{"write-ingest", "ingest head", func(st *coreState) { st.Head.I[0] = -5 }},
-		{"cold-scan", "chooser", func(st *coreState) { st.Chooser.I[0] = -3 }},
+		{"diurnal-tenants", "diurnal-tenants", "run counter", func(st *coreState) { st.Runs = -9 }},
+		{"write-ingest", "write-ingest", "ingest head", func(st *coreState) { st.Head.I[0] = -5 }},
+		{"cold-scan", "cold-scan", "chooser", func(st *coreState) { st.Chooser.I[0] = -3 }},
+		{"hotspot-shift", "hotspot-shift", "chooser range", func(st *coreState) { st.Chooser.I = []int64{5, 2} }},
+		{"zipfian-hot-empty", "zipfian-hot", "chooser item count", func(st *coreState) { st.Chooser.I = []int64{0, 0} }},
+		{"zipfian-hot-negative", "zipfian-hot", "chooser item count", func(st *coreState) { st.Chooser.I = []int64{-4, -4} }},
 	} {
-		t.Run(c.scenario, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			src := buildSpread(t, c.scenario, 5)
 			traceRuns(t, src, 1)
 			blob, err := src.MarshalState()
@@ -295,7 +299,7 @@ func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
 			runs := w.Runs()
 			got := traceRuns(t, w, 2)
 			if err == nil {
-				t.Fatalf("a snapshot with a negative %s was accepted", c.field)
+				t.Fatalf("a snapshot with a bad %s was accepted", c.field)
 			}
 			if runs != 0 {
 				t.Errorf("refused restore left run counter %d, want 0", runs)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"geomancy/internal/checkpoint"
-	"geomancy/internal/core"
 	"geomancy/internal/storagesim"
 )
 
@@ -45,8 +44,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 
 // TestShardedResumeEquivalence extends the resume invariant to the
 // sharded plane: a sharded run checkpointed at run N and restored — with
-// every shard engine's RNG stream, adopted scorer, and device-group
-// accounting rebuilt from the snapshot — must produce a bit-identical
+// the global engine's model and every shard engine's RNG stream and
+// device-group accounting rebuilt from the snapshot — must produce a bit-identical
 // trajectory to the same-seed uninterrupted run, at every partition
 // width the Bluesky cluster supports and at Parallelism 1 and 4.
 func TestShardedResumeEquivalence(t *testing.T) {
@@ -133,12 +132,13 @@ func TestShardedRejectsBaselinePolicy(t *testing.T) {
 	}
 }
 
-// Sharded state rides the policy blob alone, and an engine is serialized
-// once: at one shard, unit 0's engine IS the global engine the snapshot's
-// engine half already carries, so the blob holds only the device group's
-// accounting; at two shards every unit carries its own shard engine.
-func TestShardedSnapshotCarriesEachEngineOnce(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+// Sharded state rides the policy blob alone, and the model is serialized
+// once, in the snapshot's engine half: a shard unit carries only what its
+// engine owns — its RNG stream and pruning bookkeeping, none at one shard,
+// where unit 0's engine IS the global engine — beside the device group's
+// identity, so the blob stays a few hundred bytes at any width.
+func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
 		sys, err := New(ckptOptions(1, WithShards(shards))...)
 		if err != nil {
 			t.Fatal(err)
@@ -160,12 +160,21 @@ func TestShardedSnapshotCarriesEachEngineOnce(t *testing.T) {
 		if !snap.Engine.Trained || len(snap.Engine.Net) == 0 {
 			t.Fatalf("shards=%d: snapshot's engine half is missing the trained global engine", shards)
 		}
-		// The coordinator's wire form, mirrored field for field.
+		if n := len(snap.Policy); n >= 4096 {
+			t.Errorf("shards=%d: policy blob is %d bytes, want under 4 KB", shards, n)
+		}
+		// The coordinator's wire form, mirrored field for field, plus the
+		// network field a unit carrying a copy of the model would fill.
 		var blob struct {
 			Shards int
 			Units  []struct {
-				Engine *core.EngineState
-				Shard  storagesim.ShardState
+				Engine *struct {
+					RNG           uint64
+					DecisionCount uint64
+					LastWatermark uint64
+					Net           []byte
+				}
+				Shard storagesim.ShardState
 			}
 		}
 		if err := gob.NewDecoder(bytes.NewReader(snap.Policy)).Decode(&blob); err != nil {
@@ -179,7 +188,10 @@ func TestShardedSnapshotCarriesEachEngineOnce(t *testing.T) {
 				t.Errorf("shards=%d unit %d: device-group state %+v", shards, i, u.Shard)
 			}
 			if has, want := u.Engine != nil, shards > 1; has != want {
-				t.Errorf("shards=%d unit %d: carries an engine state = %v, want %v", shards, i, has, want)
+				t.Fatalf("shards=%d unit %d: carries an engine state = %v, want %v", shards, i, has, want)
+			}
+			if u.Engine != nil && len(u.Engine.Net) > 0 {
+				t.Errorf("shards=%d unit %d: carries a %d-byte network", shards, i, len(u.Engine.Net))
 			}
 		}
 	}
