@@ -280,11 +280,12 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 // WithShards partitions the cluster's devices into n shards and drives
 // placement through the sharded coordinator: each shard owns a
 // lightweight engine deciding over its own device subset through the one
-// model the global engine trains, and placements a shard clearly cannot serve escalate to
-// the cluster-wide throughput digest under two-phase capacity
-// reservations. Shards decide one after another, each through the same
-// scoring loop on the WithParallelism workers, which never affects a
-// result (fixed merge order, per-shard RNG streams). n = 1 is
+// model the global engine trains, and placements a shard clearly cannot
+// serve escalate to the cluster-wide throughput digest, admitted only
+// while that device can hold them on top of the bytes the cycle's earlier
+// escalations claimed there. Shards decide one after another, each
+// through the same scoring loop on the WithParallelism workers, which
+// never affects a result (fixed merge order, per-shard RNG streams). n = 1 is
 // bit-identical to the unsharded engine; n = 0 (the default) disables
 // sharding entirely. Devices are grouped contiguously in profile order.
 // Only the default "geomancy" policy shards — combining WithShards with

@@ -15,8 +15,9 @@ import (
 
 // Sharded is the sharded placement coordinator (ROADMAP item 2's
 // warehouse-scale decision plane): the cluster's devices are partitioned
-// into shards (storagesim.Shard), each shard owns a lightweight engine
-// that decides only over its own device subset, and the coordinator
+// into device groups (storagesim.Cluster.ShardBy), each group owns a
+// lightweight engine that decides only over its own devices, and the
+// coordinator
 //
 //   - routes every file to the shard owning its current device,
 //   - runs the engine's decision body on each shard in turn, whose
@@ -27,9 +28,10 @@ import (
 //     the serial layout bit-for-bit, and
 //   - escalates: when a shard's best in-shard placement underperforms the
 //     cluster-wide throughput digest by escalationFactor, the coordinator
-//     attempts a cross-shard migration under two-phase accounting
-//     (Shard.Reserve first, so a remote placement that no longer fits is
-//     abandoned without ever touching used-bytes).
+//     attempts a cross-shard migration, admitted only while the device
+//     still fits the bytes this cycle's escalations already claimed on it
+//     (Cluster.CanPlace). Claims never touch used-bytes and die with the
+//     cycle; the committed layout re-validates in Cluster.Move.
 //
 // There is one model: the global engine fits it, and every shard engine
 // scores through it by pointer, so a shard decision reads whatever the
@@ -54,10 +56,9 @@ type Sharded struct {
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
 }
 
-// shardUnit is one shard's decision machinery: the device-group view with
-// its accounting, and the shard-local engine.
+// shardUnit is one shard's decision machinery: the engine over the
+// shard's device group, and the shard's counters.
 type shardUnit struct {
-	shard  *storagesim.Shard
 	engine *Engine
 	tele   shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
 }
@@ -80,13 +81,14 @@ const escalationFactor = 4.0
 
 // NewSharded partitions the cluster into n device groups (contiguous in
 // profile order, or by assign when non-nil; see storagesim.ShardBy) and
-// builds the coordinator over them. cfg configures the global engine;
-// shard engines inherit it with a per-shard RNG stream split from
-// cfg.Seed, and score through the global engine's model on its scoring
-// pool. Every caller passes a nil assign; the parameter stays only until
+// builds one shard engine over each group. cfg configures the global
+// engine; shard engines inherit it with a per-shard RNG stream split from
+// cfg.Seed, read the cluster's device summaries and validator as the
+// global engine does, and score through the global engine's model on its
+// scoring pool. Every caller passes a nil assign; the parameter stays only until
 // the benchmark's traced pass stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
-	shards, err := cluster.ShardBy(n, assign)
+	groups, err := cluster.ShardBy(n, assign)
 	if err != nil {
 		return nil, err
 	}
@@ -101,11 +103,11 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 	}
 	s.global.decide = s.DecideLayout
 	s.Geomancy.Model = s.global
-	for i, sh := range shards {
-		for _, name := range sh.DeviceNames() {
+	for i, group := range groups {
+		for _, name := range group {
 			s.devShard[name] = i
 		}
-		u := shardUnit{shard: sh}
+		var u shardUnit
 		if n == 1 {
 			// One shard owns everything: its engine IS the global engine, so
 			// the decision sequence is the unsharded policy's, bit-for-bit.
@@ -113,17 +115,19 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 		} else {
 			shardCfg := cfg
 			shardCfg.Seed = rng.Split(cfg.Seed, i)
-			eng, err := NewEngine(db, sh.DeviceNames(), shardCfg)
+			eng, err := NewEngine(db, group, shardCfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: shard %d engine: %w", i, err)
 			}
-			eng.SetSummarySource(sh.DeviceSummaries)
+			// The shortlist skips devices the engine does not list, so the
+			// cluster-wide summaries rank only the shard's own devices.
+			eng.SetSummarySource(cluster.DeviceSummaries)
 			// The shard scores through the global engine's model, whose fsid
 			// feature is the device's GLOBAL index. NewEngine built the shard
 			// its own network, and the shard's stream starts after those
 			// initialization draws; the network itself is dropped here.
-			fsids := make([]int, 0, len(sh.DeviceNames()))
-			for _, name := range sh.DeviceNames() {
+			fsids := make([]int, 0, len(group))
+			for _, name := range group {
 				fsids = append(fsids, globalEngine.devIndex[name])
 			}
 			eng.fsids = fsids
@@ -160,7 +164,8 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 // shard's decision on its own engine and RNG stream, report the cycle's
 // scoring once, then merge in fixed shard order with cross-shard
 // escalation. The merged decision list is ordered by shard, preserving
-// input file order within each shard.
+// input file order within each shard. The bytes escalations claim on a
+// device live in a map that dies with the call.
 func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	// Route files to their owning shards, preserving input order.
 	routed := make([][]policy.FileInfo, len(s.units))
@@ -174,7 +179,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 
 	// Decide shard by shard. A shard engine touches only its own entries
 	// and stream, so the order is free; every decision is made before the
-	// first escalation reserves anything.
+	// first escalation claims anything.
 	decs := make([][]policy.Prediction, len(s.units))
 	var tally scoreTally
 	for i := range s.units {
@@ -189,21 +194,17 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 	// owning shard clearly cannot serve. A shard's decisions are
 	// positionally aligned with the files routed to it.
 	digest := s.throughputDigest()
+	claims := make(map[string]int64)
 	layout := make(map[int64]string, len(files))
 	decisions := make([]policy.Prediction, 0, len(files))
 	for i := range s.units {
 		s.units[i].tele.decisions.Add(uint64(len(decs[i])))
 		for k := range decs[i] {
 			d := &decs[i][k]
-			s.escalate(i, d, digest, routed[i][k].Size)
+			s.escalate(i, d, digest, routed[i][k].Size, claims)
 			layout[d.FileID] = d.Chosen
 		}
 		decisions = append(decisions, decs[i]...)
-	}
-	// Reservations only gate admission within this cycle; the committed
-	// layout re-validates in Cluster.Move.
-	for i := range s.units {
-		s.units[i].shard.ReleaseReservations()
 	}
 	return layout, decisions, nil
 }
@@ -235,11 +236,13 @@ func (s *Sharded) throughputDigest() *storagesim.DeviceSummary {
 // escalate applies the cross-shard escalation rule to one decision owned
 // by shard i: when the globally best device belongs to another shard and
 // its digest throughput exceeds the chosen device's prediction by
-// escalationFactor, reserve space on it (two-phase: admission only) and,
-// if the reservation holds, override the placement. Exploration
+// escalationFactor, override the placement if the device can take the
+// file on top of the bytes claims already holds for it this cycle, and
+// add the file's size to those claims. Claims gate admission only; used
+// bytes change when Cluster.Move commits the layout. Exploration
 // decisions never escalate — they exist to probe, not to optimize — and
 // a decision with no usable prediction for its choice stays put.
-func (s *Sharded) escalate(i int, d *policy.Prediction, digest *storagesim.DeviceSummary, size int64) {
+func (s *Sharded) escalate(i int, d *policy.Prediction, digest *storagesim.DeviceSummary, size int64, claims map[string]int64) {
 	if digest == nil || d.Random {
 		return
 	}
@@ -251,14 +254,14 @@ func (s *Sharded) escalate(i int, d *policy.Prediction, digest *storagesim.Devic
 		return
 	}
 	s.units[i].tele.escalations.Inc()
-	target := &s.units[owner]
-	if err := target.shard.Reserve(digest.Name, size); err != nil {
+	if s.cluster.CanPlace(digest.Name, claims[digest.Name]+size) != nil {
 		// The remote device cannot cover the file this cycle (capacity
 		// already claimed, gone read-only, ...): keep the in-shard choice.
 		return
 	}
+	claims[digest.Name] += size
 	d.Chosen = digest.Name
-	target.tele.migrations.Inc()
+	s.units[owner].tele.migrations.Inc()
 }
 
 // ShardedPolicyName is the coordinator's catalogue identity.
@@ -276,12 +279,14 @@ type shardedState struct {
 	Units  []shardUnitState
 }
 
-// shardUnitState is one unit's wire form: the device group's identity plus
-// the shard engine's own state — nil at one shard, where the unit's engine
-// is the global one.
+// shardUnitState is one unit's wire form: the shard engine's own state —
+// nil at one shard, where the unit's engine is the global one. The device
+// group needs no identity on the wire: the shard count, the cluster's
+// device names and the global engine's device order fix it, and each is
+// checked on restore. Older blobs also carry a Shard field, which gob
+// drops.
 type shardUnitState struct {
 	Engine *shardEngineState
-	Shard  storagesim.ShardState
 }
 
 // shardEngineState is what a shard engine owns: its RNG stream and its
@@ -299,7 +304,7 @@ type shardEngineState struct {
 func (s *Sharded) MarshalState() ([]byte, error) {
 	st := shardedState{Shards: len(s.units)}
 	for i := range s.units {
-		us := shardUnitState{Shard: s.units[i].shard.State()}
+		var us shardUnitState
 		if len(s.units) > 1 { // at one shard the unit's engine is the global one
 			eng := s.units[i].engine
 			us.Engine = &shardEngineState{
@@ -329,16 +334,13 @@ func (s *Sharded) UnmarshalState(data []byte) error {
 	if st.Shards != len(s.units) || len(st.Units) != len(s.units) {
 		return fmt.Errorf("core: snapshot has %d shards, coordinator has %d — rebuild with the snapshot's shard count", st.Shards, len(s.units))
 	}
-	for i, us := range st.Units {
-		if us.Engine == nil && len(s.units) > 1 {
-			return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
-		}
-		if err := s.units[i].shard.RestoreState(us.Shard); err != nil {
-			return fmt.Errorf("core: restoring shard %d: %w", i, err)
-		}
-	}
 	if len(s.units) == 1 {
 		return nil // the unit's engine is the global one
+	}
+	for i, us := range st.Units {
+		if us.Engine == nil {
+			return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
+		}
 	}
 	for i, us := range st.Units {
 		eng := s.units[i].engine

@@ -135,7 +135,8 @@ func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 // TestShardedRouting checks the file→shard routing contract: files are
 // decided by the shard owning their current device (its engine only
 // scores in-shard candidates), and a file on a device no shard owns is
-// an error, not a silent skip.
+// an error, not a silent skip. With pruning on, a shard engine ranks the
+// cluster-wide device summaries but shortlists only its own devices.
 func TestShardedRouting(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -166,12 +167,12 @@ func TestShardedRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(scores[0]) != len(u.shard.DeviceNames()) {
+		if len(scores[0]) != len(u.engine.devices) {
 			t.Errorf("file %d (shard %d) scored on %d devices %v, want the shard's %d",
-				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.shard.DeviceNames()))
+				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.engine.devices))
 		}
 		for dev := range scores[0] {
-			if u.shard.Device(dev) == nil {
+			if owner, ok := s.devShard[dev]; !ok || owner != owners[d.FileID] {
 				t.Errorf("file %d (shard %d) scored out-of-shard device %q", d.FileID, owners[d.FileID], dev)
 			}
 		}
@@ -191,12 +192,27 @@ func TestShardedRouting(t *testing.T) {
 	if _, _, err := s.DecideLayout(t.Context(), []policy.FileInfo{{ID: 9, Device: "nosuch"}}); err == nil {
 		t.Error("file on an unowned device should error")
 	}
+
+	// Top-1 per class: every shard holds one device of each of its
+	// classes, so each shortlist is the shard's whole group — var included,
+	// though tmp, the faster raid1 device, belongs to shard 1.
+	cfg.TopK = 1
+	pruned := shardedBluesky(t, db, 3, cfg)
+	for i, u := range pruned.units {
+		var names []string
+		for _, j := range u.engine.deviceShortlist() {
+			names = append(names, u.engine.devices[j])
+		}
+		if !reflect.DeepEqual(names, u.engine.devices) {
+			t.Errorf("shard %d shortlists %v, want its group %v", i, names, u.engine.devices)
+		}
+	}
 }
 
 // TestShardedEscalation pins the cross-shard escalation rule and its
-// two-phase accounting: an in-shard choice predicted far below the
-// global digest escalates and migrates when the digest device can cover
-// the file, is counted-but-kept when the reservation fails, and never
+// admission check: an in-shard choice predicted far below the global
+// digest escalates and migrates when the digest device can cover the
+// file, is counted-but-kept when the device cannot, and never
 // fires for exploration decisions or digests the shard already owns.
 func TestShardedEscalation(t *testing.T) {
 	db := seedDB(t, 1200)
@@ -220,7 +236,7 @@ func TestShardedEscalation(t *testing.T) {
 	// Far-underperforming choice in shard 1: escalates and migrates.
 	d := policy.Prediction{FileID: 1, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(1, &d, digest, 1e6)
+	s.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != digest.Name {
 		t.Fatalf("underperforming choice not escalated: chosen %q", d.Chosen)
 	}
@@ -229,23 +245,27 @@ func TestShardedEscalation(t *testing.T) {
 	}
 
 	// A file the digest device cannot cover: escalation is counted, the
-	// reservation fails, and the in-shard choice survives — two-phase
-	// accounting means nothing was committed anywhere.
+	// admission check fails, and the in-shard choice survives — nothing
+	// was claimed or committed anywhere.
 	huge := s.cluster.Device(digest.Name).Free() + 1
 	d = policy.Prediction{FileID: 2, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(1, &d, digest, huge)
+	claims := map[string]int64{}
+	s.escalate(1, &d, digest, huge, claims)
 	if d.Chosen != "tmp" {
-		t.Fatalf("failed reservation still moved the file to %q", d.Chosen)
+		t.Fatalf("refused escalation still moved the file to %q", d.Chosen)
 	}
 	if escalations(1) != 2 || migrations(0) != 1 {
-		t.Fatalf("counters after failed reservation: escalations=%d migrations=%d, want 2/1", escalations(1), migrations(0))
+		t.Fatalf("counters after refused escalation: escalations=%d migrations=%d, want 2/1", escalations(1), migrations(0))
+	}
+	if len(claims) != 0 {
+		t.Fatalf("refused escalation claimed %v", claims)
 	}
 
 	// Exploration decisions probe, they do not escalate.
 	d = policy.Prediction{FileID: 3, Current: "tmp", Chosen: "tmp", Random: true,
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(1, &d, digest, 1e6)
+	s.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("exploration decision escalated")
 	}
@@ -253,7 +273,7 @@ func TestShardedEscalation(t *testing.T) {
 	// A digest the deciding shard already owns is not an escalation.
 	d = policy.Prediction{FileID: 4, Current: "pic", Chosen: "pic",
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(0, &d, digest, 1e6)
+	s.escalate(0, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "pic" || escalations(0) != 0 {
 		t.Error("in-shard digest treated as cross-shard escalation")
 	}
@@ -261,7 +281,7 @@ func TestShardedEscalation(t *testing.T) {
 	// A choice within escalationFactor of the digest stays put.
 	d = policy.Prediction{FileID: 5, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 2}
-	s.escalate(1, &d, digest, 1e6)
+	s.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("adequately served choice escalated")
 	}
@@ -269,30 +289,58 @@ func TestShardedEscalation(t *testing.T) {
 	// A choice the model did not score (Predicted 0) has nothing to compare
 	// against the digest and stays put.
 	d = policy.Prediction{FileID: 6, Current: "tmp", Chosen: "tmp"}
-	s.escalate(1, &d, digest, 1e6)
+	s.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("unscored choice escalated")
 	}
 }
 
-// TestShardedReservationsReleased checks that a full decide cycle leaves
-// every shard's reservation ledger empty: reservations gate admission
-// within one cycle only, so checkpoint boundaries always see a clean
-// slate.
-func TestShardedReservationsReleased(t *testing.T) {
+// TestShardedEscalationClaims pins the admission accounting of one cycle's
+// escalations: two escalations to one device are both admitted while
+// their claims fit it, the one that would overfill it is refused, claims
+// never touch used bytes, a fresh cycle's claims admit again, and a
+// read-only device admits nothing.
+func TestShardedEscalationClaims(t *testing.T) {
 	db := seedDB(t, 1200)
-	cfg := quickCfg()
-	cfg.Epsilon = 0
-	s := shardedBluesky(t, db, 2, cfg)
-	if _, _, err := s.DecideLayout(t.Context(), testFiles()); err != nil {
+	s := shardedBluesky(t, db, 2, quickCfg())
+	digest := s.throughputDigest()
+	if digest == nil || s.devShard[digest.Name] != 0 {
+		t.Fatalf("digest %v, fixture wants a device of shard 0", digest)
+	}
+	dev := s.cluster.Device(digest.Name)
+	free, used := dev.Free(), dev.Used()
+	escalated := func(claims map[string]int64, id int64, size int64) bool {
+		d := policy.Prediction{FileID: id, Current: "tmp", Chosen: "tmp",
+			Predicted: digest.RecentThroughput / 10}
+		s.escalate(1, &d, digest, size, claims)
+		return d.Chosen == digest.Name
+	}
+
+	claims := map[string]int64{}
+	if !escalated(claims, 1, free-10) {
+		t.Fatal("first escalation refused")
+	}
+	if !escalated(claims, 2, 10) {
+		t.Fatal("second escalation refused though the claims fit the device exactly")
+	}
+	if escalated(claims, 3, 1) {
+		t.Fatal("escalation admitted past the device's free bytes")
+	}
+	if claims[digest.Name] != free {
+		t.Fatalf("claims = %d, want the two admitted sizes %d", claims[digest.Name], free)
+	}
+	if dev.Used() != used {
+		t.Fatalf("claims changed used bytes: %d → %d", used, dev.Used())
+	}
+	if !escalated(map[string]int64{}, 3, 1) {
+		t.Fatal("a fresh cycle refused an escalation that fits")
+	}
+	// A device gone read-only takes no escalation, however small.
+	if err := s.cluster.SetReadOnly(digest.Name, true); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(s.units); i++ {
-		for _, dev := range s.units[i].shard.DeviceNames() {
-			if r := s.units[i].shard.Reserved(dev); r != 0 {
-				t.Errorf("shard %d device %s holds %d reserved bytes after the cycle", i, dev, r)
-			}
-		}
+	if escalated(map[string]int64{}, 4, 0) {
+		t.Fatal("escalation admitted onto a read-only device")
 	}
 }
 
@@ -433,8 +481,7 @@ func TestShardedRestoreAllOrNothing(t *testing.T) {
 	db := seedDB(t, 1200)
 	_, blob, _ := shardedSnapshot(t, db, quickCfg())
 	for name, corrupt := range map[string]func(*shardedState){
-		"foreign shard index": func(st *shardedState) { st.Units[1].Shard.Index = 7 },
-		"no engine state":     func(st *shardedState) { st.Units[1].Engine = nil },
+		"no engine state": func(st *shardedState) { st.Units[1].Engine = nil },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var st shardedState
@@ -470,9 +517,14 @@ func TestShardedRestoreParentBlob(t *testing.T) {
 	cfg.Epsilon = 0.3
 	a, blob, ga := shardedSnapshot(t, db, cfg)
 
+	// The parent also wrote each unit's device group, which gob now drops.
+	type parentShard struct {
+		Index   int
+		Devices []string
+	}
 	type parentUnit struct {
 		Engine *EngineState
-		Shard  storagesim.ShardState
+		Shard  parentShard
 	}
 	parent := struct {
 		Shards int
@@ -486,7 +538,8 @@ func TestShardedRestoreParentBlob(t *testing.T) {
 		if len(es.Net) == 0 {
 			t.Fatal("parent-form unit carries no network")
 		}
-		parent.Units = append(parent.Units, parentUnit{Engine: &es, Shard: a.units[i].shard.State()})
+		group := parentShard{Index: i, Devices: a.units[i].engine.devices}
+		parent.Units = append(parent.Units, parentUnit{Engine: &es, Shard: group})
 	}
 	var old bytes.Buffer
 	if err := gob.NewEncoder(&old).Encode(parent); err != nil {

@@ -88,8 +88,9 @@ func (z *Zipfian) State() State {
 }
 
 // RestoreState implements Generator. Next draws a rank below the item
-// count, so a count below one is refused, with the generator left as it
-// was.
+// count from θ and ζ, so a count below one, a θ outside NewZipfian's
+// domain (0, 1), and a ζ that is not finite or is below ζ(1, θ) = 1 are
+// refused, with the generator left as it was.
 func (z *Zipfian) RestoreState(s State) error {
 	if err := s.check(kindZipfian, 2, 2); err != nil {
 		return err
@@ -99,6 +100,12 @@ func (z *Zipfian) RestoreState(s State) error {
 	}
 	if s.I[0] != s.I[1] {
 		return fmt.Errorf("generator: zipfian state normalized over %d of %d items", s.I[1], s.I[0])
+	}
+	if theta := s.F[0]; !(theta > 0 && theta < 1) {
+		return fmt.Errorf("generator: zipfian state has θ = %v outside (0, 1)", theta)
+	}
+	if zeta := s.F[1]; !(zeta >= 1) || math.IsInf(zeta, 1) {
+		return fmt.Errorf("generator: zipfian state has ζ = %v", zeta)
 	}
 	z.items = s.I[0]
 	z.theta, z.zetan = s.F[0], s.F[1]

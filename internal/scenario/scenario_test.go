@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
@@ -261,8 +262,8 @@ func TestUnmarshalRejectsMismatchedShape(t *testing.T) {
 
 // A snapshot is input from outside the program: a negative run counter,
 // ingest head or counter chooser, and a chooser register Next cannot draw
-// from (an inverted hotspot range, a zipfian over fewer than one item),
-// must be refused before anything is assigned, so the refused workload
+// from (an inverted hotspot range, a zipfian over fewer than one item or
+// with a NaN θ or ζ), must be refused before anything is assigned, so the refused workload
 // keeps drawing exactly the sequence it would have drawn, instead of
 // indexing its file set out of range or panicking on the next run.
 func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
@@ -276,6 +277,8 @@ func TestUnmarshalRejectsNegativeRegisters(t *testing.T) {
 		{"hotspot-shift", "hotspot-shift", "chooser range", func(st *coreState) { st.Chooser.I = []int64{5, 2} }},
 		{"zipfian-hot-empty", "zipfian-hot", "chooser item count", func(st *coreState) { st.Chooser.I = []int64{0, 0} }},
 		{"zipfian-hot-negative", "zipfian-hot", "chooser item count", func(st *coreState) { st.Chooser.I = []int64{-4, -4} }},
+		{"zipfian-hot-nan-theta", "zipfian-hot", "chooser θ", func(st *coreState) { st.Chooser.F[0] = math.NaN() }},
+		{"zipfian-hot-nan-zeta", "zipfian-hot", "chooser ζ", func(st *coreState) { st.Chooser.F[1] = math.NaN() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src := buildSpread(t, c.scenario, 5)

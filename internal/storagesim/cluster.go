@@ -134,16 +134,18 @@ func (c *Cluster) Device(name string) *Device {
 // CanPlace reports whether the named device can receive a file of size
 // bytes right now; a non-nil error names the rule that failed. It is the
 // validator the DRL engine's Action Checker stage filters candidate
-// destinations through (§V-H), and the same rules Move, PlaceFile and
-// Shard.Reserve enforce when the placement is actually made.
+// destinations through (§V-H), and the same rules Move and PlaceFile
+// enforce when the placement is actually made. The sharded coordinator
+// passes a file's size plus the bytes its cycle's earlier escalations
+// claimed on the device.
 func (c *Cluster) CanPlace(device string, size int64) error {
 	return c.Device(device).canReceive(device, size, 0)
 }
 
 // canReceive applies the four placement rules to d, the device called
 // name (nil when there is no such device): it must exist, be available,
-// be writable, and have room for size bytes once the bytes already
-// claimed by other pending placements are set aside.
+// be writable, and have room for size bytes once claimed bytes are set
+// aside (negative when a re-place frees the file's old copy there).
 func (d *Device) canReceive(name string, size, claimed int64) error {
 	switch {
 	case d == nil:
@@ -174,7 +176,7 @@ func (c *Cluster) SetAvailable(name string, avail bool) error {
 
 // SetReadOnly flips a device's write permission.
 //
-//geomancy:allow testonly simulator control (write permission), SetAvailable's pair: storagesim's TestAccessRejectsWriteToReadOnly, accounting and reservation tests
+//geomancy:allow testonly simulator control (write permission), SetAvailable's pair: storagesim's TestAccessRejectsWriteToReadOnly and restore tests, core.TestShardedEscalationClaims
 func (c *Cluster) SetReadOnly(name string, ro bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

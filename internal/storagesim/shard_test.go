@@ -11,32 +11,30 @@ func TestShardsPartition(t *testing.T) {
 	all := c.DeviceNames()
 
 	for _, n := range []int{1, 2, 3, 6} {
-		shards, err := c.ShardBy(n, nil)
+		groups, err := c.ShardBy(n, nil)
 		if err != nil {
 			t.Fatalf("ShardBy(%d): %v", n, err)
 		}
-		if len(shards) != n {
-			t.Fatalf("ShardBy(%d) returned %d shards", n, len(shards))
+		if len(groups) != n {
+			t.Fatalf("ShardBy(%d) returned %d groups", n, len(groups))
 		}
-		// Disjoint and covering, in profile order.
+		// Disjoint and covering, in profile order, sizes within one.
 		var flat []string
-		for i, s := range shards {
-			if got := s.State().Index; got != i {
-				t.Errorf("shard %d reports index %d", i, got)
+		for i, g := range groups {
+			if len(g) != len(all)/n && len(g) != len(all)/n+1 {
+				t.Errorf("ShardBy(%d): group %d has %d devices", n, i, len(g))
 			}
-			names := s.DeviceNames()
-			if len(names) == 0 {
-				t.Errorf("ShardBy(%d): shard %d is empty", n, i)
-			}
-			for _, name := range names {
-				if s.Device(name) == nil {
-					t.Errorf("shard %d Device(%q) = nil", i, name)
-				}
-			}
-			flat = append(flat, names...)
+			flat = append(flat, g...)
 		}
 		if !reflect.DeepEqual(flat, all) {
 			t.Errorf("ShardBy(%d) partition %v does not cover %v", n, flat, all)
+		}
+		// A group is its own slice: growing one leaves the next intact.
+		if n > 1 {
+			_ = append(groups[0], "extra")
+			if groups[1][0] != all[len(groups[0])] {
+				t.Errorf("ShardBy(%d): appending to group 0 overwrote group 1: %v", n, groups[1])
+			}
 		}
 	}
 
@@ -48,27 +46,47 @@ func TestShardsPartition(t *testing.T) {
 	}
 }
 
+// TestShardViewFilters pins what a shard sees through its group: filtering
+// the cluster-wide summaries to the group's devices yields exactly the
+// group, in profile order, and a device of another group is never in it —
+// also when the assignment interleaves groups across profile order.
 func TestShardViewFilters(t *testing.T) {
 	c := NewBluesky(1)
-	shards, err := c.ShardBy(2, nil)
+	order := c.DeviceNames()
+	rank := make(map[string]int, len(order))
+	for i, name := range order {
+		rank[name] = i
+	}
+	groups, err := c.ShardBy(2, func(device string) int { return rank[device] % 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, s1 := shards[0], shards[1]
-
-	// A device owned by the other shard is invisible: nil Device, no
-	// summary.
-	other := s1.DeviceNames()[0]
-	if s0.Device(other) != nil {
-		t.Errorf("shard 0 sees shard 1's device %q", other)
+	owner := make(map[string]int)
+	for i, g := range groups {
+		for _, name := range g {
+			if j, dup := owner[name]; dup {
+				t.Fatalf("device %q in groups %d and %d", name, j, i)
+			}
+			owner[name] = i
+			if c.Device(name) == nil {
+				t.Errorf("group %d device %q is not in the cluster", i, name)
+			}
+		}
 	}
-	sums := s0.DeviceSummaries()
-	if len(sums) != len(s0.DeviceNames()) {
-		t.Fatalf("shard 0 has %d summaries for %d devices", len(sums), len(s0.DeviceNames()))
-	}
-	for i, d := range sums {
-		if d.Name != s0.DeviceNames()[i] {
-			t.Errorf("summary %d is %q, want %q (profile order)", i, d.Name, s0.DeviceNames()[i])
+	for i, g := range groups {
+		var seen []string
+		for _, d := range c.DeviceSummaries() {
+			if owner[d.Name] == i {
+				seen = append(seen, d.Name)
+			}
+		}
+		if !reflect.DeepEqual(seen, g) {
+			t.Errorf("group %d filters the summaries to %v, want %v (profile order)", i, seen, g)
+		}
+		for _, name := range g {
+			if rank[name]%2 != i {
+				t.Errorf("group %d holds %q, assigned to group %d", i, name, rank[name]%2)
+			}
 		}
 	}
 }
@@ -76,7 +94,7 @@ func TestShardViewFilters(t *testing.T) {
 func TestShardByCustomAssign(t *testing.T) {
 	c := NewBluesky(1)
 	// Route the raid devices to shard 0, everything else to shard 1.
-	shards, err := c.ShardBy(2, func(device string) int {
+	groups, err := c.ShardBy(2, func(device string) int {
 		if strings.HasPrefix(device, "file") || device == "tmp" || device == "var" {
 			return 0
 		}
@@ -85,11 +103,9 @@ func TestShardByCustomAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shards[0].DeviceNames(); !reflect.DeepEqual(got, []string{"file0", "tmp", "var"}) {
-		t.Errorf("shard 0 = %v", got)
-	}
-	if got := shards[1].DeviceNames(); !reflect.DeepEqual(got, []string{"pic", "people", "USBtmp"}) {
-		t.Errorf("shard 1 = %v", got)
+	want := [][]string{{"file0", "tmp", "var"}, {"pic", "people", "USBtmp"}}
+	if !reflect.DeepEqual(groups, want) {
+		t.Errorf("groups = %v, want %v", groups, want)
 	}
 
 	// Out-of-range assignment and empty shards are errors.
@@ -98,93 +114,5 @@ func TestShardByCustomAssign(t *testing.T) {
 	}
 	if _, err := c.ShardBy(2, func(string) int { return 0 }); err == nil {
 		t.Error("empty shard should fail")
-	}
-}
-
-// TestShardReserveTwoPhase pins the two-phase accounting contract: a
-// reservation gates admission without touching used-bytes, a failed
-// reservation leaves the ledger unchanged, and releasing returns the
-// shard to a clean slate.
-func TestShardReserveTwoPhase(t *testing.T) {
-	c := NewBluesky(1)
-	shards, err := c.ShardBy(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := shards[0]
-	dev := s.DeviceNames()[0]
-	d := s.Device(dev)
-	free := d.Free()
-	usedBefore := d.Used()
-
-	// Claim most of the device, then fail to claim the remainder plus one.
-	if err := s.Reserve(dev, free-10); err != nil {
-		t.Fatalf("first reservation: %v", err)
-	}
-	if d.Used() != usedBefore {
-		t.Fatalf("Reserve mutated used bytes: %d -> %d", usedBefore, d.Used())
-	}
-	if err := s.Reserve(dev, 11); err == nil {
-		t.Fatal("over-reservation should fail")
-	}
-	if got := s.Reserved(dev); got != free-10 {
-		t.Fatalf("failed reservation changed the ledger: %d", got)
-	}
-	// The remaining 10 bytes are still claimable.
-	if err := s.Reserve(dev, 10); err != nil {
-		t.Fatalf("exact-fit reservation: %v", err)
-	}
-
-	// Devices outside the shard, unavailable, and read-only devices reject.
-	other := shards[1].DeviceNames()[0]
-	if err := s.Reserve(other, 1); err == nil {
-		t.Error("reserving an unowned device should fail")
-	}
-	if err := c.SetReadOnly(dev, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reserve(dev, 0); err == nil {
-		t.Error("reserving a read-only device should fail")
-	}
-	if err := c.SetReadOnly(dev, false); err != nil {
-		t.Fatal(err)
-	}
-
-	s.ReleaseReservations()
-	if got := s.Reserved(dev); got != 0 {
-		t.Fatalf("ledger not empty after release: %d", got)
-	}
-	if d.Used() != usedBefore {
-		t.Fatalf("reservation cycle leaked into used bytes: %d -> %d", usedBefore, d.Used())
-	}
-}
-
-func TestShardStateRoundTrip(t *testing.T) {
-	c := NewBluesky(1)
-	shards, err := c.ShardBy(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := shards[1].State()
-
-	c2 := NewBluesky(1)
-	shards2, err := c2.ShardBy(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shards2[1].RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mismatched partition: wrong index, wrong device set.
-	if err := shards2[0].RestoreState(st); err == nil {
-		t.Error("restoring into the wrong shard index should fail")
-	}
-	shards4, err := c2.ShardBy(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shards4[1].RestoreState(st); err == nil {
-		t.Error("restoring across a different partition should fail")
 	}
 }

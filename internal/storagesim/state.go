@@ -1,9 +1,16 @@
 package storagesim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrInvalidState reports a cluster snapshot whose accounting disagrees
+// with itself: a repeated device or file, a negative size or used-bytes
+// count, or a device whose used bytes are not the sizes of the files the
+// snapshot places on it.
+var ErrInvalidState = errors.New("storagesim: inconsistent cluster state")
 
 // DeviceState is the serializable dynamic state of one device: everything
 // newDevice and subsequent simulation mutate, excluding the static
@@ -93,21 +100,45 @@ func (c *Cluster) State() ClusterState {
 // captured snapshot. The cluster must have been built from the same
 // profiles: every device named in the snapshot must exist, and devices
 // missing from the snapshot are an error (a layout restored onto a
-// different topology would silently misplace files otherwise).
+// different topology would silently misplace files otherwise). The
+// snapshot's accounting must hold (ErrInvalidState). Every check runs
+// before anything is assigned, so a refused snapshot changes nothing.
 func (c *Cluster) RestoreState(st ClusterState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(st.Devices) != len(c.devices) {
 		return fmt.Errorf("storagesim: snapshot has %d devices, cluster has %d", len(st.Devices), len(c.devices))
 	}
+	resident := make(map[string]int64, len(st.Devices))
 	for _, ds := range st.Devices {
 		if _, ok := c.devices[ds.Name]; !ok {
 			return fmt.Errorf("storagesim: snapshot device %q not in cluster", ds.Name)
 		}
+		if _, dup := resident[ds.Name]; dup {
+			return fmt.Errorf("%w: device %q listed twice", ErrInvalidState, ds.Name)
+		}
+		if ds.Used < 0 {
+			return fmt.Errorf("%w: device %q uses %d bytes", ErrInvalidState, ds.Name, ds.Used)
+		}
+		resident[ds.Name] = 0
 	}
+	seen := make(map[int64]bool, len(st.Files))
 	for _, fs := range st.Files {
 		if _, ok := c.devices[fs.Device]; !ok {
 			return fmt.Errorf("storagesim: snapshot file %d placed on unknown device %q", fs.ID, fs.Device)
+		}
+		if seen[fs.ID] {
+			return fmt.Errorf("%w: file %d listed twice", ErrInvalidState, fs.ID)
+		}
+		if fs.Size < 0 {
+			return fmt.Errorf("%w: file %d has size %d", ErrInvalidState, fs.ID, fs.Size)
+		}
+		seen[fs.ID] = true
+		resident[fs.Device] += fs.Size
+	}
+	for _, ds := range st.Devices {
+		if ds.Used != resident[ds.Name] {
+			return fmt.Errorf("%w: device %q uses %d bytes, its files sum to %d", ErrInvalidState, ds.Name, ds.Used, resident[ds.Name])
 		}
 	}
 	c.now = st.Now

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,9 +96,10 @@ func TestShardedResumeEquivalence(t *testing.T) {
 	}
 }
 
-// A snapshot only restores under its own partition width: shard RNG
-// streams and shard engines are meaningless under a different sharding,
-// so both a different WithShards and an unsharded restore are rejected.
+// A snapshot only restores under its own partition: shard RNG streams and
+// shard engines are meaningless under a different sharding, so a
+// different WithShards, an unsharded restore and the same devices in
+// another order (other device groups at the same width) are rejected.
 func TestShardedRestoreRejectsPartitionMismatch(t *testing.T) {
 	sys, err := New(ckptOptions(1, WithShards(2))...)
 	if err != nil {
@@ -122,6 +124,11 @@ func TestShardedRestoreRejectsPartitionMismatch(t *testing.T) {
 	if _, err := Restore(ckpt, ckptOptions(1)...); err == nil {
 		t.Error("restoring a 2-shard snapshot into an unsharded system succeeded")
 	}
+	profiles := storagesim.BlueskyProfiles()
+	slices.Reverse(profiles)
+	if _, err := Restore(ckpt, ckptOptions(1, WithShards(2), WithDevices(profiles))...); err == nil {
+		t.Error("restoring a snapshot over the same devices in another order succeeded")
+	}
 }
 
 // WithShards drives the sharded Geomancy policy; combining it with a
@@ -135,8 +142,8 @@ func TestShardedRejectsBaselinePolicy(t *testing.T) {
 // Sharded state rides the policy blob alone, and the model is serialized
 // once, in the snapshot's engine half: a shard unit carries only what its
 // engine owns — its RNG stream and pruning bookkeeping, none at one shard,
-// where unit 0's engine IS the global engine — beside the device group's
-// identity, so the blob stays a few hundred bytes at any width.
+// where unit 0's engine IS the global engine — so the blob stays a few
+// hundred bytes at any width.
 func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		sys, err := New(ckptOptions(1, WithShards(shards))...)
@@ -164,7 +171,8 @@ func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 			t.Errorf("shards=%d: policy blob is %d bytes, want under 4 KB", shards, n)
 		}
 		// The coordinator's wire form, mirrored field for field, plus the
-		// network field a unit carrying a copy of the model would fill.
+		// network field a unit carrying a copy of the model would fill and
+		// the device group older coordinators wrote beside it.
 		var blob struct {
 			Shards int
 			Units  []struct {
@@ -174,7 +182,10 @@ func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 					LastWatermark uint64
 					Net           []byte
 				}
-				Shard storagesim.ShardState
+				Shard *struct {
+					Index   int
+					Devices []string
+				}
 			}
 		}
 		if err := gob.NewDecoder(bytes.NewReader(snap.Policy)).Decode(&blob); err != nil {
@@ -184,8 +195,8 @@ func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 			t.Fatalf("blob describes %d shards in %d units, want %d", blob.Shards, len(blob.Units), shards)
 		}
 		for i, u := range blob.Units {
-			if u.Shard.Index != i || len(u.Shard.Devices) == 0 {
-				t.Errorf("shards=%d unit %d: device-group state %+v", shards, i, u.Shard)
+			if u.Shard != nil {
+				t.Errorf("shards=%d unit %d: carries its device group %+v", shards, i, *u.Shard)
 			}
 			if has, want := u.Engine != nil, shards > 1; has != want {
 				t.Fatalf("shards=%d unit %d: carries an engine state = %v, want %v", shards, i, has, want)
