@@ -168,7 +168,10 @@ func Mul(a, b *Matrix) *Matrix {
 }
 
 // MulTo computes dst = a×b, reusing dst's storage. dst must be a.Rows×b.Cols
-// and must not alias a or b.
+// and must not alias a or b. Every element is its products summed in
+// ascending k from +0; a term whose product could only be ±0 — all four
+// coefficients of a 4-row tile ±0, every weight finite — may be left out,
+// which changes no bit (see mulRows).
 func MulTo(dst, a, b *Matrix) {
 	checkMul("MulTo", dst, a, b)
 	mulRows(dst, a, b, nil, false, 0, a.Rows)
@@ -179,10 +182,10 @@ func MulTo(dst, a, b *Matrix) {
 // forward pass with its Linear or ReLU epilogue. dst must be a.Rows×b.Cols
 // and must not alias a or b; len(bias) must be b.Cols.
 //
-// Element (i,j) is MulTo's sum, then that sum + bias[j], then the select,
-// each step rounded as the separate passes would round it: the result is
-// bit-identical to MulTo followed by AddRowVector and a `v < 0 → 0` pass,
-// which keeps −0 and NaN as they are.
+// Element (i,j) is MulTo's sum, with the same terms left out, then that
+// sum + bias[j], then the select, each step rounded as the separate passes
+// would round it: the result is bit-identical to MulTo followed by
+// AddRowVector and a `v < 0 → 0` pass, which keeps −0 and NaN as they are.
 func MulBiasTo(dst, a, b *Matrix, bias []float64, rectify bool) {
 	checkMul("MulBiasTo", dst, a, b)
 	if len(bias) != b.Cols {
@@ -207,9 +210,15 @@ func checkMul(op string, dst, a, b *Matrix) {
 
 // mulRows computes output rows [lo, hi) of dst = a×b and, unless bias is
 // nil, MulBiasTo's epilogue on them. Each output row depends only on the
-// matching row of a, and every element sums all of its products in
-// ascending-k order from +0 — no term is skipped on any row, so 0·±Inf is
-// NaN wherever the row sits — which makes disjoint row ranges safe to run
+// matching row of a, and every element sums its products in ascending-k
+// order from +0, each product rounded before it is added. The assembly
+// tile leaves out a term k only when all four of its rows' coefficients
+// a[r][k] are ±0 and every value of b is finite: a chain started at +0 is
+// never −0, and x + ±0 is x for every other x, so the ±0 products it
+// leaves out would not have changed a bit. When some value of b is ±Inf
+// or NaN it walks every term, so 0·±Inf is NaN wherever the row sits.
+// rowCombine and mulRowsGo sum every term and are the oracle the tile is
+// checked against. That makes disjoint row ranges safe to run
 // concurrently and a row's bits independent of the batch it is in, of how
 // the rows are sharded, of whether it falls in a 4-row tile and of which
 // body below produced it.
@@ -220,8 +229,16 @@ func mulRows(dst, a, b *Matrix, bias []float64, rectify bool, lo, hi int) {
 		j0 = n &^ 3
 		tiled := lo + (hi-lo)&^3
 		if tiled > lo {
+			// A tile's term list: up to kdim addresses into a, then as many
+			// offsets into b. Layer widths up to 256 keep it on the stack.
+			var buf [2 * 256]int
+			terms := buf[:]
+			if kdim > len(buf)/2 {
+				terms = make([]int, 2*kdim)
+			}
 			mulTile4AVX2(unsafe.SliceData(dst.Data[lo*n:]), unsafe.SliceData(a.Data[lo*kdim:]), kdim,
-				unsafe.SliceData(b.Data), n, (tiled-lo)/4, unsafe.SliceData(bias), rectify)
+				unsafe.SliceData(b.Data), n, (tiled-lo)/4, unsafe.SliceData(bias), rectify,
+				unsafe.SliceData(terms), !allFinite(b.Data))
 		}
 		if tiled < hi {
 			// The last rows: row i of the product is the combination of b's

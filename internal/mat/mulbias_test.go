@@ -85,6 +85,57 @@ func TestMulBiasToMatchesPortable(t *testing.T) {
 			}
 		}
 	}
+
+	// Tiles the term list must get right, each tiled and with a tail row,
+	// on finite weights, where the tile kernel leaves terms out.
+	negZero := math.Copysign(0, -1)
+	tile := func(rows, kdim int, set func(a *Matrix)) *Matrix {
+		a := New(rows, kdim)
+		set(a)
+		return a
+	}
+	cases := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"all-zero tile", tile(5, 96, func(a *Matrix) {})},
+		{"all −0 tile", tile(5, 13, func(a *Matrix) { a.Fill(negZero) })},
+		// Only the kdim mod 4 columns hold anything: every whole block of
+		// four is left out and the tail is not.
+		{"tail columns only", tile(5, 7, func(a *Matrix) {
+			for i := 0; i < 5; i++ {
+				a.Set(i, 4+i%3, float64(i+1))
+			}
+		})},
+		{"one row of the tile", tile(8, 9, func(a *Matrix) { a.SetRow(6, []float64{1, 0, 2, 0, 0, 3, 0, 0, 4}) })},
+		{"−0 coefficients", tile(5, 6, func(a *Matrix) {
+			a.Fill(negZero)
+			a.Set(1, 2, -2.5)
+			a.Set(4, 0, 1)
+		})},
+		// NaN is not zero: its term is walked and the column is NaN.
+		{"NaN coefficient", tile(5, 10, func(a *Matrix) { a.Set(2, 7, math.NaN()) })},
+		{"NaN in the tail columns", tile(4, 6, func(a *Matrix) { a.Set(3, 5, math.NaN()) })},
+		{"no inner dimension", tile(9, 0, func(a *Matrix) {})},
+		// Wider than the term list the stack holds.
+		{"kdim above the stack list", tile(9, 300, func(a *Matrix) {
+			for i := range a.Data {
+				if rng.Intn(3) == 0 {
+					a.Data[i] = rng.NormFloat64()
+				}
+			}
+		})},
+	}
+	for _, c := range cases {
+		for _, n := range []int{4, 13, 48} {
+			b := filled(rng, c.a.Cols, n, "normal")
+			bias := filled(rng, 1, n, "normal").Data
+			for _, rectify := range []bool{false, true} {
+				checkMulBias(t, fmt.Sprintf("%s %dx%d·%dx%d rectify=%v", c.name, c.a.Rows, c.a.Cols, c.a.Cols, n, rectify),
+					c.a, b, bias, rectify, n%4)
+			}
+		}
+	}
 }
 
 // The epilogue's edge values, each on every element of a 5×5 product —
@@ -145,18 +196,45 @@ func TestMulBiasToKnownAnswers(t *testing.T) {
 }
 
 // FuzzMulBias feeds MulBiasTo's bodies arbitrary bit patterns at arbitrary
-// shapes, views and epilogues, like FuzzRowCombine. The seed corpus is
-// under testdata.
+// shapes, views and epilogues, like FuzzRowCombine. Arbitrary bits are
+// almost never exactly ±0, so the selector byte sets zeros into a for the
+// tile kernel to leave out: its low two bits turn about half of a's
+// values into ±0 (1), zero whole columns of each 4-row tile (2), or both
+// (3); bits 2–3 put +Inf (1), −Inf (2) or NaN (3) on one weight, where
+// every term must be summed again. Selector 0 is the plain bit patterns.
+// The seed corpus is under testdata.
 func FuzzMulBias(f *testing.F) {
-	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), false)
-	f.Fuzz(func(t *testing.T, data []byte, rows, n, kdim uint8, rectify bool) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), false, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, rows, n, kdim uint8, rectify bool, zeros uint8) {
 		in := &fuzzInput{data: data}
 		shift := int(in.next() % 4)
 		r, k, w := int(rows%13), int(kdim), int(n) // up to three tiles and a tail
 		a := &Matrix{Rows: r, Cols: k, Data: in.values(shift + r*k)[shift:]}
 		b := &Matrix{Rows: k, Cols: w, Data: in.values(shift + k*w)[shift:]}
 		bias := in.values(shift + w)[shift:]
-		checkMulBias(t, fmt.Sprintf("%dx%d·%dx%d rectify=%v", r, k, k, w, rectify), a, b, bias, rectify, shift)
+		zero := func() float64 { return math.Copysign(0, float64(int64(in.next()))) }
+		if zeros&1 != 0 {
+			for i := range a.Data {
+				if in.next()%2 == 0 {
+					a.Data[i] = zero()
+				}
+			}
+		}
+		if zeros&2 != 0 {
+			for i := 0; i+4 <= r; i += 4 {
+				for c := 0; c < k; c++ {
+					if in.next()%2 == 0 {
+						for row := i; row < i+4; row++ {
+							a.Data[row*k+c] = zero()
+						}
+					}
+				}
+			}
+		}
+		if poison := (zeros >> 2) & 3; poison != 0 && len(b.Data) > 0 {
+			b.Data[in.next()%uint64(len(b.Data))] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[poison-1]
+		}
+		checkMulBias(t, fmt.Sprintf("%dx%d·%dx%d rectify=%v zeros=%#x", r, k, k, w, rectify, zeros), a, b, bias, rectify, shift)
 	})
 }
 
@@ -193,16 +271,55 @@ func TestMulToRejectsAliasing(t *testing.T) {
 }
 
 // BenchmarkMulBiasTo is a scoring block through the paper model's widest
-// product with its ReLU epilogue: 256 rows, 96 → 48.
+// product with its ReLU epilogue: 256 rows, 96 → 48. Two inputs: dense,
+// normal rows with no zero in them, where every tile walks every term; and
+// scoring, what that product meets in a decision — model 1's 6 → 96 ReLU
+// output over candidate rows grouped by file, four rows per file that
+// differ only in the device column (feature 5), so a tile's zeros mostly
+// coincide.
 func BenchmarkMulBiasTo(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	x := randomMatrix(rng, 256, 96)
 	w := randomMatrix(rng, 96, 48)
 	bias := randomMatrix(rng, 1, 48).Data
 	dst := New(256, 48)
-	benchEachKernel(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MulBiasTo(dst, x, w, bias, true)
+	inputs := []struct {
+		name string
+		x    *Matrix
+	}{
+		{"dense", x},
+		{"scoring", scoringRows(rng, 256)},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			benchEachKernel(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulBiasTo(dst, in.x, w, bias, true)
+				}
+			})
+		})
+	}
+}
+
+// scoringRows is model 1's first hidden layer (6 → 96, ReLU, Xavier
+// weights, zero bias) over rows of features in [0, 1) for rows/4 files,
+// each file's four candidate rows the same but for feature 5.
+func scoringRows(rng *rand.Rand, rows int) *Matrix {
+	x := New(rows, 6)
+	for i := 0; i < rows; i += 4 {
+		for k := 0; k < 5; k++ {
+			v := rng.Float64()
+			for r := i; r < i+4; r++ {
+				x.Set(r, k, v)
+			}
 		}
-	})
+		for r := i; r < i+4; r++ {
+			x.Set(r, 5, rng.Float64())
+		}
+	}
+	w := New(6, 96)
+	w.XavierInit(rng, 6, 96)
+	h := New(rows, 96)
+	MulBiasTo(h, x, w, make([]float64, 96), true)
+	return h
 }

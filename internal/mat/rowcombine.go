@@ -137,6 +137,25 @@ func nonzeroMasks(masks []uint64, a []float64, stride, rows int) {
 	}
 }
 
+// allFinite reports whether no value of x is ±Inf or NaN. Whole blocks of
+// four go through allFiniteAVX2 on a CPU with AVX2, the rest through the
+// loop below.
+func allFinite(x []float64) bool {
+	i := 0
+	if useAVX2 && len(x) >= 4 {
+		if !allFiniteAVX2(unsafe.SliceData(x), len(x)) {
+			return false
+		}
+		i = len(x) &^ 3
+	}
+	for _, v := range x[i:] {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // reluGrad is the ReLU derivative gate, dst[i] = grad[i] · (out[i] > 0 ?
 // 1 : 0), over three slices of one length. Whole blocks of four go through
 // reluGradAVX2 on a CPU with AVX2, the rest through reluGradGo; both take

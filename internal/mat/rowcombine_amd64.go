@@ -34,7 +34,17 @@ func nonzeroMasksAVX2(masks *uint64, a *float64, stride int, rows int, blocks in
 func transpose4AVX2(dst *float64, src *float64, rows int, cols int)
 
 //go:noescape
-func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
+func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool, terms *int, all bool)
+
+// tileTermsAVX2 is mulTile4AVX2's term-list builder on its own, the same
+// TERMLIST macro, so that the list can be checked against the scalar rule.
+//
+//go:noescape
+//geomancy:allow testonly the tile kernel inlines the same macro; FuzzTileTerms and TestTileTermsMatchScalarRule check the list through this entry
+func tileTermsAVX2(terms *int, a *float64, kdim int, n int, all bool) int
+
+//go:noescape
+func allFiniteAVX2(x *float64, n int) bool
 
 //go:noescape
 func reluGradAVX2(dst *float64, grad *float64, out *float64, n int)

@@ -293,21 +293,176 @@ mdone:
 	VCMPPD $0x11, Y15, acc, Y14; \
 	VANDNPD acc, Y14, acc
 
-// func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool)
+// tailmask<> is three all-ones quadwords and three zero ones: the 32 bytes
+// at tailmask<>+(3−r)·8 select the first r lanes of a vector.
+DATA tailmask<>+0(SB)/8, $-1
+DATA tailmask<>+8(SB)/8, $-1
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $48
+
+// termlanes<> compacts the lanes of a 4-column block: entry z, for the
+// mask z of the lanes whose four coefficients are all zero, holds in its
+// low four bytes t·8 for each lane t not in z, in ascending t (then
+// zeros), and in its high four bytes how many there are, times 8.
+DATA termlanes<>+0(SB)/8, $0x0000002018100800 // 0, 1, 2, 3
+DATA termlanes<>+8(SB)/8, $0x0000001800181008 // 1, 2, 3
+DATA termlanes<>+16(SB)/8, $0x0000001800181000 // 0, 2, 3
+DATA termlanes<>+24(SB)/8, $0x0000001000001810 // 2, 3
+DATA termlanes<>+32(SB)/8, $0x0000001800180800 // 0, 1, 3
+DATA termlanes<>+40(SB)/8, $0x0000001000001808 // 1, 3
+DATA termlanes<>+48(SB)/8, $0x0000001000001800 // 0, 3
+DATA termlanes<>+56(SB)/8, $0x0000000800000018 // 3
+DATA termlanes<>+64(SB)/8, $0x0000001800100800 // 0, 1, 2
+DATA termlanes<>+72(SB)/8, $0x0000001000001008 // 1, 2
+DATA termlanes<>+80(SB)/8, $0x0000001000001000 // 0, 2
+DATA termlanes<>+88(SB)/8, $0x0000000800000010 // 2
+DATA termlanes<>+96(SB)/8, $0x0000001000000800 // 0, 1
+DATA termlanes<>+104(SB)/8, $0x0000000800000008 // 1
+DATA termlanes<>+112(SB)/8, $0x0000000800000000 // 0
+DATA termlanes<>+120(SB)/8, $0x0000000000000000 // none
+GLOBL termlanes<>(SB), RODATA|NOPTR, $128
+
+// TERMLIST writes the term list of the 4-row tile of a whose first row
+// starts at R8 (row stride R9 = kdim·8 bytes, three of them in R13; R11 =
+// n·8) to R10 on, leaving R10 just past its end: for every column k, in
+// ascending order, whose four coefficients are not all ±0 — or for every
+// k, when the byte at allArg is set — the address of a[0][k] at R10 and
+// k·n·8 at R10+R9, so the buffer holds the a addresses in its first kdim
+// values and the b offsets in the next kdim. Four columns go at a time:
+// the four rows ORed and shifted left one bit (the sign goes) are zero in
+// the lanes with no non-zero coefficient, a NaN counting as non-zero.
+// VPCMPEQQ against Y15 — +0, or all ones when every term is walked, which
+// no shifted value equals — and VMOVMSKPD make those lanes a 4-bit mask
+// z, and termlanes<>[z] the kept lanes' offsets, which go out as one
+// store of four a addresses (VPADDQ) and one of four b offsets (VPMULUDQ
+// by n), R10 advancing by the count only. The junk past the count stays
+// inside the block's own four values, where the next block's terms or
+// the list's end fall. The last kdim mod 4 columns are read with VMASKMOVPD, which
+// touches no element past the row, and appended one at a time, each
+// written where the next term goes and counted only if kept, so nothing
+// is written past the list. kdim = 0 reads nothing. AX, BX, CX, DX, SI,
+// R14, Y0…Y9 and Y15 are scratch.
+#define TERMLIST(kdimArg, allArg) \
+	VMOVQ R8, X4; \
+	VPBROADCASTQ X4, Y4; \
+	VPXOR Y5, Y5, Y5; \
+	MOVQ R11, SI; \
+	SHRQ $3, SI; \
+	VMOVQ SI, X6; \
+	VPBROADCASTQ X6, Y6; \
+	VPSLLQ $5, Y6, Y8; \
+	MOVQ $32, SI; \
+	VMOVQ SI, X7; \
+	VPBROADCASTQ X7, Y7; \
+	MOVBQZX allArg, SI; \
+	NEGQ SI; \
+	VMOVQ SI, X15; \
+	VPBROADCASTQ X15, Y15; \
+	LEAQ termlanes<>(SB), R14; \
+	MOVQ R8, AX; \
+	MOVQ kdimArg, CX; \
+	SHRQ $2, CX; \
+	JZ   listpart; \
+listblock: \
+	VMOVDQU (AX), Y0; \
+	VPOR (AX)(R9*1), Y0, Y0; \
+	VPOR (AX)(R9*2), Y0, Y0; \
+	VPOR (AX)(R13*1), Y0, Y0; \
+	VPSLLQ $1, Y0, Y0; \
+	VPCMPEQQ Y15, Y0, Y0; \
+	VMOVMSKPD Y0, BX; \
+	VPMOVZXBQ (R14)(BX*8), Y1; \
+	VPADDQ Y4, Y1, Y2; \
+	VPMULUDQ Y6, Y1, Y3; \
+	VPADDQ Y5, Y3, Y3; \
+	VMOVDQU Y2, (R10); \
+	VMOVDQU Y3, (R10)(R9*1); \
+	MOVL 4(R14)(BX*8), SI; \
+	ADDQ SI, R10; \
+	VPADDQ Y7, Y4, Y4; \
+	VPADDQ Y8, Y5, Y5; \
+	ADDQ $32, AX; \
+	DECQ CX; \
+	JNZ  listblock; \
+listpart: \
+	MOVQ kdimArg, CX; \
+	ANDQ $3, CX; \
+	JZ   listdone; \
+	MOVQ CX, SI; \
+	NEGQ SI; \
+	LEAQ tailmask<>(SB), BX; \
+	VMOVDQU 24(BX)(SI*8), Y9; \
+	VMASKMOVPD (AX), Y9, Y0; \
+	VMASKMOVPD (AX)(R9*1), Y9, Y1; \
+	VMASKMOVPD (AX)(R9*2), Y9, Y2; \
+	VMASKMOVPD (AX)(R13*1), Y9, Y3; \
+	VPOR Y1, Y0, Y0; \
+	VPOR Y3, Y2, Y2; \
+	VPOR Y2, Y0, Y0; \
+	VPSLLQ $1, Y0, Y0; \
+	VPCMPEQQ Y15, Y0, Y0; \
+	VMOVMSKPD Y0, BX; \
+	VMOVQ X5, DX; \
+listlane: \
+	MOVQ AX, (R10); \
+	MOVQ DX, (R10)(R9*1); \
+	MOVQ BX, SI; \
+	NOTQ SI; \
+	ANDQ $1, SI; \
+	LEAQ (R10)(SI*8), R10; \
+	SHRQ $1, BX; \
+	ADDQ $8, AX; \
+	ADDQ R11, DX; \
+	DECQ CX; \
+	JNZ  listlane; \
+listdone:
+
+// func tileTermsAVX2(terms *int, a *float64, kdim int, n int, all bool) int
+//
+// The term list mulTile4AVX2 builds for one tile — the four rows of a
+// (kdim wide) from a on — written to terms, its length returned: TERMLIST
+// alone, so that it can be checked against the scalar rule. The caller
+// guarantees AVX2 (useAVX2), that the four rows are in bounds and that
+// terms has room for 2·kdim values.
+TEXT ·tileTermsAVX2(SB), NOSPLIT, $0-48
+	MOVQ terms+0(FP), R10
+	MOVQ a+8(FP), R8
+	MOVQ kdim+16(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R13
+	MOVQ n+24(FP), R11
+	SHLQ $3, R11
+	TERMLIST(kdim+16(FP), all+32(FP))
+	SUBQ terms+0(FP), R10
+	SHRQ $3, R10
+	MOVQ R10, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool, terms *int, all bool)
 //
 // The forward product on tiles of four rows: for each of tiles·4 rows of
 // a (kdim wide) and of dst (n wide), dst[i][j] = Σₖ a[i][k]·b[k][j] over
 // ascending k from +0 for j in [0, n&^3), then + bias[j] unless bias is
-// nil, then v < 0 → +0 if rectify. Columns go in blocks of 8 (eight
-// accumulators: four rows by two vectors), then at most one of 4 (four).
-// Each term loads its vectors of B once and broadcasts a[i][k] for each of
-// the four rows, so a block has eight (or four) independent chains in
-// flight where a single row had two (or one). Every lane is one output
-// element summing its own products in the order rowCombineAVX2 does, and
-// the bias and the select are applied in registers before the one store.
-// The caller guarantees AVX2 (useAVX2), n >= 4 and that every row is in
-// bounds; the last n&3 columns are its own.
-TEXT ·mulTile4AVX2(SB), NOSPLIT, $0-57
+// nil, then v < 0 → +0 if rectify. Each tile first writes its term list
+// to terms (TERMLIST): every k, if all is set, else only the k at which
+// one of its four rows has a coefficient that is not ±0. A term left out
+// would add ±0·b[k][j] to a chain that started at +0 and so is never −0,
+// which changes no bit as long as b[k][j] is finite: all must be set
+// unless every value of b is. Columns then go in blocks of 8 (eight accumulators:
+// four rows by two vectors), then at most one of 4 (four), each walking
+// the list. Each term loads its vectors of B once and broadcasts a[i][k]
+// for each of the four rows, so a block has eight (or four) independent
+// chains in flight where a single row had two (or one). Every lane is one
+// output element summing its own products in the order rowCombineAVX2
+// does, and the bias and the select are applied in registers before the
+// one store. The caller guarantees AVX2 (useAVX2), n >= 4, that every row
+// is in bounds and that terms has room for 2·kdim values; the last n&3
+// columns are its own.
+TEXT ·mulTile4AVX2(SB), NOSPLIT, $0-73
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ kdim+16(FP), R9
@@ -320,10 +475,12 @@ TEXT ·mulTile4AVX2(SB), NOSPLIT, $0-57
 	JZ   tilesdone
 
 tile:
+	MOVQ terms+64(FP), R10
+	TERMLIST(kdim+16(FP), all+72(FP))
+	MOVQ R10, R14             // R14: end of the tile's term list
 	MOVQ b+24(FP), SI         // SI: row 0 of b at the current column block
 	MOVQ bias+48(FP), BX      // BX: bias at the current column block
 	MOVQ n+32(FP), CX         // CX: columns left
-	LEAQ (R8)(R9*1), R10      // R10: end of the tile's first row of a
 
 cols8:
 	CMPQ CX, $8
@@ -336,13 +493,14 @@ cols8:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ SI, DX               // DX: row k of b
-	MOVQ R8, AX               // AX: column k of the tile's first row of a
-	CMPQ AX, R10
+	MOVQ terms+64(FP), R10    // R10: the next term
+	CMPQ R10, R14
 	JEQ  bias8
 term8:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
+	MOVQ (R10), AX            // AX: a[0][k]'s address
+	MOVQ (R10)(R9*1), DX      // DX: row k of b, from row 0
+	VMOVUPD (SI)(DX*1), Y8
+	VMOVUPD 32(SI)(DX*1), Y9
 	VBROADCASTSD (AX), Y10
 	VBROADCASTSD (AX)(R9*1), Y11
 	VBROADCASTSD (AX)(R9*2), Y12
@@ -355,9 +513,8 @@ term8:
 	MAC(Y12, Y9, Y15, Y5)
 	MAC(Y13, Y8, Y14, Y6)
 	MAC(Y13, Y9, Y15, Y7)
-	ADDQ $8, AX
-	ADDQ R11, DX
-	CMPQ AX, R10
+	ADDQ $8, R10
+	CMPQ R10, R14
 	JNE  term8
 bias8:
 	CMPQ bias+48(FP), $0
@@ -407,12 +564,13 @@ cols4:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ SI, DX
-	MOVQ R8, AX
-	CMPQ AX, R10
+	MOVQ terms+64(FP), R10
+	CMPQ R10, R14
 	JEQ  bias4
 term4tile:
-	VMOVUPD (DX), Y8
+	MOVQ (R10), AX
+	MOVQ (R10)(R9*1), DX
+	VMOVUPD (SI)(DX*1), Y8
 	VBROADCASTSD (AX), Y10
 	VBROADCASTSD (AX)(R9*1), Y11
 	VBROADCASTSD (AX)(R9*2), Y12
@@ -421,9 +579,8 @@ term4tile:
 	MAC(Y11, Y8, Y15, Y1)
 	MAC(Y12, Y8, Y14, Y2)
 	MAC(Y13, Y8, Y15, Y3)
-	ADDQ $8, AX
-	ADDQ R11, DX
-	CMPQ AX, R10
+	ADDQ $8, R10
+	CMPQ R10, R14
 	JNE  term4tile
 bias4:
 	CMPQ bias+48(FP), $0
@@ -461,6 +618,62 @@ nexttile:
 	JNZ  tile
 
 tilesdone:
+	VZEROUPPER
+	RET
+
+// func allFiniteAVX2(x *float64, n int) bool
+//
+// Whether x[0 : n&^3] holds no ±Inf and no NaN: x − x is +0 for every
+// finite x and NaN otherwise, and a sum of such values is +0 unless one
+// of them is NaN. Sixteen elements go per pass into four accumulators,
+// then four into one; a final VCMPPD $3 (UNORD_Q) finds a NaN lane. The
+// last n&3 elements are the caller's. The caller guarantees AVX2
+// (useAVX2).
+TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-17
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+fin16:
+	CMPQ CX, $16
+	JLT  fin4
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VSUBPD Y4, Y4, Y4
+	VSUBPD Y5, Y5, Y5
+	VSUBPD Y6, Y6, Y6
+	VSUBPD Y7, Y7, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JMP  fin16
+
+fin4:
+	CMPQ CX, $4
+	JLT  finsum
+	VMOVUPD (SI), Y4
+	VSUBPD Y4, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  fin4
+
+finsum:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VCMPPD $3, Y0, Y0, Y0
+	VMOVMSKPD Y0, AX
+	TESTQ AX, AX
+	SETEQ ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -20,8 +20,16 @@ func transpose4AVX2(dst *float64, src *float64, rows int, cols int) {
 	panic("mat: no assembly transpose on this platform")
 }
 
-func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool) {
+func mulTile4AVX2(dst *float64, a *float64, kdim int, b *float64, n int, tiles int, bias *float64, rectify bool, terms *int, all bool) {
 	panic("mat: no assembly tile kernel on this platform")
+}
+
+func tileTermsAVX2(terms *int, a *float64, kdim int, n int, all bool) int {
+	panic("mat: no assembly tile term list on this platform")
+}
+
+func allFiniteAVX2(x *float64, n int) bool {
+	panic("mat: no assembly finiteness check on this platform")
 }
 
 func reluGradAVX2(dst *float64, grad *float64, out *float64, n int) {

@@ -137,17 +137,23 @@ func (in *fuzzInput) values(k int) []float64 {
 // batch, at which position of it (inside a 4-row tile or in the tail), or
 // on which side of a shard boundary. With non-finite weights that needs
 // every term summed on every row — 0·±Inf is NaN — on both implementations,
-// and the fused epilogue applied alike to tiled and tail rows.
+// and the fused epilogue applied alike to tiled and tail rows. With finite
+// weights and zero-heavy rows the tile kernel leaves out the terms a whole
+// tile has zeros at, which must not move a bit either.
 func TestMulToRowPositionInvariant(t *testing.T) {
 	onEachKernel(t, func(kernel string) {
-		check := func(what string, row, b *Matrix) {
+		// check fills the rows around row, and the bias, as fill. It
+		// returns the skippableTerms of every batch it multiplied.
+		check := func(what string, row, b *Matrix, fill string) int {
+			skippable := 0
 			place := func(rng *rand.Rand, rows, pos int) *Matrix {
-				a := filled(rng, rows, row.Cols, "specials")
+				a := filled(rng, rows, row.Cols, fill)
 				a.SetRow(pos, row.Data)
+				skippable += skippableTerms(a)
 				return a
 			}
 			rng := rand.New(rand.NewSource(25))
-			bias := filled(rng, 1, b.Cols, "specials").Data
+			bias := filled(rng, 1, b.Cols, fill).Data
 			products := []struct {
 				name string
 				mul  func(dst, a *Matrix)
@@ -182,6 +188,7 @@ func TestMulToRowPositionInvariant(t *testing.T) {
 					assertSameBits(t, fmt.Sprintf("%s %s: row %d of %d, %d workers", kernel, what, pos, rows, workers), &at, want)
 				}
 			}
+			return skippable
 		}
 
 		// The smallest case: a zero coefficient against an infinite weight.
@@ -191,14 +198,41 @@ func TestMulToRowPositionInvariant(t *testing.T) {
 		if !math.IsNaN(one.Data[0]) || one.Data[1] != 3 {
 			t.Fatalf("%s: {0, 1} · [[+Inf 1] [2 3]] = %v, want [NaN 3]", kernel, one.Data)
 		}
-		check("0·Inf", FromRows([][]float64{{0, 1}}), inf)
+		check("0·Inf", FromRows([][]float64{{0, 1}}), inf, "specials")
 
 		rng := rand.New(rand.NewSource(24))
 		for _, shape := range [][2]int{{6, 96}, {48, 24}, {24, 1}, {17, 7}} {
 			check(fmt.Sprintf("%dx%d", shape[0], shape[1]),
-				filled(rng, 1, shape[0], "specials"), filled(rng, shape[0], shape[1], "specials"))
+				filled(rng, 1, shape[0], "specials"), filled(rng, shape[0], shape[1], "specials"), "specials")
+		}
+
+		// Finite weights and rows that are mostly ±0, so that whole tiles
+		// share zeros and the kernel leaves their terms out.
+		for _, shape := range [][2]int{{6, 96}, {96, 48}, {48, 24}, {17, 7}} {
+			row, b := filled(rng, 1, shape[0], "zeros"), filled(rng, shape[0], shape[1], "normal")
+			if !allFinite(b.Data) {
+				t.Fatalf("%dx%d: the zero-heavy case's weights are not finite", shape[0], shape[1])
+			}
+			if check(fmt.Sprintf("%dx%d zero-heavy", shape[0], shape[1]), row, b, "zeros") == 0 {
+				t.Fatalf("%dx%d: no batch of the zero-heavy case reaches the skip", shape[0], shape[1])
+			}
 		}
 	})
+}
+
+// skippableTerms counts the (tile, k) pairs of a's whole 4-row tiles at
+// which all four coefficients are ±0: the terms the tile kernel leaves out
+// when the weights are finite.
+func skippableTerms(a *Matrix) int {
+	count := 0
+	for i := 0; i+4 <= a.Rows; i += 4 {
+		for k := 0; k < a.Cols; k++ {
+			if a.At(i, k) == 0 && a.At(i+1, k) == 0 && a.At(i+2, k) == 0 && a.At(i+3, k) == 0 {
+				count++
+			}
+		}
+	}
+	return count
 }
 
 // BenchmarkRowCombine is one row of the paper model's widest product: 96

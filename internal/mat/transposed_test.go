@@ -65,6 +65,10 @@ func filled(rng *rand.Rand, rows, cols int, fill string) *Matrix {
 			if rng.Intn(3) == 0 {
 				m.Data[i] = specials[rng.Intn(len(specials))]
 			}
+		case "zeros": // seven in eight ±0, so 4-row tiles share zero columns
+			if rng.Intn(8) != 0 {
+				m.Data[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
 		}
 	}
 	return m
