@@ -57,7 +57,7 @@ func main() {
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
 	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time (0 = GOMAXPROCS); speed only, never changes a result")
 	shards := flag.Int("shards", 0, "partition devices into N placement shards, decided one after another through one scoring loop (0 = unsharded)")
-	topK := flag.Int("topk", 0, "candidate pruning: score only the top-k devices per class by recent throughput (0 = exhaustive scoring)")
+	topK := flag.Int("topk", 0, "candidate pruning: score only the top k devices by recent throughput (0 = exhaustive scoring)")
 	fullRescan := flag.Int("full-rescan-every", 0, "with -topk: every Nth decision re-scores the full candidate space (0 = default 8)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory: resume from it on start, checkpoint into it while running (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 5, "runs between rotating snapshots (0 = only on shutdown)")

@@ -262,19 +262,20 @@ func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = tru
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTopK enables the engine's candidate pruning: each decision scores a
-// file against only the top-k devices per device class by recent
-// throughput (plus the file's current device), and files whose telemetry
-// has not changed since the last decision keep their feature ingredients
-// instead of re-reading their history. The first decision and every
-// WithFullRescanEvery-th one still run the exhaustive pass, so pruning
-// error cannot accumulate. k = 0 (the default) scores every (file, device)
-// pairing on every decision — the paper's behavior.
+// file against only the top k devices by recent throughput, ranked
+// together across the cluster (plus never-probed devices and the file's
+// current device), and files whose telemetry has not changed since the
+// last decision keep their feature ingredients instead of re-reading
+// their history. The first decision and every WithFullRescanEvery-th one
+// still run the exhaustive pass, so pruning error cannot accumulate. k = 0
+// (the default) scores every (file, device) pairing on every decision —
+// the paper's behavior. New refuses a negative k.
 func WithTopK(k int) Option { return func(c *config) { c.topK = k } }
 
 // WithFullRescanEvery sets the pruning cadence: with WithTopK, every Nth
 // decision scores the full candidate space and refetches every file's
 // features.
-// Default 8. Ignored without WithTopK.
+// Default 8. Ignored without WithTopK. New refuses a negative n.
 func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan = n } }
 
 // WithShards partitions the cluster's devices into n shards and drives

@@ -137,6 +137,28 @@ func TestLatencyTargetOption(t *testing.T) {
 	}
 }
 
+// TestNegativePruningOptionsRejected: WithTopK(-1) used to build a system
+// whose first pruned decision panicked, and a negative WithFullRescanEvery
+// silently turned the cadence rescan off. New refuses both, naming the
+// field.
+func TestNegativePruningOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opts  []Option
+	}{
+		{"TopK", []Option{WithTopK(-1)}},
+		{"FullRescanEvery", []Option{WithTopK(2), WithFullRescanEvery(-1)}},
+	} {
+		sys, err := New(tc.opts...)
+		if err == nil {
+			sys.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: err = %v, want one naming %s", tc.field, err, tc.field)
+		}
+	}
+}
+
 func TestGapSchedulingOption(t *testing.T) {
 	sys := quickSystem(t, WithGapScheduling())
 	if _, err := sys.RunN(6); err != nil {

@@ -94,19 +94,21 @@ type Config struct {
 	// predicted throughput.
 	Target string
 	// TopK enables candidate pruning: a decision scores each file against
-	// only the top-K devices per device class by recent throughput (plus
-	// the file's current device) instead of every device, and files whose
-	// telemetry has not changed since the last decision keep their feature
-	// ingredients instead of re-reading their history. Every candidate is
-	// scored afresh each decision. 0 (the default) keeps the exhaustive
+	// only the top K devices by recent throughput, ranked together across
+	// the cluster (plus never-probed devices and the file's current
+	// device), instead of every device, and files whose telemetry has not
+	// changed since the last decision keep their feature ingredients
+	// instead of re-reading their history. Every candidate is scored
+	// afresh each decision. 0 (the default) keeps the exhaustive
 	// O(files×devices) pass on every decision — the paper's behavior,
-	// bit-for-bit.
+	// bit-for-bit. NewEngine refuses a negative TopK.
 	TopK int
 	// FullRescanEvery is the pruning cadence: with TopK > 0, every Nth
 	// decision (and always the first) falls back to the exhaustive pass,
 	// scoring the full candidate space and refetching every file's
 	// features.
-	// Default 8. Ignored when TopK is 0.
+	// Default 8. Ignored when TopK is 0. NewEngine refuses a negative
+	// FullRescanEvery, which would turn the cadence rescan off.
 	FullRescanEvery int
 }
 
@@ -300,6 +302,12 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	}
 	if cfg.Target != TargetThroughput && cfg.Target != TargetLatency {
 		return nil, fmt.Errorf("core: unknown modeling target %q", cfg.Target)
+	}
+	if cfg.TopK < 0 {
+		return nil, fmt.Errorf("core: negative Config.TopK %d", cfg.TopK)
+	}
+	if cfg.FullRescanEvery < 0 {
+		return nil, fmt.Errorf("core: negative Config.FullRescanEvery %d", cfg.FullRescanEvery)
 	}
 	r := rng.New(cfg.Seed)
 	net, err := nn.BuildModel(cfg.ModelNumber, featureCount, r.Rand)

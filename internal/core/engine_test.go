@@ -461,6 +461,26 @@ func TestUnknownTargetRejected(t *testing.T) {
 	}
 }
 
+// TestNegativePruningConfigRejected: a negative TopK used to panic in the
+// first pruned decision's shortlist, and a negative FullRescanEvery
+// silently turned the cadence rescan off. NewEngine refuses both, naming
+// the field.
+func TestNegativePruningConfigRejected(t *testing.T) {
+	db := seedDB(t, 10)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"TopK", Config{TopK: -1}},
+		{"FullRescanEvery", Config{TopK: 2, FullRescanEvery: -1}},
+	} {
+		_, err := NewEngine(db, testDevices, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field+" ") {
+			t.Errorf("negative %s: err = %v, want one naming Config.%s", tc.field, err, tc.field)
+		}
+	}
+}
+
 // The engine must train identically through the Interface Daemon's wire
 // protocol (Fig. 2's decoupling) as it does against the local database.
 func TestEngineOverRemoteStore(t *testing.T) {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"geomancy/internal/policy"
 	"geomancy/internal/storagesim"
@@ -11,9 +12,9 @@ import (
 // in the device axis. An all-device pass builds and scores all
 // files×devices rows; a pruned decision scores each file only
 //
-//   - against a device shortlist — the top-K devices per device class by
-//     recent effective throughput (storagesim.DeviceSummary), always
-//     including the file's current device;
+//   - against a device shortlist — the top K devices by recent effective
+//     throughput (storagesim.DeviceSummary), ranked together across the
+//     cluster, always including the file's current device;
 //   - from feature ingredients cached per file across decisions, refetched
 //     only for files whose telemetry changed since the last pass — the
 //     dirty set, answered by the ReplayDB's append watermark
@@ -146,17 +147,17 @@ func (e *Engine) allDevices() []int {
 }
 
 // deviceShortlist returns the sorted device indices a pruned decision
-// scores dirty files against: the top-K devices per device class by
-// recent effective throughput, skipping devices no move could target
-// (unavailable or read-only). Devices whose summary carries only the
+// scores dirty files against: the top K devices by recent throughput,
+// ranked together across the cluster, skipping devices no move could
+// target (unavailable or read-only). Devices whose summary carries only the
 // nominal-bandwidth fallback (DeviceSummary.Nominal — never probed by any
 // access) are always shortlisted regardless of rank: their fallback
 // throughput is a spec-sheet guess, and a device whose guess ranks below
-// its classmates' measured rates would otherwise never be probed until
-// the next full rescan. Ties break toward profile order, and the result
-// is ascending by device index, so shortlists are deterministic — in
-// particular, a shortlist built from restored summaries equals the one
-// the original run built.
+// measured rates would otherwise never be probed until the next full
+// rescan. Ties break toward profile order, and the result is ascending by
+// device index, so shortlists are deterministic — in particular, a
+// shortlist built from restored summaries equals the one the original run
+// built.
 // Without a summary source every device is shortlisted.
 func (e *Engine) deviceShortlist() []int {
 	if e.summarySource == nil {
@@ -166,45 +167,25 @@ func (e *Engine) deviceShortlist() []int {
 		idx int
 		tp  float64
 	}
-	byClass := make(map[string][]ranked)
-	var classes []string
-	var nominal []int
+	var rs []ranked
+	var out []int
 	for _, s := range e.summarySource() {
 		j, ok := e.devIndex[s.Name]
 		if !ok || !s.Available || s.ReadOnly {
 			continue
 		}
 		if s.Nominal {
-			nominal = append(nominal, j)
+			out = append(out, j)
 		}
-		if _, seen := byClass[s.Class]; !seen {
-			classes = append(classes, s.Class)
-		}
-		byClass[s.Class] = append(byClass[s.Class], ranked{j, s.RecentThroughput})
+		rs = append(rs, ranked{j, s.RecentThroughput})
 	}
-	var out []int
-	for _, cls := range classes {
-		rs := byClass[cls]
-		sort.SliceStable(rs, func(a, b int) bool { return rs[a].tp > rs[b].tp })
-		n := e.cfg.TopK
-		if n > len(rs) {
-			n = len(rs)
-		}
-		for _, r := range rs[:n] {
-			out = append(out, r.idx)
-		}
+	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(b.tp, a.tp) })
+	for _, r := range rs[:min(e.cfg.TopK, len(rs))] {
+		out = append(out, r.idx)
 	}
-	out = append(out, nominal...)
-	sort.Ints(out)
-	// Nominal devices may double up with top-K winners; dedupe in place.
-	dst := 0
-	for i, v := range out {
-		if i == 0 || v != out[dst-1] {
-			out[dst] = v
-			dst++
-		}
-	}
-	return out[:dst]
+	// Nominal devices may double up with top-K winners.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // scoreTask is one file's scoring work: its feature entry, the device

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
 	"geomancy/internal/features"
@@ -14,17 +15,18 @@ import (
 	"geomancy/internal/storagesim"
 )
 
-// blueskySummaries mirrors the paper cluster's class structure with fixed
-// recent throughputs, so shortlist tests are deterministic. With TopK ≥ 2
-// every device is shortlisted (no class has more than two members).
+// blueskySummaries gives the paper cluster's six devices fixed recent
+// throughputs, descending in profile order, so shortlist tests are
+// deterministic. The top K devices are the first K; with TopK ≥ 6 every
+// device is shortlisted.
 func blueskySummaries() []storagesim.DeviceSummary {
 	return []storagesim.DeviceSummary{
-		{Name: "file0", Class: "raid5", RecentThroughput: 8e9, Available: true},
-		{Name: "pic", Class: "lustre", RecentThroughput: 2e9, Available: true},
-		{Name: "people", Class: "nfs", RecentThroughput: 1.7e9, Available: true},
-		{Name: "tmp", Class: "raid1", RecentThroughput: 1.6e9, Available: true},
-		{Name: "var", Class: "raid1", RecentThroughput: 1.3e9, Available: true},
-		{Name: "USBtmp", Class: "usb", RecentThroughput: 0.6e9, Available: true},
+		{Name: "file0", RecentThroughput: 8e9, Available: true},
+		{Name: "pic", RecentThroughput: 2e9, Available: true},
+		{Name: "people", RecentThroughput: 1.7e9, Available: true},
+		{Name: "tmp", RecentThroughput: 1.6e9, Available: true},
+		{Name: "var", RecentThroughput: 1.3e9, Available: true},
+		{Name: "USBtmp", RecentThroughput: 0.6e9, Available: true},
 	}
 }
 
@@ -73,21 +75,36 @@ func TestDeviceShortlist(t *testing.T) {
 
 	sums := blueskySummaries()
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return sums })
-	// TopK=1: one device per class; raid1 keeps tmp (higher throughput),
-	// drops var (index 4).
-	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 5}) {
+	// The devices rank together: TopK=1 is the fastest device, TopK=2 the
+	// two fastest.
+	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("top-1 shortlist = %v", got)
 	}
-	// TopK=2 covers the full cluster.
 	e.cfg.TopK = 2
-	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("top-2 shortlist = %v", got)
 	}
-	// Unavailable and read-only devices never shortlist.
+	// TopK=6 covers the full cluster, and a larger K is capped at it.
+	for _, k := range []int{6, 9} {
+		e.cfg.TopK = k
+		if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+			t.Fatalf("top-%d shortlist = %v", k, got)
+		}
+	}
+	// A tie breaks toward profile order: USBtmp (index 5) matches people's
+	// throughput, and the third slot goes to people (index 2).
+	sums[5].RecentThroughput = sums[2].RecentThroughput
+	e.cfg.TopK = 3
+	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("tied top-3 shortlist = %v", got)
+	}
+	// Unavailable and read-only devices never shortlist: with file0 down
+	// and tmp read-only, the top two are pic and people.
+	sums = blueskySummaries()
 	sums[0].Available = false
 	sums[3].ReadOnly = true
-	e.cfg.TopK = 1
-	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{1, 2, 4, 5}) {
+	e.cfg.TopK = 2
+	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("degraded shortlist = %v", got)
 	}
 }
@@ -123,8 +140,8 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 }
 
 // TestPrunedMatchesExhaustive is the layout-agreement contract at engine
-// level: with a shortlist covering every device (TopK=2 on the Bluesky
-// class structure), a pruned engine and an exhaustive engine of the same
+// level: with a shortlist covering every device (TopK=6 on the six-device
+// Bluesky cluster), a pruned engine and an exhaustive engine of the same
 // seed propose identical layouts decision after decision — through clean
 // and dirty files, decisions with and without a fit before them, and
 // exploration draws.
@@ -146,7 +163,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		return e, db
 	}
 	ex, exDB := mk(0)
-	pr, prDB := mk(2)
+	pr, prDB := mk(len(testDevices))
 
 	files := testFiles()
 	dirty := func(db *replaydb.DB, id int64) {
@@ -203,8 +220,8 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 	store := &countingStore{DB: base}
 	cfg := quickCfg()
 	cfg.Epsilon = 0
-	cfg.TopK = 2
-	cfg.FullRescanEvery = 100 // keep cadence rescans out of this test
+	cfg.TopK = len(testDevices) // the shortlist covers the cluster
+	cfg.FullRescanEvery = 100   // keep cadence rescans out of this test
 	e, err := NewEngine(store, testDevices, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +244,7 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 	}
 
 	// Clean decision: every file keeps its cached features and is scored
-	// over the shortlist, the full width here (TopK=2 covers the cluster).
+	// over the shortlist, the full width here (TopK=6 covers the cluster).
 	store.byFileCalls = 0
 	_, _, scores, err := e.proposeScored(context.Background(), files)
 	if err != nil {
@@ -268,9 +285,9 @@ func TestPrunedSkipsCleanFiles(t *testing.T) {
 }
 
 // TestPrunedNarrowShortlist checks genuine pruning: with TopK=1 a pruned
-// decision scores a file against strictly fewer devices (shortlist ∪
-// current),
-// while the full-rescan cadence still restores the full width.
+// decision scores a file against exactly the fastest available device and
+// its current one, while the full-rescan cadence still restores the full
+// width.
 func TestPrunedNarrowShortlist(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -298,22 +315,24 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"USBtmp", "file0", "people", "pic", "tmp", "var"}
-	if len(scores[0]) != 6 {
-		t.Fatalf("pruned width = %d predictions %v", len(scores[0]), scores[0])
-	}
-	for _, devName := range want {
-		if _, ok := scores[0][devName]; !ok {
-			t.Fatalf("pruned predictions missing %s: %v", devName, scores[0])
+	scoredOn := func(preds map[string]float64, want ...string) {
+		t.Helper()
+		got := make([]string, 0, len(preds))
+		for dev := range preds {
+			got = append(got, dev)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("pruned decision scored %v, want exactly %v", preds, want)
 		}
 	}
-	// Narrow case: shortlist (5 devices: one per class) ∪ current (var) =
-	// 6 of 6 here because every class head is listed. Drop to a world
-	// where pruning is visible: exclude classes by marking them
-	// unavailable in the summaries.
+	// Shortlist: file0, the fastest device, plus the current var.
+	scoredOn(scores[0], "file0", "var")
+	// Unavailable devices leave the ranking: with file0 and pic down, the
+	// top-1 slot goes to people.
 	sums := blueskySummaries()
+	sums[0].Available = false // file0
 	sums[1].Available = false // pic
-	sums[2].Available = false // people
 	e.SetSummarySource(func() []storagesim.DeviceSummary { return sums })
 	if _, err := e.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
@@ -322,18 +341,7 @@ func TestPrunedNarrowShortlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shortlist: file0 (raid5), tmp (raid1 head), USBtmp (usb) + current
-	// var. pic/people are out, so the decision is over exactly those four
-	// devices.
-	if _, ok := scores[0]["pic"]; ok {
-		t.Fatalf("pruned decision scored an unavailable class head: %v", scores[0])
-	}
-	if _, ok := scores[0]["var"]; !ok {
-		t.Fatalf("pruned decision must keep the current device: %v", scores[0])
-	}
-	if len(scores[0]) != 4 {
-		t.Fatalf("narrow shortlist did not prune: %v", scores[0])
-	}
+	scoredOn(scores[0], "people", "var")
 	_, _, scores, err = e.proposeScored(context.Background(), files) // decision 3: cadence rescan
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +364,7 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
 	cfg.Epsilon = 0
-	cfg.TopK = 2
+	cfg.TopK = len(testDevices) // the shortlist covers the cluster
 	cfg.FullRescanEvery = 2
 	e, err := NewEngine(db, testDevices, cfg)
 	if err != nil {
@@ -389,7 +397,7 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 	decide()      // decision 2: cadence rescan — advances the watermark past the new accesses
 	d := decide() // decision 3: pruned — file 2 is clean
 	if len(d) != len(testDevices) {
-		t.Fatalf("TopK=2 covers the cluster, got %d predictions: %v", len(d), d)
+		t.Fatalf("TopK=6 covers the cluster, got %d predictions: %v", len(d), d)
 	}
 	for _, dev := range testDevices {
 		if want := e.predictCandidate(files[0], dev); d[dev] != want {
@@ -401,8 +409,8 @@ func TestFullRescanRefreshesFeatureCache(t *testing.T) {
 // TestShortlistSeedsNominalDevices is the regression test for the
 // never-probed-device starvation bug: a device idle since decision 0
 // carries only its nominal-bandwidth fallback in the summaries
-// (DeviceSummary.Nominal), and when that spec-sheet guess ranked below a
-// classmate's measured throughput, the device fell out of the top-K
+// (DeviceSummary.Nominal), and when that spec-sheet guess ranked below
+// other devices' measured throughput, the device fell out of the top-K
 // shortlist and was never re-probed until the next full rescan — including
 // on the first pruned decision after a checkpoint restore. Never-probed
 // devices must always be shortlisted.
@@ -414,7 +422,7 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	cfg.FullRescanEvery = 100 // keep cadence rescans out of this test
 	sums := blueskySummaries()
 	// var has never served an access: its summary carries the nominal
-	// fallback, which ranks below its raid1 classmate tmp's measured rate.
+	// fallback, which ranks below file0's measured rate.
 	sums[4].Nominal = true
 	mk := func() *Engine {
 		e, err := NewEngine(db, testDevices, cfg)
@@ -429,9 +437,9 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shortlist level: var (index 4) loses the raid1 top-1 slot to tmp but
+	// Shortlist level: var (index 4) loses the top-1 slot to file0 but
 	// stays a candidate as a never-probed device.
-	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
+	if got := e.deviceShortlist(); !reflect.DeepEqual(got, []int{0, 4}) {
 		t.Fatalf("shortlist with nominal device = %v, want it included", got)
 	}
 

@@ -193,9 +193,9 @@ func TestShardedRouting(t *testing.T) {
 		t.Error("file on an unowned device should error")
 	}
 
-	// Top-1 per class: every shard holds one device of each of its
-	// classes, so each shortlist is the shard's whole group — var included,
-	// though tmp, the faster raid1 device, belongs to shard 1.
+	// Top-1 still shortlists each shard's whole group: the cluster is fresh,
+	// so every device is never-probed (DeviceSummary.Nominal), and
+	// never-probed devices are shortlisted whatever their rank.
 	cfg.TopK = 1
 	pruned := shardedBluesky(t, db, 3, cfg)
 	for i, u := range pruned.units {

@@ -397,8 +397,7 @@ func (c *Cluster) DeviceStats() []Stats {
 // ranks shortlists by: no effectiveBW evaluation, no clock advancement —
 // just state the cluster already maintains on every access.
 type DeviceSummary struct {
-	Name  string
-	Class string
+	Name string
 	// RecentThroughput is an exponentially weighted moving average of the
 	// device's observed per-access throughput in bytes/second. A device
 	// with no recorded accesses yet reports its nominal read bandwidth, so
@@ -411,7 +410,7 @@ type DeviceSummary struct {
 	// Nominal reports that RecentThroughput is the nominal-bandwidth
 	// fallback — the device has never served an access — so shortlist
 	// construction can make sure never-probed devices stay candidates
-	// instead of being starved by class-mates with observed throughput.
+	// instead of being starved by devices with observed throughput.
 	Nominal bool
 }
 
@@ -428,7 +427,6 @@ func (c *Cluster) DeviceSummaries() []DeviceSummary {
 		}
 		out = append(out, DeviceSummary{
 			Name:             name,
-			Class:            d.Profile.Class,
 			RecentThroughput: tp,
 			Available:        d.Available,
 			ReadOnly:         d.ReadOnly,

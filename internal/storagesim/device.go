@@ -58,8 +58,8 @@ type DeviceProfile struct {
 	// Name is the mount name (file0, pic, people, tmp, var, USBtmp).
 	Name string
 	// Class names the hardware class behind the mount ("raid5", "nfs",
-	// "usb", ...). Tier-aware policies group devices into performance
-	// tiers by class; empty means unclassified.
+	// "usb", ...): a label for reports and benchmarks, which placement
+	// does not read; empty means unclassified.
 	Class string
 	// ReadBW and WriteBW are sustained bandwidths in bytes/second.
 	ReadBW, WriteBW float64
