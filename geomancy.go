@@ -198,10 +198,12 @@ func WithCooldown(runs int) Option { return func(c *config) { c.cooldown = runs 
 // WithEpochs sets the training epochs of a cold fit; default 200 (the
 // paper's per-decision setting — use a smaller value for interactive
 // experimentation). A warm retrain trains a share of them in proportion to
-// the telemetry recorded since the last one, at least one epoch.
+// the telemetry recorded since the last one, at least one epoch. New
+// refuses a negative count.
 func WithEpochs(epochs int) Option { return func(c *config) { c.epochs = epochs } }
 
 // WithTrainingWindow sets the per-device ReplayDB window; default 2000.
+// New refuses a negative window.
 func WithTrainingWindow(x int) Option { return func(c *config) { c.windowX = x } }
 
 // WithReplayDB persists telemetry to the given WAL path instead of memory.

@@ -138,9 +138,10 @@ func TestLatencyTargetOption(t *testing.T) {
 }
 
 // TestNegativePruningOptionsRejected: WithTopK(-1) used to build a system
-// whose first pruned decision panicked, and a negative WithFullRescanEvery
-// silently turned the cadence rescan off. New refuses both, naming the
-// field.
+// whose first pruned decision panicked, a negative WithFullRescanEvery
+// silently turned the cadence rescan off, WithTrainingWindow(-5) built one
+// whose every decision failed for want of telemetry, and WithEpochs(-3) one
+// that trained a single epoch per fit. New refuses each, naming the field.
 func TestNegativePruningOptionsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -148,6 +149,8 @@ func TestNegativePruningOptionsRejected(t *testing.T) {
 	}{
 		{"TopK", []Option{WithTopK(-1)}},
 		{"FullRescanEvery", []Option{WithTopK(2), WithFullRescanEvery(-1)}},
+		{"WindowX", []Option{WithTrainingWindow(-5)}},
+		{"Epochs", []Option{WithEpochs(-3)}},
 	} {
 		sys, err := New(tc.opts...)
 		if err == nil {

@@ -56,13 +56,14 @@ type Config struct {
 	CooldownRuns int
 	// WindowX is the number of most recent accesses fetched per device
 	// for training; default 2000 (6 devices × 2000 = the paper's 12,000
-	// training entries).
+	// training entries). NewEngine refuses a negative WindowX.
 	WindowX int
 	// Epochs is the epoch count of a cold full fit; default 200 (§V-G).
 	// A warm full fit trains it in proportion to the records taken since
 	// the last one: ceil(Epochs × new ÷ rows), at least 1 (see
 	// TrainContext), so each row is trained about Epochs times over its
-	// stay in the window rather than Epochs times per decision.
+	// stay in the window rather than Epochs times per decision. NewEngine
+	// refuses a negative Epochs.
 	Epochs int
 	// FixedEpochs makes every full fit train Epochs, warm or cold: the
 	// paper's per-decision schedule (§V-G), kept for the paper-scale
@@ -308,6 +309,12 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	}
 	if cfg.FullRescanEvery < 0 {
 		return nil, fmt.Errorf("core: negative Config.FullRescanEvery %d", cfg.FullRescanEvery)
+	}
+	if cfg.WindowX < 0 {
+		return nil, fmt.Errorf("core: negative Config.WindowX %d", cfg.WindowX)
+	}
+	if cfg.Epochs < 0 {
+		return nil, fmt.Errorf("core: negative Config.Epochs %d", cfg.Epochs)
 	}
 	r := rng.New(cfg.Seed)
 	net, err := nn.BuildModel(cfg.ModelNumber, featureCount, r.Rand)

@@ -462,9 +462,10 @@ func TestUnknownTargetRejected(t *testing.T) {
 }
 
 // TestNegativePruningConfigRejected: a negative TopK used to panic in the
-// first pruned decision's shortlist, and a negative FullRescanEvery
-// silently turned the cadence rescan off. NewEngine refuses both, naming
-// the field.
+// first pruned decision's shortlist, a negative FullRescanEvery silently
+// turned the cadence rescan off, a negative WindowX left every decision
+// without telemetry and a negative Epochs trained one epoch per fit.
+// NewEngine refuses each, naming the field.
 func TestNegativePruningConfigRejected(t *testing.T) {
 	db := seedDB(t, 10)
 	for _, tc := range []struct {
@@ -473,6 +474,8 @@ func TestNegativePruningConfigRejected(t *testing.T) {
 	}{
 		{"TopK", Config{TopK: -1}},
 		{"FullRescanEvery", Config{TopK: 2, FullRescanEvery: -1}},
+		{"WindowX", Config{WindowX: -5}},
+		{"Epochs", Config{Epochs: -3}},
 	} {
 		_, err := NewEngine(db, testDevices, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field+" ") {

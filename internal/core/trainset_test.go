@@ -164,6 +164,54 @@ func sameBits(t *testing.T, what string, x *mat.Matrix, y []float64, rows [][]fl
 	}
 }
 
+// trainingTargets are the targets the differential checks build sets
+// under: the engine's two modeling targets and the raw throughput.
+func trainingTargets() map[string]func(*replaydb.AccessRecord) float64 {
+	latency := &Engine{cfg: Config{Target: TargetLatency}}
+	return map[string]func(*replaydb.AccessRecord) float64{
+		"throughput": func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(rec.Throughput) },
+		"latency":    func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(latency.targetValue(rec)) },
+		"raw":        func(rec *replaydb.AccessRecord) float64 { return rec.Throughput },
+	}
+}
+
+// matchesReference appends recs to a keep-all database and to one under a
+// retention horizon of window records per device, and fails unless
+// TrainingSet, over either of them and over a store that only copies the
+// first, builds bit for bit referenceTrainingRows's set, under every
+// smoothing mode in smooths and every target in targets.
+func matchesReference(t *testing.T, what string, recs []replaydb.AccessRecord, devices []string, devIndex map[string]int, window int, smooths []int, targets map[string]func(*replaydb.AccessRecord) float64) {
+	t.Helper()
+	keep, err := replaydb.Open(replaydb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer keep.Close()
+	bound, err := replaydb.Open(replaydb.Options{Horizon: replaydb.Horizon{PerDevice: window, PerFile: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bound.Close()
+	for _, rec := range recs {
+		if _, err := keep.AppendAccess(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bound.AppendAccess(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores := map[string]TelemetryStore{"keep-all": keep, "horizon": bound, "copy-only": copyOnlyStore{keep}}
+	for _, smooth := range smooths {
+		for tname, target := range targets {
+			rows, ys := referenceTrainingRows(keep, devices, devIndex, window, target, smooth)
+			for sname, store := range stores {
+				x, y := TrainingSet(store, devices, devIndex, window, target, smooth)
+				sameBits(t, fmt.Sprintf("%s, window %d, smooth %d, %s target, %s store", what, window, smooth, tname, sname), x, y, rows, ys)
+			}
+		}
+	}
+}
+
 // TestTrainingSetMatchesReference: on randomized telemetry, TrainingSet
 // builds, bit for bit, the rows and targets of the copy-concatenate-sort
 // builder it replaced — with time ties across devices, repeated and
@@ -171,49 +219,103 @@ func sameBits(t *testing.T, what string, x *mat.Matrix, y []float64, rows [][]fl
 // one with no records, every smoothing mode, the throughput, latency and
 // raw targets, and each kind of store: a keep-all database, one under a
 // retention horizon its windows have wrapped, and a store that only copies.
+// Then on the shapes that load the merge and its file table hardest:
+// windows whose times strictly descend (every row its own run), every
+// access on a file of its own (the table at its fullest), 70 devices (the
+// table reused 70 times) and −0 tying +0 across devices.
 func TestTrainingSetMatchesReference(t *testing.T) {
 	devIndex := map[string]int{"file0": 0, "pic": 1, "people": 2}
 	devices := []string{"pic", "ghost", "file0", "absent", "people"}
-	latency := &Engine{cfg: Config{Target: TargetLatency}}
-	targets := map[string]func(*replaydb.AccessRecord) float64{
-		"throughput": func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(rec.Throughput) },
-		"latency":    func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(latency.targetValue(rec)) },
-		"raw":        func(rec *replaydb.AccessRecord) float64 { return rec.Throughput },
-	}
+	targets := trainingTargets()
+	smooths := []int{0, 1, 3, 8, -1}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		recs := randomTelemetry(rng, 150+rng.Intn(250))
 		for _, window := range []int{1, 17, 60, 400} {
-			keep, err := replaydb.Open(replaydb.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound, err := replaydb.Open(replaydb.Options{Horizon: replaydb.Horizon{PerDevice: window, PerFile: 8}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rec := range recs {
-				if _, err := keep.AppendAccess(rec); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := bound.AppendAccess(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stores := map[string]TelemetryStore{"keep-all": keep, "horizon": bound, "copy-only": copyOnlyStore{keep}}
-			for _, smooth := range []int{0, 1, 3, 8, -1} {
-				for tname, target := range targets {
-					rows, ys := referenceTrainingRows(keep, devices, devIndex, window, target, smooth)
-					for sname, store := range stores {
-						x, y := TrainingSet(store, devices, devIndex, window, target, smooth)
-						sameBits(t, fmt.Sprintf("seed %d, window %d, smooth %d, %s target, %s store", seed, window, smooth, tname, sname), x, y, rows, ys)
-					}
-				}
-			}
-			keep.Close()
-			bound.Close()
+			matchesReference(t, fmt.Sprintf("seed %d", seed), recs, devices, devIndex, window, smooths, targets)
 		}
 	}
+
+	rng := rand.New(rand.NewSource(7))
+	descending := randomTelemetry(rng, 300)
+	for i := range descending {
+		descending[i].Time = float64(len(descending) - i)
+	}
+	ownFiles := randomTelemetry(rng, 400)
+	for i := range ownFiles {
+		ownFiles[i].FileID = int64(5000 + i)
+	}
+	many := randomTelemetry(rng, 1500)
+	manyDevices := make([]string, 70)
+	manyIndex := map[string]int{}
+	for k := range manyDevices {
+		manyDevices[k] = fmt.Sprintf("d%02d", (k*29)%70) // a permutation of d00…d69
+		if k%3 != 0 {
+			manyIndex[fmt.Sprintf("d%02d", k)] = len(manyIndex)
+		}
+	}
+	for i := range many {
+		many[i].Device = manyDevices[rng.Intn(len(manyDevices))]
+	}
+	zeros := randomTelemetry(rng, 300)
+	for i := range zeros {
+		zeros[i].Time = []float64{math.Copysign(0, -1), 0, -1, 0.5}[rng.Intn(4)]
+	}
+	for _, tc := range []struct {
+		name     string
+		recs     []replaydb.AccessRecord
+		devices  []string
+		devIndex map[string]int
+	}{
+		{"descending times", descending, devices, devIndex},
+		{"a file per access", ownFiles, devices, devIndex},
+		{"70 devices", many, manyDevices, manyIndex},
+		{"−0 and +0 ties", zeros, devices, devIndex},
+	} {
+		for _, window := range []int{1, 7, 400} {
+			matchesReference(t, tc.name, tc.recs, tc.devices, tc.devIndex, window, smooths, targets)
+		}
+	}
+}
+
+// FuzzTrainingSet: TrainingSet builds referenceTrainingRows's set bit for
+// bit, over a keep-all database and one under a horizon, on telemetry
+// decoded from the input. Its first byte picks the window, its second the
+// smoothing mode, and each next three bytes one access: a device (three
+// listed, one unlisted, one the walk never asks for), a time from a small
+// alphabet with −0 and +0, a file from a small pool, and byte counts and a
+// throughput from the same bits.
+func FuzzTrainingSet(f *testing.F) {
+	f.Add([]byte{16, 3, 0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 3, 0, 1, 4, 1, 3, 5, 2})
+	f.Add([]byte{2, 5, 0, 7, 1, 0, 6, 1, 0, 1, 1, 0, 0, 1, 9, 2, 0, 2, 3, 1, 1})
+	f.Add([]byte{40, 2, 1, 1, 1, 1, 0, 1, 1, 7, 1, 1, 6, 1, 2, 5, 2, 2, 4, 2})
+	devIndex := map[string]int{"file0": 0, "pic": 1, "people": 2}
+	devices := []string{"pic", "ghost", "file0", "people"}
+	pool := []string{"file0", "pic", "people", "ghost", "stray"}
+	times := []float64{math.Copysign(0, -1), 0, 0.5, 1, 2, -1, 3, 1e9}
+	targets := trainingTargets()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 2+3*512 {
+			return
+		}
+		window := 1 + int(data[0]%64)
+		smooth := []int{0, 1, 2, 3, 8, -1}[data[1]%6]
+		var recs []replaydb.AccessRecord
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			dev, tm, file := int64(rest[0]), int64(rest[1]), int64(rest[2])
+			recs = append(recs, replaydb.AccessRecord{
+				Time:         times[tm%8],
+				Device:       pool[dev%5],
+				FileID:       file%8 - 2,
+				BytesRead:    (dev>>3 + 1) << 20,
+				BytesWritten: (file >> 3) << 10,
+				OpenTS:       tm >> 3,
+				CloseTS:      tm>>3 + file>>6,
+				Throughput:   1e6 * float64(1+(dev^tm^file)),
+			})
+		}
+		matchesReference(t, "fuzz", recs, devices, devIndex, window, []int{smooth}, targets)
+	})
 }
 
 // TestTrainingSetSmoothsKnownAnswers pins the two smoothing modes to worked
@@ -270,7 +372,8 @@ func trainingAllocs(fn func()) int64 {
 
 // TestTrainingSetAllocations: building the training set of 6 devices ×
 // 2000 accesses allocates a few objects — the matrix, its targets, the
-// sort keys and the smoothing scratch — however long the window, and so
+// ordering keys, the device ends, the merge's run heap, the file table and
+// the smoothing scratch — however long the window, and so
 // does the whole fit around it, whose other allocations are nn.Fit's
 // per-call scratch. A per-record slice, a copied window or a map of groups
 // that slips back into the build multiplies the count by the window and
@@ -374,5 +477,24 @@ func TestTrainingSetConcurrentAppend(t *testing.T) {
 			close(stop)
 			wg.Wait()
 		})
+	}
+}
+
+// trainingSink keeps BenchmarkTrainingSet's result live.
+var trainingSink *mat.Matrix
+
+// BenchmarkTrainingSet builds the paper's training set, 6 devices × 2000
+// accesses smoothed over 8, from a keep-all database.
+func BenchmarkTrainingSet(b *testing.B) {
+	db := seedDB(b, 15000) // about 2500 records per device
+	devIndex := make(map[string]int, len(testDevices))
+	for i, d := range testDevices {
+		devIndex[d] = i
+	}
+	target := func(rec *replaydb.AccessRecord) float64 { return EncodeTarget(rec.Throughput) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trainingSink, _ = TrainingSet(db, testDevices, devIndex, 2000, target, 8)
 	}
 }
