@@ -252,15 +252,18 @@ func WithLatencyTarget() Option { return func(c *config) { c.target = core.Targe
 // paper's §X extension).
 func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = true } }
 
-// WithParallelism bounds the engine's scoring loop: a decision's files are
-// cut into runs of about 256 candidate rows, and up to n goroutines each
-// take a run end to end — features gathered, rows forwarded, scores and
-// greedy picks written back. With WithShards the shards go through that
-// loop one after another. The default is runtime.GOMAXPROCS(0). n is a
-// matter of speed only and never affects a result: equal seeds give the
-// same layouts, run stats and train log, bit for bit, at any n and on any
-// machine. Training does not use the pool — every minibatch runs whole on
-// one goroutine.
+// WithParallelism bounds a decision's goroutines. The engine's scoring
+// loop cuts a decision's files into runs of about 256 candidate rows, and
+// up to n goroutines each take a run end to end — rows written and
+// forwarded, scores and greedy picks written back; with WithShards the
+// shards go through that loop one after another. Above 1, the geomancy
+// policy also runs the decision's model-free half — the dirty set, the
+// device shortlist, the task list and the feature gather — on one helper
+// goroutine while the model retrains. The default is
+// runtime.GOMAXPROCS(0). n is a matter of speed only and never affects a
+// result: equal seeds give the same layouts, run stats and train log, bit
+// for bit, at any n and on any machine. The fit itself is not threaded —
+// every minibatch runs whole on one goroutine. New refuses a negative n.
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTopK enables the engine's candidate pruning: each decision scores a

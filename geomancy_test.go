@@ -140,8 +140,9 @@ func TestLatencyTargetOption(t *testing.T) {
 // TestNegativePruningOptionsRejected: WithTopK(-1) used to build a system
 // whose first pruned decision panicked, a negative WithFullRescanEvery
 // silently turned the cadence rescan off, WithTrainingWindow(-5) built one
-// whose every decision failed for want of telemetry, and WithEpochs(-3) one
-// that trained a single epoch per fit. New refuses each, naming the field.
+// whose every decision failed for want of telemetry, WithEpochs(-3) one
+// that trained a single epoch per fit, and WithParallelism(-2) one that
+// ran on a single worker. New refuses each, naming the field.
 func TestNegativePruningOptionsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -151,6 +152,7 @@ func TestNegativePruningOptionsRejected(t *testing.T) {
 		{"FullRescanEvery", []Option{WithTopK(2), WithFullRescanEvery(-1)}},
 		{"WindowX", []Option{WithTrainingWindow(-5)}},
 		{"Epochs", []Option{WithEpochs(-3)}},
+		{"Parallelism", []Option{WithParallelism(-2)}},
 	} {
 		sys, err := New(tc.opts...)
 		if err == nil {

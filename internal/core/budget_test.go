@@ -182,42 +182,55 @@ func TestWarmFitEpochBudget(t *testing.T) {
 // after it refitted the scalers and trained an epoch leaves a new model,
 // and the next decision scores every candidate it picks from under that
 // model: each score equals predictCandidate's, none is the previous
-// model's.
+// model's. The same holds when the cancelled fit ran beside a prepared
+// proposal's model-free half (Parallelism 4), which is then abandoned.
 func TestDecisionAfterCancelledFitScoresEveryCandidate(t *testing.T) {
-	db := seedDB(t, 1200)
-	cfg := quickCfg()
-	cfg.Epsilon = 0
-	cfg.TopK = 1
-	e, err := NewEngine(db, testDevices, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := e.TrainContext(ctx); err != nil {
-		t.Fatal(err)
-	}
-	files := []policy.FileInfo{{ID: 1, Size: 5e8, Device: "pic"}, {ID: 2, Size: 9e8, Device: "tmp"}}
-	if _, _, _, err := e.proposeScored(ctx, files); err != nil {
-		t.Fatal(err)
-	}
-	// A full window of new records on other files: files 1 and 2 stay
-	// clean, and the fit has every epoch to train.
-	appendAccesses(t, db, 6*cfg.WindowX, 3)
-	if _, err := e.TrainContext(&cancelAfter{Context: ctx, n: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("fit cancelled after two epochs returned %v, want context.Canceled", err)
-	}
-	_, _, scores, err := e.proposeScored(ctx, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range files {
-		if len(scores[i]) == 0 {
-			t.Fatalf("file %d has no score after the cancelled fit", f.ID)
-		}
-		for dev, got := range scores[i] {
-			if want := e.predictCandidate(f, dev); got != want {
-				t.Errorf("file %d on %s: scored %v, the model now predicts %v", f.ID, dev, got, want)
+	for _, prepared := range []bool{false, true} {
+		t.Run(map[bool]string{false: "serial", true: "prepared"}[prepared], func(t *testing.T) {
+			db := seedDB(t, 1200)
+			cfg := quickCfg()
+			cfg.Epsilon = 0
+			cfg.TopK = 1
+			cfg.Parallelism = 4
+			e, err := NewEngine(db, testDevices, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ctx := context.Background()
+			if _, err := e.TrainContext(ctx); err != nil {
+				t.Fatal(err)
+			}
+			files := []policy.FileInfo{{ID: 1, Size: 5e8, Device: "pic"}, {ID: 2, Size: 9e8, Device: "tmp"}}
+			if _, _, _, err := e.proposeScored(ctx, files); err != nil {
+				t.Fatal(err)
+			}
+			// A full window of new records on other files: files 1 and 2 stay
+			// clean, and the fit has every epoch to train.
+			appendAccesses(t, db, 6*cfg.WindowX, 3)
+			var prep policy.Prepared
+			if prepared {
+				prep = (&EngineModel{Engine: e, decider: e}).Prepare(policy.State{Files: files})
+			}
+			if _, err := e.TrainContext(&cancelAfter{Context: ctx, n: 2}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("fit cancelled after two epochs returned %v, want context.Canceled", err)
+			}
+			if prepared {
+				prep.Abandon()
+			}
+			_, _, scores, err := e.proposeScored(ctx, files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range files {
+				if len(scores[i]) == 0 {
+					t.Fatalf("file %d has no score after the cancelled fit", f.ID)
+				}
+				for dev, got := range scores[i] {
+					if want := e.predictCandidate(f, dev); got != want {
+						t.Errorf("file %d on %s: scored %v, the model now predicts %v", f.ID, dev, got, want)
+					}
+				}
+			}
+		})
 	}
 }

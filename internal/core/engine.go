@@ -78,15 +78,19 @@ type Config struct {
 	// Optimizer overrides SGD when set ("sgd" default, "adam" for the
 	// ablation).
 	Optimizer string
-	// Parallelism bounds the scoring loop: a decision's runs of
-	// consecutive files (about nn.BlockRows candidate rows each) are
-	// scored end to end — features gathered, rows forwarded, scores
-	// written back, greedy picks made — on up to this many goroutines,
-	// under a coordinator one shard after another. It is the only fan-out
-	// of a decision, a matter of speed only, and never changes a result:
-	// scoring is row-independent, the layout-deciding randomness stays on
-	// one goroutine, and training does not read it — a minibatch runs
-	// whole on the caller's goroutine. Default 1.
+	// Parallelism bounds a decision's goroutines. The scoring loop takes
+	// its runs of consecutive files (about nn.BlockRows candidate rows
+	// each) end to end — rows written, forwarded, scores written back,
+	// greedy picks made — on up to this many, under a coordinator one
+	// shard after another. Above 1, a Geomancy policy also runs the
+	// decision's model-free half (dirty set, shortlist, task list, feature
+	// gather; propose.go) on one helper goroutine beside the retrain. It is
+	// a matter of speed only and never changes a result: scoring is
+	// row-independent, the helper reads nothing the fit writes and commits
+	// nothing until the fit has succeeded, the layout-deciding randomness
+	// stays on one goroutine, and the fit itself is not threaded — a
+	// minibatch runs whole on the caller's goroutine. Default 1. NewEngine
+	// refuses a negative Parallelism.
 	Parallelism int
 	// Target selects the modeled performance metric: "throughput" (the
 	// paper's choice) or "latency" (the §V-C future-work variant — some
@@ -135,7 +139,7 @@ func (c Config) withDefaults() Config {
 	if c.Optimizer == "" {
 		c.Optimizer = "sgd"
 	}
-	if c.Parallelism <= 0 {
+	if c.Parallelism == 0 {
 		c.Parallelism = 1
 	}
 	if c.Target == "" {
@@ -215,9 +219,10 @@ type Engine struct {
 	valid func(device string, size int64) error
 
 	// The scoring loop's pool (propose.go), shared by pointer with a
-	// coordinator's shard engines, and the select stage's shuffle scratch,
-	// reused across decisions.
+	// coordinator's shard engines, the decision prepare leaves for finish,
+	// and the select stage's shuffle scratch, all reused across decisions.
 	pool *scorePool //geomancy:ephemeral per-worker scoring buffers, content meaningless between decisions
+	prep prepared   //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 	perm []int      //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
 
 	// fsids maps a local device index to the fsid feature value the
@@ -315,6 +320,9 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 	}
 	if cfg.Epochs < 0 {
 		return nil, fmt.Errorf("core: negative Config.Epochs %d", cfg.Epochs)
+	}
+	if cfg.Parallelism < 0 {
+		return nil, fmt.Errorf("core: negative Config.Parallelism %d", cfg.Parallelism)
 	}
 	r := rng.New(cfg.Seed)
 	net, err := nn.BuildModel(cfg.ModelNumber, featureCount, r.Rand)
@@ -644,23 +652,12 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// ProposeLayoutContext predicts the throughput of every file at its
-// candidate locations (including not moving it) and returns the layout
-// assigning each file to its best predicted location, with one decision
-// record per file in input order. With probability Epsilon a file is
-// assigned a random device instead — the exploration that keeps the
-// availability picture fresh (§V-H). The engine's validator vets
-// destinations; invalid proposals fall back per the Action Checker rules
-// (select.go).
+// ProposeLayoutContext runs one decision of a bare engine: the body in
+// propose.go, its two halves back to back, as EngineModel.Propose runs it
+// (see Engine.propose for what it decides).
 //
-// The decision runs through the body in propose.go — prepare
-// (invalidation, shortlist, task list), score (runs of files scored end to
-// end on the worker pool), select — and ctx is checked between runs. Only
-// the ε-greedy selection — the part that draws from e.rng — runs serially
-// in file order, so a fixed seed replays identically at any Parallelism.
+//geomancy:allow testonly a decision without a policy plane or a cluster: core's engine tests and the facade's TestTopKPrunedWork drive it
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	var tally scoreTally
-	layout, preds, err := e.decide(ctx, files, &tally)
-	e.metrics.observeScoring(tally)
-	return layout, preds, err
+	e.prepare(files)
+	return e.propose(ctx, files)
 }

@@ -464,8 +464,9 @@ func TestUnknownTargetRejected(t *testing.T) {
 // TestNegativePruningConfigRejected: a negative TopK used to panic in the
 // first pruned decision's shortlist, a negative FullRescanEvery silently
 // turned the cadence rescan off, a negative WindowX left every decision
-// without telemetry and a negative Epochs trained one epoch per fit.
-// NewEngine refuses each, naming the field.
+// without telemetry, a negative Epochs trained one epoch per fit and a
+// negative Parallelism was silently taken for 1. NewEngine refuses each,
+// naming the field.
 func TestNegativePruningConfigRejected(t *testing.T) {
 	db := seedDB(t, 10)
 	for _, tc := range []struct {
@@ -476,6 +477,7 @@ func TestNegativePruningConfigRejected(t *testing.T) {
 		{"FullRescanEvery", Config{TopK: 2, FullRescanEvery: -1}},
 		{"WindowX", Config{WindowX: -5}},
 		{"Epochs", Config{Epochs: -3}},
+		{"Parallelism", Config{Parallelism: -2}},
 	} {
 		_, err := NewEngine(db, testDevices, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field+" ") {

@@ -6,31 +6,30 @@ import (
 	"geomancy/internal/policy"
 )
 
-// proposeScored is ProposeLayoutContext — decide's prepare, score and
-// select, reported — that also returns each file's name→score view of the
-// scores the select stage decided over: the decision's scores of the
-// file's task devices (bytes/s, denormalized and MAE-adjusted). Decision
-// records carry only the chosen device's score, so this is how tests put
-// the whole vector beside the reference scorer.
+// DecideLayout runs one sharded decision cycle over files, its two halves
+// back to back, as the coordinator's Model().Propose does.
+func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
+	s.prepare(files)
+	return s.propose(ctx, files)
+}
+
+// proposeScored is ProposeLayoutContext that also returns each file's
+// name→score view of the scores the select stage decided over: the
+// decision's scores of the file's task devices (bytes/s, denormalized and
+// MAE-adjusted). Decision records carry only the chosen device's score, so
+// this is how tests put the whole vector beside the reference scorer.
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
-	tasks, full, err := e.prepare(files)
+	e.prepare(files)
+	tasks, short := e.prep.tasks, e.prep.short
+	layout, preds, err := e.propose(ctx, files)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var tally scoreTally
-	err = e.score(ctx, files, tasks, &tally)
-	e.metrics.observeScoring(tally)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if full {
-		e.endFullPass(files, tasks)
-	}
-	layout, preds := e.selectLayout(files, tasks)
 	scores := make([]map[string]float64, len(files))
+	var buf []int
 	for i, t := range tasks {
 		scores[i] = make(map[string]float64)
-		for k, j := range t.devs {
+		for k, j := range t.devices(&buf, short) {
 			scores[i][e.devices[j]] = e.pool.scores[t.base+k]
 		}
 	}

@@ -199,8 +199,10 @@ func NewPolicyLoop(db *replaydb.DB, cluster *storagesim.Cluster, runner Workload
 // SetModel installs the engine bridge behind the loop's policy: its
 // training reports drain into the TrainLog after every proposal, and its
 // engine surfaces on the Engine field for inspection and checkpointing.
-// NewNamedLoop installs the bridge automatically; a nil model detaches
-// (baseline policies).
+// With a bridge installed the policy is a learned one, so the loop's
+// snapshots leave DeviceInfo.Throughput zero, which no learned policy
+// reads. NewNamedLoop installs the bridge automatically; a nil model
+// detaches (baseline policies).
 func (l *Loop) SetModel(m *EngineModel) {
 	l.model = m
 	if m != nil {
@@ -305,18 +307,24 @@ func ReplayHorizon(cfg Config) replaydb.Horizon {
 // (lastAccess), and access counts (accesses). The loop and the experiment
 // harness's loop-less bootstrap both decide from it.
 func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64) policy.State {
+	return policyState(db, cluster, files, lastAccess, accesses, true)
+}
+
+// policyState is PolicyState, with each device's mean throughput walked
+// from its window only when means is set; otherwise DeviceInfo.Throughput
+// stays zero.
+func policyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64, means bool) policy.State {
 	names := cluster.DeviceNames()
 	s := policy.State{
 		Devices: make([]policy.DeviceInfo, 0, len(names)),
 		Files:   make([]policy.FileInfo, 0, len(files)),
 	}
 	for _, name := range names {
-		dev := cluster.Device(name)
-		s.Devices = append(s.Devices, policy.DeviceInfo{
-			Name:       name,
-			Throughput: db.MeanThroughputByDevice(name, policyThroughputWindow),
-			Free:       dev.Free(),
-		})
+		d := policy.DeviceInfo{Name: name, Free: cluster.Device(name).Free()}
+		if means {
+			d.Throughput = db.MeanThroughputByDevice(name, policyThroughputWindow)
+		}
+		s.Devices = append(s.Devices, d)
 	}
 	layout := cluster.Layout()
 	for _, f := range files {
@@ -351,9 +359,12 @@ func (l *Loop) Decide(ctx context.Context) error {
 
 // decideCycle runs one full decision: snapshot the system, ask the
 // policy, filter the proposal through the movement scheduler, apply it,
-// and record the movements.
+// and record the movements. A loop holding an engine bridge drives a
+// learned policy, which decides from the working set alone and reads no
+// device's throughput, so its snapshot skips the per-device means.
 func (l *Loop) decideCycle(ctx context.Context, run int) error {
-	layout, err := l.Policy.Propose(ctx, PolicyState(l.DB, l.Cluster, l.Workload.Files(), l.lastAccess, l.accesses))
+	state := policyState(l.DB, l.Cluster, l.Workload.Files(), l.lastAccess, l.accesses, l.model == nil)
+	layout, err := l.Policy.Propose(ctx, state)
 	if l.model != nil {
 		l.trainLog = append(l.trainLog, l.model.Reports()...)
 	}

@@ -18,11 +18,20 @@ type EngineModel struct {
 	// Engine is the engine that trains: the only one when unsharded, the
 	// global one behind a sharded coordinator.
 	Engine *Engine
-	// decide produces a proposal's decisions: the engine's own pipeline,
-	// or the coordinator's DecideLayout over its shard engines.
-	decide func(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error)
+	// decider produces a proposal's decisions: the engine's own body, or
+	// the coordinator's over its shard engines.
+	decider decider
 
 	reports []TrainReport
+}
+
+// decider is a decision body in its two halves (propose.go): prepare reads
+// no model and commits nothing, propose finishes what prepare left under
+// the model the last fit wrote and reports its scoring. *Engine and
+// *Sharded implement it; one decision is in flight at a time.
+type decider interface {
+	prepare(files []policy.FileInfo)
+	propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error)
 }
 
 // NewModel bridges the engine to the policy plane and wires it to the
@@ -33,7 +42,7 @@ type EngineModel struct {
 func (e *Engine) NewModel(cluster *storagesim.Cluster) *EngineModel {
 	e.SetSummarySource(cluster.DeviceSummaries)
 	e.valid = cluster.CanPlace
-	return &EngineModel{Engine: e, decide: e.ProposeLayoutContext}
+	return &EngineModel{Engine: e, decider: e}
 }
 
 // Retrain implements policy.Model: one full training cycle.
@@ -64,7 +73,54 @@ func (m *EngineModel) Update(ctx context.Context) error {
 // Propose implements policy.Model: one batched ε-greedy proposal over
 // the snapshot's working set.
 func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]string, []policy.Prediction, error) {
-	return m.decide(ctx, s.Files)
+	m.decider.prepare(s.Files)
+	return m.decider.propose(ctx, s.Files)
+}
+
+// Prepare implements policy.Preparer. At Config.Parallelism > 1 it starts
+// the model-free half of the proposal over s on one helper goroutine, to
+// run beside the retrain the policy runs next; at 1 that half runs in the
+// returned proposal's Propose, after the retrain, as Propose alone runs
+// it. The helper reads the ReplayDB, the cluster and the feature caches,
+// never the model or an RNG, and commits nothing until Propose, so either
+// way the proposal is the one Retrain then Propose makes.
+func (m *EngineModel) Prepare(s policy.State) policy.Prepared {
+	p := &preparedProposal{m: m, files: s.Files}
+	if m.Engine.cfg.Parallelism > 1 {
+		p.done = make(chan struct{})
+		go func() {
+			defer close(p.done)
+			m.decider.prepare(s.Files)
+		}()
+	}
+	return p
+}
+
+// preparedProposal is a proposal Prepare started. done is closed once the
+// helper has prepared it, nil when Propose prepares it itself.
+type preparedProposal struct {
+	m     *EngineModel
+	files []policy.FileInfo
+	done  chan struct{}
+}
+
+// Propose implements policy.Prepared: it joins the helper, or prepares,
+// then finishes the decision under the model the retrain left.
+func (p *preparedProposal) Propose(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
+	if p.done == nil {
+		p.m.decider.prepare(p.files)
+	} else {
+		<-p.done
+	}
+	return p.m.decider.propose(ctx, p.files)
+}
+
+// Abandon implements policy.Prepared: it joins the helper and drops what
+// it prepared, which the next proposal's prepare overwrites.
+func (p *preparedProposal) Abandon() {
+	if p.done != nil {
+		<-p.done
+	}
 }
 
 // Reports drains the training reports accumulated since the last drain.

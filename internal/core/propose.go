@@ -12,22 +12,35 @@ import (
 	"geomancy/internal/policy"
 )
 
-// The engine has one decision body, decide, in three stages:
+// The engine has one decision body in two halves. prepare is the half that
+// reads no model; finish is the half that does:
 //
-//	prepare — invalidation, the shortlist and the task list: which
-//	          (file, device) pairings this decision scores. Serial.
-//	score   — one parallelFor over runs of consecutive files, the only
-//	          goroutine fan-out of a decision. A worker takes its run end to
-//	          end on its own lane: stale features gathered, candidate rows
-//	          written into the lane's input block, one serial
-//	          nn.ForwardBatch, scores written into the decision's score
-//	          slice, each file's greedy pick made. Draws no randomness.
-//	select  — the full-pass epilogue and the serial ε-greedy selection
-//	          (the only stage that draws from e.rng).
+//	prepare — the dirty set, the shortlist, the task list (which (file,
+//	          device) pairings this decision scores) and the feature
+//	          gather of every file whose cached ingredients are stale.
+//	          Serial. It reads the ReplayDB, the cluster's summaries and
+//	          the feature cache, writes only the engine's prepared
+//	          decision (e.prep) and commits nothing.
+//	finish  — commit: the cadence step, the dirty watermark and the
+//	          gathered features into the cache (prune.go); score: one
+//	          parallelFor over runs of consecutive files, a worker taking
+//	          its run end to end on its own lane (candidate rows written
+//	          into the lane's input block, one serial nn.ForwardBatch,
+//	          scores written into the decision's score slice, each file's
+//	          greedy pick made), drawing no randomness; select: the serial
+//	          ε-greedy selection, the only stage that draws from e.rng.
 //
-// ProposeLayoutContext runs the body once; Sharded.DecideLayout runs it
-// shard by shard on the shard engines, which share the global engine's
-// scoring pool. Either reports what scoring did once per call.
+// EngineModel.Propose runs the halves back to back. A Geomancy policy
+// over an EngineModel at Config.Parallelism > 1 runs prepare on one helper
+// goroutine while the caller retrains, and finish once the fit has
+// succeeded (policybridge.go). prepare reads nothing a fit writes and no
+// RNG, and a fit that fails is never finished, so the overlapped decision
+// is the serial one bit for bit, and a failed fit leaves the cadence, the
+// watermark and the cache as the serial path does. A decision therefore
+// has two fan-outs: that helper, beside the fit, and the scoring workers.
+// A sharded coordinator prepares every shard engine, then finishes them
+// one after another; the shard engines share the global engine's scoring
+// pool. Either reports what scoring did once per call.
 //
 // The body has one input type and one output type: the policy snapshot's
 // own []policy.FileInfo goes in (never copied) and one policy.Prediction
@@ -39,31 +52,52 @@ import (
 // decisions (prune.go).
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
-// rescan) is the same body run with every file invalidated and every
-// device shortlisted: prepare forks once to choose the invalidation set
-// and the shortlist, decide once for the full-pass epilogue.
+// rescan) is the same body run with every file stale and every device
+// shortlisted; its commit makes the pass's entries the whole cache.
 
 // scorePool is what the scoring loop reuses from one decision to the
-// next: one lane per worker, and the run boundaries, candidate devices and
-// scores of the decision in flight. The global engine owns it; shard
-// engines share it by pointer, as they share its model, because shards
-// decide, selection included, one at a time.
+// next: one lane per worker, and the run boundaries and scores of the
+// decision in flight. The global engine owns it; shard engines share it by
+// pointer, as they share its model, because shards finish, selection
+// included, one at a time.
 type scorePool struct {
 	lanes []*scoreLane
 	runs  []int
-	// devs holds the device lists of the tasks whose current device is not
-	// shortlisted (pruneTasks); scores[t.base+k] is the score of task t's
-	// device t.devs[k] (bytes/s, denormalized and MAE-adjusted).
-	devs   []int
+	// scores[t.base+k] is the score of task t's k-th device (bytes/s,
+	// denormalized and MAE-adjusted).
 	scores []float64
 }
 
+// prepared is one decision's model-free half, as prepare leaves it for
+// finish. Every engine, shard engines included, owns its own, so a
+// coordinator can prepare all its shards before finishing the first.
+type prepared struct {
+	full bool
+	// staleAll marks every cached entry stale: a full pass, or a store
+	// without a ChangeTracker.
+	staleAll bool
+	// watermark is the store's watermark when prepare began, the one
+	// commit advances the dirty watermark to.
+	watermark uint64
+	// stale holds the cached entries of files whose telemetry changed
+	// since the last watermark, in or out of the working set; its storage
+	// is reused from one decision to the next.
+	stale []*fileCache
+	// short is the decision's device shortlist, ascending, and tasks its
+	// work list, one task per file, which finish drops once it has
+	// selected.
+	short []int
+	tasks []scoreTask
+}
+
 // scoreLane is one scoring worker's buffers: the input rows of the run it
-// is on and the forward pass's scratch. A run holds at most nn.BlockRows
-// rows unless one file alone has more, so a lane stays block-sized however
-// many rows a decision scores.
+// is on, the device list of a task whose file's current device is not
+// shortlisted (scoreTask.devices) and the forward pass's scratch. A run
+// holds at most nn.BlockRows rows unless one file alone has more, so a
+// lane stays block-sized however many rows a decision scores.
 type scoreLane struct {
 	in      *mat.Matrix
+	devs    []int
 	scratch nn.Scratch
 }
 
@@ -74,68 +108,81 @@ type scoreTally struct {
 	took time.Duration
 }
 
-// decide runs one decision over files: prepare, score, select. It adds
-// what its scoring did to tally, for the caller to report once.
-func (e *Engine) decide(ctx context.Context, files []policy.FileInfo, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
-	tasks, full, err := e.prepare(files)
-	if err != nil {
+// prepare runs the model-free half of a decision over files into e.prep:
+// the dirty set (everything, on an all-device pass), the shortlist, and
+// the task list, one task per file, with every stale file's features
+// gathered. It reads e.decisionCount, e.lastWatermark and the cache, and
+// changes none of them.
+func (e *Engine) prepare(files []policy.FileInfo) {
+	p := &e.prep
+	p.full = e.cfg.TopK == 0 || e.fullRescanDue()
+	p.staleAll = p.full || e.tracker == nil
+	p.stale = p.stale[:0]
+	if e.tracker != nil {
+		// Taken before the dirty set and the gather, so a record appended
+		// meanwhile is past it and dirties its file next time.
+		p.watermark = e.tracker.Watermark()
+	}
+	var changed []int64
+	if p.full {
+		p.short = e.allDevices()
+	} else {
+		changed = e.dirtySet()
+		p.short = e.deviceShortlist()
+	}
+	p.tasks = make([]scoreTask, len(files))
+	base := 0
+	for i, f := range files {
+		t := &p.tasks[i]
+		*t = scoreTask{ent: e.cache[f.ID], base: base, extra: -1}
+		if cur, ok := e.devIndex[f.Device]; ok {
+			if _, in := slices.BinarySearch(p.short, cur); !in {
+				t.extra = int32(cur)
+			}
+		}
+		n := t.rows(p.short)
+		if p.current(t.ent, f, changed) {
+			t.feat = t.ent.feat
+		} else if n > 0 {
+			t.feat = e.gatherFileFeatures(f)
+		}
+		base += n
+	}
+}
+
+// finish runs the model half of the decision prepare left for files:
+// commit, score, select. It adds what its scoring did to tally, for the
+// caller to report once.
+func (e *Engine) finish(ctx context.Context, files []policy.FileInfo, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
+	if !e.trained {
+		return nil, nil, ErrNotTrained
+	}
+	e.commit(files)
+	p := &e.prep
+	if err := e.score(ctx, files, p.tasks, tally); err != nil {
 		return nil, nil, err
 	}
-	if err := e.score(ctx, files, tasks, tally); err != nil {
-		return nil, nil, err
-	}
-	if full {
-		e.endFullPass(files, tasks)
-	}
-	layout, preds := e.selectLayout(files, tasks)
+	layout, preds := e.selectLayout(files, p.tasks)
+	p.tasks = nil
 	return layout, preds, nil
 }
 
-// prepare runs a decision up to scoring: it advances the decision counter,
-// marks stale what changed (everything, on an all-device pass, which full
-// reports) and builds the task list over the shortlist.
-func (e *Engine) prepare(files []policy.FileInfo) (tasks []scoreTask, full bool, err error) {
-	if !e.trained {
-		return nil, false, ErrNotTrained
-	}
-	full = e.cfg.TopK == 0 || e.fullRescanDue()
-	e.decisionCount++
-	var short []int
-	if full {
-		e.invalidateAll()
-		short = e.allDevices()
-	} else {
-		e.invalidateChanged()
-		short = e.deviceShortlist()
-	}
-	return e.pruneTasks(files, short), full, nil
-}
-
-// pruneTasks builds the work list, one task per file: the shortlist ∪
-// {current device}, ascending. With the all-device shortlist that is the
-// full file-major files×devices grid. A file on a shortlisted device
-// shares short itself; any other gets its own list, short with its device
-// inserted, in the pool's devs. A list made before devs grows keeps
-// pointing at the old array, whose contents never change again.
-func (e *Engine) pruneTasks(files []policy.FileInfo, short []int) []scoreTask {
-	tasks := make([]scoreTask, len(files))
-	p := e.pool
-	p.devs = p.devs[:0]
-	total := 0
-	for i, f := range files {
-		devs := short
-		if cur, ok := e.devIndex[f.Device]; ok {
-			if at, in := slices.BinarySearch(short, cur); !in {
-				n := len(p.devs)
-				p.devs = append(append(append(p.devs, short[:at]...), cur), short[at:]...)
-				devs = p.devs[n:len(p.devs):len(p.devs)]
-			}
-		}
-		tasks[i] = scoreTask{ent: e.ensureCache(f), devs: devs, base: total}
-		total += len(devs)
-	}
-	p.scores = slices.Grow(p.scores[:0], total)[:total]
-	return tasks
+// propose finishes the decision prepare left for files and reports its
+// scoring: it predicts the throughput of every file at its candidate
+// locations (including not moving it) and returns the layout assigning
+// each file to its best predicted location, with one decision record per
+// file in input order. With probability Epsilon a file is assigned a
+// random device instead — the exploration that keeps the availability
+// picture fresh (§V-H). The engine's validator vets destinations; invalid
+// proposals fall back per the Action Checker rules (select.go). ctx is
+// checked between scoring runs. Only the ε-greedy selection — the part
+// that draws from e.rng — runs serially in file order, so a fixed seed
+// replays identically at any Parallelism.
+func (e *Engine) propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
+	var tally scoreTally
+	layout, preds, err := e.finish(ctx, files, &tally)
+	e.metrics.observeScoring(tally)
+	return layout, preds, err
 }
 
 // score scores every task's pairings and makes every file's greedy pick,
@@ -146,8 +193,11 @@ func (e *Engine) score(ctx context.Context, files []policy.FileInfo, tasks []sco
 		return nil
 	}
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
-	p := e.pool
-	p.runs = runStarts(p.runs[:0], tasks)
+	p, short := e.pool, e.prep.short
+	last := &tasks[len(tasks)-1]
+	total := last.base + last.rows(short)
+	p.scores = slices.Grow(p.scores[:0], total)[:total]
+	p.runs = runStarts(p.runs[:0], tasks, total)
 	workers := min(e.cfg.Parallelism, len(p.runs)-1)
 	for len(p.lanes) < workers {
 		p.lanes = append(p.lanes, &scoreLane{})
@@ -156,21 +206,25 @@ func (e *Engine) score(ctx context.Context, files []policy.FileInfo, tasks []sco
 		lo, hi := p.runs[r], p.runs[r+1]
 		e.scoreRun(p.lanes[w], files[lo:hi], tasks[lo:hi])
 	})
-	last := tasks[len(tasks)-1]
-	tally.rows += last.base + len(last.devs)
+	tally.rows += total
 	tally.took += time.Since(start) //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
 	return err
 }
 
-// runStarts cuts the tasks into runs of consecutive files: a run ends
-// before the file whose rows would take it past nn.BlockRows, unless it
-// has no rows yet. It appends to starts each run's first task index, then
-// len(tasks). Files with nothing to score join the run they fall in.
-func runStarts(starts []int, tasks []scoreTask) []int {
+// runStarts cuts the tasks, whose rows end at total, into runs of
+// consecutive files: a run ends before the file whose rows would take it
+// past nn.BlockRows, unless it has no rows yet. It appends to starts each
+// run's first task index, then len(tasks). Files with nothing to score
+// join the run they fall in.
+func runStarts(starts []int, tasks []scoreTask, total int) []int {
 	starts = append(starts, 0)
 	lo := 0 // the first row of the open run
-	for i, t := range tasks {
-		if t.base > lo && t.base+len(t.devs)-lo > nn.BlockRows {
+	for i := range tasks {
+		end := total
+		if i+1 < len(tasks) {
+			end = tasks[i+1].base
+		}
+		if t := &tasks[i]; t.base > lo && end-lo > nn.BlockRows {
 			starts = append(starts, i)
 			lo = t.base
 		}
@@ -178,39 +232,36 @@ func runStarts(starts []int, tasks []scoreTask) []int {
 	return append(starts, len(tasks))
 }
 
-// scoreRun takes one run of files through scoring on lane l: it gathers
-// the raw feature ingredients a file with rows to score lacks (the file's
-// typical access, stamped at the most recent known time), writes the
-// run's candidate rows into the lane's input block, forwards them, writes
-// each score into the decision's score slice, and picks each file's greedy
-// destination. Runs touch disjoint tasks, entries and scores, and nothing
-// here draws from e.rng, so runs may score in any order on any worker.
+// scoreRun takes one run of files through scoring on lane l: it writes the
+// run's candidate rows from the features prepare resolved into the lane's
+// input block, forwards them, writes each score into the decision's score
+// slice, and picks each file's greedy destination. Runs touch disjoint
+// tasks and scores, and nothing here draws from e.rng, so runs may score
+// in any order on any worker.
 func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTask) {
-	last := tasks[len(tasks)-1]
+	short := e.prep.short
+	last := &tasks[len(tasks)-1]
 	base := tasks[0].base
 	var out *mat.Matrix
-	if rows := last.base + len(last.devs) - base; rows > 0 {
+	if rows := last.base + last.rows(short) - base; rows > 0 {
 		l.in = mat.Grow(l.in, rows, featureCount)
 		for i, f := range files {
 			t := &tasks[i]
-			if len(t.devs) > 0 && !t.ent.featValid {
-				t.ent.feat = e.gatherFileFeatures(f)
-				t.ent.featValid = true
-			}
-			for k, j := range t.devs {
-				e.candidateRow(l.in.Row(t.base-base+k), t.ent.feat, f.ID, j)
+			for k, j := range t.devices(&l.devs, short) {
+				e.candidateRow(l.in.Row(t.base-base+k), t.feat, f.ID, j)
 			}
 		}
 		out = e.net.ForwardBatch(l.in, nil, &l.scratch)
 	}
 	for i := range tasks {
 		t := &tasks[i]
-		scores := e.pool.scores[t.base : t.base+len(t.devs)]
-		for k := range t.devs {
+		devs := t.devices(&l.devs, short)
+		scores := e.pool.scores[t.base : t.base+len(devs)]
+		for k := range devs {
 			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
 			scores[k] = nn.AdjustPrediction(raw, e.valMetrics)
 		}
-		t.pick = e.greedyPick(t.devs, scores, files[i].Size)
+		t.pick = int32(e.greedyPick(devs, scores, files[i].Size))
 	}
 }
 

@@ -67,22 +67,15 @@ type fileCache struct {
 	feat      fileFeatures
 }
 
-// ensureCache returns the file's entry, creating it, or marking its
-// features stale if the file's size changed. Only a pruning engine retains
-// what it creates; with TopK = 0 every entry is per-decision scratch,
-// private to its slot in the file list.
-func (e *Engine) ensureCache(f policy.FileInfo) *fileCache {
-	ent, ok := e.cache[f.ID]
-	if !ok {
-		ent = &fileCache{size: f.Size}
-		if e.cfg.TopK > 0 {
-			e.cache[f.ID] = ent
-		}
-	} else if ent.size != f.Size {
-		ent.size = f.Size
-		ent.featValid = false
+// current reports whether ent holds f's current feature ingredients: the
+// entry exists, is valid, was gathered for f's size, and neither this pass
+// (staleAll) nor the dirty set (changed, ascending) marks it stale.
+func (p *prepared) current(ent *fileCache, f policy.FileInfo, changed []int64) bool {
+	if ent == nil || p.staleAll || !ent.featValid || ent.size != f.Size {
+		return false
 	}
-	return ent
+	_, dirty := slices.BinarySearch(changed, f.ID)
+	return !dirty
 }
 
 // fullRescanDue reports whether the next pruned-mode decision must be an
@@ -94,6 +87,24 @@ func (e *Engine) fullRescanDue() bool {
 	return e.cfg.FullRescanEvery > 0 && e.decisionCount%uint64(e.cfg.FullRescanEvery) == 0
 }
 
+// dirtySet returns the files whose telemetry moved past the last scoring
+// watermark, ascending, and records in e.prep the cached entries among
+// them. Without a ChangeTracker nothing can be trusted across decisions
+// (e.prep.staleAll); the shortlist still prunes the device axis.
+func (e *Engine) dirtySet() []int64 {
+	if e.tracker == nil {
+		return nil
+	}
+	p := &e.prep
+	changed := e.tracker.FilesChangedSince(e.lastWatermark)
+	for _, id := range changed {
+		if ent, ok := e.cache[id]; ok {
+			p.stale = append(p.stale, ent)
+		}
+	}
+	return changed
+}
+
 // invalidateAll marks every cached entry's features stale.
 func (e *Engine) invalidateAll() {
 	for _, ent := range e.cache {
@@ -101,39 +112,64 @@ func (e *Engine) invalidateAll() {
 	}
 }
 
-// invalidateChanged marks stale the entries of files whose telemetry moved
-// past the last scoring watermark, and advances the watermark. Without a
-// ChangeTracker nothing can be trusted across decisions; the shortlist
-// still prunes the device axis.
-func (e *Engine) invalidateChanged() {
-	if e.tracker == nil {
-		e.invalidateAll()
+// commit makes the prepared decision the engine's, once its model is fit:
+// it steps the cadence, then either closes an all-device pass
+// (endFullPass) or marks stale what the dirty set named, keeps the
+// working set's features and advances the dirty watermark.
+func (e *Engine) commit(files []policy.FileInfo) {
+	p := &e.prep
+	e.decisionCount++
+	if p.full {
+		e.endFullPass(files)
 		return
 	}
-	for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
-		if ent, ok := e.cache[id]; ok {
-			ent.featValid = false
-		}
+	if p.staleAll {
+		e.invalidateAll()
 	}
-	e.lastWatermark = e.tracker.Watermark()
+	for _, ent := range p.stale {
+		ent.featValid = false
+	}
+	e.keep(files)
+	if e.tracker != nil {
+		e.lastWatermark = p.watermark
+	}
+}
+
+// keep stores the features of every file the decision scores as the
+// file's cache entry, creating the entry if the file has none: fresh ones
+// where prepare gathered, the entry's own where it was current. A full
+// pass, whose commit cleared the cache, puts every entry back.
+func (e *Engine) keep(files []policy.FileInfo) {
+	p := &e.prep
+	for i, f := range files {
+		t := &p.tasks[i]
+		if t.rows(p.short) == 0 {
+			continue
+		}
+		if t.ent == nil {
+			t.ent = new(fileCache)
+			e.cache[f.ID] = t.ent
+		} else if p.full {
+			e.cache[f.ID] = t.ent
+		}
+		*t.ent = fileCache{size: f.Size, featValid: true, feat: t.feat}
+	}
 }
 
 // endFullPass closes an all-device pass over files. With pruning on, the
 // pass's entries become the whole cache — files that left the working set
 // drop out, so full passes bound cache growth as well as pruning error —
-// and the dirty watermark advances. With pruning off the entries were
-// per-decision scratch: nothing is retained and the watermark never moves,
-// so an unpruned engine's checkpoints carry no pruning state.
-func (e *Engine) endFullPass(files []policy.FileInfo, tasks []scoreTask) {
+// and the dirty watermark advances. With pruning off nothing is retained
+// and the watermark never moves, so an unpruned engine's checkpoints carry
+// no pruning state.
+func (e *Engine) endFullPass(files []policy.FileInfo) {
 	if e.cfg.TopK == 0 {
 		return
 	}
 	clear(e.cache)
-	for i, f := range files {
-		e.cache[f.ID] = tasks[i].ent
-	}
+	e.keep(files)
 	if e.tracker != nil {
-		e.lastWatermark = e.tracker.Watermark()
+		e.lastWatermark = e.prep.watermark
 	}
 }
 
@@ -188,14 +224,51 @@ func (e *Engine) deviceShortlist() []int {
 	return slices.Compact(out)
 }
 
-// scoreTask is one file's scoring work: its feature entry, the device
-// indices to score (ascending), where its rows — and its scores in the
-// pool's score slice — start among the decision's, and, once its run is
-// scored, the file's greedy pick (select.go). The decision body lives in
-// propose.go: prepare builds the task list via pruneTasks.
+// scoreTask is one file's scoring work: its cache entry (nil if it has
+// none yet) and the feature ingredients its rows are built from, where its
+// rows — and its scores in the pool's score slice — start among the
+// decision's, the file's current device when the decision's shortlist
+// lacks it (-1 otherwise), and, once its run is scored, the file's greedy
+// pick (select.go). The decision body lives in propose.go.
 type scoreTask struct {
-	ent  *fileCache
-	devs []int
-	base int
-	pick int
+	ent   *fileCache
+	feat  fileFeatures
+	base  int
+	extra int32
+	pick  int32
+}
+
+// rows returns how many devices the task scores over shortlist short.
+func (t *scoreTask) rows(short []int) int {
+	if t.extra >= 0 {
+		return len(short) + 1
+	}
+	return len(short)
+}
+
+// devices returns the task's device indices over shortlist short,
+// ascending: short itself when it holds the file's current device (or
+// that device is unknown), else short with it inserted, written into buf.
+func (t *scoreTask) devices(buf *[]int, short []int) []int {
+	if t.extra < 0 {
+		return short
+	}
+	at, _ := slices.BinarySearch(short, int(t.extra))
+	*buf = append(append(append((*buf)[:0], short[:at]...), int(t.extra)), short[at:]...)
+	return *buf
+}
+
+// slot returns where device j sits among the task's devices over short,
+// and whether the task scores it at all.
+func (t *scoreTask) slot(short []int, j int) (int, bool) {
+	k, ok := slices.BinarySearch(short, j)
+	if t.extra >= 0 {
+		if j == int(t.extra) {
+			return k, true
+		}
+		if int(t.extra) < j {
+			k++
+		}
+	}
+	return k, ok
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"geomancy/internal/policy"
-)
+import "geomancy/internal/policy"
 
 // The select stage is the paper's Action Checker, "the last sanity check
 // for file movements in case permissions or availability changes in the
@@ -92,15 +88,14 @@ func (e *Engine) selectLayout(files []policy.FileInfo, tasks []scoreTask) (map[i
 					break
 				}
 			}
-		} else if j, random, ok := e.choose(tasks[i].pick); ok {
+		} else if j, random, ok := e.choose(int(tasks[i].pick)); ok {
 			// The greedy pick, or a random movement when nothing validated.
 			dev, d.Random = j, random
 		}
 		if dev >= 0 {
 			d.Chosen = e.devices[dev]
-			t := &tasks[i]
-			if k, ok := slices.BinarySearch(t.devs, dev); ok {
-				d.Predicted = e.pool.scores[t.base+k]
+			if k, ok := tasks[i].slot(e.prep.short, dev); ok {
+				d.Predicted = e.pool.scores[tasks[i].base+k]
 			}
 		}
 		layout[f.ID] = d.Chosen

@@ -20,7 +20,9 @@ import (
 // coordinator
 //
 //   - routes every file to the shard owning its current device,
-//   - runs the engine's decision body on each shard in turn, whose
+//   - runs the engine's decision body on every shard: the model-free half
+//     (prepare) of each shard first, on each shard engine's own prepared
+//     decision, then the model half (finish) shard by shard, whose
 //     scoring loop fans out over the scoring pool every shard engine
 //     shares with the global engine, through the one model; each shard
 //     draws from its own RNG stream (rng.Split of the coordinator seed)
@@ -40,7 +42,8 @@ import (
 // bit-identical to the unsharded policy.
 //
 // As a policy the coordinator is the embedded policy.Geomancy cycle over
-// Model(), whose proposal is DecideLayout, under its own name and blob.
+// Model(), whose proposal is the coordinator's cycle (prepare, then
+// propose), under its own name and blob.
 type Sharded struct {
 	policy.Geomancy //geomancy:ephemeral stateless cycle over Model(); the shard state is the coordinator's own MarshalState
 
@@ -54,13 +57,19 @@ type Sharded struct {
 
 	// devShard maps a device name to its owning shard index.
 	devShard map[string]int //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
+
+	// routeErr is the prepared cycle's routing failure, which its propose
+	// returns.
+	routeErr error //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 }
 
 // shardUnit is one shard's decision machinery: the engine over the
-// shard's device group, and the shard's counters.
+// shard's device group, the files the prepared cycle routed to it (in
+// input order), and the shard's counters.
 type shardUnit struct {
 	engine *Engine
-	tele   shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
+	files  []policy.FileInfo //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	tele   shardTelemetry    //geomancy:ephemeral metrics counters, re-installed by SetMetrics
 }
 
 // shardTelemetry holds one shard's pre-resolved counters; nil until
@@ -101,7 +110,7 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 		cluster:  cluster,
 		devShard: make(map[string]int),
 	}
-	s.global.decide = s.DecideLayout
+	s.global.decider = s
 	s.Geomancy.Model = s.global
 	for i, group := range groups {
 		for _, name := range group {
@@ -142,8 +151,8 @@ func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign fu
 }
 
 // Model returns the policy-plane bridge: it trains the global engine and
-// proposes through DecideLayout; the loop drains training reports
-// through it.
+// proposes through the coordinator's cycle; the loop drains training
+// reports through it.
 func (s *Sharded) Model() *EngineModel { return s.global }
 
 // SetMetrics installs per-shard decision/escalation/migration counters,
@@ -159,32 +168,64 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// DecideLayout runs one sharded decision cycle over the working set:
-// route each file to the shard owning its current device, run each
-// shard's decision on its own engine and RNG stream, report the cycle's
-// scoring once, then merge in fixed shard order with cross-shard
-// escalation. The merged decision list is ordered by shard, preserving
-// input file order within each shard. The bytes escalations claim on a
-// device live in a map that dies with the call.
-func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	// Route files to their owning shards, preserving input order.
-	routed := make([][]policy.FileInfo, len(s.units))
+// A sharded decision cycle over the working set routes each file to the
+// shard owning its current device, runs each shard's decision on its own
+// engine and RNG stream, reports the cycle's scoring once, then merges in
+// fixed shard order with cross-shard escalation. The merged decision list
+// is ordered by shard, preserving input file order within each shard. The
+// bytes escalations claim on a device live in a map that dies with the
+// cycle.
+
+// prepare runs the model-free half of a cycle: it routes files to their
+// owning shards, preserving input order, into one array cut per shard, and
+// prepares every shard engine's decision over its files. A file no shard
+// owns stops the routing; the cycle's propose reports it.
+func (s *Sharded) prepare(files []policy.FileInfo) {
+	s.routeErr = nil
+	counts := make([]int, len(s.units))
 	for _, f := range files {
 		i, ok := s.devShard[f.Device]
 		if !ok {
-			return nil, nil, fmt.Errorf("core: file %d is on device %q, which no shard owns", f.ID, f.Device)
+			s.routeErr = fmt.Errorf("core: file %d is on device %q, which no shard owns", f.ID, f.Device)
+			return
 		}
-		routed[i] = append(routed[i], f)
+		counts[i]++
 	}
+	routed := make([]policy.FileInfo, len(files))
+	for i, n := range counts {
+		s.units[i].files, routed = routed[:0:n], routed[n:]
+	}
+	for _, f := range files {
+		u := &s.units[s.devShard[f.Device]]
+		u.files = append(u.files, f)
+	}
+	for i := range s.units {
+		u := &s.units[i]
+		u.engine.prepare(u.files)
+	}
+}
 
-	// Decide shard by shard. A shard engine touches only its own entries
+// propose runs the model half of the cycle prepare left: every shard
+// engine's finish, the scoring reported once, then the merge. The routed
+// files are dropped with the cycle.
+func (s *Sharded) propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
+	defer func() {
+		for i := range s.units {
+			s.units[i].files = nil
+		}
+	}()
+	if s.routeErr != nil {
+		return nil, nil, s.routeErr
+	}
+	// Finish shard by shard. A shard engine touches only its own entries
 	// and stream, so the order is free; every decision is made before the
 	// first escalation claims anything.
 	decs := make([][]policy.Prediction, len(s.units))
 	var tally scoreTally
 	for i := range s.units {
+		u := &s.units[i]
 		var err error
-		if _, decs[i], err = s.units[i].engine.decide(ctx, routed[i], &tally); err != nil {
+		if _, decs[i], err = u.engine.finish(ctx, u.files, &tally); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -201,7 +242,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 		s.units[i].tele.decisions.Add(uint64(len(decs[i])))
 		for k := range decs[i] {
 			d := &decs[i][k]
-			s.escalate(i, d, digest, routed[i][k].Size, claims)
+			s.escalate(i, d, digest, s.units[i].files[k].Size, claims)
 			layout[d.FileID] = d.Chosen
 		}
 		decisions = append(decisions, decs[i]...)

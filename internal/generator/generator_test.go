@@ -1,7 +1,10 @@
 package generator
 
 import (
+	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"geomancy/internal/rng"
@@ -201,5 +204,40 @@ func TestSizeHistogramValidation(t *testing.T) {
 	}
 	if _, err := NewSizeHistogram([]SizeBucket{{Lo: 1, Hi: 2, Weight: 0}}); err == nil {
 		t.Error("zero-weight bucket accepted")
+	}
+}
+
+// Next's constants are derived once per generator, not per draw: a
+// generator draws the first 10 000 ranks of a fixed seed exactly as the
+// per-draw arithmetic did (testdata/zipfian_4096.golden, taken from it),
+// and one restored from that generator's State draws them again.
+func TestZipfianGoldenDraws(t *testing.T) {
+	raw, err := os.ReadFile("testdata/zipfian_4096.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, f := range strings.Fields(string(raw)) {
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, v)
+	}
+	if len(want) != 10000 {
+		t.Fatalf("golden list holds %d draws, want 10000", len(want))
+	}
+	z := NewZipfian(4096, ZipfianTheta)
+	restored := NewZipfian(7, 0.5)
+	if err := restored.RestoreState(z.State()); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Zipfian{"original": z, "restored": restored} {
+		r := rng.New(1)
+		for i, w := range want {
+			if got := g.Next(r); got != w {
+				t.Fatalf("%s: draw %d = %d, golden %d", name, i, got, w)
+			}
+		}
 	}
 }

@@ -24,10 +24,13 @@ type Zipfian struct {
 	theta float64
 	zetan float64 // ζ(items, θ), the normalizer
 
-	// Derived constants (functions of theta only).
-	//geomancy:ephemeral recomputed from theta by deriveConstants on construction and restore
-	zeta2theta float64
-	alpha      float64 //geomancy:ephemeral recomputed from theta by deriveConstants on construction and restore
+	// Derived constants (functions of theta, items and zetan): Next's
+	// rank-1 threshold 1 + 0.5^θ, and the η and 1/(1-θ) of its rank
+	// formula.
+	//geomancy:ephemeral recomputed from theta, items and zetan by deriveConstants on construction and restore
+	rank1 float64
+	eta   float64 //geomancy:ephemeral recomputed from theta, items and zetan by deriveConstants on construction and restore
+	alpha float64 //geomancy:ephemeral recomputed from theta by deriveConstants on construction and restore
 }
 
 // NewZipfian returns a zipfian generator over ranks [0, items) with
@@ -45,7 +48,8 @@ func NewZipfian(items int64, theta float64) *Zipfian {
 }
 
 func (z *Zipfian) deriveConstants() {
-	z.zeta2theta = zeta(2, z.theta)
+	z.rank1 = 1 + math.Pow(0.5, z.theta)
+	z.eta = (1 - math.Pow(2/float64(z.items), 1-z.theta)) / (1 - zeta(2, z.theta)/z.zetan)
 	z.alpha = 1 / (1 - z.theta)
 }
 
@@ -65,11 +69,10 @@ func (z *Zipfian) Next(r *rng.RNG) int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
-	eta := (1 - math.Pow(2/float64(z.items), 1-z.theta)) / (1 - z.zeta2theta/z.zetan)
-	rank := int64(float64(z.items) * math.Pow(eta*u-eta+1, z.alpha))
+	rank := int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 	if rank >= z.items {
 		rank = z.items - 1
 	}
