@@ -150,3 +150,21 @@ func TestUnknownTargetIsUsageError(t *testing.T) {
 		t.Errorf("output does not name the bad -target value:\n%s", out.String())
 	}
 }
+
+// TestNegativeParallelIsUsageError: a negative -parallel stops the command
+// with a usage error naming the flag, as the facade refuses
+// WithParallelism(-3), instead of silently running at GOMAXPROCS.
+func TestNegativeParallelIsUsageError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-parallel", "-3", "-runs", "1")
+	cmd.Env = append(os.Environ(), "GEOMANCY_RUN_MAIN=1")
+	var out strings.Builder
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-parallel -3: %v, want exit status 2\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "-parallel must be 0 (GOMAXPROCS) or more, not -3") {
+		t.Errorf("output does not name the bad -parallel value:\n%s", out.String())
+	}
+}

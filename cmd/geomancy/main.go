@@ -55,8 +55,8 @@ func main() {
 	model := flag.Int("model", 1, "dense Table I architecture number (1-11)")
 	epsilon := flag.Float64("epsilon", 0.1, "exploration rate")
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
-	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time, and above 1 one more preparing the decision beside the retrain (0 = GOMAXPROCS); speed only, never changes a result")
-	shards := flag.Int("shards", 0, "partition devices into N placement shards, decided one after another through one scoring loop (0 = unsharded)")
+	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time (every shard's runs in one loop), and above 1 one more preparing the decision beside the retrain (0 = GOMAXPROCS, negative is refused); speed only, never changes a result")
+	shards := flag.Int("shards", 0, "partition devices into N placement shards, whose candidates are scored in one loop and selected shard by shard (0 = unsharded)")
 	topK := flag.Int("topk", 0, "candidate pruning: score only the top k devices by recent throughput (0 = exhaustive scoring)")
 	fullRescan := flag.Int("full-rescan-every", 0, "with -topk: every Nth decision re-scores the full candidate space (0 = default 8)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory: resume from it on start, checkpoint into it while running (empty = disabled)")
@@ -90,7 +90,12 @@ func main() {
 		return
 	}
 
-	if *parallel <= 0 {
+	switch {
+	case *parallel < 0:
+		fmt.Fprintf(os.Stderr, "geomancy: -parallel must be 0 (GOMAXPROCS) or more, not %d\n", *parallel)
+		flag.Usage()
+		os.Exit(2)
+	case *parallel == 0:
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 	reg := geomancy.NewMetrics()

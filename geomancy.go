@@ -100,7 +100,8 @@ type DeviceProfile = storagesim.DeviceProfile
 type AccessResult = storagesim.AccessResult
 
 // Observer receives every access's telemetry, tagged with the workload id
-// and run index. Observers run synchronously on the access path.
+// and run index, in access order, after the access is recorded (see
+// WithObserver for the goroutine it runs on).
 type Observer = workload.Observer
 
 // RetryPolicy bounds every agent RPC in the distributed deployment:
@@ -255,15 +256,19 @@ func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = tru
 // WithParallelism bounds a decision's goroutines. The engine's scoring
 // loop cuts a decision's files into runs of about 256 candidate rows, and
 // up to n goroutines each take a run end to end — rows written and
-// forwarded, scores and greedy picks written back; with WithShards the
-// shards go through that loop one after another. Above 1, the geomancy
+// forwarded, scores and greedy picks written back; with WithShards every
+// shard's runs go through that loop in one fan-out. Above 1, the geomancy
 // policy also runs the decision's model-free half — the dirty set, the
 // device shortlist, the task list and the feature gather — on one helper
-// goroutine while the model retrains. The default is
-// runtime.GOMAXPROCS(0). n is a matter of speed only and never affects a
-// result: equal seeds give the same layouts, run stats and train log, bit
-// for bit, at any n and on any machine. The fit itself is not threaded —
-// every minibatch runs whole on one goroutine. New refuses a negative n.
+// goroutine while the model retrains, and a run of a learned policy
+// records its telemetry (ReplayDB appends, the recency and frequency
+// bookkeeping, the observers) on one goroutine beside the simulation,
+// except under WithDistributed, whose monitoring agents record on the
+// caller. The default is runtime.GOMAXPROCS(0). n is a matter of speed
+// only and never affects a result: equal seeds give the same layouts, run
+// stats, telemetry and train log, bit for bit, at any n and on any
+// machine. The fit itself is not threaded — every minibatch runs whole on
+// one goroutine. New refuses a negative n.
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTopK enables the engine's candidate pruning: each decision scores a
@@ -289,19 +294,24 @@ func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan =
 // model the global engine trains, and placements a shard clearly cannot
 // serve escalate to the cluster-wide throughput digest, admitted only
 // while that device can hold them on top of the bytes the cycle's earlier
-// escalations claimed there. Shards decide one after another, each
-// through the same scoring loop on the WithParallelism workers, which
-// never affects a result (fixed merge order, per-shard RNG streams). n = 1 is
+// escalations claimed there. Every shard's candidates are scored in one
+// fan-out of the scoring loop on the WithParallelism workers, and shards
+// select one after another, which never affects a result (fixed merge
+// order, per-shard RNG streams). n = 1 is
 // bit-identical to the unsharded engine; n = 0 (the default) disables
 // sharding entirely. Devices are grouped contiguously in profile order.
 // Only the default "geomancy" policy shards — combining WithShards with
 // another WithPolicy fails New.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
-// WithObserver taps every access's telemetry: fn runs synchronously for
-// each AccessResult the workload produces, during bootstrap and tuned runs
-// alike. Use it to stream per-access data into custom sinks without
-// wiring a full telemetry registry.
+// WithObserver taps every access's telemetry: fn runs for each
+// AccessResult the workload produces, during bootstrap and tuned runs
+// alike, in access order, after the access is recorded, and every call
+// returns before Run does. At WithParallelism above 1 (the default on a
+// multi-core machine) the calls are made on a recording goroutine, one at
+// a time, while the caller simulates the rest of the run, so fn must not
+// read what the simulation changes (the layout, the cluster, Stats). Use it to stream per-access data into custom sinks
+// without wiring a full telemetry registry.
 func WithObserver(fn Observer) Option { return func(c *config) { c.observer = fn } }
 
 // WithTelemetry reports every layer of the system — per-device access

@@ -81,16 +81,20 @@ type Config struct {
 	// Parallelism bounds a decision's goroutines. The scoring loop takes
 	// its runs of consecutive files (about nn.BlockRows candidate rows
 	// each) end to end — rows written, forwarded, scores written back,
-	// greedy picks made — on up to this many, under a coordinator one
-	// shard after another. Above 1, a Geomancy policy also runs the
+	// greedy picks made — on up to this many, under a coordinator every
+	// shard's runs in one fan-out. Above 1, a Geomancy policy also runs the
 	// decision's model-free half (dirty set, shortlist, task list, feature
-	// gather; propose.go) on one helper goroutine beside the retrain. It is
-	// a matter of speed only and never changes a result: scoring is
-	// row-independent, the helper reads nothing the fit writes and commits
-	// nothing until the fit has succeeded, the layout-deciding randomness
-	// stays on one goroutine, and the fit itself is not threaded — a
-	// minibatch runs whole on the caller's goroutine. Default 1. NewEngine
-	// refuses a negative Parallelism.
+	// gather; propose.go) on one helper goroutine beside the retrain, and a
+	// Loop driving this engine that appends to its own ReplayDB records
+	// each run's accesses on one goroutine beside the simulation
+	// (Loop.RunOnceContext). It is a matter of speed only and never changes
+	// a result: scoring is row-independent, the helper reads nothing the
+	// fit writes and commits nothing until the fit has succeeded, the
+	// recording goroutine takes the accesses in order and is joined before
+	// the run returns, the layout-deciding randomness stays on one
+	// goroutine, and the fit itself is not threaded — a minibatch runs
+	// whole on the caller's goroutine. Default 1. NewEngine refuses a
+	// negative Parallelism.
 	Parallelism int
 	// Target selects the modeled performance metric: "throughput" (the
 	// paper's choice) or "latency" (the §V-C future-work variant — some
@@ -224,6 +228,10 @@ type Engine struct {
 	pool *scorePool //geomancy:ephemeral per-worker scoring buffers, content meaningless between decisions
 	prep prepared   //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 	perm []int      //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
+	// scoreOff is where this engine's scores start in the pool's score
+	// slice: 0 for a lone engine's decision, the shards before it for a
+	// shard engine in a sharded cycle. Every path that scores sets it.
+	scoreOff int //geomancy:ephemeral set by every scoring pass before it is read
 
 	// fsids maps a local device index to the fsid feature value the
 	// model was trained with. Nil means identity (the engine trained over
@@ -659,5 +667,5 @@ func clamp01(v float64) float64 {
 //geomancy:allow testonly a decision without a policy plane or a cluster: core's engine tests and the facade's TestTopKPrunedWork drive it
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	e.prepare(files)
-	return e.propose(ctx, files)
+	return e.propose(ctx)
 }

@@ -10,7 +10,42 @@ import (
 // back to back, as the coordinator's Model().Propose does.
 func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
 	s.prepare(files)
-	return s.propose(ctx, files)
+	return s.propose(ctx)
+}
+
+// proposeShardByShard is the model half of the cycle prepare left, with
+// each shard engine's runs scored in a fan-out of their own and selected
+// before the next shard's are scored, as the coordinator did before one
+// fan-out scored every shard's runs: the reference that one fan-out is held
+// to. Every shard engine commits first, as in the one fan-out, so a
+// cancelled cycle leaves the same state either way.
+func (s *Sharded) proposeShardByShard(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
+	defer func() {
+		for i := range s.units {
+			s.units[i].files = nil
+		}
+	}()
+	if s.routeErr != nil {
+		return nil, nil, s.routeErr
+	}
+	if !s.global.Engine.trained {
+		return nil, nil, ErrNotTrained
+	}
+	for i := range s.units {
+		s.units[i].engine.commit()
+	}
+	decs := make([][]policy.Prediction, len(s.units))
+	for i := range s.units {
+		e := s.units[i].engine
+		var tally scoreTally
+		if err := e.score(ctx, &tally); err != nil {
+			return nil, nil, err
+		}
+		decs[i] = e.selectLayout()
+		e.prep.files, e.prep.tasks = nil, nil
+	}
+	layout, decisions := s.merge(decs)
+	return layout, decisions, nil
 }
 
 // proposeScored is ProposeLayoutContext that also returns each file's
@@ -21,7 +56,7 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
 	e.prepare(files)
 	tasks, short := e.prep.tasks, e.prep.short
-	layout, preds, err := e.propose(ctx, files)
+	layout, preds, err := e.propose(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -30,7 +65,7 @@ func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (ma
 	for i, t := range tasks {
 		scores[i] = make(map[string]float64)
 		for k, j := range t.devices(&buf, short) {
-			scores[i][e.devices[j]] = e.pool.scores[t.base+k]
+			scores[i][e.devices[j]] = e.pool.scores[e.scoreOff+t.base+k]
 		}
 	}
 	return layout, preds, scores, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
@@ -106,12 +108,20 @@ type Loop struct {
 	// and frequency (the view the paper's base cases decide from).
 	lastAccess map[int64]float64
 	accesses   map[int64]int64
-	// Observer, when set, additionally receives every access.
+	// Observer, when set, additionally receives every access, in access
+	// order, after the access is recorded: on the caller, or on the
+	// recording goroutine when the run records beside the simulation
+	// (recordsBeside). Every call returns before RunOnceContext does.
 	Observer workload.Observer
 	// Recorder, when set, replaces the direct ReplayDB append on the
 	// telemetry path — the distributed deployment routes every access
-	// through its monitoring agents instead.
+	// through its monitoring agents instead. A loop with a Recorder records
+	// on the caller.
 	Recorder func(res storagesim.AccessResult, wl, run int) error
+	// ring hands a run's accesses to the recording goroutine; built by the
+	// first run that records beside the simulation, and reused.
+	//geomancy:ephemeral empty between runs, rebuilt on demand
+	ring *recordRing
 	// Pusher, when set, applies decided layouts through the distributed
 	// control plane instead of Runner.ApplyLayout.
 	//geomancy:ephemeral deployment wiring, re-installed on rebuild
@@ -455,21 +465,210 @@ func (l *Loop) applyLayout(layout map[int64]string) ([]storagesim.MoveResult, er
 	return moves, nil
 }
 
+// recordsBeside reports whether a run records its accesses on a recording
+// goroutine beside the simulation rather than on the caller: when the loop
+// appends to its own ReplayDB (no Recorder) and drives an engine whose
+// Config.Parallelism is above 1.
+func (l *Loop) recordsBeside() bool {
+	return l.Recorder == nil && l.model != nil && l.model.Engine.cfg.Parallelism > 1
+}
+
+// queuedAccess is one access on its way to the recording goroutine.
+type queuedAccess struct {
+	res     storagesim.AccessResult
+	wl, run int
+}
+
+// recordSlots is how many accesses the recording ring holds (2 KB, kept on
+// the loop between runs), and recordChunk how many the writer publishes at
+// a time. The caller and the recording goroutine go at about the same
+// pace, so a little slack keeps either from waiting long on the other.
+// recordSpins is how many times the reader yields for an empty ring before
+// it parks.
+const (
+	recordSlots = 16
+	recordChunk = 4
+	recordSpins = 1000
+)
+
+// recordRing is the queue between a run's simulating caller, its only
+// writer, and the recording goroutine, its only reader. Slot i%recordSlots
+// holds the i-th access of the ring's life; tail is how many accesses the
+// writer has published, head how many the reader is done with. Either side
+// waits for the other by yielding (runtime.Gosched): a hand-off then costs
+// an atomic store and load instead of a wake-up of the other core, and all
+// there is to run beside a run is the other side. Only a reader that has
+// yielded recordSpins times in vain parks, until the writer's next publish
+// wakes it, so a workload that stalls does not keep a core spinning. done
+// carries what the reading goroutine panicked with, nil if it did not,
+// once it has read everything.
+type recordRing struct {
+	slots [recordSlots]queuedAccess
+	_     [64]byte // head, tail and the writer's fields on cache lines of their own
+	head  atomic.Uint64
+	_     [56]byte
+	tail  atomic.Uint64
+	_     [56]byte
+	// written and freed are the writer's own: the accesses it has
+	// written, and head as it last read it.
+	written, freed uint64
+	_              [48]byte
+	// closed is set once the writer has published its last access, and
+	// parked while the reader waits on wake.
+	closed, parked atomic.Bool
+	wake           chan struct{}
+	done           chan any
+}
+
+func newRecordRing() *recordRing {
+	return &recordRing{wake: make(chan struct{}, 1), done: make(chan any, 1)}
+}
+
+// push writes one access, waiting while the ring is full, and publishes
+// every recordChunk-th.
+func (r *recordRing) push(a queuedAccess) {
+	w := r.written
+	if w-r.freed == recordSlots {
+		r.publish(w) // the reader may be waiting on what is unpublished
+		for r.freed = r.head.Load(); w-r.freed == recordSlots; r.freed = r.head.Load() {
+			runtime.Gosched()
+		}
+	}
+	r.slots[w%recordSlots] = a
+	r.written = w + 1
+	if r.written%recordChunk == 0 {
+		r.publish(r.written)
+	}
+}
+
+// publish makes the first n accesses readable and wakes a parked reader.
+func (r *recordRing) publish(n uint64) {
+	r.tail.Store(n)
+	r.wakeReader()
+}
+
+// close publishes the rest of the run and marks its end.
+func (r *recordRing) close() {
+	r.tail.Store(r.written)
+	r.closed.Store(true)
+	r.wakeReader()
+}
+
+// wakeReader wakes the reader if it is parked.
+func (r *recordRing) wakeReader() {
+	if r.parked.Load() && r.parked.Swap(false) {
+		r.wake <- struct{}{}
+	}
+}
+
+// await returns once the writer has published past h or closed the ring.
+// Parking is safe against a publish racing it: the reader marks itself
+// parked before it looks at tail a last time, and the writer looks at the
+// mark after it stores tail, so one of them sees the other; whichever side
+// clears the mark settles who sends and who takes the wake-up.
+func (r *recordRing) await(h uint64) {
+	for spins := 0; r.tail.Load() == h && !r.closed.Load(); spins++ {
+		if spins < recordSpins {
+			runtime.Gosched()
+			continue
+		}
+		r.parked.Store(true)
+		if (r.tail.Load() == h && !r.closed.Load()) || !r.parked.Swap(false) {
+			<-r.wake
+		}
+	}
+}
+
+// drain runs record over every access published, in order, until the
+// writer closes the ring, and returns what record panicked with, nil if it
+// did not. A panicking record leaves the rest of the run unrecorded but
+// still frees every slot, so the writer never blocks.
+func (r *recordRing) drain(record workload.Observer) (failure any) {
+	h := r.head.Load()
+	finished := false
+	defer func() {
+		if !finished {
+			failure = recover()
+			for {
+				h = r.tail.Load()
+				r.head.Store(h)
+				if r.closed.Load() && r.tail.Load() == h {
+					break
+				}
+				r.await(h)
+			}
+		}
+	}()
+	for {
+		// tail is stored before closed, so the tail read after a closed
+		// ring is seen is final.
+		closed := r.closed.Load()
+		t := r.tail.Load()
+		for ; h != t; h++ {
+			a := &r.slots[h%recordSlots]
+			record(a.res, a.wl, a.run)
+		}
+		r.head.Store(h)
+		if closed {
+			break
+		}
+		r.await(h)
+	}
+	finished = true
+	return nil
+}
+
+// runBeside executes one workload run with record on a recording goroutine:
+// the caller simulates and queues each access, the goroutine takes them in
+// order. The goroutine is joined before runBeside returns or a panic of the
+// workload propagates, and a panic of record reaches the caller.
+func (l *Loop) runBeside(ctx context.Context, record workload.Observer) (workload.RunStats, error) {
+	if l.ring == nil {
+		l.ring = newRecordRing()
+	}
+	r := l.ring
+	r.closed.Store(false)
+	go func() {
+		var failure any
+		defer func() { r.done <- failure }()
+		failure = r.drain(record)
+	}()
+	defer func() {
+		r.close()
+		if failure := <-r.done; failure != nil {
+			panic(failure)
+		}
+	}()
+	return l.Workload.RunOnceContext(ctx, func(res storagesim.AccessResult, wl, run int) {
+		r.push(queuedAccess{res, wl, run})
+	})
+}
+
 // RunOnceContext executes one workload run and, when the cadence allows,
 // one full decide-and-move cycle, returning the run statistics. ctx is
 // checked between workload accesses, between training epochs, and between
 // candidate-scoring batches. A cancelled cycle returns ctx.Err() (possibly
-// wrapped) promptly without applying a partial layout.
+// wrapped) promptly without applying a partial layout. Every access is
+// recorded, then handed to the Observer, on the caller or, when
+// recordsBeside, on a recording goroutine that is joined before the run's
+// statistics are returned.
 func (l *Loop) RunOnceContext(ctx context.Context) (workload.RunStats, error) {
 	var obsErr error
-	stats, err := l.Workload.RunOnceContext(ctx, func(res storagesim.AccessResult, wl, run int) {
+	record := func(res storagesim.AccessResult, wl, run int) {
 		if e := l.record(res, wl, run); e != nil && obsErr == nil {
 			obsErr = e
 		}
 		if l.Observer != nil {
 			l.Observer(res, wl, run)
 		}
-	})
+	}
+	var stats workload.RunStats
+	var err error
+	if l.recordsBeside() {
+		stats, err = l.runBeside(ctx, record)
+	} else {
+		stats, err = l.Workload.RunOnceContext(ctx, record)
+	}
 	if err != nil {
 		return stats, err
 	}

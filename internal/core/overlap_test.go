@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -323,6 +324,78 @@ func TestOverlapMatchesSerial(t *testing.T) {
 				t.Fatalf("the serial engine committed %d decisions, want %d", ref.engines[0].decisionCount, steps-2)
 			}
 		})
+	}
+}
+
+// A sharded cycle scores every shard's runs in one fan-out and changes
+// nothing: a 16-shard coordinator at Parallelism 1, 2 and 4, prepared
+// beside the fit as policy.Geomancy drives it, decides every layout and
+// every prediction, Predicted included, and reports and marshals every
+// state as a coordinator that scores and selects each shard's runs in a
+// fan-out of their own does, over pruned decisions and two full rescans.
+// Each shard engine reads its scores at its own offset into the cycle's
+// score slice, greedy picks and explored files' Predicted alike, so a
+// wrong or stale offset shows here.
+func TestOneFanOutMatchesPerShard(t *testing.T) {
+	const steps, shards = 10, 16
+	ref := newOverlapRig(t, shards, 1)
+	refShards := ref.pol.(*Sharded)
+	rigs := []*overlapRig{newOverlapRig(t, shards, 1), newOverlapRig(t, shards, 2), newOverlapRig(t, shards, 4)}
+	ctx := context.Background()
+	fulls, explored := 0, 0
+	for k := 0; k < steps; k++ {
+		if ref.engines[0].fullRescanDue() {
+			fulls++
+		}
+		ref.step = k
+		if err := ref.m.Retrain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		refShards.prepare(ref.files)
+		wantLayout, wantPreds, err := refShards.proposeShardByShard(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReports, wantPruning, wantState := ref.reports(), ref.pruning(), ref.state(t)
+		for _, d := range wantPreds {
+			if d.Random && d.Predicted > 0 {
+				explored++
+			}
+		}
+		for _, r := range rigs {
+			r.step = k
+			par := r.m.Engine.cfg.Parallelism
+			layout, preds, err := r.decide(ctx, true)
+			if err != nil {
+				t.Fatalf("parallelism %d step %d: %v", par, k, err)
+			}
+			if !reflect.DeepEqual(layout, wantLayout) || len(preds) != len(wantPreds) {
+				t.Fatalf("parallelism %d step %d: the layout differs from the shard-by-shard one", par, k)
+			}
+			for i, d := range preds {
+				w := wantPreds[i]
+				if d.FileID != w.FileID || d.Chosen != w.Chosen || d.Random != w.Random || math.Float64bits(d.Predicted) != math.Float64bits(w.Predicted) {
+					t.Fatalf("parallelism %d step %d: decision %d is %+v, shard by shard %+v", par, k, i, d, w)
+				}
+			}
+			if !reflect.DeepEqual(r.reports(), wantReports) || !reflect.DeepEqual(r.pruning(), wantPruning) || !bytes.Equal(r.state(t), wantState) {
+				t.Fatalf("parallelism %d step %d: reports, pruning or marshalled state differ from the shard-by-shard path's", par, k)
+			}
+		}
+		for _, r := range append([]*overlapRig{ref}, rigs...) {
+			for i := range r.files {
+				r.files[i].Device = wantLayout[r.files[i].ID]
+				if (i+k)%3 == 0 {
+					r.touch(t, i, float64(10_000+100*k+i))
+				}
+			}
+		}
+	}
+	if fulls < 3 {
+		t.Fatalf("the run held %d full rescans, want the first and two cadence ones", fulls)
+	}
+	if explored == 0 {
+		t.Fatal("no explored file carried a prediction; the test cannot see the offsets")
 	}
 }
 

@@ -199,7 +199,10 @@ func TestScoringScratchStaysBlockSized(t *testing.T) {
 	}
 	before := live()
 	e.pool.lanes = nil
-	if freed := before - live(); freed > 2<<20 {
+	freed := before - live()
+	// The engine outlives the second reading, so only the lanes are freed.
+	runtime.KeepAlive(e)
+	if freed > 2<<20 {
 		t.Errorf("dropping the lane pool after a %v-row decision freed %d B, want under 2 MB", rows, freed)
 	}
 }

@@ -31,7 +31,7 @@ type EngineModel struct {
 // *Sharded implement it; one decision is in flight at a time.
 type decider interface {
 	prepare(files []policy.FileInfo)
-	propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error)
+	propose(ctx context.Context) (map[int64]string, []policy.Prediction, error)
 }
 
 // NewModel bridges the engine to the policy plane and wires it to the
@@ -74,7 +74,7 @@ func (m *EngineModel) Update(ctx context.Context) error {
 // the snapshot's working set.
 func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]string, []policy.Prediction, error) {
 	m.decider.prepare(s.Files)
-	return m.decider.propose(ctx, s.Files)
+	return m.decider.propose(ctx)
 }
 
 // Prepare implements policy.Preparer. At Config.Parallelism > 1 it starts
@@ -112,7 +112,7 @@ func (p *preparedProposal) Propose(ctx context.Context) (map[int64]string, []pol
 	} else {
 		<-p.done
 	}
-	return p.m.decider.propose(ctx, p.files)
+	return p.m.decider.propose(ctx)
 }
 
 // Abandon implements policy.Prepared: it joins the helper and drops what

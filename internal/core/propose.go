@@ -38,9 +38,12 @@ import (
 // is the serial one bit for bit, and a failed fit leaves the cadence, the
 // watermark and the cache as the serial path does. A decision therefore
 // has two fan-outs: that helper, beside the fit, and the scoring workers.
-// A sharded coordinator prepares every shard engine, then finishes them
-// one after another; the shard engines share the global engine's scoring
-// pool. Either reports what scoring did once per call.
+// A sharded coordinator prepares every shard engine over one dirty-set
+// query, commits them all, lays every shard's runs into one list and
+// scores it in one fan-out over the scoring pool the shard engines share
+// with the global engine, each engine's scores at its own offset
+// (Engine.scoreOff) into the cycle's score slice; then it selects shard by
+// shard. Either reports what scoring did once per call.
 //
 // The body has one input type and one output type: the policy snapshot's
 // own []policy.FileInfo goes in (never copied) and one policy.Prediction
@@ -56,23 +59,35 @@ import (
 // shortlisted; its commit makes the pass's entries the whole cache.
 
 // scorePool is what the scoring loop reuses from one decision to the
-// next: one lane per worker, and the run boundaries and scores of the
-// decision in flight. The global engine owns it; shard engines share it by
-// pointer, as they share its model, because shards finish, selection
-// included, one at a time.
+// next: one lane per worker, the runs of the decision in flight and its
+// scores. The global engine owns it; shard engines share it by pointer, as
+// they share its model, so a sharded cycle scores every shard's runs in one
+// fan-out over the same lanes.
 type scorePool struct {
 	lanes []*scoreLane
-	runs  []int
-	// scores[t.base+k] is the score of task t's k-th device (bytes/s,
-	// denormalized and MAE-adjusted).
+	spans []scoreSpan
+	// scores[e.scoreOff+t.base+k] is the score of engine e's task t on its
+	// k-th device (bytes/s, denormalized and MAE-adjusted). A lone engine's
+	// decision keeps the slice for the next; a sharded cycle's, which
+	// holds every shard's scores, is dropped with the cycle.
 	scores []float64
+}
+
+// scoreSpan is one run of consecutive files of engine e's prepared
+// decision: its tasks lo to hi.
+type scoreSpan struct {
+	e      *Engine
+	lo, hi int
 }
 
 // prepared is one decision's model-free half, as prepare leaves it for
 // finish. Every engine, shard engines included, owns its own, so a
-// coordinator can prepare all its shards before finishing the first.
+// coordinator can prepare all its shards before it scores any.
 type prepared struct {
-	full bool
+	// files is the working set the decision was prepared over, which
+	// finish drops with the tasks.
+	files []policy.FileInfo
+	full  bool
 	// staleAll marks every cached entry stale: a full pass, or a store
 	// without a ChangeTracker.
 	staleAll bool
@@ -113,21 +128,27 @@ type scoreTally struct {
 // the task list, one task per file, with every stale file's features
 // gathered. It reads e.decisionCount, e.lastWatermark and the cache, and
 // changes none of them.
-func (e *Engine) prepare(files []policy.FileInfo) {
+func (e *Engine) prepare(files []policy.FileInfo) { e.prepareFrom(files, e.tracker) }
+
+// prepareFrom is prepare reading the watermark and the dirty set from feed:
+// the engine's own tracker, or a sharded cycle's shared view of it (nil
+// when the store tracks no changes).
+func (e *Engine) prepareFrom(files []policy.FileInfo, feed ChangeTracker) {
 	p := &e.prep
+	p.files = files
 	p.full = e.cfg.TopK == 0 || e.fullRescanDue()
-	p.staleAll = p.full || e.tracker == nil
+	p.staleAll = p.full || feed == nil
 	p.stale = p.stale[:0]
-	if e.tracker != nil {
+	if feed != nil {
 		// Taken before the dirty set and the gather, so a record appended
 		// meanwhile is past it and dirties its file next time.
-		p.watermark = e.tracker.Watermark()
+		p.watermark = feed.Watermark()
 	}
 	var changed []int64
 	if p.full {
 		p.short = e.allDevices()
 	} else {
-		changed = e.dirtySet()
+		changed = e.dirtySet(feed)
 		p.short = e.deviceShortlist()
 	}
 	p.tasks = make([]scoreTask, len(files))
@@ -150,96 +171,121 @@ func (e *Engine) prepare(files []policy.FileInfo) {
 	}
 }
 
-// finish runs the model half of the decision prepare left for files:
-// commit, score, select. It adds what its scoring did to tally, for the
-// caller to report once.
-func (e *Engine) finish(ctx context.Context, files []policy.FileInfo, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
+// rows returns how many candidate rows the prepared decision scores.
+func (p *prepared) rows() int {
+	if len(p.tasks) == 0 {
+		return 0
+	}
+	last := &p.tasks[len(p.tasks)-1]
+	return last.base + last.rows(p.short)
+}
+
+// finish runs the model half of the decision prepare left: commit, score,
+// select. It adds what its scoring did to tally, for the caller to report
+// once.
+func (e *Engine) finish(ctx context.Context, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
 	if !e.trained {
 		return nil, nil, ErrNotTrained
 	}
-	e.commit(files)
-	p := &e.prep
-	if err := e.score(ctx, files, p.tasks, tally); err != nil {
+	e.commit()
+	if err := e.score(ctx, tally); err != nil {
 		return nil, nil, err
 	}
-	layout, preds := e.selectLayout(files, p.tasks)
-	p.tasks = nil
+	preds := e.selectLayout()
+	e.prep.files, e.prep.tasks = nil, nil
+	layout := make(map[int64]string, len(preds))
+	for _, d := range preds {
+		layout[d.FileID] = d.Chosen
+	}
 	return layout, preds, nil
 }
 
-// propose finishes the decision prepare left for files and reports its
-// scoring: it predicts the throughput of every file at its candidate
-// locations (including not moving it) and returns the layout assigning
-// each file to its best predicted location, with one decision record per
-// file in input order. With probability Epsilon a file is assigned a
-// random device instead — the exploration that keeps the availability
-// picture fresh (§V-H). The engine's validator vets destinations; invalid
-// proposals fall back per the Action Checker rules (select.go). ctx is
-// checked between scoring runs. Only the ε-greedy selection — the part
-// that draws from e.rng — runs serially in file order, so a fixed seed
-// replays identically at any Parallelism.
-func (e *Engine) propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
+// propose finishes the decision prepare left and reports its scoring: it
+// predicts the throughput of every file at its candidate locations
+// (including not moving it) and returns the layout assigning each file to
+// its best predicted location, with one decision record per file in input
+// order. With probability Epsilon a file is assigned a random device
+// instead — the exploration that keeps the availability picture fresh
+// (§V-H). The engine's validator vets destinations; invalid proposals fall
+// back per the Action Checker rules (select.go). ctx is checked between
+// scoring runs. Only the ε-greedy selection — the part that draws from
+// e.rng — runs serially in file order, so a fixed seed replays identically
+// at any Parallelism.
+func (e *Engine) propose(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
 	var tally scoreTally
-	layout, preds, err := e.finish(ctx, files, &tally)
+	layout, preds, err := e.finish(ctx, &tally)
 	e.metrics.observeScoring(tally)
 	return layout, preds, err
 }
 
-// score scores every task's pairings and makes every file's greedy pick,
-// run by run on up to Config.Parallelism workers, and adds the rows and
-// the time to tally.
-func (e *Engine) score(ctx context.Context, files []policy.FileInfo, tasks []scoreTask, tally *scoreTally) error {
-	if len(tasks) == 0 {
+// layRuns cuts the prepared decision's tasks into runs of consecutive files
+// and appends them to the pool's spans, the engine's scores starting at off
+// in the decision's score slice; it returns the offset past them. A run
+// ends before the file whose rows would take it past nn.BlockRows, unless
+// it has no rows yet. Files with nothing to score join the run they fall
+// in.
+func (e *Engine) layRuns(off int) int {
+	e.scoreOff = off
+	p, pool := &e.prep, e.pool
+	if len(p.tasks) == 0 {
+		return off
+	}
+	total := p.rows()
+	first, lo := 0, 0 // the first task and the first row of the open run
+	for i := range p.tasks {
+		end := total
+		if i+1 < len(p.tasks) {
+			end = p.tasks[i+1].base
+		}
+		if t := &p.tasks[i]; t.base > lo && end-lo > nn.BlockRows {
+			pool.spans = append(pool.spans, scoreSpan{e, first, i})
+			first, lo = i, t.base
+		}
+	}
+	pool.spans = append(pool.spans, scoreSpan{e, first, len(p.tasks)})
+	return off + total
+}
+
+// score scores the engine's prepared decision alone, in a fan-out of its
+// own, its scores from the start of the pool's score slice, which the pool
+// keeps for the next decision.
+func (e *Engine) score(ctx context.Context, tally *scoreTally) error {
+	pool := e.pool
+	pool.spans = pool.spans[:0]
+	rows := e.layRuns(0)
+	pool.scores = slices.Grow(pool.scores[:0], rows)[:rows]
+	return pool.fanOut(ctx, e.cfg.Parallelism, rows, tally)
+}
+
+// fanOut scores every span laid in the pool, whose rows total rows, on up
+// to workers goroutines, and adds the rows and the time to tally.
+func (pool *scorePool) fanOut(ctx context.Context, workers, rows int, tally *scoreTally) error {
+	if len(pool.spans) == 0 {
 		return nil
 	}
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
-	p, short := e.pool, e.prep.short
-	last := &tasks[len(tasks)-1]
-	total := last.base + last.rows(short)
-	p.scores = slices.Grow(p.scores[:0], total)[:total]
-	p.runs = runStarts(p.runs[:0], tasks, total)
-	workers := min(e.cfg.Parallelism, len(p.runs)-1)
-	for len(p.lanes) < workers {
-		p.lanes = append(p.lanes, &scoreLane{})
+	workers = min(workers, len(pool.spans))
+	for len(pool.lanes) < workers {
+		pool.lanes = append(pool.lanes, &scoreLane{})
 	}
-	err := parallelFor(ctx, len(p.runs)-1, workers, func(w, r int) {
-		lo, hi := p.runs[r], p.runs[r+1]
-		e.scoreRun(p.lanes[w], files[lo:hi], tasks[lo:hi])
+	err := parallelFor(ctx, len(pool.spans), workers, func(w, i int) {
+		s := pool.spans[i]
+		s.e.scoreRun(pool.lanes[w], s.lo, s.hi)
 	})
-	tally.rows += total
+	tally.rows += rows
 	tally.took += time.Since(start) //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
 	return err
 }
 
-// runStarts cuts the tasks, whose rows end at total, into runs of
-// consecutive files: a run ends before the file whose rows would take it
-// past nn.BlockRows, unless it has no rows yet. It appends to starts each
-// run's first task index, then len(tasks). Files with nothing to score
-// join the run they fall in.
-func runStarts(starts []int, tasks []scoreTask, total int) []int {
-	starts = append(starts, 0)
-	lo := 0 // the first row of the open run
-	for i := range tasks {
-		end := total
-		if i+1 < len(tasks) {
-			end = tasks[i+1].base
-		}
-		if t := &tasks[i]; t.base > lo && end-lo > nn.BlockRows {
-			starts = append(starts, i)
-			lo = t.base
-		}
-	}
-	return append(starts, len(tasks))
-}
-
-// scoreRun takes one run of files through scoring on lane l: it writes the
-// run's candidate rows from the features prepare resolved into the lane's
-// input block, forwards them, writes each score into the decision's score
-// slice, and picks each file's greedy destination. Runs touch disjoint
-// tasks and scores, and nothing here draws from e.rng, so runs may score
-// in any order on any worker.
-func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTask) {
+// scoreRun takes the run of prepared tasks lo to hi through scoring on lane
+// l: it writes the run's candidate rows from the features prepare resolved
+// into the lane's input block, forwards them, writes each score into the
+// decision's score slice, and picks each file's greedy destination. Runs
+// touch disjoint tasks and scores, and nothing here draws from e.rng, so
+// runs may score in any order on any worker.
+func (e *Engine) scoreRun(l *scoreLane, lo, hi int) {
 	short := e.prep.short
+	files, tasks := e.prep.files[lo:hi], e.prep.tasks[lo:hi]
 	last := &tasks[len(tasks)-1]
 	base := tasks[0].base
 	var out *mat.Matrix
@@ -256,7 +302,7 @@ func (e *Engine) scoreRun(l *scoreLane, files []policy.FileInfo, tasks []scoreTa
 	for i := range tasks {
 		t := &tasks[i]
 		devs := t.devices(&l.devs, short)
-		scores := e.pool.scores[t.base : t.base+len(devs)]
+		scores := e.pool.scores[e.scoreOff+t.base:][:len(devs)]
 		for k := range devs {
 			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
 			scores[k] = nn.AdjustPrediction(raw, e.valMetrics)

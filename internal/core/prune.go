@@ -88,15 +88,16 @@ func (e *Engine) fullRescanDue() bool {
 }
 
 // dirtySet returns the files whose telemetry moved past the last scoring
-// watermark, ascending, and records in e.prep the cached entries among
-// them. Without a ChangeTracker nothing can be trusted across decisions
-// (e.prep.staleAll); the shortlist still prunes the device axis.
-func (e *Engine) dirtySet() []int64 {
-	if e.tracker == nil {
+// watermark as feed reports them, ascending, and records in e.prep the
+// cached entries among them. Without a ChangeTracker nothing can be
+// trusted across decisions (e.prep.staleAll); the shortlist still prunes
+// the device axis.
+func (e *Engine) dirtySet(feed ChangeTracker) []int64 {
+	if feed == nil {
 		return nil
 	}
 	p := &e.prep
-	changed := e.tracker.FilesChangedSince(e.lastWatermark)
+	changed := feed.FilesChangedSince(e.lastWatermark)
 	for _, id := range changed {
 		if ent, ok := e.cache[id]; ok {
 			p.stale = append(p.stale, ent)
@@ -116,11 +117,11 @@ func (e *Engine) invalidateAll() {
 // it steps the cadence, then either closes an all-device pass
 // (endFullPass) or marks stale what the dirty set named, keeps the
 // working set's features and advances the dirty watermark.
-func (e *Engine) commit(files []policy.FileInfo) {
+func (e *Engine) commit() {
 	p := &e.prep
 	e.decisionCount++
 	if p.full {
-		e.endFullPass(files)
+		e.endFullPass()
 		return
 	}
 	if p.staleAll {
@@ -129,7 +130,7 @@ func (e *Engine) commit(files []policy.FileInfo) {
 	for _, ent := range p.stale {
 		ent.featValid = false
 	}
-	e.keep(files)
+	e.keep()
 	if e.tracker != nil {
 		e.lastWatermark = p.watermark
 	}
@@ -139,9 +140,9 @@ func (e *Engine) commit(files []policy.FileInfo) {
 // file's cache entry, creating the entry if the file has none: fresh ones
 // where prepare gathered, the entry's own where it was current. A full
 // pass, whose commit cleared the cache, puts every entry back.
-func (e *Engine) keep(files []policy.FileInfo) {
+func (e *Engine) keep() {
 	p := &e.prep
-	for i, f := range files {
+	for i, f := range p.files {
 		t := &p.tasks[i]
 		if t.rows(p.short) == 0 {
 			continue
@@ -156,18 +157,18 @@ func (e *Engine) keep(files []policy.FileInfo) {
 	}
 }
 
-// endFullPass closes an all-device pass over files. With pruning on, the
-// pass's entries become the whole cache — files that left the working set
-// drop out, so full passes bound cache growth as well as pruning error —
-// and the dirty watermark advances. With pruning off nothing is retained
-// and the watermark never moves, so an unpruned engine's checkpoints carry
-// no pruning state.
-func (e *Engine) endFullPass(files []policy.FileInfo) {
+// endFullPass closes an all-device pass. With pruning on, the pass's
+// entries become the whole cache — files that left the working set drop
+// out, so full passes bound cache growth as well as pruning error — and
+// the dirty watermark advances. With pruning off nothing is retained and
+// the watermark never moves, so an unpruned engine's checkpoints carry no
+// pruning state.
+func (e *Engine) endFullPass() {
 	if e.cfg.TopK == 0 {
 		return
 	}
 	clear(e.cache)
-	e.keep(files)
+	e.keep()
 	if e.tracker != nil {
 		e.lastWatermark = e.prep.watermark
 	}

@@ -66,11 +66,11 @@ func (e *Engine) shuffledDevices() []int {
 	return e.perm
 }
 
-// selectLayout runs the serial ε-greedy selection over the files' greedy
-// picks and returns the layout with one decision record per file, in file
-// order. This is the only stage that draws from e.rng.
-func (e *Engine) selectLayout(files []policy.FileInfo, tasks []scoreTask) (map[int64]string, []policy.Prediction) {
-	layout := make(map[int64]string, len(files))
+// selectLayout runs the serial ε-greedy selection over the prepared files'
+// greedy picks and returns one decision record per file, in file order.
+// This is the only stage that draws from e.rng.
+func (e *Engine) selectLayout() []policy.Prediction {
+	files, tasks := e.prep.files, e.prep.tasks
 	preds := make([]policy.Prediction, len(files))
 	for i, f := range files {
 		d := &preds[i]
@@ -95,10 +95,9 @@ func (e *Engine) selectLayout(files []policy.FileInfo, tasks []scoreTask) (map[i
 		if dev >= 0 {
 			d.Chosen = e.devices[dev]
 			if k, ok := tasks[i].slot(e.prep.short, dev); ok {
-				d.Predicted = e.pool.scores[tasks[i].base+k]
+				d.Predicted = e.pool.scores[e.scoreOff+tasks[i].base+k]
 			}
 		}
-		layout[f.ID] = d.Chosen
 	}
-	return layout, preds
+	return preds
 }

@@ -22,12 +22,14 @@ import (
 //   - routes every file to the shard owning its current device,
 //   - runs the engine's decision body on every shard: the model-free half
 //     (prepare) of each shard first, on each shard engine's own prepared
-//     decision, then the model half (finish) shard by shard, whose
-//     scoring loop fans out over the scoring pool every shard engine
-//     shares with the global engine, through the one model; each shard
-//     draws from its own RNG stream (rng.Split of the coordinator seed)
-//     and shards merge in fixed index order, so any Parallelism produces
-//     the serial layout bit-for-bit, and
+//     decision over one dirty-set query of the store, then the model half:
+//     every shard engine commits, every shard's scoring runs are laid into
+//     one list and scored in one fan-out over the scoring pool every shard
+//     engine shares with the global engine, through the one model, and
+//     selection runs shard by shard; each shard draws from its own RNG
+//     stream (rng.Split of the coordinator seed) and shards merge in fixed
+//     index order, so any Parallelism produces the serial layout
+//     bit-for-bit, and
 //   - escalates: when a shard's best in-shard placement underperforms the
 //     cluster-wide throughput digest by escalationFactor, the coordinator
 //     attempts a cross-shard migration, admitted only while the device
@@ -61,6 +63,34 @@ type Sharded struct {
 	// routeErr is the prepared cycle's routing failure, which its propose
 	// returns.
 	routeErr error //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+
+	// feed is the prepared cycle's view of the store's change tracking,
+	// which every shard engine's prepare reads.
+	feed cycleFeed //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+}
+
+// cycleFeed is one sharded cycle's view of the store's change tracking: a
+// single watermark, taken before any dirty set is asked for, and one
+// FilesChangedSince query per distinct shard watermark (in practice one),
+// whose ascending list every shard engine prepared at that watermark reads
+// and none writes. The lists are dropped once the cycle is prepared.
+type cycleFeed struct {
+	ChangeTracker
+	mark    uint64
+	changed map[uint64][]int64
+}
+
+// Watermark returns the store's watermark when the cycle's prepare began.
+func (f *cycleFeed) Watermark() uint64 { return f.mark }
+
+// FilesChangedSince asks the store once per seq a cycle passes.
+func (f *cycleFeed) FilesChangedSince(seq uint64) []int64 {
+	ids, ok := f.changed[seq]
+	if !ok {
+		ids = f.ChangeTracker.FilesChangedSince(seq)
+		f.changed[seq] = ids
+	}
+	return ids
 }
 
 // shardUnit is one shard's decision machinery: the engine over the
@@ -170,16 +200,17 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 
 // A sharded decision cycle over the working set routes each file to the
 // shard owning its current device, runs each shard's decision on its own
-// engine and RNG stream, reports the cycle's scoring once, then merges in
-// fixed shard order with cross-shard escalation. The merged decision list
-// is ordered by shard, preserving input file order within each shard. The
-// bytes escalations claim on a device live in a map that dies with the
-// cycle.
+// engine and RNG stream, every shard's scoring in one fan-out, reports the
+// cycle's scoring once, then merges in fixed shard order with cross-shard
+// escalation. The merged decision list is ordered by shard, preserving
+// input file order within each shard. The bytes escalations claim on a
+// device live in a map that dies with the cycle.
 
 // prepare runs the model-free half of a cycle: it routes files to their
 // owning shards, preserving input order, into one array cut per shard, and
-// prepares every shard engine's decision over its files. A file no shard
-// owns stops the routing; the cycle's propose reports it.
+// prepares every shard engine's decision over its files, all from one view
+// of the store's change tracking. A file no shard owns stops the routing;
+// the cycle's propose reports it.
 func (s *Sharded) prepare(files []policy.FileInfo) {
 	s.routeErr = nil
 	counts := make([]int, len(s.units))
@@ -199,16 +230,27 @@ func (s *Sharded) prepare(files []policy.FileInfo) {
 		u := &s.units[s.devShard[f.Device]]
 		u.files = append(u.files, f)
 	}
+	var feed ChangeTracker
+	if t := s.global.Engine.tracker; t != nil {
+		if s.feed.changed == nil {
+			s.feed.changed = make(map[uint64][]int64)
+		}
+		s.feed.ChangeTracker, s.feed.mark = t, t.Watermark()
+		feed = &s.feed
+	}
 	for i := range s.units {
 		u := &s.units[i]
-		u.engine.prepare(u.files)
+		u.engine.prepareFrom(u.files, feed)
 	}
+	clear(s.feed.changed)
 }
 
 // propose runs the model half of the cycle prepare left: every shard
-// engine's finish, the scoring reported once, then the merge. The routed
-// files are dropped with the cycle.
-func (s *Sharded) propose(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
+// engine commits, every shard's runs are scored in one fan-out and the
+// scoring reported once, then each shard selects, in shard order, and the
+// merge follows. The routed files and the cycle's score slice are dropped
+// with the cycle.
+func (s *Sharded) propose(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
 	defer func() {
 		for i := range s.units {
 			s.units[i].files = nil
@@ -217,27 +259,50 @@ func (s *Sharded) propose(ctx context.Context, files []policy.FileInfo) (map[int
 	if s.routeErr != nil {
 		return nil, nil, s.routeErr
 	}
-	// Finish shard by shard. A shard engine touches only its own entries
-	// and stream, so the order is free; every decision is made before the
-	// first escalation claims anything.
-	decs := make([][]policy.Prediction, len(s.units))
-	var tally scoreTally
-	for i := range s.units {
-		u := &s.units[i]
-		var err error
-		if _, decs[i], err = u.engine.finish(ctx, u.files, &tally); err != nil {
-			return nil, nil, err
-		}
+	global := s.global.Engine
+	if !global.trained { // one model behind every shard
+		return nil, nil, ErrNotTrained
 	}
-	s.global.Engine.metrics.observeScoring(tally)
+	// A shard engine touches only its own entries and stream, so the shard
+	// order of the commits and of the selections is free; every decision
+	// is made before the first escalation claims anything.
+	pool := global.pool
+	pool.spans = pool.spans[:0]
+	rows := 0
+	for i := range s.units {
+		e := s.units[i].engine
+		e.commit()
+		rows = e.layRuns(rows)
+	}
+	pool.scores = make([]float64, rows)
+	defer func() { pool.scores = nil }()
+	var tally scoreTally
+	if err := pool.fanOut(ctx, global.cfg.Parallelism, rows, &tally); err != nil {
+		return nil, nil, err
+	}
+	global.metrics.observeScoring(tally)
+	decs := make([][]policy.Prediction, len(s.units))
+	for i := range s.units {
+		e := s.units[i].engine
+		decs[i] = e.selectLayout()
+		e.prep.files, e.prep.tasks = nil, nil
+	}
+	layout, decisions := s.merge(decs)
+	return layout, decisions, nil
+}
 
-	// Merge in fixed shard order, escalating placements the
-	// owning shard clearly cannot serve. A shard's decisions are
-	// positionally aligned with the files routed to it.
+// merge merges the shards' decisions in fixed shard order, escalating
+// placements the owning shard clearly cannot serve. A shard's decisions
+// are positionally aligned with the files routed to it.
+func (s *Sharded) merge(decs [][]policy.Prediction) (map[int64]string, []policy.Prediction) {
+	n := 0
+	for _, d := range decs {
+		n += len(d)
+	}
 	digest := s.throughputDigest()
 	claims := make(map[string]int64)
-	layout := make(map[int64]string, len(files))
-	decisions := make([]policy.Prediction, 0, len(files))
+	layout := make(map[int64]string, n)
+	decisions := make([]policy.Prediction, 0, n)
 	for i := range s.units {
 		s.units[i].tele.decisions.Add(uint64(len(decs[i])))
 		for k := range decs[i] {
@@ -247,7 +312,7 @@ func (s *Sharded) propose(ctx context.Context, files []policy.FileInfo) (map[int
 		}
 		decisions = append(decisions, decs[i]...)
 	}
-	return layout, decisions, nil
+	return layout, decisions
 }
 
 // throughputDigest returns the cluster-wide best-device digest the
