@@ -55,7 +55,7 @@ func main() {
 	model := flag.Int("model", 1, "dense Table I architecture number (1-11)")
 	epsilon := flag.Float64("epsilon", 0.1, "exploration rate")
 	target := flag.String("target", "throughput", "modeling target: throughput or latency")
-	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time (every shard's runs in one loop), and above 1 one more preparing the decision beside the retrain (0 = GOMAXPROCS, negative is refused); speed only, never changes a result")
+	parallel := flag.Int("parallel", 0, "goroutines sharing each decision's scoring loop, one run of files at a time (every shard's runs in one loop), and above 1 one more preparing the decision beside the retrain or update (0 = GOMAXPROCS, negative is refused); speed only, never changes a result")
 	shards := flag.Int("shards", 0, "partition devices into N placement shards, whose candidates are scored in one loop and selected shard by shard (0 = unsharded)")
 	topK := flag.Int("topk", 0, "candidate pruning: score only the top k devices by recent throughput (0 = exhaustive scoring)")
 	fullRescan := flag.Int("full-rescan-every", 0, "with -topk: every Nth decision re-scores the full candidate space (0 = default 8)")

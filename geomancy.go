@@ -257,11 +257,11 @@ func WithGapScheduling() Option { return func(c *config) { c.gapScheduling = tru
 // loop cuts a decision's files into runs of about 256 candidate rows, and
 // up to n goroutines each take a run end to end — rows written and
 // forwarded, scores and greedy picks written back; with WithShards every
-// shard's runs go through that loop in one fan-out. Above 1, the geomancy
-// policy also runs the decision's model-free half — the dirty set, the
-// device shortlist, the task list and the feature gather — on one helper
-// goroutine while the model retrains, and a run of a learned policy
-// records its telemetry (ReplayDB appends, the recency and frequency
+// shard's runs go through that loop in one fan-out. Above 1, a learned
+// policy's decision also has its model-free half — the dirty set, the
+// device shortlist, the task list and the feature gather — prepared on one
+// helper goroutine while the model retrains or updates, and a run of a
+// learned policy records its telemetry (ReplayDB appends, the recency and frequency
 // bookkeeping, the observers) on one goroutine beside the simulation,
 // except under WithDistributed, whose monitoring agents record on the
 // caller. The default is runtime.GOMAXPROCS(0). n is a matter of speed

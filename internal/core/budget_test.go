@@ -182,8 +182,8 @@ func TestWarmFitEpochBudget(t *testing.T) {
 // after it refitted the scalers and trained an epoch leaves a new model,
 // and the next decision scores every candidate it picks from under that
 // model: each score equals predictCandidate's, none is the previous
-// model's. The same holds when the cancelled fit ran beside a prepared
-// proposal's model-free half (Parallelism 4), which is then abandoned.
+// model's. The same holds when the cancelled fit ran beside a decision's
+// model-free half prepared ahead (Parallelism 4), which is then dropped.
 func TestDecisionAfterCancelledFitScoresEveryCandidate(t *testing.T) {
 	for _, prepared := range []bool{false, true} {
 		t.Run(map[bool]string{false: "serial", true: "prepared"}[prepared], func(t *testing.T) {
@@ -207,16 +207,14 @@ func TestDecisionAfterCancelledFitScoresEveryCandidate(t *testing.T) {
 			// A full window of new records on other files: files 1 and 2 stay
 			// clean, and the fit has every epoch to train.
 			appendAccesses(t, db, 6*cfg.WindowX, 3)
-			var prep policy.Prepared
+			m := e.lone()
 			if prepared {
-				prep = (&EngineModel{Engine: e, decider: e}).Prepare(policy.State{Files: files})
+				m.prepareAhead(files)
 			}
 			if _, err := e.TrainContext(&cancelAfter{Context: ctx, n: 2}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("fit cancelled after two epochs returned %v, want context.Canceled", err)
 			}
-			if prepared {
-				prep.Abandon()
-			}
+			m.drop()
 			_, _, scores, err := e.proposeScored(ctx, files)
 			if err != nil {
 				t.Fatal(err)

@@ -82,12 +82,12 @@ type Config struct {
 	// its runs of consecutive files (about nn.BlockRows candidate rows
 	// each) end to end — rows written, forwarded, scores written back,
 	// greedy picks made — on up to this many, under a coordinator every
-	// shard's runs in one fan-out. Above 1, a Geomancy policy also runs the
-	// decision's model-free half (dirty set, shortlist, task list, feature
-	// gather; propose.go) on one helper goroutine beside the retrain, and a
-	// Loop driving this engine that appends to its own ReplayDB records
-	// each run's accesses on one goroutine beside the simulation
-	// (Loop.RunOnceContext). It is a matter of speed only and never changes
+	// shard's runs in one fan-out. Above 1, a Loop driving this engine also
+	// prepares each decision's model-free half (dirty set, shortlist, task
+	// list, feature gather; propose.go) on one helper goroutine beside the
+	// policy's retrain or update, and a Loop that appends to its own
+	// ReplayDB records each run's accesses on one goroutine beside the
+	// simulation (Loop.RunOnceContext). It is a matter of speed only and never changes
 	// a result: scoring is row-independent, the helper reads nothing the
 	// fit writes and commits nothing until the fit has succeeded, the
 	// recording goroutine takes the accesses in order and is joined before
@@ -296,9 +296,9 @@ func (e *Engine) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// observeScoring reports one proposal's or one sharded cycle's scoring
-// once: its rows into the batch-size histogram, its time into the
-// duration gauge. A call that scored nothing reports nothing.
+// observeScoring reports one decision's scoring once, over all its units:
+// its rows into the batch-size histogram, its time into the duration
+// gauge. A call that scored nothing reports nothing.
 func (m *engineMetrics) observeScoring(t scoreTally) {
 	if t.rows > 0 {
 		m.inferSeconds.Set(t.took.Seconds())
@@ -660,12 +660,11 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// ProposeLayoutContext runs one decision of a bare engine: the body in
-// propose.go, its two halves back to back, as EngineModel.Propose runs it
-// (see Engine.propose for what it decides).
+// ProposeLayoutContext runs one decision of a bare engine: the decision
+// body in propose.go over e alone, as a lone EngineModel's Propose runs it
+// (see EngineModel.finish for what it decides).
 //
 //geomancy:allow testonly a decision without a policy plane or a cluster: core's engine tests and the facade's TestTopKPrunedWork drive it
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	e.prepare(files)
-	return e.propose(ctx)
+	return e.lone().Propose(ctx, policy.State{Files: files})
 }

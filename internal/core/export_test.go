@@ -6,45 +6,43 @@ import (
 	"geomancy/internal/policy"
 )
 
-// DecideLayout runs one sharded decision cycle over files, its two halves
-// back to back, as the coordinator's Model().Propose does.
+// DecideLayout runs one sharded decision over files, its two halves back
+// to back, as the coordinator's Model().Propose does for a direct caller.
 func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, error) {
-	s.prepare(files)
-	return s.propose(ctx)
+	return s.global.Propose(ctx, policy.State{Files: files})
 }
 
-// proposeShardByShard is the model half of the cycle prepare left, with
-// each shard engine's runs scored in a fan-out of their own and selected
-// before the next shard's are scored, as the coordinator did before one
-// fan-out scored every shard's runs: the reference that one fan-out is held
-// to. Every shard engine commits first, as in the one fan-out, so a
-// cancelled cycle leaves the same state either way.
-func (s *Sharded) proposeShardByShard(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
-	defer func() {
-		for i := range s.units {
-			s.units[i].files = nil
-		}
-	}()
-	if s.routeErr != nil {
-		return nil, nil, s.routeErr
+// proposeShardByShard is the model half of the decision prepare left, with
+// each unit's runs scored in a fan-out of their own and selected before
+// the next unit's are scored, as the coordinator did before one fan-out
+// scored every shard's runs: the reference that one fan-out is held to.
+// Every unit's engine commits first, as in the one fan-out, so a cancelled
+// decision leaves the same state either way.
+func (m *EngineModel) proposeShardByShard(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
+	defer m.drop()
+	if m.routeErr != nil {
+		return nil, nil, m.routeErr
 	}
-	if !s.global.Engine.trained {
+	if !m.Engine.trained {
 		return nil, nil, ErrNotTrained
 	}
-	for i := range s.units {
-		s.units[i].engine.commit()
+	for i := range m.units {
+		m.units[i].engine.commit()
 	}
-	decs := make([][]policy.Prediction, len(s.units))
-	for i := range s.units {
-		e := s.units[i].engine
+	pool := m.Engine.pool
+	decs := make([][]policy.Prediction, len(m.units))
+	for i := range m.units {
+		e := m.units[i].engine
+		pool.spans = pool.spans[:0]
+		rows := e.layRuns(0)
+		pool.scores = make([]float64, rows)
 		var tally scoreTally
-		if err := e.score(ctx, &tally); err != nil {
+		if err := pool.fanOut(ctx, e.cfg.Parallelism, rows, &tally); err != nil {
 			return nil, nil, err
 		}
 		decs[i] = e.selectLayout()
-		e.prep.files, e.prep.tasks = nil, nil
 	}
-	layout, decisions := s.merge(decs)
+	layout, decisions := m.merge(decs)
 	return layout, decisions, nil
 }
 
@@ -54,9 +52,10 @@ func (s *Sharded) proposeShardByShard(ctx context.Context) (map[int64]string, []
 // MAE-adjusted). Decision records carry only the chosen device's score, so
 // this is how tests put the whole vector beside the reference scorer.
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
-	e.prepare(files)
+	m := e.lone()
+	m.prepare(files)
 	tasks, short := e.prep.tasks, e.prep.short
-	layout, preds, err := e.propose(ctx)
+	layout, preds, err := m.finish(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -374,10 +374,7 @@ func (l *Loop) Decide(ctx context.Context) error {
 // device's throughput, so its snapshot skips the per-device means.
 func (l *Loop) decideCycle(ctx context.Context, run int) error {
 	state := policyState(l.DB, l.Cluster, l.Workload.Files(), l.lastAccess, l.accesses, l.model == nil)
-	layout, err := l.Policy.Propose(ctx, state)
-	if l.model != nil {
-		l.trainLog = append(l.trainLog, l.model.Reports()...)
-	}
+	layout, err := l.propose(ctx, state)
 	if err != nil {
 		return fmt.Errorf("core: proposing layout: %w", err)
 	}
@@ -434,6 +431,26 @@ func (l *Loop) decideCycle(ctx context.Context, run int) error {
 		Random:      randomCount,
 	})
 	return nil
+}
+
+// propose asks the policy for a layout from state. With an engine bridge
+// installed, the engine's decision over the snapshot's files is prepared
+// first (EngineModel.prepareAhead): on one helper goroutine beside the
+// policy's Retrain or Update at Config.Parallelism > 1, on the caller at 1.
+// However the policy returns, the helper is joined and whatever the
+// decision left unfinished is dropped before propose does, and the
+// bridge's training reports drain into the TrainLog.
+func (l *Loop) propose(ctx context.Context, state policy.State) (map[int64]string, error) {
+	m := l.model
+	if m == nil {
+		return l.Policy.Propose(ctx, state)
+	}
+	m.prepareAhead(state.Files)
+	defer func() {
+		m.drop()
+		l.trainLog = append(l.trainLog, m.Reports()...)
+	}()
+	return l.Policy.Propose(ctx, state)
 }
 
 // applyLayout re-homes files: through the control plane when a Pusher is

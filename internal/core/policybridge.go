@@ -11,38 +11,58 @@ import (
 
 // EngineModel adapts the DRL engine to the policy plane's Model
 // contract, so policy.Geomancy and policy.Online can drive the engine
-// without the policy package importing core. Training reports accumulate
-// inside the bridge; the loop (or any other driver) drains them with
-// Reports after each proposal.
+// without the policy package importing core, and owns the one decision
+// body (propose.go) over its units: the lone engine's, or a sharded
+// coordinator's shard engines. Training reports accumulate inside the
+// bridge; the loop (or any other caller) drains them with Reports after
+// each proposal.
 type EngineModel struct {
 	// Engine is the engine that trains: the only one when unsharded, the
-	// global one behind a sharded coordinator.
-	Engine *Engine
-	// decider produces a proposal's decisions: the engine's own body, or
-	// the coordinator's over its shard engines.
-	decider decider
+	// global one behind a sharded coordinator. It owns the model every unit
+	// scores through and the scoring pool.
+	Engine *Engine //geomancy:ephemeral snapshots itself as the checkpoint's engine half (EngineState)
+	// units decide, one engine each: Engine alone (NewModel), or one shard
+	// engine per device group (NewSharded).
+	units []shardUnit
+	// devShard maps a device name to its owning unit; nil for a lone unit,
+	// which takes every file. cluster is the cluster the bridge is wired
+	// to, whose summaries the escalation merge reads (sharded.go).
+	devShard map[string]int      //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
+	cluster  *storagesim.Cluster //geomancy:ephemeral external handle, re-wired at construction
 
-	reports []TrainReport
+	// routeErr is the prepared decision's routing failure, which its finish
+	// returns.
+	routeErr error //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	// feed is the prepared decision's view of the store's change tracking,
+	// which every unit's prepare reads.
+	feed cycleFeed //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+
+	// ahead is the working set the loop prepared the next decision over
+	// (prepareAhead), nil when no prepared decision is pending; helper is
+	// closed once the helper goroutine preparing it is done, and nil once
+	// joined or when the caller prepared it.
+	ahead  []policy.FileInfo //geomancy:ephemeral the decision between its halves, set by every prepareAhead
+	helper chan struct{}
+
+	reports []TrainReport //geomancy:ephemeral drained into the loop's serialized trainLog after every proposal
 }
 
-// decider is a decision body in its two halves (propose.go): prepare reads
-// no model and commits nothing, propose finishes what prepare left under
-// the model the last fit wrote and reports its scoring. *Engine and
-// *Sharded implement it; one decision is in flight at a time.
-type decider interface {
-	prepare(files []policy.FileInfo)
-	propose(ctx context.Context) (map[int64]string, []policy.Prediction, error)
-}
-
-// NewModel bridges the engine to the policy plane and wires it to the
-// cluster: the engine's select stage validates destinations against the
-// cluster's live capacity and availability, and the cluster becomes the
-// device-summary source, so candidate pruning (Config.TopK) ranks
-// shortlists from live recent-throughput digests.
+// NewModel bridges the engine to the policy plane as a lone unit and wires
+// it to the cluster: the engine's select stage validates destinations
+// against the cluster's live capacity and availability, and the cluster
+// becomes the device-summary source, so candidate pruning (Config.TopK)
+// ranks shortlists from live recent-throughput digests.
 func (e *Engine) NewModel(cluster *storagesim.Cluster) *EngineModel {
 	e.SetSummarySource(cluster.DeviceSummaries)
 	e.valid = cluster.CanPlace
-	return &EngineModel{Engine: e, decider: e}
+	m := e.lone()
+	m.cluster = cluster
+	return m
+}
+
+// lone returns a bridge that decides with e alone, a one-unit decision body.
+func (e *Engine) lone() *EngineModel {
+	return &EngineModel{Engine: e, units: []shardUnit{{engine: e}}}
 }
 
 // Retrain implements policy.Model: one full training cycle.
@@ -71,56 +91,63 @@ func (m *EngineModel) Update(ctx context.Context) error {
 }
 
 // Propose implements policy.Model: one batched ε-greedy proposal over
-// the snapshot's working set.
+// the snapshot's working set. It finishes the decision the loop prepared
+// over s.Files, joining the helper preparing it, and prepares first only
+// when nothing was prepared over them (a direct caller).
 func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]string, []policy.Prediction, error) {
-	m.decider.prepare(s.Files)
-	return m.decider.propose(ctx)
-}
-
-// Prepare implements policy.Preparer. At Config.Parallelism > 1 it starts
-// the model-free half of the proposal over s on one helper goroutine, to
-// run beside the retrain the policy runs next; at 1 that half runs in the
-// returned proposal's Propose, after the retrain, as Propose alone runs
-// it. The helper reads the ReplayDB, the cluster and the feature caches,
-// never the model or an RNG, and commits nothing until Propose, so either
-// way the proposal is the one Retrain then Propose makes.
-func (m *EngineModel) Prepare(s policy.State) policy.Prepared {
-	p := &preparedProposal{m: m, files: s.Files}
-	if m.Engine.cfg.Parallelism > 1 {
-		p.done = make(chan struct{})
-		go func() {
-			defer close(p.done)
-			m.decider.prepare(s.Files)
-		}()
+	m.join()
+	if m.ahead == nil || !sameFiles(m.ahead, s.Files) {
+		m.prepare(s.Files)
 	}
-	return p
+	m.ahead = nil
+	return m.finish(ctx)
 }
 
-// preparedProposal is a proposal Prepare started. done is closed once the
-// helper has prepared it, nil when Propose prepares it itself.
-type preparedProposal struct {
-	m     *EngineModel
-	files []policy.FileInfo
-	done  chan struct{}
-}
-
-// Propose implements policy.Prepared: it joins the helper, or prepares,
-// then finishes the decision under the model the retrain left.
-func (p *preparedProposal) Propose(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
-	if p.done == nil {
-		p.m.decider.prepare(p.files)
-	} else {
-		<-p.done
+// prepareAhead prepares the next decision over files before the policy
+// proposes: on one helper goroutine, to run beside the fit the policy runs
+// first, at Config.Parallelism > 1, and on the caller at 1. The helper
+// reads the ReplayDB, the cluster and the feature caches, never the model
+// or an RNG, and commits nothing, so the proposal is the one the policy's
+// fit then Propose make either way. Every prepareAhead is followed by a
+// drop on the same goroutine.
+func (m *EngineModel) prepareAhead(files []policy.FileInfo) {
+	m.ahead = files
+	if m.Engine.cfg.Parallelism <= 1 {
+		m.prepare(files)
+		return
 	}
-	return p.m.decider.propose(ctx)
+	done := make(chan struct{})
+	m.helper = done
+	go func() {
+		defer close(done)
+		m.prepare(files)
+	}()
 }
 
-// Abandon implements policy.Prepared: it joins the helper and drops what
-// it prepared, which the next proposal's prepare overwrites.
-func (p *preparedProposal) Abandon() {
-	if p.done != nil {
-		<-p.done
+// join waits for the helper preparing the decision, if one runs.
+func (m *EngineModel) join() {
+	if m.helper != nil {
+		<-m.helper
+		m.helper = nil
 	}
+}
+
+// drop joins the helper and drops whatever the decision in flight left
+// prepared and unfinished — a fit that failed, a policy that never
+// proposed — which commits nothing.
+func (m *EngineModel) drop() {
+	m.join()
+	m.ahead = nil
+	for i := range m.units {
+		p := &m.units[i].engine.prep
+		p.files, p.tasks = nil, nil
+	}
+}
+
+// sameFiles reports whether a and b are the same working set: the same
+// slice of the same snapshot.
+func sameFiles(a, b []policy.FileInfo) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Reports drains the training reports accumulated since the last drain.

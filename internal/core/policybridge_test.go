@@ -34,7 +34,7 @@ func TestBuildPolicyCoversCatalogue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildPolicy(%q, 2 shards): %v", name, err)
 		}
-		if s, ok := p.(*Sharded); !ok || len(s.units) != 2 || model != s.Model() {
+		if s, ok := p.(*Sharded); !ok || len(s.global.units) != 2 || model != s.Model() {
 			t.Errorf("BuildPolicy(%q, 2 shards) = %T with bridge %p, want the coordinator and its Model()", name, p, model)
 		}
 	}

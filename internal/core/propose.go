@@ -12,47 +12,51 @@ import (
 	"geomancy/internal/policy"
 )
 
-// The engine has one decision body in two halves. prepare is the half that
-// reads no model; finish is the half that does:
+// A decision has one body, the bridge's cycle over its units (an engine
+// each: the lone engine of NewModel, or a coordinator's shard engines, see
+// NewSharded), in two halves. prepare is the half that reads no model;
+// finish is the half that does:
 //
-//	prepare — the dirty set, the shortlist, the task list (which (file,
-//	          device) pairings this decision scores) and the feature
-//	          gather of every file whose cached ingredients are stale.
-//	          Serial. It reads the ReplayDB, the cluster's summaries and
-//	          the feature cache, writes only the engine's prepared
-//	          decision (e.prep) and commits nothing.
-//	finish  — commit: the cadence step, the dirty watermark and the
-//	          gathered features into the cache (prune.go); score: one
-//	          parallelFor over runs of consecutive files, a worker taking
-//	          its run end to end on its own lane (candidate rows written
-//	          into the lane's input block, one serial nn.ForwardBatch,
-//	          scores written into the decision's score slice, each file's
-//	          greedy pick made), drawing no randomness; select: the serial
-//	          ε-greedy selection, the only stage that draws from e.rng.
+//	prepare — route the working set to the units (a lone unit takes it as
+//	          it is), then, for every unit's engine, from one view of the
+//	          store's change tracking: the dirty set, the shortlist, the
+//	          task list (which (file, device) pairings this decision
+//	          scores) and the feature gather of every file whose cached
+//	          ingredients are stale. Serial. It reads the ReplayDB, the
+//	          cluster's summaries and the feature caches, writes only the
+//	          engines' prepared decisions (e.prep) and commits nothing.
+//	finish  — commit every engine: the cadence step, the dirty watermark
+//	          and the gathered features into the cache (prune.go); score:
+//	          every unit's runs of consecutive files laid into one list
+//	          and scored in one parallelFor, a worker taking its run end to
+//	          end on its own lane (candidate rows written into the lane's
+//	          input block, one serial nn.ForwardBatch, scores written into
+//	          the decision's score slice at the engine's offset, each
+//	          file's greedy pick made), drawing no randomness; select: the
+//	          serial ε-greedy selection, unit by unit, the only stage that
+//	          draws from an RNG (each engine's own); merge: the units'
+//	          decisions in unit order, escalated across units (sharded.go).
 //
-// EngineModel.Propose runs the halves back to back. A Geomancy policy
-// over an EngineModel at Config.Parallelism > 1 runs prepare on one helper
-// goroutine while the caller retrains, and finish once the fit has
-// succeeded (policybridge.go). prepare reads nothing a fit writes and no
-// RNG, and a fit that fails is never finished, so the overlapped decision
-// is the serial one bit for bit, and a failed fit leaves the cadence, the
-// watermark and the cache as the serial path does. A decision therefore
-// has two fan-outs: that helper, beside the fit, and the scoring workers.
-// A sharded coordinator prepares every shard engine over one dirty-set
-// query, commits them all, lays every shard's runs into one list and
-// scores it in one fan-out over the scoring pool the shard engines share
-// with the global engine, each engine's scores at its own offset
-// (Engine.scoreOff) into the cycle's score slice; then it selects shard by
-// shard. Either reports what scoring did once per call.
+// The loop prepares every engine decision before it asks the policy
+// (Loop.propose): on one helper goroutine beside the policy's fit
+// at Config.Parallelism > 1, on the caller at 1. EngineModel.Propose
+// finishes what was prepared, and prepares first only when nothing was.
+// prepare reads nothing a fit writes and no RNG, and a decision whose fit
+// fails is dropped unfinished, so the overlapped decision is the serial
+// one bit for bit, and a failed fit leaves the cadence, the watermarks and
+// the caches as the serial path does. A decision therefore has two
+// fan-outs: that helper, beside the fit, and the scoring workers. The
+// scoring is reported once per decision.
 //
 // The body has one input type and one output type: the policy snapshot's
-// own []policy.FileInfo goes in (never copied) and one policy.Prediction
-// per file comes out, positionally aligned with the input. Device names
-// appear only at those two edges; in between a device is its index in
-// e.devices. A decision's scores live for that decision: the pool's score
-// slice holds them, indexed as the tasks' device lists are, and the next
-// decision overwrites them. Only feature ingredients persist between
-// decisions (prune.go).
+// own []policy.FileInfo goes in (a lone unit never copies it) and one
+// policy.Prediction per file comes out, positionally aligned with the
+// input for a lone unit and ordered by unit, input order within each, for
+// a coordinator. Device names appear only at those two edges; in between a
+// device is its index in e.devices. A decision's scores live for that
+// decision: the pool's score slice holds them, indexed as the tasks'
+// device lists are, and the next decision overwrites them. Only feature
+// ingredients persist between decisions (prune.go).
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
 // rescan) is the same body run with every file stale and every device
@@ -67,9 +71,9 @@ type scorePool struct {
 	lanes []*scoreLane
 	spans []scoreSpan
 	// scores[e.scoreOff+t.base+k] is the score of engine e's task t on its
-	// k-th device (bytes/s, denormalized and MAE-adjusted). A lone engine's
-	// decision keeps the slice for the next; a sharded cycle's, which
-	// holds every shard's scores, is dropped with the cycle.
+	// k-th device (bytes/s, denormalized and MAE-adjusted). A one-unit
+	// decision keeps the slice for the next; a coordinator's, which holds
+	// every shard's scores, is dropped with the decision.
 	scores []float64
 }
 
@@ -80,12 +84,13 @@ type scoreSpan struct {
 	lo, hi int
 }
 
-// prepared is one decision's model-free half, as prepare leaves it for
-// finish. Every engine, shard engines included, owns its own, so a
-// coordinator can prepare all its shards before it scores any.
+// prepared is one engine's share of a decision's model-free half, as
+// prepare leaves it for finish. Every engine, shard engines included, owns
+// its own, so a coordinator can prepare all its shards before it scores
+// any.
 type prepared struct {
-	// files is the working set the decision was prepared over, which
-	// finish drops with the tasks.
+	// files is the engine's working set, which the bridge's prepare hands
+	// it and drops with the tasks once the decision is finished or dropped.
 	files []policy.FileInfo
 	full  bool
 	// staleAll marks every cached entry stale: a full pass, or a store
@@ -99,8 +104,7 @@ type prepared struct {
 	// is reused from one decision to the next.
 	stale []*fileCache
 	// short is the decision's device shortlist, ascending, and tasks its
-	// work list, one task per file, which finish drops once it has
-	// selected.
+	// work list, one task per file.
 	short []int
 	tasks []scoreTask
 }
@@ -116,26 +120,22 @@ type scoreLane struct {
 	scratch nn.Scratch
 }
 
-// scoreTally is what the scoring stages of one proposal or one sharded
-// cycle did: the candidate rows they scored and the wall time they took.
+// scoreTally is what the scoring of one decision did: the candidate rows
+// it scored and the wall time it took.
 type scoreTally struct {
 	rows int
 	took time.Duration
 }
 
-// prepare runs the model-free half of a decision over files into e.prep:
-// the dirty set (everything, on an all-device pass), the shortlist, and
-// the task list, one task per file, with every stale file's features
-// gathered. It reads e.decisionCount, e.lastWatermark and the cache, and
-// changes none of them.
-func (e *Engine) prepare(files []policy.FileInfo) { e.prepareFrom(files, e.tracker) }
-
-// prepareFrom is prepare reading the watermark and the dirty set from feed:
-// the engine's own tracker, or a sharded cycle's shared view of it (nil
-// when the store tracks no changes).
-func (e *Engine) prepareFrom(files []policy.FileInfo, feed ChangeTracker) {
+// prepare runs this engine's model-free half of a decision over
+// e.prep.files, reading the watermark and the dirty set from feed (nil when
+// the store tracks no changes): the dirty set (everything, on an
+// all-device pass), the shortlist, and the task list, one task per file,
+// with every stale file's features gathered. It reads e.decisionCount,
+// e.lastWatermark and the cache, and changes none of them.
+func (e *Engine) prepare(feed ChangeTracker) {
 	p := &e.prep
-	p.files = files
+	files := p.files
 	p.full = e.cfg.TopK == 0 || e.fullRescanDue()
 	p.staleAll = p.full || feed == nil
 	p.stale = p.stale[:0]
@@ -180,44 +180,6 @@ func (p *prepared) rows() int {
 	return last.base + last.rows(p.short)
 }
 
-// finish runs the model half of the decision prepare left: commit, score,
-// select. It adds what its scoring did to tally, for the caller to report
-// once.
-func (e *Engine) finish(ctx context.Context, tally *scoreTally) (map[int64]string, []policy.Prediction, error) {
-	if !e.trained {
-		return nil, nil, ErrNotTrained
-	}
-	e.commit()
-	if err := e.score(ctx, tally); err != nil {
-		return nil, nil, err
-	}
-	preds := e.selectLayout()
-	e.prep.files, e.prep.tasks = nil, nil
-	layout := make(map[int64]string, len(preds))
-	for _, d := range preds {
-		layout[d.FileID] = d.Chosen
-	}
-	return layout, preds, nil
-}
-
-// propose finishes the decision prepare left and reports its scoring: it
-// predicts the throughput of every file at its candidate locations
-// (including not moving it) and returns the layout assigning each file to
-// its best predicted location, with one decision record per file in input
-// order. With probability Epsilon a file is assigned a random device
-// instead — the exploration that keeps the availability picture fresh
-// (§V-H). The engine's validator vets destinations; invalid proposals fall
-// back per the Action Checker rules (select.go). ctx is checked between
-// scoring runs. Only the ε-greedy selection — the part that draws from
-// e.rng — runs serially in file order, so a fixed seed replays identically
-// at any Parallelism.
-func (e *Engine) propose(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
-	var tally scoreTally
-	layout, preds, err := e.finish(ctx, &tally)
-	e.metrics.observeScoring(tally)
-	return layout, preds, err
-}
-
 // layRuns cuts the prepared decision's tasks into runs of consecutive files
 // and appends them to the pool's spans, the engine's scores starting at off
 // in the decision's score slice; it returns the offset past them. A run
@@ -246,15 +208,80 @@ func (e *Engine) layRuns(off int) int {
 	return off + total
 }
 
-// score scores the engine's prepared decision alone, in a fan-out of its
-// own, its scores from the start of the pool's score slice, which the pool
-// keeps for the next decision.
-func (e *Engine) score(ctx context.Context, tally *scoreTally) error {
-	pool := e.pool
+// prepare runs the model-free half of a decision over files: it routes
+// the files to their units, a lone unit taking them as they are, and
+// prepares every unit's engine over its own, all from one view of the
+// store's change tracking. A file no unit owns stops the routing; finish
+// reports it.
+func (m *EngineModel) prepare(files []policy.FileInfo) {
+	if len(m.units) == 1 {
+		m.Engine.prep.files, m.routeErr = files, nil
+	} else if m.routeErr = m.route(files); m.routeErr != nil {
+		return
+	}
+	var feed ChangeTracker
+	if t := m.Engine.tracker; t != nil {
+		if m.feed.changed == nil {
+			m.feed.changed = make(map[uint64][]int64)
+		}
+		m.feed.ChangeTracker, m.feed.mark = t, t.Watermark()
+		feed = &m.feed
+	}
+	for i := range m.units {
+		m.units[i].engine.prepare(feed)
+	}
+	clear(m.feed.changed)
+}
+
+// finish runs the model half of the decision prepare left: every unit's
+// engine commits, every unit's runs are scored in one fan-out under the
+// model the last fit wrote and the scoring reported once, then each unit
+// selects, in unit order, and the merge follows. With probability Epsilon
+// a file is assigned a random device instead of its best predicted one —
+// the exploration that keeps the availability picture fresh (§V-H). Each
+// engine's validator vets destinations; invalid proposals fall back per
+// the Action Checker rules (select.go). ctx is checked between scoring
+// runs. Only the selection draws randomness, serially in file order from
+// each engine's own stream, so a fixed seed replays identically at any
+// Parallelism. The prepared decision is dropped whatever the outcome.
+func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
+	defer m.drop()
+	if m.routeErr != nil {
+		return nil, nil, m.routeErr
+	}
+	global := m.Engine
+	if !global.trained { // one model behind every unit
+		return nil, nil, ErrNotTrained
+	}
+	// An engine touches only its own entries and stream, so the unit order
+	// of the commits and of the selections is free; every decision is made
+	// before the first escalation claims anything.
+	pool := global.pool
 	pool.spans = pool.spans[:0]
-	rows := e.layRuns(0)
-	pool.scores = slices.Grow(pool.scores[:0], rows)[:rows]
-	return pool.fanOut(ctx, e.cfg.Parallelism, rows, tally)
+	rows := 0
+	for i := range m.units {
+		e := m.units[i].engine
+		e.commit()
+		rows = e.layRuns(rows)
+	}
+	if len(m.units) == 1 {
+		pool.scores = slices.Grow(pool.scores[:0], rows)[:rows]
+	} else {
+		pool.scores = make([]float64, rows)
+		defer func() { pool.scores = nil }()
+	}
+	var tally scoreTally
+	err := pool.fanOut(ctx, global.cfg.Parallelism, rows, &tally)
+	global.metrics.observeScoring(tally)
+	if err != nil {
+		return nil, nil, err
+	}
+	decs := make([][]policy.Prediction, len(m.units))
+	for i := range m.units {
+		decs[i] = m.units[i].engine.selectLayout()
+	}
+	layout, decisions := m.merge(decs)
+	return layout, decisions, nil
 }
 
 // fanOut scores every span laid in the pool, whose rows total rows, on up

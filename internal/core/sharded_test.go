@@ -39,7 +39,8 @@ func shardCounter(reg *telemetry.Registry, name string, i int) uint64 {
 // TestShardedSingleShardMatchesEngine pins the compatibility contract: a
 // 1-shard coordinator is the unsharded engine, bit-for-bit — same
 // layouts, same decisions, same RNG stream — across decide cycles and
-// retrains.
+// retrains, a file on a device no shard owns included: both score it on
+// the shortlist alone.
 func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -59,7 +60,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.SetMetrics(reg)
 
-	files := testFiles()
+	files := append(testFiles(), policy.FileInfo{ID: 99, Path: "/elsewhere", Size: 3e8, Device: "nosuch"})
 	for step := 0; step < 6; step++ {
 		wantLayout, wantDec, err := plain.ProposeLayoutContext(t.Context(), files)
 		if err != nil {
@@ -162,7 +163,7 @@ func TestShardedRouting(t *testing.T) {
 	for k, d := range dec {
 		// The owning shard's engine scores the file on every one of its own
 		// devices and on nothing else.
-		u := s.units[owners[d.FileID]]
+		u := s.global.units[owners[d.FileID]]
 		_, _, scores, err := u.engine.proposeScored(t.Context(), files[k:k+1])
 		if err != nil {
 			t.Fatal(err)
@@ -172,14 +173,14 @@ func TestShardedRouting(t *testing.T) {
 				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.engine.devices))
 		}
 		for dev := range scores[0] {
-			if owner, ok := s.devShard[dev]; !ok || owner != owners[d.FileID] {
+			if owner, ok := s.global.devShard[dev]; !ok || owner != owners[d.FileID] {
 				t.Errorf("file %d (shard %d) scored out-of-shard device %q", d.FileID, owners[d.FileID], dev)
 			}
 		}
 		// Migration may still move it out of shard (escalation), but a
 		// greedy non-escalated choice stays in-shard; either way the choice
 		// must be a real device.
-		if _, ok := s.devShard[d.Chosen]; !ok {
+		if _, ok := s.global.devShard[d.Chosen]; !ok {
 			t.Errorf("file %d placed on unknown device %q", d.FileID, d.Chosen)
 		}
 	}
@@ -198,7 +199,7 @@ func TestShardedRouting(t *testing.T) {
 	// never-probed devices are shortlisted whatever their rank.
 	cfg.TopK = 1
 	pruned := shardedBluesky(t, db, 3, cfg)
-	for i, u := range pruned.units {
+	for i, u := range pruned.global.units {
 		var names []string
 		for _, j := range u.engine.deviceShortlist() {
 			names = append(names, u.engine.devices[j])
@@ -222,21 +223,21 @@ func TestShardedEscalation(t *testing.T) {
 	escalations := func(i int) uint64 { return shardCounter(reg, telemetry.MetricShardEscalations, i) }
 	migrations := func(i int) uint64 { return shardCounter(reg, telemetry.MetricShardMigrations, i) }
 
-	digest := s.throughputDigest()
+	digest := s.global.throughputDigest()
 	if digest == nil {
 		t.Fatal("no throughput digest on a healthy cluster")
 	}
 	if digest.Name != "file0" {
 		t.Fatalf("digest = %q, want the fastest device file0", digest.Name)
 	}
-	if s.devShard[digest.Name] != 0 {
-		t.Fatalf("digest device owned by shard %d, fixture wants 0", s.devShard[digest.Name])
+	if s.global.devShard[digest.Name] != 0 {
+		t.Fatalf("digest device owned by shard %d, fixture wants 0", s.global.devShard[digest.Name])
 	}
 
 	// Far-underperforming choice in shard 1: escalates and migrates.
 	d := policy.Prediction{FileID: 1, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(1, &d, digest, 1e6, map[string]int64{})
+	s.global.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != digest.Name {
 		t.Fatalf("underperforming choice not escalated: chosen %q", d.Chosen)
 	}
@@ -247,11 +248,11 @@ func TestShardedEscalation(t *testing.T) {
 	// A file the digest device cannot cover: escalation is counted, the
 	// admission check fails, and the in-shard choice survives — nothing
 	// was claimed or committed anywhere.
-	huge := s.cluster.Device(digest.Name).Free() + 1
+	huge := s.global.cluster.Device(digest.Name).Free() + 1
 	d = policy.Prediction{FileID: 2, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 10}
 	claims := map[string]int64{}
-	s.escalate(1, &d, digest, huge, claims)
+	s.global.escalate(1, &d, digest, huge, claims)
 	if d.Chosen != "tmp" {
 		t.Fatalf("refused escalation still moved the file to %q", d.Chosen)
 	}
@@ -265,7 +266,7 @@ func TestShardedEscalation(t *testing.T) {
 	// Exploration decisions probe, they do not escalate.
 	d = policy.Prediction{FileID: 3, Current: "tmp", Chosen: "tmp", Random: true,
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(1, &d, digest, 1e6, map[string]int64{})
+	s.global.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("exploration decision escalated")
 	}
@@ -273,7 +274,7 @@ func TestShardedEscalation(t *testing.T) {
 	// A digest the deciding shard already owns is not an escalation.
 	d = policy.Prediction{FileID: 4, Current: "pic", Chosen: "pic",
 		Predicted: digest.RecentThroughput / 10}
-	s.escalate(0, &d, digest, 1e6, map[string]int64{})
+	s.global.escalate(0, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "pic" || escalations(0) != 0 {
 		t.Error("in-shard digest treated as cross-shard escalation")
 	}
@@ -281,7 +282,7 @@ func TestShardedEscalation(t *testing.T) {
 	// A choice within escalationFactor of the digest stays put.
 	d = policy.Prediction{FileID: 5, Current: "tmp", Chosen: "tmp",
 		Predicted: digest.RecentThroughput / 2}
-	s.escalate(1, &d, digest, 1e6, map[string]int64{})
+	s.global.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("adequately served choice escalated")
 	}
@@ -289,7 +290,7 @@ func TestShardedEscalation(t *testing.T) {
 	// A choice the model did not score (Predicted 0) has nothing to compare
 	// against the digest and stays put.
 	d = policy.Prediction{FileID: 6, Current: "tmp", Chosen: "tmp"}
-	s.escalate(1, &d, digest, 1e6, map[string]int64{})
+	s.global.escalate(1, &d, digest, 1e6, map[string]int64{})
 	if d.Chosen != "tmp" || escalations(1) != 2 {
 		t.Error("unscored choice escalated")
 	}
@@ -303,16 +304,16 @@ func TestShardedEscalation(t *testing.T) {
 func TestShardedEscalationClaims(t *testing.T) {
 	db := seedDB(t, 1200)
 	s := shardedBluesky(t, db, 2, quickCfg())
-	digest := s.throughputDigest()
-	if digest == nil || s.devShard[digest.Name] != 0 {
+	digest := s.global.throughputDigest()
+	if digest == nil || s.global.devShard[digest.Name] != 0 {
 		t.Fatalf("digest %v, fixture wants a device of shard 0", digest)
 	}
-	dev := s.cluster.Device(digest.Name)
+	dev := s.global.cluster.Device(digest.Name)
 	free, used := dev.Free(), dev.Used()
 	escalated := func(claims map[string]int64, id int64, size int64) bool {
 		d := policy.Prediction{FileID: id, Current: "tmp", Chosen: "tmp",
 			Predicted: digest.RecentThroughput / 10}
-		s.escalate(1, &d, digest, size, claims)
+		s.global.escalate(1, &d, digest, size, claims)
 		return d.Chosen == digest.Name
 	}
 
@@ -336,7 +337,7 @@ func TestShardedEscalationClaims(t *testing.T) {
 		t.Fatal("a fresh cycle refused an escalation that fits")
 	}
 	// A device gone read-only takes no escalation, however small.
-	if err := s.cluster.SetReadOnly(digest.Name, true); err != nil {
+	if err := s.global.cluster.SetReadOnly(digest.Name, true); err != nil {
 		t.Fatal(err)
 	}
 	if escalated(map[string]int64{}, 4, 0) {
@@ -370,7 +371,7 @@ func TestShardedRowsObservedOncePerCycle(t *testing.T) {
 			}
 			// Every cycle scores the full working set: files × in-shard
 			// devices summed over shards.
-			perFile := len(s.cluster.DeviceNames()) / n
+			perFile := len(s.global.cluster.DeviceNames()) / n
 			if want := float64(cycles * len(files) * perFile); hist.Sum() != want {
 				t.Errorf("rows scored = %v, want %v", hist.Sum(), want)
 			}
@@ -494,7 +495,7 @@ func TestShardedRestoreAllOrNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := shardedBluesky(t, db, 2, quickCfg())
-			eng := b.units[0].engine
+			eng := b.global.units[0].engine
 			rngBefore, countBefore := eng.rng.State(), eng.decisionCount
 			if err := b.UnmarshalState(bad.Bytes()); err == nil {
 				t.Fatal("UnmarshalState accepted a blob with a bad unit 1")
@@ -529,16 +530,16 @@ func TestShardedRestoreParentBlob(t *testing.T) {
 	parent := struct {
 		Shards int
 		Units  []parentUnit
-	}{Shards: len(a.units)}
-	for i := range a.units {
-		es, err := a.units[i].engine.State()
+	}{Shards: len(a.global.units)}
+	for i := range a.global.units {
+		es, err := a.global.units[i].engine.State()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(es.Net) == 0 {
 			t.Fatal("parent-form unit carries no network")
 		}
-		group := parentShard{Index: i, Devices: a.units[i].engine.devices}
+		group := parentShard{Index: i, Devices: a.global.units[i].engine.devices}
 		parent.Units = append(parent.Units, parentUnit{Engine: &es, Shard: group})
 	}
 	var old bytes.Buffer

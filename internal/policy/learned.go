@@ -7,9 +7,13 @@ import (
 )
 
 // Model is the narrow surface of a learned placement engine the policy
-// plane drives. core.EngineModel implements it over the DRL engine; the
-// indirection keeps this package a leaf (core imports policy, not the
-// reverse) and lets tests substitute canned models.
+// plane drives: three calls, no optional extensions. core.EngineModel
+// implements it over the DRL engine; the indirection keeps this package a
+// leaf (core imports policy, not the reverse) and lets tests and decorators
+// (a tracer's timing wrapper) substitute or wrap models. Scheduling work
+// around these calls belongs to the caller: core.Loop prepares the
+// engine's decision beside the policy's Retrain or Update, whatever wraps
+// the model.
 type Model interface {
 	// Retrain runs one full training cycle on the freshest telemetry
 	// window (the paper's periodic retrain).
@@ -23,48 +27,6 @@ type Model interface {
 	// chosen layout plus the per-file prediction record.
 	Propose(ctx context.Context, s State) (map[int64]string, []Prediction, error)
 }
-
-// Preparer is an optional extension of Model, for a model whose proposal
-// has a half that reads no model state: Prepare starts the proposal over
-// s, free to run that half beside the Retrain that Geomancy calls next,
-// and returns it to finish or abandon once the retrain returns. The
-// prepared proposal must equal what Retrain then Propose(s) gives, and an
-// abandoned one must leave the model as a failed Retrain alone does.
-type Preparer interface {
-	Prepare(s State) Prepared
-}
-
-// Prepared is a proposal Preparer.Prepare started. Exactly one of its
-// methods is called, once.
-type Prepared interface {
-	// Propose finishes the proposal under the model the retrain left, as
-	// Model.Propose does.
-	Propose(ctx context.Context) (map[int64]string, []Prediction, error)
-	// Abandon waits for the prepared half and discards it: the policy's
-	// answer to a failed retrain.
-	Abandon()
-}
-
-// prepare starts the proposal over s through m's Preparer; a model
-// without one proposes whole, after the retrain.
-func prepare(m Model, s State) Prepared {
-	if pm, ok := m.(Preparer); ok {
-		return pm.Prepare(s)
-	}
-	return serialProposal{m, s}
-}
-
-// serialProposal is the Prepared of a model without a Preparer.
-type serialProposal struct {
-	m Model
-	s State
-}
-
-func (p serialProposal) Propose(ctx context.Context) (map[int64]string, []Prediction, error) {
-	return p.m.Propose(ctx, p.s)
-}
-
-func (serialProposal) Abandon() {}
 
 // Prediction records one file's placement decision by a learned model.
 type Prediction struct {
@@ -101,9 +63,7 @@ func countExplored(preds []Prediction) int {
 
 // Geomancy is the paper's closed loop as a Policy: every proposal is
 // preceded by a full retrain on the freshest telemetry window, then the
-// model's ε-greedy layout is applied as-is. A model that is a Preparer
-// prepares the proposal before the retrain, so its model-free half may run
-// beside the fit. Its mutable state (RNG stream, weights, scalers) lives
+// model's ε-greedy layout is applied as-is. Its mutable state (RNG stream, weights, scalers) lives
 // in the engine, which snapshots itself through the engine half of the
 // checkpoint — so the policy blob itself is empty.
 type Geomancy struct {
@@ -117,12 +77,10 @@ func (p *Geomancy) Name() string { return "Geomancy dynamic" }
 
 // Propose implements Policy.
 func (p *Geomancy) Propose(ctx context.Context, s State) (map[int64]string, error) {
-	prep := prepare(p.Model, s)
 	if err := p.Model.Retrain(ctx); err != nil {
-		prep.Abandon()
 		return nil, fmt.Errorf("policy: geomancy retrain: %w", err)
 	}
-	layout, preds, err := prep.Propose(ctx)
+	layout, preds, err := p.Model.Propose(ctx, s)
 	if err != nil {
 		return nil, fmt.Errorf("policy: geomancy proposal: %w", err)
 	}

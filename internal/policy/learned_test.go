@@ -271,57 +271,3 @@ func TestCatalogueNames(t *testing.T) {
 		t.Errorf("catalogue order changed: last = %q", last)
 	}
 }
-
-// preparingModel is a Model with the Preparer extension that logs its
-// calls in order.
-type preparingModel struct {
-	stubModel
-	calls      []string
-	retrainErr error
-}
-
-func (m *preparingModel) Retrain(context.Context) error {
-	m.calls = append(m.calls, "retrain")
-	return m.retrainErr
-}
-
-func (m *preparingModel) Prepare(State) Prepared {
-	m.calls = append(m.calls, "prepare")
-	return loggedProposal{m}
-}
-
-type loggedProposal struct{ m *preparingModel }
-
-func (p loggedProposal) Propose(context.Context) (map[int64]string, []Prediction, error) {
-	p.m.calls = append(p.m.calls, "propose")
-	return p.m.layout, p.m.preds, nil
-}
-
-func (p loggedProposal) Abandon() { p.m.calls = append(p.m.calls, "abandon") }
-
-// Geomancy prepares a Preparer's proposal before the retrain and finishes
-// it after; a failed retrain abandons it and surfaces the retrain's error.
-func TestGeomancyPreparesBeforeTheRetrain(t *testing.T) {
-	layout := map[int64]string{1: "b"}
-	m := &preparingModel{stubModel: stubModel{layout: layout, preds: []Prediction{{FileID: 1, Current: "a", Chosen: "b", Random: true}}}}
-	p := &Geomancy{Model: m}
-	got, err := p.Propose(context.Background(), State{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, layout) || p.LastExplored() != 1 {
-		t.Errorf("proposed %v with %d explored, want %v with 1", got, p.LastExplored(), layout)
-	}
-	if want := []string{"prepare", "retrain", "propose"}; !reflect.DeepEqual(m.calls, want) {
-		t.Errorf("calls %v, want %v", m.calls, want)
-	}
-
-	boom := errors.New("boom")
-	m.calls, m.retrainErr = nil, boom
-	if _, err := p.Propose(context.Background(), State{}); !errors.Is(err, boom) {
-		t.Fatalf("failed retrain: err %v, want it wrapped", err)
-	}
-	if want := []string{"prepare", "retrain", "abandon"}; !reflect.DeepEqual(m.calls, want) {
-		t.Errorf("failed retrain: calls %v, want %v", m.calls, want)
-	}
-}
