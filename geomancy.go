@@ -733,9 +733,10 @@ func (s *System) FaultStats() FaultStats {
 // buildSnapshot captures the complete dynamic state of the system. The
 // replay WAL is synced first so the recorded watermark only covers
 // durable records; memory databases embed the records they retain, and
-// how many they appended, in the snapshot instead. The per-run stats and
-// the loop's logs are the system's live slices (Loop.State), so the
-// snapshot is valid until the next run: every caller encodes it at once.
+// how many they appended, in the snapshot instead. The per-run stats, the
+// loop's logs (Loop.State) and the model's weights (Engine.State) are the
+// system's live slices, so the snapshot is valid until the next run: every
+// caller encodes it at once.
 func (s *System) buildSnapshot() (*checkpoint.Snapshot, error) {
 	if s.closed {
 		return nil, ErrClosed

@@ -3,10 +3,13 @@ package agents
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -219,6 +222,78 @@ func TestPushLayoutWithoutControls(t *testing.T) {
 	d, _, _ := startDaemon(t)
 	if _, err := d.PushLayout(map[int64]string{1: "x"}); err == nil {
 		t.Error("PushLayout with no control agents should error")
+	}
+}
+
+// TestRemoteStoreWalksInPlace: the store's window walk hands fn the same
+// records, in the same order, as the copying queries, for a device and for
+// a file, from several goroutines at once, and copies none of them.
+func TestRemoteStoreWalksInPlace(t *testing.T) {
+	_, db, addr := startDaemon(t)
+	for i := 0; i < 400; i++ {
+		db.AppendAccess(replaydb.AccessRecord{Time: float64(i), Device: []string{"pic", "var"}[i%2], FileID: int64(i % 3), Throughput: float64(i)})
+	}
+	cl, err := DialRemoteStore(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var walker interface {
+		EachRecentByDevice(device string, n int, fn func(*replaydb.AccessRecord))
+		EachRecentByFile(fileID int64, n int, fn func(*replaydb.AccessRecord))
+	} = cl
+	var walked []replaydb.AccessRecord
+	collect := func(rec *replaydb.AccessRecord) { walked = append(walked, *rec) }
+	walker.EachRecentByDevice("pic", 150, collect)
+	if want := cl.RecentByDevice("pic", 150); len(want) != 150 || !reflect.DeepEqual(walked, want) {
+		t.Fatalf("device walk saw %d records, the copy holds %d, or they differ", len(walked), len(want))
+	}
+	walked = nil
+	walker.EachRecentByFile(2, 100, collect)
+	if want := cl.RecentByFile(2, 100); len(want) != 100 || !reflect.DeepEqual(walked, want) {
+		t.Fatalf("file walk saw %d records, the copy holds %d, or they differ", len(walked), len(want))
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Walks from several goroutines at once, as the engine's workers make
+	// them, each see their own reply whole.
+	want := cl.RecentByDevice("pic", 150)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var got []replaydb.AccessRecord
+				walker.EachRecentByDevice("pic", 150, func(rec *replaydb.AccessRecord) { got = append(got, *rec) })
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("a concurrent walk saw %d records, not the window's %d", len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The daemon's side of a query allocates what it allocates either way;
+	// the walk must save the client's copies.
+	grew := func(query func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	walk := func() { walker.EachRecentByDevice("var", 200, func(*replaydb.AccessRecord) {}) }
+	copied := func() { cl.RecentByDevice("var", 200) }
+	grew(walk) // the codec's buffers reach their size
+	walks, copies := grew(walk), grew(copied)
+	if saved, want := int64(copies)-int64(walks), int64(20*200*unsafe.Sizeof(replaydb.AccessRecord{})); saved < want*3/4 {
+		t.Errorf("20 walks of 200 records allocated %d bytes, 20 copying queries %d: the walk saves %d of the copies' %d", walks, copies, saved, want)
 	}
 }
 

@@ -49,8 +49,43 @@ func (r *RemoteStore) RecentByFile(fileID int64, n int) []replaydb.AccessRecord 
 	return recs
 }
 
-// query runs one recent-window request; the error is also retained for Err.
+// EachRecentByDevice hands the n most recent accesses on a device, oldest
+// first, to fn in place: each record is the one the codec decoded the
+// reply into, and fn runs under the session lock, so — as with the local
+// database's walk — fn must not call back into the store nor keep the
+// pointer. A failed query walks nothing (see Err).
+func (r *RemoteStore) EachRecentByDevice(device string, n int, fn func(*replaydb.AccessRecord)) {
+	r.walk(Envelope{Type: TypeRecentQuery, Device: device, N: n}, eachRecord(fn))
+}
+
+// EachRecentByFile is EachRecentByDevice for the n most recent accesses of
+// one file.
+func (r *RemoteStore) EachRecentByFile(fileID int64, n int, fn func(*replaydb.AccessRecord)) {
+	r.walk(Envelope{Type: TypeRecentQuery, FileID: fileID, N: n}, eachRecord(fn))
+}
+
+func eachRecord(fn func(*replaydb.AccessRecord)) func([]replaydb.AccessRecord) {
+	return func(recs []replaydb.AccessRecord) {
+		for i := range recs {
+			fn(&recs[i])
+		}
+	}
+}
+
+// query runs one recent-window request and returns a copy of its records.
 func (r *RemoteStore) query(req Envelope) ([]replaydb.AccessRecord, error) {
+	var out []replaydb.AccessRecord
+	err := r.walk(req, func(recs []replaydb.AccessRecord) {
+		out = append([]replaydb.AccessRecord(nil), recs...)
+	})
+	return out, err
+}
+
+// walk runs one recent-window request and, if it succeeds, use over the
+// reply's records. They borrow the connection's buffers, so use runs under
+// the session lock, before the next request can reuse them. The error is
+// also retained for Err.
+func (r *RemoteStore) walk(req Envelope, use func([]replaydb.AccessRecord)) error {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
 	r.next++
@@ -58,10 +93,10 @@ func (r *RemoteStore) query(req Envelope) ([]replaydb.AccessRecord, error) {
 	reply, err := r.s.callLocked(&req, TypeRecentReply)
 	if err != nil {
 		r.lastErr = fmt.Errorf("agents: client query: %w", err)
-		return nil, r.lastErr
+		return r.lastErr
 	}
-	// The reply borrows the connection's buffers; the caller keeps a copy.
-	return append([]replaydb.AccessRecord(nil), reply.Reports...), nil
+	use(reply.Reports)
+	return nil
 }
 
 // Err returns the most recent query error, if any, and clears it.

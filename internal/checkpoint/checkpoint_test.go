@@ -2,18 +2,25 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"geomancy/internal/core"
+	"geomancy/internal/nn"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
 	"geomancy/internal/workload"
 )
 
-// sampleSnapshot builds a snapshot with enough populated fields to catch
-// field-level encoding regressions.
+// sampleSnapshot builds a snapshot with enough populated fields — every
+// section among them — to catch field-level encoding regressions.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		Seed:    42,
@@ -21,6 +28,18 @@ func sampleSnapshot() *Snapshot {
 		TpSum:   1.5e9,
 		TpCount: 1200,
 		Stats:   []workload.RunStats{{Run: 0, Accesses: 300, Bytes: 1 << 30, MeanThroughput: 2e9}},
+		Engine: core.EngineState{
+			RNG: 99,
+			// Model 1 over one feature: the deployed architecture, small.
+			Net:     nn.MustBuildModel(1, 1, rand.New(rand.NewSource(70))).State(),
+			Devices: []string{"file0"},
+			Trained: true,
+		},
+		Loop: core.LoopState{
+			AccessCount: 300,
+			TrainLog:    []core.TrainReport{{Samples: 250, Epochs: 4, FinalLoss: 0.25, Validation: nn.Metrics{MARE: 12.5, Diverged: true}}},
+			Movements:   []core.MovementEvent{{AccessIndex: 300, Moved: 3, Run: 1, Random: 1}},
+		},
 		Cluster: storagesim.ClusterState{
 			Now: 123.5,
 			RNG: 0xDEADBEEF,
@@ -56,6 +75,178 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.ReplayWatermark != 4321 || len(got.Accesses) != 1 || got.AccessCount != 9 {
 		t.Errorf("replay state did not round-trip: %+v", got)
 	}
+	if !reflect.DeepEqual(got.Stats, snap.Stats) || !reflect.DeepEqual(got.Loop.TrainLog, snap.Loop.TrainLog) ||
+		!reflect.DeepEqual(got.Loop.Movements, snap.Loop.Movements) {
+		t.Errorf("history sections did not round-trip: %+v, %+v, %+v", got.Stats, got.Loop.TrainLog, got.Loop.Movements)
+	}
+	if !bytes.Equal(got.Engine.Net.AppendWeights(nil), snap.Engine.Net.AppendWeights(nil)) {
+		t.Error("model weights did not round-trip")
+	}
+	gotEngine, wantEngine := got.Engine, snap.Engine
+	gotEngine.Net.Weights, wantEngine.Net.Params = nil, nil
+	if !reflect.DeepEqual(gotEngine, wantEngine) {
+		t.Errorf("engine state did not round-trip: %+v", got.Engine)
+	}
+}
+
+// fill sets every field of v, recursively, to a value of its own.
+func fill(v reflect.Value, next *int64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fill(v.Field(i), next)
+		}
+		return
+	case reflect.Int, reflect.Int64:
+		v.SetInt(*next)
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		panic("fill: no value for a " + v.Kind().String() + " field")
+	}
+	*next++
+}
+
+// TestSectionsCarryEveryField: a record of each fixed-width section with
+// every field set — nested ones too — reads back equal, so a field added
+// to RunStats, TrainReport or MovementEvent fails here until its section
+// carries it.
+func TestSectionsCarryEveryField(t *testing.T) {
+	var snap Snapshot
+	snap.Stats = make([]workload.RunStats, 2)
+	snap.Loop.TrainLog = make([]core.TrainReport, 2)
+	snap.Loop.Movements = make([]core.MovementEvent, 2)
+	next := int64(1)
+	for _, recs := range []any{snap.Stats, snap.Loop.TrainLog, snap.Loop.Movements} {
+		v := reflect.ValueOf(recs)
+		for i := range v.Len() {
+			fill(v.Index(i), &next)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stats, snap.Stats) {
+		t.Errorf("stats section: %+v, want %+v", got.Stats, snap.Stats)
+	}
+	if !reflect.DeepEqual(got.Loop.TrainLog, snap.Loop.TrainLog) {
+		t.Errorf("train log section: %+v, want %+v", got.Loop.TrainLog, snap.Loop.TrainLog)
+	}
+	if !reflect.DeepEqual(got.Loop.Movements, snap.Loop.Movements) {
+		t.Errorf("movements section: %+v, want %+v", got.Loop.Movements, snap.Loop.Movements)
+	}
+}
+
+// withWeights returns file, a valid checkpoint, with its weight section
+// replaced by weights and the lengths and CRC made consistent again, so
+// only the check of the model's architecture against its block can refuse
+// it.
+func withWeights(t testing.TB, file, weights []byte) []byte {
+	t.Helper()
+	payload := file[frameHeader : len(file)-4]
+	headLen := binary.LittleEndian.Uint32(payload)
+	rest := payload[4+headLen:]
+	oldLen := binary.LittleEndian.Uint32(rest)
+	body := append([]byte(nil), payload[:4+headLen]...)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(weights)))
+	body = append(body, weights...)
+	body = append(body, rest[4+oldLen:]...)
+	out := append([]byte(nil), file[:len(magic)+1]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+}
+
+// TestReadRejectsWeightsTheSpecsDoNotNeed: a checkpoint whose weight
+// section is shorter or longer than its layer specs need, or whose specs
+// declare a layer no weight section could back, is ErrCorrupt, and reading
+// it allocates what the file holds, not what the specs declare.
+func TestReadRejectsWeightsTheSpecsDoNotNeed(t *testing.T) {
+	snap := sampleSnapshot()
+	var buf bytes.Buffer
+	if err := Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	weights := snap.Engine.Net.AppendWeights(nil)
+	huge := sampleSnapshot()
+	huge.Engine.Net = nn.State{InSize: 6, Window: nn.DefaultWindow,
+		Layers: []nn.LayerSpec{{Fixed: 1 << 30, Kind: "Dense", Act: nn.Linear}},
+		Params: [][]float64{make([]float64, 6), {0}}}
+	var hugeBuf bytes.Buffer
+	if err := Write(&hugeBuf, huge); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"one value short":   withWeights(t, file, weights[:len(weights)-8]),
+		"five values long":  withWeights(t, file, append(append([]byte(nil), weights...), make([]byte, 40)...)),
+		"a partial value":   withWeights(t, file, weights[:len(weights)-3]),
+		"no weights at all": withWeights(t, file, nil),
+		"a 2^30-wide layer": hugeBuf.Bytes(),
+	}
+	if _, err := Read(bytes.NewReader(withWeights(t, file, weights))); err != nil {
+		t.Fatalf("the rebuilt valid checkpoint: %v", err)
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(data))+1<<20; grew > limit {
+			t.Errorf("%s: Read allocated %d bytes for a %d-byte file (limit %d)", name, grew, len(data), limit)
+		}
+	}
+}
+
+// TestLoadKeepsTheWeightBlock: Load reads a file into one buffer of its
+// payload's size and keeps the model's weight block in it, undecoded and
+// uncopied, so a checkpoint whose 2 MB of weights are nearly all of it
+// loads in little more than its own length, and its model rebuilds from
+// the block bit for bit.
+func TestLoadKeepsTheWeightBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	snap := sampleSnapshot()
+	big := nn.NewNetwork(6).AddDense(1<<15, nn.ReLU, rng).AddDense(1, nn.Linear, rng)
+	snap.Engine.Net = big.State()
+	path := filepath.Join(t.TempDir(), "big.ckpt")
+	if err := Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil { // gob compiles its decoders once
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(info.Size())+64<<10; grew > limit {
+		t.Errorf("Load allocated %d bytes for a %d-byte file (limit %d)", grew, info.Size(), limit)
+	}
+	rebuilt, err := got.Engine.Net.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Engine.Net.AppendWeights(nil)
+	if again := rebuilt.State(); !bytes.Equal(again.AppendWeights(nil), want) {
+		t.Error("the model rebuilt from the kept block has other weights")
+	}
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
@@ -63,15 +254,17 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
 	}
-	// No reader is kept for the previous format: an otherwise intact file
-	// under the GCKP0004 magic is corrupt, not half-understood.
+	// No reader is kept for the previous formats: an otherwise intact file
+	// under an older magic is corrupt, not half-understood.
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("GCKP0004"), buf.Bytes()[len(magic):]...)
-	if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("GCKP0004 file: err = %v, want ErrCorrupt", err)
+	for _, m := range []string{"GCKP0004", "GCKP0005"} {
+		old := append([]byte(m), buf.Bytes()[len(magic):]...)
+		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s file: err = %v, want ErrCorrupt", m, err)
+		}
 	}
 }
 

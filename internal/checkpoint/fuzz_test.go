@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// framed wraps payload in a well-formed GCKP0005 frame — magic, type,
-// length, payload, CRC — so bytes the fuzzer invents reach the gob decoder
-// instead of dying at the checksum.
+// framed wraps payload in a well-formed GCKP0006 frame — magic, type,
+// length, payload, CRC — so bytes the fuzzer invents reach the section
+// parser instead of dying at the checksum.
 func framed(payload []byte) []byte {
 	out := append([]byte(nil), magic...)
 	out = append(out, frameSnapshot)
@@ -20,22 +20,32 @@ func framed(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// FuzzCheckpointRead feeds arbitrary bytes to Read twice: as a checkpoint
-// file, and as the payload of a correctly framed one. Either way Read
-// returns a snapshot or an ErrCorrupt — never another error, never a
-// panic — and what reading a file allocates is bounded by the file's own
-// length, whatever length its header declares. The committed corpus holds
-// real GCKP0005 snapshots (flat, and two shards with the coordinator's
+// asHead makes head the head section of a payload whose other sections
+// are empty, so bytes the fuzzer invents reach the gob decoder.
+func asHead(head []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(head)))
+	out = append(out, head...)
+	return append(out, make([]byte, 4*(sectionCount-1))...)
+}
+
+// FuzzCheckpointRead feeds arbitrary bytes to Read three times: as a
+// checkpoint file, as the payload of a correctly framed one, and as the
+// head section of one. Each way Read returns a snapshot or an ErrCorrupt —
+// never another error, never a panic — and what reading a file allocates
+// is bounded by the file's own length, whatever lengths its header, its
+// sections and its model's layer specs declare. The committed corpus holds
+// real GCKP0006 snapshots (flat, and two shards with the coordinator's
 // nested per-shard engine blobs in Policy), each cut at every frame
-// boundary, with a flipped CRC, under the previous magic, and the 13-byte
-// header that used to ask for 4 GiB.
+// boundary, with a flipped CRC, under the two previous magics, with a
+// weight section one value shorter and five values longer than the layer
+// specs need, and the 13-byte header that used to ask for 4 GiB.
 func FuzzCheckpointRead(f *testing.F) {
 	var valid bytes.Buffer
 	if err := Write(&valid, sampleSnapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add([]byte("GCKP0005\x01\xff\xff\xff\xff"))
+	f.Add([]byte("GCKP0006\x01\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -48,15 +58,21 @@ func FuzzCheckpointRead(f *testing.F) {
 			t.Fatalf("Read returned snapshot %v with error %v", snap != nil, err)
 		}
 		// Twice the input for the doubling buffer, once more for what gob
-		// builds from an honest payload, and a fixed allowance for gob's
-		// own machinery (its first decode compiles the Snapshot type).
+		// builds from an honest head and for the records (the weight block
+		// is kept as read), and a fixed allowance for gob's own machinery
+		// (its first decode compiles the Snapshot type).
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(data))+8<<20; grew > limit {
 			t.Fatalf("Read allocated %d bytes for a %d-byte input (limit %d)", grew, len(data), limit)
 		}
-		if snap, err := Read(bytes.NewReader(framed(data))); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Read of a framed payload failed with an untyped error: %v", err)
-		} else if (snap == nil) == (err == nil) {
-			t.Fatalf("Read of a framed payload returned snapshot %v with error %v", snap != nil, err)
+		for _, wrap := range []struct {
+			name string
+			file []byte
+		}{{"a framed payload", framed(data)}, {"a framed head section", framed(asHead(data))}} {
+			if snap, err := Read(bytes.NewReader(wrap.file)); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Read of %s failed with an untyped error: %v", wrap.name, err)
+			} else if (snap == nil) == (err == nil) {
+				t.Fatalf("Read of %s returned snapshot %v with error %v", wrap.name, snap != nil, err)
+			}
 		}
 	})
 }

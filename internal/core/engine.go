@@ -188,8 +188,9 @@ type TrainReport struct {
 // the same view over the Interface Daemon's wire protocol, preserving the
 // paper's decoupling ("the DRL engine requests training data from the
 // ReplayDB via the Interface Daemon", §V-E). The engine reads a store that
-// can also walk its windows in place (windowWalker, as *replaydb.DB does)
-// without copying a record; any other store it reads through these copies.
+// can also walk its windows in place (windowWalker, as *replaydb.DB and
+// agents.RemoteStore do) without copying a record; any other store it
+// reads through these copies.
 type TelemetryStore interface {
 	// RecentByDevice returns up to n most recent accesses on a device,
 	// oldest first.

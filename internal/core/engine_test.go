@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -679,11 +678,7 @@ func TestRestoreStateRejectsUnscorableNetwork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := net.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			st.Net = buf.Bytes()
+			st.Net = net.State()
 			st.RNG++
 			st.Devices = testDevices[:2]
 			rngBefore, netBefore := e.rng.State(), e.net

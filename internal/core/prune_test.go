@@ -555,10 +555,11 @@ func TestPrunedStateRoundTrip(t *testing.T) {
 
 // parentEngineState is EngineState as snapshots wrote it while the engine
 // cached scores across decisions: the model generation and every file's
-// per-device scores and generations rode along.
+// per-device scores and generations rode along. (The model was then a gob
+// blob of its own; Net has today's type so gob carries it across.)
 type parentEngineState struct {
 	RNG           uint64
-	Net           []byte
+	Net           nn.State
 	Devices       []string
 	FeatScaler    features.MinMaxState
 	TargetScaler  features.ScalarState

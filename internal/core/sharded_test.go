@@ -536,7 +536,7 @@ func TestShardedRestoreParentBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(es.Net) == 0 {
+		if len(es.Net.Params) == 0 {
 			t.Fatal("parent-form unit carries no network")
 		}
 		group := parentShard{Index: i, Devices: a.global.units[i].engine.devices}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,8 +15,11 @@ import (
 // would have. The engine's Config and store binding are reconstructed
 // from configuration on restore.
 type EngineState struct {
-	RNG     uint64
-	Net     []byte // nn wire format (architecture + weights)
+	RNG uint64
+	// Net is the model: its architecture, and its weights as the live
+	// network's own parameter slices (nn.State), which a checkpoint writes
+	// as a block of its own.
+	Net     nn.State
 	Devices []string
 
 	FeatScaler   features.MinMaxState
@@ -41,15 +43,12 @@ type EngineState struct {
 	LastWatermark uint64
 }
 
-// State captures the engine mid-run.
+// State captures the engine mid-run. The model's weights are not copied:
+// the state is valid until the engine trains again, so encode it first.
 func (e *Engine) State() (EngineState, error) {
-	var buf bytes.Buffer
-	if err := e.net.Save(&buf); err != nil {
-		return EngineState{}, fmt.Errorf("core: serializing model: %w", err)
-	}
 	return EngineState{
 		RNG:           e.rng.State(),
-		Net:           buf.Bytes(),
+		Net:           e.net.State(),
 		Devices:       append([]string(nil), e.devices...),
 		FeatScaler:    e.featScaler.State(),
 		TargetScaler:  e.targetScaler.State(),
@@ -68,7 +67,7 @@ func (e *Engine) State() (EngineState, error) {
 // other than the one the engine was built over (ErrInvalidState). The
 // feature cache starts empty.
 func (e *Engine) RestoreState(st EngineState) error {
-	net, err := nn.Load(bytes.NewReader(st.Net))
+	net, err := st.Net.Network()
 	if err != nil {
 		return fmt.Errorf("core: restoring model: %w", err)
 	}

@@ -8,19 +8,21 @@ import (
 )
 
 // windowWalker is the in-place read of a TelemetryStore's recent windows.
-// *replaydb.DB provides it: each EachRecent… call hands the window's
-// records, oldest first, to fn under the database's read lock, copying
-// nothing, so fn must not call back into the store nor keep the pointer it
-// is given.
+// *replaydb.DB provides it, and agents.RemoteStore over its reply buffer:
+// each EachRecent… call hands the window's records, oldest first, to fn
+// under the store's lock (the database's read lock, the wire session's
+// lock), copying nothing, so fn must not call back into the store nor keep
+// the pointer it is given.
 type windowWalker interface {
 	EachRecentByDevice(device string, n int, fn func(*replaydb.AccessRecord))
 	EachRecentByFile(fileID int64, n int, fn func(*replaydb.AccessRecord))
 }
 
 // walkerOf returns store's own walker or, for a store that answers only
-// with copies (agents.RemoteStore), one that hands the records of each copy
-// to the same callback. Like a ChangeTracker, the capability is found by
-// type assertion, so there is one reader of windows either way.
+// with copies (a decorator that forwards just TelemetryStore's methods),
+// one that hands the records of each copy to the same callback. Like a
+// ChangeTracker, the capability is found by type assertion, so there is
+// one reader of windows either way.
 func walkerOf(store TelemetryStore) windowWalker {
 	if w, ok := store.(windowWalker); ok {
 		return w

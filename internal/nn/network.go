@@ -16,7 +16,7 @@ import (
 // ignore it.
 const DefaultWindow = 8
 
-// MaxWindow is the longest window Load accepts from a snapshot. A window
+// MaxWindow is the longest window State.Network accepts. A window
 // sizes a recurrent batch's input (window × rows × InSize values per
 // batch), so it is bounded like a layer width is; Table I's models read
 // DefaultWindow, and a thousand-step BPTT is already far past them.

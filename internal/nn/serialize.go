@@ -1,67 +1,104 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"geomancy/internal/rng"
 )
 
-// snapshot is the gob wire form of a network: enough to rebuild the
+// State is a network's serializable form: enough to rebuild the
 // architecture (via the zoo-style layer specs) and restore every weight.
-type snapshot struct {
+// The architecture fields are small and travel in any encoding; the
+// weights are what a checkpoint writes as a block of its own
+// (AppendWeights, SetWeights), so an encoder leaves Params and Weights out.
+type State struct {
 	Desc   string
 	InSize int
 	Window int
 	Layers []LayerSpec
-	// Params holds the flattened data of every parameter matrix in
-	// Params() order.
+	// Params holds a captured state's weights: the data of every parameter
+	// matrix in Params() order, as the network's own slices, not copies.
+	// The state is valid until the network trains again.
 	Params [][]float64
+	// Weights holds a read state's weights instead: the block SetWeights
+	// accepted, kept as it was given, neither decoded nor copied.
+	Weights []byte
 }
 
-// Save writes the network architecture and weights to w in gob format.
-func (n *Network) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(n.snapshot())
-}
-
-func (n *Network) snapshot() snapshot {
-	snap := snapshot{
+// State captures the network's architecture and, without copying them,
+// its weights.
+func (n *Network) State() State {
+	st := State{
 		Desc:   n.String(),
 		InSize: n.InSize,
 		Window: n.Window,
 		Layers: n.layerSpecs(),
 	}
 	for _, p := range n.Params() {
-		data := make([]float64, len(p.Data))
-		copy(data, p.Data)
-		snap.Params = append(snap.Params, data)
+		st.Params = append(st.Params, p.Data)
 	}
-	return snap
+	return st
 }
 
-// Load reads a network previously written with Save. The snapshot's
-// declared shape is checked against its own parameter blocks before any
-// layer is built (see check), so a blob that lies about a width — negative,
-// overflowing, or larger than the weights it carries — is an error, never
-// an allocation.
-func Load(r io.Reader) (*Network, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("nn: decoding network: %w", err)
+// WeightsLen is the length in bytes of the state's weight block.
+func (s *State) WeightsLen() int {
+	if s.Weights != nil {
+		return len(s.Weights)
 	}
-	if err := snap.check(); err != nil {
+	n := 0
+	for _, p := range s.Params {
+		n += 8 * len(p)
+	}
+	return n
+}
+
+// AppendWeights appends the state's weight block to b: every parameter in
+// Params() order, as little-endian float64 bits.
+func (s *State) AppendWeights(b []byte) []byte {
+	if s.Weights != nil {
+		return append(b, s.Weights...)
+	}
+	for _, p := range s.Params {
+		for _, v := range p {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// SetWeights makes block, a weight block written by AppendWeights, the
+// state's weights. The architecture is checked against the block's length
+// first, allocating nothing, so a state that declares more or fewer
+// weights than the block holds is an error, never an allocation sized by
+// the declaration. The state keeps block itself: it must not change until
+// Network has built from it.
+func (s *State) SetWeights(block []byte) error {
+	if err := s.checkBlock(len(block)); err != nil {
+		return err
+	}
+	s.Params, s.Weights = nil, block
+	return nil
+}
+
+// Network builds the network the state describes and fills its weights in
+// from Params or the weight block. The declared shape is checked against
+// the weights first (see check), so a state that lies about a width —
+// negative, overflowing, or larger than the weights it carries — is an
+// error, never an allocation.
+func (s *State) Network() (*Network, error) {
+	if err := s.check(); err != nil {
 		return nil, err
 	}
 	// Build with a throwaway rng; weights are overwritten below.
 	rng := rng.NewRand(0)
-	net := NewNetwork(snap.InSize)
-	net.Window = snap.Window
-	for _, spec := range snap.Layers {
+	net := NewNetwork(s.InSize)
+	net.Window = s.Window
+	for _, spec := range s.Layers {
 		units := spec.Fixed
 		if units == 0 {
-			units = spec.UnitsZ * snap.InSize
+			units = spec.UnitsZ * s.InSize
 		}
 		switch spec.Kind { // check vetted every kind and its position
 		case "Dense":
@@ -74,10 +111,18 @@ func Load(r io.Reader) (*Network, error) {
 			net.AddSimpleRNN(units, spec.Act, rng)
 		}
 	}
+	block := s.Weights
 	for i, p := range net.Params() {
-		copy(p.Data, snap.Params[i])
+		if s.Weights == nil {
+			copy(p.Data, s.Params[i])
+			continue
+		}
+		for j := range p.Data {
+			p.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*j:]))
+		}
+		block = block[8*len(p.Data):]
 	}
-	net.Desc = snap.Desc
+	net.Desc = s.Desc
 	return net, nil
 }
 
@@ -85,57 +130,92 @@ func Load(r io.Reader) (*Network, error) {
 // layer kind carries; a Dense layer carries one (input, bias) pair.
 var gates = map[string]int{"SimpleRNN": 1, "GRU": 3, "LSTM": 4}
 
-// check verifies, allocating nothing, that the network the snapshot
-// declares is one Load can build and needs exactly the parameter blocks the
-// snapshot carries, in Params() order: every width positive and free of
-// overflow, every block exactly rows × cols values long, the window in
-// [1, MaxWindow]. The blocks' own lengths bound every allocation Load then
-// makes by the size of the blob, and the window bounds what a recurrent
-// batch assembles.
-func (s *snapshot) check() error {
-	if s.InSize < 1 {
-		return fmt.Errorf("nn: snapshot input width %d", s.InSize)
-	}
-	if len(s.Layers) == 0 {
-		// The first layer's weights are what back InSize.
-		return fmt.Errorf("nn: snapshot has no layers")
-	}
-	if s.Window < 1 || s.Window > MaxWindow {
-		return fmt.Errorf("nn: snapshot window %d outside [1, %d]", s.Window, MaxWindow)
+// check verifies, allocating nothing, that the network the state declares
+// needs exactly the weights the state carries: its weight block's length,
+// or with no block the parameter blocks in Params() order. The weights'
+// own length bounds every allocation Network then makes by the size of
+// the state.
+func (s *State) check() error {
+	if s.Weights != nil {
+		return s.checkBlock(len(s.Weights))
 	}
 	next := 0 // the parameter block checked next
-	block := func(rows, cols int) error {
+	err := s.blocks(func(rows, cols int) error {
 		if next == len(s.Params) {
-			return fmt.Errorf("nn: snapshot has %d parameter blocks, its layers need more", len(s.Params))
+			return fmt.Errorf("nn: state has %d parameter blocks, its layers need more", len(s.Params))
 		}
 		n := len(s.Params[next])
 		if n%cols != 0 || n/cols != rows {
-			return fmt.Errorf("nn: snapshot parameter %d has %d values, want %d×%d", next, n, rows, cols)
+			return fmt.Errorf("nn: state parameter %d has %d values, want %d×%d", next, n, rows, cols)
 		}
 		next++
 		return nil
+	})
+	if err == nil && next != len(s.Params) {
+		err = fmt.Errorf("nn: state has %d parameter blocks, network needs %d", len(s.Params), next)
+	}
+	return err
+}
+
+// checkBlock verifies, allocating nothing, that the network the state
+// declares needs exactly the values a weight block of size bytes holds.
+func (s *State) checkBlock(size int) error {
+	if size%8 != 0 {
+		return fmt.Errorf("nn: weight block of %d bytes is not whole float64 values", size)
+	}
+	values := size / 8
+	left := values
+	err := s.blocks(func(rows, cols int) error {
+		if cols > left || rows > left/cols {
+			return fmt.Errorf("nn: weight block holds %d values, the layers need more", values)
+		}
+		left -= rows * cols
+		return nil
+	})
+	if err == nil && left != 0 {
+		err = fmt.Errorf("nn: weight block holds %d values, %d more than the layers need", values, left)
+	}
+	return err
+}
+
+// blocks verifies, allocating nothing, that the declared network is one
+// Network can build — every width positive and free of overflow, every
+// kind known and a recurrent layer only in front, the window in
+// [1, MaxWindow] — and calls block with the rows and columns of each
+// parameter matrix it needs, in Params() order, stopping at the first
+// error. The window bounds what a recurrent batch assembles.
+func (s *State) blocks(block func(rows, cols int) error) error {
+	if s.InSize < 1 {
+		return fmt.Errorf("nn: state input width %d", s.InSize)
+	}
+	if len(s.Layers) == 0 {
+		// The first layer's weights are what back InSize.
+		return fmt.Errorf("nn: state has no layers")
+	}
+	if s.Window < 1 || s.Window > MaxWindow {
+		return fmt.Errorf("nn: state window %d outside [1, %d]", s.Window, MaxWindow)
 	}
 	in := s.InSize
 	for i, spec := range s.Layers {
 		units := spec.Fixed
 		if units == 0 {
 			if spec.UnitsZ < 1 || spec.UnitsZ > math.MaxInt/s.InSize {
-				return fmt.Errorf("nn: snapshot layer %d width %d×%d", i, spec.UnitsZ, s.InSize)
+				return fmt.Errorf("nn: state layer %d width %d×%d", i, spec.UnitsZ, s.InSize)
 			}
 			units = spec.UnitsZ * s.InSize
 		}
 		if units < 1 {
-			return fmt.Errorf("nn: snapshot layer %d width %d", i, units)
+			return fmt.Errorf("nn: state layer %d width %d", i, units)
 		}
 		if spec.Act < Linear || spec.Act > Tanh {
-			return fmt.Errorf("nn: snapshot layer %d has unknown activation %d", i, int(spec.Act))
+			return fmt.Errorf("nn: state layer %d has unknown activation %d", i, int(spec.Act))
 		}
 		g, recurrent := gates[spec.Kind]
 		switch {
 		case recurrent && i != 0:
-			return fmt.Errorf("nn: snapshot has non-leading %s layer", spec.Kind)
+			return fmt.Errorf("nn: state has non-leading %s layer", spec.Kind)
 		case !recurrent && spec.Kind != "Dense":
-			return fmt.Errorf("nn: snapshot has unknown layer kind %q", spec.Kind)
+			return fmt.Errorf("nn: state has unknown layer kind %q", spec.Kind)
 		case !recurrent:
 			g = 1 // W and B
 		}
@@ -153,9 +233,6 @@ func (s *snapshot) check() error {
 			}
 		}
 		in = units
-	}
-	if next != len(s.Params) {
-		return fmt.Errorf("nn: snapshot has %d parameter blocks, network needs %d", len(s.Params), next)
 	}
 	return nil
 }

@@ -5,9 +5,35 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
-	"strings"
+	"runtime"
 	"testing"
 )
+
+// roundTrip sends net through a checkpoint's two halves — its
+// architecture through gob, its weights as the block AppendWeights writes —
+// and builds the network back.
+func roundTrip(t testing.TB, net *Network) (*Network, error) {
+	st := net.State()
+	var back State
+	if err := gob.NewDecoder(bytes.NewReader(specBlob(t, st))).Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.SetWeights(st.AppendWeights(nil)); err != nil {
+		return nil, err
+	}
+	return back.Network()
+}
+
+// specBlob gob-encodes the architecture half of st, as a checkpoint's head
+// section carries it.
+func specBlob(t testing.TB, st State) []byte {
+	st.Params, st.Weights = nil, nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 func TestSaveLoadRoundTripDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
@@ -16,12 +42,11 @@ func TestSaveLoadRoundTripDense(t *testing.T) {
 	if _, err := net.Fit(ds, FitConfig{Epochs: 3, Optimizer: &SGD{LR: 0.05}, Rng: rng}); err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
+	if st := net.State(); st.WeightsLen() != 8*net.ParamCount() {
+		t.Errorf("WeightsLen = %d, want %d", st.WeightsLen(), 8*net.ParamCount())
 	}
-	loaded, err := Load(&buf)
+
+	loaded, err := roundTrip(t, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +66,7 @@ func TestSaveLoadRoundTripRecurrent(t *testing.T) {
 		net := MustBuildModel(n, 3, rng)
 		net.Window = 4
 
-		var buf bytes.Buffer
-		if err := net.Save(&buf); err != nil {
-			t.Fatalf("model %d save: %v", n, err)
-		}
-		loaded, err := Load(&buf)
+		loaded, err := roundTrip(t, net)
 		if err != nil {
 			t.Fatalf("model %d load: %v", n, err)
 		}
@@ -59,64 +80,84 @@ func TestSaveLoadRoundTripRecurrent(t *testing.T) {
 	}
 }
 
+// TestLoadGarbage: a weight block that is not whole float64 values, or an
+// empty state, is refused.
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("Load of garbage should error")
+	st := MustBuildModel(1, 6, rand.New(rand.NewSource(70))).State()
+	if err := st.SetWeights([]byte("not a weight block")); err == nil {
+		t.Error("SetWeights of garbage should error")
+	}
+	var empty State
+	if _, err := empty.Network(); err == nil {
+		t.Error("Network of an empty state should error")
 	}
 }
 
-// snapshotBlob gob-encodes snap as Save would.
-func snapshotBlob(t testing.TB, snap snapshot) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzNetworkLoad feeds arbitrary bytes to Load — what a checkpoint's
-// EngineState.Net hands it. Load may refuse them but not panic, and may not
-// size a layer by a width the blob's own weights do not back: a declared
+// FuzzNetworkLoad feeds arbitrary bytes to the two halves a checkpoint
+// hands nn: a gob-encoded architecture and a weight block. SetWeights may
+// refuse them but not panic, and allocates nothing sized by either,
+// whatever widths the architecture declares: a declared
 // Dense width of -3 used to panic in mat.New, one of 1<<40 to exhaust
-// memory. A network that loads is whole: it saves and reloads, and a dense
-// one answers a forward pass.
+// memory. A state SetWeights accepts builds a whole network: it writes the
+// same block back, and a dense one answers a forward pass.
 func FuzzNetworkLoad(f *testing.F) {
 	// Model 1 over one input feature: the deployed architecture, in a blob
 	// small enough (2 KB, not 57) for the mutator to get through.
-	valid := MustBuildModel(1, 1, rand.New(rand.NewSource(70))).snapshot()
-	truncated := valid
-	truncated.Params = append([][]float64(nil), valid.Params...)
-	last := len(truncated.Params) - 1
-	truncated.Params[last] = truncated.Params[last][:len(truncated.Params[last])/2]
-	hostile := func(width int) snapshot {
-		return snapshot{InSize: 6, Window: DefaultWindow, Layers: []LayerSpec{{Fixed: width, Kind: "Dense", Act: Linear}},
-			Params: [][]float64{make([]float64, 6), {0}}}
+	valid := MustBuildModel(1, 1, rand.New(rand.NewSource(70))).State()
+	block := valid.AppendWeights(nil)
+	hostile := func(width int) State {
+		return State{InSize: 6, Window: DefaultWindow, Layers: []LayerSpec{{Fixed: width, Kind: "Dense", Act: Linear}}}
 	}
 	// A window is read as it is declared: a negative one used to be taken
 	// for DefaultWindow, a huge one to size every recurrent batch.
-	window := func(w int) snapshot {
-		snap := valid
-		snap.Window = w
-		return snap
+	window := func(w int) State {
+		st := valid
+		st.Window = w
+		return st
 	}
-	for _, snap := range []snapshot{valid, truncated, hostile(-3), hostile(1 << 40), window(-1), window(0), window(1 << 40)} {
-		f.Add(snapshotBlob(f, snap))
+	seeds := []struct {
+		st    State
+		block []byte
+	}{
+		{valid, block},
+		{valid, block[:len(block)-8*3]}, // the weights the layers declare, cut short
+		{hostile(-3), make([]byte, 8*7)},
+		{hostile(1 << 40), make([]byte, 8*7)},
+		{window(-1), block},
+		{window(0), block},
+		{window(1 << 40), block},
+		{valid, append(block[:len(block):len(block)], make([]byte, 8*5)...)}, // and with five values too many
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		net, err := Load(bytes.NewReader(blob))
+	for _, s := range seeds {
+		f.Add(specBlob(f, s.st), s.block)
+	}
+	f.Fuzz(func(t *testing.T, spec, block []byte) {
+		var st State
+		if gob.NewDecoder(bytes.NewReader(spec)).Decode(&st) != nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := st.SetWeights(block)
+		runtime.ReadMemStats(&after)
+		// Nothing sized by the block or the architecture: SetWeights keeps
+		// the block it checked, and an error message is all it builds. The
+		// allowance is for what the fuzzing engine's own goroutines
+		// allocate meanwhile (5 KB seen); TestSetWeightsAllocatesNothing
+		// holds an accepted block to none at all.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10); grew > limit {
+			t.Fatalf("SetWeights allocated %d bytes for a %d-byte block (limit %d)", grew, len(block), limit)
+		}
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := net.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		again, err := Load(&buf)
+		net, err := st.Network()
 		if err != nil {
-			t.Fatalf("a loaded network does not reload: %v", err)
+			t.Fatalf("a state SetWeights accepted does not build: %v", err)
 		}
-		if again.ParamCount() != net.ParamCount() {
-			t.Fatalf("reloaded network has %d parameters, the loaded one %d", again.ParamCount(), net.ParamCount())
+		again := net.State()
+		if !bytes.Equal(again.AppendWeights(nil), block) {
+			t.Fatal("the built network writes another weight block")
 		}
 		if !net.IsRecurrent() {
 			net.PredictOne([][]float64{make([]float64, net.InSize)})
@@ -124,46 +165,68 @@ func FuzzNetworkLoad(f *testing.F) {
 	})
 }
 
-// TestLoadRejectsHostileShapes pins the fuzz seeds' verdicts: every blob
-// whose declared shape its weights do not back is an error, and the valid
-// one loads.
+// TestSetWeightsAllocatesNothing: accepting a weight block copies and
+// decodes nothing; the restored network is what decodes it.
+func TestSetWeightsAllocatesNothing(t *testing.T) {
+	net := MustBuildModel(1, 6, rand.New(rand.NewSource(70)))
+	st := net.State()
+	block := st.AppendWeights(nil)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := st.SetWeights(block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SetWeights of a %d-byte block allocates %v times", len(block), allocs)
+	}
+}
+
+// TestLoadRejectsHostileShapes pins the fuzz seeds' verdicts: every state
+// whose declared shape its weights do not back is an error — built from
+// its parameter blocks, or from its weight block under the declared
+// architecture — and the valid one loads.
 func TestLoadRejectsHostileShapes(t *testing.T) {
-	valid := MustBuildModel(1, 6, rand.New(rand.NewSource(70))).snapshot()
-	if _, err := Load(bytes.NewReader(snapshotBlob(t, valid))); err != nil {
-		t.Fatalf("valid model-1 blob: %v", err)
+	valid := MustBuildModel(1, 6, rand.New(rand.NewSource(70))).State()
+	if _, err := valid.Network(); err != nil {
+		t.Fatalf("valid model-1 state: %v", err)
 	}
 	longest := valid
 	longest.Window = MaxWindow
-	net, err := Load(bytes.NewReader(snapshotBlob(t, longest)))
+	net, err := longest.Network()
 	if err != nil {
-		t.Fatalf("model-1 blob at MaxWindow: %v", err)
+		t.Fatalf("model-1 state at MaxWindow: %v", err)
 	}
 	if net.Window != MaxWindow {
-		t.Fatalf("model-1 blob at MaxWindow loaded with window %d", net.Window)
+		t.Fatalf("model-1 state at MaxWindow loaded with window %d", net.Window)
 	}
-	cases := map[string]func(s *snapshot){
-		"negative width":  func(s *snapshot) { s.Layers[0].Fixed = -3 },
-		"huge width":      func(s *snapshot) { s.Layers[0].Fixed = 1 << 40 },
-		"overflowing Z":   func(s *snapshot) { s.Layers[0].Fixed, s.Layers[0].UnitsZ = 0, math.MaxInt/3 },
-		"zero input":      func(s *snapshot) { s.InSize = 0 },
-		"short block":     func(s *snapshot) { s.Params[1] = s.Params[1][:3] },
-		"missing block":   func(s *snapshot) { s.Params = s.Params[:len(s.Params)-1] },
-		"extra block":     func(s *snapshot) { s.Params = append(s.Params, []float64{1}) },
-		"unknown kind":    func(s *snapshot) { s.Layers[1].Kind = "Conv" },
-		"late recurrence": func(s *snapshot) { s.Layers[1].Kind = "GRU" },
-		"bad activation":  func(s *snapshot) { s.Layers[0].Act = 99 },
-		"no layers":       func(s *snapshot) { s.Layers, s.Params, s.InSize = nil, nil, 1<<40 },
-		"negative window": func(s *snapshot) { s.Window = -1 },
-		"zero window":     func(s *snapshot) { s.Window = 0 },
-		"huge window":     func(s *snapshot) { s.Window = MaxWindow + 1 },
+	cases := map[string]func(s *State){
+		"negative width":  func(s *State) { s.Layers[0].Fixed = -3 },
+		"huge width":      func(s *State) { s.Layers[0].Fixed = 1 << 40 },
+		"overflowing Z":   func(s *State) { s.Layers[0].Fixed, s.Layers[0].UnitsZ = 0, math.MaxInt/3 },
+		"zero input":      func(s *State) { s.InSize = 0 },
+		"short block":     func(s *State) { s.Params[1] = s.Params[1][:3] },
+		"missing block":   func(s *State) { s.Params = s.Params[:len(s.Params)-1] },
+		"extra block":     func(s *State) { s.Params = append(s.Params, []float64{1}) },
+		"unknown kind":    func(s *State) { s.Layers[1].Kind = "Conv" },
+		"late recurrence": func(s *State) { s.Layers[1].Kind = "GRU" },
+		"bad activation":  func(s *State) { s.Layers[0].Act = 99 },
+		"no layers":       func(s *State) { s.Layers, s.Params, s.InSize = nil, nil, 1<<40 },
+		"negative window": func(s *State) { s.Window = -1 },
+		"zero window":     func(s *State) { s.Window = 0 },
+		"huge window":     func(s *State) { s.Window = MaxWindow + 1 },
 	}
 	for name, mutate := range cases {
-		snap := valid
-		snap.Layers = append([]LayerSpec(nil), valid.Layers...)
-		snap.Params = append([][]float64(nil), valid.Params...)
-		mutate(&snap)
-		if _, err := Load(bytes.NewReader(snapshotBlob(t, snap))); err == nil {
-			t.Errorf("%s: Load accepted it", name)
+		st := valid
+		st.Layers = append([]LayerSpec(nil), valid.Layers...)
+		st.Params = append([][]float64(nil), valid.Params...)
+		mutate(&st)
+		if _, err := st.Network(); err == nil {
+			t.Errorf("%s: Network accepted it", name)
+		}
+		back := st
+		if err := back.SetWeights(st.AppendWeights(nil)); err == nil {
+			if _, err := back.Network(); err == nil {
+				t.Errorf("%s: Network accepted it from its weight block", name)
+			}
 		}
 	}
 }

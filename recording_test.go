@@ -62,12 +62,29 @@ func (w *stalledWorkload) RunOnceContext(ctx context.Context, obs Observer) (Run
 	return stats, nil
 }
 
-// recordingRig is one facade system with its observer's call log and the
-// most goroutines an observer call saw running.
+// recordingRig is one facade system with its observer's call log and how
+// many of those calls ran off the goroutine that called Run.
 type recordingRig struct {
-	sys           *System
-	calls         []observedCall
-	maxGoroutines int
+	sys       *System
+	calls     []observedCall
+	caller    uint64 // the goroutine in Run
+	offCaller int
+}
+
+// goroutineID is the calling goroutine's number, as its stack trace's
+// first line ("goroutine 42 [running]:") gives it.
+func goroutineID() uint64 {
+	var buf [32]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	line = bytes.TrimPrefix(line, []byte("goroutine "))
+	var id uint64
+	for _, c := range line {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
 }
 
 // newRecordingRig builds the rig's system at Parallelism par over a BELLE
@@ -84,7 +101,9 @@ func newRecordingRig(t *testing.T, par int) *recordingRig {
 		}),
 		WithObserver(func(res AccessResult, wl, run int) {
 			r.calls = append(r.calls, observedCall{res.FileID, res.Start, wl, run, r.sys.Telemetry()})
-			r.maxGoroutines = max(r.maxGoroutines, runtime.NumGoroutine())
+			if goroutineID() != r.caller {
+				r.offCaller++
+			}
 		}),
 	)
 	if err != nil {
@@ -121,6 +140,7 @@ func (r *recordingRig) snapshotBytes(t *testing.T) []byte {
 func (r *recordingRig) run(t *testing.T, ctx context.Context) error {
 	t.Helper()
 	before, calls := runtime.NumGoroutine(), len(r.calls)
+	r.caller = goroutineID()
 	st, err := r.sys.RunContext(ctx)
 	seen := len(r.calls) - calls
 	goroutinesBack(t, before)
@@ -185,8 +205,9 @@ func TestRecordingBesideTheRunMatchesSerial(t *testing.T) {
 	if len(serial.sys.Movements()) < 2 {
 		t.Fatalf("%d decisions in the runs, want at least two", len(serial.sys.Movements()))
 	}
-	if beside.maxGoroutines <= serial.maxGoroutines {
-		t.Fatalf("the observer saw at most %d goroutines at Parallelism 4 and %d at 1: the run did not record beside the simulation", beside.maxGoroutines, serial.maxGoroutines)
+	if serial.offCaller != 0 || beside.offCaller != len(beside.calls) {
+		t.Fatalf("observer calls off the goroutine in Run: %d of %d at Parallelism 1, %d of %d at 4; want none, then all: the run did not record beside the simulation",
+			serial.offCaller, len(serial.calls), beside.offCaller, len(beside.calls))
 	}
 
 	// The workload's eighth run stops after 150 accesses with an error.

@@ -164,7 +164,7 @@ func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !snap.Engine.Trained || len(snap.Engine.Net) == 0 {
+		if !snap.Engine.Trained || snap.Engine.Net.WeightsLen() == 0 {
 			t.Fatalf("shards=%d: snapshot's engine half is missing the trained global engine", shards)
 		}
 		if n := len(snap.Policy); n >= 4096 {
