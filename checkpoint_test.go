@@ -510,13 +510,15 @@ func TestRestorePolicyMismatch(t *testing.T) {
 }
 
 // TestRestoreMismatchLeavesWALUntouched: a restore refused for another
-// policy or scenario than the snapshot's fails before it touches the
-// replay log. The WAL holds records past the snapshot's watermark, which
-// a restore that went ahead would cut; a refused one leaves every byte.
+// policy, scenario or partition width than the snapshot's fails before it
+// touches the replay log. The WAL holds records past the snapshot's
+// watermark, which a restore that went ahead would cut; a refused one
+// leaves every byte.
 func TestRestoreMismatchLeavesWALUntouched(t *testing.T) {
 	for name, c := range map[string]struct{ taken, restored Option }{
 		"policy":   {WithPolicy("lru"), WithPolicy("mru")},
 		"scenario": {WithScenario("zipfian-hot"), WithScenario("cold-scan")},
+		"shards":   {WithShards(2), WithShards(3)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -289,19 +289,18 @@ func WithTopK(k int) Option { return func(c *config) { c.topK = k } }
 func WithFullRescanEvery(n int) Option { return func(c *config) { c.fullRescan = n } }
 
 // WithShards partitions the cluster's devices into n shards and drives
-// placement through the sharded coordinator: each shard owns a
-// lightweight engine deciding over its own device subset through the one
-// model the global engine trains, and placements a shard clearly cannot
-// serve escalate to the cluster-wide throughput digest, admitted only
-// while that device can hold them on top of the bytes the cycle's earlier
-// escalations claimed there. Every shard's candidates are scored in one
-// fan-out of the scoring loop on the WithParallelism workers, and shards
-// select one after another, which never affects a result (fixed merge
-// order, per-shard RNG streams). n = 1 is
-// bit-identical to the unsharded engine; n = 0 (the default) disables
-// sharding entirely. Devices are grouped contiguously in profile order.
-// Only the default "geomancy" policy shards — combining WithShards with
-// another WithPolicy fails New.
+// placement through the sharded coordinator: one engine, whose every
+// shard decides over its own device subset on its own RNG stream through
+// the one model, and placements a shard clearly cannot serve escalate to
+// the cluster-wide throughput digest, admitted only while that device can
+// hold them on top of the bytes the cycle's earlier escalations claimed
+// there. Every shard's candidates are scored in one fan-out of the
+// scoring loop on the WithParallelism workers, and shards select one
+// after another, which never affects a result (fixed merge order,
+// per-shard RNG streams). n = 1 is bit-identical to the unsharded engine;
+// n = 0 (the default) disables sharding entirely. Devices are grouped
+// contiguously in profile order. Only the default "geomancy" policy
+// shards — combining WithShards with another WithPolicy fails New.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithObserver taps every access's telemetry: fn runs for each
@@ -864,8 +863,10 @@ func restoreSystem(snap *checkpoint.Snapshot, opts []Option) (*System, error) {
 
 // applySnapshot overwrites the freshly built system's dynamic state. A
 // snapshot the options do not describe — another seed, scenario or policy —
-// is refused before anything is touched, the replay log above all: a
-// refused restore leaves the WAL as it found it.
+// is refused before anything is touched, and the replay log is restored
+// last, after every in-memory restore that can refuse (a partition width
+// the coordinator was not built with, say): a refused restore leaves the
+// WAL as it found it, and the system it half restored is discarded.
 func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.Seed != s.seed {
 		return fmt.Errorf("geomancy: snapshot was taken with seed %d, options configure seed %d", snap.Seed, s.seed)
@@ -877,6 +878,20 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.PolicyName != s.loop.Policy.Name() {
 		return fmt.Errorf("geomancy: snapshot was taken under policy %q, options configure %q",
 			snap.PolicyName, s.loop.Policy.Name())
+	}
+	if err := s.cluster.RestoreState(snap.Cluster); err != nil {
+		return fmt.Errorf("geomancy: restoring cluster: %w", err)
+	}
+	if err := s.runner.UnmarshalState(snap.Workload); err != nil {
+		return fmt.Errorf("geomancy: restoring workload: %w", err)
+	}
+	if err := s.loop.Policy.UnmarshalState(snap.Policy); err != nil {
+		return fmt.Errorf("geomancy: restoring policy: %w", err)
+	}
+	if s.loop.Engine != nil {
+		if err := s.loop.Engine.RestoreState(snap.Engine); err != nil {
+			return fmt.Errorf("geomancy: restoring engine: %w", err)
+		}
 	}
 	if s.replayPath == "" {
 		count := snap.AccessCount
@@ -893,20 +908,6 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 		// regenerates them with identical sequence numbers.
 		if err := s.db.TruncateTo(snap.ReplayWatermark); err != nil {
 			return fmt.Errorf("geomancy: truncating replay log: %w", err)
-		}
-	}
-	if err := s.cluster.RestoreState(snap.Cluster); err != nil {
-		return fmt.Errorf("geomancy: restoring cluster: %w", err)
-	}
-	if err := s.runner.UnmarshalState(snap.Workload); err != nil {
-		return fmt.Errorf("geomancy: restoring workload: %w", err)
-	}
-	if err := s.loop.Policy.UnmarshalState(snap.Policy); err != nil {
-		return fmt.Errorf("geomancy: restoring policy: %w", err)
-	}
-	if s.loop.Engine != nil {
-		if err := s.loop.Engine.RestoreState(snap.Engine); err != nil {
-			return fmt.Errorf("geomancy: restoring engine: %w", err)
 		}
 	}
 	s.loop.RestoreState(snap.Loop)

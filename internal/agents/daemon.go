@@ -230,13 +230,10 @@ func (d *Daemon) recent(env *Envelope) Envelope {
 	if keep > 0 && env.N > keep {
 		return Envelope{Type: TypeError, Error: fmt.Sprintf("recent query for %d records; the database retains %d", env.N, keep)}
 	}
-	reply := Envelope{Type: TypeRecentReply, ID: env.ID}
-	if env.FileID != 0 {
-		reply.Reports = d.db.RecentByFile(env.FileID, env.N)
-	} else {
-		reply.Reports = d.db.RecentByDevice(env.Device, env.N)
-	}
-	return reply
+	// The records are encoded from the database as the reply is framed, so
+	// no copy of the window is made.
+	return Envelope{Type: TypeRecentReply, ID: env.ID,
+		window: recentWindow{db: d.db, device: env.Device, fileID: env.FileID, n: env.N}}
 }
 
 // ingest stores one telemetry batch and returns its ack, or a TypeError

@@ -93,6 +93,39 @@ type Envelope struct {
 	N       int
 	Moved   int
 	Error   string
+
+	// window, set only on a recent_reply the daemon writes, is the query
+	// whose records the frame takes straight from the database in place of
+	// Reports.
+	window recentWindow
+}
+
+// recentWindow is one recent-window query against a database: a file's
+// (fileID != 0) or a device's up to n most recent accesses.
+type recentWindow struct {
+	db     *replaydb.DB
+	device string
+	fileID int64
+	n      int
+}
+
+// appendTo appends the window as a counted run of records, oldest first,
+// encoding each in place under the database's read lock — the bytes
+// appendReports writes for a copy of the window.
+func (w *recentWindow) appendTo(dst []byte) []byte {
+	at, n := len(dst), 0
+	dst = appendCount(dst, 0)
+	add := func(rec *replaydb.AccessRecord) {
+		dst = replaydb.AppendAccessRecord(dst, rec)
+		n++
+	}
+	if w.fileID != 0 {
+		w.db.EachRecentByFile(w.fileID, w.n, add)
+	} else {
+		w.db.EachRecentByDevice(w.device, w.n, add)
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
+	return dst
 }
 
 // A frame is
@@ -166,7 +199,11 @@ func appendEnvelope(dst []byte, env *Envelope) []byte {
 		dst = binary.LittleEndian.AppendUint64(replaydb.AppendString(dst, env.Device), uint64(env.FileID))
 		dst = appendCount(dst, env.N)
 	case TypeRecentReply:
-		dst = appendReports(dst, env.Reports)
+		if env.window.db != nil {
+			dst = env.window.appendTo(dst)
+		} else {
+			dst = appendReports(dst, env.Reports)
+		}
 	case TypeError:
 		dst = replaydb.AppendString(dst, env.Error)
 	}

@@ -1,9 +1,11 @@
 package agents
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -183,5 +185,69 @@ func TestRoundTripAllocations(t *testing.T) {
 	}
 	if want := (64 + 201) * 32; db.Len() != want {
 		t.Errorf("db holds %d records, want %d", db.Len(), want)
+	}
+}
+
+// TestRecentReplyAllocations pins what one recent-window query costs, both
+// ends together: the daemon encodes the window's records from the
+// database in place, into the connection's reused frame buffer, and the
+// peer decodes them into its reused report slice, so neither end copies a
+// window — a 2 000-record device window and a 500-record file window,
+// queried and read back, allocate at most two objects and under a
+// kilobyte per query in the steady state.
+func TestRecentReplyAllocations(t *testing.T) {
+	_, db, addr := startDaemon(t)
+	for i := 0; i < 2500; i++ {
+		res := sampleResult("pic", i)
+		res.FileID = int64(i%4 + 1)
+		if _, err := db.AppendAccess(replaydb.FromAccess(res, 1, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []Envelope{
+		{Type: TypeRecentQuery, ID: 1, Device: "pic", N: 2000},
+		{Type: TypeRecentQuery, ID: 2, FileID: 3, N: 500},
+	}
+	// The frame is the one a copy of the window makes, byte for byte.
+	for _, q := range queries {
+		copied := Envelope{Type: TypeRecentReply, ID: q.ID, Reports: db.RecentByDevice(q.Device, q.N)}
+		if q.FileID != 0 {
+			copied.Reports = db.RecentByFile(q.FileID, q.N)
+		}
+		inPlace := Envelope{Type: TypeRecentReply, ID: q.ID, window: recentWindow{db: db, device: q.Device, fileID: q.FileID, n: q.N}}
+		if !bytes.Equal(appendEnvelope(nil, &inPlace), appendEnvelope(nil, &copied)) {
+			t.Fatalf("query %d: the in-place frame differs from the copied window's", q.ID)
+		}
+	}
+	peer := framePeer(t, addr)
+	ask := func() {
+		for i := range queries {
+			if err := peer.write(&queries[i], time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			var reply Envelope
+			if err := peer.read(&reply, time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			if reply.Type != TypeRecentReply || len(reply.Reports) != queries[i].N {
+				t.Fatalf("query %d: reply %s with %d records, want %d", i, reply.Type, len(reply.Reports), queries[i].N)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // buffers reach their working size
+		ask()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ask()
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / (runs * float64(len(queries)))
+	objects := testing.AllocsPerRun(runs, ask) / float64(len(queries))
+	t.Logf("%.0f bytes, %.1f objects per recent query", perQuery, objects)
+	if perQuery > 1024 || objects > 2 {
+		t.Errorf("a recent query allocates %.0f bytes in %.1f objects, want under 1024 bytes in at most 2", perQuery, objects)
 	}
 }

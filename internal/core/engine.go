@@ -200,16 +200,28 @@ type TelemetryStore interface {
 	RecentByFile(fileID int64, n int) []replaydb.AccessRecord
 }
 
-// Engine is the DRL engine.
+// Engine is the DRL engine. It owns one device list, whose indices are the
+// fsid feature the model learns and the one device index space of every
+// decision, and every piece of decision state a decision keeps: the
+// feature cache, the full-rescan cadence, the dirty watermark, the
+// validator, the summary source and the scoring pool. A decision's units
+// (shardUnit: the lone engine's one, or a coordinator's device groups)
+// each own only a group of those indices and the stream their selection
+// draws from.
 type Engine struct {
 	cfg  Config         //geomancy:ephemeral construction config, re-supplied by NewEngine on restore
 	db   TelemetryStore //geomancy:ephemeral external store handle, re-wired at construction
 	walk windowWalker   //geomancy:ephemeral in-place view of db, re-wired at construction
 	rng  *rng.RNG
 
-	// The model the engine scores through; a sharded coordinator points
-	// every shard engine at the global engine's.
-	*model
+	// The model: what a fit writes and every unit scores through — the
+	// network, the fitted normalization, the held-out metrics behind the MAE
+	// adjustment and whether a full fit has completed.
+	net          *nn.Network
+	featScaler   features.MinMaxScaler
+	targetScaler features.ScalarScaler
+	valMetrics   nn.Metrics
+	trained      bool
 
 	devices  []string
 	devIndex map[string]int //geomancy:ephemeral derived index over devices, rebuilt at construction
@@ -219,27 +231,14 @@ type Engine struct {
 	trainedSeq uint64
 
 	// valid is the select stage's placement validator (select.go): can the
-	// device receive a file of this size right now? NewModel and NewSharded
-	// install storagesim.(*Cluster).CanPlace; nil means every device can.
+	// device receive a file of this size right now? NewModel installs
+	// storagesim.(*Cluster).CanPlace; nil means every device can.
 	valid func(device string, size int64) error
 
-	// The scoring loop's pool (propose.go), shared by pointer with a
-	// coordinator's shard engines, the decision prepare leaves for finish,
-	// and the select stage's shuffle scratch, all reused across decisions.
-	pool *scorePool //geomancy:ephemeral per-worker scoring buffers, content meaningless between decisions
-	prep prepared   //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
-	perm []int      //geomancy:ephemeral exploration shuffle scratch, reset to the identity before every shuffle
-	// scoreOff is where this engine's scores start in the pool's score
-	// slice: 0 for a lone engine's decision, the shards before it for a
-	// shard engine in a sharded cycle. Every path that scores sets it.
-	scoreOff int //geomancy:ephemeral set by every scoring pass before it is read
-
-	// fsids maps a local device index to the fsid feature value the
-	// model was trained with. Nil means identity (the engine trained over
-	// its own device list); the sharded coordinator points shard-local
-	// engines at the global indices so a shard scores candidates with the
-	// device IDs the shared network actually learned.
-	fsids []int //geomancy:ephemeral structural wiring, re-supplied by NewSharded on restore
+	// The scoring loop's pool (propose.go), reused across decisions, and
+	// the engine's share of the decision between its halves.
+	pool scorePool //geomancy:ephemeral per-worker scoring buffers, content meaningless between decisions
+	prep prepared  //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 
 	// Candidate-pruning state (cfg.TopK > 0); see prune.go.
 	//geomancy:ephemeral store-backed change feed, re-wired at construction; progress is serialized as LastWatermark
@@ -250,18 +249,6 @@ type Engine struct {
 	cache         map[int64]*fileCache //geomancy:ephemeral per-file feature ingredients, refetched from the restored ReplayDB
 
 	metrics engineMetrics //geomancy:ephemeral telemetry handles, re-installed by SetMetrics
-}
-
-// model is what a fit writes and scoring reads: the network, the fitted
-// normalization, the held-out metrics behind the MAE adjustment and
-// whether a full fit has completed. One engine fits it; any number may
-// score through it by pointer.
-type model struct {
-	net          *nn.Network
-	featScaler   features.MinMaxScaler
-	targetScaler features.ScalarScaler
-	valMetrics   nn.Metrics
-	trained      bool
 }
 
 // engineMetrics holds the engine's pre-resolved telemetry handles; all
@@ -346,11 +333,10 @@ func NewEngine(db TelemetryStore, devices []string, cfg Config) (*Engine, error)
 		db:       db,
 		walk:     walkerOf(db),
 		rng:      r,
-		model:    &model{net: net},
+		net:      net,
 		devices:  append([]string(nil), devices...),
 		devIndex: make(map[string]int, len(devices)),
 		cache:    make(map[int64]*fileCache),
-		pool:     &scorePool{},
 	}
 	for i, d := range devices {
 		e.devIndex[d] = i
@@ -632,20 +618,13 @@ func (e *Engine) gatherFileFeatures(f policy.FileInfo) fileFeatures {
 	return ff
 }
 
-// fsidOf translates a local device index to the model's fsid feature.
-func (e *Engine) fsidOf(devIdx int) float64 {
-	if e.fsids != nil && devIdx < len(e.fsids) {
-		return float64(e.fsids[devIdx])
-	}
-	return float64(devIdx)
-}
-
 // candidateRow fills row (featureCount wide) with the normalized candidate
-// features for placing a file with ingredients ff on the device at devIdx.
+// features for placing a file with ingredients ff on the device at devIdx,
+// whose fsid feature is that index.
 func (e *Engine) candidateRow(row []float64, ff fileFeatures, fileID int64, devIdx int) {
 	row[0], row[1] = logBytes(ff.rb), logBytes(ff.wb)
 	row[2], row[3] = ff.ts, ff.ts
-	row[4], row[5] = float64(fileID), e.fsidOf(devIdx)
+	row[4], row[5] = float64(fileID), float64(devIdx)
 	for c, v := range row {
 		row[c] = e.featScaler.TransformValue(c, v)
 	}

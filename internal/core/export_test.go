@@ -16,31 +16,29 @@ func (s *Sharded) DecideLayout(ctx context.Context, files []policy.FileInfo) (ma
 // each unit's runs scored in a fan-out of their own and selected before
 // the next unit's are scored, as the coordinator did before one fan-out
 // scored every shard's runs: the reference that one fan-out is held to.
-// Every unit's engine commits first, as in the one fan-out, so a cancelled
-// decision leaves the same state either way.
+// The engine commits first, as in the one fan-out, so a cancelled decision
+// leaves the same state either way.
 func (m *EngineModel) proposeShardByShard(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
 	defer m.drop()
 	if m.routeErr != nil {
 		return nil, nil, m.routeErr
 	}
-	if !m.Engine.trained {
+	e := m.Engine
+	if !e.trained {
 		return nil, nil, ErrNotTrained
 	}
-	for i := range m.units {
-		m.units[i].engine.commit()
-	}
-	pool := m.Engine.pool
+	e.commit(m.units)
 	decs := make([][]policy.Prediction, len(m.units))
 	for i := range m.units {
-		e := m.units[i].engine
-		pool.spans = pool.spans[:0]
-		rows := e.layRuns(0)
-		pool.scores = make([]float64, rows)
+		u := &m.units[i]
+		e.pool.spans = e.pool.spans[:0]
+		rows := e.layRuns(u, 0)
+		e.pool.scores = make([]float64, rows)
 		var tally scoreTally
-		if err := pool.fanOut(ctx, e.cfg.Parallelism, rows, &tally); err != nil {
+		if err := e.fanOut(ctx, rows, &tally); err != nil {
 			return nil, nil, err
 		}
-		decs[i] = e.selectLayout()
+		decs[i] = e.selectLayout(u)
 	}
 	layout, decisions := m.merge(decs)
 	return layout, decisions, nil
@@ -52,9 +50,14 @@ func (m *EngineModel) proposeShardByShard(ctx context.Context) (map[int64]string
 // MAE-adjusted). Decision records carry only the chosen device's score, so
 // this is how tests put the whole vector beside the reference scorer.
 func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
-	m := e.lone()
+	return e.lone().proposeScored(ctx, files)
+}
+
+// proposeScored is proposeScored of a one-unit bridge m.
+func (m *EngineModel) proposeScored(ctx context.Context, files []policy.FileInfo) (map[int64]string, []policy.Prediction, []map[string]float64, error) {
 	m.prepare(files)
-	tasks, short := e.prep.tasks, e.prep.short
+	u, e := &m.units[0], m.Engine
+	tasks, short := u.tasks, u.short
 	layout, preds, err := m.finish(ctx)
 	if err != nil {
 		return nil, nil, nil, err
@@ -64,10 +67,35 @@ func (e *Engine) proposeScored(ctx context.Context, files []policy.FileInfo) (ma
 	for i, t := range tasks {
 		scores[i] = make(map[string]float64)
 		for k, j := range t.devices(&buf, short) {
-			scores[i][e.devices[j]] = e.pool.scores[e.scoreOff+t.base+k]
+			scores[i][e.devices[j]] = e.pool.scores[u.scoreOff+t.base+k]
 		}
 	}
 	return layout, preds, scores, nil
+}
+
+// unitModel returns a bridge that decides with unit i of m alone: over the
+// unit's devices, drawing from the unit's stream.
+func (m *EngineModel) unitModel(i int) *EngineModel {
+	return &EngineModel{Engine: m.Engine, units: []shardUnit{{devs: m.units[i].devs, rng: m.units[i].rng}}}
+}
+
+// shardOf returns the unit owning the named device, and whether the engine
+// lists the device at all.
+func (m *EngineModel) shardOf(name string) (int, bool) {
+	j, ok := m.Engine.devIndex[name]
+	if !ok {
+		return 0, false
+	}
+	return m.unitOf(j), true
+}
+
+// deviceShortlist is the shortlist a pruned decision of the lone engine e
+// would score every file over, from its summary source as it reads now.
+func (e *Engine) deviceShortlist() []int {
+	m := e.lone()
+	e.prep.full = false
+	m.shortlist()
+	return m.units[0].short
 }
 
 // Cadence returns the intra-burst gap statistics (the all-gap EWMA before

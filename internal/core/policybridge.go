@@ -12,30 +12,27 @@ import (
 // EngineModel adapts the DRL engine to the policy plane's Model
 // contract, so policy.Geomancy and policy.Online can drive the engine
 // without the policy package importing core, and owns the one decision
-// body (propose.go) over its units: the lone engine's, or a sharded
-// coordinator's shard engines. Training reports accumulate inside the
-// bridge; the loop (or any other caller) drains them with Reports after
-// each proposal.
+// body (propose.go) over its units: the lone engine's one unit over every
+// device, or a sharded coordinator's device groups. Training reports
+// accumulate inside the bridge; the loop (or any other caller) drains them
+// with Reports after each proposal.
 type EngineModel struct {
-	// Engine is the engine that trains: the only one when unsharded, the
-	// global one behind a sharded coordinator. It owns the model every unit
-	// scores through and the scoring pool.
+	// Engine is the one engine: it trains, owns the model every unit scores
+	// through, the device index space, the decision state and the scoring
+	// pool.
 	Engine *Engine //geomancy:ephemeral snapshots itself as the checkpoint's engine half (EngineState)
-	// units decide, one engine each: Engine alone (NewModel), or one shard
-	// engine per device group (NewSharded).
+	// units decide, one device group and stream each: every device on the
+	// engine's stream (NewModel), or one group per shard (NewSharded).
 	units []shardUnit
-	// devShard maps a device name to its owning unit; nil for a lone unit,
+	// owner maps an engine device index to its unit; nil for a lone unit,
 	// which takes every file. cluster is the cluster the bridge is wired
 	// to, whose summaries the escalation merge reads (sharded.go).
-	devShard map[string]int      //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
-	cluster  *storagesim.Cluster //geomancy:ephemeral external handle, re-wired at construction
+	owner   []int               //geomancy:ephemeral derived from the partition, rebuilt by NewSharded
+	cluster *storagesim.Cluster //geomancy:ephemeral external handle, re-wired at construction
 
 	// routeErr is the prepared decision's routing failure, which its finish
 	// returns.
 	routeErr error //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
-	// feed is the prepared decision's view of the store's change tracking,
-	// which every unit's prepare reads.
-	feed cycleFeed //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 
 	// ahead is the working set the loop prepared the next decision over
 	// (prepareAhead), nil when no prepared decision is pending; helper is
@@ -60,9 +57,18 @@ func (e *Engine) NewModel(cluster *storagesim.Cluster) *EngineModel {
 	return m
 }
 
-// lone returns a bridge that decides with e alone, a one-unit decision body.
+// lone returns a bridge that decides with e alone: one unit over every
+// device, drawing from the engine's own stream.
 func (e *Engine) lone() *EngineModel {
-	return &EngineModel{Engine: e, units: []shardUnit{{engine: e}}}
+	return &EngineModel{Engine: e, units: []shardUnit{{devs: e.allDevices(), rng: e.rng}}}
+}
+
+// unitOf returns the unit owning the device at engine index j.
+func (m *EngineModel) unitOf(j int) int {
+	if m.owner == nil {
+		return 0
+	}
+	return m.owner[j]
 }
 
 // Retrain implements policy.Model: one full training cycle.
@@ -106,7 +112,7 @@ func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]st
 // prepareAhead prepares the next decision over files before the policy
 // proposes: on one helper goroutine, to run beside the fit the policy runs
 // first, at Config.Parallelism > 1, and on the caller at 1. The helper
-// reads the ReplayDB, the cluster and the feature caches, never the model
+// reads the ReplayDB, the cluster and the feature cache, never the model
 // or an RNG, and commits nothing, so the proposal is the one the policy's
 // fit then Propose make either way. Every prepareAhead is followed by a
 // drop on the same goroutine.
@@ -139,8 +145,8 @@ func (m *EngineModel) drop() {
 	m.join()
 	m.ahead = nil
 	for i := range m.units {
-		p := &m.units[i].engine.prep
-		p.files, p.tasks = nil, nil
+		u := &m.units[i]
+		u.files, u.tasks = nil, nil
 	}
 }
 

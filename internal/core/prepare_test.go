@@ -185,7 +185,7 @@ func TestLoopPreparesBesideTheFit(t *testing.T) {
 // (the fit finds no telemetry) and one whose fit is cancelled after its
 // first epoch. Each failed cycle returns its error with no more goroutines
 // running than before it, asks the model for no proposal, leaves no
-// prepared files or tasks on the engine, and leaves the cadence, the dirty
+// prepared files or tasks on its unit, and leaves the cadence, the dirty
 // watermark and the feature cache as the serial path leaves them: a loop
 // without the bridge attached, whose policy proposes whole after the fit.
 // The decisions after them equal the serial path's.
@@ -235,8 +235,8 @@ func TestFailedDecisionJoinsAndDrops(t *testing.T) {
 				if s.model.proposes != proposes {
 					t.Errorf("%s step %d: a failed fit was followed by a proposal", s.name, k)
 				}
-				if p := &s.m.Engine.prep; p.files != nil || p.tasks != nil {
-					t.Errorf("%s step %d: the failed decision left %d files and %d tasks prepared", s.name, k, len(p.files), len(p.tasks))
+				if u := &s.m.units[0]; u.files != nil || u.tasks != nil {
+					t.Errorf("%s step %d: the failed decision left %d files and %d tasks prepared", s.name, k, len(u.files), len(u.tasks))
 				}
 			}
 			if !reflect.DeepEqual(pruningOf(s.m.Engine), want) {

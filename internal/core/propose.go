@@ -10,32 +10,34 @@ import (
 	"geomancy/internal/mat"
 	"geomancy/internal/nn"
 	"geomancy/internal/policy"
+	"geomancy/internal/rng"
 )
 
-// A decision has one body, the bridge's cycle over its units (an engine
-// each: the lone engine of NewModel, or a coordinator's shard engines, see
-// NewSharded), in two halves. prepare is the half that reads no model;
-// finish is the half that does:
+// A decision has one body, the bridge's cycle over its units (shardUnit:
+// the lone engine's one unit over every device, or a coordinator's device
+// groups, see NewSharded), in two halves over the one engine. prepare is
+// the half that reads no model; finish is the half that does:
 //
 //	prepare — route the working set to the units (a lone unit takes it as
-//	          it is), then, for every unit's engine, from one view of the
-//	          store's change tracking: the dirty set, the shortlist, the
-//	          task list (which (file, device) pairings this decision
-//	          scores) and the feature gather of every file whose cached
-//	          ingredients are stale. Serial. It reads the ReplayDB, the
-//	          cluster's summaries and the feature caches, writes only the
-//	          engines' prepared decisions (e.prep) and commits nothing.
-//	finish  — commit every engine: the cadence step, the dirty watermark
-//	          and the gathered features into the cache (prune.go); score:
-//	          every unit's runs of consecutive files laid into one list
-//	          and scored in one parallelFor, a worker taking its run end to
-//	          end on its own lane (candidate rows written into the lane's
-//	          input block, one serial nn.ForwardBatch, scores written into
-//	          the decision's score slice at the engine's offset, each
-//	          file's greedy pick made), drawing no randomness; select: the
-//	          serial ε-greedy selection, unit by unit, the only stage that
-//	          draws from an RNG (each engine's own); merge: the units'
-//	          decisions in unit order, escalated across units (sharded.go).
+//	          it is), then, from one dirty-set query of the store and one
+//	          ranking of the device summaries: the cadence's verdict, the
+//	          dirty set, every unit's shortlist and task list (which (file,
+//	          device) pairings this decision scores) and the feature gather
+//	          of every file whose cached ingredients are stale. Serial. It
+//	          reads the ReplayDB, the cluster's summaries and the feature
+//	          cache, writes only the prepared decision (e.prep and the
+//	          units' lists) and commits nothing.
+//	finish  — commit: the cadence step, the dirty watermark and the
+//	          gathered features into the cache (prune.go); score: every
+//	          unit's runs of consecutive files laid into one list and scored
+//	          in one parallelFor, a worker taking its run end to end on its
+//	          own lane (candidate rows written into the lane's input block,
+//	          one serial nn.ForwardBatch, scores written into the decision's
+//	          score slice at the unit's offset, each file's greedy pick
+//	          made), drawing no randomness; select: the serial ε-greedy
+//	          selection, unit by unit, the only stage that draws from an RNG
+//	          (each unit's own stream); merge: the units' decisions in unit
+//	          order, escalated across units (sharded.go).
 //
 // The loop prepares every engine decision before it asks the policy
 // (Loop.propose): on one helper goroutine beside the policy's fit
@@ -43,8 +45,8 @@ import (
 // finishes what was prepared, and prepares first only when nothing was.
 // prepare reads nothing a fit writes and no RNG, and a decision whose fit
 // fails is dropped unfinished, so the overlapped decision is the serial
-// one bit for bit, and a failed fit leaves the cadence, the watermarks and
-// the caches as the serial path does. A decision therefore has two
+// one bit for bit, and a failed fit leaves the cadence, the watermark and
+// the cache as the serial path does. A decision therefore has two
 // fan-outs: that helper, beside the fit, and the scoring workers. The
 // scoring is reported once per decision.
 //
@@ -53,46 +55,66 @@ import (
 // policy.Prediction per file comes out, positionally aligned with the
 // input for a lone unit and ordered by unit, input order within each, for
 // a coordinator. Device names appear only at those two edges; in between a
-// device is its index in e.devices. A decision's scores live for that
-// decision: the pool's score slice holds them, indexed as the tasks'
-// device lists are, and the next decision overwrites them. Only feature
-// ingredients persist between decisions (prune.go).
+// device is its index in e.devices, which is also its fsid feature. A
+// decision's scores live for that decision: the pool's score slice holds
+// them, indexed as the tasks' device lists are, and the next decision
+// overwrites them. Only feature ingredients persist between decisions
+// (prune.go).
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
-// rescan) is the same body run with every file stale and every device
-// shortlisted; its commit makes the pass's entries the whole cache.
+// rescan) is the same body run with every file stale and every unit's
+// devices shortlisted; its commit makes the pass's entries the whole cache.
+
+// shardUnit is one unit of the decision body: a group of the engine's
+// device indices — ascending, in profile order, every index for a lone
+// engine — and the stream its selection draws from, which for a lone
+// engine is the engine's own. It also holds its share of the decision
+// between prepare and finish (its working set, shortlist and tasks), its
+// shuffle scratch, where its scores start and its counters. Every other
+// piece of decision state is the engine's.
+type shardUnit struct {
+	devs []int //geomancy:ephemeral the device group, rebuilt from the partition by NewSharded
+	rng  *rng.RNG
+
+	// files is the unit's working set, which the bridge's prepare hands
+	// it and drops with the tasks once the decision is finished or dropped;
+	// short is the decision's device shortlist for the unit, ascending, and
+	// tasks its work list, one task per file.
+	files []policy.FileInfo //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	short []int             //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	tasks []scoreTask       //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+
+	perm []int //geomancy:ephemeral exploration shuffle scratch, overwritten before every shuffle
+	// scoreOff is where the unit's scores start in the pool's score slice:
+	// the units before it in a decision. Every path that scores sets it.
+	scoreOff int            //geomancy:ephemeral set by every scoring pass before it is read
+	tele     shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
+}
 
 // scorePool is what the scoring loop reuses from one decision to the
 // next: one lane per worker, the runs of the decision in flight and its
-// scores. The global engine owns it; shard engines share it by pointer, as
-// they share its model, so a sharded cycle scores every shard's runs in one
-// fan-out over the same lanes.
+// scores. A decision scores every unit's runs in one fan-out over it.
 type scorePool struct {
 	lanes []*scoreLane
 	spans []scoreSpan
-	// scores[e.scoreOff+t.base+k] is the score of engine e's task t on its
+	// scores[u.scoreOff+t.base+k] is the score of unit u's task t on its
 	// k-th device (bytes/s, denormalized and MAE-adjusted). A one-unit
 	// decision keeps the slice for the next; a coordinator's, which holds
 	// every shard's scores, is dropped with the decision.
 	scores []float64
 }
 
-// scoreSpan is one run of consecutive files of engine e's prepared
+// scoreSpan is one run of consecutive files of unit u's prepared
 // decision: its tasks lo to hi.
 type scoreSpan struct {
-	e      *Engine
+	u      *shardUnit
 	lo, hi int
 }
 
-// prepared is one engine's share of a decision's model-free half, as
-// prepare leaves it for finish. Every engine, shard engines included, owns
-// its own, so a coordinator can prepare all its shards before it scores
-// any.
+// prepared is the engine's share of a decision's model-free half, as
+// prepare leaves it for finish; each unit's share is its own.
 type prepared struct {
-	// files is the engine's working set, which the bridge's prepare hands
-	// it and drops with the tasks once the decision is finished or dropped.
-	files []policy.FileInfo
-	full  bool
+	full bool
 	// staleAll marks every cached entry stale: a full pass, or a store
 	// without a ChangeTracker.
 	staleAll bool
@@ -103,10 +125,6 @@ type prepared struct {
 	// since the last watermark, in or out of the working set; its storage
 	// is reused from one decision to the next.
 	stale []*fileCache
-	// short is the decision's device shortlist, ascending, and tasks its
-	// work list, one task per file.
-	short []int
-	tasks []scoreTask
 }
 
 // scoreLane is one scoring worker's buffers: the input rows of the run it
@@ -127,42 +145,45 @@ type scoreTally struct {
 	took time.Duration
 }
 
-// prepare runs this engine's model-free half of a decision over
-// e.prep.files, reading the watermark and the dirty set from feed (nil when
-// the store tracks no changes): the dirty set (everything, on an
-// all-device pass), the shortlist, and the task list, one task per file,
-// with every stale file's features gathered. It reads e.decisionCount,
-// e.lastWatermark and the cache, and changes none of them.
-func (e *Engine) prepare(feed ChangeTracker) {
+// begin opens the engine's share of a decision: whether it is an
+// all-device pass, whether every cached entry is stale, the store's
+// watermark, and the dirty set, ascending (nil on an all-device pass or
+// without a ChangeTracker), whose cached entries it records as stale. It
+// reads e.decisionCount, e.lastWatermark and the cache, and changes none
+// of them.
+func (e *Engine) begin() []int64 {
 	p := &e.prep
-	files := p.files
 	p.full = e.cfg.TopK == 0 || e.fullRescanDue()
-	p.staleAll = p.full || feed == nil
+	p.staleAll = p.full || e.tracker == nil
 	p.stale = p.stale[:0]
-	if feed != nil {
+	if e.tracker != nil {
 		// Taken before the dirty set and the gather, so a record appended
 		// meanwhile is past it and dirties its file next time.
-		p.watermark = feed.Watermark()
+		p.watermark = e.tracker.Watermark()
 	}
-	var changed []int64
 	if p.full {
-		p.short = e.allDevices()
-	} else {
-		changed = e.dirtySet(feed)
-		p.short = e.deviceShortlist()
+		return nil
 	}
-	p.tasks = make([]scoreTask, len(files))
+	return e.dirtySet()
+}
+
+// prepareUnit runs unit u's share of the model-free half over u.files and
+// its shortlist, against the dirty set changed: the task list, one task
+// per file, with every stale file's features gathered. It reads the cache
+// and changes nothing the engine keeps.
+func (e *Engine) prepareUnit(u *shardUnit, changed []int64) {
+	u.tasks = make([]scoreTask, len(u.files))
 	base := 0
-	for i, f := range files {
-		t := &p.tasks[i]
+	for i, f := range u.files {
+		t := &u.tasks[i]
 		*t = scoreTask{ent: e.cache[f.ID], base: base, extra: -1}
 		if cur, ok := e.devIndex[f.Device]; ok {
-			if _, in := slices.BinarySearch(p.short, cur); !in {
+			if _, in := slices.BinarySearch(u.short, cur); !in {
 				t.extra = int32(cur)
 			}
 		}
-		n := t.rows(p.short)
-		if p.current(t.ent, f, changed) {
+		n := t.rows(u.short)
+		if e.prep.current(t.ent, f, changed) {
 			t.feat = t.ent.feat
 		} else if n > 0 {
 			t.feat = e.gatherFileFeatures(f)
@@ -171,98 +192,91 @@ func (e *Engine) prepare(feed ChangeTracker) {
 	}
 }
 
-// rows returns how many candidate rows the prepared decision scores.
-func (p *prepared) rows() int {
-	if len(p.tasks) == 0 {
+// rows returns how many candidate rows the unit's prepared decision
+// scores.
+func (u *shardUnit) rows() int {
+	if len(u.tasks) == 0 {
 		return 0
 	}
-	last := &p.tasks[len(p.tasks)-1]
-	return last.base + last.rows(p.short)
+	last := &u.tasks[len(u.tasks)-1]
+	return last.base + last.rows(u.short)
 }
 
-// layRuns cuts the prepared decision's tasks into runs of consecutive files
-// and appends them to the pool's spans, the engine's scores starting at off
-// in the decision's score slice; it returns the offset past them. A run
-// ends before the file whose rows would take it past nn.BlockRows, unless
-// it has no rows yet. Files with nothing to score join the run they fall
-// in.
-func (e *Engine) layRuns(off int) int {
-	e.scoreOff = off
-	p, pool := &e.prep, e.pool
-	if len(p.tasks) == 0 {
+// layRuns cuts unit u's prepared tasks into runs of consecutive files and
+// appends them to the pool's spans, the unit's scores starting at off in
+// the decision's score slice; it returns the offset past them. A run ends
+// before the file whose rows would take it past nn.BlockRows, unless it
+// has no rows yet. Files with nothing to score join the run they fall in.
+func (e *Engine) layRuns(u *shardUnit, off int) int {
+	u.scoreOff = off
+	pool := &e.pool
+	if len(u.tasks) == 0 {
 		return off
 	}
-	total := p.rows()
+	total := u.rows()
 	first, lo := 0, 0 // the first task and the first row of the open run
-	for i := range p.tasks {
+	for i := range u.tasks {
 		end := total
-		if i+1 < len(p.tasks) {
-			end = p.tasks[i+1].base
+		if i+1 < len(u.tasks) {
+			end = u.tasks[i+1].base
 		}
-		if t := &p.tasks[i]; t.base > lo && end-lo > nn.BlockRows {
-			pool.spans = append(pool.spans, scoreSpan{e, first, i})
+		if t := &u.tasks[i]; t.base > lo && end-lo > nn.BlockRows {
+			pool.spans = append(pool.spans, scoreSpan{u, first, i})
 			first, lo = i, t.base
 		}
 	}
-	pool.spans = append(pool.spans, scoreSpan{e, first, len(p.tasks)})
+	pool.spans = append(pool.spans, scoreSpan{u, first, len(u.tasks)})
 	return off + total
 }
 
 // prepare runs the model-free half of a decision over files: it routes
-// the files to their units, a lone unit taking them as they are, and
-// prepares every unit's engine over its own, all from one view of the
-// store's change tracking. A file no unit owns stops the routing; finish
-// reports it.
+// the files to their units, a lone unit taking them as they are, then
+// opens the engine's share, shortlists every unit from one ranking and
+// prepares every unit over its own files. A file no unit owns stops the
+// routing; finish reports it.
 func (m *EngineModel) prepare(files []policy.FileInfo) {
 	if len(m.units) == 1 {
-		m.Engine.prep.files, m.routeErr = files, nil
+		m.units[0].files, m.routeErr = files, nil
 	} else if m.routeErr = m.route(files); m.routeErr != nil {
 		return
 	}
-	var feed ChangeTracker
-	if t := m.Engine.tracker; t != nil {
-		if m.feed.changed == nil {
-			m.feed.changed = make(map[uint64][]int64)
-		}
-		m.feed.ChangeTracker, m.feed.mark = t, t.Watermark()
-		feed = &m.feed
-	}
+	e := m.Engine
+	changed := e.begin()
+	m.shortlist()
 	for i := range m.units {
-		m.units[i].engine.prepare(feed)
+		e.prepareUnit(&m.units[i], changed)
 	}
-	clear(m.feed.changed)
 }
 
-// finish runs the model half of the decision prepare left: every unit's
-// engine commits, every unit's runs are scored in one fan-out under the
-// model the last fit wrote and the scoring reported once, then each unit
-// selects, in unit order, and the merge follows. With probability Epsilon
-// a file is assigned a random device instead of its best predicted one —
-// the exploration that keeps the availability picture fresh (§V-H). Each
+// finish runs the model half of the decision prepare left: the engine
+// commits, every unit's runs are scored in one fan-out under the model the
+// last fit wrote and the scoring reported once, then each unit selects, in
+// unit order, and the merge follows. With probability Epsilon a file is
+// assigned a random device of its unit instead of its best predicted one —
+// the exploration that keeps the availability picture fresh (§V-H). The
 // engine's validator vets destinations; invalid proposals fall back per
 // the Action Checker rules (select.go). ctx is checked between scoring
 // runs. Only the selection draws randomness, serially in file order from
-// each engine's own stream, so a fixed seed replays identically at any
+// each unit's own stream, so a fixed seed replays identically at any
 // Parallelism. The prepared decision is dropped whatever the outcome.
 func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
 	defer m.drop()
 	if m.routeErr != nil {
 		return nil, nil, m.routeErr
 	}
-	global := m.Engine
-	if !global.trained { // one model behind every unit
+	e := m.Engine
+	if !e.trained {
 		return nil, nil, ErrNotTrained
 	}
-	// An engine touches only its own entries and stream, so the unit order
-	// of the commits and of the selections is free; every decision is made
-	// before the first escalation claims anything.
-	pool := global.pool
+	// A unit draws only from its own stream, so the unit order of the
+	// selections is free; every decision is made before the first
+	// escalation claims anything.
+	e.commit(m.units)
+	pool := &e.pool
 	pool.spans = pool.spans[:0]
 	rows := 0
 	for i := range m.units {
-		e := m.units[i].engine
-		e.commit()
-		rows = e.layRuns(rows)
+		rows = e.layRuns(&m.units[i], rows)
 	}
 	if len(m.units) == 1 {
 		pool.scores = slices.Grow(pool.scores[:0], rows)[:rows]
@@ -271,48 +285,50 @@ func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Pr
 		defer func() { pool.scores = nil }()
 	}
 	var tally scoreTally
-	err := pool.fanOut(ctx, global.cfg.Parallelism, rows, &tally)
-	global.metrics.observeScoring(tally)
+	err := e.fanOut(ctx, rows, &tally)
+	e.metrics.observeScoring(tally)
 	if err != nil {
 		return nil, nil, err
 	}
 	decs := make([][]policy.Prediction, len(m.units))
 	for i := range m.units {
-		decs[i] = m.units[i].engine.selectLayout()
+		decs[i] = e.selectLayout(&m.units[i])
 	}
 	layout, decisions := m.merge(decs)
 	return layout, decisions, nil
 }
 
 // fanOut scores every span laid in the pool, whose rows total rows, on up
-// to workers goroutines, and adds the rows and the time to tally.
-func (pool *scorePool) fanOut(ctx context.Context, workers, rows int, tally *scoreTally) error {
+// to Config.Parallelism goroutines, and adds the rows and the time to
+// tally.
+func (e *Engine) fanOut(ctx context.Context, rows int, tally *scoreTally) error {
+	pool := &e.pool
 	if len(pool.spans) == 0 {
 		return nil
 	}
 	start := time.Now() //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
-	workers = min(workers, len(pool.spans))
+	workers := min(e.cfg.Parallelism, len(pool.spans))
 	for len(pool.lanes) < workers {
 		pool.lanes = append(pool.lanes, &scoreLane{})
 	}
 	err := parallelFor(ctx, len(pool.spans), workers, func(w, i int) {
 		s := pool.spans[i]
-		s.e.scoreRun(pool.lanes[w], s.lo, s.hi)
+		e.scoreRun(s.u, pool.lanes[w], s.lo, s.hi)
 	})
 	tally.rows += rows
 	tally.took += time.Since(start) //geomancy:nondeterministic telemetry timestamp: scoring duration is reported, never fed back into decisions
 	return err
 }
 
-// scoreRun takes the run of prepared tasks lo to hi through scoring on lane
-// l: it writes the run's candidate rows from the features prepare resolved
-// into the lane's input block, forwards them, writes each score into the
-// decision's score slice, and picks each file's greedy destination. Runs
-// touch disjoint tasks and scores, and nothing here draws from e.rng, so
-// runs may score in any order on any worker.
-func (e *Engine) scoreRun(l *scoreLane, lo, hi int) {
-	short := e.prep.short
-	files, tasks := e.prep.files[lo:hi], e.prep.tasks[lo:hi]
+// scoreRun takes unit u's run of prepared tasks lo to hi through scoring on
+// lane l: it writes the run's candidate rows from the features prepare
+// resolved into the lane's input block, forwards them, writes each score
+// into the decision's score slice, and picks each file's greedy
+// destination. Runs touch disjoint tasks and scores, and nothing here
+// draws from an RNG, so runs may score in any order on any worker.
+func (e *Engine) scoreRun(u *shardUnit, l *scoreLane, lo, hi int) {
+	short := u.short
+	files, tasks := u.files[lo:hi], u.tasks[lo:hi]
 	last := &tasks[len(tasks)-1]
 	base := tasks[0].base
 	var out *mat.Matrix
@@ -329,7 +345,7 @@ func (e *Engine) scoreRun(l *scoreLane, lo, hi int) {
 	for i := range tasks {
 		t := &tasks[i]
 		devs := t.devices(&l.devs, short)
-		scores := e.pool.scores[e.scoreOff+t.base:][:len(devs)]
+		scores := e.pool.scores[u.scoreOff+t.base:][:len(devs)]
 		for k := range devs {
 			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
 			scores[k] = nn.AdjustPrediction(raw, e.valMetrics)

@@ -12,9 +12,10 @@ import (
 // in the device axis. An all-device pass builds and scores all
 // files×devices rows; a pruned decision scores each file only
 //
-//   - against a device shortlist — the top K devices by recent effective
-//     throughput (storagesim.DeviceSummary), ranked together across the
-//     cluster, always including the file's current device;
+//   - against a device shortlist — the top K devices of its unit by recent
+//     effective throughput (storagesim.DeviceSummary), ranked together
+//     across the unit (for a lone engine, the cluster), always including
+//     the file's current device;
 //   - from feature ingredients cached per file across decisions, refetched
 //     only for files whose telemetry changed since the last pass — the
 //     dirty set, answered by the ReplayDB's append watermark
@@ -30,10 +31,10 @@ import (
 // decides over the shortlist ∪ {current device}, each score bit-identical
 // to the all-device pass's for the same pairing (batching never changes a
 // row's arithmetic, and a clean file's cached features are the ones a
-// refetch would return). Exploration always shuffles the full device list
-// (selectLayout), so a pruned run and an unpruned run of the same seed
-// consume identical randomness, and agree on the chosen layout whenever
-// the shortlist covers the argmax device.
+// refetch would return). Exploration always shuffles the unit's full
+// device list (selectLayout), so a pruned run and an unpruned run of the
+// same seed consume identical randomness, and agree on the chosen layout
+// whenever the shortlist covers the argmax device.
 
 // ChangeTracker is the optional dirty-tracking view of a TelemetryStore.
 // The local *replaydb.DB implements it; a store that does not (e.g. a
@@ -55,8 +56,8 @@ type ChangeTracker interface {
 type SummarySource func() []storagesim.DeviceSummary
 
 // SetSummarySource installs the device-summary provider the pruned path
-// builds shortlists from. Without one, pruning still keeps clean files'
-// features but shortlists every device.
+// builds every unit's shortlist from. Without one, pruning still keeps
+// clean files' features but shortlists every device.
 func (e *Engine) SetSummarySource(src SummarySource) { e.summarySource = src }
 
 // fileCache is one file's feature entry: the raw ingredients of its
@@ -88,16 +89,16 @@ func (e *Engine) fullRescanDue() bool {
 }
 
 // dirtySet returns the files whose telemetry moved past the last scoring
-// watermark as feed reports them, ascending, and records in e.prep the
-// cached entries among them. Without a ChangeTracker nothing can be
+// watermark, ascending, in one query of the store, and records in e.prep
+// the cached entries among them. Without a ChangeTracker nothing can be
 // trusted across decisions (e.prep.staleAll); the shortlist still prunes
 // the device axis.
-func (e *Engine) dirtySet(feed ChangeTracker) []int64 {
-	if feed == nil {
+func (e *Engine) dirtySet() []int64 {
+	if e.tracker == nil {
 		return nil
 	}
 	p := &e.prep
-	changed := feed.FilesChangedSince(e.lastWatermark)
+	changed := e.tracker.FilesChangedSince(e.lastWatermark)
 	for _, id := range changed {
 		if ent, ok := e.cache[id]; ok {
 			p.stale = append(p.stale, ent)
@@ -113,64 +114,55 @@ func (e *Engine) invalidateAll() {
 	}
 }
 
-// commit makes the prepared decision the engine's, once its model is fit:
-// it steps the cadence, then either closes an all-device pass
-// (endFullPass) or marks stale what the dirty set named, keeps the
-// working set's features and advances the dirty watermark.
-func (e *Engine) commit() {
+// commit makes the prepared decision over units the engine's, once its
+// model is fit. It steps the cadence. Then, unless the engine does not
+// prune (TopK 0: nothing is retained and the watermark never moves, so an
+// unpruned engine's checkpoints carry no pruning state), it drops what the
+// decision found stale — the whole cache on an all-device pass, whose
+// entries then become the whole cache, so files that left the working set
+// drop out and full passes bound cache growth as well as pruning error —
+// keeps every unit's working-set features and advances the dirty
+// watermark. A file that changed units keeps its entry: the entry is what
+// a gather would return until the file's telemetry or size changes.
+func (e *Engine) commit(units []shardUnit) {
 	p := &e.prep
 	e.decisionCount++
-	if p.full {
-		e.endFullPass()
+	switch {
+	case p.full && e.cfg.TopK == 0:
 		return
-	}
-	if p.staleAll {
+	case p.full:
+		clear(e.cache)
+	case p.staleAll:
 		e.invalidateAll()
 	}
 	for _, ent := range p.stale {
 		ent.featValid = false
 	}
-	e.keep()
+	for i := range units {
+		e.keep(&units[i])
+	}
 	if e.tracker != nil {
 		e.lastWatermark = p.watermark
 	}
 }
 
-// keep stores the features of every file the decision scores as the
+// keep stores the features of every file unit u's decision scores as the
 // file's cache entry, creating the entry if the file has none: fresh ones
 // where prepare gathered, the entry's own where it was current. A full
 // pass, whose commit cleared the cache, puts every entry back.
-func (e *Engine) keep() {
-	p := &e.prep
-	for i, f := range p.files {
-		t := &p.tasks[i]
-		if t.rows(p.short) == 0 {
+func (e *Engine) keep(u *shardUnit) {
+	for i, f := range u.files {
+		t := &u.tasks[i]
+		if t.rows(u.short) == 0 {
 			continue
 		}
 		if t.ent == nil {
 			t.ent = new(fileCache)
 			e.cache[f.ID] = t.ent
-		} else if p.full {
+		} else if e.prep.full {
 			e.cache[f.ID] = t.ent
 		}
 		*t.ent = fileCache{size: f.Size, featValid: true, feat: t.feat}
-	}
-}
-
-// endFullPass closes an all-device pass. With pruning on, the pass's
-// entries become the whole cache — files that left the working set drop
-// out, so full passes bound cache growth as well as pruning error — and
-// the dirty watermark advances. With pruning off nothing is retained and
-// the watermark never moves, so an unpruned engine's checkpoints carry no
-// pruning state.
-func (e *Engine) endFullPass() {
-	if e.cfg.TopK == 0 {
-		return
-	}
-	clear(e.cache)
-	e.keep()
-	if e.tracker != nil {
-		e.lastWatermark = e.prep.watermark
 	}
 }
 
@@ -183,46 +175,61 @@ func (e *Engine) allDevices() []int {
 	return out
 }
 
-// deviceShortlist returns the sorted device indices a pruned decision
-// scores dirty files against: the top K devices by recent throughput,
-// ranked together across the cluster, skipping devices no move could
-// target (unavailable or read-only). Devices whose summary carries only the
-// nominal-bandwidth fallback (DeviceSummary.Nominal — never probed by any
-// access) are always shortlisted regardless of rank: their fallback
-// throughput is a spec-sheet guess, and a device whose guess ranks below
-// measured rates would otherwise never be probed until the next full
-// rescan. Ties break toward profile order, and the result is ascending by
-// device index, so shortlists are deterministic — in particular, a
-// shortlist built from restored summaries equals the one the original run
-// built.
-// Without a summary source every device is shortlisted.
-func (e *Engine) deviceShortlist() []int {
-	if e.summarySource == nil {
-		return e.allDevices()
+// shortlist sets every unit's shortlist for the decision e.prep opened:
+// the unit's whole group on an all-device pass or without a summary
+// source, else the device indices a pruned decision scores dirty files
+// against — the unit's top K devices by recent throughput, skipping
+// devices no move could target (unavailable or read-only), and every
+// device of the unit whose summary carries only the nominal-bandwidth
+// fallback (DeviceSummary.Nominal — never probed by any access) whatever
+// its rank: its fallback throughput is a spec-sheet guess, and a device
+// whose guess ranks below measured rates would otherwise never be probed
+// until the next full rescan. One ranking of the summaries serves every
+// unit: a stable sort of the whole list keeps each unit's devices in the
+// order a sort of the unit's alone gives. Ties break toward profile order,
+// and each shortlist is ascending by device index, so shortlists are
+// deterministic — in particular, a shortlist built from restored summaries
+// equals the one the original run built.
+func (m *EngineModel) shortlist() {
+	e := m.Engine
+	if e.prep.full || e.summarySource == nil {
+		for i := range m.units {
+			m.units[i].short = m.units[i].devs
+		}
+		return
 	}
 	type ranked struct {
-		idx int
-		tp  float64
+		idx     int
+		tp      float64
+		nominal bool
 	}
 	var rs []ranked
-	var out []int
 	for _, s := range e.summarySource() {
-		j, ok := e.devIndex[s.Name]
-		if !ok || !s.Available || s.ReadOnly {
-			continue
+		if j, ok := e.devIndex[s.Name]; ok && s.Available && !s.ReadOnly {
+			rs = append(rs, ranked{j, s.RecentThroughput, s.Nominal})
 		}
-		if s.Nominal {
-			out = append(out, j)
-		}
-		rs = append(rs, ranked{j, s.RecentThroughput})
 	}
 	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(b.tp, a.tp) })
-	for _, r := range rs[:min(e.cfg.TopK, len(rs))] {
-		out = append(out, r.idx)
+	for i := range m.units {
+		m.units[i].short = nil
 	}
-	// Nominal devices may double up with top-K winners.
-	slices.Sort(out)
-	return slices.Compact(out)
+	for _, r := range rs {
+		if u := &m.units[m.unitOf(r.idx)]; len(u.short) < e.cfg.TopK {
+			u.short = append(u.short, r.idx)
+		}
+	}
+	for _, r := range rs {
+		if r.nominal {
+			u := &m.units[m.unitOf(r.idx)]
+			u.short = append(u.short, r.idx)
+		}
+	}
+	for i := range m.units {
+		// Nominal devices may double up with top-K winners.
+		u := &m.units[i]
+		slices.Sort(u.short)
+		u.short = slices.Compact(u.short)
+	}
 }
 
 // scoreTask is one file's scoring work: its cache entry (nil if it has

@@ -4,13 +4,14 @@ import "geomancy/internal/policy"
 
 // The select stage is the paper's Action Checker, "the last sanity check
 // for file movements in case permissions or availability changes in the
-// system" (§V-H), run on the engine's own decision: invalid destinations
-// never become a file's pick, the highest predicted throughput wins, and
-// when every candidate is invalid a random movement keeps the
-// availability picture fresh. That fallback and ε-greedy exploration both
-// draw from the engine's one stream over its one device list, so a
-// checkpointed run replays them. Devices are indices into e.devices
-// throughout; selectLayout turns the chosen index back into a name.
+// system" (§V-H), run on each unit's share of the decision: invalid
+// destinations never become a file's pick, the highest predicted
+// throughput wins, and when every candidate is invalid a random movement
+// keeps the availability picture fresh. That fallback and ε-greedy
+// exploration both draw from the unit's one stream over the unit's device
+// group, so a checkpointed run replays them. Devices are indices into
+// e.devices throughout; selectLayout turns the chosen index back into a
+// name.
 
 // canPlace reports whether the validator admits a file of size bytes on
 // the device at index j.
@@ -38,64 +39,59 @@ func (e *Engine) greedyPick(devs []int, scores []float64, size int64) int {
 }
 
 // choose resolves a file's greedy pick into its destination: the pick
-// itself, or a uniformly random device when nothing validated (pick < 0).
-// random reports whether the fallback fired; ok is false only when there
-// is nowhere at all to go.
-func (e *Engine) choose(pick int) (dev int, random, ok bool) {
+// itself, or a uniformly random device of the unit when nothing validated
+// (pick < 0). random reports whether the fallback fired; ok is false only
+// when there is nowhere at all to go.
+func (u *shardUnit) choose(pick int) (dev int, random, ok bool) {
 	if pick >= 0 {
 		return pick, false, true
 	}
 	// "In case all storage devices are invalid, a random movement is
 	// performed" (§V-H).
-	if len(e.devices) == 0 {
+	if len(u.devs) == 0 {
 		return -1, false, false
 	}
-	return e.rng.Intn(len(e.devices)), true, true
+	return u.devs[u.rng.Intn(len(u.devs))], true, true
 }
 
-// shuffledDevices returns a uniformly shuffled permutation of every device
-// index, in the engine's reusable scratch.
-func (e *Engine) shuffledDevices() []int {
-	if len(e.perm) != len(e.devices) {
-		e.perm = make([]int, len(e.devices))
-	}
-	for j := range e.perm {
-		e.perm[j] = j
-	}
-	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
-	return e.perm
+// shuffled returns a uniformly shuffled permutation of the unit's devices,
+// in the unit's reusable scratch.
+func (u *shardUnit) shuffled() []int {
+	u.perm = append(u.perm[:0], u.devs...)
+	u.rng.Shuffle(len(u.perm), func(a, b int) { u.perm[a], u.perm[b] = u.perm[b], u.perm[a] })
+	return u.perm
 }
 
-// selectLayout runs the serial ε-greedy selection over the prepared files'
-// greedy picks and returns one decision record per file, in file order.
-// This is the only stage that draws from e.rng.
-func (e *Engine) selectLayout() []policy.Prediction {
-	files, tasks := e.prep.files, e.prep.tasks
-	preds := make([]policy.Prediction, len(files))
-	for i, f := range files {
+// selectLayout runs the serial ε-greedy selection over unit u's prepared
+// files' greedy picks and returns one decision record per file, in file
+// order. This is the only stage that draws from the unit's stream.
+func (e *Engine) selectLayout(u *shardUnit) []policy.Prediction {
+	preds := make([]policy.Prediction, len(u.files))
+	for i, f := range u.files {
+		t := &u.tasks[i]
 		d := &preds[i]
 		*d = policy.Prediction{FileID: f.ID, Current: f.Device, Chosen: f.Device}
 		dev := -1 // nowhere to go: stay put
-		if e.rng.Float64() < e.cfg.Epsilon {
+		if u.rng.Float64() < e.cfg.Epsilon {
 			// Exploration: random movement, still subject to validation.
-			// The shuffle always spans the full device width — the choice
+			// The shuffle always spans the unit's whole group — the choice
 			// only depends on which devices validate, never on scores, so
 			// pruned and all-device passes explore identically.
 			d.Random = true
-			for _, j := range e.shuffledDevices() {
+			for _, j := range u.shuffled() {
 				if e.canPlace(j, f.Size) {
 					dev = j
 					break
 				}
 			}
-		} else if j, random, ok := e.choose(int(tasks[i].pick)); ok {
+		} else if j, random, ok := u.choose(int(t.pick)); ok {
 			// The greedy pick, or a random movement when nothing validated.
 			dev, d.Random = j, random
 		}
 		if dev >= 0 {
 			d.Chosen = e.devices[dev]
-			if k, ok := tasks[i].slot(e.prep.short, dev); ok {
-				d.Predicted = e.pool.scores[e.scoreOff+tasks[i].base+k]
+			if k, ok := t.slot(u.short, dev); ok {
+				d.Predicted = e.pool.scores[u.scoreOff+t.base+k]
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // choose — over one file's scored devices: invalid destinations never win,
 // the first strictly highest score does, a device the decision did not
 // score is no candidate, an all-invalid file falls back to a random
-// movement drawn from the engine's stream, and an engine with no devices
-// has nowhere to go.
+// movement drawn from the lone unit's stream (the engine's), and an engine
+// with no devices has nowhere to go.
 func TestActionChecker(t *testing.T) {
 	all := []int{0, 1, 2}
 	for _, tc := range []struct {
@@ -72,9 +72,10 @@ func TestActionChecker(t *testing.T) {
 				t.Fatalf("greedyPick = %s, want %s", tc.devices[pick], tc.want)
 			}
 
+			u := &e.lone().units[0]
 			seen := map[int]bool{}
 			for i := 0; i < 60; i++ {
-				dev, random, ok := e.choose(pick)
+				dev, random, ok := u.choose(pick)
 				if ok != tc.wantOK || random != tc.wantRandom {
 					t.Fatalf("choose = %d random=%v ok=%v, want random=%v ok=%v", dev, random, ok, tc.wantRandom, tc.wantOK)
 				}

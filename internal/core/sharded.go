@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
@@ -14,18 +15,22 @@ import (
 
 // Sharded is the sharded placement coordinator (ROADMAP item 2's
 // warehouse-scale decision plane): the cluster's devices are partitioned
-// into device groups (storagesim.Cluster.ShardBy), and each group owns a
-// lightweight engine that decides only over its own devices — one unit of
-// the bridge's decision body (propose.go). That body
+// into device groups (storagesim.Cluster.ShardBy), and each group is one
+// unit of the engine's bridge that decides only over its own devices (the
+// decision body, propose.go). A unit is its group of the engine's device
+// indices and its own RNG stream; everything else — the model, the device
+// index space (so a candidate's fsid feature is the device's index, as it
+// is unsharded), the feature cache, the full-rescan cadence, the dirty
+// watermark, the validator, the summaries and the scoring pool — is the
+// one engine's. That body
 //
 //   - routes every file to the unit owning its current device,
-//   - prepares every unit's engine over one dirty-set query of the store,
-//     commits every unit, scores every unit's runs in one fan-out over the
-//     scoring pool every shard engine shares with the global engine,
-//     through the one model, and selects unit by unit; each shard draws
-//     from its own RNG stream (rng.Split of the coordinator seed) and units
-//     merge in fixed index order, so any Parallelism produces the serial
-//     layout bit-for-bit, and
+//   - prepares every unit from one dirty-set query of the store and one
+//     ranking of the device summaries, commits once, scores every unit's
+//     runs in one fan-out through the one model, and selects unit by unit;
+//     each unit draws from its own stream (rng.Split of the coordinator
+//     seed) and units merge in fixed index order, so any Parallelism
+//     produces the serial layout bit-for-bit, and
 //   - escalates: when a shard's best in-shard placement underperforms the
 //     cluster-wide throughput digest by escalationFactor, the merge
 //     attempts a cross-shard migration, admitted only while the device
@@ -33,56 +38,21 @@ import (
 //     (Cluster.CanPlace). Claims never touch used-bytes and die with the
 //     cycle; the committed layout re-validates in Cluster.Move.
 //
-// There is one model: the global engine fits it, and every shard engine
-// scores through it by pointer, so a shard decision reads whatever the
-// last fit left, finished or cancelled. Shard engines never train. At one
-// shard the unit's engine IS the global engine and the bridge is the one
-// NewModel builds, so the decisions are the unsharded policy's, bit for
-// bit.
+// A unit scores through whatever the last fit left, finished or cancelled.
+// At one shard the bridge is the one NewModel builds — one unit over every
+// device on the engine's own stream — so the decisions are the unsharded
+// policy's, bit for bit.
 //
 // Sharded itself is the policy's identity over that bridge: the embedded
 // policy.Geomancy cycle over Model(), under its own name, with its own
-// state blob and per-shard metrics.
+// state blob (the partition width and every unit's stream) and per-shard
+// metrics.
 type Sharded struct {
 	policy.Geomancy //geomancy:ephemeral stateless cycle over Model(); the shard state is the coordinator's own MarshalState
 
-	// global bridges the global engine into the loop and owns the units.
-	// That engine trains, sees every device, owns the model and the scoring
-	// pool, and snapshots itself through the engine half of the checkpoint.
+	// global bridges the engine into the loop and owns the units. The
+	// engine snapshots itself through the engine half of the checkpoint.
 	global *EngineModel
-}
-
-// cycleFeed is one decision's view of the store's change tracking: a
-// single watermark, taken before any dirty set is asked for, and one
-// FilesChangedSince query per distinct unit watermark (in practice one),
-// whose ascending list every unit's engine prepared at that watermark reads
-// and none writes. The lists are dropped once the decision is prepared.
-type cycleFeed struct {
-	ChangeTracker
-	mark    uint64
-	changed map[uint64][]int64
-}
-
-// Watermark returns the store's watermark when the decision's prepare
-// began.
-func (f *cycleFeed) Watermark() uint64 { return f.mark }
-
-// FilesChangedSince asks the store once per seq a decision passes.
-func (f *cycleFeed) FilesChangedSince(seq uint64) []int64 {
-	ids, ok := f.changed[seq]
-	if !ok {
-		ids = f.ChangeTracker.FilesChangedSince(seq)
-		f.changed[seq] = ids
-	}
-	return ids
-}
-
-// shardUnit is one unit of the decision body: its engine, over the shard's
-// device group (or every device, for a lone unit), and the shard's
-// counters.
-type shardUnit struct {
-	engine *Engine
-	tele   shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
 }
 
 // shardTelemetry holds one shard's pre-resolved counters; nil until
@@ -103,63 +73,65 @@ const escalationFactor = 4.0
 
 // NewSharded partitions the cluster into n device groups (contiguous in
 // profile order, or by assign when non-nil; see storagesim.ShardBy) and
-// builds one shard engine over each group, each a unit of the global
-// engine's bridge. cfg configures the global engine; shard engines inherit
-// it with a per-shard RNG stream split from cfg.Seed, read the cluster's
-// device summaries and validator as the global engine does, and score
-// through the global engine's model on its scoring pool. At n = 1 the
-// bridge is the global engine's lone unit, as NewModel builds it. Every
-// caller passes a nil assign; the parameter stays only until the
-// benchmark's traced pass stops passing it.
+// makes each a unit of the engine's bridge: the group's engine device
+// indices, ascending, and a stream of its own, split from cfg.Seed. cfg
+// configures the one engine, which sees every device, trains, and
+// validates and ranks every unit's candidates against the cluster. At
+// n = 1 the bridge is the engine's lone unit, as NewModel builds it.
+// Every caller passes a nil assign but tests; the parameter stays only
+// until the benchmark's traced pass stops passing it.
 func NewSharded(db TelemetryStore, cluster *storagesim.Cluster, n int, assign func(string) int, cfg Config) (*Sharded, error) {
 	groups, err := cluster.ShardBy(n, assign)
 	if err != nil {
 		return nil, err
 	}
-	globalEngine, err := NewEngine(db, cluster.DeviceNames(), cfg)
+	e, err := NewEngine(db, cluster.DeviceNames(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := globalEngine.NewModel(cluster)
+	m := e.NewModel(cluster)
 	s := &Sharded{global: m}
 	s.Geomancy.Model = m
 	if len(groups) == 1 {
 		return s, nil
 	}
-	m.units, m.devShard = nil, make(map[string]int)
+	m.units, m.owner = make([]shardUnit, len(groups)), make([]int, len(e.devices))
 	for i, group := range groups {
+		u := &m.units[i]
 		for _, name := range group {
-			m.devShard[name] = i
+			j := e.devIndex[name]
+			u.devs = append(u.devs, j)
+			m.owner[j] = i
 		}
-		shardCfg := cfg
-		shardCfg.Seed = rng.Split(cfg.Seed, i)
-		eng, err := NewEngine(db, group, shardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d engine: %w", i, err)
-		}
-		// The shortlist skips devices the engine does not list, so the
-		// cluster-wide summaries rank only the shard's own devices.
-		eng.SetSummarySource(cluster.DeviceSummaries)
-		// The shard scores through the global engine's model, whose fsid
-		// feature is the device's GLOBAL index. NewEngine built the shard
-		// its own network, and the shard's stream starts after those
-		// initialization draws; the network itself is dropped here.
-		fsids := make([]int, 0, len(group))
-		for _, name := range group {
-			fsids = append(fsids, globalEngine.devIndex[name])
-		}
-		eng.fsids = fsids
-		eng.valid = cluster.CanPlace
-		eng.model = globalEngine.model
-		eng.pool = globalEngine.pool
-		m.units = append(m.units, shardUnit{engine: eng})
+		u.rng = shardStream(e.cfg, i)
 	}
 	return s, nil
 }
 
-// Model returns the policy-plane bridge: it trains the global engine and
-// decides over the shard units; the loop drains training reports through
-// it.
+// shardStream returns shard i's stream: rng.Split(cfg.Seed, i), advanced
+// past the draws initialising a network of cfg's model takes from it (one
+// Float64 per dense weight, in layer order: nn.BuildModel, mat.XavierInit),
+// which is where the stream of a shard that built an engine of its own
+// began. Biases start at zero and draw nothing.
+func shardStream(cfg Config, i int) *rng.RNG {
+	r := rng.New(rng.Split(cfg.Seed, i))
+	specs, _ := nn.ModelSpec(cfg.ModelNumber) // NewEngine built this model
+	in := featureCount
+	for _, spec := range specs {
+		out := spec.Fixed
+		if out == 0 {
+			out = spec.UnitsZ * featureCount
+		}
+		for range in * out {
+			r.Float64()
+		}
+		in = out
+	}
+	return r
+}
+
+// Model returns the policy-plane bridge: it trains the engine and decides
+// over the shard units; the loop drains training reports through it.
 func (s *Sharded) Model() *EngineModel { return s.global }
 
 // SetMetrics installs per-shard decision/escalation/migration counters,
@@ -177,32 +149,32 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 }
 
 // route cuts files into one list per unit, preserving input order, in one
-// array, and hands each unit's engine its list; a file on a device no unit
-// owns stops it before any list is handed out.
+// array, and hands each unit its list; a file on a device no unit owns
+// stops it before any list is handed out.
 func (m *EngineModel) route(files []policy.FileInfo) error {
 	counts := make([]int, len(m.units))
 	for _, f := range files {
-		i, ok := m.devShard[f.Device]
+		j, ok := m.Engine.devIndex[f.Device]
 		if !ok {
 			return fmt.Errorf("core: file %d is on device %q, which no shard owns", f.ID, f.Device)
 		}
-		counts[i]++
+		counts[m.owner[j]]++
 	}
 	routed := make([]policy.FileInfo, len(files))
 	for i, n := range counts {
-		m.units[i].engine.prep.files, routed = routed[:0:n], routed[n:]
+		m.units[i].files, routed = routed[:0:n], routed[n:]
 	}
 	for _, f := range files {
-		p := &m.units[m.devShard[f.Device]].engine.prep
-		p.files = append(p.files, f)
+		u := &m.units[m.owner[m.Engine.devIndex[f.Device]]]
+		u.files = append(u.files, f)
 	}
 	return nil
 }
 
 // merge merges the units' decisions in fixed unit order, escalating, when
 // there is more than one unit, placements the owning shard clearly cannot
-// serve. A unit's decisions are positionally aligned with its engine's
-// prepared files. The merged list is ordered by unit, preserving input
+// serve. A unit's decisions are positionally aligned with its prepared
+// files. The merged list is ordered by unit, preserving input
 // order within each; a lone unit's is its own. The bytes escalations claim
 // on a device live in a map that dies with the merge.
 func (m *EngineModel) merge(decs [][]policy.Prediction) (map[int64]string, []policy.Prediction) {
@@ -214,7 +186,7 @@ func (m *EngineModel) merge(decs [][]policy.Prediction) (map[int64]string, []pol
 	n := 0
 	for i := range m.units {
 		m.units[i].tele.decisions.Add(uint64(len(decs[i])))
-		files := m.units[i].engine.prep.files
+		files := m.units[i].files
 		for k := range decs[i] {
 			m.escalate(i, &decs[i][k], digest, files[k].Size, claims)
 		}
@@ -271,8 +243,8 @@ func (m *EngineModel) escalate(i int, d *policy.Prediction, digest *storagesim.D
 	if digest == nil || d.Random {
 		return
 	}
-	owner, ok := m.devShard[digest.Name]
-	if !ok || owner == i {
+	owner := m.owner[m.Engine.devIndex[digest.Name]]
+	if owner == i {
 		return
 	}
 	if d.Predicted <= 0 || digest.RecentThroughput <= escalationFactor*d.Predicted {
@@ -295,51 +267,25 @@ const ShardedPolicyName = "sharded-geomancy"
 // Name implements policy.Policy.
 func (s *Sharded) Name() string { return ShardedPolicyName }
 
-// shardedState is the gob wire form of the coordinator's mutable state:
-// the partition width (restores reject a mismatch — a snapshot taken
-// under a different sharding cannot restore silently) and one entry per
-// shard unit. The global engine rides the checkpoint's engine half.
+// shardedState is the gob wire form of the coordinator's own state: the
+// partition width (restores reject a mismatch — a snapshot taken under a
+// different sharding cannot restore silently) and one stream per shard, in
+// shard order; at one shard that stream is the engine's. Everything else a
+// decision keeps, the cadence and the dirty watermark included, is the
+// engine's, and rides the checkpoint's engine half. The device groups need
+// no identity on the wire: the shard count, the cluster's device names and
+// the engine's device order fix them, and each is checked on restore.
 type shardedState struct {
-	Shards int
-	Units  []shardUnitState
-}
-
-// shardUnitState is one unit's wire form: the shard engine's own state —
-// nil at one shard, where the unit's engine is the global one. The device
-// group needs no identity on the wire: the shard count, the cluster's
-// device names and the global engine's device order fix it, and each is
-// checked on restore. Older blobs also carry a Shard field, which gob
-// drops.
-type shardUnitState struct {
-	Engine *shardEngineState
-}
-
-// shardEngineState is what a shard engine owns: its RNG stream and its
-// pruning bookkeeping. The model it scores through is the global engine's,
-// which the checkpoint's engine half carries once. Gob matches fields by
-// name, so a unit that carries a full EngineState, as older snapshots do,
-// restores into this and its copy of the model is dropped.
-type shardEngineState struct {
-	RNG           uint64
-	DecisionCount uint64
-	LastWatermark uint64
+	Shards  int
+	Streams []uint64
 }
 
 // MarshalState implements policy.Policy.
 func (s *Sharded) MarshalState() ([]byte, error) {
 	units := s.global.units
-	st := shardedState{Shards: len(units)}
+	st := shardedState{Shards: len(units), Streams: make([]uint64, len(units))}
 	for i := range units {
-		var us shardUnitState
-		if len(units) > 1 { // at one shard the unit's engine is the global one
-			eng := units[i].engine
-			us.Engine = &shardEngineState{
-				RNG:           eng.rng.State(),
-				DecisionCount: eng.decisionCount,
-				LastWatermark: eng.lastWatermark,
-			}
-		}
-		st.Units = append(st.Units, us)
+		st.Streams[i] = units[i].rng.State()
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -348,33 +294,26 @@ func (s *Sharded) MarshalState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalState implements policy.Policy. The blob must describe the
-// same partition width this coordinator was built with, and every unit is
-// checked before any shard engine is restored: a refused blob changes
-// nothing.
+// UnmarshalState implements policy.Policy. A blob without one stream per
+// shard — every form written while each shard kept its own cadence and
+// watermark, whose restore would resume a pruned run (TopK > 0) on a zero
+// cadence — is refused with policy.ErrBadState, and so is one that does
+// not decode; one of another partition width is refused too. Either way
+// the refusal comes before any stream moves.
 func (s *Sharded) UnmarshalState(data []byte) error {
 	var st shardedState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("%w: %v", policy.ErrBadState, err)
 	}
+	if len(st.Streams) != st.Shards {
+		return fmt.Errorf("%w: %d streams for %d shards; the snapshot predates one engine behind every shard", policy.ErrBadState, len(st.Streams), st.Shards)
+	}
 	units := s.global.units
-	if st.Shards != len(units) || len(st.Units) != len(units) {
+	if st.Shards != len(units) {
 		return fmt.Errorf("core: snapshot has %d shards, coordinator has %d — rebuild with the snapshot's shard count", st.Shards, len(units))
 	}
-	if len(units) == 1 {
-		return nil // the unit's engine is the global one
-	}
-	for i, us := range st.Units {
-		if us.Engine == nil {
-			return fmt.Errorf("%w: shard %d carries no engine state", policy.ErrBadState, i)
-		}
-	}
-	for i, us := range st.Units {
-		eng := units[i].engine
-		eng.rng.SetState(us.Engine.RNG)
-		eng.decisionCount = us.Engine.DecisionCount
-		eng.lastWatermark = us.Engine.LastWatermark
-		clear(eng.cache)
+	for i, state := range st.Streams {
+		units[i].rng.SetState(state)
 	}
 	return nil
 }

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"geomancy/internal/nn"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/rng"
@@ -134,10 +138,10 @@ func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestShardedRouting checks the file→shard routing contract: files are
-// decided by the shard owning their current device (its engine only
-// scores in-shard candidates), and a file on a device no shard owns is
-// an error, not a silent skip. With pruning on, a shard engine ranks the
-// cluster-wide device summaries but shortlists only its own devices.
+// decided by the shard owning their current device (which scores only
+// in-shard candidates), and a file on a device no shard owns is an error,
+// not a silent skip. With pruning on, a shard's shortlist comes from the
+// cluster-wide device summaries but lists only its own devices.
 func TestShardedRouting(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -161,26 +165,26 @@ func TestShardedRouting(t *testing.T) {
 	}
 	owners := map[int64]int{1: 0, 2: 1, 3: 2}
 	for k, d := range dec {
-		// The owning shard's engine scores the file on every one of its own
+		// The owning shard scores the file on every one of its own
 		// devices and on nothing else.
 		u := s.global.units[owners[d.FileID]]
-		_, _, scores, err := u.engine.proposeScored(t.Context(), files[k:k+1])
+		_, _, scores, err := s.global.unitModel(owners[d.FileID]).proposeScored(t.Context(), files[k:k+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(scores[0]) != len(u.engine.devices) {
+		if len(scores[0]) != len(u.devs) {
 			t.Errorf("file %d (shard %d) scored on %d devices %v, want the shard's %d",
-				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.engine.devices))
+				d.FileID, owners[d.FileID], len(scores[0]), scores[0], len(u.devs))
 		}
 		for dev := range scores[0] {
-			if owner, ok := s.global.devShard[dev]; !ok || owner != owners[d.FileID] {
+			if owner, ok := s.global.shardOf(dev); !ok || owner != owners[d.FileID] {
 				t.Errorf("file %d (shard %d) scored out-of-shard device %q", d.FileID, owners[d.FileID], dev)
 			}
 		}
 		// Migration may still move it out of shard (escalation), but a
 		// greedy non-escalated choice stays in-shard; either way the choice
 		// must be a real device.
-		if _, ok := s.global.devShard[d.Chosen]; !ok {
+		if _, ok := s.global.shardOf(d.Chosen); !ok {
 			t.Errorf("file %d placed on unknown device %q", d.FileID, d.Chosen)
 		}
 	}
@@ -199,13 +203,10 @@ func TestShardedRouting(t *testing.T) {
 	// never-probed devices are shortlisted whatever their rank.
 	cfg.TopK = 1
 	pruned := shardedBluesky(t, db, 3, cfg)
+	pruned.global.shortlist()
 	for i, u := range pruned.global.units {
-		var names []string
-		for _, j := range u.engine.deviceShortlist() {
-			names = append(names, u.engine.devices[j])
-		}
-		if !reflect.DeepEqual(names, u.engine.devices) {
-			t.Errorf("shard %d shortlists %v, want its group %v", i, names, u.engine.devices)
+		if !reflect.DeepEqual(u.short, u.devs) {
+			t.Errorf("shard %d shortlists %v, want its group %v", i, u.short, u.devs)
 		}
 	}
 }
@@ -230,8 +231,8 @@ func TestShardedEscalation(t *testing.T) {
 	if digest.Name != "file0" {
 		t.Fatalf("digest = %q, want the fastest device file0", digest.Name)
 	}
-	if s.global.devShard[digest.Name] != 0 {
-		t.Fatalf("digest device owned by shard %d, fixture wants 0", s.global.devShard[digest.Name])
+	if owner, _ := s.global.shardOf(digest.Name); owner != 0 {
+		t.Fatalf("digest device owned by shard %d, fixture wants 0", owner)
 	}
 
 	// Far-underperforming choice in shard 1: escalates and migrates.
@@ -305,7 +306,10 @@ func TestShardedEscalationClaims(t *testing.T) {
 	db := seedDB(t, 1200)
 	s := shardedBluesky(t, db, 2, quickCfg())
 	digest := s.global.throughputDigest()
-	if digest == nil || s.global.devShard[digest.Name] != 0 {
+	if digest == nil {
+		t.Fatal("no throughput digest on a healthy cluster")
+	}
+	if owner, _ := s.global.shardOf(digest.Name); owner != 0 {
 		t.Fatalf("digest %v, fixture wants a device of shard 0", digest)
 	}
 	dev := s.global.cluster.Device(digest.Name)
@@ -347,8 +351,8 @@ func TestShardedEscalationClaims(t *testing.T) {
 
 // TestShardedRowsObservedOncePerCycle: a decide cycle reports the rows
 // every shard scored as one observation of the inference batch-size
-// histogram — not one per shard, and at one shard, where the unit's engine
-// is the global engine, not twice.
+// histogram — not one per shard, and at one shard, where the bridge is the
+// lone engine's, not twice.
 func TestShardedRowsObservedOncePerCycle(t *testing.T) {
 	db := seedDB(t, 1200)
 	for _, n := range []int{1, 3} {
@@ -384,10 +388,9 @@ func TestShardedRowsObservedOncePerCycle(t *testing.T) {
 }
 
 // TestShardedStateRoundTrip checks bit-identical resume of the whole
-// coordinator: shard engines (RNG streams, pruning bookkeeping), shard
-// accounting, and the global engine with the model every shard scores
-// through restore into a fresh coordinator that continues the exact
-// trajectory. A snapshot from a different partition width is rejected.
+// coordinator: the shards' RNG streams, and the engine with the model
+// every shard scores through and its pruning bookkeeping, restore into a
+// fresh coordinator that continues the exact trajectory. A snapshot from a different partition width is rejected.
 func TestShardedStateRoundTrip(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
@@ -455,7 +458,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 }
 
 // shardedSnapshot decides three times on a two-shard coordinator and
-// returns it with its policy blob and its global engine's state.
+// returns it with its policy blob and its engine's state.
 func shardedSnapshot(t *testing.T, db TelemetryStore, cfg Config) (*Sharded, []byte, EngineState) {
 	t.Helper()
 	a := shardedBluesky(t, db, 2, cfg)
@@ -475,14 +478,15 @@ func shardedSnapshot(t *testing.T, db TelemetryStore, cfg Config) (*Sharded, []b
 	return a, blob, ga
 }
 
-// TestShardedRestoreAllOrNothing: a coordinator blob refused at a later
-// unit leaves every earlier shard engine as it was — every unit is checked
-// before any stream is restored.
+// TestShardedRestoreAllOrNothing: a coordinator blob refused for a wrong
+// stream count leaves every shard's stream, and the engine's cadence, as
+// they were — the blob is checked whole before any stream is restored.
 func TestShardedRestoreAllOrNothing(t *testing.T) {
 	db := seedDB(t, 1200)
 	_, blob, _ := shardedSnapshot(t, db, quickCfg())
 	for name, corrupt := range map[string]func(*shardedState){
-		"no engine state": func(st *shardedState) { st.Units[1].Engine = nil },
+		"a stream short": func(st *shardedState) { st.Streams = st.Streams[:1] },
+		"a stream over":  func(st *shardedState) { st.Streams = append(st.Streams, 7) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var st shardedState
@@ -495,92 +499,90 @@ func TestShardedRestoreAllOrNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := shardedBluesky(t, db, 2, quickCfg())
-			eng := b.global.units[0].engine
-			rngBefore, countBefore := eng.rng.State(), eng.decisionCount
-			if err := b.UnmarshalState(bad.Bytes()); err == nil {
-				t.Fatal("UnmarshalState accepted a blob with a bad unit 1")
+			before, countBefore := streams(b), b.global.Engine.decisionCount
+			if err := b.UnmarshalState(bad.Bytes()); !errors.Is(err, policy.ErrBadState) {
+				t.Fatalf("UnmarshalState of a blob with %d streams for 2 shards: err %v, want policy.ErrBadState", len(st.Streams), err)
 			}
-			if eng.rng.State() != rngBefore || eng.decisionCount != countBefore {
-				t.Errorf("refused restore moved shard 0: RNG %x → %x, decisions %d → %d",
-					rngBefore, eng.rng.State(), countBefore, eng.decisionCount)
+			if got := streams(b); !reflect.DeepEqual(got, before) || b.global.Engine.decisionCount != countBefore {
+				t.Errorf("refused restore moved a stream or the cadence: streams %x → %x, decisions %d → %d",
+					before, got, countBefore, b.global.Engine.decisionCount)
 			}
 		})
 	}
 }
 
-// TestShardedRestoreParentBlob: a blob whose units each carry a full
-// EngineState, network included — the form coordinators wrote while every
-// shard engine held its own copy of the model — restores, and the
-// coordinator decides from it exactly as from the current form.
+// streams returns every unit's stream state, in shard order.
+func streams(s *Sharded) []uint64 {
+	var out []uint64
+	for _, u := range s.global.units {
+		out = append(out, u.rng.State())
+	}
+	return out
+}
+
+// TestShardedRestoreParentBlob: a blob of either form coordinators wrote
+// while every shard kept its own engine — one unit per shard carrying a
+// full EngineState, network included, or, later, only the shard engine's
+// stream, cadence and watermark — is refused with policy.ErrBadState
+// before any stream moves. Restored, either would resume a pruned run on
+// the engine's cadence and watermark, which such a snapshot's engine half
+// left at zero: another trajectory than the one it was taken from.
 func TestShardedRestoreParentBlob(t *testing.T) {
 	db := seedDB(t, 1200)
 	cfg := quickCfg()
-	cfg.Epsilon = 0.3
-	a, blob, ga := shardedSnapshot(t, db, cfg)
+	cfg.Epsilon, cfg.TopK = 0.3, 2
+	a, _, ga := shardedSnapshot(t, db, cfg)
 
-	// The parent also wrote each unit's device group, which gob now drops.
 	type parentShard struct {
 		Index   int
 		Devices []string
 	}
-	type parentUnit struct {
+	type fullUnit struct {
 		Engine *EngineState
 		Shard  parentShard
 	}
-	parent := struct {
+	full := struct {
 		Shards int
-		Units  []parentUnit
+		Units  []fullUnit
 	}{Shards: len(a.global.units)}
-	for i := range a.global.units {
-		es, err := a.global.units[i].engine.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+	type countedEngine struct {
+		RNG           uint64
+		DecisionCount uint64
+		LastWatermark uint64
+	}
+	type countedUnit struct{ Engine *countedEngine }
+	counted := struct {
+		Shards int
+		Units  []countedUnit
+	}{Shards: len(a.global.units)}
+	for i, u := range a.global.units {
+		es := ga
+		es.RNG = u.rng.State()
 		if len(es.Net.Params) == 0 {
 			t.Fatal("parent-form unit carries no network")
 		}
-		group := parentShard{Index: i, Devices: a.global.units[i].engine.devices}
-		parent.Units = append(parent.Units, parentUnit{Engine: &es, Shard: group})
+		full.Units = append(full.Units, fullUnit{Engine: &es, Shard: parentShard{Index: i}})
+		counted.Units = append(counted.Units, countedUnit{Engine: &countedEngine{
+			RNG: u.rng.State(), DecisionCount: ga.DecisionCount, LastWatermark: ga.LastWatermark}})
 	}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(parent); err != nil {
-		t.Fatal(err)
-	}
-
-	restore := func(data []byte) *Sharded {
-		s, err := NewSharded(db, storagesim.NewBluesky(1), 2, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.global.Engine.RestoreState(ga); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.UnmarshalState(data); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// Both restores continue the uninterrupted coordinator's decisions.
-	runs := []*Sharded{a, restore(old.Bytes()), restore(blob)}
-	for i := 0; i < 4; i++ {
-		var decs [3][]policy.Prediction
-		for k, s := range runs {
-			var err error
-			if _, decs[k], err = s.DecideLayout(t.Context(), testFiles()); err != nil {
+	for name, form := range map[string]any{"full engine per unit": full, "counters per unit": counted} {
+		t.Run(name, func(t *testing.T) {
+			var old bytes.Buffer
+			if err := gob.NewEncoder(&old).Encode(form); err != nil {
 				t.Fatal(err)
 			}
-			if i == 1 {
-				if _, err := s.global.Engine.TrainContext(context.Background()); err != nil {
-					t.Fatal(err)
-				}
+			b, err := NewSharded(db, storagesim.NewBluesky(1), 2, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !reflect.DeepEqual(decs[1], decs[2]) {
-			t.Fatalf("step %d: the parent-form restore decided %v, the current-form one %v", i, decs[1], decs[2])
-		}
-		if !reflect.DeepEqual(decs[0], decs[2]) {
-			t.Fatalf("step %d: the restores decided %v, the original %v", i, decs[2], decs[0])
-		}
+			before := streams(b)
+			if err := b.UnmarshalState(old.Bytes()); !errors.Is(err, policy.ErrBadState) {
+				t.Fatalf("UnmarshalState of an older form: err %v, want policy.ErrBadState", err)
+			}
+			if got := streams(b); !reflect.DeepEqual(got, before) {
+				t.Errorf("refused restore moved a stream: %x → %x", before, got)
+			}
+		})
 	}
 }
 
@@ -679,5 +681,107 @@ func TestShardedSpeedup(t *testing.T) {
 	t.Logf("unsharded %v/op, 16-shard %v/op: %.1fx", flat, sharded, ratio)
 	if ratio < 4 {
 		t.Errorf("sharded decisions only %.1fx faster than unsharded, want ≥ 4x", ratio)
+	}
+}
+
+// TestShardedInterleavedGroups pins the decisions of a coordinator whose
+// device groups interleave — device i of the cluster's profile order in
+// group i % 3 — so no group is a contiguous run of the engine's device
+// indices. Over a small closed loop (layouts applied, a subset of files
+// accessed between decisions, retrains), at ε 0.3 and TopK 1 with a full
+// rescan every third decision, every decision's file, destination,
+// exploration flag and predicted score hash to a fixed digest: a shard's
+// shortlist, exploration shuffle, random fallback, fsid feature and score
+// slots all read its devices through whatever maps them to the model's
+// device indices, so a wrong mapping moves the digest.
+func TestShardedInterleavedGroups(t *testing.T) {
+	const want = "9ace04b16071cc0a"
+	ctx := context.Background()
+	cluster := storagesim.NewBluesky(1)
+	index := make(map[string]int)
+	for i, name := range cluster.DeviceNames() {
+		index[name] = i
+	}
+	db, err := replaydb.Open(replaydb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	g := rng.New(17)
+	var files []policy.FileInfo
+	for i := 0; i < 24; i++ {
+		f := policy.FileInfo{ID: int64(i + 1), Path: fmt.Sprintf("/il/%02d", i),
+			Size: int64(5e7 + g.Float64()*3e8), Device: cluster.DeviceNames()[g.Intn(len(index))]}
+		if err := cluster.PlaceFile(f.ID, f.Path, f.Size, f.Device); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	access := func(run int, pick func(i int) bool) {
+		for i, f := range files {
+			if !pick(i) {
+				continue
+			}
+			res, err := cluster.Access(f.ID, f.Size/2, int64(i%3)*f.Size/8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.AppendAccess(replaydb.FromAccess(res, 0, run)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for run := 0; run < 8; run++ {
+		access(run, func(int) bool { return true })
+	}
+	cfg := quickCfg()
+	cfg.Epsilon, cfg.TopK, cfg.FullRescanEvery = 0.3, 1, 3
+	s, err := NewSharded(db, cluster, 3, func(name string) int { return index[name] % 3 }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for step := 0; step < 7; step++ {
+		if step%3 == 0 {
+			if _, err := s.Model().Engine.TrainContext(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		layout, decs, err := s.DecideLayout(ctx, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range decs {
+			fmt.Fprintf(h, "%d=%s/%t/%x;", d.FileID, d.Chosen, d.Random, math.Float64bits(d.Predicted))
+		}
+		for i := range files {
+			if dst := layout[files[i].ID]; dst != files[i].Device {
+				if _, err := cluster.Move(files[i].ID, dst); err == nil {
+					files[i].Device = dst
+				}
+			}
+		}
+		access(8+step, func(i int) bool { return (i+step)%4 == 0 })
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("interleaved-group decisions hash to %s, want %s", got, want)
+	}
+}
+
+// TestShardedStreamSkipsInitDraws: a shard's stream starts where the stream
+// of an engine built for the shard began, past the draws initialising that
+// engine's own network took, for every dense Table I model.
+func TestShardedStreamSkipsInitDraws(t *testing.T) {
+	for model := 1; model <= 11; model++ {
+		cfg := Config{ModelNumber: model, Seed: 42}
+		for i := 0; i < 3; i++ {
+			r := rng.New(rng.Split(cfg.Seed, i))
+			if _, err := nn.BuildModel(model, featureCount, r.Rand); err != nil {
+				t.Fatal(err)
+			}
+			if got := shardStream(cfg, i).State(); got != r.State() {
+				t.Errorf("model %d shard %d: stream starts at %x, a built engine's at %x", model, i, got, r.State())
+			}
+		}
 	}
 }

@@ -33,10 +33,11 @@ type EngineState struct {
 
 	// Candidate-pruning bookkeeping (Config.TopK > 0): the decision
 	// counter anchors the full-rescan cadence and the watermark the dirty
-	// set, so a restored run's pruned decisions replay bit-for-bit. Both
-	// zero on engines that never pruned. Nothing per file is captured:
-	// scores live for one decision, and a restored engine refetches the
-	// feature ingredients, deterministically, from the restored ReplayDB.
+	// set, so a restored run's pruned decisions replay bit-for-bit; a
+	// sharded coordinator's shards decide on this cadence too. Nothing per
+	// file is captured: scores live for one decision, and a restored
+	// engine refetches the feature ingredients, deterministically, from
+	// the restored ReplayDB.
 	// Snapshots written while the engine still cached scores carry
 	// ModelGen and ScoreCache too; gob drops both on decode.
 	DecisionCount uint64

@@ -14,7 +14,7 @@ import (
 )
 
 // TestShardedMatchesUnsharded pins the coordinator's degenerate case: a
-// 1-shard system routes every decision through the global engine on the
+// 1-shard system routes every decision through the lone engine on the
 // same RNG stream as the unsharded policy, so the full closed-loop
 // trajectory — layouts, stats, movements, telemetry counts — must be
 // bit-identical to a plain same-seed system.
@@ -45,59 +45,83 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 
 // TestShardedResumeEquivalence extends the resume invariant to the
 // sharded plane: a sharded run checkpointed at run N and restored — with
-// the global engine's model and every shard engine's RNG stream and
-// device-group accounting rebuilt from the snapshot — must produce a bit-identical
-// trajectory to the same-seed uninterrupted run, at every partition
-// width the Bluesky cluster supports and at Parallelism 1 and 4.
+// the engine's model, cadence and dirty watermark and every shard's RNG
+// stream rebuilt from the snapshot — must produce a bit-identical
+// trajectory to the same-seed uninterrupted run, at every partition width
+// the Bluesky cluster supports and at Parallelism 1 and 4, and with
+// candidate pruning on a cadence the checkpoint lands in the middle of.
 func TestShardedResumeEquivalence(t *testing.T) {
 	const checkpointAt, total = 5, 12
 
+	type run struct {
+		name string
+		opts []Option
+	}
+	var runs []run
 	for _, shards := range []int{1, 2, 3} {
 		for _, p := range []int{1, 4} {
-			t.Run("shards="+strconv.Itoa(shards)+"/parallelism="+strconv.Itoa(p), func(t *testing.T) {
-				opts := ckptOptions(p, WithShards(shards))
-
-				ref, err := New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ref.Close()
-				if _, err := ref.RunN(total); err != nil {
-					t.Fatal(err)
-				}
-				want := capture(t, ref)
-
-				first, err := New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := first.RunN(checkpointAt); err != nil {
-					t.Fatal(err)
-				}
-				ckpt := filepath.Join(t.TempDir(), "snap.ckpt")
-				if err := first.Checkpoint(ckpt); err != nil {
-					t.Fatal(err)
-				}
-				if err := first.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				resumed, err := Restore(ckpt, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resumed.Close()
-				if _, err := resumed.RunN(total - checkpointAt); err != nil {
-					t.Fatal(err)
-				}
-				assertSameTrajectory(t, capture(t, resumed), want, "sharded resume")
-			})
+			runs = append(runs, run{"shards=" + strconv.Itoa(shards) + "/parallelism=" + strconv.Itoa(p),
+				ckptOptions(p, WithShards(shards))})
 		}
+	}
+	// Three devices a shard: a top-2 shortlist can leave one out, so a
+	// cadence restored wrong shows in the layout.
+	runs = append(runs, run{"shards=2/parallelism=4/topk=2",
+		ckptOptions(4, WithShards(2), WithTopK(2), WithFullRescanEvery(3))})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			opts := r.opts
+			ref, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			if _, err := ref.RunN(total); err != nil {
+				t.Fatal(err)
+			}
+			want := capture(t, ref)
+
+			first, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.RunN(checkpointAt); err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(t.TempDir(), "snap.ckpt")
+			if err := first.Checkpoint(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if err := first.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(r.name, "topk") {
+				// The cadence the checkpoint carries is mid-window: the next
+				// decision is a pruned one, not a rescan.
+				snap, err := checkpoint.Load(ckpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := snap.Engine.DecisionCount; n == 0 || n%3 == 0 || snap.Engine.LastWatermark == 0 {
+					t.Fatalf("checkpoint at decision %d, watermark %d: want mid-cadence", n, snap.Engine.LastWatermark)
+				}
+			}
+
+			resumed, err := Restore(ckpt, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resumed.Close()
+			if _, err := resumed.RunN(total - checkpointAt); err != nil {
+				t.Fatal(err)
+			}
+			assertSameTrajectory(t, capture(t, resumed), want, "sharded resume")
+		})
 	}
 }
 
 // A snapshot only restores under its own partition: shard RNG streams and
-// shard engines are meaningless under a different sharding, so a
+// device groups are meaningless under a different sharding, so a
 // different WithShards, an unsharded restore and the same devices in
 // another order (other device groups at the same width) are rejected.
 func TestShardedRestoreRejectsPartitionMismatch(t *testing.T) {
@@ -140,10 +164,10 @@ func TestShardedRejectsBaselinePolicy(t *testing.T) {
 }
 
 // Sharded state rides the policy blob alone, and the model is serialized
-// once, in the snapshot's engine half: a shard unit carries only what its
-// engine owns — its RNG stream and pruning bookkeeping, none at one shard,
-// where unit 0's engine IS the global engine — so the blob stays a few
-// hundred bytes at any width.
+// once, in the snapshot's engine half, with the cadence and the dirty
+// watermark: the blob carries the partition width and one RNG stream per
+// shard — the engine's own at one shard — and nothing else, so it stays a
+// few dozen bytes at any width.
 func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		sys, err := New(ckptOptions(1, WithShards(shards))...)
@@ -165,45 +189,37 @@ func TestShardedSnapshotCarriesTheModelOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !snap.Engine.Trained || snap.Engine.Net.WeightsLen() == 0 {
-			t.Fatalf("shards=%d: snapshot's engine half is missing the trained global engine", shards)
+			t.Fatalf("shards=%d: snapshot's engine half is missing the trained engine", shards)
 		}
-		if n := len(snap.Policy); n >= 4096 {
-			t.Errorf("shards=%d: policy blob is %d bytes, want under 4 KB", shards, n)
+		if n := len(snap.Policy); n >= 256 {
+			t.Errorf("shards=%d: policy blob is %d bytes, want under 256", shards, n)
 		}
 		// The coordinator's wire form, mirrored field for field, plus the
-		// network field a unit carrying a copy of the model would fill and
-		// the device group older coordinators wrote beside it.
+		// units older coordinators wrote: a shard engine's state each, with
+		// its own counters or a copy of the model.
 		var blob struct {
-			Shards int
-			Units  []struct {
+			Shards  int
+			Streams []uint64
+			Units   []struct {
 				Engine *struct {
 					RNG           uint64
 					DecisionCount uint64
 					LastWatermark uint64
 					Net           []byte
 				}
-				Shard *struct {
-					Index   int
-					Devices []string
-				}
 			}
 		}
 		if err := gob.NewDecoder(bytes.NewReader(snap.Policy)).Decode(&blob); err != nil {
 			t.Fatalf("shards=%d: decoding policy blob: %v", shards, err)
 		}
-		if blob.Shards != shards || len(blob.Units) != shards {
-			t.Fatalf("blob describes %d shards in %d units, want %d", blob.Shards, len(blob.Units), shards)
+		if blob.Shards != shards || len(blob.Streams) != shards {
+			t.Fatalf("blob describes %d shards with %d streams, want %d", blob.Shards, len(blob.Streams), shards)
 		}
-		for i, u := range blob.Units {
-			if u.Shard != nil {
-				t.Errorf("shards=%d unit %d: carries its device group %+v", shards, i, *u.Shard)
-			}
-			if has, want := u.Engine != nil, shards > 1; has != want {
-				t.Fatalf("shards=%d unit %d: carries an engine state = %v, want %v", shards, i, has, want)
-			}
-			if u.Engine != nil && len(u.Engine.Net) > 0 {
-				t.Errorf("shards=%d unit %d: carries a %d-byte network", shards, i, len(u.Engine.Net))
-			}
+		if len(blob.Units) != 0 {
+			t.Errorf("shards=%d: blob carries %d units", shards, len(blob.Units))
+		}
+		if shards == 1 && blob.Streams[0] != snap.Engine.RNG {
+			t.Errorf("the one shard's stream %x is not the engine's %x", blob.Streams[0], snap.Engine.RNG)
 		}
 	}
 }
