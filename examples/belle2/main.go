@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"geomancy/internal/core"
 	"geomancy/internal/policy"
 	"geomancy/internal/replaydb"
 	"geomancy/internal/storagesim"
@@ -55,8 +56,6 @@ func runLFU() (float64, error) {
 	}
 	defer db.Close()
 
-	lastAccess := map[int64]float64{}
-	accessCount := map[int64]int64{}
 	var tpSum float64
 	var tpN int64
 	lfu := policy.LFU()
@@ -64,8 +63,6 @@ func runLFU() (float64, error) {
 	fmt.Println("LFU base case:")
 	for r := 0; r < runs; r++ {
 		stats, err := runner.RunOnce(func(res storagesim.AccessResult, wl, run int) {
-			lastAccess[res.FileID] = res.End
-			accessCount[res.FileID]++
 			tpSum += res.Throughput
 			tpN++
 			db.AppendAccess(replaydb.AccessRecord{
@@ -82,27 +79,9 @@ func runLFU() (float64, error) {
 			continue
 		}
 		// Snapshot the state the way the paper's base cases do: device
-		// ranking from fresh ReplayDB telemetry.
-		var st policy.State
-		for _, name := range cluster.DeviceNames() {
-			recent := db.RecentByDevice(name, 200)
-			var tp float64
-			for i := range recent {
-				tp += recent[i].Throughput
-			}
-			if len(recent) > 0 {
-				tp /= float64(len(recent))
-			}
-			st.Devices = append(st.Devices, policy.DeviceInfo{Name: name, Throughput: tp, Free: cluster.Device(name).Free()})
-		}
-		layout := cluster.Layout()
-		for _, f := range files {
-			st.Files = append(st.Files, policy.FileInfo{
-				ID: f.ID, Size: f.Size, Device: layout[f.ID],
-				LastAccess: lastAccess[f.ID], Accesses: accessCount[f.ID],
-			})
-		}
-		proposal, err := lfu.Propose(context.Background(), st)
+		// ranking from fresh ReplayDB telemetry, each file's access count
+		// from the cluster's file table.
+		proposal, err := lfu.Propose(context.Background(), core.PolicyState(db, cluster, files))
 		if err != nil {
 			return 0, err
 		}

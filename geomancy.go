@@ -894,13 +894,7 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 		}
 	}
 	if s.replayPath == "" {
-		count := snap.AccessCount
-		if count == 0 {
-			// Written before the count was recorded, when a snapshot
-			// embedded every record.
-			count = len(snap.Accesses)
-		}
-		if err := s.db.Bulkload(snap.Accesses, count, snap.ReplayWatermark); err != nil {
+		if err := s.db.Bulkload(snap.Accesses, snap.AccessCount, snap.ReplayWatermark); err != nil {
 			return fmt.Errorf("geomancy: restoring replay records: %w", err)
 		}
 	} else {

@@ -220,8 +220,11 @@ func TestWarmupFeedsFirstDecision(t *testing.T) {
 	// LFU reads only the device ranking and the access counts, and neither
 	// moved since the decision.
 	lfu := func(counts map[int64]int64) map[int64]string {
-		layout, err := policy.LFU().Propose(context.Background(),
-			core.PolicyState(sys.db, sys.cluster, sys.runner.Files(), nil, counts))
+		st := core.PolicyState(sys.db, sys.cluster, sys.runner.Files())
+		for i := range st.Files {
+			st.Files[i].Accesses = counts[st.Files[i].ID]
+		}
+		layout, err := policy.LFU().Propose(context.Background(), st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // and every loop counter — serialized as one versioned, CRC-framed blob,
 // so an interrupted run restores and continues bit-for-bit.
 //
-// A checkpoint file is the 8-byte magic "GCKP0006" (format version in the
+// A checkpoint file is the 8-byte magic "GCKP0007" (format version in the
 // magic, like the replay WAL's "GRDB0001") followed by one frame: a type
 // byte, a little-endian uint32 payload length, the payload, and a CRC-32
 // (IEEE) of the payload. Truncated or bit-flipped files fail with
@@ -16,9 +16,9 @@
 //
 //  1. head: the gob-encoded Snapshot with the four sections below left
 //     empty — counters, RNG registers, fitted scalers, the model's
-//     architecture (nn.State without its weights), cluster, heat map, gap
-//     model, workload and policy blobs, replay watermark and any embedded
-//     access records;
+//     architecture (nn.State without its weights), cluster (its file table
+//     carrying each file's heat), gap model, workload and policy blobs,
+//     replay watermark and any embedded access records;
 //  2. weights: the engine model's parameters in nn Params() order, each a
 //     little-endian float64 (nn.State.AppendWeights); empty without an
 //     engine;
@@ -64,10 +64,11 @@ import (
 )
 
 // magic identifies a checkpoint file and its format version. In GCKP0006
-// the model's weights and the run history leave the gob payload for
-// sections of their own. No reader is kept for older versions: their
-// files fail with ErrCorrupt.
-var magic = []byte("GCKP0006")
+// the model's weights and the run history left the gob payload for
+// sections of their own; in GCKP0007 each file's heat moved from the loop
+// state into the cluster's file table, where a GCKP0006 file has none. No
+// reader is kept for older versions: their files fail with ErrCorrupt.
+var magic = []byte("GCKP0007")
 
 // frameSnapshot is the type byte of a Snapshot frame. Future format
 // extensions get new type bytes; readers reject types they do not know.
@@ -132,9 +133,7 @@ type Snapshot struct {
 	// records below instead and continues numbering after the watermark.
 	ReplayWatermark uint64
 	// Accesses are the access records a memory database retained, in
-	// sequence order, and AccessCount how many it had appended. Snapshots
-	// written before the count was recorded decode it as zero and embed
-	// every record, so zero reads as len(Accesses).
+	// sequence order, and AccessCount how many it had appended.
 	Accesses    []replaydb.AccessRecord
 	AccessCount int
 }

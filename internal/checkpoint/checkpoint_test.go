@@ -260,7 +260,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	if err := Write(&buf, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []string{"GCKP0004", "GCKP0005"} {
+	for _, m := range []string{"GCKP0004", "GCKP0005", "GCKP0006"} {
 		old := append([]byte(m), buf.Bytes()[len(magic):]...)
 		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s file: err = %v, want ErrCorrupt", m, err)

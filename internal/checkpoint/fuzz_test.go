@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// framed wraps payload in a well-formed GCKP0006 frame — magic, type,
+// framed wraps payload in a well-formed GCKP0007 frame — magic, type,
 // length, payload, CRC — so bytes the fuzzer invents reach the section
 // parser instead of dying at the checksum.
 func framed(payload []byte) []byte {
@@ -34,18 +34,18 @@ func asHead(head []byte) []byte {
 // never another error, never a panic — and what reading a file allocates
 // is bounded by the file's own length, whatever lengths its header, its
 // sections and its model's layer specs declare. The committed corpus holds
-// real GCKP0006 snapshots (flat, and two shards with the coordinator's
-// nested per-shard engine blobs in Policy), each cut at every frame
-// boundary, with a flipped CRC, under the two previous magics, with a
-// weight section one value shorter and five values longer than the layer
-// specs need, and the 13-byte header that used to ask for 4 GiB.
+// real GCKP0007 snapshots (flat, and two shards with the coordinator's
+// per-shard streams in Policy), each cut at every frame boundary, with a
+// flipped CRC, under the three previous magics, with a weight section one
+// value shorter and five values longer than the layer specs need, and the
+// 13-byte header that used to ask for 4 GiB.
 func FuzzCheckpointRead(f *testing.F) {
 	var valid bytes.Buffer
 	if err := Write(&valid, sampleSnapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add([]byte("GCKP0006\x01\xff\xff\xff\xff"))
+	f.Add([]byte("GCKP0007\x01\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

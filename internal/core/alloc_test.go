@@ -60,32 +60,31 @@ func decisionAllocs(t *testing.T, topK int) (bytes, objects int64) {
 // device lists and scores live in the scoring pool and candidate rows are
 // written straight into the inference buffer, so what is left is a file's
 // feature entry and history walk when its features are (re)fetched, and
-// the per-decision task list, layout map and record slice. A name-keyed
-// score map, a candidate list or a boxed feature row that slips back into
-// the pipeline multiplies the object count by the device width and fails
-// here, on any machine, long before a benchmark row would show it.
+// the per-decision task list, layout map and record slice. Each ceiling is
+// the reading on Go 1.24 plus 10%, so a name-keyed score map, a candidate
+// list, a boxed feature row or even one more object a file fails here, on
+// any machine, long before a benchmark row would show it.
 func TestDecisionAllocations(t *testing.T) {
 	const nFiles = 256
 	for _, tc := range []struct {
 		name           string
 		topK           int
-		objectsPerFile int64
-		bytes          int64
+		objects, bytes int64 // the reading on Go 1.24
 	}{
-		// Every file: a fresh feature entry (1 object) and its history walk
-		// (2: the callback and what it sums into).
-		{name: "full pass", topK: 0, objectsPerFile: 6, bytes: 352 << 10},
+		// Every file: a fresh feature entry and its history walk.
+		{name: "full pass", topK: 0, objects: 526, bytes: 60792},
 		// A quarter of the files: the history walk.
-		{name: "pruned pass", topK: 2, objectsPerFile: 1, bytes: 96 << 10},
+		{name: "pruned pass", topK: 2, objects: 157, bytes: 52688},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bytes, objects := decisionAllocs(t, tc.topK)
-			t.Logf("%d B in %d objects (%.1f per file)", bytes, objects, float64(objects)/nFiles)
-			if objects > tc.objectsPerFile*nFiles {
-				t.Errorf("one decision allocates %d objects, want at most %d per file (%d)", objects, tc.objectsPerFile, tc.objectsPerFile*nFiles)
+			maxObjects, maxBytes := tc.objects+tc.objects/10, tc.bytes+tc.bytes/10
+			t.Logf("%d B in %d objects (%.1f per file); ceilings %d B, %d objects", bytes, objects, float64(objects)/nFiles, maxBytes, maxObjects)
+			if objects > maxObjects {
+				t.Errorf("one decision allocates %d objects, want at most %d (%d + 10%%)", objects, maxObjects, tc.objects)
 			}
-			if bytes > tc.bytes {
-				t.Errorf("one decision allocates %d B, want at most %d", bytes, tc.bytes)
+			if bytes > maxBytes {
+				t.Errorf("one decision allocates %d B, want at most %d (%d + 10%%)", bytes, maxBytes, tc.bytes)
 			}
 		})
 	}

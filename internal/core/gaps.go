@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"geomancy/internal/storagesim"
 )
 
 // GapPredictor implements the paper's proposed second model (§X): it
@@ -120,37 +122,26 @@ type Deferral struct {
 	Hot bool
 }
 
-// MoveScheduler gates proposed movements on predicted access gaps: a file
-// is only moved when its predicted idle window comfortably covers the
-// transfer, so parallel accesses never race an in-flight move (§X). Files
-// without gap history are allowed through (Geomancy must be able to act on
-// new files).
-type MoveScheduler struct {
-	// Gaps supplies the per-file gap model.
-	Gaps *GapPredictor
-}
-
 // headroom scales the required window: move only if
 // predictedGap - dev ≥ headroom × estimated transfer.
 const headroom = 1.5
 
-// NewMoveScheduler returns a scheduler over the given predictor.
-func NewMoveScheduler(g *GapPredictor) *MoveScheduler {
-	return &MoveScheduler{Gaps: g}
-}
-
-// Filter splits a proposed layout into the moves safe to execute now and
-// the deferrals. Entries whose destination equals the file's current
-// device (no move) pass through untouched.
-func (s *MoveScheduler) Filter(layout map[int64]string, current map[int64]string, estimate MoveEstimator) (map[int64]string, []Deferral) {
+// Filter gates a proposed layout on predicted access gaps, splitting it
+// into the moves safe to execute now and the deferrals: a file is only
+// moved when its predicted idle window comfortably covers the transfer, so
+// parallel accesses never race an in-flight move (§X). Files without gap
+// history are allowed through (Geomancy must be able to act on new files),
+// and entries whose destination is the file's current device in cluster
+// (no move) pass through untouched.
+func (g *GapPredictor) Filter(layout map[int64]string, cluster *storagesim.Cluster, estimate MoveEstimator) (map[int64]string, []Deferral) {
 	approved := make(map[int64]string, len(layout))
 	var deferred []Deferral
 	for id, dst := range layout {
-		if current[id] == dst {
+		if f, _ := cluster.File(id); f.Device == dst {
 			approved[id] = dst // not a movement
 			continue
 		}
-		mean, dev, ok := s.Gaps.PredictGap(id)
+		mean, dev, ok := g.PredictGap(id)
 		if !ok {
 			approved[id] = dst // no history: allow, and learn from it
 			continue
@@ -175,18 +166,16 @@ func (s *MoveScheduler) Filter(layout map[int64]string, current map[int64]string
 	return approved, deferred
 }
 
-// ClusterMoveEstimator builds a MoveEstimator from static device profiles:
-// transfer time ≈ size / min(source read BW, destination write BW).
-func ClusterMoveEstimator(sizes map[int64]int64, current map[int64]string, readBW, writeBW map[string]float64) MoveEstimator {
+// ClusterMoveEstimator builds a MoveEstimator from the cluster's file table
+// and static device profiles: transfer time ≈ size / min(source read BW,
+// destination write BW).
+func ClusterMoveEstimator(cluster *storagesim.Cluster) MoveEstimator {
 	return func(fileID int64, dst string) float64 {
-		size := float64(sizes[fileID])
-		src := current[fileID]
-		r, okR := readBW[src]
-		w, okW := writeBW[dst]
-		if !okR || !okW || r <= 0 || w <= 0 {
+		f, err := cluster.File(fileID)
+		src, to := cluster.Device(f.Device), cluster.Device(dst)
+		if err != nil || src == nil || to == nil {
 			return math.Inf(1) // unknown path: never "safe"
 		}
-		bw := math.Min(r, w)
-		return size / bw
+		return float64(f.Size) / math.Min(src.Profile.ReadBW, to.Profile.WriteBW)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,6 +73,26 @@ func TestGapPredictorNonMonotoneTime(t *testing.T) {
 	}
 }
 
+// gapCluster is a two-device cluster, "src" reading at 2 GB/s and "dst"
+// writing at 1 GB/s, holding a 1 GB file on "src" for every id.
+func gapCluster(t *testing.T, ids ...int64) *storagesim.Cluster {
+	t.Helper()
+	var profiles []storagesim.DeviceProfile
+	for _, name := range []string{"src", "dst"} {
+		profiles = append(profiles, storagesim.DeviceProfile{Name: name, ReadBW: 2e9, WriteBW: 1e9, Capacity: 1e12})
+	}
+	c, err := storagesim.NewCluster(profiles, storagesim.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := c.PlaceFile(id, fmt.Sprintf("/f%d", id), 1e9, "src"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 func TestMoveSchedulerFilter(t *testing.T) {
 	g := NewGapPredictor()
 	// File 1: long 100s gaps. File 2: hot, 0.1s gaps. File 3: no history.
@@ -79,24 +100,22 @@ func TestMoveSchedulerFilter(t *testing.T) {
 		g.Observe(1, float64(i)*100)
 		g.Observe(2, float64(i)*0.1)
 	}
-	s := NewMoveScheduler(g)
-
-	current := map[int64]string{1: "a", 2: "a", 3: "a", 4: "a"}
-	layout := map[int64]string{1: "b", 2: "b", 3: "b", 4: "a"}
+	cluster := gapCluster(t, 1, 2, 3, 4)
+	layout := map[int64]string{1: "dst", 2: "dst", 3: "dst", 4: "src"}
 	estimate := func(fileID int64, dst string) float64 { return 10 } // 10s move
 
-	approved, deferred := s.Filter(layout, current, estimate)
+	approved, deferred := g.Filter(layout, cluster, estimate)
 
-	if approved[1] != "b" {
+	if approved[1] != "dst" {
 		t.Error("file 1 (idle 100s, move 10s) should be approved")
 	}
 	if _, ok := approved[2]; ok {
 		t.Error("file 2 (hot) should be deferred")
 	}
-	if approved[3] != "b" {
+	if approved[3] != "dst" {
 		t.Error("file 3 (no history) should be allowed")
 	}
-	if approved[4] != "a" {
+	if approved[4] != "src" {
 		t.Error("file 4 (no move) should pass through")
 	}
 	if len(deferred) != 1 || deferred[0].FileID != 2 {
@@ -116,13 +135,12 @@ func TestMoveSchedulerHeadroom(t *testing.T) {
 	}
 	mean, dev, _ := g.PredictGap(1)
 	window := mean - dev
-	s := NewMoveScheduler(g)
-	current := map[int64]string{1: "a"}
-	layout := map[int64]string{1: "b"}
+	cluster := gapCluster(t, 1)
+	layout := map[int64]string{1: "dst"}
 	filter := func(move float64) (map[int64]string, []Deferral) {
-		return s.Filter(layout, current, func(int64, string) float64 { return move })
+		return g.Filter(layout, cluster, func(int64, string) float64 { return move })
 	}
-	if approved, deferred := filter(window / 1.5 * 0.99); len(deferred) != 0 || approved[1] != "b" {
+	if approved, deferred := filter(window / 1.5 * 0.99); len(deferred) != 0 || approved[1] != "dst" {
 		t.Errorf("1.5 × move just inside the %vs window: approved=%v deferred=%+v", window, approved, deferred)
 	}
 	_, deferred := filter(window / 1.5 * 1.01)
@@ -135,21 +153,16 @@ func TestMoveSchedulerHeadroom(t *testing.T) {
 }
 
 func TestClusterMoveEstimator(t *testing.T) {
-	sizes := map[int64]int64{1: 1e9}
-	current := map[int64]string{1: "src"}
-	readBW := map[string]float64{"src": 2e9}
-	writeBW := map[string]float64{"dst": 1e9}
-	est := ClusterMoveEstimator(sizes, current, readBW, writeBW)
-	// min(2 GB/s, 1 GB/s) = 1 GB/s → 1 s.
+	est := ClusterMoveEstimator(gapCluster(t, 1))
+	// 1 GB over min(2 GB/s read at src, 1 GB/s write at dst) → 1 s.
 	if got := est(1, "dst"); math.Abs(got-1) > 1e-9 {
 		t.Errorf("estimate = %v, want 1", got)
 	}
 	if got := est(1, "unknown"); !math.IsInf(got, 1) {
 		t.Errorf("unknown destination estimate = %v, want +Inf", got)
 	}
-	if got := est(99, "dst"); got != 0 {
-		// unknown file has size 0 → instant move; acceptable but defined
-		t.Logf("unknown file estimate = %v", got)
+	if got := est(99, "dst"); !math.IsInf(got, 1) {
+		t.Errorf("unknown file estimate = %v, want +Inf", got)
 	}
 }
 
@@ -214,10 +227,9 @@ func TestGapPredictorBurstyReleaseGaps(t *testing.T) {
 		t.Errorf("cadence = %v, want ~0.5", cad)
 	}
 	// A 60s move (×1.5 headroom = 90s) fits in the 600s release window.
-	s := NewMoveScheduler(g)
-	approved, deferred := s.Filter(map[int64]string{1: "b"}, map[int64]string{1: "a"},
+	approved, deferred := g.Filter(map[int64]string{1: "dst"}, gapCluster(t, 1),
 		func(int64, string) float64 { return 60 })
-	if len(deferred) != 0 || approved[1] != "b" {
+	if len(deferred) != 0 || approved[1] != "dst" {
 		t.Errorf("bursty file should be movable in its release gap (deferred %+v, mean %v dev %v)", deferred, mean, dev)
 	}
 }

@@ -104,10 +104,6 @@ type Loop struct {
 	trainLog    []TrainReport
 	deferrals   []Deferral
 	skipped     []SkippedDecision
-	// lastAccess / accesses feed the policy snapshot's per-file recency
-	// and frequency (the view the paper's base cases decide from).
-	lastAccess map[int64]float64
-	accesses   map[int64]int64
 	// Observer, when set, additionally receives every access, in access
 	// order, after the access is recorded: on the caller, or on the
 	// recording goroutine when the run records beside the simulation
@@ -137,9 +133,9 @@ type Loop struct {
 	// returning an error.
 	//geomancy:ephemeral operator config, re-supplied on rebuild
 	FailOpen bool
-	// scheduler, when set, gates movements on predicted access gaps (the
+	// gaps, when set, gates movements on predicted access gaps (the
 	// paper's §X extension); EnableGapScheduling installs it.
-	scheduler *MoveScheduler
+	gaps *GapPredictor
 
 	// metrics instrumentation, installed by SetMetrics; all handles no-op
 	// while nil.
@@ -201,8 +197,6 @@ func NewPolicyLoop(db *replaydb.DB, cluster *storagesim.Cluster, runner Workload
 		Cluster:     cluster,
 		decideEvery: decideEvery,
 		lastRun:     -1,
-		lastAccess:  make(map[int64]float64),
-		accesses:    make(map[int64]int64),
 	}
 }
 
@@ -244,9 +238,8 @@ func (l *Loop) noteDegraded(run int, err error) {
 // EnableGapScheduling installs a gap-aware movement scheduler fed by the
 // loop's own telemetry and returns its predictor for inspection.
 func (l *Loop) EnableGapScheduling() *GapPredictor {
-	g := NewGapPredictor()
-	l.scheduler = NewMoveScheduler(g)
-	return g
+	l.gaps = NewGapPredictor()
+	return l.gaps
 }
 
 // Deferrals returns every move the scheduler postponed.
@@ -262,30 +255,16 @@ func (l *Loop) TrainLog() []TrainReport {
 	return append([]TrainReport(nil), l.trainLog...)
 }
 
-// SeedHeat preloads the per-file recency/frequency bookkeeping from
-// accesses observed before the loop took over (the experiment harness's
-// bootstrap phase records telemetry without a loop).
-func (l *Loop) SeedHeat(lastAccess map[int64]float64, accesses map[int64]int64) {
-	for id, t := range lastAccess {
-		l.lastAccess[id] = t
-	}
-	for id, n := range accesses {
-		l.accesses[id] = n
-	}
-}
-
 // record stores telemetry from one access: through the Recorder (the
 // distributed monitoring agents) when installed, directly into the
 // ReplayDB otherwise.
 func (l *Loop) record(res storagesim.AccessResult, wl, run int) error {
 	l.accessCount++
-	l.lastAccess[res.FileID] = res.End
-	l.accesses[res.FileID]++
 	if l.metricsObs != nil {
 		l.metricsObs(res, wl, run)
 	}
-	if l.scheduler != nil {
-		l.scheduler.Gaps.Observe(res.FileID, res.Start)
+	if l.gaps != nil {
+		l.gaps.Observe(res.FileID, res.Start)
 	}
 	if l.Recorder != nil {
 		return l.Recorder(res, wl, run)
@@ -313,17 +292,17 @@ func ReplayHorizon(cfg Config) replaydb.Horizon {
 
 // PolicyState snapshots the system the way policies decide on it: mean
 // device throughput over recent ReplayDB telemetry and free capacity per
-// device, and the working set with its current placement, recency
-// (lastAccess), and access counts (accesses). The loop and the experiment
-// harness's loop-less bootstrap both decide from it.
-func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64) policy.State {
-	return policyState(db, cluster, files, lastAccess, accesses, true)
+// device, and the working set with each file's placement, recency and
+// access count as the cluster's file table holds them. The loop and the
+// experiment harness's loop-less bootstrap both decide from it.
+func PolicyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile) policy.State {
+	return policyState(db, cluster, files, true)
 }
 
 // policyState is PolicyState, with each device's mean throughput walked
 // from its window only when means is set; otherwise DeviceInfo.Throughput
 // stays zero.
-func policyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, lastAccess map[int64]float64, accesses map[int64]int64, means bool) policy.State {
+func policyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.BelleFile, means bool) policy.State {
 	names := cluster.DeviceNames()
 	s := policy.State{
 		Devices: make([]policy.DeviceInfo, 0, len(names)),
@@ -336,17 +315,19 @@ func policyState(db *replaydb.DB, cluster *storagesim.Cluster, files []trace.Bel
 		}
 		s.Devices = append(s.Devices, d)
 	}
-	layout := cluster.Layout()
-	for _, f := range files {
-		s.Files = append(s.Files, policy.FileInfo{
-			ID:         f.ID,
-			Path:       f.Path,
-			Size:       f.Size,
-			Device:     layout[f.ID],
-			LastAccess: lastAccess[f.ID],
-			Accesses:   accesses[f.ID],
-		})
-	}
+	cluster.ReadFiles(func(t storagesim.FileTable) {
+		for _, f := range files {
+			fs := t.File(f.ID)
+			s.Files = append(s.Files, policy.FileInfo{
+				ID:         f.ID,
+				Path:       f.Path,
+				Size:       f.Size,
+				Device:     fs.Device,
+				LastAccess: fs.LastAccess,
+				Accesses:   fs.Accesses,
+			})
+		}
+	})
 	return s
 }
 
@@ -373,7 +354,7 @@ func (l *Loop) Decide(ctx context.Context) error {
 // learned policy, which decides from the working set alone and reads no
 // device's throughput, so its snapshot skips the per-device means.
 func (l *Loop) decideCycle(ctx context.Context, run int) error {
-	state := policyState(l.DB, l.Cluster, l.Workload.Files(), l.lastAccess, l.accesses, l.model == nil)
+	state := policyState(l.DB, l.Cluster, l.Workload.Files(), l.model == nil)
 	layout, err := l.propose(ctx, state)
 	if err != nil {
 		return fmt.Errorf("core: proposing layout: %w", err)
@@ -381,22 +362,9 @@ func (l *Loop) decideCycle(ctx context.Context, run int) error {
 	if layout == nil {
 		return nil
 	}
-	if l.scheduler != nil {
-		current := l.Cluster.Layout()
-		sizes := make(map[int64]int64, len(l.Workload.Files()))
-		for _, f := range l.Workload.Files() {
-			sizes[f.ID] = f.Size
-		}
-		readBW := make(map[string]float64)
-		writeBW := make(map[string]float64)
-		for _, name := range l.Cluster.DeviceNames() {
-			p := l.Cluster.Device(name).Profile
-			readBW[name] = p.ReadBW
-			writeBW[name] = p.WriteBW
-		}
-		est := ClusterMoveEstimator(sizes, current, readBW, writeBW)
+	if l.gaps != nil {
 		var deferred []Deferral
-		layout, deferred = l.scheduler.Filter(layout, current, est)
+		layout, deferred = l.gaps.Filter(layout, l.Cluster, ClusterMoveEstimator(l.Cluster))
 		l.deferrals = append(l.deferrals, deferred...)
 		l.deferralsCtr.Add(uint64(len(deferred)))
 	}

@@ -36,19 +36,18 @@ import (
 // same seed consume identical randomness, and agree on the chosen layout
 // whenever the shortlist covers the argmax device.
 
-// ChangeTracker is the optional dirty-tracking view of a TelemetryStore.
-// The local *replaydb.DB implements it; a store that does not (e.g. a
-// remote daemon without the extension) degrades the pruned path to
-// treating every file as changed on every decision — still O(files×K).
+// ChangeTracker is the optional dirty-tracking view of a TelemetryStore:
+// the append watermark a pruned pass records, and the files changed since
+// the last one. The local *replaydb.DB implements it; a store that does
+// not (e.g. a remote daemon without the extension) degrades the pruned
+// path to treating every file as changed on every decision — still
+// O(files×K).
 type ChangeTracker interface {
 	// Watermark returns the sequence number of the newest record.
 	Watermark() uint64
 	// FilesChangedSince returns IDs of files with access records appended
 	// after seq, sorted ascending.
 	FilesChangedSince(seq uint64) []int64
-	// FileLastSeq returns the sequence number of the file's newest access
-	// record, 0 if none.
-	FileLastSeq(fileID int64) uint64
 }
 
 // SummarySource supplies the per-device recent-throughput digests the

@@ -38,8 +38,6 @@ type EngineState struct {
 	// file is captured: scores live for one decision, and a restored
 	// engine refetches the feature ingredients, deterministically, from
 	// the restored ReplayDB.
-	// Snapshots written while the engine still cached scores carry
-	// ModelGen and ScoreCache too; gob drops both on decode.
 	DecisionCount uint64
 	LastWatermark uint64
 }
@@ -160,19 +158,11 @@ func (g *GapPredictor) RestoreState(st GapPredictorState) {
 	}
 }
 
-// FileHeatState is the serializable per-file recency/frequency entry of
-// the loop's policy snapshot bookkeeping.
-type FileHeatState struct {
-	FileID     int64
-	LastAccess float64
-	Accesses   int64
-}
-
 // LoopState is the serializable snapshot of a closed loop: decision-cycle
-// counters and logs, the per-file heat bookkeeping policies decide from,
-// plus the gap predictor when gap scheduling is enabled. The engine,
-// policy, runner, cluster, and replay DB snapshot themselves; the loop
-// state is what remains.
+// counters and logs, plus the gap predictor when gap scheduling is
+// enabled. The engine, policy, runner, cluster (with the per-file heat
+// policies decide from), and replay DB snapshot themselves; the loop state
+// is what remains.
 type LoopState struct {
 	AccessCount int64
 	LastRun     int
@@ -180,12 +170,10 @@ type LoopState struct {
 	TrainLog    []TrainReport
 	Deferrals   []Deferral
 	Skipped     []SkippedDecision
-	Heat        []FileHeatState
 	Gaps        *GapPredictorState
 }
 
-// State captures the loop's counters and logs. Heat entries are sorted
-// by file ID for a deterministic wire form. The logs are the loop's own
+// State captures the loop's counters and logs. The logs are the loop's own
 // slices, not copies — a snapshot is encoded and dropped before the loop
 // runs again, and the logs grow with the whole history — so the result is
 // valid until the next run: encode it first, and do not modify it.
@@ -198,12 +186,8 @@ func (l *Loop) State() LoopState {
 		Deferrals:   l.deferrals,
 		Skipped:     l.skipped,
 	}
-	for id, t := range l.lastAccess {
-		st.Heat = append(st.Heat, FileHeatState{FileID: id, LastAccess: t, Accesses: l.accesses[id]})
-	}
-	sort.Slice(st.Heat, func(i, j int) bool { return st.Heat[i].FileID < st.Heat[j].FileID })
-	if l.scheduler != nil {
-		g := l.scheduler.Gaps.State()
+	if l.gaps != nil {
+		g := l.gaps.State()
 		st.Gaps = &g
 	}
 	return st
@@ -219,16 +203,10 @@ func (l *Loop) RestoreState(st LoopState) {
 	l.trainLog = append([]TrainReport(nil), st.TrainLog...)
 	l.deferrals = append([]Deferral(nil), st.Deferrals...)
 	l.skipped = append([]SkippedDecision(nil), st.Skipped...)
-	l.lastAccess = make(map[int64]float64, len(st.Heat))
-	l.accesses = make(map[int64]int64, len(st.Heat))
-	for _, h := range st.Heat {
-		l.lastAccess[h.FileID] = h.LastAccess
-		l.accesses[h.FileID] = h.Accesses
-	}
 	if st.Gaps != nil {
-		if l.scheduler == nil {
+		if l.gaps == nil {
 			l.EnableGapScheduling()
 		}
-		l.scheduler.Gaps.RestoreState(*st.Gaps)
+		l.gaps.RestoreState(*st.Gaps)
 	}
 }

@@ -190,7 +190,7 @@ func TestTestbedBootstrapCoversDevices(t *testing.T) {
 	if devs := len(tb.db.Summary()); devs < 4 {
 		t.Errorf("bootstrap telemetry covers %d devices, want most of 6", devs)
 	}
-	st := core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses)
+	st := core.PolicyState(tb.db, tb.cluster, tb.files)
 	if len(st.Devices) != 6 || len(st.Files) != 24 {
 		t.Errorf("policy state: %d devices, %d files", len(st.Devices), len(st.Files))
 	}

@@ -50,7 +50,6 @@ func runScenarioPolicy(scenarioName string, build policyBuilder, opts Options) (
 	ctx := context.Background()
 	loop := core.NewPolicyLoop(tb.db, tb.cluster, tb.runner, p, 0)
 	loop.SetModel(model)
-	loop.SeedHeat(tb.lastAccess, tb.accesses)
 	// Initial placement from the bootstrap telemetry: every policy acts at
 	// measurement start (the paper's engine has its 10,000-access warm-up
 	// behind it), then keeps adapting on the cooldown schedule.
@@ -124,7 +123,7 @@ func geomancyStaticLayout(opts Options) (map[int64]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses))
+	return p.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files))
 }
 
 // ComparisonResult bundles the Fig. 5 series and the headline summary.

@@ -21,9 +21,6 @@ type testbed struct {
 	files   []trace.BelleFile
 	runner  scenario.Workload
 	db      *replaydb.DB
-	// bookkeeping for policy state
-	lastAccess map[int64]float64
-	accesses   map[int64]int64
 }
 
 // newTestbed builds a Bluesky cluster with the BELLE II working set spread
@@ -48,19 +45,15 @@ func newScenarioTestbed(scenarioName string, seed int64) (*testbed, error) {
 		return nil, err
 	}
 	return &testbed{
-		cluster:    cluster,
-		files:      runner.Files(),
-		runner:     runner,
-		db:         db,
-		lastAccess: make(map[int64]float64),
-		accesses:   make(map[int64]int64),
+		cluster: cluster,
+		files:   runner.Files(),
+		runner:  runner,
+		db:      db,
 	}, nil
 }
 
-// observe records one access into the db and the policy bookkeeping.
+// observe records one access into the db.
 func (tb *testbed) observe(res storagesim.AccessResult, wl, run int) error {
-	tb.lastAccess[res.FileID] = res.End
-	tb.accesses[res.FileID]++
 	_, err := tb.db.AppendAccess(replaydb.FromAccess(res, wl, run))
 	return err
 }
@@ -82,7 +75,7 @@ func (tb *testbed) bootstrap(runs int, seed int64) error {
 		if obsErr != nil {
 			return obsErr
 		}
-		layout, err := shuffler.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files, tb.lastAccess, tb.accesses))
+		layout, err := shuffler.Propose(context.Background(), core.PolicyState(tb.db, tb.cluster, tb.files))
 		if err != nil {
 			return err
 		}

@@ -9,12 +9,18 @@ import (
 	"geomancy/internal/rng"
 )
 
-// FileState tracks one placed file.
+// FileState tracks one placed file: where it lives, and its heat — when it
+// was last accessed and how often — as a filesystem keeps atime. Access
+// updates the heat; Move and PlaceFile keep it.
 type FileState struct {
 	ID     int64
 	Path   string
 	Size   int64
 	Device string
+	// LastAccess is the end time (AccessResult.End) of the file's last
+	// access, and Accesses how many accesses it has served.
+	LastAccess float64
+	Accesses   int64
 }
 
 // AccessResult is the telemetry of one simulated access — exactly what a
@@ -192,7 +198,8 @@ func (c *Cluster) SetReadOnly(name string, ro bool) error {
 // It fails if the device is unknown, unavailable, read-only, or full — and
 // a failed call leaves the cluster untouched: every check runs before any
 // accounting mutates, so re-placing a file onto a full device keeps the
-// file on its old device with that device's used bytes intact.
+// file on its old device with that device's used bytes intact. A re-placed
+// file keeps its heat.
 func (c *Cluster) PlaceFile(id int64, path string, size int64, device string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -211,12 +218,13 @@ func (c *Cluster) PlaceFile(id int64, path string, size int64, device string) er
 	if err := d.canReceive(device, size, -freed); err != nil {
 		return err
 	}
-	if exists {
-		if old := c.devices[f.Device]; old != nil {
-			old.used -= f.Size
-		}
+	if !exists {
+		f = &FileState{ID: id}
+		c.files[id] = f
+	} else if old := c.devices[f.Device]; old != nil {
+		old.used -= f.Size
 	}
-	c.files[id] = &FileState{ID: id, Path: path, Size: size, Device: device}
+	f.Path, f.Size, f.Device = path, size, device
 	d.used += size
 	return nil
 }
@@ -244,6 +252,28 @@ func (c *Cluster) Files() []FileState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// FileTable is a read view of a cluster's files, valid only inside the
+// ReadFiles call that hands it out.
+type FileTable struct{ files map[int64]*FileState }
+
+// File returns the state of the file: the zero FileState for a file the
+// cluster does not hold.
+func (t FileTable) File(id int64) FileState {
+	if p := t.files[id]; p != nil {
+		return *p
+	}
+	return FileState{}
+}
+
+// ReadFiles calls read with the cluster's file table, under one hold of
+// the cluster's lock: many files' placement and heat read as one view,
+// with nothing copied. read must not call back into the cluster.
+func (c *Cluster) ReadFiles(read func(FileTable)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	read(FileTable{c.files})
 }
 
 // Layout returns the current file→device assignment.
@@ -309,6 +339,8 @@ func (c *Cluster) Access(fileID, readBytes, writeBytes int64) (AccessResult, err
 	d.bytesServed += readBytes + writeBytes
 	d.busySeconds += dur
 	c.totalAccesses++
+	f.LastAccess = end
+	f.Accesses++
 
 	res := AccessResult{
 		FileID:       fileID,

@@ -3,13 +3,14 @@ package storagesim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
 // ErrInvalidState reports a cluster snapshot whose accounting disagrees
-// with itself: a repeated device or file, a negative size or used-bytes
-// count, or a device whose used bytes are not the sizes of the files the
-// snapshot places on it.
+// with itself: a repeated device or file, a negative size, used-bytes or
+// access count, a non-finite last-access time, or a device whose used
+// bytes are not the sizes of the files the snapshot places on it.
 var ErrInvalidState = errors.New("storagesim: inconsistent cluster state")
 
 // DeviceState is the serializable dynamic state of one device: everything
@@ -45,9 +46,9 @@ type DeviceState struct {
 
 // ClusterState is the serializable snapshot of a cluster: the virtual
 // clock, the shared noise stream, every device's dynamic state, and the
-// full file placement. Device profiles and Config are deliberately
-// excluded — a restored run is expected to rebuild the cluster from the
-// same configuration before applying the state.
+// file table: every file's placement and heat. Device profiles and Config
+// are deliberately excluded — a restored run is expected to rebuild the
+// cluster from the same configuration before applying the state.
 type ClusterState struct {
 	Now           float64
 	RNG           uint64
@@ -132,6 +133,9 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 		if fs.Size < 0 {
 			return fmt.Errorf("%w: file %d has size %d", ErrInvalidState, fs.ID, fs.Size)
+		}
+		if fs.Accesses < 0 || math.IsNaN(fs.LastAccess) || math.IsInf(fs.LastAccess, 0) {
+			return fmt.Errorf("%w: file %d has %d accesses, the last at %v", ErrInvalidState, fs.ID, fs.Accesses, fs.LastAccess)
 		}
 		seen[fs.ID] = true
 		resident[fs.Device] += fs.Size

@@ -2,14 +2,15 @@ package storagesim
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
 
 // A snapshot is input from outside the program: one whose accounting does
-// not hold — a device or file listed twice, a negative size or used-bytes
-// count, used bytes that are not the sizes of the device's files — is
-// refused with ErrInvalidState before anything is assigned, so the
+// not hold — a device or file listed twice, a negative size, used-bytes or
+// access count, a non-finite last-access time, used bytes that are not the
+// sizes of the device's files — is refused with ErrInvalidState before anything is assigned, so the
 // cluster keeps exactly the state it had.
 func TestRestoreStateRejectsBrokenAccounting(t *testing.T) {
 	src := NewBluesky(1)
@@ -47,6 +48,9 @@ func TestRestoreStateRejectsBrokenAccounting(t *testing.T) {
 			device(st, "pic").Used -= 100
 		}},
 		{"used is not its files' sizes", func(st *ClusterState) { device(st, "pic").Used++ }},
+		{"negative access count", func(st *ClusterState) { st.Files[1].Accesses = -1 }},
+		{"NaN last access", func(st *ClusterState) { st.Files[2].LastAccess = math.NaN() }},
+		{"infinite last access", func(st *ClusterState) { st.Files[0].LastAccess = math.Inf(1) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			st := src.State()
@@ -74,4 +78,49 @@ func TestRestoreStateRejectsBrokenAccounting(t *testing.T) {
 	if !reflect.DeepEqual(dst.State(), src.State()) {
 		t.Error("restored cluster differs from its snapshot")
 	}
+}
+
+// A file's heat — the end time of its last access and its access count —
+// is set by Access alone: Move and a re-place keep it, and it survives
+// State and RestoreState.
+func TestFileHeatSurvivesMoveAndRestore(t *testing.T) {
+	c := NewBluesky(1)
+	for _, id := range []int64{1, 2} {
+		if err := c.PlaceFile(id, "/f", 1000, "pic"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var last AccessResult
+	for i := 0; i < 3; i++ {
+		var err error
+		if last, err = c.Access(1, 500, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, c *Cluster, id int64, at float64, n int64) {
+		t.Helper()
+		f, err := c.File(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.LastAccess != at || f.Accesses != n {
+			t.Errorf("%s: file %d last accessed at %v, %d accesses; want %v, %d", step, id, f.LastAccess, f.Accesses, at, n)
+		}
+	}
+	check("after three accesses", c, 1, last.End, 3)
+	check("never accessed", c, 2, 0, 0)
+	if _, err := c.Move(1, "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a move", c, 1, last.End, 3)
+	if err := c.PlaceFile(1, "/f", 1000, "people"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a re-place", c, 1, last.End, 3)
+	dst := NewBluesky(2)
+	if err := dst.RestoreState(c.State()); err != nil {
+		t.Fatal(err)
+	}
+	check("after a restore", dst, 1, last.End, 3)
+	check("after a restore", dst, 2, 0, 0)
 }

@@ -155,13 +155,13 @@ func (r *recordingRig) run(t *testing.T, ctx context.Context) error {
 
 // A run records on a goroutine of its own at Parallelism > 1 and changes
 // nothing: a facade system at Parallelism 4 stores the same records in the
-// same order under the same sequence numbers, keeps the same heat maps,
-// access count, movements and train log, marshals the same checkpoint and
-// calls its observer with the same accesses, each after the access was
-// stored, as the same system at Parallelism 1, which records on the
-// caller — over bootstrap and decision runs, a run cancelled mid-way and a
-// run whose workload fails mid-way (an observer that closes the store is
-// TestRecordingBesideTheRunStoreClosed). Each Run joins its goroutine
+// same order under the same sequence numbers, keeps the same file table
+// (placement and heat), access count, movements and train log, marshals
+// the same checkpoint and calls its observer with the same accesses, each
+// after the access was stored, as the same system at Parallelism 1, which
+// records on the caller — over bootstrap and decision runs, a run
+// cancelled mid-way and a run whose workload fails mid-way (an observer
+// that closes the store is TestRecordingBesideTheRunStoreClosed). Each Run joins its goroutine
 // before it returns, and none outlives Close.
 func TestRecordingBesideTheRunMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -174,8 +174,9 @@ func TestRecordingBesideTheRunMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: stored records differ from the serial system's", step)
 		}
 		ss, bs := s.loop.State(), b.loop.State()
-		if bs.AccessCount != ss.AccessCount || !reflect.DeepEqual(bs.Heat, ss.Heat) {
-			t.Fatalf("%s: access count %d, heat of %d files; serial %d, %d", step, bs.AccessCount, len(bs.Heat), ss.AccessCount, len(ss.Heat))
+		sf, bf := s.cluster.State().Files, b.cluster.State().Files
+		if bs.AccessCount != ss.AccessCount || !reflect.DeepEqual(bf, sf) {
+			t.Fatalf("%s: access count %d, heat of %d files; serial %d, %d", step, bs.AccessCount, len(bf), ss.AccessCount, len(sf))
 		}
 		if !reflect.DeepEqual(b.Movements(), s.Movements()) || !reflect.DeepEqual(trainBits(b), trainBits(s)) {
 			t.Fatalf("%s: movements or train log differ from the serial system's", step)
