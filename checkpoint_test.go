@@ -557,6 +557,58 @@ func TestRestoreMismatchLeavesWALUntouched(t *testing.T) {
 	}
 }
 
+// TestRestoreMalformedLoopLeavesWALUntouched: a snapshot whose loop half
+// no run could have written — one gap estimate's mean set to NaN — is
+// refused with core.ErrInvalidState before the restore touches the replay
+// log, which holds records past the snapshot's watermark that a restore
+// that went ahead would cut.
+func TestRestoreMalformedLoopLeavesWALUntouched(t *testing.T) {
+	dir := t.TempDir()
+	wal, ckpt := filepath.Join(dir, "replay.wal"), filepath.Join(dir, "snap.ckpt")
+	opts := ckptOptions(1, WithGapScheduling(), WithReplayDB(wal))
+	sys, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunN(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunN(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Loop.Gaps == nil || len(snap.Loop.Gaps.Files) == 0 {
+		t.Fatal("the snapshot carries no gap estimates")
+	}
+	snap.Loop.Gaps.Files[0].Mean = math.NaN()
+	if err := checkpoint.Save(ckpt, snap); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(ckpt, opts...); !errors.Is(err, core.ErrInvalidState) {
+		t.Fatalf("Restore of a NaN gap mean = %v, want core.ErrInvalidState", err)
+	}
+	after, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("a refused restore changed the WAL: %d bytes before, %d after", len(before), len(after))
+	}
+}
+
 // layoutDigest is bench's order-independent layout fingerprint: FNV-64a
 // over "id=device;" in file-ID order.
 func layoutDigest(layout map[int64]string) string {

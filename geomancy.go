@@ -863,10 +863,11 @@ func restoreSystem(snap *checkpoint.Snapshot, opts []Option) (*System, error) {
 
 // applySnapshot overwrites the freshly built system's dynamic state. A
 // snapshot the options do not describe — another seed, scenario or policy —
-// is refused before anything is touched, and the replay log is restored
-// last, after every in-memory restore that can refuse (a partition width
-// the coordinator was not built with, say): a refused restore leaves the
-// WAL as it found it, and the system it half restored is discarded.
+// or whose loop half is malformed (core.LoopState.Check) is refused before
+// anything is touched, and the replay log is restored last, after every
+// in-memory restore that can refuse (a partition width the coordinator was
+// not built with, say): a refused restore leaves the WAL as it found it,
+// and the system it half restored is discarded.
 func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.Seed != s.seed {
 		return fmt.Errorf("geomancy: snapshot was taken with seed %d, options configure seed %d", snap.Seed, s.seed)
@@ -878,6 +879,9 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 	if snap.PolicyName != s.loop.Policy.Name() {
 		return fmt.Errorf("geomancy: snapshot was taken under policy %q, options configure %q",
 			snap.PolicyName, s.loop.Policy.Name())
+	}
+	if err := snap.Loop.Check(); err != nil {
+		return fmt.Errorf("geomancy: restoring loop: %w", err)
 	}
 	if err := s.cluster.RestoreState(snap.Cluster); err != nil {
 		return fmt.Errorf("geomancy: restoring cluster: %w", err)
@@ -904,11 +908,10 @@ func (s *System) applySnapshot(snap *checkpoint.Snapshot) error {
 			return fmt.Errorf("geomancy: truncating replay log: %w", err)
 		}
 	}
-	s.loop.RestoreState(snap.Loop)
 	s.tpSum = snap.TpSum
 	s.tpCount = snap.TpCount
 	s.stats = append([]RunStats(nil), snap.Stats...)
-	return nil
+	return s.loop.RestoreState(snap.Loop) // checked above
 }
 
 // Close flushes and stops the distributed agents (when running) and

@@ -38,9 +38,9 @@ var (
 	// Table II compares those offline, and the engine scores dense ones.
 	ErrRecurrentModel = errors.New("core: recurrent architecture; the engine scores dense models only")
 	// ErrInvalidState reports an engine snapshot that disagrees with itself
-	// or with the engine's feature vector, refused before anything is
-	// restored.
-	ErrInvalidState = errors.New("core: inconsistent engine state")
+	// or with the engine's feature vector, or a loop snapshot no run could
+	// have written (LoopState.Check), refused before anything is restored.
+	ErrInvalidState = errors.New("core: inconsistent snapshot state")
 )
 
 // Config tunes the engine. Zero values select the paper's settings.

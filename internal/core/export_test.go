@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"geomancy/internal/policy"
 )
@@ -28,20 +29,20 @@ func (m *EngineModel) proposeShardByShard(ctx context.Context) (map[int64]string
 		return nil, nil, ErrNotTrained
 	}
 	e.commit(m.units)
-	decs := make([][]policy.Prediction, len(m.units))
+	preds := make([]policy.Prediction, len(e.prep.files))
+	rows := m.layRuns()
+	spans := e.pool.spans
+	e.pool.scores = make([]float64, rows)
 	for i := range m.units {
 		u := &m.units[i]
-		e.pool.spans = e.pool.spans[:0]
-		rows := e.layRuns(u, 0)
-		e.pool.scores = make([]float64, rows)
+		e.pool.spans = slices.DeleteFunc(slices.Clone(spans), func(s scoreSpan) bool { return s.u != u })
 		var tally scoreTally
 		if err := e.fanOut(ctx, rows, &tally); err != nil {
 			return nil, nil, err
 		}
-		decs[i] = e.selectLayout(u)
+		e.selectLayout(u, preds)
 	}
-	layout, decisions := m.merge(decs)
-	return layout, decisions, nil
+	return m.merge(preds), preds, nil
 }
 
 // proposeScored is ProposeLayoutContext that also returns each file's
@@ -64,11 +65,12 @@ func (m *EngineModel) proposeScored(ctx context.Context, files []policy.FileInfo
 	}
 	scores := make([]map[string]float64, len(files))
 	var buf []int
-	for i, t := range tasks {
-		scores[i] = make(map[string]float64)
+	for _, t := range tasks {
+		s := make(map[string]float64)
 		for k, j := range t.devices(&buf, short) {
-			scores[i][e.devices[j]] = e.pool.scores[u.scoreOff+t.base+k]
+			s[e.devices[j]] = e.pool.scores[int(t.base)+k]
 		}
+		scores[t.file] = s
 	}
 	return layout, preds, scores, nil
 }

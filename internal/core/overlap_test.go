@@ -491,16 +491,16 @@ func preparedAllocs(t *testing.T, shards int) float64 {
 }
 
 // A decision prepared ahead allocates no more than it did when this test
-// last pinned it (Go 1.24: 30 objects at one unit, 54 at four, the helper
-// goroutine and its channel included): the task list is one per unit, the
-// device summaries are read and ranked once for every unit, nothing per
-// device or per pairing is cloned for the overlap, and a lone unit neither
-// routes its files nor copies its decisions in the merge.
+// last pinned it (Go 1.24: 29 objects at one unit, 45 at four, the helper
+// goroutine and its channel included): every unit's task list is cut from
+// one array, the device summaries are read and ranked once for every unit,
+// nothing per device or per pairing is cloned for the overlap, the working
+// set is never copied and the decisions are one slice aligned with it.
 func TestPreparedDecisionAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		max    float64
-	}{{1, 30}, {4, 54}} {
+	}{{1, 29}, {4, 45}} {
 		got := preparedAllocs(t, tc.shards)
 		t.Logf("%d shards: %.0f objects", tc.shards, got)
 		if got > tc.max {

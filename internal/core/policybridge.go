@@ -34,11 +34,9 @@ type EngineModel struct {
 	// returns.
 	routeErr error //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 
-	// ahead is the working set the loop prepared the next decision over
-	// (prepareAhead), nil when no prepared decision is pending; helper is
-	// closed once the helper goroutine preparing it is done, and nil once
-	// joined or when the caller prepared it.
-	ahead  []policy.FileInfo //geomancy:ephemeral the decision between its halves, set by every prepareAhead
+	// helper is closed once the helper goroutine preparing the next
+	// decision (prepareAhead) is done, and nil once joined or when the
+	// caller prepared it.
 	helper chan struct{}
 
 	reports []TrainReport //geomancy:ephemeral drained into the loop's serialized trainLog after every proposal
@@ -60,7 +58,11 @@ func (e *Engine) NewModel(cluster *storagesim.Cluster) *EngineModel {
 // lone returns a bridge that decides with e alone: one unit over every
 // device, drawing from the engine's own stream.
 func (e *Engine) lone() *EngineModel {
-	return &EngineModel{Engine: e, units: []shardUnit{{devs: e.allDevices(), rng: e.rng}}}
+	devs := make([]int, len(e.devices))
+	for i := range devs {
+		devs[i] = i
+	}
+	return &EngineModel{Engine: e, units: []shardUnit{{devs: devs, rng: e.rng}}}
 }
 
 // unitOf returns the unit owning the device at engine index j.
@@ -102,10 +104,9 @@ func (m *EngineModel) Update(ctx context.Context) error {
 // when nothing was prepared over them (a direct caller).
 func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]string, []policy.Prediction, error) {
 	m.join()
-	if m.ahead == nil || !sameFiles(m.ahead, s.Files) {
+	if p := m.Engine.prep.files; p == nil || !sameFiles(p, s.Files) {
 		m.prepare(s.Files)
 	}
-	m.ahead = nil
 	return m.finish(ctx)
 }
 
@@ -117,7 +118,6 @@ func (m *EngineModel) Propose(ctx context.Context, s policy.State) (map[int64]st
 // fit then Propose make either way. Every prepareAhead is followed by a
 // drop on the same goroutine.
 func (m *EngineModel) prepareAhead(files []policy.FileInfo) {
-	m.ahead = files
 	if m.Engine.cfg.Parallelism <= 1 {
 		m.prepare(files)
 		return
@@ -143,10 +143,9 @@ func (m *EngineModel) join() {
 // proposed — which commits nothing.
 func (m *EngineModel) drop() {
 	m.join()
-	m.ahead = nil
+	m.Engine.prep.files = nil
 	for i := range m.units {
-		u := &m.units[i]
-		u.files, u.tasks = nil, nil
+		m.units[i].tasks = nil
 	}
 }
 

@@ -235,8 +235,8 @@ func TestFailedDecisionJoinsAndDrops(t *testing.T) {
 				if s.model.proposes != proposes {
 					t.Errorf("%s step %d: a failed fit was followed by a proposal", s.name, k)
 				}
-				if u := &s.m.units[0]; u.files != nil || u.tasks != nil {
-					t.Errorf("%s step %d: the failed decision left %d files and %d tasks prepared", s.name, k, len(u.files), len(u.tasks))
+				if files, u := s.m.Engine.prep.files, &s.m.units[0]; files != nil || u.tasks != nil {
+					t.Errorf("%s step %d: the failed decision left %d files and %d tasks prepared", s.name, k, len(files), len(u.tasks))
 				}
 			}
 			if !reflect.DeepEqual(pruningOf(s.m.Engine), want) {

@@ -18,26 +18,26 @@ import (
 // groups, see NewSharded), in two halves over the one engine. prepare is
 // the half that reads no model; finish is the half that does:
 //
-//	prepare — route the working set to the units (a lone unit takes it as
-//	          it is), then, from one dirty-set query of the store and one
-//	          ranking of the device summaries: the cadence's verdict, the
-//	          dirty set, every unit's shortlist and task list (which (file,
-//	          device) pairings this decision scores) and the feature gather
-//	          of every file whose cached ingredients are stale. Serial. It
-//	          reads the ReplayDB, the cluster's summaries and the feature
-//	          cache, writes only the prepared decision (e.prep and the
-//	          units' lists) and commits nothing.
+//	prepare — route the working set to the units (each unit's tasks, in
+//	          input order), then, from one dirty-set query of the store and
+//	          one ranking of the device summaries: the cadence's verdict,
+//	          the dirty set, every unit's shortlist, which (file, device)
+//	          pairings each task scores and the feature gather of every
+//	          file whose cached ingredients are stale. Serial. It reads the
+//	          ReplayDB, the cluster's summaries and the feature cache,
+//	          writes only the prepared decision (e.prep and the units'
+//	          lists) and commits nothing.
 //	finish  — commit: the cadence step, the dirty watermark and the
 //	          gathered features into the cache (prune.go); score: every
 //	          unit's runs of consecutive files laid into one list and scored
 //	          in one parallelFor, a worker taking its run end to end on its
 //	          own lane (candidate rows written into the lane's input block,
 //	          one serial nn.ForwardBatch, scores written into the decision's
-//	          score slice at the unit's offset, each file's greedy pick
-//	          made), drawing no randomness; select: the serial ε-greedy
-//	          selection, unit by unit, the only stage that draws from an RNG
-//	          (each unit's own stream); merge: the units' decisions in unit
-//	          order, escalated across units (sharded.go).
+//	          score slice, each file's greedy pick made), drawing no
+//	          randomness; select: the serial ε-greedy selection, unit by
+//	          unit, the only stage that draws from an RNG (each unit's own
+//	          stream), into one record per file; merge: escalation across
+//	          units, in unit order, and the layout map (sharded.go).
 //
 // The loop prepares every engine decision before it asks the policy
 // (Loop.propose): on one helper goroutine beside the policy's fit
@@ -51,15 +51,14 @@ import (
 // scoring is reported once per decision.
 //
 // The body has one input type and one output type: the policy snapshot's
-// own []policy.FileInfo goes in (a lone unit never copies it) and one
-// policy.Prediction per file comes out, positionally aligned with the
-// input for a lone unit and ordered by unit, input order within each, for
-// a coordinator. Device names appear only at those two edges; in between a
-// device is its index in e.devices, which is also its fsid feature. A
-// decision's scores live for that decision: the pool's score slice holds
-// them, indexed as the tasks' device lists are, and the next decision
-// overwrites them. Only feature ingredients persist between decisions
-// (prune.go).
+// own []policy.FileInfo goes in, never copied, and one policy.Prediction
+// per file comes out, positionally aligned with it at every unit count.
+// Device names appear only at those two edges; in between a file is its
+// index in the input and a device its index in e.devices, which is also
+// its fsid feature. A decision's scores live for that decision: the pool's
+// score slice holds them, indexed as the tasks' device lists are, and the
+// next decision overwrites them. Only feature ingredients persist between
+// decisions (prune.go).
 //
 // An exhaustive pass (Config.TopK = 0, the first decision, the cadence
 // rescan) is the same body run with every file stale and every unit's
@@ -69,26 +68,20 @@ import (
 // device indices — ascending, in profile order, every index for a lone
 // engine — and the stream its selection draws from, which for a lone
 // engine is the engine's own. It also holds its share of the decision
-// between prepare and finish (its working set, shortlist and tasks), its
-// shuffle scratch, where its scores start and its counters. Every other
-// piece of decision state is the engine's.
+// between prepare and finish (its shortlist and tasks), its shuffle
+// scratch and its counters. Every other piece of decision state, the
+// working set included, is the engine's.
 type shardUnit struct {
 	devs []int //geomancy:ephemeral the device group, rebuilt from the partition by NewSharded
 	rng  *rng.RNG
 
-	// files is the unit's working set, which the bridge's prepare hands
-	// it and drops with the tasks once the decision is finished or dropped;
 	// short is the decision's device shortlist for the unit, ascending, and
-	// tasks its work list, one task per file.
-	files []policy.FileInfo //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
-	short []int             //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
-	tasks []scoreTask       //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	// tasks its work list, one task per file it owns, in input order.
+	short []int       //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
+	tasks []scoreTask //geomancy:ephemeral the decision between its halves, rebuilt by every prepare
 
-	perm []int //geomancy:ephemeral exploration shuffle scratch, overwritten before every shuffle
-	// scoreOff is where the unit's scores start in the pool's score slice:
-	// the units before it in a decision. Every path that scores sets it.
-	scoreOff int            //geomancy:ephemeral set by every scoring pass before it is read
-	tele     shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
+	perm []int          //geomancy:ephemeral exploration shuffle scratch, overwritten before every shuffle
+	tele shardTelemetry //geomancy:ephemeral metrics counters, re-installed by SetMetrics
 }
 
 // scorePool is what the scoring loop reuses from one decision to the
@@ -97,10 +90,9 @@ type shardUnit struct {
 type scorePool struct {
 	lanes []*scoreLane
 	spans []scoreSpan
-	// scores[u.scoreOff+t.base+k] is the score of unit u's task t on its
-	// k-th device (bytes/s, denormalized and MAE-adjusted). A one-unit
-	// decision keeps the slice for the next; a coordinator's, which holds
-	// every shard's scores, is dropped with the decision.
+	// scores[t.base+k] is the score of task t on its k-th device (bytes/s,
+	// denormalized and MAE-adjusted). A one-unit decision keeps the slice
+	// for the next; a coordinator's, every shard's, dies with the decision.
 	scores []float64
 }
 
@@ -114,7 +106,10 @@ type scoreSpan struct {
 // prepared is the engine's share of a decision's model-free half, as
 // prepare leaves it for finish; each unit's share is its own.
 type prepared struct {
-	full bool
+	// files is the prepared decision's working set, which every task
+	// indexes; nil when no decision is prepared.
+	files []policy.FileInfo
+	full  bool
 	// staleAll marks every cached entry stale: a full pass, or a store
 	// without a ChangeTracker.
 	staleAll bool
@@ -167,16 +162,16 @@ func (e *Engine) begin() []int64 {
 	return e.dirtySet()
 }
 
-// prepareUnit runs unit u's share of the model-free half over u.files and
-// its shortlist, against the dirty set changed: the task list, one task
-// per file, with every stale file's features gathered. It reads the cache
+// prepareUnit runs unit u's share of the model-free half over its tasks
+// and shortlist, against the dirty set changed, its rows starting at base
+// among the decision's: every task's rows, with every stale file's
+// features gathered. It returns the row past the unit's, reads the cache
 // and changes nothing the engine keeps.
-func (e *Engine) prepareUnit(u *shardUnit, changed []int64) {
-	u.tasks = make([]scoreTask, len(u.files))
-	base := 0
-	for i, f := range u.files {
+func (e *Engine) prepareUnit(u *shardUnit, changed []int64, base int32) int32 {
+	for i := range u.tasks {
 		t := &u.tasks[i]
-		*t = scoreTask{ent: e.cache[f.ID], base: base, extra: -1}
+		f := e.prep.files[t.file]
+		*t = scoreTask{ent: e.cache[f.ID], base: base, file: t.file, extra: -1}
 		if cur, ok := e.devIndex[f.Device]; ok {
 			if _, in := slices.BinarySearch(u.short, cur); !in {
 				t.extra = int32(cur)
@@ -188,77 +183,71 @@ func (e *Engine) prepareUnit(u *shardUnit, changed []int64) {
 		} else if n > 0 {
 			t.feat = e.gatherFileFeatures(f)
 		}
-		base += n
+		base += int32(n)
 	}
+	return base
 }
 
-// rows returns how many candidate rows the unit's prepared decision
-// scores.
-func (u *shardUnit) rows() int {
-	if len(u.tasks) == 0 {
-		return 0
-	}
-	last := &u.tasks[len(u.tasks)-1]
-	return last.base + last.rows(u.short)
-}
-
-// layRuns cuts unit u's prepared tasks into runs of consecutive files and
-// appends them to the pool's spans, the unit's scores starting at off in
-// the decision's score slice; it returns the offset past them. A run ends
-// before the file whose rows would take it past nn.BlockRows, unless it
-// has no rows yet. Files with nothing to score join the run they fall in.
-func (e *Engine) layRuns(u *shardUnit, off int) int {
-	u.scoreOff = off
-	pool := &e.pool
-	if len(u.tasks) == 0 {
-		return off
-	}
-	total := u.rows()
-	first, lo := 0, 0 // the first task and the first row of the open run
-	for i := range u.tasks {
-		end := total
-		if i+1 < len(u.tasks) {
-			end = u.tasks[i+1].base
+// layRuns cuts every unit's prepared tasks into runs of consecutive files
+// of the unit, which become the pool's spans, and returns the decision's
+// rows. A run ends before the file whose rows would take it past
+// nn.BlockRows, unless it has no rows yet. Files with nothing to score
+// join the run they fall in.
+func (m *EngineModel) layRuns() int {
+	spans, rows := m.Engine.pool.spans[:0], 0
+	for i := range m.units {
+		u := &m.units[i]
+		first, lo := 0, rows // the first task and the first row of the open run
+		for k := range u.tasks {
+			t := &u.tasks[k]
+			end := int(t.base) + t.rows(u.short)
+			if int(t.base) > lo && end-lo > nn.BlockRows {
+				spans = append(spans, scoreSpan{u, first, k})
+				first, lo = k, int(t.base)
+			}
+			rows = end
 		}
-		if t := &u.tasks[i]; t.base > lo && end-lo > nn.BlockRows {
-			pool.spans = append(pool.spans, scoreSpan{u, first, i})
-			first, lo = i, t.base
+		if len(u.tasks) > 0 {
+			spans = append(spans, scoreSpan{u, first, len(u.tasks)})
 		}
 	}
-	pool.spans = append(pool.spans, scoreSpan{u, first, len(u.tasks)})
-	return off + total
+	m.Engine.pool.spans = spans
+	return rows
 }
 
 // prepare runs the model-free half of a decision over files: it routes
-// the files to their units, a lone unit taking them as they are, then
-// opens the engine's share, shortlists every unit from one ranking and
-// prepares every unit over its own files. A file no unit owns stops the
-// routing; finish reports it.
+// the files to their units, then opens the engine's share, shortlists
+// every unit from one ranking and prepares every unit's tasks. A file no
+// unit owns stops the routing; finish reports it.
 func (m *EngineModel) prepare(files []policy.FileInfo) {
-	if len(m.units) == 1 {
-		m.units[0].files, m.routeErr = files, nil
-	} else if m.routeErr = m.route(files); m.routeErr != nil {
+	e := m.Engine
+	e.prep.files = files
+	if files == nil {
+		e.prep.files = []policy.FileInfo{} // an empty working set is prepared too
+	}
+	if m.routeErr = m.route(files); m.routeErr != nil {
 		return
 	}
-	e := m.Engine
 	changed := e.begin()
 	m.shortlist()
+	var base int32
 	for i := range m.units {
-		e.prepareUnit(&m.units[i], changed)
+		base = e.prepareUnit(&m.units[i], changed, base)
 	}
 }
 
 // finish runs the model half of the decision prepare left: the engine
 // commits, every unit's runs are scored in one fan-out under the model the
 // last fit wrote and the scoring reported once, then each unit selects, in
-// unit order, and the merge follows. With probability Epsilon a file is
-// assigned a random device of its unit instead of its best predicted one —
-// the exploration that keeps the availability picture fresh (§V-H). The
-// engine's validator vets destinations; invalid proposals fall back per
-// the Action Checker rules (select.go). ctx is checked between scoring
-// runs. Only the selection draws randomness, serially in file order from
-// each unit's own stream, so a fixed seed replays identically at any
-// Parallelism. The prepared decision is dropped whatever the outcome.
+// unit order, into one record per input file, and the merge follows. With
+// probability Epsilon a file is assigned a random device of its unit
+// instead of its best predicted one — the exploration that keeps the
+// availability picture fresh (§V-H). The engine's validator vets
+// destinations; invalid proposals fall back per the Action Checker rules
+// (select.go). ctx is checked between scoring runs. Only the selection
+// draws randomness, serially in task order from each unit's own stream, so
+// a fixed seed replays identically at any Parallelism. The prepared
+// decision is dropped whatever the outcome.
 func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Prediction, error) {
 	defer m.drop()
 	if m.routeErr != nil {
@@ -272,12 +261,7 @@ func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Pr
 	// selections is free; every decision is made before the first
 	// escalation claims anything.
 	e.commit(m.units)
-	pool := &e.pool
-	pool.spans = pool.spans[:0]
-	rows := 0
-	for i := range m.units {
-		rows = e.layRuns(&m.units[i], rows)
-	}
+	pool, rows := &e.pool, m.layRuns()
 	if len(m.units) == 1 {
 		pool.scores = slices.Grow(pool.scores[:0], rows)[:rows]
 	} else {
@@ -290,12 +274,11 @@ func (m *EngineModel) finish(ctx context.Context) (map[int64]string, []policy.Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	decs := make([][]policy.Prediction, len(m.units))
+	preds := make([]policy.Prediction, len(e.prep.files))
 	for i := range m.units {
-		decs[i] = e.selectLayout(&m.units[i])
+		e.selectLayout(&m.units[i], preds)
 	}
-	layout, decisions := m.merge(decs)
-	return layout, decisions, nil
+	return m.merge(preds), preds, nil
 }
 
 // fanOut scores every span laid in the pool, whose rows total rows, on up
@@ -327,17 +310,17 @@ func (e *Engine) fanOut(ctx context.Context, rows int, tally *scoreTally) error 
 // destination. Runs touch disjoint tasks and scores, and nothing here
 // draws from an RNG, so runs may score in any order on any worker.
 func (e *Engine) scoreRun(u *shardUnit, l *scoreLane, lo, hi int) {
-	short := u.short
-	files, tasks := u.files[lo:hi], u.tasks[lo:hi]
+	short, files := u.short, e.prep.files
+	tasks := u.tasks[lo:hi]
 	last := &tasks[len(tasks)-1]
-	base := tasks[0].base
+	base := int(tasks[0].base)
 	var out *mat.Matrix
-	if rows := last.base + last.rows(short) - base; rows > 0 {
+	if rows := int(last.base) + last.rows(short) - base; rows > 0 {
 		l.in = mat.Grow(l.in, rows, featureCount)
-		for i, f := range files {
+		for i := range tasks {
 			t := &tasks[i]
 			for k, j := range t.devices(&l.devs, short) {
-				e.candidateRow(l.in.Row(t.base-base+k), t.feat, f.ID, j)
+				e.candidateRow(l.in.Row(int(t.base)-base+k), t.feat, files[t.file].ID, j)
 			}
 		}
 		out = e.net.ForwardBatch(l.in, nil, &l.scratch)
@@ -345,12 +328,12 @@ func (e *Engine) scoreRun(u *shardUnit, l *scoreLane, lo, hi int) {
 	for i := range tasks {
 		t := &tasks[i]
 		devs := t.devices(&l.devs, short)
-		scores := e.pool.scores[u.scoreOff+t.base:][:len(devs)]
+		scores := e.pool.scores[t.base:][:len(devs)]
 		for k := range devs {
-			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(t.base-base+k, 0))))
+			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(int(t.base)-base+k, 0))))
 			scores[k] = nn.AdjustPrediction(raw, e.valMetrics)
 		}
-		t.pick = int32(e.greedyPick(devs, scores, files[i].Size))
+		t.pick = int32(e.greedyPick(devs, scores, files[t.file].Size))
 	}
 }
 

@@ -106,13 +106,6 @@ func (e *Engine) dirtySet() []int64 {
 	return changed
 }
 
-// invalidateAll marks every cached entry's features stale.
-func (e *Engine) invalidateAll() {
-	for _, ent := range e.cache {
-		ent.featValid = false
-	}
-}
-
 // commit makes the prepared decision over units the engine's, once its
 // model is fit. It steps the cadence. Then, unless the engine does not
 // prune (TopK 0: nothing is retained and the watermark never moves, so an
@@ -132,7 +125,9 @@ func (e *Engine) commit(units []shardUnit) {
 	case p.full:
 		clear(e.cache)
 	case p.staleAll:
-		e.invalidateAll()
+		for _, ent := range e.cache {
+			ent.featValid = false
+		}
 	}
 	for _, ent := range p.stale {
 		ent.featValid = false
@@ -150,11 +145,12 @@ func (e *Engine) commit(units []shardUnit) {
 // where prepare gathered, the entry's own where it was current. A full
 // pass, whose commit cleared the cache, puts every entry back.
 func (e *Engine) keep(u *shardUnit) {
-	for i, f := range u.files {
+	for i := range u.tasks {
 		t := &u.tasks[i]
 		if t.rows(u.short) == 0 {
 			continue
 		}
+		f := e.prep.files[t.file]
 		if t.ent == nil {
 			t.ent = new(fileCache)
 			e.cache[f.ID] = t.ent
@@ -163,15 +159,6 @@ func (e *Engine) keep(u *shardUnit) {
 		}
 		*t.ent = fileCache{size: f.Size, featValid: true, feat: t.feat}
 	}
-}
-
-// allDevices returns every device index, ascending.
-func (e *Engine) allDevices() []int {
-	out := make([]int, len(e.devices))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // shortlist sets every unit's shortlist for the decision e.prep opened:
@@ -234,13 +221,14 @@ func (m *EngineModel) shortlist() {
 // scoreTask is one file's scoring work: its cache entry (nil if it has
 // none yet) and the feature ingredients its rows are built from, where its
 // rows — and its scores in the pool's score slice — start among the
-// decision's, the file's current device when the decision's shortlist
-// lacks it (-1 otherwise), and, once its run is scored, the file's greedy
-// pick (select.go). The decision body lives in propose.go.
+// decision's, the file's index in the working set, its current device when
+// the shortlist lacks it (-1 otherwise), and, once its run is scored, its
+// greedy pick (select.go). The decision body lives in propose.go.
 type scoreTask struct {
 	ent   *fileCache
 	feat  fileFeatures
-	base  int
+	base  int32
+	file  int32
 	extra int32
 	pick  int32
 }

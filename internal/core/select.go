@@ -63,13 +63,14 @@ func (u *shardUnit) shuffled() []int {
 }
 
 // selectLayout runs the serial ε-greedy selection over unit u's prepared
-// files' greedy picks and returns one decision record per file, in file
-// order. This is the only stage that draws from the unit's stream.
-func (e *Engine) selectLayout(u *shardUnit) []policy.Prediction {
-	preds := make([]policy.Prediction, len(u.files))
-	for i, f := range u.files {
+// tasks' greedy picks, in task order, and writes each file's decision
+// record into preds at the file's index in the working set. This is the
+// only stage that draws from the unit's stream.
+func (e *Engine) selectLayout(u *shardUnit, preds []policy.Prediction) {
+	for i := range u.tasks {
 		t := &u.tasks[i]
-		d := &preds[i]
+		f := e.prep.files[t.file]
+		d := &preds[t.file]
 		*d = policy.Prediction{FileID: f.ID, Current: f.Device, Chosen: f.Device}
 		dev := -1 // nowhere to go: stay put
 		if u.rng.Float64() < e.cfg.Epsilon {
@@ -91,9 +92,8 @@ func (e *Engine) selectLayout(u *shardUnit) []policy.Prediction {
 		if dev >= 0 {
 			d.Chosen = e.devices[dev]
 			if k, ok := t.slot(u.short, dev); ok {
-				d.Predicted = e.pool.scores[u.scoreOff+t.base+k]
+				d.Predicted = e.pool.scores[int(t.base)+k]
 			}
 		}
 	}
-	return preds
 }

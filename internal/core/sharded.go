@@ -29,14 +29,15 @@ import (
 //     ranking of the device summaries, commits once, scores every unit's
 //     runs in one fan-out through the one model, and selects unit by unit;
 //     each unit draws from its own stream (rng.Split of the coordinator
-//     seed) and units merge in fixed index order, so any Parallelism
-//     produces the serial layout bit-for-bit, and
+//     seed) and decisions come back aligned with the input, so any
+//     Parallelism produces the serial layout bit-for-bit, and
 //   - escalates: when a shard's best in-shard placement underperforms the
 //     cluster-wide throughput digest by escalationFactor, the merge
 //     attempts a cross-shard migration, admitted only while the device
 //     still fits the bytes this cycle's escalations already claimed on it
-//     (Cluster.CanPlace). Claims never touch used-bytes and die with the
-//     cycle; the committed layout re-validates in Cluster.Move.
+//     (Cluster.CanPlace), in fixed unit order. Claims never touch
+//     used-bytes and die with the cycle; the committed layout re-validates
+//     in Cluster.Move.
 //
 // A unit scores through whatever the last fit left, finished or cancelled.
 // At one shard the bridge is the one NewModel builds — one unit over every
@@ -148,62 +149,59 @@ func (s *Sharded) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// route cuts files into one list per unit, preserving input order, in one
-// array, and hands each unit its list; a file on a device no unit owns
-// stops it before any list is handed out.
+// route hands every unit its tasks, one per file it owns, in input order,
+// each naming its file by index in files: a lone unit every file, and
+// a coordinator's units their counted shares of one array. A file on a
+// device no unit owns stops it before any list is handed out.
 func (m *EngineModel) route(files []policy.FileInfo) error {
+	tasks, idx := make([]scoreTask, len(files)), m.Engine.devIndex
+	if m.owner == nil {
+		for i := range tasks {
+			tasks[i].file = int32(i)
+		}
+		m.units[0].tasks = tasks
+		return nil
+	}
 	counts := make([]int, len(m.units))
 	for _, f := range files {
-		j, ok := m.Engine.devIndex[f.Device]
+		j, ok := idx[f.Device]
 		if !ok {
 			return fmt.Errorf("core: file %d is on device %q, which no shard owns", f.ID, f.Device)
 		}
 		counts[m.owner[j]]++
 	}
-	routed := make([]policy.FileInfo, len(files))
 	for i, n := range counts {
-		m.units[i].files, routed = routed[:0:n], routed[n:]
+		m.units[i].tasks, tasks = tasks[:0:n], tasks[n:]
 	}
-	for _, f := range files {
-		u := &m.units[m.owner[m.Engine.devIndex[f.Device]]]
-		u.files = append(u.files, f)
+	for i, f := range files {
+		u := &m.units[m.owner[idx[f.Device]]]
+		u.tasks = append(u.tasks, scoreTask{file: int32(i)})
 	}
 	return nil
 }
 
-// merge merges the units' decisions in fixed unit order, escalating, when
-// there is more than one unit, placements the owning shard clearly cannot
-// serve. A unit's decisions are positionally aligned with its prepared
-// files. The merged list is ordered by unit, preserving input
-// order within each; a lone unit's is its own. The bytes escalations claim
-// on a device live in a map that dies with the merge.
-func (m *EngineModel) merge(decs [][]policy.Prediction) (map[int64]string, []policy.Prediction) {
+// merge escalates, when there is more than one unit, placements the owning
+// shard clearly cannot serve, unit by unit in task order, and returns the
+// layout map of preds, the decisions aligned with the working set. The
+// bytes escalations claim on a device live in a map that dies with it.
+func (m *EngineModel) merge(preds []policy.Prediction) map[int64]string {
 	var digest *storagesim.DeviceSummary
 	var claims map[string]int64
-	if len(decs) > 1 {
+	if len(m.units) > 1 {
 		digest, claims = m.throughputDigest(), make(map[string]int64)
 	}
-	n := 0
-	for i := range m.units {
-		m.units[i].tele.decisions.Add(uint64(len(decs[i])))
-		files := m.units[i].files
-		for k := range decs[i] {
-			m.escalate(i, &decs[i][k], digest, files[k].Size, claims)
-		}
-		n += len(decs[i])
-	}
-	decisions := decs[0]
-	if len(decs) > 1 {
-		decisions = make([]policy.Prediction, 0, n)
-		for _, d := range decs {
-			decisions = append(decisions, d...)
+	files := m.Engine.prep.files
+	for i, u := range m.units {
+		u.tele.decisions.Add(uint64(len(u.tasks)))
+		for _, t := range u.tasks {
+			m.escalate(i, &preds[t.file], digest, files[t.file].Size, claims)
 		}
 	}
-	layout := make(map[int64]string, n)
-	for _, d := range decisions {
+	layout := make(map[int64]string, len(preds))
+	for _, d := range preds {
 		layout[d.FileID] = d.Chosen
 	}
-	return layout, decisions
+	return layout
 }
 
 // throughputDigest returns the cluster-wide best-device digest the

@@ -689,13 +689,15 @@ func TestShardedSpeedup(t *testing.T) {
 // group i % 3 — so no group is a contiguous run of the engine's device
 // indices. Over a small closed loop (layouts applied, a subset of files
 // accessed between decisions, retrains), at ε 0.3 and TopK 1 with a full
-// rescan every third decision, every decision's file, destination,
-// exploration flag and predicted score hash to a fixed digest: a shard's
-// shortlist, exploration shuffle, random fallback, fsid feature and score
-// slots all read its devices through whatever maps them to the model's
-// device indices, so a wrong mapping moves the digest.
+// rescan every third decision, the decisions come back aligned with the
+// input files, whose shards interleave too, and every decision's file,
+// destination, exploration flag and predicted score hash, in input order,
+// to a fixed digest: a shard's shortlist, exploration shuffle, random
+// fallback, fsid feature and score slots all read its devices through
+// whatever maps them to the model's device indices, so a wrong mapping
+// moves the digest.
 func TestShardedInterleavedGroups(t *testing.T) {
-	const want = "9ace04b16071cc0a"
+	const want = "dc4a93861d44ef3c"
 	ctx := context.Background()
 	cluster := storagesim.NewBluesky(1)
 	index := make(map[string]int)
@@ -750,6 +752,14 @@ func TestShardedInterleavedGroups(t *testing.T) {
 		layout, decs, err := s.DecideLayout(ctx, files)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(decs) != len(files) {
+			t.Fatalf("step %d: %d decisions for %d files", step, len(decs), len(files))
+		}
+		for i, d := range decs {
+			if d.FileID != files[i].ID {
+				t.Fatalf("step %d: decision %d is file %d's, want input file %d's", step, i, d.FileID, files[i].ID)
+			}
 		}
 		for _, d := range decs {
 			fmt.Fprintf(h, "%d=%s/%t/%x;", d.FileID, d.Chosen, d.Random, math.Float64bits(d.Predicted))

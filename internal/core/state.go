@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -193,10 +194,36 @@ func (l *Loop) State() LoopState {
 	return st
 }
 
+// Check refuses, wrapping ErrInvalidState, a loop snapshot no run writes:
+// a negative access count, a last run below -1, or gap estimates whose
+// IDs do not ascend strictly (GapPredictor.State sorts them), with a
+// negative count, or a time, gap or deviation negative, NaN or infinite.
+func (st *LoopState) Check() error {
+	switch {
+	case st.AccessCount < 0 || st.LastRun < -1:
+		return fmt.Errorf("%w: access count %d, last run %d", ErrInvalidState, st.AccessCount, st.LastRun)
+	case st.Gaps == nil:
+		return nil
+	}
+	for i, f := range st.Gaps.Files {
+		bad := f.N < 0 || f.Releases < 0 || i > 0 && f.FileID <= st.Gaps.Files[i-1].FileID
+		for _, v := range [...]float64{f.LastAccess, f.Mean, f.Dev, f.ReleaseMean, f.ReleaseDev} {
+			bad = bad || !(v >= 0) || math.IsInf(v, 1)
+		}
+		if bad {
+			return fmt.Errorf("%w: gap estimate %d: %+v", ErrInvalidState, i, f)
+		}
+	}
+	return nil
+}
+
 // RestoreState overwrites the loop's counters and logs with a previously
-// captured snapshot. A snapshot carrying gap-predictor state enables gap
-// scheduling on the restored loop if it was not already enabled.
-func (l *Loop) RestoreState(st LoopState) {
+// captured snapshot, refusing first, with nothing changed, one Check
+// refuses. Gap-predictor state enables gap scheduling if it was not.
+func (l *Loop) RestoreState(st LoopState) error {
+	if err := st.Check(); err != nil {
+		return err
+	}
 	l.accessCount = st.AccessCount
 	l.lastRun = st.LastRun
 	l.movements = append([]MovementEvent(nil), st.Movements...)
@@ -209,4 +236,5 @@ func (l *Loop) RestoreState(st LoopState) {
 		}
 		l.gaps.RestoreState(*st.Gaps)
 	}
+	return nil
 }
