@@ -168,6 +168,9 @@ const (
 	// featureCount is Z, the width of appendFeatures' rows (rb, wb, ots,
 	// cts, fid, fsid) and so of the network's input layer.
 	featureCount = 6
+	// fsidColumn is the device's column, the last: every other column of
+	// a candidate row describes the file.
+	fsidColumn = featureCount - 1
 	// batchSize is the SGD mini-batch size.
 	batchSize = 32
 	// fileHistory is how many recent accesses a file's candidate rows read.
@@ -565,16 +568,19 @@ func (e *Engine) fitOnce(ctx context.Context, spec fitSpec) (TrainReport, error)
 // evaluateDenorm computes prediction metrics on the original throughput
 // scale. Relative errors on normalized targets explode near the range
 // minimum; real throughputs are safely bounded away from zero, matching
-// how the paper reports its error percentages.
+// how the paper reports its error percentages. It decodes the predictions
+// and ds's anchor targets in place — ds is the validation partition of
+// the fit's own training set, dead once scored — so the metrics cost no
+// per-row slice beyond the predictions.
 func (e *Engine) evaluateDenorm(ds *nn.Dataset) nn.Metrics {
-	preds, idx := e.net.Predict(ds)
+	preds, first := e.net.Predict(ds)
 	if len(preds) == 0 {
 		return nn.Metrics{Diverged: true}
 	}
-	targets := make([]float64, len(idx))
-	for i, r := range idx {
-		targets[i] = DecodeTarget(e.targetScaler.Inverse(ds.Y[r]))
-		preds[i] = DecodeTarget(e.targetScaler.Inverse(clamp01(preds[i])))
+	targets := ds.Y[first:]
+	for i, p := range preds {
+		targets[i] = DecodeTarget(e.targetScaler.Inverse(targets[i]))
+		preds[i] = DecodeTarget(e.targetScaler.Inverse(clamp01(p)))
 	}
 	return nn.EvaluatePredictions(preds, targets)
 }
@@ -618,16 +624,24 @@ func (e *Engine) gatherFileFeatures(f policy.FileInfo) fileFeatures {
 	return ff
 }
 
-// candidateRow fills row (featureCount wide) with the normalized candidate
-// features for placing a file with ingredients ff on the device at devIdx,
-// whose fsid feature is that index.
-func (e *Engine) candidateRow(row []float64, ff fileFeatures, fileID int64, devIdx int) {
-	row[0], row[1] = logBytes(ff.rb), logBytes(ff.wb)
-	row[2], row[3] = ff.ts, ff.ts
-	row[4], row[5] = float64(fileID), float64(devIdx)
-	for c, v := range row {
-		row[c] = e.featScaler.TransformValue(c, v)
+// A candidate row (featureCount wide) holds the normalized features for
+// placing a file on a device: the file's columns, then the device's.
+//
+// fileColumns returns the normalized file columns — every column but the
+// last, fsid — of a file with ingredients ff: what all of the file's
+// candidate rows share.
+func (e *Engine) fileColumns(ff fileFeatures, fileID int64) [fsidColumn]float64 {
+	cols := [fsidColumn]float64{logBytes(ff.rb), logBytes(ff.wb), ff.ts, ff.ts, float64(fileID)}
+	for c, v := range cols {
+		cols[c] = e.featScaler.TransformValue(c, v)
 	}
+	return cols
+}
+
+// deviceColumn is the normalized fsid feature of the device at devIdx,
+// whose fsid is that index.
+func (e *Engine) deviceColumn(devIdx int) float64 {
+	return e.featScaler.TransformValue(fsidColumn, float64(devIdx))
 }
 
 func clamp01(v float64) float64 {

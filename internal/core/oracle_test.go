@@ -18,8 +18,12 @@ func (e *Engine) predictCandidate(f policy.FileInfo, device string) float64 {
 	if !ok {
 		devIdx = len(e.devices)
 	}
-	norm := make([]float64, featureCount)
-	e.candidateRow(norm, ff, f.ID, devIdx)
+	// The whole row raw, then every column scaled: the one-row form of
+	// what scoreRun assembles from a task's shared file columns.
+	norm := []float64{logBytes(ff.rb), logBytes(ff.wb), ff.ts, ff.ts, float64(f.ID), float64(devIdx)}
+	for c, v := range norm {
+		norm[c] = e.featScaler.TransformValue(c, v)
+	}
 	pred := e.net.PredictOne([][]float64{norm})
 
 	raw := DecodeTarget(e.targetScaler.Inverse(clamp01(pred)))

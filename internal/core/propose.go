@@ -305,9 +305,10 @@ func (e *Engine) fanOut(ctx context.Context, rows int, tally *scoreTally) error 
 
 // scoreRun takes unit u's run of prepared tasks lo to hi through scoring on
 // lane l: it writes the run's candidate rows from the features prepare
-// resolved into the lane's input block, forwards them, writes each score
-// into the decision's score slice, and picks each file's greedy
-// destination. Runs touch disjoint tasks and scores, and nothing here
+// resolved into the lane's input block — each task's file columns scaled
+// once and copied into its rows, beside each row's device column —
+// forwards them, writes each score into the decision's score slice, and
+// picks each file's greedy destination. Runs touch disjoint tasks and scores, and nothing here
 // draws from an RNG, so runs may score in any order on any worker.
 func (e *Engine) scoreRun(u *shardUnit, l *scoreLane, lo, hi int) {
 	short, files := u.short, e.prep.files
@@ -319,8 +320,11 @@ func (e *Engine) scoreRun(u *shardUnit, l *scoreLane, lo, hi int) {
 		l.in = mat.Grow(l.in, rows, featureCount)
 		for i := range tasks {
 			t := &tasks[i]
+			file := e.fileColumns(t.feat, files[t.file].ID)
 			for k, j := range t.devices(&l.devs, short) {
-				e.candidateRow(l.in.Row(int(t.base)-base+k), t.feat, files[t.file].ID, j)
+				row := l.in.Row(int(t.base) - base + k)
+				copy(row, file[:])
+				row[fsidColumn] = e.deviceColumn(j)
 			}
 		}
 		out = e.net.ForwardBatch(l.in, nil, &l.scratch)

@@ -114,9 +114,9 @@ func evaluateModel(n int, ds *nn.Dataset, scaler *features.ScalarScaler, opts Op
 	}
 
 	start = time.Now()
-	preds, idx := net.Predict(test)
+	preds, first := net.Predict(test)
 	predTime := time.Since(start)
-	m := denormMetrics(preds, test, idx, scaler)
+	m := denormMetrics(preds, test, first, scaler)
 	return ModelResult{
 		Model:       n,
 		Desc:        net.String(),

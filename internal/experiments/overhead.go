@@ -81,7 +81,7 @@ func overheadFor(recs []trace.EOSRecord, z int, opts Options) (OverheadRow, erro
 	trainTime := time.Since(start)
 
 	start = time.Now()
-	preds, idx := net.Predict(test)
+	preds, first := net.Predict(test)
 	batchTime := time.Since(start)
 
 	// Single-prediction latency: one feature row through the net.
@@ -100,7 +100,7 @@ func overheadFor(recs []trace.EOSRecord, z int, opts Options) (OverheadRow, erro
 		TrainTime:    trainTime,
 		PredictTime:  oneTime,
 		PredictBatch: batchTime,
-		Metrics:      denormMetrics(preds, test, idx, scaler),
+		Metrics:      denormMetrics(preds, test, first, scaler),
 	}, nil
 }
 

@@ -131,16 +131,17 @@ func deviceDataset(db *replaydb.DB, device string, devIndex map[string]int, wind
 	return nn.NewDataset(x, ts.TransformAll(targets)), ts, nil
 }
 
-// denormMetrics evaluates predictions against targets on the original
-// throughput scale.
-func denormMetrics(preds []float64, test *nn.Dataset, idx []int, scaler *features.ScalarScaler) nn.Metrics {
+// denormMetrics evaluates predictions — Predict's output, whose first
+// anchor is test row first — against targets on the original throughput
+// scale.
+func denormMetrics(preds []float64, test *nn.Dataset, first int, scaler *features.ScalarScaler) nn.Metrics {
 	if len(preds) == 0 {
 		return nn.Metrics{Diverged: true}
 	}
-	targets := make([]float64, len(idx))
+	targets := make([]float64, len(preds))
 	out := make([]float64, len(preds))
-	for i, r := range idx {
-		targets[i] = core.DecodeTarget(scaler.Inverse(test.Y[r]))
+	for i := range preds {
+		targets[i] = core.DecodeTarget(scaler.Inverse(test.Y[first+i]))
 		p := preds[i]
 		if p < 0 {
 			p = 0

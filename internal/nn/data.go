@@ -77,17 +77,15 @@ func (m Metrics) String() string {
 // errors; targets are normalized throughputs in (0,1].
 const relErrFloor = 1e-6
 
-// Evaluate computes prediction-quality metrics for the network on ds.
+// Evaluate computes prediction-quality metrics for the network on ds: its
+// Predict output against the anchors' own targets, with no per-row slice
+// beyond the predictions.
 func (n *Network) Evaluate(ds *Dataset) Metrics {
-	preds, idx := n.Predict(ds)
+	preds, first := n.Predict(ds)
 	if len(preds) == 0 {
 		return Metrics{Diverged: true}
 	}
-	targets := make([]float64, len(idx))
-	for i, r := range idx {
-		targets[i] = ds.Y[r]
-	}
-	return EvaluatePredictions(preds, targets)
+	return EvaluatePredictions(preds, ds.Y[first:])
 }
 
 // EvaluatePredictions computes the Table II metrics for parallel slices of
@@ -95,7 +93,9 @@ func (n *Network) Evaluate(ds *Dataset) Metrics {
 // the mean target magnitude. Without the floor a single access that lands
 // in a deep contention trough (measured throughput near zero) contributes
 // a quasi-infinite relative error and dominates the mean — the floor keeps
-// the metric describing model quality rather than the target's tail.
+// the metric describing model quality rather than the target's tail. It
+// allocates nothing: the deviation pass recomputes each relative error
+// rather than keeping them.
 func EvaluatePredictions(preds, targets []float64) Metrics {
 	if len(preds) != len(targets) || len(preds) == 0 {
 		return Metrics{Diverged: true}
@@ -109,26 +109,27 @@ func EvaluatePredictions(preds, targets []float64) Metrics {
 	if floor < relErrFloor {
 		floor = relErrFloor
 	}
-	var sum, sumSigned float64
-	relErrs := make([]float64, len(preds))
-	for i, p := range preds {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return Metrics{Diverged: true, N: len(preds)}
-		}
+	signedErr := func(i int) float64 {
 		den := math.Abs(targets[i])
 		if den < floor {
 			den = floor
 		}
-		signed := (targets[i] - p) / den
+		return (targets[i] - preds[i]) / den
+	}
+	var sum, sumSigned float64
+	for i, p := range preds {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return Metrics{Diverged: true, N: len(preds)}
+		}
+		signed := signedErr(i)
 		sumSigned += signed
-		relErrs[i] = math.Abs(signed)
-		sum += relErrs[i]
+		sum += math.Abs(signed)
 	}
 	nf := float64(len(preds))
 	mean := sum / nf
 	var sq float64
-	for _, e := range relErrs {
-		d := e - mean
+	for i := range preds {
+		d := math.Abs(signedErr(i)) - mean
 		sq += d * d
 	}
 	std := math.Sqrt(sq / nf)

@@ -81,23 +81,23 @@ func (d *Dense) forwardInto(dst, x *mat.Matrix) {
 // nil, writes dLoss/dInput = dZ·Wᵀ into it as the forward product against
 // wT, the caller's packed transpose of W: element for element the sums of
 // mat.MulTransBTo(dX, dZ, W), on the kernel that reads its right operand
-// along rows. dZ is the buffer for dLoss/dZ; a Linear layer's dZ is dOut
-// itself and the buffer is not touched.
-func (d *Dense) backwardInto(dW, dB, dX, dZ, in, out, dOut, wT *mat.Matrix) {
+// along rows. dLoss/dZ is formed in dOut itself, each element gated in
+// place by the activation's derivative (a Linear layer's dZ is dOut
+// unchanged), so dOut is spent when this returns.
+func (d *Dense) backwardInto(dW, dB, dX, in, out, dOut, wT *mat.Matrix) {
 	switch d.Act {
 	case Linear:
-		dZ = dOut
 	case ReLU:
-		mat.ReLUGradTo(dZ, dOut, out)
+		mat.ReLUGradTo(dOut, dOut, out)
 	default:
 		for i, y := range out.Data {
-			dZ.Data[i] = dOut.Data[i] * d.Act.DerivFromOutput(y)
+			dOut.Data[i] *= d.Act.DerivFromOutput(y)
 		}
 	}
-	mat.AddMulTransATo(dW, in, dZ)
-	mat.AddSumRowsTo(dB, dZ)
+	mat.AddMulTransATo(dW, in, dOut)
+	mat.AddSumRowsTo(dB, dOut)
 	if dX != nil {
-		mat.MulTo(dX, dZ, wT)
+		mat.MulTo(dX, dOut, wT)
 	}
 }
 

@@ -17,3 +17,21 @@ func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
 	sse := sseLoss(grad.Data, pred.Data, target.Data)
 	return sse / float64(len(pred.Data)), grad
 }
+
+// sampleIndexes and assembleSeq are the reference trainer's int-indexed
+// forms of Fit's anchor permutation and window gather.
+func (n *Network) sampleIndexes(ds *Dataset) []int {
+	var idx []int
+	for i := n.firstAnchor(); i < ds.Len(); i++ {
+		idx = append(idx, i)
+	}
+	return idx
+}
+
+func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
+	r32 := make([]int32, len(rows))
+	for i, r := range rows {
+		r32[i] = int32(r)
+	}
+	return n.gatherSeq(ds, r32)
+}

@@ -136,3 +136,40 @@ func TestFitContextCancel(t *testing.T) {
 		t.Errorf("Fit with cancelled ctx returned %v, want context.Canceled", err)
 	}
 }
+
+// Predict scores in minibatch-high blocks; its outputs are bit for bit
+// what one ForwardBatch over every anchor returns, dense and recurrent,
+// below, at and past a block's edge and past BlockRows.
+func TestPredictMatchesForwardBatch(t *testing.T) {
+	for _, model := range []int{1, 18} {
+		for _, rows := range []int{1, 31, 33, 257} {
+			net, err := BuildModel(model, 6, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := net.firstAnchor()
+			ds := testDataset(rand.New(rand.NewSource(int64(rows))), first+rows, 6)
+			var want *mat.Matrix
+			if net.IsRecurrent() {
+				anchors := make([]int32, rows)
+				for i := range anchors {
+					anchors[i] = int32(first + i)
+				}
+				want = net.ForwardBatch(nil, net.gatherSeq(ds, anchors), nil)
+			} else {
+				want = net.ForwardBatch(ds.X, nil, nil)
+			}
+			got, gotFirst := net.Predict(ds)
+			if gotFirst != first || len(got) != rows {
+				t.Fatalf("model %d, %d rows: Predict returned %d predictions from row %d, want %d from %d",
+					model, rows, len(got), gotFirst, rows, first)
+			}
+			for i, p := range got {
+				if math.Float64bits(p) != math.Float64bits(want.At(i, 0)) {
+					t.Errorf("model %d, %d rows: prediction %d is %v, ForwardBatch %v", model, rows, i, p, want.At(i, 0))
+					break
+				}
+			}
+		}
+	}
+}

@@ -186,9 +186,17 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = &SGD{LR: 0.01}
 	}
-	idx := n.sampleIndexes(ds)
-	if len(idx) == 0 {
+	// The anchors, shuffled in place each epoch: one int32 per sample.
+	first := n.firstAnchor()
+	if ds.Len() <= first {
 		return 0, ErrNoData
+	}
+	if ds.Len() > math.MaxInt32 {
+		return 0, fmt.Errorf("nn: %d samples exceed Fit's int32 row indexes", ds.Len())
+	}
+	idx := make([]int32, ds.Len()-first)
+	for i := range idx {
+		idx[i] = int32(first + i)
 	}
 	params := n.Params()
 	batchRows := cfg.BatchSize
@@ -232,32 +240,24 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 
 // BlockRows is the block height of the batched forward pass — 256 rows of
 // the paper model's activations are a third of a megabyte, which stays in
-// L2 — the batch height of Predict, and the height of the engine's scoring
-// runs.
+// L2 — and the height of the engine's scoring runs, whose lanes keep their
+// scratch from one decision to the next. Predict, whose scratch dies with
+// the call, scores predictRows at a time instead.
 const BlockRows = 256
+
+// predictRows is Predict's block height: a minibatch (FitConfig's default
+// BatchSize, and the engine's), so scoring a validation partition after a
+// fit needs no more activation scratch than one training step did.
+const predictRows = 32
 
 // firstAnchor is the first dataset row usable as a sample anchor: row 0
 // for dense models, the first row with a full history window for
-// recurrent ones.
+// recurrent ones. Every row from it on is an anchor.
 func (n *Network) firstAnchor() int {
 	if n.rec != nil {
 		return n.window() - 1
 	}
 	return 0
-}
-
-// sampleIndexes returns the dataset row indexes usable as sample anchors,
-// in order: every row from firstAnchor on.
-func (n *Network) sampleIndexes(ds *Dataset) []int {
-	first := n.firstAnchor()
-	if ds.Len() <= first {
-		return nil
-	}
-	idx := make([]int, 0, ds.Len()-first)
-	for i := first; i < ds.Len(); i++ {
-		idx = append(idx, i)
-	}
-	return idx
 }
 
 func (n *Network) window() int {
@@ -267,52 +267,58 @@ func (n *Network) window() int {
 	return DefaultWindow
 }
 
-// assembleSeq gathers a recurrent network's input for the given anchor
+// gatherSeq gathers a recurrent network's input for the given anchor
 // rows: one B×Z matrix per timestep of the window ending at each anchor.
-func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
+func (n *Network) gatherSeq(ds *Dataset, rows []int32) []*mat.Matrix {
 	w := n.window()
 	seq := make([]*mat.Matrix, w)
 	for t := 0; t < w; t++ {
 		step := mat.New(len(rows), n.InSize)
 		for i, r := range rows {
-			step.SetRow(i, ds.X.Row(r-w+1+t))
+			step.SetRow(i, ds.X.Row(int(r)-w+1+t))
 		}
 		seq[t] = step
 	}
 	return seq
 }
 
-// Predict returns the network outputs for every usable row of ds, aligned
-// with the anchor indexes returned as the second value. It scores
-// BlockRows anchors at a time (anchors are consecutive rows): dense
-// networks score row views of ds.X, recurrent ones windows assembled per
-// block, and either way the dense stack runs through ForwardBatch on one
-// scratch scoped to the call, so a dense call allocates at most one set of
-// activation buffers however long ds is.
-func (n *Network) Predict(ds *Dataset) ([]float64, []int) {
-	idx := n.sampleIndexes(ds)
-	if len(idx) == 0 {
-		return nil, nil
+// Predict returns the network outputs for every anchor of ds — the
+// consecutive rows from first on, so preds[i] is row first+i's — or nil
+// when ds is shorter than a window. It scores predictRows anchors at a
+// time: dense networks score row views of ds.X, recurrent ones windows
+// gathered per block, and either way the dense stack runs through
+// ForwardBatch on one scratch scoped to the call. A dense call therefore
+// allocates its predictions and one minibatch-high set of activation
+// buffers, however long ds is. A row's output does not depend on the rows
+// scored beside it, so the block height changes no value.
+func (n *Network) Predict(ds *Dataset) (preds []float64, first int) {
+	first = n.firstAnchor()
+	if ds.Len() <= first {
+		return nil, first
 	}
-	out := make([]float64, 0, len(idx))
+	preds = make([]float64, ds.Len()-first)
 	var s Scratch
-	var view mat.Matrix // one row view, re-pointed per block
-	for lo := 0; lo < len(idx); lo += BlockRows {
-		hi := min(lo+BlockRows, len(idx))
+	var view mat.Matrix            // one row view, re-pointed per block
+	var anchors [predictRows]int32 // a recurrent block's anchor rows
+	for lo := 0; lo < len(preds); lo += predictRows {
+		hi := min(lo+predictRows, len(preds))
 		var flat *mat.Matrix
 		var seq []*mat.Matrix
 		if n.rec == nil {
-			view = rowsOf(ds.X, idx[lo], idx[hi-1]+1)
+			view = rowsOf(ds.X, first+lo, first+hi)
 			flat = &view
 		} else {
-			seq = n.assembleSeq(ds, idx[lo:hi])
+			for i := range hi - lo {
+				anchors[i] = int32(first + lo + i)
+			}
+			seq = n.gatherSeq(ds, anchors[:hi-lo])
 		}
-		pred := n.ForwardBatch(flat, seq, &s)
-		for r := 0; r < pred.Rows; r++ {
-			out = append(out, pred.At(r, 0))
+		out := n.ForwardBatch(flat, seq, &s)
+		for r := range out.Rows {
+			preds[lo+r] = out.At(r, 0)
 		}
 	}
-	return out, idx
+	return preds, first
 }
 
 // PredictOne returns the scalar prediction for a single feature vector

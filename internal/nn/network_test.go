@@ -120,8 +120,7 @@ func TestRecurrentNeedsFullWindow(t *testing.T) {
 	if _, err := net.Fit(ds, FitConfig{Epochs: 1}); err != ErrNoData {
 		t.Errorf("Fit with short history = %v, want ErrNoData", err)
 	}
-	preds, idx := net.Predict(ds)
-	if preds != nil || idx != nil {
+	if preds, _ := net.Predict(ds); preds != nil {
 		t.Error("Predict with short history should return nil")
 	}
 }
@@ -131,17 +130,17 @@ func TestPredictAlignment(t *testing.T) {
 	ds := synthDataset(rng, 50, 3)
 
 	dense := NewNetwork(3).AddDense(4, ReLU, rng).AddDense(1, Linear, rng)
-	preds, idx := dense.Predict(ds)
-	if len(preds) != 50 || len(idx) != 50 || idx[0] != 0 {
-		t.Errorf("dense Predict: %d preds, first idx %v", len(preds), idx[0])
+	preds, first := dense.Predict(ds)
+	if len(preds) != 50 || first != 0 {
+		t.Errorf("dense Predict: %d preds, first anchor %d; want 50 preds starting at 0", len(preds), first)
 	}
 
 	rec := NewNetwork(3)
 	rec.Window = 8
 	rec.AddGRU(4, Tanh, rng).AddDense(1, Linear, rng)
-	preds, idx = rec.Predict(ds)
-	if len(preds) != 43 || idx[0] != 7 {
-		t.Errorf("recurrent Predict: %d preds, first idx %d; want 43 preds starting at 7", len(preds), idx[0])
+	preds, first = rec.Predict(ds)
+	if len(preds) != 43 || first != 7 {
+		t.Errorf("recurrent Predict: %d preds, first anchor %d; want 43 preds starting at 7", len(preds), first)
 	}
 }
 

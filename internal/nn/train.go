@@ -20,10 +20,11 @@ type trainer struct {
 
 	x, dOut *mat.Matrix // gathered inputs (dense networks), loss gradient
 	y       []float64   // gathered targets
-	// Per dense layer: its activation, dZ (nil for a Linear layer, whose dZ
-	// is the incoming gradient) and dX (nil for the first layer of a dense
-	// network: nothing consumes the gradient with respect to the features).
-	acts, dZ, dX []*mat.Matrix
+	// Per dense layer: its activation and dX (nil for the first layer of a
+	// dense network: nothing consumes the gradient with respect to the
+	// features). There is no dZ: each layer gates its incoming gradient —
+	// dOut or the next layer's dX, dead once gated — in place.
+	acts, dX []*mat.Matrix
 	// wT[i] is dense layer i's Wᵀ, packed once per minibatch — the weights
 	// only change between minibatches — and read by the backward pass; nil
 	// where dX is.
@@ -41,15 +42,12 @@ func newTrainer(n *Network, ds *Dataset, batchRows int) *trainer {
 	}
 	for li, d := range n.flat {
 		t.acts = append(t.acts, mat.New(batchRows, d.Out))
-		var dZ, dX, wT *mat.Matrix
-		if d.Act != Linear {
-			dZ = mat.New(batchRows, d.Out)
-		}
+		var dX, wT *mat.Matrix
 		if li > 0 || n.rec != nil {
 			dX = mat.New(batchRows, d.In)
 			wT = mat.New(d.Out, d.In)
 		}
-		t.dZ, t.dX, t.wT = append(t.dZ, dZ), append(t.dX, dX), append(t.wT, wT)
+		t.dX, t.wT = append(t.dX, dX), append(t.wT, wT)
 	}
 	return t
 }
@@ -57,18 +55,18 @@ func newTrainer(n *Network, ds *Dataset, batchRows int) *trainer {
 // minibatch gathers the batch rows and runs the training step over them:
 // the MSE gradient of the batch is left in the network's accumulators and
 // the batch MSE returned.
-func (t *trainer) minibatch(batch []int) float64 {
+func (t *trainer) minibatch(batch []int32) float64 {
 	y := t.y[:len(batch)]
 	for i, r := range batch {
 		y[i] = t.ds.Y[r]
 	}
 	var seq []*mat.Matrix
 	if t.net.rec != nil {
-		seq = t.net.assembleSeq(t.ds, batch)
+		seq = t.net.gatherSeq(t.ds, batch)
 	} else {
 		t.x.Resize(len(batch))
 		for i, r := range batch {
-			copy(t.x.Row(i), t.ds.X.Row(r))
+			copy(t.x.Row(i), t.ds.X.Row(int(r)))
 		}
 	}
 	return t.step(t.x, seq, y) / float64(len(y))
@@ -110,14 +108,11 @@ func (t *trainer) step(x *mat.Matrix, seq []*mat.Matrix, y []float64) float64 {
 		if i > 0 {
 			layerIn = t.acts[i-1]
 		}
-		dZ, dX := t.dZ[i], t.dX[i]
-		if dZ != nil {
-			dZ.Resize(g.Rows)
-		}
+		dX := t.dX[i]
 		if dX != nil {
 			dX.Resize(g.Rows)
 		}
-		n.flat[i].backwardInto(dense[2*i], dense[2*i+1], dX, dZ, layerIn, t.acts[i], g, t.wT[i])
+		n.flat[i].backwardInto(dense[2*i], dense[2*i+1], dX, layerIn, t.acts[i], g, t.wT[i])
 		g = dX
 	}
 	if n.rec != nil {
