@@ -20,7 +20,7 @@
 //     carrying each file's heat), gap model, workload and policy blobs,
 //     replay watermark and any embedded access records;
 //  2. weights: the engine model's parameters in nn Params() order, each a
-//     little-endian float64 (nn.State.AppendWeights); empty without an
+//     little-endian float64 (nn.State.WriteWeights); empty without an
 //     engine;
 //  3. stats: Snapshot.Stats, one 64-byte record a run;
 //  4. train log: Loop.TrainLog, one 65-byte record a report;
@@ -28,15 +28,18 @@
 //
 // A record's fields are little-endian in declaration order (sections.go):
 // an integer as 8 bytes, a float64 as its IEEE bits, a bool as one byte.
-// These are the parts that grow with the model and the run, and each of
-// their values is encoded once, straight into the one buffer the whole
-// file is built in. A reader checks every section's length against the
-// payload, and the model's architecture against its weight block, before
-// it sizes anything by either. The weight block stays where it was read,
-// in the payload, until the restored network decodes it into its own
-// matrices.
+// These are the parts that grow with the model and the run. A write
+// encodes the head first, into a buffer of a few KB, because the head's
+// length precedes it; every other length follows from the model and the
+// record counts, so the frame's header goes out next and the weights and
+// records stream after it through that same buffer, each value encoded
+// once. What a write allocates does not grow with the run's history. A
+// reader checks every section's length against the payload, and the
+// model's architecture against its weight block, before it sizes
+// anything by either. The weight block stays where it was read, in the
+// payload, until the restored network decodes it into its own matrices.
 //
-// Writes are atomic: Save encodes to a temporary file in the destination
+// Saves are atomic: Save writes to a temporary file in the destination
 // directory, fsyncs it, renames it over the target, and fsyncs the
 // directory, so a crash mid-write leaves either the old snapshot or the
 // new one, never a torn file.
@@ -138,67 +141,102 @@ type Snapshot struct {
 	AccessCount int
 }
 
-// Write serializes snap to w in the framed checkpoint format.
+// Write serializes snap to w in the framed checkpoint format as it
+// encodes it. Only the head is built in memory, because its length comes
+// before it; every other section's length is known up front, so the
+// weights and records follow the head through the same buffer, a chunk at
+// a time, and what a write allocates does not grow with the run's
+// history. It returns the first error w returns.
 func Write(w io.Writer, snap *Snapshot) error {
-	file, err := encode(snap)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(file)
-	return err
-}
-
-// headGuess bounds the head section's length: a few RNG registers,
-// scalers and blobs, and gob's type descriptors. The heads of the bench's
-// deployed-ingest workload measure 5.5 KB, after 60 runs and after 300.
-// A memory-backed replay database's embedded records make a longer one,
-// and the buffer then grows as the head is written.
-const headGuess = 8 << 10
-
-// encode builds snap's whole checkpoint file in one buffer. Every section
-// but the head has a size known before anything is written, so the buffer
-// is allocated once at the file's size whenever the head fits headGuess.
-func encode(snap *Snapshot) ([]byte, error) {
 	net := &snap.Engine.Net
 	weights := net.WeightsLen()
-	rest := weights + statsWidth*len(snap.Stats) +
-		trainWidth*len(snap.Loop.TrainLog) + movementWidth*len(snap.Loop.Movements)
-	file := make([]byte, 0, frameHeader+4*sectionCount+headGuess+rest+4)
-	file = append(file, magic...)
-	file = append(file, frameSnapshot, 0, 0, 0, 0)
-
 	head := *snap
 	head.Stats, head.Engine.Net.Params, head.Engine.Net.Weights = nil, nil, nil
 	head.Loop.TrainLog, head.Loop.Movements = nil, nil
-	w := sectionWriter{file}
-	w.b = append(w.b, 0, 0, 0, 0)
-	if err := gob.NewEncoder(&w).Encode(&head); err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
+	hw := sectionWriter{make([]byte, frameHeader+4, headGuess)}
+	if err := gob.NewEncoder(&hw).Encode(&head); err != nil {
+		return fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	file = w.b
-	headLen := len(file) - frameHeader - 4
-	binary.LittleEndian.PutUint32(file[frameHeader:], uint32(headLen))
-
-	file = binary.LittleEndian.AppendUint32(file, uint32(weights))
-	file = net.AppendWeights(file)
-	file = appendSection(file, snap.Stats, statsWidth, runStats)
-	file = appendSection(file, snap.Loop.TrainLog, trainWidth, trainReport)
-	file = appendSection(file, snap.Loop.Movements, movementWidth, movement)
-
-	payload := file[frameHeader:]
-	if len(payload) > math.MaxUint32 {
-		return nil, fmt.Errorf("checkpoint: snapshot of %d bytes exceeds the frame's 4 GiB", len(payload))
+	f := frameWriter{w: w}
+	f.b = hw.b
+	headLen := len(f.b) - frameHeader - 4
+	plen := uint64(4*sectionCount+headLen+weights) + uint64(statsWidth)*uint64(len(snap.Stats)) +
+		uint64(trainWidth)*uint64(len(snap.Loop.TrainLog)) + uint64(movementWidth)*uint64(len(snap.Loop.Movements))
+	if plen > math.MaxUint32 {
+		return fmt.Errorf("checkpoint: snapshot of %d bytes exceeds the frame's 4 GiB", plen)
 	}
-	binary.LittleEndian.PutUint32(file[len(magic)+1:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload)), nil
+	copy(f.b, magic)
+	f.b[len(magic)] = frameSnapshot
+	binary.LittleEndian.PutUint32(f.b[len(magic)+1:], uint32(plen))
+	binary.LittleEndian.PutUint32(f.b[frameHeader:], uint32(headLen))
+	f.b = binary.LittleEndian.AppendUint32(f.b, uint32(weights))
+	// The CRC covers the payload, which starts after the frame's header.
+	f.crc = crc32.ChecksumIEEE(f.b[frameHeader:])
+	f.send(f.b)
+	f.b = f.b[:0]
+	net.WriteWeights(&f, f.b) // an error from w stays in f.err
+	writeSection(&f, snap.Stats, statsWidth, runStats)
+	writeSection(&f, snap.Loop.TrainLog, trainWidth, trainReport)
+	writeSection(&f, snap.Loop.Movements, movementWidth, movement)
+	f.room(4)
+	f.crc = crc32.Update(f.crc, crc32.IEEETable, f.b)
+	f.send(binary.LittleEndian.AppendUint32(f.b, f.crc))
+	return f.err
 }
 
-// sectionWriter appends what gob writes to the file being built.
+// headGuess is the capacity of the buffer a write encodes the head into
+// and then streams the rest of the file through: it holds a few RNG
+// registers, scalers and blobs and gob's type descriptors. The heads of
+// the bench's deployed-ingest workload measure 5.5 KB, after 60 runs and
+// after 300. A memory-backed replay database's embedded records make a
+// longer one, and the buffer then grows to the head's length.
+const headGuess = 8 << 10
+
+// sectionWriter appends what gob writes to the buffer.
 type sectionWriter struct{ b []byte }
 
 func (w *sectionWriter) Write(p []byte) (int, error) {
 	w.b = append(w.b, p...)
 	return len(p), nil
+}
+
+// frameWriter streams a frame's payload to w. Its fields are the buffer
+// the head is encoded into and the records are then appended to; flush
+// sends what the buffer holds. Every payload byte sent is folded into
+// crc, and after the first error from w nothing more is sent.
+type frameWriter struct {
+	fields
+	w   io.Writer
+	crc uint32
+	err error
+}
+
+// Write sends payload bytes encoded elsewhere (the weights) and folds
+// them into the CRC.
+func (f *frameWriter) Write(p []byte) (int, error) {
+	f.crc = crc32.Update(f.crc, crc32.IEEETable, p)
+	f.send(p)
+	return len(p), f.err
+}
+
+// send writes p to w, unless an earlier write failed.
+func (f *frameWriter) send(p []byte) {
+	if f.err == nil {
+		_, f.err = f.w.Write(p)
+	}
+}
+
+// flush sends the buffered payload bytes and empties the buffer.
+func (f *frameWriter) flush() {
+	f.Write(f.b)
+	f.b = f.b[:0]
+}
+
+// room flushes the buffer unless n more bytes fit it.
+func (f *frameWriter) room(n int) {
+	if len(f.b)+n > cap(f.b) {
+		f.flush()
+	}
 }
 
 // Read parses a framed snapshot, returning ErrCorrupt for anything that
@@ -308,17 +346,13 @@ func decode(body []byte) (*Snapshot, error) {
 // Save writes snap to path atomically: temp file in the same directory,
 // fsync, rename over the target, fsync the directory.
 func Save(path string, snap *Snapshot) error {
-	file, err := encode(snap)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(file); err != nil {
+	if err := Write(tmp, snap); err != nil {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: writing %s: %w", path, err)
 	}

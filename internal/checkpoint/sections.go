@@ -23,14 +23,15 @@ const (
 	movementWidth = 4 * 8   // core.MovementEvent
 )
 
-// appendSection appends recs as one section: its byte length, then each
-// record's fields, width bytes a record.
-func appendSection[T any](b []byte, recs []T, width int, record func(*fields, *T)) []byte {
-	f := fields{b: binary.LittleEndian.AppendUint32(b, uint32(width*len(recs)))}
+// writeSection writes recs as one section: its byte length, then each
+// record's fields, width bytes a record, through f's buffer.
+func writeSection[T any](f *frameWriter, recs []T, width int, record func(*fields, *T)) {
+	f.room(4)
+	f.b = binary.LittleEndian.AppendUint32(f.b, uint32(width*len(recs)))
 	for i := range recs {
-		record(&f, &recs[i])
+		f.room(width)
+		record(&f.fields, &recs[i])
 	}
-	return f.b
 }
 
 // readSection decodes a section of width-byte records; one of any other

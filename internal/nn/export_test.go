@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 
 	"geomancy/internal/mat"
@@ -34,4 +35,13 @@ func (n *Network) assembleSeq(ds *Dataset, rows []int) []*mat.Matrix {
 		r32[i] = int32(r)
 	}
 	return n.gatherSeq(ds, r32)
+}
+
+// AppendWeights appends the state's weight block to b.
+func (s *State) AppendWeights(b []byte) []byte {
+	w := bytes.NewBuffer(b)
+	if err := s.WriteWeights(w, make([]byte, 0, 512)); err != nil {
+		panic(err)
+	}
+	return w.Bytes()
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"geomancy/internal/rng"
@@ -12,7 +13,7 @@ import (
 // architecture (via the zoo-style layer specs) and restore every weight.
 // The architecture fields are small and travel in any encoding; the
 // weights are what a checkpoint writes as a block of its own
-// (AppendWeights, SetWeights), so an encoder leaves Params and Weights out.
+// (WriteWeights, SetWeights), so an encoder leaves Params and Weights out.
 type State struct {
 	Desc   string
 	InSize int
@@ -54,21 +55,36 @@ func (s *State) WeightsLen() int {
 	return n
 }
 
-// AppendWeights appends the state's weight block to b: every parameter in
-// Params() order, as little-endian float64 bits.
-func (s *State) AppendWeights(b []byte) []byte {
+// WriteWeights writes the state's weight block to w: every parameter in
+// Params() order, as little-endian float64 bits. A read state's block goes
+// out in one write; a captured state's parameters are encoded through
+// buf, at most cap(buf) bytes (and at least one value) a write, so writing
+// allocates nothing.
+func (s *State) WriteWeights(w io.Writer, buf []byte) error {
 	if s.Weights != nil {
-		return append(b, s.Weights...)
+		_, err := w.Write(s.Weights)
+		return err
 	}
+	b := buf[:0]
 	for _, p := range s.Params {
 		for _, v := range p {
+			if len(b) > 0 && len(b)+8 > cap(b) {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
+			}
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return b
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := w.Write(b)
+	return err
 }
 
-// SetWeights makes block, a weight block written by AppendWeights, the
+// SetWeights makes block, a weight block written by WriteWeights, the
 // state's weights. The architecture is checked against the block's length
 // first, allocating nothing, so a state that declares more or fewer
 // weights than the block holds is an error, never an allocation sized by
